@@ -1,9 +1,5 @@
 module Name = Xsm_xml.Name
 
-let m_table_runs =
-  Xsm_obs.Metrics.Counter.make ~help:"content models matched via the determinized table"
-    "validate.table_runs"
-
 (* Regular expression over positions.  Each position carries the
    element declaration of the occurrence. *)
 type re =
@@ -445,7 +441,6 @@ let compile t =
            })
 
 let table_run table word =
-  Xsm_obs.Metrics.Counter.incr m_table_runs;
   match table with
   | T_glushkov t ->
     let rec go current acc = function

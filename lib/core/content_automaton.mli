@@ -67,7 +67,7 @@ val table_matches : table -> Ast.Name.t list -> bool
 
 (** {1 Incremental runners}
 
-    One child step at a time — what the streaming validator's frame
+    One child step at a time — what the {!Validator} core's frame
     stack drives.  The state returned by {!step_run} supersedes the
     argument; interleave ("all" group) states are updated in place, so
     a state must not be shared between frames. *)
@@ -89,7 +89,7 @@ type nfa_state
 
 val nfa_start : t -> nfa_state
 val nfa_step : t -> nfa_state -> Ast.Name.t -> (nfa_state * Ast.element_decl) option
-(** Position-set simulation over the raw automaton — the streaming
+(** Position-set simulation over the raw automaton — the one-pass
     fallback for content models that violate UPA, where no table
     exists.  The verdict agrees with {!matches} (and hence with the
     backtracking baseline); the attributed declaration is the leftmost

@@ -1,6 +1,7 @@
 module Name = Xsm_xml.Name
 module Store = Xsm_xdm.Store
 module Simple_type = Xsm_datatypes.Simple_type
+module CA = Content_automaton
 module Counter = Xsm_obs.Metrics.Counter
 module Trace = Xsm_obs.Trace
 
@@ -13,6 +14,13 @@ let m_automaton_hits =
 let m_automaton_compiles =
   Counter.make ~help:"content models determinized during validation" "validate.automaton_compiles"
 
+let m_table_runs =
+  Counter.make ~help:"content models matched via the determinized table" "validate.table_runs"
+
+let m_fallback =
+  Counter.make ~help:"child steps through the non-UPA position-set fallback"
+    "validate.fallback_steps"
+
 type error = { path : string; message : string }
 
 let pp_error ppf e = Format.fprintf ppf "%s: %s" e.path e.message
@@ -21,47 +29,6 @@ let error_to_string e = Format.asprintf "%a" pp_error e
 let xsi_nil = Name.make ~prefix:"xsi" "nil"
 let untyped_atomic_name = Name.make ~prefix:"xdt" "untypedAtomic"
 let any_type_name = Name.make ~prefix:"xs" "anyType"
-
-type ctx = {
-  store : Store.t;
-  schema : Ast.schema;
-  mutable errors : error list;
-  (* determinized content models are cached per group (physical
-     identity); a static analyzer can seed the cache so validation
-     never recompiles (the ?automata parameter of the entry points) *)
-  automata : (Ast.group_def * Content_automaton.table) list ref;
-}
-
-let report ctx path fmt =
-  Printf.ksprintf
-    (fun message ->
-      Counter.incr m_errors;
-      ctx.errors <- { path; message } :: ctx.errors)
-    fmt
-
-let automaton_for ctx path (g : Ast.group_def) =
-  let rec find = function
-    | [] -> None
-    | (g', a) :: rest -> if g' == g then Some a else find rest
-  in
-  match find !(ctx.automata) with
-  | Some a ->
-    Counter.incr m_automaton_hits;
-    Some a
-  | None -> (
-    Counter.incr m_automaton_compiles;
-    match Content_automaton.make g with
-    | Ok a -> (
-      match Content_automaton.compile a with
-      | None ->
-        report ctx path "content model violates Unique Particle Attribution";
-        None
-      | Some table ->
-        ctx.automata := (g, table) :: !(ctx.automata);
-        Some table)
-    | Error e ->
-      report ctx path "content model: %s" e;
-      None)
 
 let is_whitespace s =
   String.for_all (fun c -> c = ' ' || c = '\t' || c = '\n' || c = '\r') s
@@ -73,242 +40,441 @@ let annotation_name (ty : Ast.type_ref) =
   | Ast.Anonymous _ | Ast.Anonymous_simple _ -> any_type_name
 
 (* ------------------------------------------------------------------ *)
-(* Attributes (§6.2 item 5.3.1)                                        *)
+(* The §6.1 transition core: one frame per open element, each holding  *)
+(* one content-model state, fed start/attr/text/end in document order *)
 
-let validate_attributes ctx path node (decls : Ast.attribute_decl list) =
-  let attrs = Store.attributes ctx.store node in
-  let named =
-    List.filter_map
-      (fun a ->
-        match Store.node_name ctx.store a with
-        | Some n when Name.equal n xsi_nil -> None (* instance mechanics, not data *)
-        | Some n -> Some (n, a)
-        | None -> None)
-      attrs
+(* A compiled content model, or the reason none exists. *)
+type compiled =
+  | C_table of CA.table
+  | C_nfa of CA.t  (* UPA violated: exact position-set fallback *)
+  | C_error of string  (* the group itself is malformed *)
+
+type matcher =
+  | M_table of CA.table * CA.state ref
+  | M_nfa of CA.t * CA.nfa_state ref
+  | M_dead  (* content-model error already reported at this frame *)
+
+(* What the element's resolved type says about its content. *)
+type ccase =
+  | Unchecked  (* type unresolvable, or a structurally skipped subtree *)
+  | Simple of Simple_type.t
+  | Simple_unchecked  (* simple-content base failed to resolve: attrs only *)
+  | Empty of { none : bool }  (* no element children; [none] = content absent *)
+  | Model of matcher
+
+type frame = {
+  f_path : string;
+  (* the element, when a store walk drives the frame: the checks write
+     its §6.2 annotations *)
+  f_node : Store.node option;
+  (* [None] for frames pushed only to keep the stack balanced under a
+     subtree whose parent already failed: no checks at all happen there *)
+  f_decl : Ast.element_decl option;
+  f_attr_decls : Ast.attribute_decl list;
+  f_mixed : bool;
+  mutable f_case : ccase;
+  mutable f_attrs_seen : Name.t list;
+  mutable f_nilled : bool;
+  mutable f_child_reported : bool;  (* nilled/simple/empty child error emitted *)
+  mutable f_elem_children : int;
+  mutable f_text_nodes : int;  (* logical text nodes (runs across Comment/Pi) *)
+  mutable f_in_text : bool;
+  f_text : Buffer.t;  (* simple-content value, or the current run in
+                         element-only content (checked at run end) *)
+}
+
+type stats = { elements : int; max_depth : int; fallback_steps : int }
+
+type t = {
+  schema : Ast.schema;
+  store : Store.t option;  (* set by the store walk; streaming annotates nothing *)
+  strict : bool;  (* reject non-UPA content models instead of stepping the fallback *)
+  (* content models are compiled once per group (physical identity); a
+     static analyzer can seed the cache so validation never recompiles *)
+  mutable cache : (Ast.group_def * compiled) list;
+  mutable errors : error list;  (* newest first, not yet taken *)
+  mutable stack : frame list;
+  mutable depth : int;  (* length of [stack] *)
+  mutable seen_root : bool;
+  mutable elements : int;
+  mutable max_depth : int;
+  mutable fallback_steps : int;
+}
+
+let create ?(automata = []) schema =
+  {
+    schema;
+    store = None;
+    strict = false;
+    cache = List.rev_map (fun (g, tbl) -> (g, C_table tbl)) automata;
+    errors = [];
+    stack = [];
+    depth = 0;
+    seen_root = false;
+    elements = 0;
+    max_depth = 0;
+    fallback_steps = 0;
+  }
+
+let report t path fmt =
+  Printf.ksprintf
+    (fun message ->
+      Counter.incr m_errors;
+      t.errors <- { path; message } :: t.errors)
+    fmt
+
+let compiled_for t path (g : Ast.group_def) =
+  let rec find = function
+    | [] -> None
+    | (g', c) :: rest -> if g' == g then Some c else find rest
   in
-  (* every attribute present must be declared and allowed; required
-     attributes must be present (the automorphism σ of item 5.3.1);
-     absent attributes with a default value are materialized *)
-  List.iter
-    (fun (n, anode) ->
-      match List.find_opt (fun (d : Ast.attribute_decl) -> Name.equal d.attr_name n) decls with
-      | None -> report ctx path "undeclared attribute %s" (Name.to_string n)
-      | Some { Ast.attr_use = Ast.Prohibited; _ } ->
-        report ctx path "prohibited attribute %s" (Name.to_string n)
-      | Some d -> (
-        match Schema_check.resolve_simple ctx.schema d.attr_type with
-        | Error e -> report ctx path "attribute %s: %s" (Name.to_string n) e
-        | Ok st -> (
-          let value = Store.string_value ctx.store anode in
-          match Simple_type.validate st value with
-          | Ok typed ->
-            Store.set_type_name ctx.store anode (Some d.attr_type);
-            Store.set_typed_value ctx.store anode typed
-          | Error e -> report ctx path "attribute %s: %s" (Name.to_string n) e)))
-    named;
-  List.iter
-    (fun (d : Ast.attribute_decl) ->
-      let present = List.exists (fun (n, _) -> Name.equal n d.attr_name) named in
-      match d.attr_use, d.attr_default, present with
-      | Ast.Required, _, false ->
-        report ctx path "missing declared attribute %s" (Name.to_string d.attr_name)
-      | (Ast.Optional | Ast.Prohibited), Some dv, false when d.attr_use = Ast.Optional -> (
-        (* materialize the default, typed *)
-        match Schema_check.resolve_simple ctx.schema d.attr_type with
-        | Error e -> report ctx path "attribute %s: %s" (Name.to_string d.attr_name) e
-        | Ok st -> (
-          match Simple_type.validate st dv with
-          | Error e ->
-            report ctx path "default for attribute %s: %s" (Name.to_string d.attr_name) e
-          | Ok typed ->
-            let anode =
-              Store.new_attribute ctx.store ~type_name:d.attr_type ~typed_value:typed
-                d.attr_name dv
-            in
-            Store.attach_attribute ctx.store node anode))
-      | (Ast.Required | Ast.Optional | Ast.Prohibited), _, _ -> ())
-    decls
-
-(* ------------------------------------------------------------------ *)
-(* Simple content (items 5.1.1 / 5.2)                                  *)
-
-let validate_simple_text ctx path node (st : Simple_type.t) =
-  let children = Store.children ctx.store node in
-  let text_nodes, others =
-    List.partition (fun c -> Store.kind ctx.store c = Store.Kind.Text) children
-  in
-  if others <> [] then
-    report ctx path "element with simple type has element children";
-  let value = Store.string_value ctx.store node in
-  match Simple_type.validate st value with
-  | Ok typed ->
-    Store.set_typed_value ctx.store node typed;
-    List.iter
-      (fun t -> Store.set_type_name ctx.store t (Some untyped_atomic_name))
-      text_nodes
-  | Error e -> report ctx path "%s" e
-
-(* ------------------------------------------------------------------ *)
-(* Elements                                                            *)
-
-let rec validate_element ctx path node (decl : Ast.element_decl) =
-  Counter.incr m_elements;
-  if !Trace.enabled && !Trace.detail then
-    Trace.with_span
-      ~attrs:[ ("decl", Name.to_string decl.elem_name) ]
-      "validate.element"
-      (fun () -> validate_element_inner ctx path node decl)
-  else validate_element_inner ctx path node decl
-
-and validate_element_inner ctx path node (decl : Ast.element_decl) =
-  let name = Store.node_name ctx.store node in
-  (match name with
-  | Some n when Name.equal n decl.elem_name -> ()
-  | Some n ->
-    report ctx path "element %s where %s was declared" (Name.to_string n)
-      (Name.to_string decl.elem_name)
-  | None -> report ctx path "unnamed element node");
-  Store.set_type_name ctx.store node (Some (annotation_name decl.elem_type));
-  (* nil handling: item 6 *)
-  let nil_requested =
-    List.exists
-      (fun a ->
-        match Store.node_name ctx.store a with
-        | Some n ->
-          Name.equal n xsi_nil
-          && (let v = Store.string_value ctx.store a in
-              v = "true" || v = "1")
-        | None -> false)
-      (Store.attributes ctx.store node)
-  in
-  if nil_requested && not decl.nillable then
-    report ctx path "xsi:nil on an element whose declaration has NillIndicator = false";
-  let nilled = nil_requested && decl.nillable in
-  Store.set_nilled ctx.store node nilled;
-  if nilled then begin
-    (* children(end) = (); attributes still validate per item 6.2/6.3 *)
-    if Store.children ctx.store node <> [] then
-      report ctx path "nilled element must be empty";
-    match Schema_check.resolve ctx.schema decl.elem_type with
-    | Ok (Schema_check.Resolved_complex (Ast.Simple_content { attributes; _ }))
-    | Ok (Schema_check.Resolved_complex (Ast.Complex_content { attributes; _ })) ->
-      validate_attributes ctx path node attributes
-    | Ok (Schema_check.Resolved_simple _) -> validate_attributes ctx path node []
-    | Error e -> report ctx path "%s" e
-  end
-  else begin
-    match Schema_check.resolve ctx.schema decl.elem_type with
-    | Error e -> report ctx path "%s" e
-    | Ok (Schema_check.Resolved_simple st) ->
-      validate_attributes ctx path node [];
-      validate_simple_text ctx path node st
-    | Ok (Schema_check.Resolved_complex (Ast.Simple_content { base; attributes })) -> (
-      validate_attributes ctx path node attributes;
-      match Schema_check.resolve_simple ctx.schema base with
-      | Ok st -> validate_simple_text ctx path node st
-      | Error e -> report ctx path "simple content base: %s" e)
-    | Ok (Schema_check.Resolved_complex (Ast.Complex_content { mixed; content; attributes }))
-      ->
-      validate_attributes ctx path node attributes;
-      validate_complex_children ctx path node ~mixed content
-  end
-
-and validate_complex_children ctx path node ~mixed content =
-  let children = Store.children ctx.store node in
-  (* partition, checking text discipline on the way *)
-  let element_children =
-    List.filter
-      (fun c ->
-        match Store.kind ctx.store c with
-        | Store.Kind.Element -> true
-        | Store.Kind.Text ->
-          let s = Store.string_value ctx.store c in
-          if mixed then
-            Store.set_type_name ctx.store c (Some untyped_atomic_name)
-          else if not (is_whitespace s) then
-            report ctx path "text %S in element-only content" s;
-          false
-        | Store.Kind.Document | Store.Kind.Attribute ->
-          report ctx path "impossible child node kind";
-          false)
-      children
-  in
-  (* no adjacent text nodes (item 5.4.2.2) *)
-  let rec adjacent = function
-    | a :: b :: rest ->
-      (Store.kind ctx.store a = Store.Kind.Text && Store.kind ctx.store b = Store.Kind.Text)
-      || adjacent (b :: rest)
-    | [ _ ] | [] -> false
-  in
-  if mixed && adjacent children then report ctx path "adjacent text nodes";
-  let names =
-    List.map
-      (fun c -> Option.value ~default:(Name.local "?") (Store.node_name ctx.store c))
-      element_children
-  in
-  match content with
+  match find t.cache with
+  | Some c ->
+    Counter.incr m_automaton_hits;
+    c
   | None ->
-    (* empty content, items 5.4.1.1 / 5.4.1.2 *)
-    if element_children <> [] then report ctx path "element children in empty content";
-    if mixed && List.length children > 1 then
-      report ctx path "mixed empty content allows at most one text node"
-  | Some g when Ast.group_is_empty g ->
-    if element_children <> [] then report ctx path "element children in empty content"
-  | Some g -> (
-    match automaton_for ctx path g with
-    | None -> () (* error already reported *)
-    | Some a -> (
-      match Content_automaton.table_run a names with
-      | None ->
-        report ctx path "children (%s) do not match the content model"
-          (String.concat ", " (List.map Name.to_string names))
-      | Some decls ->
-        List.iteri
-          (fun i (child, d) ->
-            let child_name =
-              match Store.node_name ctx.store child with
-              | Some n -> Name.to_string n
-              | None -> "?"
-            in
-            let child_path = Printf.sprintf "%s/%s[%d]" path child_name (i + 1) in
-            validate_element ctx child_path child d)
-          (List.combine element_children decls)))
+    Counter.incr m_automaton_compiles;
+    let c =
+      match CA.make g with
+      | Error e -> C_error e
+      | Ok a -> ( match CA.compile a with Some tbl -> C_table tbl | None -> C_nfa a)
+    in
+    t.cache <- (g, c) :: t.cache;
+    (match c with C_error e -> report t path "content model: %s" e | C_table _ | C_nfa _ -> ());
+    c
+
+(* An attribute's value typed by its declaration. *)
+let attribute_value t (d : Ast.attribute_decl) value =
+  Result.bind (Schema_check.resolve_simple t.schema d.attr_type) (fun st ->
+      Simple_type.validate st value)
+
+let skip_frame path =
+  {
+    f_path = path;
+    f_node = None;
+    f_decl = None;
+    f_attr_decls = [];
+    f_mixed = true;
+    f_case = Unchecked;
+    f_attrs_seen = [];
+    f_nilled = false;
+    f_child_reported = false;
+    f_elem_children = 0;
+    f_text_nodes = 0;
+    f_in_text = false;
+    f_text = Buffer.create 0;
+  }
+
+(* Open a frame for an element attributed to [decl], up to the point
+   where attributes and children are consumed. *)
+let make_frame t node path (decl : Ast.element_decl) =
+  t.elements <- t.elements + 1;
+  Counter.incr m_elements;
+  (match t.store, node with
+  | Some s, Some n -> Store.set_type_name s n (Some (annotation_name decl.elem_type))
+  | _ -> ());
+  let base = { (skip_frame path) with f_node = node; f_decl = Some decl } in
+  match Schema_check.resolve t.schema decl.elem_type with
+  | Error e ->
+    (* report, then check nothing below — except xsi:nil, which is
+       policed before the type matters *)
+    report t path "%s" e;
+    base
+  | Ok (Schema_check.Resolved_simple st) -> { base with f_case = Simple st; f_mixed = false }
+  | Ok (Schema_check.Resolved_complex (Ast.Simple_content { base = b; attributes })) ->
+    let case =
+      match Schema_check.resolve_simple t.schema b with
+      | Ok st -> Simple st
+      | Error e ->
+        report t path "simple content base: %s" e;
+        Simple_unchecked
+    in
+    { base with f_case = case; f_attr_decls = attributes; f_mixed = false }
+  | Ok (Schema_check.Resolved_complex (Ast.Complex_content { mixed; content; attributes })) ->
+    let case =
+      match content with
+      | None -> Empty { none = true }
+      | Some g when Ast.group_is_empty g -> Empty { none = false }
+      | Some g -> (
+        match compiled_for t path g with
+        | C_table tbl ->
+          Counter.incr m_table_runs;
+          Model (M_table (tbl, ref (CA.start_run tbl)))
+        | C_nfa _ when t.strict ->
+          report t path "content model violates Unique Particle Attribution";
+          Model M_dead
+        | C_nfa a -> Model (M_nfa (a, ref (CA.nfa_start a)))
+        | C_error _ -> Model M_dead (* reported by compiled_for *))
+    in
+    { base with f_case = case; f_attr_decls = attributes; f_mixed = mixed }
+
+(* A child where none may be: reported once per frame, and skipped. *)
+let refuse_child t (f : frame) message =
+  if not f.f_child_reported then begin
+    f.f_child_reported <- true;
+    report t f.f_path "%s" message
+  end;
+  None
+
+let off_model t (f : frame) name =
+  report t f.f_path "child %s does not match the content model" (Name.to_string name);
+  f.f_case <- Model M_dead;
+  None
+
+(* One child step: the declaration a new child of [f] is attributed
+   to, or [None] when the child's subtree is skipped structurally. *)
+let step t (f : frame) name =
+  match f.f_case with
+  | _ when f.f_nilled -> refuse_child t f "nilled element must be empty"
+  | Unchecked | Simple_unchecked | Model M_dead -> None
+  | Simple _ -> refuse_child t f "element with simple type has element children"
+  | Empty _ -> refuse_child t f "element children in empty content"
+  | Model (M_table (tbl, st)) -> (
+    match CA.step_run tbl !st name with
+    | Some (st', decl) ->
+      st := st';
+      Some decl
+    | None -> off_model t f name)
+  | Model (M_nfa (a, st)) -> (
+    t.fallback_steps <- t.fallback_steps + 1;
+    Counter.incr m_fallback;
+    match CA.nfa_step a !st name with
+    | Some (st', decl) ->
+      st := st';
+      Some decl
+    | None -> off_model t f name)
+
+(* End of a logical text run: in element-only content the buffered run
+   is one text node and must be whitespace. *)
+let flush_text t (f : frame) =
+  if f.f_in_text then begin
+    f.f_in_text <- false;
+    match f.f_case with
+    | (Empty _ | Model _) when not f.f_mixed ->
+      let s = Buffer.contents f.f_text in
+      Buffer.clear f.f_text;
+      if not (is_whitespace s) then report t f.f_path "text %S in element-only content" s
+    | Unchecked | Simple _ | Simple_unchecked | Empty _ | Model _ -> ()
+  end
+
+let push t f =
+  t.stack <- f :: t.stack;
+  t.depth <- t.depth + 1;
+  if t.depth > t.max_depth then t.max_depth <- t.depth
+
+let on_start t node name =
+  match t.stack with
+  | [] ->
+    if t.seen_root then report t "/" "document node must have exactly one element child"
+    else begin
+      t.seen_root <- true;
+      let decl = t.schema.Ast.root in
+      let path = "/" ^ Name.to_string decl.Ast.elem_name in
+      if not (Name.equal name decl.Ast.elem_name) then
+        report t path "element %s where %s was declared" (Name.to_string name)
+          (Name.to_string decl.Ast.elem_name);
+      push t (make_frame t node path decl)
+    end
+  | parent :: _ ->
+    flush_text t parent;
+    parent.f_elem_children <- parent.f_elem_children + 1;
+    let child_path =
+      Printf.sprintf "%s/%s[%d]" parent.f_path (Name.to_string name) parent.f_elem_children
+    in
+    push t
+      (match step t parent name with
+      | Some decl -> make_frame t node child_path decl
+      | None -> skip_frame child_path)
+
+let on_attr t anode name value =
+  match t.stack with
+  | ({ f_decl = Some decl; _ } as f) :: _ ->
+    if Name.equal name xsi_nil then begin
+      if value = "true" || value = "1" then
+        if decl.Ast.nillable then f.f_nilled <- true
+        else
+          report t f.f_path "xsi:nil on an element whose declaration has NillIndicator = false"
+    end
+    else begin
+      f.f_attrs_seen <- name :: f.f_attrs_seen;
+      match f.f_case with
+      | Unchecked -> ()  (* type unresolved: no attribute declarations to check *)
+      | Simple _ | Simple_unchecked | Empty _ | Model _ -> (
+        match
+          List.find_opt
+            (fun (d : Ast.attribute_decl) -> Name.equal d.attr_name name)
+            f.f_attr_decls
+        with
+        | None -> report t f.f_path "undeclared attribute %s" (Name.to_string name)
+        | Some { Ast.attr_use = Ast.Prohibited; _ } ->
+          report t f.f_path "prohibited attribute %s" (Name.to_string name)
+        | Some d -> (
+          match attribute_value t d value, t.store, anode with
+          | Error e, _, _ -> report t f.f_path "attribute %s: %s" (Name.to_string name) e
+          | Ok typed, Some s, Some a ->
+            Store.set_type_name s a (Some d.attr_type);
+            Store.set_typed_value s a typed
+          | Ok _, _, _ -> ()))
+    end
+  | _ -> ()
+
+(* item 5.1.1: text in simple and mixed content is typed xdt:untypedAtomic *)
+let type_text t tnode =
+  match t.store, tnode with
+  | Some s, Some n -> Store.set_type_name s n (Some untyped_atomic_name)
+  | _ -> ()
+
+let on_text t tnode s =
+  match t.stack with
+  | [] -> ()  (* text only ever arrives inside the root *)
+  | f :: _ ->
+    if not f.f_in_text then begin
+      f.f_in_text <- true;
+      f.f_text_nodes <- f.f_text_nodes + 1
+    end;
+    if f.f_nilled then ignore (refuse_child t f "nilled element must be empty")
+    else begin
+      match f.f_case with
+      | Simple _ ->
+        Buffer.add_string f.f_text s;
+        type_text t tnode
+      | Empty _ | Model _ -> if f.f_mixed then type_text t tnode else Buffer.add_string f.f_text s
+      | Unchecked | Simple_unchecked -> ()
+    end
+
+(* The end-of-element checks: required/default attributes, simple-content
+   typing, content-model acceptance, the mixed-empty text budget. *)
+let on_end t =
+  match t.stack with
+  | [] -> ()
+  | f :: rest ->
+    t.stack <- rest;
+    t.depth <- t.depth - 1;
+    flush_text t f;
+    List.iter
+      (fun (d : Ast.attribute_decl) ->
+        let present = List.exists (Name.equal d.attr_name) f.f_attrs_seen in
+        match d.attr_use, d.attr_default, present with
+        | Ast.Required, _, false ->
+          report t f.f_path "missing declared attribute %s" (Name.to_string d.attr_name)
+        | Ast.Optional, Some dv, false -> (
+          (* materialize the default, typed *)
+          match attribute_value t d dv, t.store, f.f_node with
+          | Error e, _, _ ->
+            report t f.f_path "default for attribute %s: %s" (Name.to_string d.attr_name) e
+          | Ok typed, Some s, Some n ->
+            Store.attach_attribute s n
+              (Store.new_attribute s ~type_name:d.attr_type ~typed_value:typed d.attr_name dv)
+          | Ok _, _, _ -> ())
+        | (Ast.Required | Ast.Optional | Ast.Prohibited), _, _ -> ())
+      f.f_attr_decls;
+    (match t.store, f.f_node with Some s, Some n -> Store.set_nilled s n f.f_nilled | _ -> ());
+    if not f.f_nilled then begin
+      match f.f_case with
+      | Unchecked | Simple_unchecked -> ()
+      | Simple st -> (
+        match Simple_type.validate st (Buffer.contents f.f_text), t.store, f.f_node with
+        | Error e, _, _ -> report t f.f_path "%s" e
+        | Ok typed, Some s, Some n -> Store.set_typed_value s n typed
+        | Ok _, _, _ -> ())
+      | Empty { none } ->
+        if none && f.f_mixed && f.f_elem_children + f.f_text_nodes > 1 then
+          report t f.f_path "mixed empty content allows at most one text node"
+      | Model (M_table (tbl, st)) when not (CA.run_accepting tbl !st) ->
+        report t f.f_path "children do not match the content model (incomplete)"
+      | Model (M_nfa (a, st)) when not (CA.nfa_accepting a !st) ->
+        report t f.f_path "children do not match the content model (incomplete)"
+      | Model _ -> ()
+    end
+
+let start_element t name = on_start t None name
+let attribute t name value = on_attr t None name value
+let text t s = on_text t None s
+let end_element t = on_end t
+
+let take_errors t =
+  match t.errors with
+  | [] -> []
+  | es ->
+    t.errors <- [];
+    List.rev es
+
+let stats t = { elements = t.elements; max_depth = t.max_depth; fallback_steps = t.fallback_steps }
+
+let finish t =
+  (match t.stack with
+  | [] -> ()
+  | f :: _ -> report t f.f_path "unterminated element");
+  if not t.seen_root then report t "/" "document node has no element child";
+  match t.errors with [] -> Ok (stats t) | es -> Error (List.rev es)
 
 (* ------------------------------------------------------------------ *)
-(* Entry points                                                        *)
+(* The store walk: document order over an XDM tree, plus the checks    *)
+(* only a store can fail                                               *)
 
-let finish ctx = match ctx.errors with [] -> Ok () | es -> Error (List.rev es)
+let rec adjacent_text store = function
+  | a :: (b :: _ as rest) ->
+    (Store.kind store a = Store.Kind.Text && Store.kind store b = Store.Kind.Text)
+    || adjacent_text store rest
+  | [ _ ] | [] -> false
 
-let make_ctx ?(automata = []) store schema =
-  { store; schema; errors = []; automata = ref (List.rev automata) }
+let rec walk_element t store node =
+  on_start t (Some node) (Option.value ~default:(Name.local "?") (Store.node_name store node));
+  let f = List.hd t.stack in
+  let content () =
+    List.iter
+      (fun a ->
+        match Store.node_name store a with
+        | Some n -> on_attr t (Some a) n (Store.string_value store a)
+        | None -> ())
+      (Store.attributes store node);
+    let children = Store.children store node in
+    (* no adjacent text nodes in mixed content (item 5.4.2.2) *)
+    (match f.f_case with
+    | (Empty _ | Model _) when f.f_mixed && adjacent_text store children ->
+      report t f.f_path "adjacent text nodes"
+    | Unchecked | Simple _ | Simple_unchecked | Empty _ | Model _ -> ());
+    List.iter
+      (fun c ->
+        match Store.kind store c with
+        | Store.Kind.Element -> walk_element t store c
+        | Store.Kind.Text -> on_text t (Some c) (Store.string_value store c)
+        | Store.Kind.Document | Store.Kind.Attribute ->
+          report t f.f_path "impossible child node kind")
+      children;
+    on_end t
+  in
+  match f.f_decl with
+  | Some decl when !Trace.enabled && !Trace.detail ->
+    Trace.with_span ~attrs:[ ("decl", Name.to_string decl.elem_name) ] "validate.element" content
+  | Some _ | None -> content ()
 
-let validate_inner ?automata store node schema =
-  let ctx = make_ctx ?automata store schema in
-  (match Store.kind store node with
-  | Store.Kind.Document -> (
-    (* requirement 1–3: one element child carrying the root declaration *)
-    match Store.children store node with
-    | [ root ] when Store.kind store root = Store.Kind.Element ->
-      validate_element ctx ("/" ^ Name.to_string schema.Ast.root.Ast.elem_name) root
-        schema.Ast.root
-    | [] -> report ctx "/" "document node has no element child"
-    | _ -> report ctx "/" "document node must have exactly one element child")
-  | Store.Kind.Element | Store.Kind.Attribute | Store.Kind.Text ->
-    report ctx "/" "validation must start at a document node");
-  finish ctx
+(* The tree entry points reject non-UPA content models outright. *)
+let walk ?automata store schema drive =
+  let t = { (create ?automata schema) with store = Some store; strict = true } in
+  drive t;
+  match t.errors with [] -> Ok () | es -> Error (List.rev es)
 
 let validate ?automata store node schema =
-  Trace.with_span "validate.document" (fun () -> validate_inner ?automata store node schema)
+  Trace.with_span "validate.document" (fun () ->
+      walk ?automata store schema (fun t ->
+          match Store.kind store node with
+          | Store.Kind.Document -> (
+            (* requirement 1–3: one element child carrying the root declaration *)
+            match Store.children store node with
+            | [ root ] when Store.kind store root = Store.Kind.Element ->
+              walk_element t store root
+            | [] -> report t "/" "document node has no element child"
+            | _ -> report t "/" "document node must have exactly one element child")
+          | Store.Kind.Element | Store.Kind.Attribute | Store.Kind.Text ->
+            report t "/" "validation must start at a document node"))
 
 let validate_element_node ?automata store node schema =
-  let ctx = make_ctx ?automata store schema in
-  (match Store.kind store node with
-  | Store.Kind.Element ->
-    validate_element ctx ("/" ^ Name.to_string schema.Ast.root.Ast.elem_name) node
-      schema.Ast.root
-  | Store.Kind.Document | Store.Kind.Attribute | Store.Kind.Text ->
-    report ctx "/" "not an element node");
-  finish ctx
+  walk ?automata store schema (fun t ->
+      match Store.kind store node with
+      | Store.Kind.Element -> walk_element t store node
+      | Store.Kind.Document | Store.Kind.Attribute | Store.Kind.Text ->
+        report t "/" "not an element node")
 
 let validate_document ?store ?automata doc schema =
   let store = match store with Some s -> s | None -> Store.create () in

@@ -1,11 +1,28 @@
 (** The §6.2 judgment: is a tree of nodes an S-tree?
 
-    [validate] checks requirements 1–7 of §6.2 against a tree living
-    in an XDM store and, on success, performs the type annotation the
-    state algebra prescribes (item 4: [type(end) = T] for named types
-    and [xs:anyType] for anonymous definitions; item 5.1.1: text nodes
-    typed [xdt:untypedAtomic]; typed values for simple-typed elements
-    and attributes).
+    One engine decides it: a one-pass core ({!create} … {!finish})
+    for the §6.1 transition relation, fed start tags, attributes,
+    character data and end tags in document order.  Each open element
+    holds one frame with one compiled {!Content_automaton} state: a
+    child step is one hash probe, acceptance is checked when the
+    element closes, and state is O(depth).  There are two event
+    sources: {!validate} walks a tree in an XDM store, and
+    {!Xsm_stream.Stream_validator} maps SAX events.
+
+    The store walk adds the checks only a store can fail (the document
+    node's children, adjacent text nodes, impossible child kinds), and
+    its frames carry their nodes, so the core writes the annotations
+    of the state algebra where it makes the matching check (item 4:
+    [type(end) = T] for named types, [xs:anyType] for anonymous ones;
+    item 5.1.1: text typed [xdt:untypedAtomic]; typed values of
+    simple-typed elements and attributes; default attributes).
+
+    Errors come in one-pass order: a child that falls off its parent's
+    content model is reported at the parent when it occurs, after the
+    errors of earlier children, and its subtree is skipped.  The tree
+    entry points reject a content model that violates Unique Particle
+    Attribution; {!create} drives it by the position-set fallback
+    ({!Content_automaton.nfa_step}: exact verdict).
 
     [validate_document] is the function [f] of the §8 theorem: it
     takes a syntactic S-document, builds the node tree and validates
@@ -51,3 +68,33 @@ val is_valid : Xsm_xml.Tree.t -> Ast.schema -> bool
 
 val xsi_nil : Xsm_xml.Name.t
 (** The [xsi:nil] attribute name. *)
+
+(** {1 The one-pass core} *)
+
+type t
+
+type stats = {
+  elements : int;  (** element frames opened *)
+  max_depth : int;  (** peak frame-stack depth *)
+  fallback_steps : int;  (** child steps through the non-UPA fallback *)
+}
+
+val create : ?automata:(Ast.group_def * Content_automaton.table) list -> Ast.schema -> t
+(** [automata] seeds the compiled-table cache, as for {!validate}. *)
+
+val start_element : t -> Xsm_xml.Name.t -> unit
+
+val attribute : t -> Xsm_xml.Name.t -> string -> unit
+(** An attribute of the innermost open element, before its content. *)
+
+val text : t -> string -> unit
+(** A run of character data; consecutive runs form one text node. *)
+
+val end_element : t -> unit
+
+val take_errors : t -> error list
+(** The errors reported since the last call, in order. *)
+
+val stats : t -> stats
+val finish : t -> (stats, error list) result
+(** After the last input: the errors not yet taken, or the statistics. *)

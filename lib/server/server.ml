@@ -21,6 +21,8 @@ module Trace = Xsm_obs.Trace
 module Clock = Xsm_obs.Clock
 module Flight = Xsm_obs.Flight
 module Qlog = Xsm_obs.Qlog
+module Sax = Xsm_stream.Sax
+module Sv = Xsm_stream.Stream_validator
 module P = Protocol
 
 let m_sessions = Counter.make ~help:"sessions accepted" "server.sessions"
@@ -62,6 +64,8 @@ type t = {
   root : Store.node;
   labels : Labeler.t option;
   schema : Xsm_schema.Ast.schema option;
+  (* the schema's content models, compiled once for every Validate *)
+  automata : (Xsm_schema.Ast.group_def * Xsm_schema.Content_automaton.table) list;
   journal : Journal.t;
   label_cursor : Journal.cursor option;
   planner : Pl.t option;  (* built only under [use_index]: an attached
@@ -390,20 +394,24 @@ let run_query srv path =
   in
   (result, List.rev !phases)
 
+(* A request needs a verdict and its reasons, not a typed tree: one
+   pass over the request text, no tree, no store, no annotation.
+   Without a schema the lexer alone decides well-formedness. *)
 let run_validate srv doc_text =
-  match Xsm_xml.Parser.parse_document doc_text with
-  | Error e -> (false, [ Xsm_xml.Parser.error_to_string e ])
-  | Ok doc -> (
-    match srv.schema with
-    | None -> (true, [])  (* no schema loaded: well-formedness only *)
-    | Some schema -> (
-      (* the validator memoizes compiled automata per group; serialize
-         against other validators via the server mutex *)
-      match
-        locked srv (fun () -> Xsm_schema.Validator.validate_document doc schema)
-      with
-      | Ok _ -> (true, [])
-      | Error errors -> (false, List.map Xsm_schema.Validator.error_to_string errors)))
+  let sax = Sax.of_string doc_text in
+  match srv.schema with
+  | None -> (
+    let rec drain () = match Sax.next sax with Some _ -> drain () | None -> () in
+    match drain () with
+    | () -> (true, [])
+    | exception Xsm_xml.Parser.Syntax e -> (false, [ Xsm_xml.Parser.error_to_string e ]))
+  | Some schema -> (
+    (* the validator bumps the metrics registry and records its span in
+       the trace ring, neither of them thread-safe *)
+    match locked srv (fun () -> Sv.run ~automata:srv.automata schema sax) with
+    | Ok _ -> (true, [])
+    | Error errors -> (false, List.map Sv.error_to_string errors)
+    | exception Xsm_xml.Parser.Syntax e -> (false, [ Xsm_xml.Parser.error_to_string e ]))
 
 let stats_body srv ~openmetrics =
   locked srv (fun () ->
@@ -643,6 +651,10 @@ let create config ~store ~root ?labels ?schema () =
         root;
         labels;
         schema;
+        automata =
+          (match schema with
+          | Some s -> (Xsm_analysis.Analyzer.analyze s).Xsm_analysis.Analyzer.tables
+          | None -> []);
         journal;
         label_cursor;
         planner;

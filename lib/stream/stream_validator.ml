@@ -1,18 +1,9 @@
-module Name = Xsm_xml.Name
-module Ast = Xsm_schema.Ast
-module CA = Xsm_schema.Content_automaton
-module Schema_check = Xsm_schema.Schema_check
-module Simple_type = Xsm_datatypes.Simple_type
+module V = Xsm_schema.Validator
 module Counter = Xsm_obs.Metrics.Counter
 module Gauge = Xsm_obs.Metrics.Gauge
 module Trace = Xsm_obs.Trace
 
 let m_events = Counter.make ~help:"SAX events consumed by the streaming validator" "stream.events"
-let m_elements = Counter.make ~help:"elements validated in streaming mode" "stream.elements"
-let m_errors = Counter.make ~help:"streaming validation errors" "stream.errors"
-
-let m_fallback =
-  Counter.make ~help:"child steps through the non-UPA position-set fallback" "stream.fallback_steps"
 
 let g_peak_depth =
   Gauge.make ~help:"peak open-element depth of the last streaming run" "stream.peak_depth"
@@ -26,354 +17,41 @@ let error_to_string e = Format.asprintf "%a" pp_error e
 
 type stats = { elements : int; max_depth : int; fallback_steps : int }
 
-let xsi_nil = Name.make ~prefix:"xsi" "nil"
-
-let is_whitespace s =
-  String.for_all (fun c -> c = ' ' || c = '\t' || c = '\n' || c = '\r') s
-
-(* A compiled content model, or the reason none exists. *)
-type compiled =
-  | C_table of CA.table
-  | C_nfa of CA.t  (* UPA violated: exact position-set fallback *)
-  | C_error of string  (* the group itself is malformed *)
-
-type matcher =
-  | M_table of CA.table * CA.state ref
-  | M_nfa of CA.t * CA.nfa_state ref
-  | M_dead  (* content-model error already reported at this frame *)
-
-(* What the element's resolved type says about its content. *)
-type ccase =
-  | Unchecked  (* type unresolvable, or a structurally skipped subtree *)
-  | Simple of Simple_type.t
-  | Simple_unchecked  (* simple-content base failed to resolve: attrs only *)
-  | Empty of { none : bool }  (* no element children; [none] = content absent *)
-  | Model of matcher
-
-type frame = {
-  f_path : string;
-  (* [false] for frames pushed only to keep the stack balanced under a
-     subtree the tree validator would not recurse into: no checks at
-     all happen there *)
-  f_declared : bool;
-  f_attr_decls : Ast.attribute_decl list;
-  f_mixed : bool;
-  f_nillable : bool;
-  mutable f_case : ccase;
-  mutable f_attrs_seen : Name.t list;
-  mutable f_nilled : bool;
-  mutable f_nil_reported : bool;  (* "nilled element must be empty" emitted *)
-  mutable f_content_reported : bool;  (* simple/empty child error emitted *)
-  mutable f_elem_children : int;
-  mutable f_text_nodes : int;  (* logical text nodes (runs across Comment/Pi) *)
-  mutable f_in_text : bool;
-  f_text : Buffer.t;  (* simple-content value, or the current run in
-                         element-only content (checked at run end) *)
-}
-
 type t = {
-  schema : Ast.schema;
-  mutable cache : (Ast.group_def * compiled) list;
-  mutable errors : error list;  (* newest first *)
-  mutable stack : frame list;
+  core : V.t;
+  mutable errors : error list;  (* stamped, newest first *)
   mutable pos : Sax.position;
-  mutable seen_root : bool;
-  mutable elements : int;
-  mutable max_depth : int;
-  mutable fallback_steps : int;
 }
 
-let create ?(automata = []) schema =
-  {
-    schema;
-    cache = List.rev_map (fun (g, tbl) -> (g, C_table tbl)) automata;
-    errors = [];
-    stack = [];
-    pos = { Sax.offset = 0; line = 1; column = 1 };
-    seen_root = false;
-    elements = 0;
-    max_depth = 0;
-    fallback_steps = 0;
-  }
+let create ?automata schema =
+  { core = V.create ?automata schema; errors = []; pos = { Sax.offset = 0; line = 1; column = 1 } }
 
-let report t path fmt =
-  Printf.ksprintf
-    (fun message ->
-      Counter.incr m_errors;
-      t.errors <- { path; position = t.pos; message } :: t.errors)
-    fmt
-
-let compiled_for t path (g : Ast.group_def) =
-  let rec find = function
-    | [] -> None
-    | (g', c) :: rest -> if g' == g then Some c else find rest
-  in
-  match find t.cache with
-  | Some c -> c
-  | None ->
-    let c =
-      match CA.make g with
-      | Error e -> C_error e
-      | Ok a -> ( match CA.compile a with Some tbl -> C_table tbl | None -> C_nfa a)
-    in
-    t.cache <- (g, c) :: t.cache;
-    (match c with C_error e -> report t path "content model: %s" e | C_table _ | C_nfa _ -> ());
-    c
-
-let skip_frame path =
-  {
-    f_path = path;
-    f_declared = false;
-    f_attr_decls = [];
-    f_mixed = true;
-    f_nillable = false;
-    f_case = Unchecked;
-    f_attrs_seen = [];
-    f_nilled = false;
-    f_nil_reported = false;
-    f_content_reported = false;
-    f_elem_children = 0;
-    f_text_nodes = 0;
-    f_in_text = false;
-    f_text = Buffer.create 0;
-  }
-
-(* Open a frame for an element attributed to [decl] — the streaming
-   counterpart of [Validator.validate_element_inner] up to the point
-   where children are consumed. *)
-let make_frame t path (decl : Ast.element_decl) =
-  t.elements <- t.elements + 1;
-  Counter.incr m_elements;
-  let base = { (skip_frame path) with f_declared = true; f_nillable = decl.nillable } in
-  match Schema_check.resolve t.schema decl.elem_type with
-  | Error e ->
-    report t path "%s" e;
-    (* like the tree validator: report, then check nothing below —
-       except xsi:nil, which it polices before resolving the type *)
-    base
-  | Ok (Schema_check.Resolved_simple st) -> { base with f_case = Simple st; f_mixed = false }
-  | Ok (Schema_check.Resolved_complex (Ast.Simple_content { base = b; attributes })) ->
-    let case =
-      match Schema_check.resolve_simple t.schema b with
-      | Ok st -> Simple st
-      | Error e ->
-        report t path "simple content base: %s" e;
-        Simple_unchecked
-    in
-    { base with f_case = case; f_attr_decls = attributes; f_mixed = false }
-  | Ok (Schema_check.Resolved_complex (Ast.Complex_content { mixed; content; attributes })) ->
-    let case =
-      match content with
-      | None -> Empty { none = true }
-      | Some g when Ast.group_is_empty g -> Empty { none = false }
-      | Some g -> (
-        match compiled_for t path g with
-        | C_table tbl -> Model (M_table (tbl, ref (CA.start_run tbl)))
-        | C_nfa a -> Model (M_nfa (a, ref (CA.nfa_start a)))
-        | C_error _ -> Model M_dead (* reported by compiled_for *))
-    in
-    { base with f_case = case; f_attr_decls = attributes; f_mixed = mixed }
-
-(* End of a logical text run: in element-only content the buffered run
-   is one text node and must be whitespace. *)
-let flush_text t (f : frame) =
-  if f.f_in_text then begin
-    f.f_in_text <- false;
-    match f.f_case with
-    | (Empty _ | Model _) when not f.f_mixed ->
-      let s = Buffer.contents f.f_text in
-      Buffer.clear f.f_text;
-      if not (is_whitespace s) then report t f.f_path "text %S in element-only content" s
-    | Unchecked | Simple _ | Simple_unchecked | Empty _ | Model _ -> ()
-  end
-
-let nilled_child_error t (f : frame) =
-  if not f.f_nil_reported then begin
-    f.f_nil_reported <- true;
-    report t f.f_path "nilled element must be empty"
-  end
-
-let on_start t name =
-  match t.stack with
-  | [] ->
-    if t.seen_root then report t "/" "document node must have exactly one element child"
-    else begin
-      t.seen_root <- true;
-      let decl = t.schema.Ast.root in
-      let path = "/" ^ Name.to_string decl.Ast.elem_name in
-      if not (Name.equal name decl.Ast.elem_name) then
-        report t path "element %s where %s was declared" (Name.to_string name)
-          (Name.to_string decl.Ast.elem_name);
-      t.stack <- [ make_frame t path decl ];
-      if t.max_depth = 0 then t.max_depth <- 1
-    end
-  | parent :: _ ->
-    flush_text t parent;
-    parent.f_elem_children <- parent.f_elem_children + 1;
-    let child_path =
-      Printf.sprintf "%s/%s[%d]" parent.f_path (Name.to_string name) parent.f_elem_children
-    in
-    let child =
-      if parent.f_nilled then begin
-        nilled_child_error t parent;
-        skip_frame child_path
-      end
-      else
-        match parent.f_case with
-        | Unchecked | Simple_unchecked -> skip_frame child_path
-        | Simple _ ->
-          if not parent.f_content_reported then begin
-            parent.f_content_reported <- true;
-            report t parent.f_path "element with simple type has element children"
-          end;
-          skip_frame child_path
-        | Empty _ ->
-          if not parent.f_content_reported then begin
-            parent.f_content_reported <- true;
-            report t parent.f_path "element children in empty content"
-          end;
-          skip_frame child_path
-        | Model M_dead -> skip_frame child_path
-        | Model (M_table (tbl, st)) -> (
-          match CA.step_run tbl !st name with
-          | Some (st', decl) ->
-            st := st';
-            make_frame t child_path decl
-          | None ->
-            report t parent.f_path "child %s does not match the content model"
-              (Name.to_string name);
-            parent.f_case <- Model M_dead;
-            skip_frame child_path)
-        | Model (M_nfa (a, st)) -> (
-          t.fallback_steps <- t.fallback_steps + 1;
-          Counter.incr m_fallback;
-          match CA.nfa_step a !st name with
-          | Some (st', decl) ->
-            st := st';
-            make_frame t child_path decl
-          | None ->
-            report t parent.f_path "child %s does not match the content model"
-              (Name.to_string name);
-            parent.f_case <- Model M_dead;
-            skip_frame child_path)
-    in
-    t.stack <- child :: t.stack;
-    let d = List.length t.stack in
-    if d > t.max_depth then t.max_depth <- d
-
-let on_attr t name value =
-  match t.stack with
-  | [] -> ()
-  | f :: _ when not f.f_declared -> ()
-  | f :: _ ->
-    if Name.equal name xsi_nil then begin
-      if value = "true" || value = "1" then
-        if f.f_nillable then f.f_nilled <- true
-        else
-          report t f.f_path "xsi:nil on an element whose declaration has NillIndicator = false"
-    end
-    else begin
-      f.f_attrs_seen <- name :: f.f_attrs_seen;
-      match f.f_case with
-      | Unchecked -> ()  (* type unresolved: the tree validator checks no attributes *)
-      | Simple _ | Simple_unchecked | Empty _ | Model _ -> (
-        match
-          List.find_opt
-            (fun (d : Ast.attribute_decl) -> Name.equal d.attr_name name)
-            f.f_attr_decls
-        with
-        | None -> report t f.f_path "undeclared attribute %s" (Name.to_string name)
-        | Some { Ast.attr_use = Ast.Prohibited; _ } ->
-          report t f.f_path "prohibited attribute %s" (Name.to_string name)
-        | Some d -> (
-          match Schema_check.resolve_simple t.schema d.attr_type with
-          | Error e -> report t f.f_path "attribute %s: %s" (Name.to_string name) e
-          | Ok st -> (
-            match Simple_type.validate st value with
-            | Ok _ -> ()
-            | Error e -> report t f.f_path "attribute %s: %s" (Name.to_string name) e)))
-    end
-
-let on_text t s =
-  match t.stack with
-  | [] -> ()  (* Sax only yields Text inside the root *)
-  | f :: _ ->
-    if not f.f_in_text then begin
-      f.f_in_text <- true;
-      f.f_text_nodes <- f.f_text_nodes + 1
-    end;
-    if f.f_nilled then nilled_child_error t f
-    else begin
-      match f.f_case with
-      | Simple _ -> Buffer.add_string f.f_text s
-      | (Empty _ | Model _) when not f.f_mixed -> Buffer.add_string f.f_text s
-      | Unchecked | Simple_unchecked | Empty _ | Model _ -> ()
-    end
-
-(* The end-of-element checks the tree validator does eagerly:
-   required/default attributes, simple-content typing, content-model
-   acceptance, the mixed-empty text budget. *)
-let on_end t =
-  match t.stack with
-  | [] -> ()
-  | f :: rest ->
-    t.stack <- rest;
-    flush_text t f;
-    List.iter
-      (fun (d : Ast.attribute_decl) ->
-        let present = List.exists (Name.equal d.attr_name) f.f_attrs_seen in
-        match d.attr_use, d.attr_default, present with
-        | Ast.Required, _, false ->
-          report t f.f_path "missing declared attribute %s" (Name.to_string d.attr_name)
-        | Ast.Optional, Some dv, false -> (
-          match Schema_check.resolve_simple t.schema d.attr_type with
-          | Error e -> report t f.f_path "attribute %s: %s" (Name.to_string d.attr_name) e
-          | Ok st -> (
-            match Simple_type.validate st dv with
-            | Error e ->
-              report t f.f_path "default for attribute %s: %s" (Name.to_string d.attr_name) e
-            | Ok _ -> ()))
-        | (Ast.Required | Ast.Optional | Ast.Prohibited), _, _ -> ())
-      f.f_attr_decls;
-    if not f.f_nilled then begin
-      match f.f_case with
-      | Unchecked | Simple_unchecked -> ()
-      | Simple st -> (
-        match Simple_type.validate st (Buffer.contents f.f_text) with
-        | Ok _ -> ()
-        | Error e -> report t f.f_path "%s" e)
-      | Empty { none } ->
-        if none && f.f_mixed && f.f_elem_children + f.f_text_nodes > 1 then
-          report t f.f_path "mixed empty content allows at most one text node"
-      | Model M_dead -> ()
-      | Model (M_table (tbl, st)) ->
-        if not (CA.run_accepting tbl !st) then
-          report t f.f_path "children do not match the content model (incomplete)"
-      | Model (M_nfa (a, st)) ->
-        if not (CA.nfa_accepting a !st) then
-          report t f.f_path "children do not match the content model (incomplete)"
-    end
+(* Position the errors the core reported since the last stamp. *)
+let stamp t =
+  List.iter
+    (fun (e : V.error) ->
+      t.errors <- { path = e.path; position = t.pos; message = e.message } :: t.errors)
+    (V.take_errors t.core)
 
 let feed t event pos =
   Counter.incr m_events;
   t.pos <- pos;
-  match event with
-  | Sax.Start_element name -> on_start t name
-  | Sax.Attr (name, value) -> on_attr t name value
-  | Sax.Text s -> on_text t s
-  | Sax.End_element _ -> on_end t
-  | Sax.Pi _ | Sax.Comment _ -> ()  (* dropped by §8 conversion, dropped here *)
+  (match event with
+  | Sax.Start_element name -> V.start_element t.core name
+  | Sax.Attr (name, value) -> V.attribute t.core name value
+  | Sax.Text s -> V.text t.core s
+  | Sax.End_element _ -> V.end_element t.core
+  | Sax.Pi _ | Sax.Comment _ -> ());  (* dropped by §8 conversion, dropped here *)
+  stamp t
 
 let finish t =
-  (match t.stack with
-  | [] -> ()
-  | f :: _ -> report t f.f_path "unterminated element");
-  if not t.seen_root then report t "/" "document node has no element child";
-  Gauge.set g_peak_depth (float_of_int t.max_depth);
-  match t.errors with
-  | [] ->
-    Ok { elements = t.elements; max_depth = t.max_depth; fallback_steps = t.fallback_steps }
-  | es -> Error (List.rev es)
+  let r = V.finish t.core in
+  stamp t;
+  Gauge.set g_peak_depth (float_of_int (V.stats t.core).max_depth);
+  match r, t.errors with
+  | Ok s, [] ->
+    Ok { elements = s.elements; max_depth = s.max_depth; fallback_steps = s.fallback_steps }
+  | _, es -> Error (List.rev es)
 
 let run ?automata schema sax =
   Trace.with_span "stream.validate" (fun () ->

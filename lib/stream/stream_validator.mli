@@ -1,30 +1,16 @@
 (** Streaming validation: the §6.1 transition relation driven over a
     {!Sax} event stream.
 
-    The whole point of deterministic (UPA-checked) content models is
-    that validity is decidable in one left-to-right pass: each open
-    element holds one compiled-table state
-    ({!Xsm_schema.Content_automaton.step_run}), each child step is one
-    hash probe, and acceptance is checked when the element closes.
-    The validator therefore keeps a stack of
-    (element, automaton state, simple-type accumulator) frames — peak
-    memory is O(depth), never O(document).
-
-    Semantics mirror the tree {!Xsm_schema.Validator} item for item:
-    attribute declaredness/type/required/default checks, xsi:nil
-    handling, simple-content typing, text discipline in element-only
-    and mixed content, and the same error paths ([/library/book[2]]
-    style), so the differential property suite can assert
-    stream ≡ tree on verdict and first-error path.  Two deliberate
-    divergences: (1) a content model that violates UPA is driven by
-    the position-set fallback ({!Xsm_schema.Content_automaton.nfa_step}
-    — exact verdict, leftmost attribution) instead of being rejected,
-    counted in [fallback_steps]; (2) when a child fails the content
-    model the error is reported at the parent once and the remaining
-    children are skipped structurally, which is also what the tree
-    validator reports (one parent-path error, no recursion).
-
-    Diagnostics carry the event positions the lexer tracked. *)
+    This module is an event source for the one-pass core of
+    {!Xsm_schema.Validator}: it maps [Start_element], [Attr], [Text]
+    and [End_element] onto the core's inputs (comments and processing
+    instructions are dropped, as the §8 conversion drops them) and
+    stamps every error with the position of the event that triggered
+    it.  Peak memory is the core's frame stack, O(depth), never
+    O(document).  Verdicts, paths, messages and error order are the
+    tree {!Xsm_schema.Validator}'s, with one difference of policy: a
+    content model that violates UPA is driven by the position-set
+    fallback instead of being rejected, counted in [fallback_steps]. *)
 
 type error = { path : string; position : Sax.position; message : string }
 

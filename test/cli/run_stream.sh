@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # End-to-end streaming-ingest checks through the xsm binary: stdin
-# validation ("-"), tree/stream verdict agreement, streaming error
-# positions, bulk load round-trip with --stats/--print, load-time WAL +
-# snapshot with crash injection (exit 3) and prefix recovery, and the
-# differential index feed during a load.
+# validation ("-"), tree/stream verdict and error-list agreement,
+# streaming error positions, bulk load round-trip with --stats/--print,
+# load-time WAL + snapshot with crash injection (exit 3) and prefix
+# recovery, and the differential index feed during a load.
 set -u
 XSM="$1"
 tmp=$(mktemp -d)
@@ -51,6 +51,18 @@ out=$("$XSM" validate "$tmp/schema.xsd" - --stream < "$tmp/bad.xml" 2>&1)
 [ $? -eq 1 ] || fail "stream validate must exit 1 on an invalid document"
 echo "$out" | grep -q "line 1," || fail "streaming diagnostic must carry a position (got: $out)"
 echo "$out" | grep -q "/library/book\[1\]/year\[2\]" || fail "streaming diagnostic must carry the tree path (got: $out)"
+
+# --- tree and stream print the same errors in the same order
+printf '<library><book><title>One</title><year>x</year></book><book><year>2</year><title>T</title></book></library>\n' \
+  > "$tmp/two.xml"
+for f in bad.xml two.xml; do
+  tree_out=$("$XSM" validate "$tmp/schema.xsd" "$tmp/$f" 2>/dev/null)
+  stream_out=$("$XSM" validate "$tmp/schema.xsd" "$tmp/$f" --stream 2>/dev/null \
+    | sed 's/^line [0-9]*, column [0-9]*: //')
+  [ -n "$tree_out" ] && [ "$tree_out" = "$stream_out" ] \
+    || fail "tree and stream errors differ on $f (tree: $tree_out; stream: $stream_out)"
+done
+[ "$(echo "$stream_out" | wc -l)" -eq 2 ] || fail "two-error document must report two errors (got: $stream_out)"
 
 printf '<library><book><title>x' | "$XSM" validate "$tmp/schema.xsd" - --stream >/dev/null 2>&1
 [ $? -eq 2 ] || fail "malformed stdin must exit 2"

@@ -6,8 +6,9 @@
    - append_child label laws and Labeler.append_in_document_order;
    - Stream_validator against hand-built cases and, differentially,
      against the tree validator (verdict on random instances,
-     first-error path on single-site mutations) and the backtracking
-     matcher (non-UPA fallback);
+     first-error path on single-site mutations); the validator core
+     against the backtracking matcher on random content models, UPA or
+     not;
    - Bulk_load against Convert.load + Block_storage.of_store, and a
      crash-point sweep: kill the WAL after n records, recover, expect
      the root plus exactly the first n top-level subtrees. *)
@@ -303,7 +304,11 @@ let sv_error_paths () =
   let agree what text =
     match run_s text, run_t text with
     | Ok _, Ok _ -> Alcotest.fail (what ^ ": expected invalid")
-    | Error se, Error te -> check_str what (tree_first_path te) (first_path se)
+    | Error se, Error te ->
+      Alcotest.(check (list (pair string string)))
+        what
+        (List.map (fun (e : Validator.error) -> (e.path, e.message)) te)
+        (List.map (fun (e : SV.error) -> (e.path, e.message)) se)
     | Ok _, Error _ -> Alcotest.fail (what ^ ": stream accepted, tree rejected")
     | Error _, Ok _ -> Alcotest.fail (what ^ ": stream rejected, tree accepted")
   in
@@ -316,7 +321,8 @@ let sv_error_paths () =
   agree "nilled must be empty"
     "<root must=\"x\"><n xsi:nil=\"true\">5</n><s>ok</s></root>";
   agree "nil on non-nillable" "<root must=\"x\"><n>1</n><s xsi:nil=\"true\"/></root>";
-  agree "root name mismatch" "<wrong must=\"x\"><n>1</n></wrong>"
+  agree "root name mismatch" "<wrong must=\"x\"><n>1</n></wrong>";
+  agree "two errors, one-pass order" "<root must=\"x\"><n>x</n><s>a</s><s>b</s></root>"
 
 let sv_nilled_valid () =
   let schema =
@@ -381,7 +387,34 @@ let sv_non_upa_fallback () =
       (e.Validator.message = "content model violates Unique Particle Attribution")
   | Error [] -> assert false
 
-(* differential property: random schema, random instance *)
+(* oracle: one parent over a random content model, UPA or not, and a
+   random children word — the core's verdict is the backtracking
+   matcher's *)
+
+let core_eq_backtrack_law seed =
+  let rng = Gen.rng seed in
+  let g = Test_properties.gen_group rng in
+  let word =
+    List.init (Gen.int rng 7) (fun _ -> Name.local (List.nth [ "a"; "b"; "c" ] (Gen.int rng 3)))
+  in
+  let core = Validator.create (Ast.schema (Ast.element "r" (Ast.Anonymous (Ast.complex (Some g))))) in
+  Validator.start_element core (Name.local "r");
+  List.iter
+    (fun n ->
+      Validator.start_element core n;
+      Validator.end_element core)
+    word;
+  Validator.end_element core;
+  let verdict = Result.is_ok (Validator.finish core) in
+  match Xsm_schema.Content_automaton.make g with
+  | Error _ -> true (* over the position bound: the core refuses to compile it *)
+  | Ok _ ->
+    verdict = Xsm_schema.Backtrack.matches g word
+    || Q.Test.fail_reportf "core %b on [%s]" verdict
+         (String.concat " " (List.map Name.to_string word))
+
+(* differential property: random schema, random instance — the store
+   walk and the SAX stream must feed the core the same events *)
 
 let seed_gen = Q.make ~print:string_of_int Q.Gen.(int_bound 1_000_000)
 
@@ -664,6 +697,7 @@ let suite =
         Alcotest.test_case "non-UPA fallback = backtracking" `Quick sv_non_upa_fallback;
         to_alco "stream = tree on random valid instances" stream_eq_tree_valid_law;
         to_alco "stream = tree on single-site mutations" stream_eq_tree_mutated_law;
+        to_alco ~count:300 "core = backtracking on random content models" core_eq_backtrack_law;
       ] );
     ( "stream.load",
       [
