@@ -87,12 +87,27 @@ module R = struct
     in
     go 0 0
 
-  let string r =
+  (* skip readers: the same bounds checks as their decoding twins,
+     without allocating the decoded value *)
+  let skip_varint r =
+    let rec go n =
+      if n > 8 then raise (Corrupt "varint too long");
+      if byte r land 0x80 <> 0 then go (n + 1)
+    in
+    go 0
+
+  let string_len r =
     let n = varint r in
     if n < 0 || r.pos + n > String.length r.s then raise (Corrupt "string runs past end");
+    n
+
+  let string r =
+    let n = string_len r in
     let s = String.sub r.s r.pos n in
     r.pos <- r.pos + n;
     s
+
+  let skip_string r = r.pos <- r.pos + string_len r
 
   let opt_string r =
     match byte r with

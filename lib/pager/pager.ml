@@ -237,44 +237,52 @@ let ensure_room t ~protect =
 (* ------------------------------------------------------------------ *)
 (* The client interface *)
 
+(* one access under the pool mutex: count it, fault the block in if
+   cold (evicting under 2Q to make room), refresh its queue position *)
+let access_locked ~scan t f =
+  Counter.cell_incr t.c_accesses;
+  if is_resident f then begin
+    Counter.cell_incr t.c_hits;
+    if f.q = Q_am then begin
+      q_remove t.am f;
+      q_push_front t.am f
+    end;
+    `Hit
+  end
+  else begin
+    ensure_room t ~protect:f;
+    if f.head <> 0 then begin
+      let payload, _lsn = Page_file.read_blob t.file f.head in
+      t.handlers.deserialize f.f_id payload;
+      Counter.cell_incr t.c_reads
+    end;
+    let was_ghost = f.q = Q_ghost in
+    if was_ghost then q_remove t.ghost f;
+    (* 2Q admission: a ghost hit proves re-reference — promote to
+       the working set; a first touch (or a hinted scan) only earns
+       the FIFO *)
+    if was_ghost && not scan then begin
+      f.q <- Q_am;
+      q_push_front t.am f
+    end
+    else begin
+      f.q <- Q_a1in;
+      q_push_front t.a1in f
+    end;
+    `Miss
+  end
+
 let touch ?(pin = false) ?(scan = false) t id =
   locked t (fun () ->
-      Counter.cell_incr t.c_accesses;
       let f = frame_exn t id in
-      let result =
-        if is_resident f then begin
-          Counter.cell_incr t.c_hits;
-          if f.q = Q_am then begin
-            q_remove t.am f;
-            q_push_front t.am f
-          end;
-          `Hit
-        end
-        else begin
-          ensure_room t ~protect:f;
-          if f.head <> 0 then begin
-            let payload, _lsn = Page_file.read_blob t.file f.head in
-            t.handlers.deserialize id payload;
-            Counter.cell_incr t.c_reads
-          end;
-          let was_ghost = f.q = Q_ghost in
-          if was_ghost then q_remove t.ghost f;
-          (* 2Q admission: a ghost hit proves re-reference — promote to
-             the working set; a first touch (or a hinted scan) only
-             earns the FIFO *)
-          if was_ghost && not scan then begin
-            f.q <- Q_am;
-            q_push_front t.am f
-          end
-          else begin
-            f.q <- Q_a1in;
-            q_push_front t.a1in f
-          end;
-          `Miss
-        end
-      in
+      let result = access_locked ~scan t f in
       if pin then f.pins <- f.pins + 1;
       result)
+
+let read t id reader =
+  locked t (fun () ->
+      ignore (access_locked ~scan:false t (frame_exn t id));
+      reader ())
 
 let unpin t id =
   locked t (fun () ->

@@ -12,8 +12,9 @@
     fault that hits a ghost — proof of re-reference — enters the [Am]
     LRU working set.  A sequential scan therefore streams through
     [A1in] (at most capacity/4 of the pool) and cannot displace the
-    navigation working set in [Am]; {!touch}'s [~scan] hint keeps even
-    ghost hits out of [Am] for deliberate extent scans.
+    re-read working set in [Am] (the blocks whose values point reads
+    and mutations keep coming back to); {!touch}'s [~scan] hint keeps
+    even ghost hits out of [Am] for deliberate extent scans.
 
     {b WAL ordering.}  Dirty frames carry the newest WAL LSN covering
     their changes.  A frame is written back only after [force] has
@@ -24,9 +25,13 @@
     between an append and its subtree's record) is unstealable: the
     pool overflows past capacity rather than flushing unlogged state.
 
-    {b Pinning.}  [touch ~pin:true] + {!unpin} bracket a window where
-    the caller reads or mutates the block's payload; pinned frames are
-    never evicted.  When every frame is pinned or WAL-held, a fault is
+    {b Reading and pinning.}  A payload read that fits in one callback
+    goes through {!read}: fault and read share one critical section,
+    so no concurrent fault can evict the block in between.  A window
+    that spans other pager calls — a mutation that registers a new
+    block while its source is mid-surgery — is bracketed by
+    [touch ~pin:true] + {!unpin} instead; pinned frames are never
+    evicted.  When every frame is pinned or WAL-held, a fault is
     admitted past capacity and counted in [pin_overflows] — graceful
     overflow, not failure.
 
@@ -56,6 +61,12 @@ val touch : ?pin:bool -> ?scan:bool -> t -> int -> [ `Hit | `Miss ]
 (** Access a block, faulting it from the page file if cold (evicting
     under 2Q to make room).  [Invalid_argument] for a block id never
     registered nor present in the reopened directory. *)
+
+val read : t -> int -> (unit -> 'a) -> 'a
+(** [read t id reader] accesses block [id] like {!touch} (faulting it
+    in if cold) and runs [reader] while the block is resident, all
+    under the pool mutex.  [reader] must not call back into the
+    pager. *)
 
 val unpin : t -> int -> unit
 

@@ -57,10 +57,19 @@ let schema t = t.dschema
 (* Values are the paged payload: evicting a block drops every
    descriptor's value string (the skeleton — pointers, nids, chains —
    stays resident), and faulting the block back restores the values
-   positionally from the blob.  That positional match is why every
-   structural chain mutation must {e touch first}: mutate a cold
-   block's chain and a later fault would hand old values to the new
-   chain. *)
+   positionally from the blob.  So only three kinds of call go through
+   the pager:
+
+   - value reads ([read_value], one [Pager.read] critical section);
+   - structural mutations, which {e touch first}: that positional
+     match means mutating a cold block's chain would let a later fault
+     hand old values to the new chain;
+   - extent scans ([descendants_by_snode]), whose [~scan] touch drives
+     2Q admission.
+
+   Navigation ([root], [parent], siblings, first-child-by-schema,
+   [children], [attributes]) reads resident pointers and never touches
+   a block. *)
 let evicted_value = "\000<paged-out>"
 
 let touch_block ?pin ?scan t b =
@@ -77,9 +86,6 @@ let dirty_block t b =
   | None -> ()
   | Some p -> Pager.mark_dirty p b.block_id ~lsn:(t.lsn_now ())
 
-let touch_home ?pin ?scan d =
-  match d.home with None -> () | Some b -> touch_block ?pin ?scan b.owner b
-
 (* pointer-only mutations (parent/left/right/first-children) are safe
    to dirty after the fact: a fault never restores pointers, so the
    touch only needs to precede the write-back, not the mutation *)
@@ -90,25 +96,19 @@ let dirty_desc d =
     touch_block b.owner b;
     dirty_block b.owner b
 
-(* bracketed value read: pinned so a concurrent reader's fault cannot
-   evict the block between our fault and the field read *)
+(* fault and field read in one critical section: a concurrent
+   reader's fault cannot evict the block in between *)
 let read_value d =
   match d.home with
   | None -> d.value
-  | Some b ->
-    (match b.owner.pager with
+  | Some b -> (
+    match b.owner.pager with
     | None -> d.value
-    | Some p ->
-      ignore (Pager.touch ~pin:true p b.block_id);
-      let v = d.value in
-      Pager.unpin p b.block_id;
-      v)
+    | Some p -> Pager.read p b.block_id (fun () -> d.value))
 
 let root t =
   match t.root_desc with
-  | Some d ->
-    touch_home d;
-    d
+  | Some d -> d
   | None -> invalid_arg "Block_storage.root: empty"
 
 let descriptor_of_node t n = Hashtbl.find_opt t.by_node (Store.node_id n)
@@ -363,27 +363,17 @@ let snode d = d.d_snode
 let node_kind d = Schema.kind_to_string (Schema.kind d.d_snode)
 let node_name d = Schema.name d.d_snode
 
-let parent d =
-  (match d.parent with Some p -> touch_home p | None -> ());
-  d.parent
+let parent d = d.parent
 
 let nid d = d.nid
 let desc_id d = d.id
 
-let left_sibling d =
-  (match d.left with Some l -> touch_home l | None -> ());
-  d.left
-
-let right_sibling d =
-  (match d.right with Some r -> touch_home r | None -> ());
-  d.right
+let left_sibling d = d.left
+let right_sibling d = d.right
 
 let home_block_id d = Option.map (fun b -> b.block_id) d.home
 
-let first_child_by_schema d sn =
-  let c = List.assoc_opt (Schema.snode_id sn) d.first_children in
-  (match c with Some c -> touch_home c | None -> ());
-  c
+let first_child_by_schema d sn = List.assoc_opt (Schema.snode_id sn) d.first_children
 
 let all_children_unordered d =
   (* leftmost first child, then the right-sibling chain *)
@@ -400,9 +390,7 @@ let all_children_unordered d =
     in
     let rec walk acc = function
       | None -> List.rev acc
-      | Some c ->
-        touch_home c;
-        walk (c :: acc) c.right
+      | Some c -> walk (c :: acc) c.right
     in
     walk [] leftmost
 
@@ -637,13 +625,13 @@ let insert_attribute t ~parent name value =
   insert_generic t ~parent ~after Schema.Attribute (Some name) value
 
 let set_content t d v =
-  touch_home ~pin:true d;
-  d.value <- v;
-  (match d.home with
+  match d.home with
+  | None -> d.value <- v
   | Some b ->
+    touch_block ~pin:true t b;
+    d.value <- v;
     dirty_block t b;
     unpin_block t b
-  | None -> ())
 
 let delete t d =
   if d.first_children <> [] then invalid_arg "Block_storage.delete: not a leaf";
@@ -734,17 +722,14 @@ let deserialize_block b payload =
       if id <> d.id then
         raise (Codec.Corrupt (Printf.sprintf "block %d blob: descriptor %d, chain has %d"
                                 b.block_id id d.id));
-      let _snode = Codec.R.varint r in
-      let _nid = Codec.R.string r in
+      Codec.R.skip_varint r (* snode *);
+      Codec.R.skip_string r (* nid *);
       d.value <- Codec.R.string r;
-      let _parent = Codec.R.varint r in
-      let _left = Codec.R.varint r in
-      let _right = Codec.R.varint r in
-      let fc = Codec.R.varint r in
-      for _ = 1 to fc do
-        let _sid = Codec.R.varint r in
-        let _cid = Codec.R.varint r in
-        ()
+      Codec.R.skip_varint r (* parent *);
+      Codec.R.skip_varint r (* left *);
+      Codec.R.skip_varint r (* right *);
+      for _ = 1 to 2 * Codec.R.varint r do
+        Codec.R.skip_varint r (* first-child snode id, desc id *)
       done;
       go d.next_in_block
   in

@@ -138,10 +138,17 @@ val bind_node : t -> Xsm_xdm.Store.node -> desc -> unit
 
     With a pager attached, blocks live in a bounded buffer pool over a
     {!Xsm_pager.Page_file}: descriptor {e values} page in and out
-    (the pointer skeleton stays resident), every accessor above counts
-    as a block access, and structural updates mark blocks dirty for
-    WAL-ordered write-back.  Without one, everything above behaves
-    exactly as before — paging is strictly opt-in. *)
+    (the pointer skeleton stays resident).  Only three kinds of call
+    count as block accesses: value reads ({!string_value},
+    {!typed_value}, {!to_element}) fault the descriptor's home block;
+    structural updates fault every block they relink {e before}
+    relinking it and mark it dirty for WAL-ordered write-back; and
+    {!descendants_by_snode} touches each block of the extent with the
+    pool's scan hint.  Navigation ({!root}, {!parent}, {!children},
+    {!attributes}, the sibling and first-child accessors, {!nid},
+    {!node_name}) reads resident pointers and never reaches the pool.
+    Without a pager, everything above behaves exactly as before —
+    paging is strictly opt-in. *)
 
 val attach_pager :
   ?wal:Xsm_pager.Pager.wal_hook ->

@@ -9,6 +9,11 @@
      load asserts no on-disk page ever carries an LSN beyond the WAL's
      synced prefix;
    - checkpoint / of_page_file reopen round-trip;
+   - the paging contract: navigation never reaches the pager, a value
+     read faults exactly its home block, a structural mutation faults
+     its cold block before relinking the chain;
+   - two domains querying one paged storage through a 2-block pool
+     agree with the in-memory storage;
    - the law: a storage paged through a 2-block pool is observationally
      equal to the in-memory storage under random update sequences. *)
 
@@ -101,6 +106,27 @@ let page_file_clean_flag () =
   let pf = Pf.open_existing path in
   check "cleared flag survives reopen" false (Pf.clean pf);
   Pf.close pf
+
+(* the skip readers a fault uses to pass over skeleton fields: same
+   positions and the same Corrupt bounds as the decoding readers *)
+let codec_skip_readers () =
+  let module C = Xsm_pager.Codec in
+  let w = C.W.create () in
+  C.W.varint w 300;
+  C.W.string w "skeleton";
+  C.W.string w "value";
+  let blob = C.W.contents w in
+  let r = C.R.of_string blob in
+  C.R.skip_varint r;
+  C.R.skip_string r;
+  check_str "the value after two skips" "value" (C.R.string r);
+  check "at the end" true (C.R.at_end r);
+  let corrupt f = match f () with exception C.Corrupt _ -> true | _ -> false in
+  check "truncated string refused" true
+    (corrupt (fun () -> C.R.skip_string (C.R.of_string ~pos:2 (String.sub blob 0 8))));
+  check "overlong varint refused" true
+    (corrupt (fun () -> C.R.skip_varint (C.R.of_string (String.make 12 '\xff'))));
+  check "truncated varint refused" true (corrupt (fun () -> C.R.skip_varint (C.R.of_string "\x80")))
 
 (* ---------------- 2Q replacement over synthetic blocks ---------------- *)
 
@@ -385,6 +411,119 @@ let reopen_refuses_unclean () =
     | _ -> false);
   Pf.close pf
 
+(* ---------------- the paging contract ---------------- *)
+
+let shelf_doc books =
+  let book i =
+    Tree.element
+      (Tree.elem "book"
+         ~attrs:[ Tree.attr "id" (Printf.sprintf "b%d" i) ]
+         ~children:
+           [
+             Tree.element (Tree.elem "title" ~children:[ Tree.Text (Printf.sprintf "Title %d" i) ]);
+             Tree.element (Tree.elem "year" ~children:[ Tree.Text (string_of_int (1990 + i)) ]);
+           ])
+  in
+  Tree.document (Tree.elem "shelf" ~children:(List.init books book))
+
+(* [doc] checkpointed and reopened through a cold pool of [capacity]
+   blocks, next to its in-memory twin (same block capacity, so both
+   have the same descriptor layout) *)
+let cold_twin path doc ~capacity =
+  let store = Store.create () in
+  let root = Convert.load store doc in
+  let mem = Bs.of_store ~block_capacity:4 store root in
+  let bs = Bs.of_store ~block_capacity:4 store root in
+  let p = Bs.attach_pager bs ~capacity (Pf.create ~page_size:512 path) in
+  Bs.checkpoint bs ~lsn:0;
+  Pf.close (Pager.file p);
+  let paged = Bs.of_page_file ~capacity (Pf.open_existing path) in
+  (mem, paged, Option.get (Bs.pager paged))
+
+let books bs = Bs.children bs (List.hd (Bs.children bs (Bs.root bs)))
+
+let paging_contract () =
+  with_tmp @@ fun path ->
+  (* 10 books in blocks of 4: every extent's last block has room *)
+  let mem, bs, p = cold_twin path (shelf_doc 10) ~capacity:3 in
+  (* every skeleton accessor over every descriptor: no block access *)
+  let visited = ref 0 in
+  let rec walk d =
+    incr visited;
+    ignore (Bs.node_name d, Bs.nid d, Bs.left_sibling d, Bs.right_sibling d);
+    (match Bs.parent d with
+    | Some up -> check "first child by schema" true (Bs.first_child_by_schema up (Bs.snode d) <> None)
+    | None -> ());
+    List.iter walk (Bs.attributes bs d);
+    List.iter walk (Bs.children bs d)
+  in
+  walk (Bs.root bs);
+  check_int "every descriptor visited" (Bs.descriptor_count bs) !visited;
+  check_int "navigation made no block access" 0 (Pager.stats p).Pager.accesses;
+  (* one value read faults exactly its home block *)
+  let title_text bs i = List.hd (Bs.children bs (List.hd (Bs.children bs (List.nth (books bs) i)))) in
+  let text = title_text bs 0 in
+  check_str "faulted value" (Bs.string_value mem (title_text mem 0)) (Bs.string_value bs text);
+  let s = Pager.stats p in
+  check_int "one access" 1 s.Pager.accesses;
+  check_int "one fault" 1 s.Pager.reads;
+  check_int "one resident block" 1 s.Pager.resident;
+  check "the resident block is the text's home" true
+    (Pager.touch p (Option.get (Bs.home_block_id text)) = `Hit);
+  (* an insert into a cold block faults it before relinking its chain:
+     faulting after would restore the old values positionally onto the
+     new chain.  The text goes under a fresh [title], so linking it as
+     a sibling touches only that element's block, and the text
+     extent's block is reached by the placement alone. *)
+  let insert bs =
+    let book = List.nth (books bs) 9 in
+    let title = List.hd (Bs.children bs book) in
+    fst (Bs.insert_element bs ~parent:book ~after:(Some title) (Name.local "title"))
+  in
+  ignore (Bs.insert_text mem ~parent:(insert mem) ~after:None "added");
+  let fresh = insert bs in
+  Pager.clear p;
+  let reads = (Pager.stats p).Pager.reads in
+  let nd, moved = Bs.insert_text bs ~parent:fresh ~after:None "added" in
+  check_int "no split" 0 moved;
+  check "placed beside book 9's title text" true
+    (Bs.home_block_id nd = Bs.home_block_id (title_text bs 9));
+  check_int "the parent's block and the target block faulted" (reads + 2)
+    (Pager.stats p).Pager.reads;
+  check "the target block is resident" true
+    (Pager.touch p (Option.get (Bs.home_block_id nd)) = `Hit);
+  Pager.clear p;
+  check_str "values survive write-back and re-fault" (serialized mem) (serialized bs);
+  check "integrity" true (Bs.check_integrity bs = Ok ());
+  Pf.close (Pager.file p)
+
+(* two domains evaluate queries over one paged storage whose 2-block
+   pool evicts constantly: each value read faults and reads in one
+   critical section, so neither can see the other's eviction *)
+let concurrent_readers () =
+  with_tmp @@ fun path ->
+  let mem, bs, p = cold_twin path (shelf_doc 24) ~capacity:2 in
+  let queries = [ "//title"; "//book/year"; "//book[year > 2000]/title"; "/shelf/book/@id"; "//book" ] in
+  let answers bs =
+    List.map
+      (fun q ->
+        match Xsm_xpath.Eval.Over_storage.eval_string bs (Bs.root bs) q with
+        | Ok ds -> List.map (Bs.string_value bs) ds
+        | Error e -> Alcotest.failf "%s: %s" q e)
+      queries
+  in
+  let expect = answers mem in
+  let worker () = List.for_all (fun _ -> answers bs = expect) (List.init 100 Fun.id) in
+  let d1 = Domain.spawn worker in
+  let d2 = Domain.spawn worker in
+  let ok1 = Domain.join d1 in
+  let ok2 = Domain.join d2 in
+  check "domain 1 agrees with the in-memory twin" true ok1;
+  check "domain 2 agrees with the in-memory twin" true ok2;
+  let s = Pager.stats p in
+  check "values were evicted and re-faulted" true (s.Pager.evictions > 100 && s.Pager.reads > 100);
+  Pf.close (Pager.file p)
+
 (* ---------------- crash sweep: WAL-ordering invariant ---------------- *)
 
 (* a value-heavy two-level document: enough top-level subtrees for
@@ -480,6 +619,7 @@ let suite =
         Alcotest.test_case "blob round-trips and reuse" `Quick page_file_roundtrip;
         Alcotest.test_case "corruption detected" `Quick page_file_corruption;
         Alcotest.test_case "clean-flag contract" `Quick page_file_clean_flag;
+        Alcotest.test_case "codec skip readers" `Quick codec_skip_readers;
       ] );
     ( "pager.2q",
       [
@@ -496,6 +636,8 @@ let suite =
              paged_equals_memory_law);
         Alcotest.test_case "checkpoint/reopen round-trip" `Quick checkpoint_reopen;
         Alcotest.test_case "unclean file refused" `Quick reopen_refuses_unclean;
+        Alcotest.test_case "paging contract: navigation faults nothing" `Quick paging_contract;
+        Alcotest.test_case "two domains over a 2-block pool" `Quick concurrent_readers;
         Alcotest.test_case "crash sweep: synced-prefix bound" `Quick crash_sweep;
       ] );
   ]
