@@ -221,14 +221,12 @@ let tests () =
      insert+delete round (logged vs not), with the fsync either per
      record or batched; snapshot save; full recovery.  Files live
      under the temp dir and are reused across iterations. *)
-  let e13_round store dnode libr ~log =
+  let e13_round store dnode libr ~wal =
     let apply op =
-      log op;
-      match Xsm_schema.Update.apply store op with
+      match Xsm_persist.Wal.apply_logged wal store ~root:dnode op with
       | Ok a -> a
       | Error e -> failwith e
     in
-    ignore dnode;
     ignore
       (apply
          (Xsm_schema.Update.Insert_element
@@ -245,16 +243,12 @@ let tests () =
       | Ok w -> w
       | Error e -> failwith (Xsm_persist.Wal.error_message e)
     in
-    staged (fun () ->
-        e13_round store dnode libr ~log:(fun op ->
-            match Xsm_persist.Wal.op_of_update store ~root:dnode op with
-            | Ok wop -> Xsm_persist.Wal.Writer.append w wop
-            | Error e -> failwith e))
+    staged (fun () -> e13_round store dnode libr ~wal:(Some w))
   in
   let e13a =
     Test.make ~name:"E13 update round, no WAL (lib 300)"
       (let store, dnode, libr = e12_fixture () in
-       staged (fun () -> e13_round store dnode libr ~log:(fun _ -> ())))
+       staged (fun () -> e13_round store dnode libr ~wal:None))
   in
   let e13b = Test.make ~name:"E13 update round, WAL fsync/rec (lib 300)" (e13_logged 1) in
   let e13c = Test.make ~name:"E13 update round, WAL fsync/64 (lib 300)" (e13_logged 64) in
@@ -283,10 +277,7 @@ let tests () =
          | Error e -> failwith (Xsm_persist.Wal.error_message e)
        in
        for _ = 1 to 50 do
-         e13_round store dnode libr ~log:(fun op ->
-             match Xsm_persist.Wal.op_of_update store ~root:dnode op with
-             | Ok wop -> Xsm_persist.Wal.Writer.append w wop
-             | Error e -> failwith e)
+         e13_round store dnode libr ~wal:(Some w)
        done;
        Xsm_persist.Wal.Writer.close w;
        staged (fun () ->

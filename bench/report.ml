@@ -579,45 +579,13 @@ let a3_label_assignment_policy () =
         (mx sequential))
     [ 100; 1000; 10000 ]
 
-let a4_buffer_locality () =
-  header "A4  Ablation: simulated buffer-pool locality, navigation vs block scan";
-  row "%-10s %-10s | %-24s | %-24s\n" "pool" "blocks" "navigation (miss, hit%)" "scan (miss, hit%)";
-  let doc = Xsm_schema.Samples.library_document ~books:400 ~papers:200 () in
-  let store = Store.create () in
-  let dnode = Convert.load store doc in
-  let bs = B.of_store ~block_capacity:16 store dnode in
-  let module BP = Xsm_storage.Buffer_pool in
-  let nav = BP.navigation_trace bs (B.root bs) in
-  let rec all_snodes sn = sn :: List.concat_map all_snodes (DS.children (B.schema bs) sn) in
-  let scan = List.concat_map (BP.scan_trace bs) (all_snodes (DS.root (B.schema bs))) in
-  let total_blocks = B.block_count bs in
-  List.iter
-    (fun capacity ->
-      (* one pool per capacity, wiped between runs: per-run stats
-         without cross-run pollution *)
-      let pool = BP.create ~capacity in
-      let replay trace =
-        BP.reset pool;
-        List.iter (fun b -> ignore (BP.touch pool b)) trace;
-        BP.stats pool
-      in
-      let ns = replay nav in
-      let ss = replay scan in
-      let pct s = match BP.hit_ratio s with Some r -> 100.0 *. r | None -> Float.nan in
-      row "%-10d %-10d | %6d misses, %5.1f%%   | %6d misses, %5.1f%%\n" capacity total_blocks
-        ns.BP.misses (pct ns) ss.BP.misses (pct ss))
-    [ 2; 8; 32; 128 ]
-
 let e13_durability () =
   header "E13 Durability: snapshot cost, WAL append overhead, recovery time vs size";
-  row "%-8s %-8s %-10s %-10s %-13s %-13s %-12s %-16s\n" "books" "nodes" "snap(ms)" "snap(KB)" "wal us/op" "wal us/op" "recover(ms)" "warm scan";
-  row "%-8s %-8s %-10s %-10s %-13s %-13s %-12s %-16s\n" "" "" "" "" "(fsync/rec)" "(fsync/64)" "(200 ops)" "(miss, hit%)";
-  (* one pool, wiped between document sizes (Buffer_pool.reset):
-     simulated buffer behaviour of scanning the recovered store *)
-  let module BP = Xsm_storage.Buffer_pool in
-  let pool = BP.create ~capacity:32 in
+  row "%-8s %-8s %-10s %-10s %-13s %-13s %-12s %-16s\n" "books" "nodes" "snap(ms)" "snap(KB)" "wal us/op" "wal us/op" "recover(ms)" "recovered scan";
+  row "%-8s %-8s %-10s %-10s %-13s %-13s %-12s %-16s\n" "" "" "" "" "(fsync/rec)" "(fsync/64)" "(200 ops)" "(faults, hit%)";
   let module Snapshot = Xsm_persist.Snapshot in
   let module Wal = Xsm_persist.Wal in
+  let module Pager = Xsm_pager.Pager in
   let book =
     Xsm_xml.Tree.elem "book"
       ~children:
@@ -631,18 +599,18 @@ let e13_durability () =
       let libr = List.hd (Store.children store dnode) in
       let snap = Filename.temp_file "xsm_report" ".snap" in
       let wal = Filename.temp_file "xsm_report" ".wal" in
+      let pages = Filename.temp_file "xsm_report" ".pages" in
       let save () =
         match Snapshot.save ~path:snap store dnode with Ok _ -> () | Error e -> failwith e
       in
       let t_snap = time save in
       let snap_kb = float_of_int (Unix.stat snap).Unix.st_size /. 1024.0 in
-      (* steady-state insert+delete round, each op logged before applied *)
+      (* steady-state insert+delete round through the logged apply *)
       let round w =
         let apply op =
-          (match Wal.op_of_update store ~root:dnode op with
-          | Ok wop -> Wal.Writer.append w wop
-          | Error e -> failwith e);
-          match Xsm_schema.Update.apply store op with Ok _ -> () | Error e -> failwith e
+          match Wal.apply_logged (Some w) store ~root:dnode op with
+          | Ok _ -> ()
+          | Error e -> failwith e
         in
         apply (Xsm_schema.Update.Insert_element { parent = libr; before = None; tree = book });
         apply (Xsm_schema.Update.Delete (List.hd (List.rev (Store.children store libr))))
@@ -676,24 +644,29 @@ let e13_durability () =
             | Ok _ -> ()
             | Error e -> failwith (Xsm_persist.Recovery.error_message e))
       in
-      (* buffer behaviour of a block scan over the recovered store *)
+      (* the recovered store paged through a cold 32-block pool: one
+         extent scan per schema node, reading every value *)
       let rstore, rroot, _, _ =
         match Xsm_persist.Recovery.recover ~snapshot:snap ~wal () with
         | Ok r -> r
         | Error e -> failwith (Xsm_persist.Recovery.error_message e)
       in
       let bs = B.of_store ~block_capacity:16 rstore rroot in
+      let pf = Xsm_pager.Page_file.create pages in
+      let pager = B.attach_pager bs ~capacity:32 pf in
+      Pager.clear pager;
+      Pager.reset_stats pager;
       let rec all_snodes sn = sn :: List.concat_map all_snodes (DS.children (B.schema bs) sn) in
-      let trace = List.concat_map (BP.scan_trace bs) (all_snodes (DS.root (B.schema bs))) in
-      BP.reset pool;
-      List.iter (fun b -> ignore (BP.touch pool b)) trace;
-      let bstats = BP.stats pool in
+      List.iter
+        (fun sn -> List.iter (fun d -> ignore (B.string_value bs d)) (B.descendants_by_snode bs sn))
+        (all_snodes (DS.root (B.schema bs)));
+      let pstats = Pager.stats pager in
+      Xsm_pager.Page_file.close pf;
       row "%-8d %-8d %-10.2f %-10.1f %-13.1f %-13.1f %-12.2f %5d, %5.1f%%\n" books
         (Store.subtree_size store dnode) (t_snap *. 1e3) snap_kb (t_rec1 *. 1e6)
-        (t_rec64 *. 1e6) (t_recover *. 1e3) bstats.BP.misses
-        (match BP.hit_ratio bstats with Some r -> 100.0 *. r | None -> Float.nan);
-      Sys.remove snap;
-      Sys.remove wal)
+        (t_rec64 *. 1e6) (t_recover *. 1e3) pstats.Pager.reads
+        (match Pager.hit_ratio pstats with Some r -> 100.0 *. r | None -> Float.nan);
+      List.iter Sys.remove [ snap; wal; pages ])
     [ 50; 200; 800 ]
 
 let e14_static_analysis () =
@@ -856,5 +829,4 @@ let run () =
   a1_block_capacity ();
   a2_expansion_cost ();
   a3_label_assignment_policy ();
-  a4_buffer_locality ();
   print_endline "\nreport complete."

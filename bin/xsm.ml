@@ -24,9 +24,15 @@
      client    --socket PATH          one-shot request against a running daemon
      bench-serve                      closed-loop daemon load generator (E17)
 
-   validate/query/update/recover also take --trace FILE.json (Chrome
-   trace_event export, including per-element detail spans) and
-   --metrics (registry dump to stderr on exit).
+   validate, load, query, update, recover, stats, serve and bench-serve
+   also take --trace FILE.json (Chrome trace_event export, including
+   per-element detail spans) and --metrics (registry dump to stderr on
+   exit).
+
+   Every flag is declared once below (the shared vocabulary) and every
+   store is opened through [open_store]; update scripts and daemon
+   update requests share one grammar ([Update.parse_command]) and one
+   logged apply ([Wal.apply_logged]).
 
    Exit codes: 0 ok; 1 invalid input (validation failure, bad script
    line, failed query); 2 unusable arguments or unreadable files;
@@ -34,6 +40,22 @@
    injected WAL crash point fired (fault-injection runs only). *)
 
 open Cmdliner
+module Store = Xsm_xdm.Store
+module Update = Xsm_schema.Update
+module Validator = Xsm_schema.Validator
+module Bs = Xsm_storage.Block_storage
+module Pager = Xsm_pager.Pager
+module Page_file = Xsm_pager.Page_file
+module Wal = Xsm_persist.Wal
+module Recovery = Xsm_persist.Recovery
+module Snapshot = Xsm_persist.Snapshot
+module Planner = Xsm_xpath.Planner
+module Path_parser = Xsm_xpath.Path_parser
+module Analyzer = Xsm_analysis.Analyzer
+module Json = Xsm_obs.Json
+module Obs = Xsm_obs.Obs
+module Trace = Xsm_obs.Trace
+module Metrics = Xsm_obs.Metrics
 
 let read_file path =
   let ic = open_in_bin path in
@@ -41,48 +63,7 @@ let read_file path =
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let load_schema path =
-  match Xsm_xsd.Reader.schema_of_string (read_file path) with
-  | Ok s -> Ok s
-  | Error e -> Error (Printf.sprintf "%s: %s" path (Xsm_xsd.Reader.error_to_string e))
-
-let load_document path =
-  match Xsm_xml.Parser.parse_document (read_file path) with
-  | Ok d -> Ok d
-  | Error e -> Error (Printf.sprintf "%s: %s" path (Xsm_xml.Parser.error_to_string e))
-
-(* '-' denotes standard input for document positionals; Arg.file would
-   reject it, so these take plain strings and resolve them here. *)
-let read_doc_source path =
-  if path = "-" then In_channel.input_all stdin
-  else if Sys.file_exists path then read_file path
-  else begin
-    Printf.eprintf "%s: no such file or directory\n" path;
-    exit 2
-  end
-
-let with_doc_channel path f =
-  if path = "-" then f stdin
-  else if Sys.file_exists path then begin
-    let ic = open_in_bin path in
-    Fun.protect ~finally:(fun () -> close_in ic) (fun () -> f ic)
-  end
-  else begin
-    Printf.eprintf "%s: no such file or directory\n" path;
-    exit 2
-  end
-
-let load_document_source path =
-  match Xsm_xml.Parser.parse_document (read_doc_source path) with
-  | Ok d -> Ok d
-  | Error e -> Error (Printf.sprintf "%s: %s" path (Xsm_xml.Parser.error_to_string e))
-
-let or_die = function
-  | Ok v -> v
-  | Error msg ->
-    prerr_endline msg;
-    exit 2
-
+(* unusable arguments or unreadable files: exit 2 *)
 let die fmt =
   Printf.ksprintf
     (fun s ->
@@ -90,29 +71,69 @@ let die fmt =
       exit 2)
     fmt
 
+(* invalid input (a failed query, a rejected document): exit 1 *)
+let fail msg =
+  prerr_endline msg;
+  exit 1
+
+let or_die = function Ok v -> v | Error msg -> die "%s" msg
+
+(* '-' denotes standard input for document positionals; Arg.file would
+   reject it, so those take plain strings and resolve them here. *)
+let read_doc_source path =
+  if path = "-" then In_channel.input_all stdin
+  else if Sys.file_exists path then read_file path
+  else die "%s: no such file or directory" path
+
+let with_doc_channel path f =
+  if path = "-" then f stdin
+  else if Sys.file_exists path then begin
+    let ic = open_in_bin path in
+    Fun.protect ~finally:(fun () -> close_in ic) (fun () -> f ic)
+  end
+  else die "%s: no such file or directory" path
+
+let load_document path =
+  match Xsm_xml.Parser.parse_document (read_doc_source path) with
+  | Ok d -> Ok d
+  | Error e -> Error (Printf.sprintf "%s: %s" path (Xsm_xml.Parser.error_to_string e))
+
+let load_schema path =
+  match Xsm_xsd.Reader.schema_of_string (read_file path) with
+  | Ok s -> Ok s
+  | Error e -> Error (Printf.sprintf "%s: %s" path (Xsm_xsd.Reader.error_to_string e))
+
 (* Corrupt persistent input — a WAL that is not a WAL — exits 3, the
    shared corrupt-input code; environmental failures stay at 2. *)
 let die_wal_error e =
-  prerr_endline (Xsm_persist.Wal.error_message e);
-  exit (match e with Xsm_persist.Wal.Not_a_wal _ -> 3 | Xsm_persist.Wal.Io _ -> 2)
+  prerr_endline (Wal.error_message e);
+  exit (match e with Wal.Not_a_wal _ -> 3 | Wal.Io _ -> 2)
 
 let die_recovery_error e =
-  prerr_endline (Xsm_persist.Recovery.error_message e);
-  exit
-    (match e with
-    | Xsm_persist.Recovery.Corrupt_wal _ -> 3
-    | Xsm_persist.Recovery.Failed _ -> 2)
+  prerr_endline (Recovery.error_message e);
+  exit (match e with Recovery.Corrupt_wal _ -> 3 | Recovery.Failed _ -> 2)
+
+(* An injected WAL crash point fired: report how far the log got and
+   exit 3. *)
+let with_crash wal f =
+  try f ()
+  with Wal.Crashed ->
+    Option.iter
+      (fun w ->
+        Printf.eprintf "wal: injected crash after %d records\n" (Wal.Writer.records_written w))
+      wal;
+    exit 3
 
 let report_pager bs =
-  match Xsm_storage.Block_storage.pager bs with
+  match Bs.pager bs with
   | None -> ()
   | Some p ->
-    let s = Xsm_pager.Pager.stats p in
+    let s = Pager.stats p in
     Printf.eprintf "pager: %d accesses (%d hits), %d reads, %d writes, %d evictions%s%s\n"
-      s.Xsm_pager.Pager.accesses s.hits s.reads s.writes s.evictions
+      s.Pager.accesses s.hits s.reads s.writes s.evictions
       (if s.pin_overflows = 0 then ""
        else Printf.sprintf ", %d pin overflows" s.pin_overflows)
-      (match Xsm_pager.Pager.hit_ratio s with
+      (match Pager.hit_ratio s with
       | Some r -> Printf.sprintf ", hit ratio %.3f" r
       | None -> "")
 
@@ -120,32 +141,32 @@ let report_pager bs =
    bare JSON object on its own stderr line — scripts extract the
    latter with [grep '^{"maintenance"' | jq] instead of pattern-matching
    the prose. *)
-let report_maintenance (s : Xsm_xpath.Planner.maintenance_stats) =
-  Format.eprintf "maintenance: epochs=%d applied=%d vi_drops=%d@."
-    s.Xsm_xpath.Planner.epochs s.Xsm_xpath.Planner.applied
-    s.Xsm_xpath.Planner.vi_drops;
-  let module J = Xsm_obs.Json in
+let report_maintenance (s : Planner.maintenance_stats) =
+  Format.eprintf "maintenance: epochs=%d applied=%d vi_drops=%d@." s.Planner.epochs
+    s.Planner.applied s.Planner.vi_drops;
   Format.eprintf "%s@."
-    (J.to_string
-       (J.Obj
+    (Json.to_string
+       (Json.Obj
           [
             ( "maintenance",
-              J.Obj
+              Json.Obj
                 [
-                  ("epochs", J.int s.Xsm_xpath.Planner.epochs);
-                  ("applied", J.int s.Xsm_xpath.Planner.applied);
-                  ("vi_drops", J.int s.Xsm_xpath.Planner.vi_drops);
+                  ("epochs", Json.int s.Planner.epochs);
+                  ("applied", Json.int s.Planner.applied);
+                  ("vi_drops", Json.int s.Planner.vi_drops);
                 ] );
           ]))
+
+let print_store store root =
+  match Store.kind store root with
+  | Store.Kind.Document ->
+    print_string (Xsm_xml.Printer.to_string (Xsm_xdm.Convert.to_document store root))
+  | _ -> print_endline (Xsm_xml.Printer.element_to_string (Xsm_xdm.Convert.to_element store root))
 
 (* ------------------------------------------------------------------ *)
 (* Telemetry: --trace/--metrics, shared by the data-touching commands.
    Exporting runs from at_exit so a mid-run [exit] (script errors,
    injected crashes) still flushes what was recorded. *)
-
-module Obs = Xsm_obs.Obs
-module Trace = Xsm_obs.Trace
-module Metrics = Xsm_obs.Metrics
 
 let setup_obs trace_path metrics =
   if trace_path <> None then Obs.enable ~detail:true ();
@@ -159,320 +180,274 @@ let setup_obs trace_path metrics =
           | Error e -> Printf.eprintf "trace: %s\n" e));
         if metrics then Format.eprintf "%a@." Metrics.pp Metrics.default)
 
-let obs_term =
-  let trace_arg =
-    Arg.(
-      value & opt (some string) None
-      & info [ "trace" ] ~docv:"FILE"
-          ~doc:
-            "Record a span trace of the run (including per-element detail spans) and \
-             write it to $(docv) as Chrome trace_event JSON — load the file in \
-             chrome://tracing or Perfetto.")
-  in
-  let metrics_flag =
-    Arg.(
-      value & flag
-      & info [ "metrics" ] ~doc:"Dump the metrics registry on stderr when the command exits.")
-  in
-  Term.(const setup_obs $ trace_arg $ metrics_flag)
-
 (* ------------------------------------------------------------------ *)
+(* The shared vocabulary: each flag is declared once; a subcommand
+   passes its own default or doc string where they differ. *)
 
-let validate_cmd =
-  let schema_arg =
-    Arg.(required & pos 0 (some file) None & info [] ~docv:"SCHEMA" ~doc:"XSD schema file")
-  in
-  let doc_arg =
-    Arg.(
-      required & pos 1 (some string) None
-      & info [] ~docv:"DOC" ~doc:"XML document file ($(b,-) reads standard input)")
-  in
-  let stream_flag =
-    Arg.(
-      value & flag
-      & info [ "stream" ]
-          ~doc:
-            "Validate in one streaming pass over SAX events: constant memory in the \
-             document (O(depth) state), diagnostics with line and column.  Identity \
-             constraints declared in the schema are not checked in this mode.")
-  in
-  let run () schema_path doc_path stream =
-    let schema_doc = or_die (load_document schema_path) in
-    let schema =
-      match Xsm_xsd.Reader.schema_of_document schema_doc with
-      | Ok s -> s
-      | Error e ->
-        prerr_endline (Xsm_xsd.Reader.error_to_string e);
-        exit 2
-    in
-    (* the analyzer subsumes Schema_check and prints diagnostics in
-       the same format as `xsm analyze`; its determinized content
-       models are reused below so validation compiles nothing *)
-    let report =
-      Trace.with_span "validate.analyze" (fun () -> Xsm_analysis.Analyzer.analyze schema)
-    in
-    let fatal =
-      List.filter
-        (fun (f : Xsm_analysis.Analyzer.finding) -> f.severity = Xsm_analysis.Analyzer.Error)
-        report.Xsm_analysis.Analyzer.findings
-    in
-    if fatal <> [] then begin
-      List.iter (fun f -> Format.eprintf "%a@." Xsm_analysis.Analyzer.pp_finding f) fatal;
-      exit 2
-    end;
-    let constraints =
-      match Xsm_xsd.Reader.constraints_of_document schema_doc with
-      | Ok cs -> cs
-      | Error e ->
-        prerr_endline (Xsm_xsd.Reader.error_to_string e);
-        exit 2
-    in
-    if stream then begin
-      if constraints <> [] then
-        Printf.eprintf
-          "warning: %d identity constraint(s) not checked in streaming mode\n"
-          (List.length constraints);
-      with_doc_channel doc_path (fun ic ->
-          let sax = Xsm_stream.Sax.of_channel ic in
-          match
-            Xsm_stream.Stream_validator.run ~automata:report.Xsm_analysis.Analyzer.tables
-              schema sax
-          with
-          | Ok stats ->
-            Printf.printf "valid (%d elements, depth %d%s)\n"
-              stats.Xsm_stream.Stream_validator.elements
-              stats.Xsm_stream.Stream_validator.max_depth
-              (if stats.Xsm_stream.Stream_validator.fallback_steps = 0 then ""
-               else
-                 Printf.sprintf ", %d non-UPA fallback steps"
-                   stats.Xsm_stream.Stream_validator.fallback_steps)
-          | Error es ->
-            List.iter
-              (fun e -> print_endline (Xsm_stream.Stream_validator.error_to_string e))
-              es;
-            exit 1
-          | exception Xsm_xml.Parser.Syntax e ->
-            Printf.eprintf "%s: %s\n" doc_path (Xsm_xml.Parser.error_to_string e);
-            exit 2)
-    end
-    else begin
-      let doc =
-        Trace.with_span "validate.parse" (fun () -> or_die (load_document_source doc_path))
-      in
-      match
-        Xsm_schema.Validator.validate_document
-          ~automata:report.Xsm_analysis.Analyzer.tables doc schema
-      with
-      | Ok (store, dnode) -> (
-        match Xsm_identity.Constraint_def.check store dnode constraints with
-        | Ok () ->
-          Printf.printf "valid (%d nodes%s)\n" (Xsm_xdm.Store.node_count store)
-            (if constraints = [] then ""
-             else Printf.sprintf ", %d identity constraints" (List.length constraints))
-        | Error vs ->
-          List.iter
-            (fun v -> Format.printf "%a@." Xsm_identity.Constraint_def.pp_violation v)
-            vs;
-          exit 1)
-      | Error es ->
-        List.iter (fun e -> print_endline (Xsm_schema.Validator.error_to_string e)) es;
-        exit 1
-    end
-  in
-  Cmd.v
-    (Cmd.info "validate" ~doc:"Validate a document against a schema (the \xc2\xa76.2 judgment)")
-    Term.(const run $ obs_term $ schema_arg $ doc_arg $ stream_flag)
+let flag name doc = Arg.(value & flag & info [ name ] ~doc)
 
-let load_cmd =
-  let module S = Xsm_stream in
-  let module Bs = Xsm_storage.Block_storage in
-  let module Wal = Xsm_persist.Wal in
-  let module Pl = Xsm_xpath.Planner.Over_storage in
-  let doc_arg =
-    Arg.(
-      required & pos 0 (some string) None
-      & info [] ~docv:"DOC" ~doc:"XML document file ($(b,-) reads standard input)")
-  in
-  let schema_arg =
-    Arg.(
-      value & opt (some file) None
-      & info [ "schema" ] ~docv:"SCHEMA"
-          ~doc:
-            "Validate against $(docv) while loading, in the same streaming pass; \
-             validation errors are reported after the load and exit with code 1.")
-  in
-  let capacity_arg =
-    Arg.(
-      value & opt int 64
-      & info [ "block-capacity" ] ~docv:"N"
-          ~doc:"Descriptors per storage block (default 64).")
-  in
-  let page_file_arg =
-    Arg.(
-      value & opt (some string) None
-      & info [ "page-file" ] ~docv:"FILE"
-          ~doc:
-            "Page the storage through a bounded buffer pool backed by $(docv): block \
-             values spill to disk under 2Q replacement as the load outgrows the pool, \
-             and the file is checkpointed when the load completes — so it alone \
-             reconstructs the store.")
-  in
-  let pool_capacity_arg =
-    Arg.(
-      value & opt int 64
-      & info [ "pool-capacity" ] ~docv:"N"
-          ~doc:"Buffer-pool capacity in blocks with $(b,--page-file) (default 64).")
-  in
-  let wal_arg =
-    Arg.(
-      value & opt (some string) None
-      & info [ "wal" ] ~docv:"FILE"
-          ~doc:
-            "Log the load to $(docv) as one record per completed top-level subtree, so \
-             a crash mid-load recovers to the longest fully-loaded prefix.")
-  in
-  let snapshot_arg =
-    Arg.(
-      value & opt (some string) None
-      & info [ "snapshot" ] ~docv:"FILE"
-          ~doc:
-            "Write the recovery base — the bare root element, captured when its start \
-             tag completes — to $(docv) before any WAL record is appended.")
-  in
-  let sync_every_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "sync-every" ] ~docv:"N"
-          ~doc:"Fsync the WAL after every $(docv)-th record (default 1: every record).")
-  in
-  let crash_after_arg =
+let opt_string ?(docv = "FILE") name doc =
+  Arg.(value & opt (some string) None & info [ name ] ~docv ~doc)
+
+let opt_int ?(docv = "N") name default doc =
+  Arg.(value & opt int default & info [ name ] ~docv ~doc)
+
+let obs_term =
+  Term.(
+    const setup_obs
+    $ opt_string "trace"
+        "Record a span trace of the run (including per-element detail spans) and write it to \
+         $(docv) as Chrome trace_event JSON — load the file in chrome://tracing or Perfetto."
+    $ flag "metrics" "Dump the metrics registry on stderr when the command exits.")
+
+let schema_pos n =
+  Arg.(required & pos n (some file) None & info [] ~docv:"SCHEMA" ~doc:"XSD schema file")
+
+let doc_pos n =
+  Arg.(required & pos n (some file) None & info [] ~docv:"DOC" ~doc:"XML document file")
+
+let doc_or_stdin_pos n =
+  Arg.(
+    required & pos n (some string) None
+    & info [] ~docv:"DOC" ~doc:"XML document file ($(b,-) reads standard input)")
+
+let schema_opt ?(docv = "SCHEMA") doc =
+  Arg.(value & opt (some file) None & info [ "schema" ] ~docv ~doc)
+
+let pool_capacity ?doc default =
+  opt_int "pool-capacity" default
+    (match doc with
+    | Some d -> d
+    | None ->
+      Printf.sprintf "Buffer-pool capacity in blocks with $(b,--page-file) (default %d)." default)
+
+(* parallel readers beyond the core count only add GC synchronization;
+   default to what the machine can actually run *)
+let domains ~docv doc =
+  opt_int ~docv "domains" (max 1 (min 4 (Domain.recommended_domain_count () - 1))) doc
+
+let socket_arg =
+  Arg.(
+    value
+    & opt string (Filename.concat (Filename.get_temp_dir_name ()) "xsm-serve.sock")
+    & info [ "socket" ] ~docv:"PATH" ~doc:"Unix domain socket path")
+
+(* --wal, --snapshot, --sync-every, --crash-after, --crash-partial: a
+   logged run of [load] or [update]. *)
+type logging = {
+  wal : string option;
+  snapshot : string option;
+  sync_every : int;
+  crash : Wal.crash option;
+}
+
+let logging_term ~wal_doc ~snapshot_doc =
+  let crash_after =
     Arg.(
       value & opt (some int) None
       & info [ "crash-after" ] ~docv:"N"
           ~doc:
-            "Fault injection: once $(docv) WAL records are fully on disk, abort \
-             mid-write of the next record and exit with code 3 (requires $(b,--wal)).")
+            "Fault injection: once $(docv) WAL records are fully on disk, abort mid-write of \
+             the next record and exit with code 3 (requires $(b,--wal)).")
   in
-  let crash_partial_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "crash-partial" ] ~docv:"BYTES"
-          ~doc:
-            "With $(b,--crash-after): leave $(docv) bytes of the torn record behind \
-             (0 = cut cleanly at the record boundary).")
+  let make wal snapshot sync_every crash_after partial_bytes =
+    let crash = Option.map (fun n -> { Wal.after_records = n; partial_bytes }) crash_after in
+    { wal; snapshot; sync_every; crash }
   in
-  let index_flag =
-    Arg.(
-      value & flag
-      & info [ "index" ]
-          ~doc:
-            "Build the index planner over the storage as it loads: each completed \
-             top-level subtree is fed to the indexes differentially.  Maintenance \
-             statistics are reported on stderr.")
+  Term.(
+    const make $ opt_string "wal" wal_doc $ opt_string "snapshot" snapshot_doc
+    $ opt_int "sync-every" 1
+        "Fsync the WAL after every $(docv)-th record (default 1: every record)."
+    $ crash_after
+    $ opt_int ~docv:"BYTES" "crash-partial" 0
+        "With $(b,--crash-after): leave $(docv) bytes of the torn record behind (0 = cut \
+         cleanly at the record boundary).")
+
+(* A fresh snapshot is a fresh base: an old log would replay against
+   the wrong state, so it pairs with an empty WAL. *)
+let open_wal l =
+  match l.wal with
+  | None ->
+    if l.crash <> None then die "--crash-after requires --wal";
+    None
+  | Some p -> (
+    if l.snapshot <> None && Sys.file_exists p then Sys.remove p;
+    match Wal.Writer.create ?crash:l.crash ~sync_every:l.sync_every p with
+    | Ok w -> Some w
+    | Error e -> die_wal_error e)
+
+(* ------------------------------------------------------------------ *)
+(* Opening a store: a document, or a snapshot with its WAL tail
+   replayed on top ([before_replay] sees the snapshot state first —
+   where [recover --index] subscribes its planner to [journal]).  A
+   block storage is paged by [attach_pages]. *)
+
+type opened = {
+  store : Store.t;
+  root : Store.node;
+  labels : Xsm_numbering.Labeler.t option;
+  recovered : Recovery.stats option;
+}
+
+type source =
+  | Document of string
+  | Snapshot of { path : string; wal : string option; truncate : bool }
+
+let store_of_document doc =
+  let store = Store.create () in
+  { store; root = Xsm_xdm.Convert.load store doc; labels = None; recovered = None }
+
+let open_store ?journal ?before_replay = function
+  | Document path -> store_of_document (or_die (load_document path))
+  | Snapshot { path; wal; truncate } -> (
+    match Recovery.recover ?journal ?before_replay ~truncate ~snapshot:path ?wal () with
+    | Ok (store, root, labels, stats) -> { store; root; labels; recovered = Some stats }
+    | Error e -> die_recovery_error e)
+
+(* Page a block storage through a bounded pool over a new page file.
+   [cold] flushes and drops every frame and zeroes the counters, so the
+   accesses that follow are real faults, not warm hits. *)
+let attach_pages ?wal ?(cold = false) bs ~capacity path =
+  let pf = Page_file.create path in
+  let p = Bs.attach_pager ?wal bs ~capacity pf in
+  if cold then begin
+    Pager.clear p;
+    Pager.reset_stats p
+  end;
+  (pf, p)
+
+(* One query through the planner when there is one — the chosen plan
+   on stderr — else navigational evaluation. *)
+let answer ?planner ~eval q =
+  match planner with
+  | None -> eval q
+  | Some (plan_eval, explain) ->
+    let r = plan_eval q in
+    (if Result.is_ok r then
+       match Path_parser.parse q with
+       | Ok parsed -> Format.eprintf "plan: %s@." (explain parsed)
+       | Error _ -> ());
+    r
+
+(* The schema gate of validate and load: the analyzer subsumes
+   Schema_check and refuses fatal findings with the same diagnostics as
+   `xsm analyze`; its determinized content models are handed on so
+   validation compiles nothing. *)
+let load_checked_schema ~streaming path =
+  let schema_doc = or_die (load_document path) in
+  let reader_die e = die "%s" (Xsm_xsd.Reader.error_to_string e) in
+  let schema =
+    match Xsm_xsd.Reader.schema_of_document schema_doc with Ok s -> s | Error e -> reader_die e
   in
-  let query_arg =
-    Arg.(
-      value & opt (some string) None
-      & info [ "query" ] ~docv:"PATH"
-          ~doc:"Evaluate a query over the loaded storage (through the planner with \
-                $(b,--index)).")
+  let report = Trace.with_span "validate.analyze" (fun () -> Analyzer.analyze schema) in
+  (match
+     List.filter
+       (fun (f : Analyzer.finding) -> f.severity = Analyzer.Error)
+       report.Analyzer.findings
+   with
+  | [] -> ()
+  | fatal ->
+    List.iter (fun f -> Format.eprintf "%a@." Analyzer.pp_finding f) fatal;
+    exit 2);
+  let constraints =
+    match Xsm_xsd.Reader.constraints_of_document schema_doc with
+    | Ok cs -> cs
+    | Error e -> reader_die e
   in
-  let stats_flag =
-    Arg.(
-      value & flag
-      & info [ "stats" ]
-          ~doc:"Print storage statistics and run the block-level integrity check.")
+  if streaming && constraints <> [] then
+    Printf.eprintf "warning: %d identity constraint(s) not checked in streaming mode\n"
+      (List.length constraints);
+  (schema, report.Analyzer.tables, constraints)
+
+(* a document that must validate before the command goes on: the
+   errors go to stderr, exit 1 *)
+let validated doc schema =
+  match Validator.validate_document doc schema with
+  | Ok typed -> typed
+  | Error es ->
+    List.iter (fun e -> prerr_endline (Validator.error_to_string e)) es;
+    exit 1
+
+(* ------------------------------------------------------------------ *)
+
+let validate_cmd =
+  let module Sv = Xsm_stream.Stream_validator in
+  let stream_flag =
+    flag "stream"
+      "Validate in one streaming pass over SAX events: constant memory in the document \
+       (O(depth) state), diagnostics with line and column.  Identity constraints declared in \
+       the schema are not checked in this mode."
   in
-  let print_flag =
-    Arg.(value & flag & info [ "print" ] ~doc:"Print the loaded document on stdout")
+  let run () schema_path doc_path stream =
+    let schema, automata, constraints = load_checked_schema ~streaming:stream schema_path in
+    if stream then
+      with_doc_channel doc_path (fun ic ->
+          match Sv.run ~automata schema (Xsm_stream.Sax.of_channel ic) with
+          | Ok stats ->
+            Printf.printf "valid (%d elements, depth %d%s)\n" stats.Sv.elements stats.Sv.max_depth
+              (if stats.Sv.fallback_steps = 0 then ""
+               else Printf.sprintf ", %d non-UPA fallback steps" stats.Sv.fallback_steps)
+          | Error es ->
+            List.iter (fun e -> print_endline (Sv.error_to_string e)) es;
+            exit 1
+          | exception Xsm_xml.Parser.Syntax e ->
+            die "%s: %s" doc_path (Xsm_xml.Parser.error_to_string e))
+    else
+      let doc = Trace.with_span "validate.parse" (fun () -> or_die (load_document doc_path)) in
+      match Validator.validate_document ~automata doc schema with
+      | Ok (store, dnode) -> (
+        match Xsm_identity.Constraint_def.check store dnode constraints with
+        | Ok () ->
+          Printf.printf "valid (%d nodes%s)\n" (Store.node_count store)
+            (if constraints = [] then ""
+             else Printf.sprintf ", %d identity constraints" (List.length constraints))
+        | Error vs ->
+          List.iter (fun v -> Format.printf "%a@." Xsm_identity.Constraint_def.pp_violation v) vs;
+          exit 1)
+      | Error es ->
+        List.iter (fun e -> print_endline (Validator.error_to_string e)) es;
+        exit 1
   in
-  let run () doc_path schema_path capacity page_path pool_capacity wal_path snap_path
-      sync_every crash_after crash_partial use_index query with_stats do_print =
-    let die fmt =
-      Printf.ksprintf
-        (fun s ->
-          prerr_endline s;
-          exit 2)
-        fmt
-    in
-    (* schema gate mirrors `xsm validate`: the analyzer's fatal findings
-       refuse the run, its tables seed the streaming validator *)
+  Cmd.v
+    (Cmd.info "validate" ~doc:"Validate a document against a schema (the \xc2\xa76.2 judgment)")
+    Term.(const run $ obs_term $ schema_pos 0 $ doc_or_stdin_pos 1 $ stream_flag)
+
+let load_cmd =
+  let module S = Xsm_stream in
+  let module Pl = Planner.Over_storage in
+  let run () doc_path schema_path capacity page_path pool_capacity log use_index query
+      with_stats do_print =
+    (* the schema gate of `xsm validate`; its tables seed the streaming
+       validator *)
     let validator =
       Option.map
         (fun sp ->
-          let schema_doc = or_die (load_document sp) in
-          let schema =
-            match Xsm_xsd.Reader.schema_of_document schema_doc with
-            | Ok s -> s
-            | Error e ->
-              prerr_endline (Xsm_xsd.Reader.error_to_string e);
-              exit 2
-          in
-          let report = Xsm_analysis.Analyzer.analyze schema in
-          let fatal =
-            List.filter
-              (fun (f : Xsm_analysis.Analyzer.finding) ->
-                f.severity = Xsm_analysis.Analyzer.Error)
-              report.Xsm_analysis.Analyzer.findings
-          in
-          if fatal <> [] then begin
-            List.iter
-              (fun f -> Format.eprintf "%a@." Xsm_analysis.Analyzer.pp_finding f)
-              fatal;
-            exit 2
-          end;
-          (match Xsm_xsd.Reader.constraints_of_document schema_doc with
-          | Ok [] | Error _ -> ()
-          | Ok cs ->
-            Printf.eprintf "warning: %d identity constraint(s) not checked in streaming mode\n"
-              (List.length cs));
-          S.Stream_validator.create ~automata:report.Xsm_analysis.Analyzer.tables schema)
+          let schema, automata, _ = load_checked_schema ~streaming:true sp in
+          S.Stream_validator.create ~automata schema)
         schema_path
     in
-    let wal =
-      match wal_path with
-      | None ->
-        if crash_after <> None then die "--crash-after requires --wal";
-        None
-      | Some p -> (
-        (* a fresh snapshot is a fresh base: pair it with an empty WAL *)
-        if snap_path <> None && Sys.file_exists p then Sys.remove p;
-        let crash =
-          Option.map
-            (fun n -> { Wal.after_records = n; partial_bytes = crash_partial })
-            crash_after
-        in
-        match Wal.Writer.create ?crash ~sync_every p with
-        | Ok w -> Some w
-        | Error e -> die_wal_error e)
-    in
+    let wal = open_wal log in
     let on_root =
       Option.map
         (fun sp root_elem ->
-          let store = Xsm_xdm.Store.create () in
-          let dnode = Xsm_xdm.Convert.load store (Xsm_xml.Tree.document root_elem) in
-          match Xsm_persist.Snapshot.save ~path:sp store dnode with
-          | Ok _ -> ()
-          | Error e -> die "%s" e)
-        snap_path
+          let { store; root; _ } = store_of_document (Xsm_xml.Tree.document root_elem) in
+          match Snapshot.save ~path:sp store root with Ok _ -> () | Error e -> die "%s" e)
+        log.snapshot
     in
     let bl = S.Bulk_load.create ~block_capacity:capacity ?wal ?on_root () in
     let page =
       Option.map
         (fun pp ->
           let storage = S.Bulk_load.storage bl in
-          let pf = Xsm_pager.Page_file.create pp in
-          ignore
-            (Bs.attach_pager
-               ?wal:(Option.map Wal.Writer.pager_hook wal)
-               storage ~capacity:pool_capacity pf);
+          let pf, _ =
+            attach_pages ?wal:(Option.map Wal.Writer.pager_hook wal) storage
+              ~capacity:pool_capacity pp
+          in
           (* during the streaming build a block's latest changes are
              covered by the subtree record that has not landed yet:
              stamp one past the current record, so unlogged state is
              unstealable until its record is durable *)
-          (match wal with
-          | Some w -> Bs.set_lsn_source storage (fun () -> Wal.Writer.lsn w + 1)
-          | None -> ());
+          Option.iter (fun w -> Bs.set_lsn_source storage (fun () -> Wal.Writer.lsn w + 1)) wal;
           pf)
         page_path
     in
@@ -489,16 +464,8 @@ let load_cmd =
         | ds -> Pl.apply_changes p (List.map (fun d -> Pl.Node_added d) ds))
     in
     let guard f =
-      try f () with
-      | Xsm_xml.Parser.Syntax e ->
-        Printf.eprintf "%s: %s\n" doc_path (Xsm_xml.Parser.error_to_string e);
-        exit 2
-      | Wal.Crashed ->
-        (match wal with
-        | Some w ->
-          Printf.eprintf "wal: injected crash after %d records\n" (Wal.Writer.records_written w)
-        | None -> ());
-        exit 3
+      try with_crash wal f
+      with Xsm_xml.Parser.Syntax e -> die "%s: %s" doc_path (Xsm_xml.Parser.error_to_string e)
     in
     let storage, lstats =
       guard (fun () ->
@@ -509,9 +476,9 @@ let load_cmd =
                 | None -> ()
                 | Some ev ->
                   S.Bulk_load.feed bl ev;
-                  (match validator with
-                  | Some v -> S.Stream_validator.feed v ev (S.Sax.event_position sax)
-                  | None -> ());
+                  Option.iter
+                    (fun v -> S.Stream_validator.feed v ev (S.Sax.event_position sax))
+                    validator;
                   feed_planner ();
                   loop ()
               in
@@ -521,14 +488,12 @@ let load_cmd =
     feed_planner ();
     (* checkpoint before closing the WAL: flushing dirty blocks may
        force a final sync of the records covering them *)
-    (match page with
-    | None -> ()
-    | Some _ ->
+    if page <> None then begin
       guard (fun () ->
-          Bs.checkpoint storage
-            ~lsn:(match wal with Some w -> Wal.Writer.lsn w | None -> 0));
-      report_pager storage);
-    (match wal with Some w -> Wal.Writer.close w | None -> ());
+          Bs.checkpoint storage ~lsn:(match wal with Some w -> Wal.Writer.lsn w | None -> 0));
+      report_pager storage
+    end;
+    Option.iter Wal.Writer.close wal;
     (* summary and stats go to stderr so --print output stays a clean
        document, comparable byte-for-byte with [xsm recover --print] *)
     Printf.eprintf "loaded %d elements, %d attributes, %d texts (depth %d, %d blocks%s)\n"
@@ -537,45 +502,29 @@ let load_cmd =
       (if lstats.S.Bulk_load.wal_records = 0 then ""
        else Printf.sprintf ", %d WAL records" lstats.S.Bulk_load.wal_records);
     if with_stats then begin
-      Printf.eprintf "descriptors %d, splits %d, schema nodes %d\n"
-        (Bs.descriptor_count storage) (Bs.split_count storage)
+      Printf.eprintf "descriptors %d, splits %d, schema nodes %d\n" (Bs.descriptor_count storage)
+        (Bs.split_count storage)
         (Xsm_storage.Descriptive_schema.node_count (Bs.schema storage));
       match Bs.check_integrity storage with
       | Ok () -> prerr_endline "integrity ok"
-      | Error e ->
-        Printf.eprintf "integrity violated: %s\n" e;
-        exit 1
+      | Error e -> fail ("integrity violated: " ^ e)
     end;
-    (match planner with
-    | Some p -> report_maintenance (Pl.maintenance_stats p)
-    | None -> ());
-    (match query with
-    | None -> ()
-    | Some q -> (
-      let print_descs ds =
-        List.iter (fun d -> print_endline (Bs.string_value storage d)) ds
-      in
-      match planner with
-      | Some p -> (
-        match Pl.eval_string p q with
-        | Ok ds ->
-          (match Xsm_xpath.Path_parser.parse q with
-          | Ok parsed -> Format.eprintf "plan: %s@." (Pl.explain p parsed)
-          | Error _ -> ());
-          print_descs ds
-        | Error e ->
-          prerr_endline e;
-          exit 1)
-      | None -> (
-        match Xsm_xpath.Eval.Over_storage.eval_string storage (Bs.root storage) q with
-        | Ok ds -> print_descs ds
-        | Error e ->
-          prerr_endline e;
-          exit 1)));
+    Option.iter (fun p -> report_maintenance (Pl.maintenance_stats p)) planner;
+    Option.iter
+      (fun q ->
+        match
+          answer
+            ?planner:(Option.map (fun p -> ((fun q -> Pl.eval_string p q), Pl.explain p)) planner)
+            ~eval:(Xsm_xpath.Eval.Over_storage.eval_string storage (Bs.root storage))
+            q
+        with
+        | Ok ds -> List.iter (fun d -> print_endline (Bs.string_value storage d)) ds
+        | Error e -> fail e)
+      query;
     if do_print then print_string (Xsm_xml.Printer.to_string (Bs.to_document storage));
     (* the page file outlives the checkpoint: --stats, --query and
        --print above all fault pages back in *)
-    (match page with Some pf -> Xsm_pager.Page_file.close pf | None -> ());
+    Option.iter Page_file.close page;
     match Option.map S.Stream_validator.finish validator with
     | Some (Error es) ->
       List.iter (fun e -> print_endline (S.Stream_validator.error_to_string e)) es;
@@ -585,19 +534,38 @@ let load_cmd =
   Cmd.v
     (Cmd.info "load"
        ~doc:
-         "Bulk-load a document into the Sedna block storage from a stream of SAX \
-          events: document-order tail appends, counter-encoded \xc2\xa79.3 labels, \
-          optional same-pass validation, WAL durability and differential index \
-          maintenance — without ever materializing the tree")
+         "Bulk-load a document into the Sedna block storage from a stream of SAX events: \
+          document-order tail appends, counter-encoded \xc2\xa79.3 labels, optional same-pass \
+          validation, WAL durability and differential index maintenance — without ever \
+          materializing the tree")
     Term.(
-      const run $ obs_term $ doc_arg $ schema_arg $ capacity_arg $ page_file_arg
-      $ pool_capacity_arg $ wal_arg $ snapshot_arg $ sync_every_arg $ crash_after_arg
-      $ crash_partial_arg $ index_flag $ query_arg $ stats_flag $ print_flag)
+      const run $ obs_term $ doc_or_stdin_pos 0
+      $ schema_opt
+          "Validate against $(docv) while loading, in the same streaming pass; validation \
+           errors are reported after the load and exit with code 1."
+      $ opt_int "block-capacity" 64 "Descriptors per storage block (default 64)."
+      $ opt_string "page-file"
+          "Page the storage through a bounded buffer pool backed by $(docv): block values \
+           spill to disk under 2Q replacement as the load outgrows the pool, and the file is \
+           checkpointed when the load completes — so it alone reconstructs the store."
+      $ pool_capacity 64
+      $ logging_term
+          ~wal_doc:
+            "Log the load to $(docv) as one record per completed top-level subtree, so a \
+             crash mid-load recovers to the longest fully-loaded prefix."
+          ~snapshot_doc:
+            "Write the recovery base — the bare root element, captured when its start tag \
+             completes — to $(docv) before any WAL record is appended."
+      $ flag "index"
+          "Build the index planner over the storage as it loads: each completed top-level \
+           subtree is fed to the indexes differentially.  Maintenance statistics are \
+           reported on stderr."
+      $ opt_string ~docv:"PATH" "query"
+          "Evaluate a query over the loaded storage (through the planner with $(b,--index))."
+      $ flag "stats" "Print storage statistics and run the block-level integrity check."
+      $ flag "print" "Print the loaded document on stdout")
 
 let check_cmd =
-  let schema_arg =
-    Arg.(required & pos 0 (some file) None & info [] ~docv:"SCHEMA" ~doc:"XSD schema file")
-  in
   let run schema_path =
     let schema = or_die (load_schema schema_path) in
     match Xsm_schema.Schema_check.check schema with
@@ -608,84 +576,48 @@ let check_cmd =
   in
   Cmd.v
     (Cmd.info "check" ~doc:"Check schema well-formedness (type usage, UPA, repetitions)")
-    Term.(const run $ schema_arg)
+    Term.(const run $ schema_pos 0)
 
 let analyze_cmd =
-  let module A = Xsm_analysis.Analyzer in
-  let schema_arg =
-    Arg.(required & pos 0 (some file) None & info [] ~docv:"SCHEMA" ~doc:"XSD schema file")
-  in
-  let query_arg =
-    Arg.(
-      value & opt (some string) None
-      & info [ "query" ] ~docv:"PATH"
-          ~doc:
-            "Also analyze this XPath-subset query against the schema: report whether \
-             it is statically empty (provably selects nothing on any valid document) \
-             and warn about value comparisons that can never hold.")
-  in
-  let cardinalities_flag =
-    Arg.(
-      value & flag
-      & info [ "cardinalities" ]
-          ~doc:"Print the min/max occurrence interval of every element path.")
-  in
-  let cost_flag =
-    Arg.(
-      value & flag
-      & info [ "cost" ]
-          ~doc:
-            "With $(b,--query): price the query without any data — estimated row \
-             interval and navigational cost from occurrence intervals composed along \
-             the schema DataGuide.  The report is a single JSON object on stdout; \
-             diagnostics move to stderr.")
-  in
   let run schema_path query_text with_cardinalities with_cost =
     if with_cost && query_text = None then die "analyze: --cost requires --query";
     let schema = or_die (load_schema schema_path) in
     let query =
       Option.map
-        (fun q ->
-          match Xsm_xpath.Path_parser.parse q with
-          | Ok p -> p
-          | Error e ->
-            Printf.eprintf "query: %s\n" e;
-            exit 2)
+        (fun q -> match Path_parser.parse q with Ok p -> p | Error e -> die "query: %s" e)
         query_text
     in
-    let report = A.analyze ?query schema in
+    let report = Analyzer.analyze ?query schema in
     (* with --cost, stdout carries exactly one JSON object *)
     let out fmt = if with_cost then Format.eprintf fmt else Format.printf fmt in
-    List.iter (fun f -> out "%a@." A.pp_finding f) report.A.findings;
+    List.iter (fun f -> out "%a@." Analyzer.pp_finding f) report.Analyzer.findings;
     if with_cardinalities then
       List.iter
         (fun (path, iv, recursive) ->
           out "cardinality %s %s%s@." path (Xsm_analysis.Cardinality.to_string iv)
             (if recursive then " (recursive)" else ""))
-        report.A.cardinalities;
+        report.Analyzer.cardinalities;
     let statically_empty =
       List.exists
-        (fun (f : A.finding) ->
+        (fun (f : Analyzer.finding) ->
           f.pass = "query"
           && String.length f.message >= 16
           && String.sub f.message 0 16 = "statically empty")
-        report.A.findings
+        report.Analyzer.findings
     in
     (match query_text with
     | Some text when not statically_empty ->
       out "query %s: no static emptiness proof (may select nodes)@." text
     | _ -> ());
-    (match (with_cost, report.A.graph, query) with
-    | true, Some g, Some q ->
-      print_endline (Xsm_obs.Json.to_string (Xsm_analysis.Estimator.report g q))
-    | true, None, _ ->
-      () (* schema findings below exit 2 without a costable graph *)
+    (match (with_cost, report.Analyzer.graph, query) with
+    | true, Some g, Some q -> print_endline (Json.to_string (Xsm_analysis.Estimator.report g q))
+    | true, None, _ -> () (* schema findings below exit 2 without a costable graph *)
     | _ -> ());
-    match A.significant report with
+    match Analyzer.significant report with
     | [] ->
       out "clean: %d content models determinized, %d element paths@."
-        (List.length report.A.tables)
-        (List.length report.A.cardinalities)
+        (List.length report.Analyzer.tables)
+        (List.length report.Analyzer.cardinalities)
     | fs ->
       Printf.eprintf "%d finding(s)\n" (List.length fs);
       exit 2
@@ -693,93 +625,43 @@ let analyze_cmd =
   Cmd.v
     (Cmd.info "analyze"
        ~doc:
-         "Run the static analyzer over a schema: Unique Particle Attribution with \
-          shortest ambiguous witness words, reachability of type definitions, \
-          satisfiability of content models, per-path cardinality intervals, and — \
-          with $(b,--query) — schema-aware static query analysis ($(b,--cost) prices \
-          the query from the schema alone).  Exits 2 when any error or warning is \
-          found.")
-    Term.(const run $ schema_arg $ query_arg $ cardinalities_flag $ cost_flag)
+         "Run the static analyzer over a schema: Unique Particle Attribution with shortest \
+          ambiguous witness words, reachability of type definitions, satisfiability of \
+          content models, per-path cardinality intervals, and — with $(b,--query) — \
+          schema-aware static query analysis ($(b,--cost) prices the query from the schema \
+          alone).  Exits 2 when any error or warning is found.")
+    Term.(
+      const run $ schema_pos 0
+      $ opt_string ~docv:"PATH" "query"
+          "Also analyze this XPath-subset query against the schema: report whether it is \
+           statically empty (provably selects nothing on any valid document) and warn about \
+           value comparisons that can never hold."
+      $ flag "cardinalities" "Print the min/max occurrence interval of every element path."
+      $ flag "cost"
+          "With $(b,--query): price the query without any data — estimated row interval and \
+           navigational cost from occurrence intervals composed along the schema DataGuide.  \
+           The report is a single JSON object on stdout; diagnostics move to stderr.")
 
 let query_cmd =
-  let doc_arg =
-    Arg.(required & pos 0 (some file) None & info [] ~docv:"DOC" ~doc:"XML document file")
-  in
   let path_arg =
     Arg.(required & pos 1 (some string) None & info [] ~docv:"PATH" ~doc:"XPath-subset query")
-  in
-  let storage_flag =
-    Arg.(value & flag & info [ "storage" ] ~doc:"Evaluate over the Sedna block storage")
-  in
-  let page_file_arg =
-    Arg.(
-      value & opt (some string) None
-      & info [ "page-file" ] ~docv:"FILE"
-          ~doc:
-            "With $(b,--storage): page the block storage through a bounded buffer pool \
-             backed by $(docv), so evaluation faults blocks in and out of memory; pool \
-             statistics are reported on stderr.")
-  in
-  let pool_capacity_arg =
-    Arg.(
-      value & opt int 8
-      & info [ "pool-capacity" ] ~docv:"N"
-          ~doc:"Buffer-pool capacity in blocks with $(b,--page-file) (default 8).")
-  in
-  let index_flag =
-    Arg.(
-      value & flag
-      & info [ "index" ]
-          ~doc:
-            "Evaluate through the index subsystem (DataGuide path index + typed value \
-             indexes); the plan is reported on stderr.  Unsupported queries fall back to \
-             navigational evaluation.")
-  in
-  let schema_flag =
-    Arg.(
-      value & opt (some file) None
-      & info [ "schema" ] ~docv:"SCHEMA"
-          ~doc:
-            "Enable schema-aware pruning and predicate folding: queries the static \
-             analyzer proves empty on every $(docv)-valid document are answered \
-             without touching the data, and predicates it proves always true are \
-             dropped before planning.  The document is assumed valid against the \
-             schema.")
-  in
-  let explain_flag =
-    Arg.(
-      value & flag
-      & info [ "explain" ]
-          ~doc:
-            "With $(b,--index): print the structured plan as a single JSON object on \
-             stdout — chosen route, estimated vs. actual rows with the \
-             interval-containment flag, per-predicate strategy decisions with both \
-             prices, maintenance statistics — instead of the result nodes.")
   in
   let run () doc_path query use_storage page_path pool_capacity use_index schema_path
       explain_mode =
     if page_path <> None && not use_storage then die "query: --page-file requires --storage";
     if explain_mode && not use_index then die "query: --explain requires --index";
-    (* cold-start the pool before evaluating: attach (resident, dirty),
-       flush and drop everything, so the query's accesses are real
-       faults against the page file, not warm hits *)
-    let paged bs =
+    (* cold-start the pool before evaluating, so the query's accesses
+       are real faults against the page file, not warm hits *)
+    let storage store root =
+      let bs = Bs.of_store store root in
       Option.iter
-        (fun pp ->
-          let p =
-            Xsm_storage.Block_storage.attach_pager bs ~capacity:pool_capacity
-              (Xsm_pager.Page_file.create pp)
-          in
-          Xsm_pager.Pager.clear p;
-          Xsm_pager.Pager.reset_stats p)
-        page_path
+        (fun pp -> ignore (attach_pages ~cold:true bs ~capacity:pool_capacity pp))
+        page_path;
+      bs
     in
     Trace.with_span "query" ~attrs:[ ("path", query) ] @@ fun () ->
-    let store, dnode =
-      Trace.with_span "query.parse" (fun () ->
-          let doc = or_die (load_document doc_path) in
-          let store = Xsm_xdm.Store.create () in
-          (store, Xsm_xdm.Convert.load store doc))
+    let { store; root; _ } =
+      Trace.with_span "query.parse" (fun () -> open_store (Document doc_path))
     in
     let schema = Option.map (fun sp -> or_die (load_schema sp)) schema_path in
     let pruner = Option.map Xsm_analysis.Query_static.pruner schema in
@@ -788,131 +670,111 @@ let query_cmd =
        empty query needs no evaluation at all *)
     (match pruner with
     | Some f when not use_index -> (
-      match Xsm_xpath.Path_parser.parse query with
-      | Ok p -> (
-        match f p with
-        | Some reason ->
-          Format.eprintf "plan: pruned(%s)@." reason;
-          exit 0
-        | None -> ())
-      | Error _ -> () (* the evaluator will report the parse error *))
+      match Result.map f (Path_parser.parse query) with
+      | Ok (Some reason) ->
+        Format.eprintf "plan: pruned(%s)@." reason;
+        exit 0
+      | Ok None | Error _ -> () (* a parse error is reported by the evaluator *))
     | Some _ | None -> ());
-    if use_index then begin
-      let explain_and_print eval_str explain explain_json values =
-        if explain_mode then
-          match Xsm_xpath.Path_parser.parse query with
-          | Ok p ->
-            print_endline (Xsm_obs.Json.to_string (explain_json p));
-            Format.eprintf "plan: %s@." (explain query)
-          | Error e ->
-            prerr_endline e;
-            exit 1
-        else
-          match Trace.with_span "query.execute" (fun () -> eval_str query) with
-          | Ok nodes ->
-            Format.eprintf "plan: %s@." (explain query);
-            List.iter print_endline (values nodes)
-          | Error e ->
-            prerr_endline e;
-            exit 1
+    let print values = function
+      | Ok nodes -> List.iter print_endline (values nodes)
+      | Error e -> fail e
+    in
+    (* planner route: the JSON plan with --explain, else the results
+       with the chosen plan on stderr *)
+    let planned ~eval ~explain ~explain_json ~values =
+      if explain_mode then
+        match Path_parser.parse query with
+        | Ok p ->
+          print_endline (Json.to_string (explain_json p));
+          Format.eprintf "plan: %s@." (explain p)
+        | Error e -> fail e
+      else
+        print values
+          (Trace.with_span "query.execute" (fun () -> answer ~planner:(eval, explain) ~eval query))
+    in
+    let configure set_pruner set_rewriter p =
+      Option.iter (set_pruner p) pruner;
+      Option.iter (set_rewriter p) rewriter;
+      p
+    in
+    match (use_index, use_storage) with
+    | true, true ->
+      let module Pl = Planner.Over_storage in
+      let bs = storage store root in
+      let p =
+        Trace.with_span "query.plan" (fun () ->
+            configure Pl.set_pruner Pl.set_rewriter (Pl.create bs (Bs.root bs)))
       in
-      if use_storage then begin
-        let module Pl = Xsm_xpath.Planner.Over_storage in
-        let bs = Xsm_storage.Block_storage.of_store store dnode in
-        paged bs;
-        let planner =
-          Trace.with_span "query.plan" (fun () ->
-              let p = Pl.create bs (Xsm_storage.Block_storage.root bs) in
-              Option.iter (Pl.set_pruner p) pruner;
-              Option.iter (Pl.set_rewriter p) rewriter;
-              p)
-        in
-        explain_and_print
-          (fun q -> Pl.eval_string planner q)
-          (fun q ->
-            match Xsm_xpath.Path_parser.parse q with
-            | Ok p -> Pl.explain planner p
-            | Error e -> e)
-          (Pl.explain_json planner)
-          (List.map (Xsm_storage.Block_storage.string_value bs));
-        report_pager bs
-      end
-      else begin
-        let module Pl = Xsm_xpath.Planner.Over_store in
-        let planner =
-          Trace.with_span "query.plan" (fun () ->
-              let p = Pl.create store dnode in
-              Option.iter (Pl.set_pruner p) pruner;
-              Option.iter (Pl.set_rewriter p) rewriter;
-              p)
-        in
-        explain_and_print
-          (fun q -> Pl.eval_string planner q)
-          (fun q ->
-            match Xsm_xpath.Path_parser.parse q with
-            | Ok p -> Pl.explain planner p
-            | Error e -> e)
-          (Pl.explain_json planner)
-          (List.map (Xsm_xdm.Store.string_value store))
-      end
-    end
-    else if use_storage then begin
-      let bs = Xsm_storage.Block_storage.of_store store dnode in
-      paged bs;
-      (match
-         Trace.with_span "query.execute" (fun () -> Xsm_xpath.Schema_driven.eval_string bs query)
-       with
-      | Ok descs ->
-        List.iter (fun d -> print_endline (Xsm_storage.Block_storage.string_value bs d)) descs
-      | Error _ -> (
-        (* fall back to the navigational evaluator over descriptors *)
-        match
-          Xsm_xpath.Eval.Over_storage.eval_string bs (Xsm_storage.Block_storage.root bs) query
-        with
-        | Ok descs ->
-          List.iter (fun d -> print_endline (Xsm_storage.Block_storage.string_value bs d)) descs
-        | Error e ->
-          prerr_endline e;
-          exit 1));
+      planned
+        ~eval:(fun q -> Pl.eval_string p q)
+        ~explain:(Pl.explain p) ~explain_json:(Pl.explain_json p)
+        ~values:(List.map (Bs.string_value bs));
       report_pager bs
-    end
-    else
-      match
-        Trace.with_span "query.execute" (fun () ->
-            Xsm_xpath.Eval.Over_store.eval_string store dnode query)
-      with
-      | Ok nodes ->
-        List.iter (fun n -> print_endline (Xsm_xdm.Store.string_value store n)) nodes
-      | Error e ->
-        prerr_endline e;
-        exit 1
+    | true, false ->
+      let module Pl = Planner.Over_store in
+      let p =
+        Trace.with_span "query.plan" (fun () ->
+            configure Pl.set_pruner Pl.set_rewriter (Pl.create store root))
+      in
+      planned
+        ~eval:(fun q -> Pl.eval_string p q)
+        ~explain:(Pl.explain p) ~explain_json:(Pl.explain_json p)
+        ~values:(List.map (Store.string_value store))
+    | false, true ->
+      let bs = storage store root in
+      (* the schema-driven scan, else the navigational evaluator over
+         descriptors *)
+      print
+        (List.map (Bs.string_value bs))
+        (match
+           Trace.with_span "query.execute" (fun () -> Xsm_xpath.Schema_driven.eval_string bs query)
+         with
+        | Ok descs -> Ok descs
+        | Error _ -> Xsm_xpath.Eval.Over_storage.eval_string bs (Bs.root bs) query);
+      report_pager bs
+    | false, false ->
+      print
+        (List.map (Store.string_value store))
+        (Trace.with_span "query.execute" (fun () ->
+             Xsm_xpath.Eval.Over_store.eval_string store root query))
   in
   Cmd.v
     (Cmd.info "query" ~doc:"Evaluate an XPath-subset query over a document")
     Term.(
-      const run $ obs_term $ doc_arg $ path_arg $ storage_flag $ page_file_arg
-      $ pool_capacity_arg $ index_flag $ schema_flag $ explain_flag)
+      const run $ obs_term $ doc_pos 0 $ path_arg
+      $ flag "storage" "Evaluate over the Sedna block storage"
+      $ opt_string "page-file"
+          "With $(b,--storage): page the block storage through a bounded buffer pool backed by \
+           $(docv), so evaluation faults blocks in and out of memory; pool statistics are \
+           reported on stderr."
+      $ pool_capacity 8
+      $ flag "index"
+          "Evaluate through the index subsystem (DataGuide path index + typed value indexes); \
+           the plan is reported on stderr.  Unsupported queries fall back to navigational \
+           evaluation."
+      $ schema_opt
+          "Enable schema-aware pruning and predicate folding: queries the static analyzer \
+           proves empty on every $(docv)-valid document are answered without touching the \
+           data, and predicates it proves always true are dropped before planning.  The \
+           document is assumed valid against the schema."
+      $ flag "explain"
+          "With $(b,--index): print the structured plan as a single JSON object on stdout — \
+           chosen route, estimated vs. actual rows with the interval-containment flag, \
+           per-predicate strategy decisions with both prices, maintenance statistics — \
+           instead of the result nodes.")
 
-let print_store store root =
-  match Xsm_xdm.Store.kind store root with
-  | Xsm_xdm.Store.Kind.Document ->
-    print_string (Xsm_xml.Printer.to_string (Xsm_xdm.Convert.to_document store root))
-  | _ -> print_endline (Xsm_xml.Printer.element_to_string (Xsm_xdm.Convert.to_element store root))
+(* [answer]'s planner route over an XDM store *)
+let store_planner p = ((fun q -> Planner.Over_store.eval_string p q), Planner.Over_store.explain p)
 
 (* The update-script interpreter, shared by `xsm update` and
-   `xsm stats`.  A malformed or failing line aborts with its location,
+   `xsm stats`: the shared update grammar ({!Update.parse_command})
+   plus two script-only commands, [sync] (a WAL sync point) and
+   [query PATH].  A malformed or failing line aborts with its location,
    the offending source text and exit code 1 — never a silent skip,
    never a raw backtrace. *)
-let execute_script ~script_path ~store ~dnode ~journal ?planner ?wal () =
-  let module Store = Xsm_xdm.Store in
-  let module Update = Xsm_schema.Update in
-  let module Wal = Xsm_persist.Wal in
-  let module Pl = Xsm_xpath.Planner.Over_store in
-  let split1 s =
-    match String.index_opt s ' ' with
-    | None -> (s, "")
-    | Some i -> (String.sub s 0 i, String.trim (String.sub s (i + 1) (String.length s - i - 1)))
-  in
+let execute_script ~script_path ~store ~root ~journal ?planner ?wal () =
+  let eval = Xsm_xpath.Eval.Over_store.eval_string store root in
   let source_lines = String.split_on_char '\n' (read_file script_path) in
   let fail_line lineno fmt =
     Printf.ksprintf
@@ -925,566 +787,257 @@ let execute_script ~script_path ~store ~dnode ~journal ?planner ?wal () =
         exit 1)
       fmt
   in
-  let target lineno q =
-    match Xsm_xpath.Eval.Over_store.eval_string store dnode q with
-    | Ok (n :: _) -> n
-    | Ok [] -> fail_line lineno "%s: no matching node" q
-    | Error e -> fail_line lineno "%s: %s" q e
-  in
-  let apply lineno op =
-    (match wal with
-    | None -> ()
-    | Some w -> (
-      (* log before apply: the WAL addresses describe the pre-state *)
-      match Wal.op_of_update store ~root:dnode op with
-      | Ok wop -> (
-        try Wal.Writer.append w wop
-        with Wal.Crashed ->
-          Printf.eprintf "wal: injected crash after %d records\n" (Wal.Writer.records_written w);
-          exit 3)
-      | Error e -> fail_line lineno "%s" e));
-    match Update.apply ~journal store op with
-    | Ok _ -> ()
-    | Error e -> fail_line lineno "update: %s" e
-  in
-  let fragment lineno src =
-    match Xsm_xml.Parser.parse_element src with
-    | Ok e -> e
-    | Error e -> fail_line lineno "fragment: %s" (Xsm_xml.Parser.error_to_string e)
-  in
-  let qname lineno s =
-    match Xsm_xml.Name.of_string s with
-    | Ok n -> n
-    | Error e -> fail_line lineno "attribute name %S: %s" s e
-  in
-  let require lineno what s = if s = "" then fail_line lineno "missing %s" what else s in
   let run_line lineno line =
-    let cmd, rest = split1 line in
+    let cmd, rest =
+      match String.index_opt line ' ' with
+      | None -> (line, "")
+      | Some i -> (String.sub line 0 i, String.trim (String.sub line i (String.length line - i)))
+    in
     match cmd with
-    | "insert" ->
-      let path, xml = split1 rest in
-      let path = require lineno "target path" path in
-      let xml = require lineno "XML fragment" xml in
-      apply lineno
-        (Update.Insert_element
-           { parent = target lineno path; before = None; tree = fragment lineno xml })
-    | "insert-text" ->
-      let path, text = split1 rest in
-      let path = require lineno "target path" path in
-      apply lineno (Update.Insert_text { parent = target lineno path; before = None; text })
-    | "delete" ->
-      let path = require lineno "target path" rest in
-      apply lineno (Update.Delete (target lineno path))
-    | "content" ->
-      let path, value = split1 rest in
-      let path = require lineno "target path" path in
-      apply lineno (Update.Replace_content { node = target lineno path; value })
-    | "attr" ->
-      let path, rest = split1 rest in
-      let name, value = split1 rest in
-      let path = require lineno "target path" path in
-      let name = require lineno "attribute name" name in
-      apply lineno
-        (Update.Set_attribute { element = target lineno path; name = qname lineno name; value })
-    | "sync" -> (
-      match wal with
-      | Some w -> (
-        try Wal.Writer.sync w
-        with Wal.Crashed ->
-          Printf.eprintf "wal: injected crash after %d records\n" (Wal.Writer.records_written w);
-          exit 3)
-      | None -> ())
+    | "sync" -> Option.iter (fun w -> with_crash wal (fun () -> Wal.Writer.sync w)) wal
     | "query" -> (
-      let q = require lineno "query" rest in
-      let print_nodes nodes =
-        List.iter (fun n -> print_endline (Store.string_value store n)) nodes
-      in
-      match planner with
-      | Some p -> (
-        match Pl.eval_string p q with
-        | Ok nodes ->
-          (match Xsm_xpath.Path_parser.parse q with
-          | Ok parsed -> Format.eprintf "plan: %s@." (Pl.explain p parsed)
-          | Error _ -> ());
-          print_nodes nodes
-        | Error e -> fail_line lineno "%s: %s" q e)
-      | None -> (
-        match Xsm_xpath.Eval.Over_store.eval_string store dnode q with
-        | Ok nodes -> print_nodes nodes
-        | Error e -> fail_line lineno "%s: %s" q e))
-    | other -> fail_line lineno "unknown command %S" other
+      if rest = "" then fail_line lineno "missing query";
+      match answer ?planner:(Option.map store_planner planner) ~eval rest with
+      | Ok nodes -> List.iter (fun n -> print_endline (Store.string_value store n)) nodes
+      | Error e -> fail_line lineno "%s: %s" rest e)
+    | _ -> (
+      match Update.parse_command ~resolve:eval line with
+      | Error e -> fail_line lineno "%s" e
+      | Ok op -> (
+        match with_crash wal (fun () -> Wal.apply_logged ~journal wal store ~root op) with
+        | Ok _ -> ()
+        | Error e -> fail_line lineno "update: %s" e))
   in
-  let lineno = ref 0 in
-  List.iter
-    (fun line ->
-      incr lineno;
+  List.iteri
+    (fun i line ->
+      let lineno = i + 1 in
       let line = String.trim line in
-      if line = "" || line.[0] = '#' then ()
-      else
-        Trace.with_span "update.line" ~attrs:[ ("line", string_of_int !lineno) ] (fun () ->
-            try run_line !lineno line with
-            | Invalid_argument e | Failure e -> fail_line !lineno "%s" e))
+      if line <> "" && line.[0] <> '#' then
+        Trace.with_span "update.line" ~attrs:[ ("line", string_of_int lineno) ] (fun () ->
+            try run_line lineno line
+            with Invalid_argument e | Failure e -> fail_line lineno "%s" e))
     source_lines
 
+(* an update journal with the index planner subscribed to it *)
+let journaled_planner store root =
+  let journal = Update.Journal.create () in
+  let p = Planner.Over_store.create store root in
+  Planner.attach_journal p journal;
+  (journal, p)
+
 let update_cmd =
-  let doc_arg =
-    Arg.(required & pos 0 (some file) None & info [] ~docv:"DOC" ~doc:"XML document file")
-  in
   let script_arg =
     Arg.(
       required & pos 1 (some file) None
       & info [] ~docv:"SCRIPT"
           ~doc:
             "Update script: one command per line.  $(b,insert) PATH XML appends a parsed \
-             fragment under the first node matching PATH; $(b,insert-text) PATH TEXT \
-             appends a text node; $(b,delete) PATH unlinks the first match; $(b,content) \
-             PATH VALUE replaces a text or attribute value; $(b,attr) PATH NAME VALUE \
-             sets an attribute; $(b,query) PATH evaluates a query against the current \
-             state; $(b,sync) forces a WAL sync point.  Blank lines and lines starting \
-             with # are ignored.  A malformed line aborts the run with its line number \
-             and exit code 1.")
+             fragment under the first node matching PATH; $(b,insert-text) PATH TEXT appends \
+             a text node; $(b,delete) PATH unlinks the first match; $(b,content) PATH VALUE \
+             replaces a text or attribute value; $(b,attr) PATH NAME VALUE sets an attribute; \
+             $(b,query) PATH evaluates a query against the current state; $(b,sync) forces a \
+             WAL sync point.  Blank lines and lines starting with # are ignored.  A malformed \
+             line aborts the run with its line number and exit code 1.")
   in
-  let index_flag =
-    Arg.(
-      value & flag
-      & info [ "index" ]
-          ~doc:
-            "Evaluate queries through the index subsystem and keep the indexes live \
-             across updates: the planner subscribes to the update journal and applies \
-             each change differentially instead of rebuilding.  Maintenance statistics \
-             are reported on stderr.")
-  in
-  let print_flag =
-    Arg.(value & flag & info [ "print" ] ~doc:"Print the resulting document on stdout")
-  in
-  let wal_arg =
-    Arg.(
-      value & opt (some string) None
-      & info [ "wal" ] ~docv:"FILE"
-          ~doc:
-            "Write-ahead log: every update is appended to $(docv) (length-prefixed, \
-             CRC-checked records) $(i,before) it is applied, so $(b,xsm recover) can \
-             replay the run from a snapshot after a crash.")
-  in
-  let snapshot_arg =
-    Arg.(
-      value & opt (some string) None
-      & info [ "snapshot" ] ~docv:"FILE"
-          ~doc:
-            "Write a snapshot of the $(i,initial) document state to $(docv) before \
-             running the script — the base the WAL replays against.")
-  in
-  let crash_after_arg =
-    Arg.(
-      value & opt (some int) None
-      & info [ "crash-after" ] ~docv:"N"
-          ~doc:
-            "Fault injection: once $(docv) WAL records are fully on disk, abort \
-             mid-write of the next record and exit with code 3 (requires $(b,--wal)).")
-  in
-  let crash_partial_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "crash-partial" ] ~docv:"BYTES"
-          ~doc:
-            "With $(b,--crash-after): leave $(docv) bytes of the torn record behind \
-             (0 = cut cleanly at the record boundary).")
-  in
-  let sync_every_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "sync-every" ] ~docv:"N"
-          ~doc:"Fsync the WAL after every $(docv)-th record (default 1: every record).")
-  in
-  let run () doc_path script_path use_index do_print wal_path snap_path crash_after
-      crash_partial sync_every =
-    let module Store = Xsm_xdm.Store in
-    let module Update = Xsm_schema.Update in
-    let module Wal = Xsm_persist.Wal in
-    let module Pl = Xsm_xpath.Planner.Over_store in
-    let doc = or_die (load_document doc_path) in
-    let store = Store.create () in
-    let dnode = Xsm_xdm.Convert.load store doc in
-    let journal = Update.Journal.create () in
-    let planner =
-      if use_index then begin
-        let p = Pl.create store dnode in
-        Xsm_xpath.Planner.attach_journal p journal;
-        Some p
-      end
-      else None
+  let run () doc_path script_path use_index do_print log =
+    let { store; root; _ } = open_store (Document doc_path) in
+    let journal, planner =
+      if use_index then
+        let journal, p = journaled_planner store root in
+        (journal, Some p)
+      else (Update.Journal.create (), None)
     in
-    let die fmt =
-      Printf.ksprintf
-        (fun s ->
-          prerr_endline s;
-          exit 2)
-        fmt
-    in
-    (match snap_path with
-    | None -> ()
-    | Some p -> (
-      match Xsm_persist.Snapshot.save ~path:p store dnode with
-      | Ok _ -> ()
-      | Error e -> die "%s" e));
-    let wal =
-      match wal_path with
-      | None ->
-        if crash_after <> None then die "--crash-after requires --wal";
-        None
-      | Some p -> (
-        (* a fresh snapshot is a fresh base: an old log would replay
-           against the wrong state, so pair it with an empty WAL *)
-        if snap_path <> None && Sys.file_exists p then Sys.remove p;
-        let crash =
-          Option.map
-            (fun n -> { Wal.after_records = n; partial_bytes = crash_partial })
-            crash_after
-        in
-        match Wal.Writer.create ?crash ~sync_every p with
-        | Ok w -> Some w
-        | Error e -> die_wal_error e)
-    in
+    Option.iter
+      (fun p -> match Snapshot.save ~path:p store root with Ok _ -> () | Error e -> die "%s" e)
+      log.snapshot;
+    let wal = open_wal log in
     Trace.with_span "update.script" ~attrs:[ ("script", script_path) ] (fun () ->
-        execute_script ~script_path ~store ~dnode ~journal ?planner ?wal ());
-    (match wal with Some w -> Wal.Writer.close w | None -> ());
-    (match planner with
-    | Some p -> report_maintenance (Pl.maintenance_stats p)
-    | None -> ());
-    if do_print then print_store store dnode
+        execute_script ~script_path ~store ~root ~journal ?planner ?wal ());
+    Option.iter Wal.Writer.close wal;
+    Option.iter (fun p -> report_maintenance (Planner.Over_store.maintenance_stats p)) planner;
+    if do_print then print_store store root
   in
   Cmd.v
     (Cmd.info "update"
        ~doc:
-         "Apply an update script to a document, interleaving queries; with $(b,--index) \
-          the indexes are maintained differentially across the updates; with $(b,--wal) \
-          every update is logged durably before it is applied")
+         "Apply an update script to a document, interleaving queries; with $(b,--index) the \
+          indexes are maintained differentially across the updates; with $(b,--wal) every \
+          applied update is logged durably, and a rejected one is never logged")
     Term.(
-      const run $ obs_term $ doc_arg $ script_arg $ index_flag $ print_flag $ wal_arg
-      $ snapshot_arg $ crash_after_arg $ crash_partial_arg $ sync_every_arg)
+      const run $ obs_term $ doc_pos 0 $ script_arg
+      $ flag "index"
+          "Evaluate queries through the index subsystem and keep the indexes live across \
+           updates: the planner subscribes to the update journal and applies each change \
+           differentially instead of rebuilding.  Maintenance statistics are reported on \
+           stderr."
+      $ flag "print" "Print the resulting document on stdout"
+      $ logging_term
+          ~wal_doc:
+            "Write-ahead log: every update is appended to $(docv) (length-prefixed, \
+             CRC-checked records) once it has applied, so $(b,xsm recover) can replay the run \
+             from a snapshot after a crash; a rejected update leaves no record."
+          ~snapshot_doc:
+            "Write a snapshot of the $(i,initial) document state to $(docv) before running \
+             the script — the base the WAL replays against.")
 
 let snapshot_cmd =
-  let doc_arg =
-    Arg.(required & pos 0 (some file) None & info [] ~docv:"DOC" ~doc:"XML document file")
-  in
   let out_arg =
     Arg.(required & pos 1 (some string) None & info [] ~docv:"OUT" ~doc:"Snapshot file to write")
   in
-  let schema_arg =
-    Arg.(
-      value & opt (some file) None
-      & info [ "schema" ] ~docv:"SCHEMA"
-          ~doc:
-            "Validate against $(docv) first and snapshot the typed store; the schema \
-             path is recorded in the snapshot header as the schema reference.")
-  in
-  let labels_flag =
-    Arg.(
-      value & flag
-      & info [ "labels" ]
-          ~doc:"Assign \xc2\xa79.3 numbering labels and persist them with the tree.")
-  in
   let run doc_path out_path schema_path with_labels =
-    let doc = or_die (load_document doc_path) in
-    let store, dnode =
+    let store, root =
       match schema_path with
       | None ->
-        let store = Xsm_xdm.Store.create () in
-        (store, Xsm_xdm.Convert.load store doc)
-      | Some sp -> (
-        let schema = or_die (load_schema sp) in
-        match Xsm_schema.Validator.validate_document doc schema with
-        | Ok (store, dnode) -> (store, dnode)
-        | Error es ->
-          List.iter (fun e -> prerr_endline (Xsm_schema.Validator.error_to_string e)) es;
-          exit 1)
+        let { store; root; _ } = open_store (Document doc_path) in
+        (store, root)
+      | Some sp ->
+        let doc = or_die (load_document doc_path) in
+        validated doc (or_die (load_schema sp))
     in
-    let labels =
-      if with_labels then Some (Xsm_numbering.Labeler.label_tree store dnode) else None
-    in
-    match Xsm_persist.Snapshot.save ?schema_ref:schema_path ?labels ~path:out_path store dnode with
+    let labels = if with_labels then Some (Xsm_numbering.Labeler.label_tree store root) else None in
+    match Snapshot.save ?schema_ref:schema_path ?labels ~path:out_path store root with
     | Ok meta ->
-      Printf.printf "snapshot %s: %d nodes%s%s\n" out_path
-        meta.Xsm_persist.Snapshot.node_count
-        (match meta.Xsm_persist.Snapshot.schema_ref with
-        | Some s -> Printf.sprintf ", schema %s" s
-        | None -> "")
-        (if meta.Xsm_persist.Snapshot.labelled then ", labelled" else "")
-    | Error e ->
-      prerr_endline e;
-      exit 2
+      Printf.printf "snapshot %s: %d nodes%s%s\n" out_path meta.Snapshot.node_count
+        (match meta.Snapshot.schema_ref with Some s -> Printf.sprintf ", schema %s" s | None -> "")
+        (if meta.Snapshot.labelled then ", labelled" else "")
+    | Error e -> die "%s" e
   in
   Cmd.v
     (Cmd.info "snapshot"
        ~doc:
          "Serialize a document's database state to a versioned binary snapshot \
           (CRC-protected; reload with $(b,xsm recover))")
-    Term.(const run $ doc_arg $ out_arg $ schema_arg $ labels_flag)
+    Term.(
+      const run $ doc_pos 0 $ out_arg
+      $ schema_opt
+          "Validate against $(docv) first and snapshot the typed store; the schema path is \
+           recorded in the snapshot header as the schema reference."
+      $ flag "labels" "Assign \xc2\xa79.3 numbering labels and persist them with the tree.")
 
 let recover_cmd =
+  let module Pl = Planner.Over_store in
   let snap_arg =
     Arg.(required & pos 0 (some file) None & info [] ~docv:"SNAP" ~doc:"Snapshot file")
   in
-  let wal_arg =
-    Arg.(
-      value & opt (some string) None
-      & info [ "wal" ] ~docv:"FILE"
-          ~doc:
-            "Replay this write-ahead log on top of the snapshot, truncating a torn \
-             trailing record if the writer crashed mid-append.")
-  in
-  let print_flag =
-    Arg.(value & flag & info [ "print" ] ~doc:"Print the recovered document on stdout")
-  in
-  let query_arg =
-    Arg.(
-      value & opt (some string) None
-      & info [ "query" ] ~docv:"PATH" ~doc:"Evaluate a query over the recovered state.")
-  in
-  let index_flag =
-    Arg.(
-      value & flag
-      & info [ "index" ]
-          ~doc:
-            "Build the index planner over the snapshot state and let it absorb the WAL \
-             replay differentially (indexes resume instead of rebuilding); implies the \
-             query runs through the planner.")
-  in
-  let no_truncate_flag =
-    Arg.(
-      value & flag
-      & info [ "no-truncate" ]
-          ~doc:"Leave a torn WAL tail on disk instead of repairing the file.")
-  in
-  let page_file_arg =
-    Arg.(
-      value & opt (some string) None
-      & info [ "page-file" ] ~docv:"FILE"
-          ~doc:
-            "After recovery, materialize the block-storage representation of the \
-             recovered state and checkpoint it to $(docv) — a clean page file that \
-             alone reconstructs the store.")
-  in
-  let pool_capacity_arg =
-    Arg.(
-      value & opt int 64
-      & info [ "pool-capacity" ] ~docv:"N"
-          ~doc:"Buffer-pool capacity in blocks with $(b,--page-file) (default 64).")
-  in
-  let run () snap_path wal_path do_print query use_index no_truncate page_path pool_capacity =
-    let module Pl = Xsm_xpath.Planner.Over_store in
-    let module R = Xsm_persist.Recovery in
-    let die e =
-      prerr_endline e;
-      exit 2
+  let run () snap_path wal do_print query use_index no_truncate page_path pool_capacity =
+    (* with --index the planner sees the snapshot state, then the
+       journal feeds it the replay — indexes resume, no rebuild *)
+    let journal = if use_index then Some (Update.Journal.create ()) else None in
+    let planner = ref None in
+    let before_replay store root =
+      Option.iter
+        (fun j ->
+          let p = Pl.create store root in
+          Planner.attach_journal p j;
+          planner := Some p)
+        journal
     in
-    let truncate = not no_truncate in
-    let store, root, _labels, stats, planner =
-      if use_index then begin
-        match Xsm_persist.Snapshot.load ~path:snap_path with
-        | Error e -> die e
-        | Ok (store, root, labels, _meta) ->
-          (* the planner sees the snapshot state, then the journal
-             feeds it the replay — indexes resume, no rebuild *)
-          let planner = Pl.create store root in
-          let journal = Xsm_schema.Update.Journal.create () in
-          Xsm_xpath.Planner.attach_journal planner journal;
-          let stats =
-            match wal_path with
-            | None ->
-              {
-                R.snapshot_nodes = Xsm_xdm.Store.subtree_size store root;
-                wal_records = 0;
-                replayed = 0;
-                synced_prefix = 0;
-                torn_bytes = 0;
-                truncated = false;
-              }
-            | Some wal -> (
-              match R.replay_wal ~journal ?labels ~truncate store ~root wal with
-              | Ok s -> s
-              | Error e -> die_recovery_error e)
-          in
-          (store, root, labels, stats, Some planner)
-      end
-      else
-        match R.recover ~truncate ~snapshot:snap_path ?wal:wal_path () with
-        | Ok (store, root, labels, stats) -> (store, root, labels, stats, None)
-        | Error e -> die_recovery_error e
+    let { store; root; recovered; _ } =
+      open_store ?journal ~before_replay
+        (Snapshot { path = snap_path; wal; truncate = not no_truncate })
     in
-    Format.eprintf "recovered: %a@." R.pp_stats stats;
-    (match page_path with
-    | None -> ()
-    | Some pp ->
-      let module Bs = Xsm_storage.Block_storage in
-      let pf = Xsm_pager.Page_file.create pp in
-      let bs = Bs.of_store store root in
-      ignore (Bs.attach_pager bs ~capacity:pool_capacity pf);
-      Bs.checkpoint bs ~lsn:stats.R.synced_prefix;
-      Printf.eprintf "page file: checkpointed %d blocks to %s\n" (Bs.block_count bs) pp;
-      Xsm_pager.Page_file.close pf);
-    (match query with
-    | None -> ()
-    | Some q -> (
-      let print_nodes nodes =
-        List.iter (fun n -> print_endline (Xsm_xdm.Store.string_value store n)) nodes
-      in
-      match planner with
-      | Some p -> (
-        match Pl.eval_string p q with
+    Option.iter (Format.eprintf "recovered: %a@." Recovery.pp_stats) recovered;
+    Option.iter
+      (fun pp ->
+        let bs = Bs.of_store store root in
+        let pf, _ = attach_pages bs ~capacity:pool_capacity pp in
+        Bs.checkpoint bs
+          ~lsn:(match recovered with Some s -> s.Recovery.synced_prefix | None -> 0);
+        Printf.eprintf "page file: checkpointed %d blocks to %s\n" (Bs.block_count bs) pp;
+        Page_file.close pf)
+      page_path;
+    Option.iter
+      (fun q ->
+        let planner = !planner in
+        match
+          answer
+            ?planner:(Option.map store_planner planner)
+            ~eval:(Xsm_xpath.Eval.Over_store.eval_string store root)
+            q
+        with
         | Ok nodes ->
-          (match Xsm_xpath.Path_parser.parse q with
-          | Ok parsed -> Format.eprintf "plan: %s@." (Pl.explain p parsed)
-          | Error _ -> ());
-          report_maintenance (Pl.maintenance_stats p);
-          print_nodes nodes
-        | Error e ->
-          prerr_endline e;
-          exit 1)
-      | None -> (
-        match Xsm_xpath.Eval.Over_store.eval_string store root q with
-        | Ok nodes -> print_nodes nodes
-        | Error e ->
-          prerr_endline e;
-          exit 1)));
+          Option.iter (fun p -> report_maintenance (Pl.maintenance_stats p)) planner;
+          List.iter (fun n -> print_endline (Store.string_value store n)) nodes
+        | Error e -> fail e)
+      query;
     if do_print then print_store store root
   in
   Cmd.v
     (Cmd.info "recover"
        ~doc:
-         "Rebuild the database state from a snapshot plus a write-ahead log: load, \
-          truncate the torn tail (CRC-detected), replay — the recovered state is \
-          content-equal to the longest fully-written prefix of the logged run")
+         "Rebuild the database state from a snapshot plus a write-ahead log: load, truncate \
+          the torn tail (CRC-detected), replay — the recovered state is content-equal to the \
+          longest fully-written prefix of the logged run")
     Term.(
-      const run $ obs_term $ snap_arg $ wal_arg $ print_flag $ query_arg $ index_flag
-      $ no_truncate_flag $ page_file_arg $ pool_capacity_arg)
+      const run $ obs_term $ snap_arg
+      $ opt_string "wal"
+          "Replay this write-ahead log on top of the snapshot, truncating a torn trailing \
+           record if the writer crashed mid-append."
+      $ flag "print" "Print the recovered document on stdout"
+      $ opt_string ~docv:"PATH" "query" "Evaluate a query over the recovered state."
+      $ flag "index"
+          "Build the index planner over the snapshot state and let it absorb the WAL replay \
+           differentially (indexes resume instead of rebuilding); implies the query runs \
+           through the planner."
+      $ flag "no-truncate" "Leave a torn WAL tail on disk instead of repairing the file."
+      $ opt_string "page-file"
+          "After recovery, materialize the block-storage representation of the recovered \
+           state and checkpoint it to $(docv) — a clean page file that alone reconstructs the \
+           store."
+      $ pool_capacity 64)
 
 let stats_cmd =
-  let doc_arg =
-    Arg.(required & pos 0 (some file) None & info [] ~docv:"DOC" ~doc:"XML document file")
-  in
   let script_arg =
     Arg.(
       required & pos 1 (some file) None
       & info [] ~docv:"SCRIPT"
           ~doc:
-            "Workload script in the $(b,xsm update) syntax; its queries run through the \
-             index planner and its updates are logged to a throwaway WAL so every \
-             subsystem contributes to the report.")
-  in
-  let schema_arg =
-    Arg.(
-      value & opt (some file) None
-      & info [ "schema" ] ~docv:"SCHEMA"
-          ~doc:
-            "Validate the document against $(docv) first (populating the validator \
-             counters) and give the planner the schema's static emptiness oracle, so \
-             provably dead queries show up in the pruned counter.")
-  in
-  let capacity_arg =
-    Arg.(
-      value & opt int 8
-      & info [ "pool-capacity" ] ~docv:"N"
-          ~doc:"Buffer-pool capacity (blocks) for the locality replay (default 8).")
-  in
-  let openmetrics_flag =
-    Arg.(
-      value & flag
-      & info [ "openmetrics" ]
-          ~doc:
-            "Print the registry as OpenMetrics text exposition instead of JSON — the \
-             same output a scraper gets from a running daemon via \
-             $(b,xsm client --openmetrics).")
+            "Workload script in the $(b,xsm update) syntax; its queries run through the index \
+             planner and its updates are logged to a throwaway WAL so every subsystem \
+             contributes to the report.")
   in
   let run () doc_path script_path schema_path capacity openmetrics =
-    let module Store = Xsm_xdm.Store in
-    let module Pl = Xsm_xpath.Planner.Over_store in
-    let g_hit_ratio =
-      Metrics.Gauge.make ~help:"buffer-pool hit ratio over the workload replay"
-        "storage.pool.hit_ratio"
-    in
     let doc = or_die (load_document doc_path) in
     let schema = Option.map (fun sp -> or_die (load_schema sp)) schema_path in
-    (match schema with
-    | None -> ()
-    | Some s -> (
-      match Xsm_schema.Validator.validate_document doc s with
-      | Ok _ -> ()
-      | Error es ->
-        List.iter (fun e -> prerr_endline (Xsm_schema.Validator.error_to_string e)) es;
-        exit 1));
-    let store = Store.create () in
-    let dnode = Xsm_xdm.Convert.load store doc in
-    let journal = Xsm_schema.Update.Journal.create () in
-    let planner = Pl.create store dnode in
-    Xsm_xpath.Planner.attach_journal planner journal;
+    Option.iter (fun s -> ignore (validated doc s)) schema;
+    let { store; root; _ } = store_of_document doc in
+    let journal, planner = journaled_planner store root in
     Option.iter
       (fun s ->
-        Pl.set_pruner planner (Xsm_analysis.Query_static.pruner s);
-        Pl.set_rewriter planner (Xsm_analysis.Query_static.rewriter s))
+        Planner.Over_store.set_pruner planner (Xsm_analysis.Query_static.pruner s);
+        Planner.Over_store.set_rewriter planner (Xsm_analysis.Query_static.rewriter s))
       schema;
     (* a throwaway WAL with an fsync per record, so append and fsync
        latencies land in the histograms *)
     let wal_path = Filename.temp_file "xsm-stats" ".wal" in
     let wal =
-      match Xsm_persist.Wal.Writer.create ~sync_every:1 wal_path with
-      | Ok w -> w
-      | Error e -> die_wal_error e
+      match Wal.Writer.create ~sync_every:1 wal_path with Ok w -> w | Error e -> die_wal_error e
     in
     Fun.protect
       ~finally:(fun () ->
-        Xsm_persist.Wal.Writer.close wal;
+        Wal.Writer.close wal;
         if Sys.file_exists wal_path then Sys.remove wal_path)
-      (fun () ->
-        execute_script ~script_path ~store ~dnode ~journal ~planner ~wal ());
-    (* replay the final tree's block locality through an LRU pool: a
-       schema-driven scan per schema node, then one navigational walk *)
-    let bs = Xsm_storage.Block_storage.of_store store dnode in
-    let pool = Xsm_storage.Buffer_pool.create ~capacity in
-    let rec snodes acc sn =
-      List.fold_left snodes (sn :: acc)
-        (Xsm_storage.Descriptive_schema.children (Xsm_storage.Block_storage.schema bs) sn)
-    in
-    List.iter
-      (fun sn ->
-        List.iter
-          (fun b -> ignore (Xsm_storage.Buffer_pool.touch pool b))
-          (Xsm_storage.Buffer_pool.scan_trace bs sn))
-      (List.rev (snodes [] (Xsm_storage.Descriptive_schema.root (Xsm_storage.Block_storage.schema bs))));
-    List.iter
-      (fun b -> ignore (Xsm_storage.Buffer_pool.touch pool b))
-      (Xsm_storage.Buffer_pool.navigation_trace bs (Xsm_storage.Block_storage.root bs));
-    Metrics.Gauge.set g_hit_ratio
-      (match Xsm_storage.Buffer_pool.hit_ratio (Xsm_storage.Buffer_pool.stats pool) with
-      | Some r -> r
-      | None -> Float.nan (* no accesses: JSON null / "(unset)", not 1.0 *));
-    (* now the same locality for real: a second storage paged through a
-       throwaway page file, cold-started, then walked — the pager.*
-       counters below are actual faults, write-backs and evictions *)
+      (fun () -> execute_script ~script_path ~store ~root ~journal ~planner ~wal ());
+    (* replay the final tree's block locality through the real pager: a
+       block storage paged through a throwaway page file, cold-started,
+       then one extent scan per schema node and one navigational walk —
+       the pager.* counters are actual faults, write-backs and
+       evictions *)
     let g_pager_hit =
-      Metrics.Gauge.make ~help:"pager hit ratio over the cold workload replay"
-        "pager.hit_ratio"
+      Metrics.Gauge.make ~help:"pager hit ratio over the cold workload replay" "pager.hit_ratio"
     in
     let pp = Filename.temp_file "xsm-stats" ".pages" in
     Fun.protect
       ~finally:(fun () -> if Sys.file_exists pp then Sys.remove pp)
       (fun () ->
-        let module Bs = Xsm_storage.Block_storage in
-        let module Pager = Xsm_pager.Pager in
-        let bs = Xsm_storage.Block_storage.of_store store dnode in
-        let pf = Xsm_pager.Page_file.create pp in
-        let p = Bs.attach_pager bs ~capacity pf in
-        Pager.clear p;
-        Pager.reset_stats p;
-        (* [snodes] above closed over the other storage's schema —
-           rebuild the snode list over this one *)
-        let rec paged_snodes acc sn =
-          List.fold_left paged_snodes (sn :: acc)
-            (Xsm_storage.Descriptive_schema.children (Bs.schema bs) sn)
-        in
+        let module Ds = Xsm_storage.Descriptive_schema in
+        let bs = Bs.of_store store root in
+        let pf, p = attach_pages ~cold:true bs ~capacity pp in
+        let rec snodes acc sn = List.fold_left snodes (sn :: acc) (Ds.children (Bs.schema bs) sn) in
         List.iter
-          (fun sn -> List.iter (fun d -> ignore (Bs.string_value bs d)) (Bs.descendants_by_snode bs sn))
-          (List.rev (paged_snodes [] (Xsm_storage.Descriptive_schema.root (Bs.schema bs))));
+          (fun sn ->
+            List.iter (fun d -> ignore (Bs.string_value bs d)) (Bs.descendants_by_snode bs sn))
+          (List.rev (snodes [] (Ds.root (Bs.schema bs))));
         let rec walk d =
           ignore (Bs.string_value bs d);
           List.iter walk (Bs.attributes bs d);
@@ -1494,105 +1047,84 @@ let stats_cmd =
         Metrics.Gauge.set g_pager_hit
           (match Pager.hit_ratio (Pager.stats p) with
           | Some r -> r
-          | None -> Float.nan);
-        Xsm_pager.Page_file.close pf);
+          | None -> Float.nan (* no accesses: JSON null / "(unset)", not 1.0 *));
+        Page_file.close pf);
     Metrics.Runtime.sample ();
     if openmetrics then print_string (Metrics.to_openmetrics Metrics.default)
-    else print_endline (Xsm_obs.Json.to_string (Metrics.to_json Metrics.default))
+    else print_endline (Json.to_string (Metrics.to_json Metrics.default))
   in
   Cmd.v
     (Cmd.info "stats"
        ~doc:
-         "Replay a workload script against a document with every subsystem instrumented \
-          — validator, index planner, WAL, buffer pool — and print the full metrics \
-          registry as JSON (or OpenMetrics text) on stdout")
+         "Replay a workload script against a document with every subsystem instrumented — \
+          validator, index planner, WAL, pager — and print the full metrics registry as JSON \
+          (or OpenMetrics text) on stdout")
     Term.(
-      const run $ obs_term $ doc_arg $ script_arg $ schema_arg $ capacity_arg
-      $ openmetrics_flag)
+      const run $ obs_term $ doc_pos 0 $ script_arg
+      $ schema_opt
+          "Validate the document against $(docv) first (populating the validator counters) \
+           and give the planner the schema's static emptiness oracle, so provably dead \
+           queries show up in the pruned counter."
+      $ pool_capacity ~doc:"Buffer-pool capacity (blocks) for the locality replay (default 8)." 8
+      $ flag "openmetrics"
+          "Print the registry as OpenMetrics text exposition instead of JSON — the same output \
+           a scraper gets from a running daemon via $(b,xsm client --openmetrics).")
 
 let dataguide_cmd =
-  let doc_arg =
-    Arg.(required & pos 0 (some file) None & info [] ~docv:"DOC" ~doc:"XML document file")
-  in
   let run doc_path =
-    let doc = or_die (load_document doc_path) in
-    let store = Xsm_xdm.Store.create () in
-    let dnode = Xsm_xdm.Convert.load store doc in
-    let ds, _ = Xsm_storage.Descriptive_schema.of_tree store dnode in
+    let { store; root; _ } = open_store (Document doc_path) in
+    let ds, _ = Xsm_storage.Descriptive_schema.of_tree store root in
     Format.printf "%a" Xsm_storage.Descriptive_schema.pp ds;
     Printf.printf "(%d schema nodes for %d document nodes)\n"
       (Xsm_storage.Descriptive_schema.node_count ds)
-      (Xsm_xdm.Store.node_count store)
+      (Store.node_count store)
   in
   Cmd.v
     (Cmd.info "dataguide" ~doc:"Print the descriptive schema (\xc2\xa79.1)")
-    Term.(const run $ doc_arg)
+    Term.(const run $ doc_pos 0)
 
 let labels_cmd =
-  let doc_arg =
-    Arg.(required & pos 0 (some file) None & info [] ~docv:"DOC" ~doc:"XML document file")
-  in
   let run doc_path =
-    let doc = or_die (load_document doc_path) in
-    let store = Xsm_xdm.Store.create () in
-    let dnode = Xsm_xdm.Convert.load store doc in
-    let t = Xsm_numbering.Labeler.label_tree store dnode in
+    let { store; root; _ } = open_store (Document doc_path) in
+    let t = Xsm_numbering.Labeler.label_tree store root in
     List.iter
       (fun n ->
-        Format.printf "%a  %a@."
-          Xsm_numbering.Sedna_label.pp
+        Format.printf "%a  %a@." Xsm_numbering.Sedna_label.pp
           (Xsm_numbering.Labeler.label t n)
-          (Xsm_xdm.Store.pp_node store) n)
-      (Xsm_xdm.Order.nodes_in_order store dnode)
+          (Store.pp_node store) n)
+      (Xsm_xdm.Order.nodes_in_order store root)
   in
   Cmd.v
     (Cmd.info "labels" ~doc:"Print every node with its Sedna numbering label (\xc2\xa79.3)")
-    Term.(const run $ doc_arg)
+    Term.(const run $ doc_pos 0)
 
 let canonicalize_cmd =
-  let schema_arg =
-    Arg.(required & pos 0 (some file) None & info [] ~docv:"SCHEMA" ~doc:"XSD schema file")
-  in
   let run schema_path =
     let schema = or_die (load_schema schema_path) in
-    let simplified = Xsm_schema.Canonical.simplify_schema schema in
-    print_string (Xsm_xsd.Writer.to_string simplified)
+    print_string (Xsm_xsd.Writer.to_string (Xsm_schema.Canonical.simplify_schema schema))
   in
   Cmd.v
     (Cmd.info "canonicalize"
        ~doc:"Print the schema with canonicalized (simplified) content models")
-    Term.(const run $ schema_arg)
+    Term.(const run $ schema_pos 0)
 
 let flwor_cmd =
-  let doc_arg =
-    Arg.(required & pos 0 (some file) None & info [] ~docv:"DOC" ~doc:"XML document file")
-  in
+  let module F = Xsm_xpath.Flwor.Over_store in
   let query_arg =
     Arg.(required & pos 1 (some string) None & info [] ~docv:"QUERY" ~doc:"FLWOR query")
   in
   let run doc_path query =
-    let doc = or_die (load_document doc_path) in
-    let store = Xsm_xdm.Store.create () in
-    let dnode = Xsm_xdm.Convert.load store doc in
-    match Xsm_xpath.Flwor.Over_store.eval_string store dnode query with
-    | Ok items ->
-      List.iter print_endline (Xsm_xpath.Flwor.Over_store.strings store items)
-    | Error e ->
-      prerr_endline e;
-      exit 1
+    let { store; root; _ } = open_store (Document doc_path) in
+    match F.eval_string store root query with
+    | Ok items -> List.iter print_endline (F.strings store items)
+    | Error e -> fail e
   in
   Cmd.v
     (Cmd.info "flwor"
        ~doc:"Evaluate a FLWOR query (for/let/where/order by/return) over a document")
-    Term.(const run $ doc_arg $ query_arg)
+    Term.(const run $ doc_pos 0 $ query_arg)
 
 let roundtrip_cmd =
-  let schema_arg =
-    Arg.(required & pos 0 (some file) None & info [] ~docv:"SCHEMA" ~doc:"XSD schema file")
-  in
-  let doc_arg =
-    Arg.(required & pos 1 (some file) None & info [] ~docv:"DOC" ~doc:"XML document file")
-  in
   let run schema_path doc_path =
     let schema = or_die (load_schema schema_path) in
     let doc = or_die (load_document doc_path) in
@@ -1602,12 +1134,12 @@ let roundtrip_cmd =
       print_endline "round-trip produced a different document";
       exit 1
     | Error es ->
-      List.iter (fun e -> print_endline (Xsm_schema.Validator.error_to_string e)) es;
+      List.iter (fun e -> print_endline (Validator.error_to_string e)) es;
       exit 1
   in
   Cmd.v
     (Cmd.info "roundtrip" ~doc:"Check the \xc2\xa78 theorem for one document")
-    Term.(const run $ schema_arg $ doc_arg)
+    Term.(const run $ schema_pos 0 $ doc_pos 1)
 
 (* ------------------------------------------------------------------ *)
 (* serve / client / bench-serve: the session daemon (DESIGN.md §12)   *)
@@ -1616,132 +1148,28 @@ module Server = Xsm_server.Server
 module Sclient = Xsm_server.Client
 module Sproto = Xsm_server.Protocol
 
-let socket_arg ~required:req =
-  let doc = "Unix domain socket path" in
-  if req then Arg.(required & opt (some string) None & info [ "socket" ] ~docv:"PATH" ~doc)
-  else
-    Arg.(
-      value
-      & opt string (Filename.concat (Filename.get_temp_dir_name ()) "xsm-serve.sock")
-      & info [ "socket" ] ~docv:"PATH" ~doc)
-
 let serve_cmd =
-  let doc_arg =
-    Arg.(
-      value & opt (some string) None
-      & info [ "doc" ] ~docv:"DOC"
-          ~doc:"Boot from this XML document (fresh base; an existing --wal file is discarded).")
-  in
-  let snapshot_arg =
-    Arg.(
-      value & opt (some string) None
-      & info [ "snapshot" ] ~docv:"FILE"
-          ~doc:
-            "Boot by recovering from this snapshot when it exists (replaying the --wal \
-             tail on top), and write the final state back to it at graceful shutdown — \
-             at which point the WAL it subsumes is removed (a checkpoint).")
-  in
-  let wal_arg =
-    Arg.(
-      value & opt (some string) None
-      & info [ "wal" ] ~docv:"FILE" ~doc:"Append every committed update to this write-ahead log.")
-  in
-  let schema_arg =
-    Arg.(
-      value & opt (some file) None
-      & info [ "schema" ] ~docv:"XSD" ~doc:"Schema for $(b,validate) requests.")
-  in
-  let domains_arg =
-    (* parallel readers beyond the core count only add GC
-       synchronization; default to what the machine can actually run *)
-    Arg.(
-      value
-      & opt int (max 1 (min 4 (Domain.recommended_domain_count () - 1)))
-      & info [ "domains" ] ~docv:"N" ~doc:"Read-pool size: parallel query evaluators.")
-  in
-  let no_group_commit_flag =
-    Arg.(
-      value & flag
-      & info [ "no-group-commit" ]
-          ~doc:"Fsync the WAL after every record instead of once per batch (the E17 baseline).")
-  in
-  let index_flag =
-    Arg.(
-      value & flag
-      & info [ "index" ]
-          ~doc:
-            "Route queries through the journal-maintained index planner (serialized) \
-             instead of the parallel pure evaluator.")
-  in
-  let labels_flag =
-    Arg.(value & flag & info [ "labels" ] ~doc:"Maintain \xc2\xa79.3 Sedna labels across updates.")
-  in
-  let page_file_arg =
-    Arg.(
-      value & opt (some string) None
-      & info [ "page-file" ] ~docv:"FILE"
-          ~doc:
-            "Maintain a disk-paged block-storage replica of the store under a bounded \
-             buffer pool backed by $(docv); non-indexed queries evaluate over it, \
-             sharing the pool across all sessions.  Checkpointed at graceful shutdown.")
-  in
-  let pool_capacity_arg =
-    Arg.(
-      value & opt int 256
-      & info [ "pool-capacity" ] ~docv:"N"
-          ~doc:"Buffer-pool capacity in blocks with $(b,--page-file) (default 256).")
-  in
-  let flight_capacity_arg =
-    Arg.(
-      value & opt int 256
-      & info [ "flight-capacity" ] ~docv:"N"
-          ~doc:"Flight-recorder ring size in request digests (default 256).")
-  in
-  let slow_log_arg =
-    Arg.(
-      value & opt (some string) None
-      & info [ "slow-log" ] ~docv:"FILE"
-          ~doc:
-            "Append a JSON line (the flight digest, plan attached) for every request at \
-             least $(b,--slow-threshold-ms) slow.")
-  in
-  let slow_threshold_arg =
-    Arg.(
-      value & opt float 10.0
-      & info [ "slow-threshold-ms" ] ~docv:"MS"
-          ~doc:
-            "Requests at least this slow keep their plan in the flight recorder and go \
-             to the slow log (default 10).")
-  in
   let run () socket doc_path snap_path wal_path schema_path domains no_group_commit use_index
       with_labels page_path pool_capacity flight_capacity slow_log slow_threshold_ms =
     let schema = Option.map (fun p -> or_die (load_schema p)) schema_path in
-    let store, root, labels =
-      match snap_path with
-      | Some snap when Sys.file_exists snap -> (
-        let wal = match wal_path with Some w when Sys.file_exists w -> Some w | _ -> None in
-        match Xsm_persist.Recovery.recover ~truncate:true ~snapshot:snap ?wal () with
-        | Ok (store, root, labels, stats) ->
-          Format.eprintf "xsm serve: recovered: %a@." Xsm_persist.Recovery.pp_stats stats;
-          (store, root, labels)
-        | Error e -> die_recovery_error e)
-      | _ -> (
-        match doc_path with
-        | None -> die "serve: no snapshot to recover — need --doc for a fresh server"
-        | Some p ->
-          let doc = or_die (load_document p) in
-          let store = Xsm_xdm.Store.create () in
-          let dnode = Xsm_xdm.Convert.load store doc in
-          let labels =
-            if with_labels then Some (Xsm_numbering.Labeler.label_tree store dnode) else None
-          in
-          (* a fresh base invalidates any log from a previous run: its
-             records address the old state *)
-          (match wal_path with
-          | Some w when Sys.file_exists w -> Sys.remove w
-          | _ -> ());
-          (store, dnode, labels))
+    let { store; root; labels; recovered } =
+      match (snap_path, doc_path) with
+      | Some snap, _ when Sys.file_exists snap ->
+        (* a missing WAL is an empty log *)
+        open_store (Snapshot { path = snap; wal = wal_path; truncate = true })
+      | _, None -> die "serve: no snapshot to recover — need --doc for a fresh server"
+      | _, Some p ->
+        let o = open_store (Document p) in
+        (* a fresh base invalidates any log from a previous run: its
+           records address the old state *)
+        Option.iter (fun w -> if Sys.file_exists w then Sys.remove w) wal_path;
+        {
+          o with
+          labels =
+            (if with_labels then Some (Xsm_numbering.Labeler.label_tree o.store o.root) else None);
+        }
     in
+    Option.iter (Format.eprintf "xsm serve: recovered: %a@." Recovery.pp_stats) recovered;
     let config =
       {
         Server.socket_path = socket;
@@ -1759,7 +1187,7 @@ let serve_cmd =
     in
     match Server.create config ~store ~root ?labels ?schema () with
     | Error e -> die "%s" e
-    | Ok srv ->
+    | Ok srv -> (
       List.iter
         (fun s -> Sys.set_signal s (Sys.Signal_handle (fun _ -> Server.request_stop srv)))
         [ Sys.sigterm; Sys.sigint ];
@@ -1767,7 +1195,7 @@ let serve_cmd =
         Printf.eprintf "xsm serve: listening on %s (domains=%d, %s)\n%!" socket domains
           (if no_group_commit then "fsync-per-record" else "group commit")
       in
-      (match Server.serve ~on_ready srv with
+      match Server.serve ~on_ready srv with
       | Ok () ->
         Printf.eprintf "xsm serve: stopped after %d sessions\n%!" (Server.sessions_served srv)
       | Error e -> die "%s" e)
@@ -1776,60 +1204,42 @@ let serve_cmd =
     (Cmd.info "serve"
        ~doc:
          "Run the session daemon: one process owning the store, labels, indexes and WAL, \
-          serving concurrent sessions over a Unix domain socket — parallel snapshot \
-          reads on a domain pool, group-committed writes")
+          serving concurrent sessions over a Unix domain socket — parallel snapshot reads on \
+          a domain pool, group-committed writes")
     Term.(
-      const run $ obs_term $ socket_arg ~required:false $ doc_arg $ snapshot_arg $ wal_arg
-      $ schema_arg $ domains_arg $ no_group_commit_flag $ index_flag $ labels_flag
-      $ page_file_arg $ pool_capacity_arg $ flight_capacity_arg $ slow_log_arg
-      $ slow_threshold_arg)
+      const run $ obs_term $ socket_arg
+      $ opt_string ~docv:"DOC" "doc"
+          "Boot from this XML document (fresh base; an existing --wal file is discarded)."
+      $ opt_string "snapshot"
+          "Boot by recovering from this snapshot when it exists (replaying the --wal tail on \
+           top), and write the final state back to it at graceful shutdown — at which point \
+           the WAL it subsumes is removed (a checkpoint)."
+      $ opt_string "wal" "Append every committed update to this write-ahead log."
+      $ schema_opt ~docv:"XSD" "Schema for $(b,validate) requests."
+      $ domains ~docv:"N" "Read-pool size: parallel query evaluators."
+      $ flag "no-group-commit"
+          "Fsync the WAL after every record instead of once per batch (the E17 baseline)."
+      $ flag "index"
+          "Route queries through the journal-maintained index planner (serialized) instead of \
+           the parallel pure evaluator."
+      $ flag "labels" "Maintain \xc2\xa79.3 Sedna labels across updates."
+      $ opt_string "page-file"
+          "Maintain a disk-paged block-storage replica of the store under a bounded buffer \
+           pool backed by $(docv); non-indexed queries evaluate over it, sharing the pool \
+           across all sessions.  Checkpointed at graceful shutdown."
+      $ pool_capacity 256
+      $ opt_int "flight-capacity" 256 "Flight-recorder ring size in request digests (default 256)."
+      $ opt_string "slow-log"
+          "Append a JSON line (the flight digest, plan attached) for every request at least \
+           $(b,--slow-threshold-ms) slow."
+      $ Arg.(
+          value & opt float 10.0
+          & info [ "slow-threshold-ms" ] ~docv:"MS"
+              ~doc:
+                "Requests at least this slow keep their plan in the flight recorder and go to \
+                 the slow log (default 10)."))
 
 let client_cmd =
-  let query_arg =
-    Arg.(
-      value & opt (some string) None
-      & info [ "query" ] ~docv:"PATH" ~doc:"Evaluate an XPath on the server.")
-  in
-  let update_arg =
-    Arg.(
-      value & opt (some string) None
-      & info [ "update" ] ~docv:"CMD"
-          ~doc:"Apply one update-script command ($(b,insert), $(b,delete), $(b,content), ...).")
-  in
-  let validate_arg =
-    Arg.(
-      value & opt (some string) None
-      & info [ "validate" ] ~docv:"DOC"
-          ~doc:"Validate this XML file against the server's schema ('-' for stdin).")
-  in
-  let stats_flag = Arg.(value & flag & info [ "stats" ] ~doc:"Print the server's stats JSON.") in
-  let openmetrics_flag =
-    Arg.(
-      value & flag
-      & info [ "openmetrics" ]
-          ~doc:"Print the server's metrics registry as OpenMetrics text exposition.")
-  in
-  let flight_flag =
-    Arg.(
-      value & flag
-      & info [ "flight" ]
-          ~doc:
-            "Dump the server's flight recorder as JSON: recent request digests plus the \
-             kept error and slowest tails.")
-  in
-  let shutdown_flag =
-    Arg.(value & flag & info [ "shutdown" ] ~doc:"Ask the server to stop gracefully.")
-  in
-  let trace_arg =
-    Arg.(
-      value & opt (some string) None
-      & info [ "trace" ] ~docv:"FILE"
-          ~doc:
-            "Propagate a trace context with the request ($(b,--query), $(b,--update) or \
-             $(b,--validate)), fetch the server-side spans it produced, and write both \
-             halves — the client request span and the server's request/phase tree, \
-             correctly parented — to $(docv) as one Chrome trace.")
-  in
   let run socket query update validate stats openmetrics flight shutdown trace_file =
     let c = match Sclient.connect socket with Ok c -> c | Error e -> die "%s" e in
     Fun.protect
@@ -1837,10 +1247,7 @@ let client_cmd =
       (fun () ->
         let actions =
           List.length (List.filter Option.is_some [ query; update; validate ])
-          + (if stats then 1 else 0)
-          + (if openmetrics then 1 else 0)
-          + (if flight then 1 else 0)
-          + if shutdown then 1 else 0
+          + List.length (List.filter Fun.id [ stats; openmetrics; flight; shutdown ])
         in
         if actions <> 1 then
           die
@@ -1877,11 +1284,10 @@ let client_cmd =
             | Error e -> Printf.eprintf "trace: introspect: %s\n" e
             | Ok body -> (
               let server_events =
-                match Xsm_obs.Json.member "events" body with
-                | Some (Xsm_obs.Json.Arr items) ->
+                match Json.member "events" body with
+                | Some (Json.Arr items) ->
                   List.filter_map
-                    (fun j ->
-                      match Trace.event_of_json j with Ok e -> Some e | Error _ -> None)
+                    (fun j -> match Trace.event_of_json j with Ok e -> Some e | Error _ -> None)
                     items
                 | _ -> []
               in
@@ -1890,10 +1296,9 @@ let client_cmd =
                  timestamps by the epoch difference before merging.
                  Server roots hang off the client request span. *)
               let delta_ns =
-                match Xsm_obs.Json.member "clock_epoch_s" body with
-                | Some (Xsm_obs.Json.Num server_epoch) ->
-                  Int64.of_float
-                    ((server_epoch -. Xsm_obs.Clock.epoch_wall ()) *. 1e9)
+                match Json.member "clock_epoch_s" body with
+                | Some (Json.Num server_epoch) ->
+                  Int64.of_float ((server_epoch -. Xsm_obs.Clock.epoch_wall ()) *. 1e9)
                 | _ -> 0L
               in
               let offset = 1_000_000 in
@@ -1903,8 +1308,7 @@ let client_cmd =
                     {
                       e with
                       id = e.id + offset;
-                      parent =
-                        (if e.parent = 0 then client_root_id else e.parent + offset);
+                      parent = (if e.parent = 0 then client_root_id else e.parent + offset);
                       depth = e.depth + 1;
                       start_ns = Int64.add e.start_ns delta_ns;
                     })
@@ -1919,116 +1323,86 @@ let client_cmd =
                   (List.length server_events) trace_id
               | Error e -> Printf.eprintf "trace: %s\n" e))
         in
+        let ok = function Ok v -> v | Error e -> fail e in
         match (query, update, validate) with
         | Some path, _, _ ->
           traced "query" (fun trace ->
-              match Sclient.query ?trace c path with
-              | Ok (epoch, values) ->
-                Printf.eprintf "epoch %d, %d nodes\n" epoch (List.length values);
-                List.iter print_endline values
-              | Error e ->
-                prerr_endline e;
-                exit 1)
+              let epoch, values = ok (Sclient.query ?trace c path) in
+              Printf.eprintf "epoch %d, %d nodes\n" epoch (List.length values);
+              List.iter print_endline values)
         | _, Some command, _ ->
           traced "update" (fun trace ->
-              match Sclient.update ?trace c command with
-              | Ok epoch -> Printf.printf "applied (epoch %d)\n" epoch
-              | Error e ->
-                prerr_endline e;
-                exit 1)
+              Printf.printf "applied (epoch %d)\n" (ok (Sclient.update ?trace c command)))
         | _, _, Some doc_path ->
           traced "validate" (fun trace ->
-              match Sclient.validate ?trace c (read_doc_source doc_path) with
-              | Ok (true, _) -> print_endline "valid"
-              | Ok (false, errors) ->
+              match ok (Sclient.validate ?trace c (read_doc_source doc_path)) with
+              | true, _ -> print_endline "valid"
+              | false, errors ->
                 List.iter print_endline errors;
-                exit 1
-              | Error e ->
-                prerr_endline e;
                 exit 1)
         | None, None, None ->
-          if shutdown then (
-            match Sclient.shutdown c with
-            | Ok () -> print_endline "stopping"
-            | Error e ->
-              prerr_endline e;
-              exit 1)
-          else if flight then (
-            match Sclient.introspect c Sproto.Flight with
-            | Ok body -> print_endline (Xsm_obs.Json.to_string body)
-            | Error e ->
-              prerr_endline e;
-              exit 1)
-          else if openmetrics then (
-            match Sclient.stats ~openmetrics:true c with
-            | Ok body -> (
-              match Xsm_obs.Json.member "openmetrics" body with
-              | Some (Xsm_obs.Json.Str text) -> print_string text
-              | _ ->
-                prerr_endline "client: malformed openmetrics reply";
-                exit 1)
-            | Error e ->
-              prerr_endline e;
-              exit 1)
-          else (
-            match Sclient.stats c with
-            | Ok body -> print_endline (Xsm_obs.Json.to_string body)
-            | Error e ->
-              prerr_endline e;
-              exit 1))
+          if shutdown then begin
+            ok (Sclient.shutdown c);
+            print_endline "stopping"
+          end
+          else if flight then
+            print_endline (Json.to_string (ok (Sclient.introspect c Sproto.Flight)))
+          else if openmetrics then
+            match Json.member "openmetrics" (ok (Sclient.stats ~openmetrics:true c)) with
+            | Some (Json.Str text) -> print_string text
+            | _ -> fail "client: malformed openmetrics reply"
+          else print_endline (Json.to_string (ok (Sclient.stats c))))
   in
   Cmd.v
     (Cmd.info "client" ~doc:"One-shot client for a running $(b,xsm serve) daemon")
     Term.(
-      const run $ socket_arg ~required:false $ query_arg $ update_arg $ validate_arg
-      $ stats_flag $ openmetrics_flag $ flight_flag $ shutdown_flag $ trace_arg)
+      const run $ socket_arg
+      $ opt_string ~docv:"PATH" "query" "Evaluate an XPath on the server."
+      $ opt_string ~docv:"CMD" "update"
+          "Apply one update-script command ($(b,insert), $(b,delete), $(b,content), ...)."
+      $ opt_string ~docv:"DOC" "validate"
+          "Validate this XML file against the server's schema ('-' for stdin)."
+      $ flag "stats" "Print the server's stats JSON."
+      $ flag "openmetrics" "Print the server's metrics registry as OpenMetrics text exposition."
+      $ flag "flight"
+          "Dump the server's flight recorder as JSON: recent request digests plus the kept \
+           error and slowest tails."
+      $ flag "shutdown" "Ask the server to stop gracefully."
+      $ opt_string "trace"
+          "Propagate a trace context with the request ($(b,--query), $(b,--update) or \
+           $(b,--validate)), fetch the server-side spans it produced, and write both halves — \
+           the client request span and the server's request/phase tree, correctly parented — \
+           to $(docv) as one Chrome trace.")
 
 (* A minimal live view over the daemon's flight recorder: one session,
    [Introspect Flight] + [Stats] per refresh, ANSI repaint. *)
 let top_cmd =
-  let interval_arg =
-    Arg.(
-      value & opt float 1.0
-      & info [ "interval" ] ~docv:"SECONDS" ~doc:"Refresh period (default 1).")
-  in
-  let count_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "count" ] ~docv:"N"
-          ~doc:"Stop after $(docv) refreshes (0: run until interrupted).")
-  in
-  let rows_arg =
-    Arg.(
-      value & opt int 15
-      & info [ "rows" ] ~docv:"N" ~doc:"Digest rows to show per section (default 15).")
-  in
   let run socket interval count rows =
-    let module J = Xsm_obs.Json in
     let field path body =
-      List.fold_left (fun j name -> Option.bind j (J.member name)) (Some body) path
+      List.fold_left (fun j name -> Option.bind j (Json.member name)) (Some body) path
     in
-    let jint = function Some (J.Num f) -> int_of_float f | _ -> 0 in
+    let jint = function Some (Json.Num f) -> int_of_float f | _ -> 0 in
     let clip n s = if String.length s <= n then s else String.sub s 0 (n - 1) ^ "\xe2\x80\xa6" in
     let digest_line b d =
-      let s path = match field path d with Some (J.Str s) -> s | _ -> "" in
+      let s path = match field path d with Some (Json.Str s) -> s | _ -> "" in
       let i path = jint (field path d) in
       let est =
         match field [ "est_rows" ] d with
-        | Some (J.Arr [ J.Num lo; J.Num hi ]) ->
+        | Some (Json.Arr [ Json.Num lo; Json.Num hi ]) ->
           if hi < 0.0 then Printf.sprintf "%d+" (int_of_float lo)
           else Printf.sprintf "%d..%d" (int_of_float lo) (int_of_float hi)
         | _ -> "-"
       in
       let outcome =
         match field [ "outcome" ] d with
-        | Some (J.Str "ok") -> "ok"
+        | Some (Json.Str "ok") -> "ok"
         | Some o -> (
-          match J.member "error" o with Some (J.Str e) -> clip 24 ("! " ^ e) | _ -> "!")
+          match Json.member "error" o with Some (Json.Str e) -> clip 24 ("! " ^ e) | _ -> "!")
         | None -> "?"
       in
       Buffer.add_string b
-        (Printf.sprintf "  %6d  %-8s %-8s %8s %6d %6d %9.3f  %-24s %s\n"
-           (i [ "seq" ]) (s [ "kind" ])
+        (Printf.sprintf "  %6d  %-8s %-8s %8s %6d %6d %9.3f  %-24s %s\n" (i [ "seq" ])
+           (s [ "kind" ])
            (match s [ "route" ] with "" -> "-" | r -> r)
            est (i [ "actual_rows" ]) (i [ "pager_hits" ])
            (float_of_int (i [ "latency_ns" ]) /. 1e6)
@@ -2055,8 +1429,8 @@ let top_cmd =
             let b = Buffer.create 4096 in
             Buffer.add_string b
               (Printf.sprintf
-                 "xsm top — %s   epoch %d   sessions %d   requests %d   inflight %d   \
-                  digests %d/%d\n\n"
+                 "xsm top — %s   epoch %d   sessions %d   requests %d   inflight %d   digests \
+                  %d/%d\n\n"
                  socket
                  (jint (field [ "server"; "epoch" ] stats))
                  (jint (field [ "server"; "sessions" ] stats))
@@ -2064,9 +1438,7 @@ let top_cmd =
                  (jint (field [ "metrics"; "gauges"; "server.inflight" ] stats))
                  (jint (field [ "recorded" ] flight))
                  (jint (field [ "capacity" ] flight)));
-            let arr path =
-              match field path flight with Some (J.Arr ds) -> ds | _ -> []
-            in
+            let arr path = match field path flight with Some (Json.Arr ds) -> ds | _ -> [] in
             section b "recent" (arr [ "recent" ]);
             section b "\nkept slow (evicted tail)" (arr [ "slow" ]);
             section b "\nkept errors (evicted tail)" (arr [ "errors" ]);
@@ -2088,58 +1460,19 @@ let top_cmd =
        ~doc:
          "Live view of a running daemon: refresh the flight recorder's request digests \
           (recent, kept-slow, kept-error) and headline server stats in place")
-    Term.(const run $ socket_arg ~required:false $ interval_arg $ count_arg $ rows_arg)
+    Term.(
+      const run $ socket_arg
+      $ Arg.(
+          value & opt float 1.0
+          & info [ "interval" ] ~docv:"SECONDS" ~doc:"Refresh period (default 1).")
+      $ opt_int "count" 0 "Stop after $(docv) refreshes (0: run until interrupted)."
+      $ opt_int "rows" 15 "Digest rows to show per section (default 15).")
 
 (* Closed-loop load generator for the daemon (bench E17): spawn an
    [xsm serve] child, fork N single-threaded client processes that
    each run a read/write mix against it, and aggregate their recorded
    latencies into p50/p99 and overall throughput. *)
 let bench_serve_cmd =
-  let clients_arg =
-    Arg.(value & opt int 8 & info [ "clients" ] ~docv:"N" ~doc:"Concurrent client processes.")
-  in
-  let requests_arg =
-    Arg.(value & opt int 200 & info [ "requests" ] ~docv:"M" ~doc:"Requests per client.")
-  in
-  let domains_arg =
-    Arg.(
-      value
-      & opt int (max 1 (min 4 (Domain.recommended_domain_count () - 1)))
-      & info [ "domains" ] ~docv:"D" ~doc:"Server read-pool size.")
-  in
-  let entries_arg =
-    Arg.(
-      value & opt int 200
-      & info [ "entries" ] ~docv:"K" ~doc:"Books in the generated library document.")
-  in
-  let write_ratio_arg =
-    Arg.(
-      value & opt float 0.1
-      & info [ "write-ratio" ] ~docv:"R" ~doc:"Fraction of requests that are updates.")
-  in
-  let no_group_commit_flag =
-    Arg.(
-      value & flag
-      & info [ "no-group-commit" ] ~doc:"Run the server with fsync-per-record (the baseline).")
-  in
-  let index_flag =
-    Arg.(value & flag & info [ "index" ] ~doc:"Run the server with --index (serialized reads).")
-  in
-  let pool_capacity_arg =
-    Arg.(
-      value & opt (some int) None
-      & info [ "pool-capacity" ] ~docv:"N"
-          ~doc:
-            "Run the server with a disk-paged storage replica under an $(docv)-block \
-             buffer pool (a page file in the bench directory); pager counters are \
-             reported with the results.")
-  in
-  let smoke_flag =
-    Arg.(
-      value & flag
-      & info [ "smoke" ]
-          ~doc:"Tiny deterministic run for CI: 2 clients, 25 requests, 100 entries.")
-  in
   let percentile sorted q =
     let n = Array.length sorted in
     if n = 0 then Float.nan else sorted.(min (n - 1) (int_of_float (q *. float_of_int n)))
@@ -2183,8 +1516,7 @@ let bench_serve_cmd =
       @
       match pool_capacity with
       | Some n ->
-        [ "--page-file"; Filename.concat dir "serve.pages"; "--pool-capacity";
-          string_of_int n ]
+        [ "--page-file"; Filename.concat dir "serve.pages"; "--pool-capacity"; string_of_int n ]
       | None -> []
     in
     let log_fd = Unix.openfile log_file [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
@@ -2232,14 +1564,12 @@ let bench_serve_cmd =
           let t0 = Xsm_obs.Clock.now_ns () in
           let result =
             if is_write then
-              Result.map ignore
-                (Sclient.update c (Printf.sprintf "attr /library seq c%d-%d" i j))
+              Result.map ignore (Sclient.update c (Printf.sprintf "attr /library seq c%d-%d" i j))
             else Result.map ignore (Sclient.query c read_query)
           in
           let t1 = Xsm_obs.Clock.now_ns () in
           match result with
-          | Ok () ->
-            Printf.fprintf out "%c %Ld\n" (if is_write then 'w' else 'r') (Int64.sub t1 t0)
+          | Ok () -> Printf.fprintf out "%c %Ld\n" (if is_write then 'w' else 'r') (Int64.sub t1 t0)
           | Error e ->
             Printf.eprintf "bench client %d: request %d: %s\n%!" i j e;
             close_out out;
@@ -2251,15 +1581,11 @@ let bench_serve_cmd =
     in
     let bench_start = Xsm_obs.Clock.now_ns () in
     let pids =
-      List.init clients (fun i ->
-          match Unix.fork () with
-          | 0 -> client_main i
-          | pid -> pid)
+      List.init clients (fun i -> match Unix.fork () with 0 -> client_main i | pid -> pid)
     in
     let ok =
       List.for_all
-        (fun pid ->
-          match Unix.waitpid [] pid with _, Unix.WEXITED 0 -> true | _ -> false)
+        (fun pid -> match Unix.waitpid [] pid with _, Unix.WEXITED 0 -> true | _ -> false)
         pids
     in
     let bench_stop = Xsm_obs.Clock.now_ns () in
@@ -2275,25 +1601,22 @@ let bench_serve_cmd =
             match Sclient.stats c with
             | Error e -> die_with_log "bench-serve: stats: %s" e
             | Ok body -> (
-              let module J = Xsm_obs.Json in
               let field path =
-                List.fold_left
-                  (fun j name -> Option.bind j (J.member name))
-                  (Some body) path
+                List.fold_left (fun j name -> Option.bind j (Json.member name)) (Some body) path
               in
               match
                 ( field [ "server"; "commit"; "submissions" ],
                   field [ "server"; "commit"; "batches" ],
                   field [ "server"; "commit"; "max_batch" ] )
               with
-              | Some (J.Num s), Some (J.Num b), Some (J.Num m) ->
+              | Some (Json.Num s), Some (Json.Num b), Some (Json.Num m) ->
                 let pager =
                   match
                     ( field [ "pager"; "accesses" ],
                       field [ "pager"; "reads" ],
                       field [ "pager"; "evictions" ] )
                   with
-                  | Some (J.Num a), Some (J.Num r), Some (J.Num e) ->
+                  | Some (Json.Num a), Some (Json.Num r), Some (Json.Num e) ->
                     Printf.sprintf "\n  pager: %d accesses, %d faults, %d evictions"
                       (int_of_float a) (int_of_float r) (int_of_float e)
                   | _ -> ""
@@ -2331,9 +1654,8 @@ let bench_serve_cmd =
       Printf.printf "  %-7s n=%-6d p50=%.3fms p99=%.3fms p999=%.3fms\n" kind (Array.length a)
         (ms (percentile a 0.50)) (ms (percentile a 0.99)) (ms (percentile a 0.999))
     in
-    Printf.printf
-      "bench-serve: clients=%d domains=%d group_commit=%b index=%b entries=%d\n" clients
-      domains (not no_group_commit) use_index entries;
+    Printf.printf "bench-serve: clients=%d domains=%d group_commit=%b index=%b entries=%d\n"
+      clients domains (not no_group_commit) use_index entries;
     Printf.printf "  total   %d requests in %.2fs = %.0f req/s\n" total elapsed_s
       (float_of_int total /. elapsed_s);
     if !reads <> [] then report "reads" !reads;
@@ -2348,12 +1670,27 @@ let bench_serve_cmd =
   Cmd.v
     (Cmd.info "bench-serve"
        ~doc:
-         "Drive a spawned $(b,xsm serve) daemon with N concurrent client processes and \
-          report latency percentiles and throughput (bench E17)")
+         "Drive a spawned $(b,xsm serve) daemon with N concurrent client processes and report \
+          latency percentiles and throughput (bench E17)")
     Term.(
-      const run $ obs_term $ clients_arg $ requests_arg $ domains_arg $ entries_arg
-      $ write_ratio_arg $ no_group_commit_flag $ index_flag $ pool_capacity_arg
-      $ smoke_flag)
+      const run $ obs_term
+      $ opt_int "clients" 8 "Concurrent client processes."
+      $ opt_int ~docv:"M" "requests" 200 "Requests per client."
+      $ domains ~docv:"D" "Server read-pool size."
+      $ opt_int ~docv:"K" "entries" 200 "Books in the generated library document."
+      $ Arg.(
+          value & opt float 0.1
+          & info [ "write-ratio" ] ~docv:"R" ~doc:"Fraction of requests that are updates.")
+      $ flag "no-group-commit" "Run the server with fsync-per-record (the baseline)."
+      $ flag "index" "Run the server with --index (serialized reads)."
+      $ Arg.(
+          value & opt (some int) None
+          & info [ "pool-capacity" ] ~docv:"N"
+              ~doc:
+                "Run the server with a disk-paged storage replica under an $(docv)-block \
+                 buffer pool (a page file in the bench directory); pager counters are \
+                 reported with the results.")
+      $ flag "smoke" "Tiny deterministic run for CI: 2 clients, 25 requests, 100 entries.")
 
 let () =
   let info =
@@ -2365,8 +1702,6 @@ let () =
        (Cmd.group info
           [
             validate_cmd; load_cmd; check_cmd; analyze_cmd; canonicalize_cmd; query_cmd;
-            update_cmd;
-            flwor_cmd;
-            dataguide_cmd; labels_cmd; roundtrip_cmd; snapshot_cmd; recover_cmd; stats_cmd;
-            serve_cmd; client_cmd; top_cmd; bench_serve_cmd;
+            update_cmd; flwor_cmd; dataguide_cmd; labels_cmd; roundtrip_cmd; snapshot_cmd;
+            recover_cmd; stats_cmd; serve_cmd; client_cmd; top_cmd; bench_serve_cmd;
           ]))

@@ -145,6 +145,12 @@ let apply_op store = function
   | Delete node -> (
     match Store.parent store node with
     | None -> err "delete: node has no parent"
+    | Some parent
+      when Store.kind store parent = Store.Kind.Document
+           && Store.kind store node = Store.Kind.Element ->
+      (* the mirror of [append_child]'s rule: a document node has
+         exactly one element child, so it cannot be removed *)
+      err "delete: cannot remove the document element"
     | Some parent ->
       guarded (fun () ->
           let siblings = Store.children store parent in
@@ -227,3 +233,58 @@ let apply_validated ?journal store dnode schema op =
     | Error es ->
       undo ?journal store evidence;
       Error (List.map Validator.error_to_string es))
+
+(* ------------------------------------------------------------------ *)
+(* The update-script grammar: one command per line, shared by
+   `xsm update` scripts and the daemon's update requests. *)
+
+let split1 s =
+  match String.index_opt s ' ' with
+  | None -> (s, "")
+  | Some i -> (String.sub s 0 i, String.trim (String.sub s (i + 1) (String.length s - i - 1)))
+
+let parse_command ~resolve line =
+  let ( let* ) = Result.bind in
+  let require what s = if s = "" then err "missing %s" what else Ok s in
+  let target path =
+    let* path = require "target path" path in
+    match resolve path with
+    | Ok (n :: _) -> Ok n
+    | Ok [] -> err "%s: no matching node" path
+    | Error e -> err "%s: %s" path e
+  in
+  let cmd, rest = split1 (String.trim line) in
+  match cmd with
+  | "insert" ->
+    let path, xml = split1 rest in
+    let* _ = require "target path" path in
+    let* xml = require "XML fragment" xml in
+    let* parent = target path in
+    let* tree =
+      Result.map_error
+        (fun e -> "fragment: " ^ Xsm_xml.Parser.error_to_string e)
+        (Xsm_xml.Parser.parse_element xml)
+    in
+    Ok (Insert_element { parent; before = None; tree })
+  | "insert-text" ->
+    let path, text = split1 rest in
+    let* parent = target path in
+    Ok (Insert_text { parent; before = None; text })
+  | "delete" ->
+    let* node = target rest in
+    Ok (Delete node)
+  | "content" ->
+    let path, value = split1 rest in
+    let* node = target path in
+    Ok (Replace_content { node; value })
+  | "attr" ->
+    let path, rest = split1 rest in
+    let name, value = split1 rest in
+    let* _ = require "target path" path in
+    let* name = require "attribute name" name in
+    let* element = target path in
+    let* name =
+      Result.map_error (Printf.sprintf "attribute name %S: %s" name) (Name.of_string name)
+    in
+    Ok (Set_attribute { element; name; value })
+  | other -> err "unknown command %S" other

@@ -21,7 +21,9 @@ type op =
       before : Xsm_xdm.Store.node option;
       text : string;
     }
-  | Delete of Xsm_xdm.Store.node  (** element or text child *)
+  | Delete of Xsm_xdm.Store.node
+      (** element or text child; never the document element, which a
+          document node must keep *)
   | Replace_content of { node : Xsm_xdm.Store.node; value : string }
       (** new content for a text or attribute node *)
   | Set_attribute of {
@@ -102,6 +104,19 @@ val apply : ?journal:Journal.t -> Xsm_xdm.Store.t -> op -> (applied, string) res
     node kinds, foreign anchors) are reported, not raised.  A
     successful application is recorded in the journal when one is
     given. *)
+
+val parse_command :
+  resolve:(string -> (Xsm_xdm.Store.node list, string) result) -> string -> (op, string) result
+(** The update-script grammar, one command per line:
+    [insert PATH XML] appends a parsed fragment under the first node
+    [PATH] selects; [insert-text PATH TEXT] appends a text node;
+    [delete PATH] unlinks the first match; [content PATH VALUE]
+    replaces a text or attribute value; [attr PATH NAME VALUE] sets an
+    attribute.  [resolve] evaluates a path against the current state
+    (the query engine lives above this library).  A malformed line,
+    an unknown command or a path that selects nothing is an [Error]
+    naming the problem; callers add their own script-only commands in
+    front of this grammar. *)
 
 val undo : ?journal:Journal.t -> Xsm_xdm.Store.t -> applied -> unit
 (** Revert an applied operation.  Must be called on the most recent

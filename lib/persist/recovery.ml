@@ -53,13 +53,7 @@ let maintain_labels store labels entry =
     match Store.parent store n with
     | None -> ()
     | Some parent ->
-      let ordered = Store.attributes store parent @ Store.children store parent in
-      let rec previous prev = function
-        | [] -> None
-        | x :: rest ->
-          if Store.equal_node x n then prev else previous (Some x) rest
-      in
-      let after = previous None ordered in
+      let after = Xsm_xdm.Order.previous_in_parent store n in
       Labeler.label_inserted_subtree labels store ~parent ~after n)
 
 let empty_stats snapshot_nodes =
@@ -146,12 +140,13 @@ let replay_wal ?journal ?labels ?truncate store ~root wal_path =
     (fun () ->
       Result.map publish (replay_wal_inner ?journal ?labels ?truncate store ~root wal_path))
 
-let recover ?journal ?truncate ~snapshot ?wal () =
+let recover ?journal ?(before_replay = fun _ _ -> ()) ?truncate ~snapshot ?wal () =
   let ( let* ) = Result.bind in
   let* store, root, labels, _meta =
     Trace.with_span "recover.snapshot" ~attrs:[ ("path", snapshot) ] (fun () ->
         Result.map_error (fun m -> Failed m) (Snapshot.load ~path:snapshot))
   in
+  before_replay store root;
   let* stats =
     match wal with
     | None -> Ok (publish (empty_stats (Store.subtree_size store root)))

@@ -34,6 +34,14 @@ type stats = {
 
 val pp_stats : Format.formatter -> stats -> unit
 
+val maintain_labels :
+  Xsm_xdm.Store.t -> Xsm_numbering.Labeler.t -> Xsm_schema.Update.Journal.entry -> unit
+(** Carry the §9.3 labels through one journal entry: an inserted
+    subtree is labelled after its predecessor in the parent's
+    attributes @ children order, a deleted one drops its labels, and
+    existing labels never move (Proposition 1).  Replay uses it per
+    record; the daemon uses it per committed update. *)
+
 val replay_wal :
   ?journal:Xsm_schema.Update.Journal.t ->
   ?labels:Xsm_numbering.Labeler.t ->
@@ -50,6 +58,7 @@ val replay_wal :
 
 val recover :
   ?journal:Xsm_schema.Update.Journal.t ->
+  ?before_replay:(Xsm_xdm.Store.t -> Xsm_xdm.Store.node -> unit) ->
   ?truncate:bool ->
   snapshot:string ->
   ?wal:string ->
@@ -66,4 +75,7 @@ val recover :
     next writer appends after the valid prefix.  Replay failure of a
     {e valid} record — a snapshot/log mismatch — is an error, not a
     skip: the pair is inconsistent and silently dropping transitions
-    would fabricate a state that never existed. *)
+    would fabricate a state that never existed.  [before_replay] sees
+    the snapshot state before any record applies — the place to build
+    an index planner and subscribe it to [journal], so the indexes
+    absorb the replay differentially. *)

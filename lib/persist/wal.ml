@@ -393,6 +393,23 @@ module Writer = struct
     close_out_noerr t.oc
 end
 
+(* The one logged state transition: the record is captured against the
+   pre-state (its addresses describe it), the op applied, and the
+   record appended only when the apply succeeded — a rejected op
+   leaves no orphan record that would make the log unreplayable. *)
+let apply_logged ?journal wal store ~root op =
+  let ( let* ) = Result.bind in
+  let* record =
+    match wal with
+    | None -> Ok None
+    | Some _ -> Result.map Option.some (op_of_update store ~root op)
+  in
+  let* applied = Update.apply ?journal store op in
+  (match (wal, record) with
+  | Some w, Some r -> Writer.append w r
+  | _ -> ());
+  Ok applied
+
 (* ------------------------------------------------------------------ *)
 (* Reader                                                              *)
 

@@ -1,7 +1,7 @@
 (** The write-ahead log: §6.1 state transitions made durable.
 
-    Every update is logged {e before} it is applied, as a record that
-    can be replayed against a recovered snapshot {e without} the live
+    Every update is captured {e before} it is applied and appended once
+    it has applied ({!apply_logged}), as a record that can be replayed against a recovered snapshot {e without} the live
     store: nodes are addressed by their Dewey child-position path from
     the root (positions among [children]; attributes by owner path +
     name), inserted subtrees travel as canonical serialized fragments,
@@ -141,6 +141,21 @@ module Writer : sig
 
   val close : t -> unit
 end
+
+val apply_logged :
+  ?journal:Xsm_schema.Update.Journal.t ->
+  Writer.t option ->
+  Xsm_xdm.Store.t ->
+  root:Xsm_xdm.Store.node ->
+  Xsm_schema.Update.op ->
+  (Xsm_schema.Update.applied, string) result
+(** The logged state transition, shared by every writer of the log:
+    capture the op's record against the pre-state, apply it through
+    {!Xsm_schema.Update.apply}, and append the record only when the
+    apply succeeded — a rejected op leaves the log untouched, so the
+    log stays replayable.  Without a writer this is a plain apply.
+    {!Crashed} propagates from the append at an injected crash
+    point. *)
 
 (** {1 Reading} *)
 

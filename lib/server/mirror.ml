@@ -19,19 +19,6 @@ let desc_exn m n =
   | Some d -> d
   | None -> raise (Out_of_sync "store node has no descriptor")
 
-(* the sibling just before [n] in the §7 order (attributes precede
-   children) — the [after] anchor of the descriptor insertion *)
-let prev_sibling store n =
-  match Store.parent store n with
-  | None -> None
-  | Some p ->
-    let ordered = Store.attributes store p @ Store.children store p in
-    let rec go prev = function
-      | [] -> raise (Out_of_sync "inserted node not among its parent's children")
-      | x :: rest -> if Store.equal_node x n then prev else go (Some x) rest
-    in
-    go None ordered
-
 let rec insert_subtree m store ~parent_d ~after_d n =
   match Store.kind store n with
   | Store.Kind.Text ->
@@ -83,7 +70,7 @@ let apply_entry m store = function
       | None -> raise (Out_of_sync "inserted node has no parent")
     in
     let parent_d = desc_exn m p in
-    let after_d = Option.map (desc_exn m) (prev_sibling store n) in
+    let after_d = Option.map (desc_exn m) (Xsm_xdm.Order.previous_in_parent store n) in
     ignore (insert_subtree m store ~parent_d ~after_d n)
 
 let absorb m store = Journal.iter m.journal m.cursor (apply_entry m store)

@@ -3,6 +3,7 @@ module Update = Xsm_schema.Update
 module Journal = Xsm_schema.Update.Journal
 module Labeler = Xsm_numbering.Labeler
 module Wal = Xsm_persist.Wal
+module Recovery = Xsm_persist.Recovery
 module Snapshot = Xsm_persist.Snapshot
 module Eval = Xsm_xpath.Eval.Over_store
 module Seval = Xsm_xpath.Eval.Over_storage
@@ -104,91 +105,17 @@ type t = {
    line per request, applied by the group-commit leader under the
    exclusive epoch latch. *)
 
-let split1 s =
-  match String.index_opt s ' ' with
-  | None -> (s, "")
-  | Some i -> (String.sub s 0 i, String.trim (String.sub s (i + 1) (String.length s - i - 1)))
-
 let ( let* ) = Result.bind
 
-let target srv path =
-  if path = "" then Error "missing target path"
-  else
-    match Eval.eval_string srv.store srv.root path with
-    | Ok (n :: _) -> Ok n
-    | Ok [] -> Error (path ^ ": no matching node")
-    | Error e -> Error (path ^ ": " ^ e)
-
-let parse_op srv line =
-  let cmd, rest = split1 (String.trim line) in
-  match cmd with
-  | "insert" ->
-    let path, xml = split1 rest in
-    let* parent = target srv path in
-    let* tree =
-      Result.map_error
-        (fun e -> "fragment: " ^ Xsm_xml.Parser.error_to_string e)
-        (Xsm_xml.Parser.parse_element xml)
-    in
-    Ok (Update.Insert_element { parent; before = None; tree })
-  | "insert-text" ->
-    let path, text = split1 rest in
-    let* parent = target srv path in
-    Ok (Update.Insert_text { parent; before = None; text })
-  | "delete" ->
-    let* node = target srv rest in
-    Ok (Update.Delete node)
-  | "content" ->
-    let path, value = split1 rest in
-    let* node = target srv path in
-    Ok (Update.Replace_content { node; value })
-  | "attr" ->
-    let path, rest = split1 rest in
-    let name, value = split1 rest in
-    let* element = target srv path in
-    let* name = Result.map_error (fun e -> "attribute name: " ^ e) (Xsm_xml.Name.of_string name) in
-    Ok (Update.Set_attribute { element; name; value })
-  | other -> Error (Printf.sprintf "unknown update command %S" other)
-
-(* §9.3 label maintenance through one journal entry — the same
-   discipline as Recovery: inserted subtrees are labelled relative to
-   their neighbours, deleted ones drop their labels, existing labels
-   never move (Proposition 1). *)
-let maintain_labels store labels entry =
-  match entry with
-  | Journal.Content _ -> ()
-  | Journal.Deleted n -> Labeler.remove_subtree labels store n
-  | Journal.Inserted n -> (
-    match Store.parent store n with
-    | None -> ()
-    | Some parent ->
-      let ordered = Store.attributes store parent @ Store.children store parent in
-      let rec previous prev = function
-        | [] -> None
-        | x :: rest -> if Store.equal_node x n then prev else previous (Some x) rest
-      in
-      let after = previous None ordered in
-      Labeler.label_inserted_subtree labels store ~parent ~after n)
-
 (* Apply one command.  Runs inside the leader's exclusive latch
-   section.  The WAL record is captured before the update (addresses
-   describe the pre-state) but appended only after a successful apply,
-   so a rejected command leaves no orphan record that would poison
-   replay — the client is only acknowledged after the batch fsync
-   either way. *)
+   section; the logged apply appends the WAL record only after a
+   successful apply, and the client is only acknowledged after the
+   batch fsync either way. *)
 let apply_command srv line =
-  let* op = parse_op srv line in
-  let* wop =
-    match srv.wal with
-    | None -> Ok None
-    | Some _ -> Result.map Option.some (Wal.op_of_update srv.store ~root:srv.root op)
-  in
-  let* _applied = Update.apply ~journal:srv.journal srv.store op in
-  (match srv.wal, wop with
-  | Some w, Some wop -> Wal.Writer.append w wop
-  | _ -> ());
+  let* op = Update.parse_command ~resolve:(Eval.eval_string srv.store srv.root) line in
+  let* _applied = Wal.apply_logged ~journal:srv.journal srv.wal srv.store ~root:srv.root op in
   (match srv.labels, srv.label_cursor with
-  | Some t, Some c -> Journal.iter srv.journal c (maintain_labels srv.store t)
+  | Some t, Some c -> Journal.iter srv.journal c (Recovery.maintain_labels srv.store t)
   | _ -> ());
   Ok ()
 

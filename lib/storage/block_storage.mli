@@ -89,8 +89,8 @@ val desc_id : desc -> int
 val home_block_id : desc -> int option
 (** Identifier of the block the descriptor lives in ([None] only for a
     detached descriptor).  Block ids are allocation-ordered and unique
-    across the storage; used by {!Buffer_pool} to replay the page
-    accesses of a traversal. *)
+    across the storage; with a pager attached, the id is the block's
+    key in the buffer pool. *)
 
 val left_sibling : desc -> desc option
 val right_sibling : desc -> desc option

@@ -70,6 +70,29 @@ cmp -s "$tmp/prefix.xml" "$tmp/crash_rec.xml" || fail "crash recovery must resto
 "$XSM" recover "$tmp/sc.snap" --wal "$tmp/wc.wal" >/dev/null 2> "$tmp/second.err" || fail "re-recover failed"
 grep -q "torn" "$tmp/second.err" && fail "log was not repaired on disk"
 
+# --- a rejected line leaves no WAL record: the logged prefix recovers
+cat > "$tmp/orphan.upd" <<'EOF2'
+insert /library <book><title>Three</title></book>
+attr /library/book/title/text() lang en
+EOF2
+"$XSM" update "$tmp/doc.xml" "$tmp/orphan.upd" --wal "$tmp/wo.wal" --snapshot "$tmp/so.snap" >/dev/null 2>&1
+[ $? -eq 1 ] || fail "a rejected attr on a text node must exit 1"
+"$XSM" recover "$tmp/so.snap" --wal "$tmp/wo.wal" --print > "$tmp/orphan_rec.xml" 2>/dev/null \
+  || fail "a rejected line must not leave a record that breaks recovery"
+head -1 "$tmp/orphan.upd" > "$tmp/orphan_prefix.upd"
+"$XSM" update "$tmp/doc.xml" "$tmp/orphan_prefix.upd" --print > "$tmp/orphan_prefix.xml" 2>/dev/null \
+  || fail "one-line prefix reference run failed"
+cmp -s "$tmp/orphan_prefix.xml" "$tmp/orphan_rec.xml" || fail "recovery must restore the valid prefix"
+
+# --- the document element cannot be deleted: a script error, not a crash
+printf 'delete /library\n' > "$tmp/root.upd"
+out=$("$XSM" update "$tmp/doc.xml" "$tmp/root.upd" --print 2>&1)
+[ $? -eq 1 ] || fail "deleting the document element must exit 1 (got: $out)"
+echo "$out" | grep -q "root.upd:1" || fail "document-element delete must name the script line (got: $out)"
+
+"$XSM" load "$tmp/doc.xml" --crash-after 1 >/dev/null 2>&1
+[ $? -eq 2 ] || fail "load --crash-after without --wal must exit 2"
+
 # --- index resume: the planner absorbs the replay without a rebuild
 "$XSM" recover "$tmp/s.snap" --wal "$tmp/w.wal" --index --query /library/book/title > /dev/null 2> "$tmp/idx.err" \
   || fail "index resume failed"

@@ -49,6 +49,15 @@ out=$("$XSM" client --socket "$sock" --query '//title' 2>/dev/null)
 out=$("$XSM" client --socket "$sock" --query '//title' 2>/dev/null)
 [ "$out" = "$(printf 'Uno\nTwo\nThree')" ] || fail "post-update query (got: $out)"
 
+# --- one update grammar: a malformed line reads the same over the
+# wire as in an `xsm update` script
+out=$("$XSM" client --socket "$sock" --update 'insert /library' 2>&1)
+[ $? -eq 1 ] || fail "a malformed update request must exit 1 (got: $out)"
+printf 'insert /library\n' > "$tmp/mal.upd"
+script_out=$("$XSM" update "$tmp/doc.xml" "$tmp/mal.upd" 2>&1 | head -1)
+[ "$script_out" = "$tmp/mal.upd:1: $out" ] \
+  || fail "client and script must report the same message (client: $out; script: $script_out)"
+
 "$XSM" client --socket "$sock" --stats 2>/dev/null | grep -q '"submissions"' \
   || fail "stats must report commit counters"
 

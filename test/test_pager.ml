@@ -206,6 +206,26 @@ let pin_overflow () =
   Pager.clear p;
   Pf.close pf
 
+let untouched_hit_ratio () =
+  (* an untouched pool has no hit ratio, not a perfect one: 0/0
+     reported as 1.0 would make a cold cache look ideal in reports *)
+  with_tmp @@ fun path ->
+  let p, pf, add = synthetic_pager ~capacity:2 path in
+  let ratio () = Pager.hit_ratio (Pager.stats p) in
+  Alcotest.(check (option (float 0.0))) "fresh pool" None (ratio ());
+  add 1;
+  Pager.clear p;
+  Pager.reset_stats p;
+  Alcotest.(check (option (float 0.0))) "cleared pool" None (ratio ());
+  ignore (Pager.touch p 1);
+  Alcotest.(check (option (float 0.0))) "first access faults" (Some 0.0) (ratio ());
+  ignore (Pager.touch p 1);
+  Alcotest.(check (option (float 0.0))) "second access hits" (Some 0.5) (ratio ());
+  Pager.reset_stats p;
+  Alcotest.(check (option (float 0.0))) "stats reset: no ratio again" None (ratio ());
+  Pager.clear p;
+  Pf.close pf
+
 let wal_ordered_write_back () =
   with_tmp @@ fun path ->
   let synced = ref 0 and current = ref 10 in
@@ -627,6 +647,7 @@ let suite =
         Alcotest.test_case "scan resistance" `Quick twoq_scan_resistance;
         Alcotest.test_case "pin overflow" `Quick pin_overflow;
         Alcotest.test_case "WAL-ordered write-back" `Quick wal_ordered_write_back;
+        Alcotest.test_case "untouched pool has no hit ratio" `Quick untouched_hit_ratio;
       ] );
     ( "pager.storage",
       [

@@ -534,6 +534,37 @@ let test_directory_fsync () =
   cleanup [ snap; wal_path ];
   try Unix.rmdir dir with Unix.Unix_error _ -> ()
 
+let test_wal_apply_logged () =
+  (* a rejected op leaves no record: the log stays replayable and
+     replays to exactly the applied prefix *)
+  let store, root = library () in
+  let snap = tmp ".snap" and wal = tmp ".wal" in
+  ignore (ok (Snapshot.save ~path:snap store root));
+  let w = ok_wal (Wal.Writer.create wal) in
+  let libr = List.hd (Store.children store root) in
+  let book = Tree.elem "book" ~children:[ Tree.text "logged" ] in
+  ignore
+    (ok (Wal.apply_logged (Some w) store ~root
+           (Update.Insert_element { parent = libr; before = None; tree = book })));
+  let text =
+    fold_nodes store
+      (fun acc n -> if acc = None && Store.kind store n = Store.Kind.Text then Some n else acc)
+      None root
+    |> Option.get
+  in
+  Alcotest.(check bool) "attr on a text node is rejected" true
+    (Result.is_error
+       (Wal.apply_logged (Some w) store ~root
+          (Update.Set_attribute { element = text; name = Name.local "lang"; value = "en" })));
+  Wal.Writer.close w;
+  Alcotest.(check int) "only the applied op was logged" 1
+    (List.length (ok_wal (Wal.read wal)).Wal.records);
+  let rstore, rroot, _, _ = ok_rec (Recovery.recover ~snapshot:snap ~wal ()) in
+  Alcotest.(check string) "recovery replays the applied prefix"
+    (Xsm_xml.Printer.to_string (Convert.to_document store root))
+    (Xsm_xml.Printer.to_string (Convert.to_document rstore rroot));
+  cleanup [ snap; wal ]
+
 let suite =
   [
     ( "persist",
@@ -548,6 +579,7 @@ let suite =
         Alcotest.test_case "wal rejects a foreign file" `Quick test_wal_rejects_foreign_file;
         Alcotest.test_case "wal sync points bound the vouched prefix" `Quick test_wal_sync_points;
         Alcotest.test_case "wal replay = direct application" `Quick test_wal_replay_matches_direct;
+        Alcotest.test_case "wal logged apply skips rejected ops" `Quick test_wal_apply_logged;
         Alcotest.test_case "crash recovery at every crash point" `Quick
           test_crash_recovery_all_points;
         Alcotest.test_case "journal: independent cursors" `Quick test_journal_cursors;

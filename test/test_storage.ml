@@ -309,77 +309,6 @@ let test_serialization_after_updates () =
       (Xsm_xml.Tree.attribute_value second (Name.local "year") = Some "2004")
   | _ -> Alcotest.fail "expected children")
 
-(* ---------------- buffer pool ---------------- *)
-
-module BP = Xsm_storage.Buffer_pool
-
-let test_lru_mechanics () =
-  let p = BP.create ~capacity:2 in
-  check "miss 1" true (BP.touch p 1 = `Miss);
-  check "miss 2" true (BP.touch p 2 = `Miss);
-  check "hit 1" true (BP.touch p 1 = `Hit);
-  (* 2 is now LRU; touching 3 evicts it *)
-  check "miss 3" true (BP.touch p 3 = `Miss);
-  check "2 evicted" true (BP.touch p 2 = `Miss);
-  let s = BP.stats p in
-  check_int "accesses" 5 s.BP.accesses;
-  check_int "hits" 1 s.BP.hits;
-  check_int "distinct" 3 s.BP.distinct;
-  match BP.create ~capacity:0 with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "capacity 0 accepted"
-
-let test_hit_ratio_of_untouched_pool () =
-  (* an untouched pool has no hit ratio, not a perfect one — 0/0
-     reported as 1.0 once made cold caches look ideal in reports *)
-  let p = BP.create ~capacity:4 in
-  Alcotest.(check (option (float 0.0))) "fresh pool" None (BP.hit_ratio (BP.stats p));
-  ignore (BP.touch p 1);
-  Alcotest.(check (option (float 0.0))) "first access misses" (Some 0.0)
-    (BP.hit_ratio (BP.stats p));
-  ignore (BP.touch p 1);
-  Alcotest.(check (option (float 0.0))) "second access hits" (Some 0.5)
-    (BP.hit_ratio (BP.stats p));
-  BP.reset_stats p;
-  Alcotest.(check (option (float 0.0))) "stats reset: no ratio again" None
-    (BP.hit_ratio (BP.stats p))
-
-let test_scan_locality () =
-  (* a block scan touches each block exactly once per resident period:
-     misses = distinct blocks even with a tiny pool *)
-  let _, _, bs = build ~block_capacity:4 (Xsm_schema.Samples.library_document ~books:40 ~papers:0 ()) in
-  let ds = B.schema bs in
-  let rec find sn = function
-    | [] -> Some sn
-    | name :: rest -> (
-      match
-        List.find_opt (fun c -> DS.name c = Some (Name.local name)) (DS.children ds sn)
-      with
-      | Some c -> find c rest
-      | None -> None)
-  in
-  let author_sn = Option.get (find (DS.root ds) [ "library"; "book"; "author" ]) in
-  let trace = BP.scan_trace bs author_sn in
-  let s = BP.run_trace ~capacity:2 trace in
-  check_int "sequential scan: misses = distinct" s.BP.distinct s.BP.misses;
-  check "trace nonempty" true (trace <> [])
-
-let test_navigation_vs_scan_hit_ratio () =
-  let _, _, bs = build ~block_capacity:4 (Xsm_schema.Samples.library_document ~books:60 ~papers:30 ()) in
-  let nav = BP.navigation_trace bs (B.root bs) in
-  let capacity = 4 in
-  let nav_stats = BP.run_trace ~capacity nav in
-  (* navigation revisits blocks after eviction: more misses than
-     distinct blocks *)
-  check "navigation refaults" true (nav_stats.BP.misses > nav_stats.BP.distinct);
-  (* a full scan of every snode in block order never refaults *)
-  let ds = B.schema bs in
-  let rec all_snodes sn = sn :: List.concat_map all_snodes (DS.children ds sn) in
-  let scan = List.concat_map (BP.scan_trace bs) (all_snodes (DS.root ds)) in
-  let scan_stats = BP.run_trace ~capacity scan in
-  check_int "scan never refaults" scan_stats.BP.distinct scan_stats.BP.misses;
-  check "same data touched" true (scan_stats.BP.accesses = nav_stats.BP.accesses)
-
 let suite =
   [
     ( "storage.dataguide",
@@ -401,13 +330,5 @@ let suite =
         Alcotest.test_case "block scans" `Quick test_descendants_by_snode_counts;
         Alcotest.test_case "serialization" `Quick test_serialization_roundtrip;
         Alcotest.test_case "serialization after updates" `Quick test_serialization_after_updates;
-      ] );
-    ( "storage.buffer-pool",
-      [
-        Alcotest.test_case "LRU mechanics" `Quick test_lru_mechanics;
-        Alcotest.test_case "untouched pool has no hit ratio" `Quick
-          test_hit_ratio_of_untouched_pool;
-        Alcotest.test_case "scan locality" `Quick test_scan_locality;
-        Alcotest.test_case "navigation vs scan" `Quick test_navigation_vs_scan_hit_ratio;
       ] );
   ]

@@ -68,7 +68,12 @@ let test_delete_and_undo () =
     Update.undo store evidence;
     check_str "restored exactly (position too)" before_xml (serialized store dnode));
   (* deleting the root (no parent) fails cleanly *)
-  check "no parent" true (Result.is_error (Update.apply store (Update.Delete dnode)))
+  check "no parent" true (Result.is_error (Update.apply store (Update.Delete dnode)));
+  (* a document node keeps exactly one element child: its document
+     element cannot be deleted, and the refusal changes nothing *)
+  check "document element" true
+    (Result.is_error (Update.apply store (Update.Delete (bookstore store dnode))));
+  check_str "document element kept" before_xml (serialized store dnode)
 
 let test_replace_content () =
   let store, dnode = setup () in
@@ -191,6 +196,34 @@ let test_validated_rejects_bad_simple_value () =
     | Ok () -> check_str "accepted" "42" (Store.string_value store n)
     | Error es -> Alcotest.failf "rejected: %s" (String.concat "; " es)
 
+let test_parse_command () =
+  (* the one update-script grammar, as `xsm update` and the daemon
+     both read it: ops resolve against the current state, malformed
+     lines are errors that name the problem *)
+  let store, dnode = setup () in
+  let resolve = Xsm_xpath.Eval.Over_store.eval_string store dnode in
+  let parse = Update.parse_command ~resolve in
+  (match parse "insert /* <Book/>" with
+  | Ok (Update.Insert_element { parent; before = None; _ }) ->
+    check "insert under the first match" true (Store.equal_node parent (bookstore store dnode))
+  | _ -> Alcotest.fail "insert not parsed");
+  (match parse "  attr /* lang en  " with
+  | Ok (Update.Set_attribute { name; value = "en"; _ }) ->
+    check_str "attribute name" "lang" (Name.to_string name)
+  | _ -> Alcotest.fail "attr not parsed");
+  List.iter
+    (fun (line, expected) ->
+      match parse line with
+      | Error e -> check_str line expected e
+      | Ok _ -> Alcotest.failf "%S accepted" line)
+    [
+      ("insert", "missing target path");
+      ("insert /*", "missing XML fragment");
+      ("attr /*", "missing attribute name");
+      ("delete /nothing", "/nothing: no matching node");
+      ("frob /*", "unknown command \"frob\"");
+    ]
+
 let suite =
   [
     ( "update.raw",
@@ -200,6 +233,7 @@ let suite =
         Alcotest.test_case "delete/undo" `Quick test_delete_and_undo;
         Alcotest.test_case "replace content" `Quick test_replace_content;
         Alcotest.test_case "set attribute" `Quick test_set_attribute;
+        Alcotest.test_case "script grammar" `Quick test_parse_command;
       ] );
     ( "update.validated",
       [
