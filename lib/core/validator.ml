@@ -63,7 +63,12 @@ type ccase =
   | Model of matcher
 
 type frame = {
-  f_path : string;
+  (* where the frame sits — [f_name] is the [f_index]-th element child
+     of [f_parent], or the root declaration's name when [f_parent] is
+     [None]; {!path} spells it out only when an error is reported *)
+  f_parent : frame option;
+  f_name : Name.t;
+  f_index : int;
   (* the element, when a store walk drives the frame: the checks write
      its §6.2 annotations *)
   f_node : Store.node option;
@@ -82,6 +87,11 @@ type frame = {
   f_text : Buffer.t;  (* simple-content value, or the current run in
                          element-only content (checked at run end) *)
 }
+
+let rec path f =
+  match f.f_parent with
+  | None -> "/" ^ Name.to_string f.f_name
+  | Some p -> Printf.sprintf "%s/%s[%d]" (path p) (Name.to_string f.f_name) f.f_index
 
 type stats = { elements : int; max_depth : int; fallback_steps : int }
 
@@ -123,7 +133,7 @@ let report t path fmt =
       t.errors <- { path; message } :: t.errors)
     fmt
 
-let compiled_for t path (g : Ast.group_def) =
+let compiled_for t f (g : Ast.group_def) =
   let rec find = function
     | [] -> None
     | (g', c) :: rest -> if g' == g then Some c else find rest
@@ -140,7 +150,7 @@ let compiled_for t path (g : Ast.group_def) =
       | Ok a -> ( match CA.compile a with Some tbl -> C_table tbl | None -> C_nfa a)
     in
     t.cache <- (g, c) :: t.cache;
-    (match c with C_error e -> report t path "content model: %s" e | C_table _ | C_nfa _ -> ());
+    (match c with C_error e -> report t (path f) "content model: %s" e | C_table _ | C_nfa _ -> ());
     c
 
 (* An attribute's value typed by its declaration. *)
@@ -148,9 +158,11 @@ let attribute_value t (d : Ast.attribute_decl) value =
   Result.bind (Schema_check.resolve_simple t.schema d.attr_type) (fun st ->
       Simple_type.validate st value)
 
-let skip_frame path =
+let skip_frame ~parent name index =
   {
-    f_path = path;
+    f_parent = parent;
+    f_name = name;
+    f_index = index;
     f_node = None;
     f_decl = None;
     f_attr_decls = [];
@@ -167,18 +179,18 @@ let skip_frame path =
 
 (* Open a frame for an element attributed to [decl], up to the point
    where attributes and children are consumed. *)
-let make_frame t node path (decl : Ast.element_decl) =
+let make_frame t node ~parent name index (decl : Ast.element_decl) =
   t.elements <- t.elements + 1;
   Counter.incr m_elements;
   (match t.store, node with
   | Some s, Some n -> Store.set_type_name s n (Some (annotation_name decl.elem_type))
   | _ -> ());
-  let base = { (skip_frame path) with f_node = node; f_decl = Some decl } in
+  let base = { (skip_frame ~parent name index) with f_node = node; f_decl = Some decl } in
   match Schema_check.resolve t.schema decl.elem_type with
   | Error e ->
     (* report, then check nothing below — except xsi:nil, which is
        policed before the type matters *)
-    report t path "%s" e;
+    report t (path base) "%s" e;
     base
   | Ok (Schema_check.Resolved_simple st) -> { base with f_case = Simple st; f_mixed = false }
   | Ok (Schema_check.Resolved_complex (Ast.Simple_content { base = b; attributes })) ->
@@ -186,7 +198,7 @@ let make_frame t node path (decl : Ast.element_decl) =
       match Schema_check.resolve_simple t.schema b with
       | Ok st -> Simple st
       | Error e ->
-        report t path "simple content base: %s" e;
+        report t (path base) "simple content base: %s" e;
         Simple_unchecked
     in
     { base with f_case = case; f_attr_decls = attributes; f_mixed = false }
@@ -196,12 +208,12 @@ let make_frame t node path (decl : Ast.element_decl) =
       | None -> Empty { none = true }
       | Some g when Ast.group_is_empty g -> Empty { none = false }
       | Some g -> (
-        match compiled_for t path g with
+        match compiled_for t base g with
         | C_table tbl ->
           Counter.incr m_table_runs;
           Model (M_table (tbl, ref (CA.start_run tbl)))
         | C_nfa _ when t.strict ->
-          report t path "content model violates Unique Particle Attribution";
+          report t (path base) "content model violates Unique Particle Attribution";
           Model M_dead
         | C_nfa a -> Model (M_nfa (a, ref (CA.nfa_start a)))
         | C_error _ -> Model M_dead (* reported by compiled_for *))
@@ -212,12 +224,12 @@ let make_frame t node path (decl : Ast.element_decl) =
 let refuse_child t (f : frame) message =
   if not f.f_child_reported then begin
     f.f_child_reported <- true;
-    report t f.f_path "%s" message
+    report t (path f) "%s" message
   end;
   None
 
 let off_model t (f : frame) name =
-  report t f.f_path "child %s does not match the content model" (Name.to_string name);
+  report t (path f) "child %s does not match the content model" (Name.to_string name);
   f.f_case <- Model M_dead;
   None
 
@@ -253,7 +265,7 @@ let flush_text t (f : frame) =
     | (Empty _ | Model _) when not f.f_mixed ->
       let s = Buffer.contents f.f_text in
       Buffer.clear f.f_text;
-      if not (is_whitespace s) then report t f.f_path "text %S in element-only content" s
+      if not (is_whitespace s) then report t (path f) "text %S in element-only content" s
     | Unchecked | Simple _ | Simple_unchecked | Empty _ | Model _ -> ()
   end
 
@@ -269,22 +281,19 @@ let on_start t node name =
     else begin
       t.seen_root <- true;
       let decl = t.schema.Ast.root in
-      let path = "/" ^ Name.to_string decl.Ast.elem_name in
       if not (Name.equal name decl.Ast.elem_name) then
-        report t path "element %s where %s was declared" (Name.to_string name)
-          (Name.to_string decl.Ast.elem_name);
-      push t (make_frame t node path decl)
+        report t ("/" ^ Name.to_string decl.Ast.elem_name) "element %s where %s was declared"
+          (Name.to_string name) (Name.to_string decl.Ast.elem_name);
+      push t (make_frame t node ~parent:None decl.Ast.elem_name 0 decl)
     end
   | parent :: _ ->
     flush_text t parent;
     parent.f_elem_children <- parent.f_elem_children + 1;
-    let child_path =
-      Printf.sprintf "%s/%s[%d]" parent.f_path (Name.to_string name) parent.f_elem_children
-    in
+    let index = parent.f_elem_children in
     push t
       (match step t parent name with
-      | Some decl -> make_frame t node child_path decl
-      | None -> skip_frame child_path)
+      | Some decl -> make_frame t node ~parent:(Some parent) name index decl
+      | None -> skip_frame ~parent:(Some parent) name index)
 
 let on_attr t anode name value =
   match t.stack with
@@ -293,7 +302,7 @@ let on_attr t anode name value =
       if value = "true" || value = "1" then
         if decl.Ast.nillable then f.f_nilled <- true
         else
-          report t f.f_path "xsi:nil on an element whose declaration has NillIndicator = false"
+          report t (path f) "xsi:nil on an element whose declaration has NillIndicator = false"
     end
     else begin
       f.f_attrs_seen <- name :: f.f_attrs_seen;
@@ -305,12 +314,12 @@ let on_attr t anode name value =
             (fun (d : Ast.attribute_decl) -> Name.equal d.attr_name name)
             f.f_attr_decls
         with
-        | None -> report t f.f_path "undeclared attribute %s" (Name.to_string name)
+        | None -> report t (path f) "undeclared attribute %s" (Name.to_string name)
         | Some { Ast.attr_use = Ast.Prohibited; _ } ->
-          report t f.f_path "prohibited attribute %s" (Name.to_string name)
+          report t (path f) "prohibited attribute %s" (Name.to_string name)
         | Some d -> (
           match attribute_value t d value, t.store, anode with
-          | Error e, _, _ -> report t f.f_path "attribute %s: %s" (Name.to_string name) e
+          | Error e, _, _ -> report t (path f) "attribute %s: %s" (Name.to_string name) e
           | Ok typed, Some s, Some a ->
             Store.set_type_name s a (Some d.attr_type);
             Store.set_typed_value s a typed
@@ -356,12 +365,12 @@ let on_end t =
         let present = List.exists (Name.equal d.attr_name) f.f_attrs_seen in
         match d.attr_use, d.attr_default, present with
         | Ast.Required, _, false ->
-          report t f.f_path "missing declared attribute %s" (Name.to_string d.attr_name)
+          report t (path f) "missing declared attribute %s" (Name.to_string d.attr_name)
         | Ast.Optional, Some dv, false -> (
           (* materialize the default, typed *)
           match attribute_value t d dv, t.store, f.f_node with
           | Error e, _, _ ->
-            report t f.f_path "default for attribute %s: %s" (Name.to_string d.attr_name) e
+            report t (path f) "default for attribute %s: %s" (Name.to_string d.attr_name) e
           | Ok typed, Some s, Some n ->
             Store.attach_attribute s n
               (Store.new_attribute s ~type_name:d.attr_type ~typed_value:typed d.attr_name dv)
@@ -374,16 +383,16 @@ let on_end t =
       | Unchecked | Simple_unchecked -> ()
       | Simple st -> (
         match Simple_type.validate st (Buffer.contents f.f_text), t.store, f.f_node with
-        | Error e, _, _ -> report t f.f_path "%s" e
+        | Error e, _, _ -> report t (path f) "%s" e
         | Ok typed, Some s, Some n -> Store.set_typed_value s n typed
         | Ok _, _, _ -> ())
       | Empty { none } ->
         if none && f.f_mixed && f.f_elem_children + f.f_text_nodes > 1 then
-          report t f.f_path "mixed empty content allows at most one text node"
+          report t (path f) "mixed empty content allows at most one text node"
       | Model (M_table (tbl, st)) when not (CA.run_accepting tbl !st) ->
-        report t f.f_path "children do not match the content model (incomplete)"
+        report t (path f) "children do not match the content model (incomplete)"
       | Model (M_nfa (a, st)) when not (CA.nfa_accepting a !st) ->
-        report t f.f_path "children do not match the content model (incomplete)"
+        report t (path f) "children do not match the content model (incomplete)"
       | Model _ -> ()
     end
 
@@ -404,7 +413,7 @@ let stats t = { elements = t.elements; max_depth = t.max_depth; fallback_steps =
 let finish t =
   (match t.stack with
   | [] -> ()
-  | f :: _ -> report t f.f_path "unterminated element");
+  | f :: _ -> report t (path f) "unterminated element");
   if not t.seen_root then report t "/" "document node has no element child";
   match t.errors with [] -> Ok (stats t) | es -> Error (List.rev es)
 
@@ -432,7 +441,7 @@ let rec walk_element t store node =
     (* no adjacent text nodes in mixed content (item 5.4.2.2) *)
     (match f.f_case with
     | (Empty _ | Model _) when f.f_mixed && adjacent_text store children ->
-      report t f.f_path "adjacent text nodes"
+      report t (path f) "adjacent text nodes"
     | Unchecked | Simple _ | Simple_unchecked | Empty _ | Model _ -> ());
     List.iter
       (fun c ->
@@ -440,7 +449,7 @@ let rec walk_element t store node =
         | Store.Kind.Element -> walk_element t store c
         | Store.Kind.Text -> on_text t (Some c) (Store.string_value store c)
         | Store.Kind.Document | Store.Kind.Attribute ->
-          report t f.f_path "impossible child node kind")
+          report t (path f) "impossible child node kind")
       children;
     on_end t
   in

@@ -194,16 +194,20 @@ let assign_children parent n =
 let append_child parent i =
   if i < 0 then invalid_arg "Sedna_label.append_child: negative index";
   let base = 253 in
-  let rec digits acc v = if v = 0 then acc else digits ((v mod base) :: acc) (v / base) in
-  let ds = if i = 0 then [ 0 ] else digits [] i in
-  let nd = List.length ds in
+  let rec ndigits v = if v < base then 1 else 1 + ndigits (v / base) in
+  let nd = ndigits i in
   if min_digit + nd > 255 then invalid_arg "Sedna_label.append_child: index too large";
-  let b = Buffer.create (String.length parent + nd + 2) in
-  Buffer.add_string b parent;
-  Buffer.add_char b sep;
-  Buffer.add_char b (Char.chr (min_digit + nd));
-  List.iter (fun d -> Buffer.add_char b (Char.chr (min_digit + 1 + d))) ds;
-  Buffer.contents b
+  let pl = String.length parent in
+  let b = Bytes.create (pl + 2 + nd) in
+  Bytes.blit_string parent 0 b 0 pl;
+  Bytes.set b pl sep;
+  Bytes.set b (pl + 1) (Char.chr (min_digit + nd));
+  let v = ref i in
+  for k = pl + 1 + nd downto pl + 2 do
+    Bytes.set b k (Char.chr (min_digit + 1 + (!v mod base)));
+    v := !v / base
+  done;
+  Bytes.unsafe_to_string b
 
 let child parent i =
   match List.nth_opt (assign_children parent (i + 1)) i with

@@ -1,35 +1,39 @@
-(* Byte-level helpers shared by the page file and by clients that
-   serialize their representation into page blobs: LEB128 varints,
-   length-prefixed strings, and the CRC-32 that stamps page headers.
-   Self-contained so the pager stays at the bottom of the dependency
-   graph (it cannot reuse the WAL's wire module without pulling the
-   whole persistence layer under the storage layer). *)
+(* Byte-level helpers shared by the page file, by clients that
+   serialize their representation into page blobs, and (re-exported
+   through [Xsm_persist.Wire]) by the WAL and snapshot formats: LEB128
+   varints, length-prefixed strings, and the CRC-32 that stamps page
+   headers, WAL records and snapshot bodies.  Self-contained so the
+   pager stays at the bottom of the dependency graph. *)
 
 exception Corrupt of string
+
+let corrupt fmt = Printf.ksprintf (fun s -> raise (Corrupt s)) fmt
 
 (* ------------------------------------------------------------------ *)
 (* CRC-32 (IEEE, reflected 0xEDB88320) *)
 
-let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref (Int32.of_int n) in
-         for _ = 0 to 7 do
-           if Int32.logand !c 1l <> 0l then
-             c := Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
-           else c := Int32.shift_right_logical !c 1
-         done;
-         !c))
+(* One 256-entry table over native ints: the 32-bit register lives in
+   the low bits of an OCaml int, so nothing is boxed or allocated. *)
+let table =
+  Array.init 256 (fun n ->
+      let c = ref n in
+      for _ = 0 to 7 do
+        c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done;
+      !c)
 
 let crc32 ?(pos = 0) ?len s =
   let len = match len with Some l -> l | None -> String.length s - pos in
-  let table = Lazy.force crc_table in
-  let c = ref 0xFFFFFFFFl in
+  if pos < 0 || len < 0 || pos > String.length s - len then
+    invalid_arg "Codec.crc32: substring out of bounds";
+  (* bounds checked once, above: the table and byte reads below are not *)
+  let c = ref 0xFFFFFFFF in
   for i = pos to pos + len - 1 do
-    let idx = Int32.to_int (Int32.logand (Int32.logxor !c (Int32.of_int (Char.code s.[i]))) 0xFFl) in
-    c := Int32.logxor table.(idx) (Int32.shift_right_logical !c 8)
+    c :=
+      Array.unsafe_get table ((!c lxor Char.code (String.unsafe_get s i)) land 0xFF)
+      lxor (!c lsr 8)
   done;
-  Int32.logxor !c 0xFFFFFFFFl
+  !c lxor 0xFFFFFFFF
 
 (* ------------------------------------------------------------------ *)
 (* Writer *)
@@ -39,18 +43,19 @@ module W = struct
 
   let create ?(initial = 256) () = Buffer.create initial
   let contents = Buffer.contents
-  let byte w b = Buffer.add_char w (Char.chr (b land 0xFF))
+  let length = Buffer.length
 
-  let varint w n =
-    if n < 0 then invalid_arg "Codec.W.varint: negative";
-    let rec go n =
-      if n < 0x80 then byte w n
-      else begin
-        byte w (0x80 lor (n land 0x7F));
-        go (n lsr 7)
-      end
-    in
-    go n
+  let byte w b =
+    if b < 0 || b > 255 then invalid_arg "Codec.W.byte: out of range";
+    Buffer.add_char w (Char.unsafe_chr b)
+
+  let rec varint w n =
+    if n < 0 then invalid_arg "Codec.W.varint: negative"
+    else if n < 0x80 then Buffer.add_char w (Char.unsafe_chr n)
+    else begin
+      Buffer.add_char w (Char.unsafe_chr (0x80 lor (n land 0x7F)));
+      varint w (n lsr 7)
+    end
 
   let string w s =
     varint w (String.length s);
@@ -70,17 +75,19 @@ module R = struct
   type t = { s : string; mutable pos : int }
 
   let of_string ?(pos = 0) s = { s; pos }
+  let pos r = r.pos
+  let remaining r = String.length r.s - r.pos
   let at_end r = r.pos >= String.length r.s
 
   let byte r =
-    if r.pos >= String.length r.s then raise (Corrupt "unexpected end of input");
-    let b = Char.code r.s.[r.pos] in
+    if r.pos >= String.length r.s then corrupt "unexpected end of input at %d" r.pos;
+    let b = Char.code (String.unsafe_get r.s r.pos) in
     r.pos <- r.pos + 1;
     b
 
   let varint r =
     let rec go shift acc =
-      if shift > 62 then raise (Corrupt "varint too long");
+      if shift > 62 then corrupt "varint overflow at %d" r.pos;
       let b = byte r in
       let acc = acc lor ((b land 0x7F) lsl shift) in
       if b land 0x80 = 0 then acc else go (shift + 7) acc
@@ -91,14 +98,14 @@ module R = struct
      without allocating the decoded value *)
   let skip_varint r =
     let rec go n =
-      if n > 8 then raise (Corrupt "varint too long");
+      if n > 8 then corrupt "varint overflow at %d" r.pos;
       if byte r land 0x80 <> 0 then go (n + 1)
     in
     go 0
 
   let string_len r =
     let n = varint r in
-    if n < 0 || r.pos + n > String.length r.s then raise (Corrupt "string runs past end");
+    if n < 0 || n > remaining r then corrupt "string of %d bytes exceeds input at %d" n r.pos;
     n
 
   let string r =
@@ -113,5 +120,5 @@ module R = struct
     match byte r with
     | 0 -> None
     | 1 -> Some (string r)
-    | b -> raise (Corrupt (Printf.sprintf "bad option tag %d" b))
+    | b -> corrupt "bad option tag %d at %d" b (r.pos - 1)
 end

@@ -22,6 +22,7 @@ type t = {
   mutable clean : bool;
   mutable checkpoint_lsn : int;
   mutable meta_page : int;
+  page : Bytes.t;  (* the page being written, reused: writes run under the pager mutex *)
 }
 
 let page_size t = t.page_size
@@ -67,8 +68,8 @@ let encode_file_header t =
   Bytes.set b 20 (if t.clean then '\001' else '\000');
   Bytes.set_int64_le b 21 (Int64.of_int t.checkpoint_lsn);
   Bytes.set_int32_le b 29 (Int32.of_int t.meta_page);
-  let crc = Codec.crc32 ~pos:8 ~len:(file_header_bytes - 12) (Bytes.to_string b) in
-  Bytes.set_int32_le b (file_header_bytes - 4) crc;
+  let crc = Codec.crc32 ~pos:8 ~len:(file_header_bytes - 12) (Bytes.unsafe_to_string b) in
+  Bytes.set_int32_le b (file_header_bytes - 4) (Int32.of_int crc);
   b
 
 let write_file_header t = pwrite t ~off:0 (encode_file_header t)
@@ -101,7 +102,7 @@ let create ?(page_size = 4096) path =
   let fd = Unix.openfile path [ Unix.O_RDWR; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
   let t =
     { fd; path; page_size; next_page = 1; free_head = 0; clean = false;
-      checkpoint_lsn = 0; meta_page = 0 }
+      checkpoint_lsn = 0; meta_page = 0; page = Bytes.make page_size '\000' }
   in
   write_file_header t;
   t
@@ -110,7 +111,7 @@ let open_existing path =
   let fd = Unix.openfile path [ Unix.O_RDWR ] 0o644 in
   let t =
     { fd; path; page_size = 0; next_page = 1; free_head = 0; clean = false;
-      checkpoint_lsn = 0; meta_page = 0 }
+      checkpoint_lsn = 0; meta_page = 0; page = Bytes.empty }
   in
   let hdr = pread t ~off:0 file_header_bytes in
   if Bytes.length hdr < file_header_bytes then begin
@@ -121,15 +122,20 @@ let open_existing path =
     Unix.close fd;
     raise (Corrupt (path ^ ": not a page file (bad magic)"))
   end;
-  let crc = Bytes.get_int32_le hdr (file_header_bytes - 4) in
-  if not (Int32.equal crc (Codec.crc32 ~pos:8 ~len:(file_header_bytes - 12) (Bytes.to_string hdr)))
-  then begin
+  let crc = Int32.to_int (Bytes.get_int32_le hdr (file_header_bytes - 4)) land 0xFFFFFFFF in
+  if crc <> Codec.crc32 ~pos:8 ~len:(file_header_bytes - 12) (Bytes.unsafe_to_string hdr) then begin
     Unix.close fd;
     raise (Corrupt (path ^ ": page-file header CRC mismatch"))
   end;
+  let page_size = Int32.to_int (Bytes.get_int32_le hdr 8) in
+  if page_size < 256 then begin
+    Unix.close fd;
+    raise (Corrupt (Printf.sprintf "%s: bad page size %d" path page_size))
+  end;
   {
     t with
-    page_size = Int32.to_int (Bytes.get_int32_le hdr 8);
+    page_size;
+    page = Bytes.make page_size '\000';
     next_page = Int32.to_int (Bytes.get_int32_le hdr 12);
     free_head = Int32.to_int (Bytes.get_int32_le hdr 16);
     clean = Bytes.get hdr 20 = '\001';
@@ -140,7 +146,7 @@ let open_existing path =
 (* ------------------------------------------------------------------ *)
 (* Pages *)
 
-type page_header = { kind : int; payload_len : int; next : int; lsn : int; crc : int32 }
+type page_header = { kind : int; payload_len : int; next : int; lsn : int; crc : int }
 
 let read_page_header t id =
   if id < 1 || id >= t.next_page then
@@ -148,25 +154,29 @@ let read_page_header t id =
   let b = pread t ~off:(id * t.page_size) page_header_bytes in
   if Bytes.length b < page_header_bytes then
     (* allocated but never written (sparse tail): an empty free page *)
-    { kind = 0; payload_len = 0; next = 0; lsn = 0; crc = 0l }
+    { kind = 0; payload_len = 0; next = 0; lsn = 0; crc = 0 }
   else
     {
       kind = Char.code (Bytes.get b 0);
       payload_len = Int32.to_int (Bytes.get_int32_le b 1);
       next = Int32.to_int (Bytes.get_int32_le b 5);
       lsn = Int64.to_int (Bytes.get_int64_le b 9);
-      crc = Bytes.get_int32_le b 17;
+      crc = Int32.to_int (Bytes.get_int32_le b 17) land 0xFFFFFFFF;
     }
 
+(* The page buffer is reused: every header field is rewritten, and
+   only the header pad and the tail past the payload need zeroing. *)
 let write_page t ~kind ~lsn ~next id payload ~pos ~len =
   if len > payload_capacity t then invalid_arg "Page_file.write_page: payload too large";
-  let b = Bytes.make t.page_size '\000' in
+  let b = t.page in
   Bytes.set b 0 (Char.chr kind);
   Bytes.set_int32_le b 1 (Int32.of_int len);
   Bytes.set_int32_le b 5 (Int32.of_int next);
   Bytes.set_int64_le b 9 (Int64.of_int lsn);
-  Bytes.set_int32_le b 17 (Codec.crc32 ~pos ~len payload);
+  Bytes.set_int32_le b 17 (Int32.of_int (Codec.crc32 ~pos ~len payload));
+  Bytes.fill b 21 (page_header_bytes - 21) '\000';
   Bytes.blit_string payload pos b page_header_bytes len;
+  Bytes.fill b (page_header_bytes + len) (t.page_size - page_header_bytes - len) '\000';
   mark_unclean t;
   pwrite t ~off:(id * t.page_size) b
 
@@ -239,8 +249,8 @@ let read_blob t head =
       let raw = pread t ~off:((id * t.page_size) + page_header_bytes) h.payload_len in
       if Bytes.length raw < h.payload_len then
         raise (Corrupt (Printf.sprintf "%s: page %d cut short" t.path id));
-      let s = Bytes.to_string raw in
-      if not (Int32.equal h.crc (Codec.crc32 s)) then
+      let s = Bytes.unsafe_to_string raw in
+      if h.crc <> Codec.crc32 s then
         raise (Corrupt (Printf.sprintf "%s: page %d CRC mismatch" t.path id));
       if steps = 0 then lsn := h.lsn;
       Buffer.add_string buf s;

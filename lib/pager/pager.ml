@@ -72,9 +72,18 @@ type t = {
   c_overflows : Counter.cell;
 }
 
+(* one critical section; a handler or WAL hook that raises inside it
+   (a write error, an injected crash) still releases the mutex *)
 let locked t f =
   Mutex.lock t.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
+  match f () with
+  | v ->
+    Mutex.unlock t.lock;
+    v
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    Mutex.unlock t.lock;
+    Printexc.raise_with_backtrace e bt
 
 let resident_count t = t.a1in.qsize + t.am.qsize
 let is_resident f = match f.q with Q_a1in | Q_am -> true | Q_none | Q_ghost -> false
@@ -290,7 +299,14 @@ let unpin t id =
       if f.pins <= 0 then invalid_arg (Printf.sprintf "Pager.unpin: block %d is not pinned" id);
       f.pins <- f.pins - 1)
 
-let register_new t id =
+let set_dirty t f ~lsn =
+  if not f.dirty then begin
+    f.dirty <- true;
+    t.dirty_count <- t.dirty_count + 1
+  end;
+  if lsn > f.lsn then f.lsn <- lsn
+
+let register_new ?lsn t id =
   locked t (fun () ->
       if Hashtbl.mem t.frames id then
         invalid_arg (Printf.sprintf "Pager.register_new: block %d already registered" id);
@@ -301,18 +317,22 @@ let register_new t id =
       Hashtbl.replace t.frames id f;
       ensure_room t ~protect:f;
       f.q <- Q_a1in;
-      q_push_front t.a1in f)
+      q_push_front t.a1in f;
+      Option.iter (fun lsn -> set_dirty t f ~lsn) lsn)
+
+let write ?(pin = false) t id ~lsn =
+  locked t (fun () ->
+      let f = frame_exn t id in
+      ignore (access_locked ~scan:false t f);
+      if pin then f.pins <- f.pins + 1;
+      set_dirty t f ~lsn)
 
 let mark_dirty t id ~lsn =
   locked t (fun () ->
       let f = frame_exn t id in
       if not (is_resident f) then
         invalid_arg (Printf.sprintf "Pager.mark_dirty: block %d is not resident" id);
-      if not f.dirty then begin
-        f.dirty <- true;
-        t.dirty_count <- t.dirty_count + 1
-      end;
-      if lsn > f.lsn then f.lsn <- lsn)
+      set_dirty t f ~lsn)
 
 let flush_all_locked t =
   Hashtbl.iter (fun _ f -> if is_resident f && f.dirty then flush_frame t f) t.frames

@@ -25,23 +25,29 @@
     between an append and its subtree's record) is unstealable: the
     pool overflows past capacity rather than flushing unlogged state.
 
-    {b Reading and pinning.}  A payload read that fits in one callback
-    goes through {!read}: fault and read share one critical section,
-    so no concurrent fault can evict the block in between.  A window
+    {b Reading, writing and pinning.}  A payload read that fits in
+    one callback goes through {!read}: fault and read share one
+    critical section, so no concurrent fault can evict the block in
+    between.  A mutation calls {!write} before it mutates: fault and
+    mark-dirty share one section, as fault and read do.  A window
     that spans other pager calls — a mutation that registers a new
     block while its source is mid-surgery — is bracketed by
-    [touch ~pin:true] + {!unpin} instead; pinned frames are never
+    [write ~pin:true] + {!unpin}; pinned frames are never
     evicted.  When every frame is pinned or WAL-held, a fault is
     admitted past capacity and counted in [pin_overflows] — graceful
     overflow, not failure.
 
     Thread-safe: one mutex per pool; handler callbacks run under it
-    and must not re-enter the pager. *)
+    and must not re-enter the pager.  A handler or WAL hook that raises
+    (an injected crash from [force]) releases the mutex on the way
+    out. *)
 
 type t
 
 type handlers = {
-  serialize : int -> string;  (** block id -> blob payload *)
+  serialize : int -> string;
+      (** block id -> blob payload; runs under the pool mutex, so a
+          client may encode into one reused buffer *)
   deserialize : int -> string -> unit;  (** restore a faulted block *)
   on_evict : int -> unit;  (** drop the in-memory payload *)
 }
@@ -68,14 +74,24 @@ val read : t -> int -> (unit -> 'a) -> 'a
     under the pool mutex.  [reader] must not call back into the
     pager. *)
 
+val write : ?pin:bool -> t -> int -> lsn:int -> unit
+(** [write t id ~lsn] accesses block [id] like {!touch} and records
+    that it changes under WAL position [lsn] (pass 0 when no WAL
+    governs the store), in one critical section — the one call a
+    mutation makes {e before} it mutates: the block is resident and
+    will be written back before it can be evicted.  [~pin] pins it
+    too, for a mutation whose window spans other pager calls. *)
+
 val unpin : t -> int -> unit
 
-val register_new : t -> int -> unit
-(** Admit a freshly created block: resident, no disk image yet. *)
+val register_new : ?lsn:int -> t -> int -> unit
+(** Admit a freshly created block: resident, no disk image yet.  With
+    [~lsn] it is dirty from birth under that WAL position (a clean
+    frame with no disk image would be evicted without write-back). *)
 
 val mark_dirty : t -> int -> lsn:int -> unit
 (** Record that a resident block changed under WAL position [lsn]
-    (pass 0 when no WAL governs the store). *)
+    ({!write} without the access). *)
 
 val flush_all : t -> unit
 (** Write back every dirty resident block (WAL-ordered); nothing is

@@ -64,7 +64,7 @@ let encode ?schema_ref ?labels store root =
       let b = Buffer.create (String.length body + 16) in
       Buffer.add_string b magic;
       Buffer.add_string b body;
-      let crc = Wire.Crc32.string body in
+      let crc = Wire.crc32 body in
       let tail = Wire.W.create () in
       Wire.W.fixed32 tail crc;
       Buffer.add_string b (Wire.W.contents tail);
@@ -132,8 +132,8 @@ let decode bytes =
   else begin
     let body_len = len - mlen - 4 in
     let stored_crc = Wire.R.fixed32 (Wire.R.of_string ~pos:(len - 4) bytes) in
-    let crc = Wire.Crc32.string ~pos:mlen ~len:body_len bytes in
-    if not (Int32.equal crc stored_crc) then
+    let crc = Wire.crc32 ~pos:mlen ~len:body_len bytes in
+    if crc <> stored_crc then
       Error "snapshot: CRC mismatch (torn or corrupted file)"
     else
       try

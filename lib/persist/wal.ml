@@ -201,15 +201,23 @@ let decode_addr r =
     Attribute (p, Wire.R.name r)
   | t -> raise (Wire.R.Corrupt (Printf.sprintf "bad addr tag %d" t))
 
-let encode_payload record =
-  let w = Wire.W.create () in
-  (match record with
+(* The one Insert_element encoder: the fragment arrives already
+   printed ({!Xsm_xml.Printer.add_element}'s bytes), from
+   [encode_payload] or from a bulk load that printed it as its events
+   arrived. *)
+let encode_insert_element w ~parent ~index xml =
+  Wire.W.byte w 1;
+  encode_path w parent;
+  Wire.W.varint w index;
+  Wire.W.varint w (Buffer.length xml);
+  Buffer.add_buffer w xml
+
+let encode_payload w = function
   | Sync_point -> Wire.W.byte w 0
   | Op (Insert_element { parent; index; fragment }) ->
-    Wire.W.byte w 1;
-    encode_path w parent;
-    Wire.W.varint w index;
-    Wire.W.string w (Xsm_xml.Printer.element_to_string fragment)
+    let xml = Buffer.create 256 in
+    Xsm_xml.Printer.add_element xml fragment;
+    encode_insert_element w ~parent ~index xml
   | Op (Insert_text { parent; index; text }) ->
     Wire.W.byte w 2;
     encode_path w parent;
@@ -226,8 +234,7 @@ let encode_payload record =
     Wire.W.byte w 5;
     encode_path w element;
     Wire.W.name w name;
-    Wire.W.string w value);
-  Wire.W.contents w
+    Wire.W.string w value
 
 let decode_payload payload =
   let r = Wire.R.of_string payload in
@@ -259,15 +266,26 @@ let decode_payload payload =
   if not (Wire.R.at_end r) then raise (Wire.R.Corrupt "trailing bytes in record payload");
   record
 
+(* Frame an encoded payload into [frame] (reallocated only when too
+   small): length ‖ CRC ‖ payload.  Returns the frame and its size. *)
+let frame_payload frame payload =
+  let plen = Buffer.length payload in
+  let size = plen + 8 in
+  let frame =
+    if Bytes.length frame >= size then frame else Bytes.create (max size (2 * Bytes.length frame))
+  in
+  Buffer.blit payload 0 frame 8 plen;
+  Bytes.set_int32_le frame 0 (Int32.of_int plen);
+  (* the frame is not mutated while the CRC reads it *)
+  let crc = Wire.crc32 ~pos:8 ~len:plen (Bytes.unsafe_to_string frame) in
+  Bytes.set_int32_le frame 4 (Int32.of_int crc);
+  (frame, size)
+
 let encode_record record =
-  let payload = encode_payload record in
-  let w = Wire.W.create ~initial:(String.length payload + 8) () in
-  Wire.W.fixed32 w (Int32.of_int (String.length payload));
-  Wire.W.fixed32 w (Wire.Crc32.string payload);
-  let b = Buffer.create (String.length payload + 8) in
-  Buffer.add_string b (Wire.W.contents w);
-  Buffer.add_string b payload;
-  Buffer.contents b
+  let payload = Wire.W.create () in
+  encode_payload payload record;
+  let frame, size = frame_payload Bytes.empty payload in
+  Bytes.sub_string frame 0 size
 
 (* ------------------------------------------------------------------ *)
 (* Writer                                                              *)
@@ -295,6 +313,8 @@ module Writer = struct
     mutable marked : int;  (* ops covered by the last Sync_point marker *)
     mutable unsynced : int;
     mutable crashed : bool;
+    payload : Buffer.t;  (* the record being encoded, reused *)
+    mutable frame : Bytes.t;  (* its framed bytes, reused *)
   }
 
   let fsync t =
@@ -328,7 +348,7 @@ module Writer = struct
           if fresh then output_string oc magic;
           let t =
             { oc; crash; sync_every; records = 0; ops = 0; marked = 0; unsynced = 0;
-              crashed = false }
+              crashed = false; payload = Buffer.create 4096; frame = Bytes.create 4096 }
           in
           fsync t;
           (* a freshly created log needs its directory entry synced
@@ -341,34 +361,55 @@ module Writer = struct
       | Unix.Unix_error (err, fn, _) ->
         Error (Io (Printf.sprintf "wal: %s: %s" fn (Unix.error_message err)))
 
-  let emit t record =
+  let emit t ~op frame size =
     if t.crashed then raise Crashed;
-    let bytes = encode_record record in
     (match t.crash with
     | Some { after_records; partial_bytes } when t.records >= after_records ->
       (* the injected crash: leave a prefix of this record on disk,
          flush it (the OS got the bytes), and die *)
-      let keep = min (max 0 partial_bytes) (String.length bytes - 1) in
-      output_string t.oc (String.sub bytes 0 keep);
+      let keep = min (max 0 partial_bytes) (size - 1) in
+      output t.oc frame 0 keep;
       flush t.oc;
       Unix.fsync (Unix.descr_of_out_channel t.oc);
       t.crashed <- true;
       raise Crashed
     | _ -> ());
     let start = Xsm_obs.Clock.now_ns () in
-    output_string t.oc bytes;
+    output t.oc frame 0 size;
     t.records <- t.records + 1;
-    (match record with Op _ -> t.ops <- t.ops + 1 | Sync_point -> ());
+    if op then t.ops <- t.ops + 1;
     t.unsynced <- t.unsynced + 1;
     Counter.incr m_records;
     Histogram.observe h_append
       (Int64.to_float (Int64.sub (Xsm_obs.Clock.now_ns ()) start));
     if t.unsynced >= t.sync_every then fsync t
 
-  let append t op = emit t (Op op)
+  (* write the op encoded in [t.payload].  Ops are appended by one
+     writer at a time (the server's commit leader, under the exclusive
+     latch), so the reused buffers need no lock of their own. *)
+  let emit_payload t =
+    let frame, size = frame_payload t.frame t.payload in
+    t.frame <- frame;
+    emit t ~op:true frame size
+
+  let append t op =
+    Buffer.clear t.payload;
+    encode_payload t.payload (Op op);
+    emit_payload t
+
+  let append_element t ~parent ~index xml =
+    Buffer.clear t.payload;
+    encode_insert_element t.payload ~parent ~index xml;
+    emit_payload t
+
+  (* A [sync] can run beside an [append] or another [sync] — the
+     commit leader syncs after releasing the latch while a reader's
+     eviction forces the log through {!pager_hook} — so it writes a
+     frame built once and touches no reused buffer. *)
+  let sync_frame = Bytes.of_string (encode_record Sync_point)
 
   let sync t =
-    emit t Sync_point;
+    emit t ~op:false sync_frame (Bytes.length sync_frame);
     fsync t;
     t.marked <- t.ops
 
@@ -448,11 +489,11 @@ let read path =
            if len - !pos < 8 then torn := Some (Torn_header !pos)
            else begin
              let hdr = Wire.R.of_string ~pos:!pos bytes in
-             let plen = Int32.to_int (Wire.R.fixed32 hdr) in
+             let plen = Wire.R.fixed32 hdr in
              let crc = Wire.R.fixed32 hdr in
              if plen < 1 || plen > len - !pos - 8 then torn := Some (Torn_payload !pos)
              else if
-               not (Int32.equal crc (Wire.Crc32.string ~pos:(!pos + 8) ~len:plen bytes))
+               crc <> Wire.crc32 ~pos:(!pos + 8) ~len:plen bytes
              then torn := Some (Torn_crc !pos)
              else begin
                let payload = String.sub bytes (!pos + 8) plen in

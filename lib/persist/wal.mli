@@ -120,11 +120,23 @@ module Writer : sig
       magic; a file that is not a WAL is [Error (Not_a_wal _)]. *)
 
   val append : t -> op -> unit
+  (** Appends ({!append}, {!append_element}) come from one caller at a
+      time; they encode into buffers the writer reuses. *)
+
+  val append_element : t -> parent:int list -> index:int -> Buffer.t -> unit
+  (** [append_element t ~parent ~index xml] appends the record
+      [append t (Insert_element { parent; index; fragment })] would,
+      byte for byte, for a fragment already printed into [xml] as
+      {!Xsm_xml.Printer.add_element} prints it — the bulk load's path,
+      which prints each record as its events arrive. *)
 
   val sync : t -> unit
   (** Append a [Sync_point] marker and fsync: everything before it is
       durable {e and provably so to a reader} (the marker is what
-      advances {!read}'s [synced_prefix]). *)
+      advances {!read}'s [synced_prefix]).  It may run beside an
+      append or another [sync] on another domain (a page eviction
+      forcing the log through {!pager_hook}); every record stays
+      whole. *)
 
   val records_written : t -> int
 

@@ -1,61 +1,18 @@
-module Crc32 = struct
-  (* reflected CRC-32, polynomial 0xEDB88320 (zlib/PNG) *)
-  let table =
-    lazy
-      (Array.init 256 (fun n ->
-           let c = ref (Int32.of_int n) in
-           for _ = 0 to 7 do
-             if Int32.logand !c 1l <> 0l then
-               c := Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
-             else c := Int32.shift_right_logical !c 1
-           done;
-           !c))
+(* The WAL and snapshot formats' byte codec: {!Xsm_pager.Codec}'s
+   varints, strings and CRC-32, plus the fixed-width words, QNames and
+   booleans those formats add. *)
 
-  let string ?(pos = 0) ?len s =
-    let len = match len with Some l -> l | None -> String.length s - pos in
-    if pos < 0 || len < 0 || pos + len > String.length s then
-      invalid_arg "Crc32.string: substring out of bounds";
-    let table = Lazy.force table in
-    let c = ref 0xFFFFFFFFl in
-    for i = pos to pos + len - 1 do
-      let idx = Int32.to_int (Int32.logand (Int32.logxor !c (Int32.of_int (Char.code s.[i]))) 0xFFl) in
-      c := Int32.logxor table.(idx) (Int32.shift_right_logical !c 8)
-    done;
-    Int32.logxor !c 0xFFFFFFFFl
-end
+module Codec = Xsm_pager.Codec
+
+let crc32 = Codec.crc32
 
 module W = struct
-  type t = Buffer.t
+  include Codec.W
 
-  let create ?(initial = 256) () = Buffer.create initial
-
-  let byte b n =
-    if n < 0 || n > 255 then invalid_arg "Wire.W.byte: out of range";
-    Buffer.add_char b (Char.chr n)
-
-  let rec varint b n =
-    if n < 0 then invalid_arg "Wire.W.varint: negative"
-    else if n < 0x80 then Buffer.add_char b (Char.chr n)
-    else begin
-      Buffer.add_char b (Char.chr (0x80 lor (n land 0x7F)));
-      varint b (n lsr 7)
-    end
-
-  let fixed32 b (w : int32) =
+  let fixed32 b w =
     for i = 0 to 3 do
-      Buffer.add_char b
-        (Char.chr (Int32.to_int (Int32.logand (Int32.shift_right_logical w (8 * i)) 0xFFl)))
+      Buffer.add_char b (Char.unsafe_chr ((w lsr (8 * i)) land 0xFF))
     done
-
-  let string b s =
-    varint b (String.length s);
-    Buffer.add_string b s
-
-  let opt_string b = function
-    | None -> byte b 0
-    | Some s ->
-      byte b 1;
-      string b s
 
   let name b n = string b (Xsm_xml.Name.to_string n)
 
@@ -66,55 +23,21 @@ module W = struct
       name b n
 
   let bool b v = byte b (if v then 1 else 0)
-  let length = Buffer.length
-  let contents = Buffer.contents
 end
 
 module R = struct
-  type t = { src : string; mutable pos : int }
+  include Codec.R
 
-  exception Corrupt of string
+  exception Corrupt = Codec.Corrupt
 
-  let corrupt fmt = Printf.ksprintf (fun s -> raise (Corrupt s)) fmt
-  let of_string ?(pos = 0) src = { src; pos }
-  let pos r = r.pos
-  let remaining r = String.length r.src - r.pos
-  let at_end r = remaining r <= 0
-
-  let byte r =
-    if at_end r then corrupt "unexpected end of input at %d" r.pos;
-    let c = Char.code r.src.[r.pos] in
-    r.pos <- r.pos + 1;
-    c
-
-  let varint r =
-    let rec go shift acc =
-      if shift > 62 then corrupt "varint overflow at %d" r.pos;
-      let b = byte r in
-      let acc = acc lor ((b land 0x7F) lsl shift) in
-      if b land 0x80 = 0 then acc else go (shift + 7) acc
-    in
-    go 0 0
+  let corrupt = Codec.corrupt
 
   let fixed32 r =
-    let w = ref 0l in
+    let w = ref 0 in
     for i = 0 to 3 do
-      w := Int32.logor !w (Int32.shift_left (Int32.of_int (byte r)) (8 * i))
+      w := !w lor (byte r lsl (8 * i))
     done;
     !w
-
-  let string r =
-    let len = varint r in
-    if len > remaining r then corrupt "string of %d bytes exceeds input at %d" len r.pos;
-    let s = String.sub r.src r.pos len in
-    r.pos <- r.pos + len;
-    s
-
-  let opt_string r =
-    match byte r with
-    | 0 -> None
-    | 1 -> Some (string r)
-    | n -> corrupt "bad option tag %d at %d" n (r.pos - 1)
 
   let name r =
     let s = string r in
@@ -126,11 +49,11 @@ module R = struct
     match byte r with
     | 0 -> None
     | 1 -> Some (name r)
-    | n -> corrupt "bad option tag %d at %d" n (r.pos - 1)
+    | n -> corrupt "bad option tag %d at %d" n (pos r - 1)
 
   let bool r =
     match byte r with
     | 0 -> false
     | 1 -> true
-    | n -> corrupt "bad bool %d at %d" n (r.pos - 1)
+    | n -> corrupt "bad bool %d at %d" n (pos r - 1)
 end

@@ -7,18 +7,19 @@
     exception soup, so callers turn any decoding failure into one
     recovery decision (reject the snapshot, truncate the WAL tail).
 
-    {!Crc32} is the standard reflected CRC-32 (polynomial 0xEDB88320,
-    the zlib/PNG one) — every WAL record and the snapshot body carry
-    one, which is how torn writes are detected. *)
+    The varints, strings and {!crc32} are {!Xsm_pager.Codec}'s, so
+    page files, WAL records and snapshots share one byte codec. *)
 
-module Crc32 : sig
-  val string : ?pos:int -> ?len:int -> string -> int32
-  (** CRC-32 of a substring (default: the whole string). *)
-end
+val crc32 : ?pos:int -> ?len:int -> string -> int
+(** The standard reflected CRC-32 (polynomial 0xEDB88320, the zlib/PNG
+    one) of a substring (default: the whole string), in [0, 2{^32}).
+    Every WAL record and the snapshot body carry one, which is how
+    torn writes are detected.  [Invalid_argument] when [pos]/[len] do
+    not name a substring. *)
 
 (** Append-only encoder over a growing buffer. *)
 module W : sig
-  type t
+  type t = Buffer.t
 
   val create : ?initial:int -> unit -> t
   val byte : t -> int -> unit
@@ -27,8 +28,9 @@ module W : sig
   val varint : t -> int -> unit
   (** LEB128; [Invalid_argument] on negative input. *)
 
-  val fixed32 : t -> int32 -> unit
-  (** Little-endian 4-byte word (record framing and checksums). *)
+  val fixed32 : t -> int -> unit
+  (** The low 32 bits as a little-endian 4-byte word (record framing
+      and checksums). *)
 
   val string : t -> string -> unit
   val opt_string : t -> string option -> unit
@@ -45,7 +47,8 @@ module R : sig
 
   exception Corrupt of string
   (** Raised by every reading function on truncated or malformed
-      input.  [read_all]-style drivers catch it once. *)
+      input — the same exception as {!Xsm_pager.Codec.Corrupt}.
+      [read_all]-style drivers catch it once. *)
 
   val of_string : ?pos:int -> string -> t
   val pos : t -> int
@@ -53,7 +56,9 @@ module R : sig
   val at_end : t -> bool
   val byte : t -> int
   val varint : t -> int
-  val fixed32 : t -> int32
+  val fixed32 : t -> int
+  (** A little-endian 4-byte word, unsigned. *)
+
   val string : t -> string
   val opt_string : t -> string option
   val name : t -> Xsm_xml.Name.t

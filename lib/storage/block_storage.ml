@@ -47,6 +47,7 @@ and t = {
   blocks_by_id : (int, block) Hashtbl.t;
   mutable pager : Pager.t option;
   mutable lsn_now : unit -> int;  (* WAL position covering the current change *)
+  ser_buf : Buffer.t;  (* block images are encoded here, under the pager mutex *)
 }
 
 let schema t = t.dschema
@@ -61,9 +62,10 @@ let schema t = t.dschema
    the pager:
 
    - value reads ([read_value], one [Pager.read] critical section);
-   - structural mutations, which {e touch first}: that positional
-     match means mutating a cold block's chain would let a later fault
-     hand old values to the new chain;
+   - structural mutations, which {e write first} ([Pager.write]:
+     fault and mark dirty in one section, before the change): that
+     positional match means mutating a cold block's chain would let a
+     later fault hand old values to the new chain;
    - extent scans ([descendants_by_snode]), whose [~scan] touch drives
      2Q admission.
 
@@ -72,29 +74,25 @@ let schema t = t.dschema
    a block. *)
 let evicted_value = "\000<paged-out>"
 
-let touch_block ?pin ?scan t b =
+let touch_block ?scan t b =
   match t.pager with
   | None -> ()
-  | Some p -> ignore (Pager.touch ?pin ?scan p b.block_id)
+  | Some p -> ignore (Pager.touch ?scan p b.block_id)
+
+(* the one call a mutation makes before it mutates: fault the block in
+   and mark it dirty, in one pager section *)
+let write_block ?pin t b =
+  match t.pager with
+  | None -> ()
+  | Some p -> Pager.write ?pin p b.block_id ~lsn:(t.lsn_now ())
 
 let unpin_block t b =
   match t.pager with None -> () | Some p -> Pager.unpin p b.block_id
 
-(* callers guarantee the block was just touched (resident) *)
-let dirty_block t b =
-  match t.pager with
-  | None -> ()
-  | Some p -> Pager.mark_dirty p b.block_id ~lsn:(t.lsn_now ())
-
-(* pointer-only mutations (parent/left/right/first-children) are safe
-   to dirty after the fact: a fault never restores pointers, so the
-   touch only needs to precede the write-back, not the mutation *)
-let dirty_desc d =
-  match d.home with
-  | None -> ()
-  | Some b ->
-    touch_block b.owner b;
-    dirty_block b.owner b
+(* pointer-only mutations (parent/left/right/first-children) could be
+   dirtied after the fact — a fault never restores pointers — but one
+   section before the change is cheaper than two *)
+let dirty_desc d = match d.home with None -> () | Some b -> write_block b.owner b
 
 (* fault and field read in one critical section: a concurrent
    reader's fault cannot evict the block in between *)
@@ -138,8 +136,7 @@ let new_block t snode =
   | Some p ->
     (* dirty from birth: a clean frame with no disk image would be
        evicted without write-back and its descriptors' values lost *)
-    Pager.register_new p b.block_id;
-    Pager.mark_dirty p b.block_id ~lsn:(t.lsn_now ()));
+    Pager.register_new p b.block_id ~lsn:(t.lsn_now ()));
   b
 
 (* append a block at the tail of its snode's list *)
@@ -165,19 +162,18 @@ let link_block_after t b nb =
 
 (* append descriptor at the tail of block b's chain *)
 let append_to_block b d =
-  touch_block b.owner b;
+  write_block b.owner b;
   d.home <- Some b;
   d.prev_in_block <- b.last;
   d.next_in_block <- None;
   (match b.last with Some l -> l.next_in_block <- Some d | None -> b.first <- Some d);
   b.last <- Some d;
-  b.count <- b.count + 1;
-  dirty_block b.owner b
+  b.count <- b.count + 1
 
 (* insert descriptor nd into block b right after descriptor d (None =
    at the head) *)
 let insert_in_block b ~after nd =
-  touch_block b.owner b;
+  write_block b.owner b;
   nd.home <- Some b;
   (match after with
   | None ->
@@ -192,14 +188,13 @@ let insert_in_block b ~after nd =
     | Some n -> n.prev_in_block <- Some nd
     | None -> b.last <- Some nd);
     d.next_in_block <- Some nd);
-  b.count <- b.count + 1;
-  dirty_block b.owner b
+  b.count <- b.count + 1
 
 let remove_from_block d =
   match d.home with
   | None -> ()
   | Some b ->
-    touch_block b.owner b;
+    write_block b.owner b;
     (match d.prev_in_block with
     | Some p -> p.next_in_block <- d.next_in_block
     | None -> b.first <- d.next_in_block);
@@ -209,15 +204,14 @@ let remove_from_block d =
     b.count <- b.count - 1;
     d.home <- None;
     d.prev_in_block <- None;
-    d.next_in_block <- None;
-    dirty_block b.owner b
+    d.next_in_block <- None
 
 (* split a full block: move the upper half of the chain into a fresh
    block linked right after; returns how many descriptors moved.  The
    source block stays pinned across the fresh block's registration:
    admitting the new frame can evict, and the source is mid-surgery. *)
 let split_block t b =
-  touch_block ~pin:true t b;
+  write_block ~pin:true t b;
   let keep = b.count / 2 in
   (* find the descriptor at position keep-1 *)
   let rec nth d i = if i = 0 then d else nth (Option.get d.next_in_block) (i - 1) in
@@ -243,8 +237,6 @@ let split_block t b =
   nb.count <- !moved;
   b.count <- b.count - !moved;
   t.splits <- t.splits + 1;
-  dirty_block t b;
-  dirty_block t nb;
   unpin_block t b;
   !moved
 
@@ -299,6 +291,7 @@ let make_empty ~block_capacity =
     blocks_by_id = Hashtbl.create 64;
     pager = None;
     lsn_now = (fun () -> 0);
+    ser_buf = Buffer.create 1024;
   }
 
 let of_store ?(block_capacity = 64) store docnode =
@@ -628,9 +621,8 @@ let set_content t d v =
   match d.home with
   | None -> d.value <- v
   | Some b ->
-    touch_block ~pin:true t b;
+    write_block ~pin:true t b;
     d.value <- v;
-    dirty_block t b;
     unpin_block t b
 
 let delete t d =
@@ -677,7 +669,8 @@ let delete t d =
    fault restores only the values — the skeleton never leaves
    memory. *)
 let serialize_block b =
-  let w = Codec.W.create ~initial:1024 () in
+  let w = b.owner.ser_buf in
+  Buffer.clear w;
   Codec.W.varint w (Schema.snode_id b.b_snode);
   Codec.W.varint w b.count;
   let opt_id = function None -> Codec.W.varint w 0 | Some d -> Codec.W.varint w (d.id + 1) in
@@ -761,11 +754,7 @@ let attach_pager ?wal t ~capacity file =
   (* every existing block becomes resident and dirty: the first
      eviction or checkpoint writes its image *)
   let ids = Hashtbl.fold (fun id _ acc -> id :: acc) t.blocks_by_id [] in
-  List.iter
-    (fun id ->
-      Pager.register_new p id;
-      Pager.mark_dirty p id ~lsn:(t.lsn_now ()))
-    (List.sort compare ids);
+  List.iter (fun id -> Pager.register_new p id ~lsn:(t.lsn_now ())) (List.sort compare ids);
   p
 
 (* checkpoint metadata: everything the blobs do not carry — counters,

@@ -47,12 +47,15 @@ let root t = get t 0
 let matches sn ~name kind =
   sn.s_kind = kind && Option.equal Name.equal sn.s_name name
 
-let find t parent ~name kind =
-  List.find_map
-    (fun cid ->
-      let c = get t cid in
-      if matches c ~name kind then Some c else None)
-    parent.child_ids
+(* plain recursion over the child ids: no closure on the bulk-load
+   path, which resolves one schema node per descriptor *)
+let rec find_in t ~name kind = function
+  | [] -> None
+  | cid :: rest ->
+    let c = get t cid in
+    if matches c ~name kind then Some c else find_in t ~name kind rest
+
+let find t parent ~name kind = find_in t ~name kind parent.child_ids
 
 let find_or_add t parent ~name kind =
   match find t parent ~name kind with

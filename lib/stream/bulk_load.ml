@@ -1,5 +1,6 @@
 module Name = Xsm_xml.Name
 module Tree = Xsm_xml.Tree
+module Printer = Xsm_xml.Printer
 module Label = Xsm_numbering.Sedna_label
 module Bs = Xsm_storage.Block_storage
 module Wal = Xsm_persist.Wal
@@ -18,22 +19,13 @@ type stats = {
   wal_records : int;
 }
 
-(* A subtree being re-built syntactically, in reverse, for its WAL
-   record — only kept while a WAL writer is attached. *)
-type frag = {
-  fg_name : Name.t;
-  mutable fg_attrs : Tree.attribute list;  (* reversed *)
-  mutable fg_children : Tree.node list;  (* reversed *)
-}
-
 type frame = {
   b_depth : int;  (* 0 = document frame, 1 = root element *)
+  b_name : Name.t option;  (* [None] for the document frame *)
   b_desc : Bs.desc;
   b_nid : Label.t;
   mutable b_child_idx : int;  (* attrs + texts + elements, the append_child counter *)
   mutable b_last : Bs.desc option;  (* last appended child, the [after] anchor *)
-  b_text : Buffer.t;  (* pending logical text run *)
-  b_frag : frag option;
 }
 
 type t = {
@@ -41,11 +33,19 @@ type t = {
   wal : Wal.Writer.t option;
   on_root : (Tree.element -> unit) option;
   mutable stack : frame list;  (* innermost first; document frame at the bottom *)
+  text : Buffer.t;
+      (* the innermost frame's pending logical text run: a child's
+         start flushes its parent's run, so no other frame has one *)
   mutable root_name : Name.t option;
   mutable root_attrs : Tree.attribute list;  (* reversed *)
   mutable root_done : bool;  (* on_root fired *)
   mutable root_wal_index : int;  (* child position of the next top-level record *)
   mutable completed : Bs.desc list;  (* drain queue, reversed *)
+  (* the open top-level subtree's WAL record, printed as its events
+     arrive exactly as [Printer.add_element] prints the finished
+     element — only written while a WAL writer is attached *)
+  record : Buffer.t;
+  mutable tag_open : bool;  (* the innermost start tag still lacks its [>] *)
   mutable events : int;
   mutable elements : int;
   mutable attributes : int;
@@ -58,12 +58,11 @@ let create ?block_capacity ?wal ?on_root () =
   let doc =
     {
       b_depth = 0;
+      b_name = None;
       b_desc = Bs.root st;
       b_nid = Label.root;
       b_child_idx = 0;
       b_last = None;
-      b_text = Buffer.create 0;
-      b_frag = None;
     }
   in
   {
@@ -71,11 +70,14 @@ let create ?block_capacity ?wal ?on_root () =
     wal;
     on_root;
     stack = [ doc ];
+    text = Buffer.create 64;
     root_name = None;
     root_attrs = [];
     root_done = false;
     root_wal_index = 0;
     completed = [];
+    record = Buffer.create (if Option.is_some wal then 4096 else 0);
+    tag_open = false;
     events = 0;
     elements = 0;
     attributes = 0;
@@ -99,18 +101,27 @@ let fire_root t =
 
 let wal_append t op = match t.wal with None -> () | Some w -> Wal.Writer.append w op
 
+(* Frames at depth >= 2 lie inside a top-level subtree: with a WAL,
+   their events are printed into [t.record]. *)
+let printing t (f : frame) = f.b_depth >= 2 && Option.is_some t.wal
+
+let close_tag t =
+  if t.tag_open then begin
+    t.tag_open <- false;
+    Buffer.add_char t.record '>'
+  end
+
 (* Materialize the pending text run as one text-node descriptor. *)
 let flush_text t (f : frame) =
-  if Buffer.length f.b_text > 0 then begin
-    let s = Buffer.contents f.b_text in
-    Buffer.clear f.b_text;
+  if Buffer.length t.text > 0 then begin
+    let s = Buffer.contents t.text in
+    Buffer.clear t.text;
     let nid = Label.append_child f.b_nid f.b_child_idx in
     f.b_child_idx <- f.b_child_idx + 1;
     let d = Bs.append_text t.st ~parent:f.b_desc ~after:f.b_last s nid in
     f.b_last <- Some d;
     t.texts <- t.texts + 1;
     Counter.incr m_nodes;
-    (match f.b_frag with Some fg -> fg.fg_children <- Tree.Text s :: fg.fg_children | None -> ());
     if f.b_depth = 1 then begin
       (* WAL paths are relative to the snapshotted document node, so
          the root element is [0] *)
@@ -133,24 +144,23 @@ let on_start t name =
     t.elements <- t.elements + 1;
     Counter.incr m_nodes;
     if parent.b_depth = 0 then t.root_name <- Some name;
-    let frag =
-      (* subtrees below the root re-build their syntax for the WAL
-         record; the root's own tag goes through [on_root] instead *)
-      if Option.is_some t.wal && parent.b_depth >= 1 then
-        Some { fg_name = name; fg_attrs = []; fg_children = [] }
-      else None
-    in
     let f =
       {
         b_depth = parent.b_depth + 1;
+        b_name = Some name;
         b_desc = d;
         b_nid = nid;
         b_child_idx = 0;
         b_last = None;
-        b_text = Buffer.create 16;
-        b_frag = frag;
       }
     in
+    (* the root's own tag goes through [on_root] instead *)
+    if printing t f then begin
+      if f.b_depth = 2 then Buffer.clear t.record else close_tag t;
+      Buffer.add_char t.record '<';
+      Buffer.add_string t.record (Name.to_string name);
+      t.tag_open <- true
+    end;
     t.stack <- f :: t.stack;
     if f.b_depth > t.max_depth then t.max_depth <- f.b_depth
 
@@ -164,9 +174,7 @@ let on_attr t name value =
     f.b_last <- Some d;
     t.attributes <- t.attributes + 1;
     Counter.incr m_nodes;
-    (match f.b_frag with
-    | Some fg -> fg.fg_attrs <- { Tree.name; value } :: fg.fg_attrs
-    | None -> ());
+    if printing t f then Printer.add_attribute t.record name value;
     if f.b_depth = 1 then t.root_attrs <- { Tree.name; value } :: t.root_attrs
 
 let on_text t s =
@@ -174,36 +182,38 @@ let on_text t s =
   | [] -> invalid_arg "Bulk_load.feed: event after finish"
   | f :: _ ->
     if f.b_depth = 1 then fire_root t;
-    Buffer.add_string f.b_text s
+    Buffer.add_string t.text s;
+    (* a run split by comments prints piecewise: escaping is per
+       character, so the bytes are those of the coalesced run *)
+    if s <> "" && printing t f then begin
+      close_tag t;
+      Printer.add_escaped t.record ~attribute:false s
+    end
 
 let on_end t =
   match t.stack with
   | [] | [ _ ] -> invalid_arg "Bulk_load.feed: unbalanced End_element"
-  | f :: (parent :: _ as rest) ->
+  | f :: (_ :: _ as rest) ->
     if f.b_depth = 1 then fire_root t;
     flush_text t f;
     t.stack <- rest;
-    (match f.b_frag with
-    | Some fg ->
-      let el =
-        {
-          Tree.name = fg.fg_name;
-          attributes = List.rev fg.fg_attrs;
-          children = List.rev fg.fg_children;
-        }
-      in
-      if f.b_depth = 2 then begin
-        (* a completed top-level subtree: one WAL record *)
-        wal_append t
-          (Wal.Insert_element { parent = [ 0 ]; index = t.root_wal_index; fragment = el });
-        t.root_wal_index <- t.root_wal_index + 1
+    if printing t f then begin
+      if t.tag_open then begin
+        t.tag_open <- false;
+        Buffer.add_string t.record "/>"
       end
       else begin
-        match parent.b_frag with
-        | Some pfg -> pfg.fg_children <- Tree.Element el :: pfg.fg_children
-        | None -> ()
-      end
-    | None -> ());
+        Buffer.add_string t.record "</";
+        Buffer.add_string t.record (Name.to_string (Option.get f.b_name));
+        Buffer.add_char t.record '>'
+      end;
+      match t.wal with
+      | Some w when f.b_depth = 2 ->
+        (* a completed top-level subtree: one WAL record *)
+        Wal.Writer.append_element w ~parent:[ 0 ] ~index:t.root_wal_index t.record;
+        t.root_wal_index <- t.root_wal_index + 1
+      | Some _ | None -> ()
+    end;
     if f.b_depth = 2 then t.completed <- f.b_desc :: t.completed
 
 let feed t event =

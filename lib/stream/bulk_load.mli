@@ -24,7 +24,10 @@
     snapshots it as the recovery base.  Crashing after [n] records and
     recovering yields the root plus exactly the first [n] fully-loaded
     top-level subtrees; the accumulation cost is O(largest top-level
-    subtree), the price of record-granular recovery. *)
+    subtree), the price of record-granular recovery: the subtree's
+    record text, printed into one reused buffer as its events arrive,
+    byte-identical to {!Xsm_persist.Wal.encode_record} of the parsed
+    subtree. *)
 
 type stats = {
   events : int;

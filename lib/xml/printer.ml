@@ -1,18 +1,29 @@
+(* the reference a character is escaped to, or "" when it stands as
+   itself *)
+let escape_of ~attribute = function
+  | '&' -> "&amp;"
+  | '<' -> "&lt;"
+  | '>' -> "&gt;"
+  | '"' when attribute -> "&quot;"
+  | '\n' when attribute -> "&#10;"
+  | '\t' when attribute -> "&#9;"
+  (* a literal CR (it survived parsing via "&#13;") must leave as a
+     reference too, or §2.11 normalization would eat it on reparse *)
+  | '\r' -> "&#13;"
+  | _ -> ""
+
+(* runs of characters that need no escaping are copied in one blit *)
 let add_escaped buf ~attribute s =
-  String.iter
-    (fun c ->
-      match c with
-      | '&' -> Buffer.add_string buf "&amp;"
-      | '<' -> Buffer.add_string buf "&lt;"
-      | '>' -> Buffer.add_string buf "&gt;"
-      | '"' when attribute -> Buffer.add_string buf "&quot;"
-      | '\n' when attribute -> Buffer.add_string buf "&#10;"
-      | '\t' when attribute -> Buffer.add_string buf "&#9;"
-      (* a literal CR (it survived parsing via "&#13;") must leave as a
-         reference too, or §2.11 normalization would eat it on reparse *)
-      | '\r' -> Buffer.add_string buf "&#13;"
-      | c -> Buffer.add_char buf c)
-    s
+  let start = ref 0 in
+  for i = 0 to String.length s - 1 do
+    let esc = escape_of ~attribute (String.unsafe_get s i) in
+    if String.length esc > 0 then begin
+      Buffer.add_substring buf s !start (i - !start);
+      Buffer.add_string buf esc;
+      start := i + 1
+    end
+  done;
+  Buffer.add_substring buf s !start (String.length s - !start)
 
 let escape_text s =
   let buf = Buffer.create (String.length s + 8) in
@@ -24,15 +35,15 @@ let escape_attribute s =
   add_escaped buf ~attribute:true s;
   Buffer.contents buf
 
+let add_attribute buf name value =
+  Buffer.add_char buf ' ';
+  Buffer.add_string buf (Name.to_string name);
+  Buffer.add_string buf "=\"";
+  add_escaped buf ~attribute:true value;
+  Buffer.add_char buf '"'
+
 let add_attributes buf attrs =
-  List.iter
-    (fun (a : Tree.attribute) ->
-      Buffer.add_char buf ' ';
-      Buffer.add_string buf (Name.to_string a.name);
-      Buffer.add_string buf "=\"";
-      add_escaped buf ~attribute:true a.value;
-      Buffer.add_char buf '"')
-    attrs
+  List.iter (fun (a : Tree.attribute) -> add_attribute buf a.name a.value) attrs
 
 let rec add_element buf (e : Tree.element) =
   Buffer.add_char buf '<';

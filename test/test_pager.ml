@@ -128,6 +128,51 @@ let codec_skip_readers () =
     (corrupt (fun () -> C.R.skip_varint (C.R.of_string (String.make 12 '\xff'))));
   check "truncated varint refused" true (corrupt (fun () -> C.R.skip_varint (C.R.of_string "\x80")))
 
+(* ---------------- CRC-32 ---------------- *)
+
+(* the textbook bit-at-a-time CRC-32 (reflected 0xEDB88320): the
+   reference the table-driven [Codec.crc32] must agree with *)
+let crc32_bitwise s pos len =
+  let c = ref 0xFFFFFFFF in
+  for i = pos to pos + len - 1 do
+    c := !c lxor Char.code s.[i];
+    for _ = 0 to 7 do
+      c := if !c land 1 = 1 then (!c lsr 1) lxor 0xEDB88320 else !c lsr 1
+    done
+  done;
+  !c lxor 0xFFFFFFFF
+
+let byte_codec_vectors () =
+  let module C = Xsm_pager.Codec in
+  check_int "empty string" 0 (C.crc32 "");
+  check_int "check value" 0xCBF43926 (C.crc32 "123456789");
+  check_int "window" 0xCBF43926 (C.crc32 ~pos:2 ~len:9 "xx123456789yy");
+  check_int "one CRC for pages and logs" (C.crc32 "123456789") (Xsm_persist.Wire.crc32 "123456789");
+  (* the stricter of the two former codecs: a byte out of range raises
+     instead of being masked *)
+  let w = C.W.create () in
+  check "byte 256 refused" true
+    (match C.W.byte w 256 with exception Invalid_argument _ -> true | () -> false);
+  check "byte -1 refused" true
+    (match C.W.byte w (-1) with exception Invalid_argument _ -> true | () -> false);
+  check_int "nothing written" 0 (C.W.length w)
+
+let crc32_law =
+  let gen =
+    Q.Gen.(
+      string_size ~gen:char (int_bound 300) >>= fun s ->
+      let n = String.length s in
+      (* mostly in-range windows, some reaching past either end *)
+      pair (int_range (-2) (n + 2)) (int_range (-2) (n + 2)) >|= fun (pos, len) -> (s, pos, len))
+  in
+  Q.Test.make ~count:500 ~name:"crc32 = bitwise reference on every window"
+    (Q.make ~print:Q.Print.(triple string int int) gen)
+    (fun (s, pos, len) ->
+      let in_range = pos >= 0 && len >= 0 && pos + len <= String.length s in
+      match Xsm_pager.Codec.crc32 ~pos ~len s with
+      | crc -> in_range && crc = crc32_bitwise s pos len
+      | exception Invalid_argument _ -> not in_range)
+
 (* ---------------- 2Q replacement over synthetic blocks ---------------- *)
 
 (* handlers over a value table: eviction drops nothing the test cares
@@ -263,6 +308,98 @@ let wal_ordered_write_back () =
     ((Pager.stats p).Pager.pin_overflows > before);
   check "no force past the current LSN" true (List.for_all (fun l -> l <= !current) !forced);
   Pager.clear p;
+  Pf.close pf
+
+(* [Pager.write] is [touch] then [mark_dirty] in one critical section:
+   over random op sequences, a pool driven by [write] and a twin
+   driven by the two calls agree on every stats record, on the WAL
+   forces write-back issues, and on the LSN each block's image is
+   finally stamped with *)
+let pager_write_law =
+  let op = Q.Gen.(triple (int_bound 5) (int_range 1 8) (int_range 0 13)) in
+  Q.Test.make ~count:200 ~name:"write = touch; mark_dirty"
+    (Q.make ~print:Q.Print.(list (triple int int int)) Q.Gen.(list_size (int_range 1 60) op))
+    (fun ops ->
+      let run fused =
+        with_tmp @@ fun path ->
+        let synced = ref 0 and forced = ref [] in
+        let wal =
+          {
+            Pager.current_lsn = (fun () -> 12);
+            synced_lsn = (fun () -> !synced);
+            force =
+              (fun lsn ->
+                forced := lsn :: !forced;
+                synced := max !synced lsn);
+          }
+        in
+        let p, pf, add = synthetic_pager ~wal ~capacity:3 path in
+        let known = Hashtbl.create 8 in
+        let pins = Hashtbl.create 8 in
+        let trace = ref [] in
+        List.iter
+          (fun (kind, id, lsn) ->
+            if not (Hashtbl.mem known id) then begin
+              Hashtbl.replace known id ();
+              add id
+            end;
+            (match kind with
+            | 0 | 1 ->
+              let pin = kind = 1 in
+              if pin then
+                Hashtbl.replace pins id (1 + Option.value ~default:0 (Hashtbl.find_opt pins id));
+              if fused then Pager.write ~pin p id ~lsn
+              else begin
+                ignore (Pager.touch ~pin p id);
+                Pager.mark_dirty p id ~lsn
+              end
+            | 2 -> ignore (Pager.touch p id)
+            | 3 -> ignore (Pager.touch ~scan:true p id)
+            | 4 -> (
+              match Hashtbl.find_opt pins id with
+              | Some n when n > 0 ->
+                Hashtbl.replace pins id (n - 1);
+                Pager.unpin p id
+              | _ -> ())
+            | _ -> Pager.flush_all p);
+            trace := Pager.stats p :: !trace)
+          ops;
+        Pager.flush_all p;
+        let stamps =
+          Hashtbl.fold
+            (fun id () acc ->
+              (id, Option.map (fun h -> snd (Pf.read_blob pf h)) (Pager.blob_head p id)) :: acc)
+            known []
+          |> List.sort compare
+        in
+        Pf.close pf;
+        (List.rev !trace, List.rev !forced, stamps)
+      in
+      run true = run false)
+
+(* an exception raised inside a pool section — here the WAL's injected
+   crash, raised from [force] by a write-back — releases the pool
+   mutex: the next call proceeds instead of deadlocking *)
+let pager_raise_releases_lock () =
+  with_tmp @@ fun path ->
+  let wal_path = Filename.temp_file "xsm-pager-raise" ".wal" in
+  Fun.protect ~finally:(fun () -> Sys.remove wal_path) @@ fun () ->
+  let w =
+    match Wal.Writer.create ~crash:{ Wal.after_records = 1; partial_bytes = 0 } wal_path with
+    | Ok w -> w
+    | Error e -> Alcotest.fail (Wal.error_message e)
+  in
+  Wal.Writer.append w (Wal.Insert_text { parent = [ 0 ]; index = 0; text = "x" });
+  let p, pf, add = synthetic_pager ~wal:(Wal.Writer.pager_hook w) ~capacity:2 path in
+  add 1;
+  add 2;
+  Pager.write p 1 ~lsn:1;
+  (* admitting block 3 evicts dirty block 1; its write-back forces the
+     WAL, whose sync point is the injected crash *)
+  check "the crash escapes the section" true
+    (match add 3 with exception Wal.Crashed -> true | () -> false);
+  check "the pool is usable afterwards" true (Pager.touch p 2 = `Hit);
+  check_int "stats still readable" 2 (Pager.stats p).Pager.capacity;
   Pf.close pf
 
 (* ---------------- paged storage = in-memory storage ---------------- *)
@@ -640,6 +777,8 @@ let suite =
         Alcotest.test_case "corruption detected" `Quick page_file_corruption;
         Alcotest.test_case "clean-flag contract" `Quick page_file_clean_flag;
         Alcotest.test_case "codec skip readers" `Quick codec_skip_readers;
+        Alcotest.test_case "byte codec: CRC-32 vectors, byte range" `Quick byte_codec_vectors;
+        QCheck_alcotest.to_alcotest crc32_law;
       ] );
     ( "pager.2q",
       [
@@ -648,6 +787,9 @@ let suite =
         Alcotest.test_case "pin overflow" `Quick pin_overflow;
         Alcotest.test_case "WAL-ordered write-back" `Quick wal_ordered_write_back;
         Alcotest.test_case "untouched pool has no hit ratio" `Quick untouched_hit_ratio;
+        QCheck_alcotest.to_alcotest pager_write_law;
+        Alcotest.test_case "a raise inside a section releases the pool" `Quick
+          pager_raise_releases_lock;
       ] );
     ( "pager.storage",
       [

@@ -285,6 +285,42 @@ let test_wal_sync_points () =
   Alcotest.(check int) "only the op before the marker is vouched for" 1 r.Wal.synced_prefix;
   cleanup [ wal ]
 
+(* the server's two sync paths: the group-commit leader syncs after
+   releasing the epoch latch, while a reader that evicts a dirty page
+   forces the log through the pager hook, which ends in the same
+   [sync] — a [sync] runs beside an [append] or another [sync], and
+   every record must stay whole *)
+let test_wal_concurrent_syncs () =
+  let wal = tmp ".wal" in
+  let w = ok_wal (Wal.Writer.create wal) in
+  let rounds = 3000 in
+  let leading = Atomic.make true in
+  let leader () =
+    for i = 1 to rounds do
+      Wal.Writer.append w
+        (Wal.Insert_text { parent = [ i mod 3 ]; index = i; text = String.make (i mod 50) 't' });
+      Wal.Writer.sync w
+    done;
+    Atomic.set leading false
+  in
+  let reader () =
+    while Atomic.get leading do
+      Wal.Writer.sync w
+    done
+  in
+  let d = Domain.spawn reader in
+  leader ();
+  Domain.join d;
+  Wal.Writer.close w;
+  let r = ok_wal (Wal.read wal) in
+  Alcotest.(check bool) "no torn record" true (r.Wal.torn_at = None);
+  let ops =
+    List.length (List.filter (function Wal.Op _ -> true | Wal.Sync_point -> false) r.Wal.records)
+  in
+  Alcotest.(check int) "every op read back" rounds ops;
+  Alcotest.(check int) "every op vouched for" rounds r.Wal.synced_prefix;
+  cleanup [ wal ]
+
 let test_wal_replay_matches_direct () =
   let wal = tmp ".wal" in
   let direct_store, direct_root, _, _ = write_fixture_wal wal in
@@ -580,6 +616,8 @@ let suite =
         Alcotest.test_case "wal sync points bound the vouched prefix" `Quick test_wal_sync_points;
         Alcotest.test_case "wal replay = direct application" `Quick test_wal_replay_matches_direct;
         Alcotest.test_case "wal logged apply skips rejected ops" `Quick test_wal_apply_logged;
+        Alcotest.test_case "wal concurrent syncs keep records whole" `Quick
+          test_wal_concurrent_syncs;
         Alcotest.test_case "crash recovery at every crash point" `Quick
           test_crash_recovery_all_points;
         Alcotest.test_case "journal: independent cursors" `Quick test_journal_cursors;

@@ -671,6 +671,101 @@ let bulk_crash_sweep () =
       [ 0; 3 ]
   done
 
+(* ---------------- WAL records printed from events ---------------- *)
+
+(* Bulk load prints each top-level subtree's record as its events
+   arrive.  The law: the log it writes is, byte for byte, the records
+   [Wal.encode_record] makes from the parsed document's top-level
+   children (§8-normalized: comments and PIs dropped, CDATA and
+   adjacent runs merged), then the closing sync point. *)
+let wal_pieces = [| "a"; "&"; "<"; ">"; "\""; "'"; "\n"; "\t"; "\r"; " "; "x y"; "\r\n" |]
+
+let wal_chars r =
+  String.concat "" (List.init (Gen.int r 4) (fun _ -> wal_pieces.(Gen.int r (Array.length wal_pieces))))
+
+(* a text run as markup: escaped or CDATA pieces, sometimes split by a
+   comment or a PI *)
+let wal_add_text r buf =
+  for _ = 0 to Gen.int r 3 do
+    (match Gen.int r 3 with
+    | 0 -> Buffer.add_string buf "<!--split-->"
+    | 1 -> Buffer.add_string buf "<?pi split?>"
+    | _ -> ());
+    let s = wal_chars r in
+    if Gen.int r 4 = 0 then Buffer.add_string buf ("<![CDATA[" ^ s ^ "]]>")
+    else Buffer.add_string buf (Printer.escape_text s)
+  done
+
+let rec wal_add_element r buf depth =
+  let name = Printf.sprintf "e%d" (Gen.int r 3) in
+  Buffer.add_string buf ("<" ^ name);
+  for i = 0 to Gen.int r 3 - 1 do
+    Buffer.add_string buf (Printf.sprintf " a%d=\"%s\"" i (Printer.escape_attribute (wal_chars r)))
+  done;
+  match Gen.int r 4 with
+  | 0 -> Buffer.add_string buf "/>"
+  | 1 -> Buffer.add_string buf ("></" ^ name ^ ">")
+  | _ ->
+    Buffer.add_char buf '>';
+    for _ = 0 to Gen.int r 4 - 1 do
+      if depth > 0 && Gen.int r 2 = 0 then wal_add_element r buf (depth - 1) else wal_add_text r buf
+    done;
+    Buffer.add_string buf ("</" ^ name ^ ">")
+
+(* §8 normalization of a parsed element *)
+let rec wal_normalize (e : Tree.element) =
+  let rec merge acc = function
+    | [] -> List.rev acc
+    | (Tree.Comment _ | Tree.Pi _) :: rest -> merge acc rest
+    | (Tree.Text s | Tree.Cdata s) :: rest -> (
+      match acc with
+      | Tree.Text prev :: acc' -> merge (Tree.Text (prev ^ s) :: acc') rest
+      | _ -> merge (Tree.Text s :: acc) rest)
+    | Tree.Element c :: rest -> merge (Tree.Element (wal_normalize c) :: acc) rest
+  in
+  let children = List.filter (function Tree.Text "" -> false | _ -> true) (merge [] e.children) in
+  { e with children }
+
+let wal_records_printed_from_events_law seed =
+  let r = Gen.rng seed in
+  let buf = Buffer.create 1024 in
+  Buffer.add_string buf "<root r=\"1\">";
+  for _ = 0 to Gen.int r 6 do
+    if Gen.int r 3 = 0 then wal_add_text r buf else wal_add_element r buf 3
+  done;
+  Buffer.add_string buf "</root>";
+  let text = Buffer.contents buf in
+  let root =
+    match Parser.parse_document text with
+    | Ok d -> wal_normalize d.Tree.root
+    | Error e -> Alcotest.failf "generated document does not parse: %s" (Parser.error_to_string e)
+  in
+  let expected =
+    String.concat ""
+      (List.mapi
+         (fun index -> function
+           | Tree.Element fragment ->
+             Wal.encode_record (Wal.Op (Wal.Insert_element { parent = [ 0 ]; index; fragment }))
+           | Tree.Text text ->
+             Wal.encode_record (Wal.Op (Wal.Insert_text { parent = [ 0 ]; index; text }))
+           | Tree.Cdata _ | Tree.Comment _ | Tree.Pi _ -> assert false)
+         root.Tree.children)
+    ^ Wal.encode_record Wal.Sync_point
+  in
+  let wal_path = Filename.temp_file "xsm-stream-wal" ".wal" in
+  Fun.protect ~finally:(fun () -> Sys.remove wal_path) @@ fun () ->
+  let wal =
+    match Wal.Writer.create wal_path with Ok w -> w | Error e -> Alcotest.fail (Wal.error_message e)
+  in
+  ignore (bulk_of_text ~wal text);
+  Wal.Writer.close wal;
+  let logged = In_channel.with_open_bin wal_path In_channel.input_all in
+  (* past the 8-byte file magic *)
+  let body = String.sub logged 8 (String.length logged - 8) in
+  if body <> expected then
+    Q.Test.fail_reportf "document %S:@ logged %S@ expected %S" text body expected;
+  true
+
 let suite =
   [
     ( "stream.sax",
@@ -706,5 +801,7 @@ let suite =
         Alcotest.test_case "drain_completed" `Quick bulk_drain_completed;
         to_alco ~count:50 "load = of_store (random instances)" bulk_load_random_law;
         Alcotest.test_case "crash-point sweep" `Quick bulk_crash_sweep;
+        to_alco ~count:200 "WAL records = encode_record of the parsed subtrees"
+          wal_records_printed_from_events_law;
       ] );
   ]
