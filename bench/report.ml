@@ -193,12 +193,14 @@ let e6_update_stability () =
       let d1 = Convert.load store1 doc in
       let t = Xsm_numbering.Labeler.label_tree store1 d1 in
       let lib1 = List.hd (Store.children store1 d1) in
-      let anchor1 = List.hd (Store.children store1 lib1) in
-      let before = Xsm_numbering.Labeler.max_label_bytes t in
-      ignore before;
+      (* each insert lands right after the first child, so every
+         label comes from the same, narrowing gap *)
+      let next1 = ref (List.nth (Store.children store1 lib1) 1) in
       for i = 1 to inserts do
         let e = Store.new_element store1 (Name.local (Printf.sprintf "s%d" i)) in
-        ignore (Xsm_numbering.Labeler.label_new_child t ~parent:lib1 ~after:(Some anchor1) e)
+        Store.insert_child_before store1 lib1 ~before:!next1 e;
+        ignore (Xsm_numbering.Labeler.label_new_child t store1 e);
+        next1 := e
       done;
       let sedna_max = Xsm_numbering.Labeler.max_label_bytes t in
       (* Dewey *)

@@ -121,26 +121,18 @@ module Make (N : NAV) = struct
         in
         let siblings = N.attributes backend parent @ N.children backend parent in
         let nid = N.id backend node in
-        let rec split before = function
-          | [] -> None
-          | s :: rest ->
-            if N.id backend s = nid then Some (before, rest) else split (s :: before) rest
-        in
-        (match split [] siblings with
+        (* nearest siblings that already carry a label; anything
+           between them is as yet unindexed, hence unconstrained *)
+        (match
+           Label.neighbours
+             ~label_of:(fun s -> Option.map snd (locate t backend s))
+             ~is_self:(fun s -> N.id backend s = nid)
+             siblings
+         with
         | None -> []  (* no longer under its parent: superseded by later entries *)
-        | Some (before_rev, after) ->
-          (* nearest siblings that already carry a label; anything
-             between them is as yet unindexed, hence unconstrained *)
-          let label_of s = Option.map snd (locate t backend s) in
-          let prev = List.find_map label_of before_rev in
-          let next = List.find_map label_of after in
+        | Some (prev, next) ->
           let label =
-            try
-              match prev, next with
-              | Some a, Some b -> Label.between a b
-              | Some a, None -> Label.after_sibling a
-              | None, Some b -> Label.before_sibling b
-              | None, None -> Label.first_child plabel
+            try Label.gap ~parent:plabel prev next
             with Invalid_argument m -> fail "insert: %s" m
           in
           let added = ref [] in

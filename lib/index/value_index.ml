@@ -43,37 +43,48 @@ let op_matches op a b =
    node, attributed to the owner extent entry the probe answers with.
    The ground truth is keyed by the target's numbering label, so
    journal maintenance can replace exactly the entries a mutated
-   target contributed; the probe structures (the sorted key array and
-   the exact-string table) are caches over it, invalidated on every
-   maintenance step and rebuilt on the next probe — a sort of what is
-   already in memory, never a walk of the document. *)
+   target contributed.  The probe structures (the sorted key array and
+   the exact-string table) are built from memory on the first probe —
+   a sort of what is already there, never a walk of the document — and
+   from then on every maintenance step splices its entries in and out
+   of them, so a probe after an update sorts nothing. *)
 type centry = { key : Key.t; sval : string; owner : Label.t }
+
+type summary = {
+  s_rows : int;
+  s_targets : int;
+  s_distinct : int;
+  s_numbers : int;
+  s_buckets : (Key.t * int) list;
+}
 
 type t = {
   by_target : (string, centry list) Hashtbl.t;  (* raw target label -> entries *)
   mutable entry_count : int;
-  mutable probe : (Key.t * Label.t) array option;  (* by key, then owner *)
-  mutable by_string : (string, Label.t list) Hashtbl.t option;
+  mutable cached : bool;  (* probe structures built and kept current *)
+  mutable probe : (Key.t * Label.t) array;  (* [0, probe_len) by key, then owner *)
+  mutable probe_len : int;
+  by_string : (string, Label.t list) Hashtbl.t;  (* exact string -> owners *)
   mutable first_text : int;  (* index of the first Text key in [probe] *)
   key_counts : (string, Key.t * int) Hashtbl.t;  (* canonical key -> count *)
   mutable number_count : int;  (* entries in the Number family *)
+  mutable memo : (int * summary) option;  (* last summary, by bucket count *)
 }
 
 let create () =
   { by_target = Hashtbl.create 64;
     entry_count = 0;
-    probe = None;
-    by_string = None;
+    cached = false;
+    probe = [||];
+    probe_len = 0;
+    by_string = Hashtbl.create 16;
     first_text = 0;
     key_counts = Hashtbl.create 64;
-    number_count = 0 }
+    number_count = 0;
+    memo = None }
 
 let size t = t.entry_count
 let target_count t = Hashtbl.length t.by_target
-
-let invalidate_caches t =
-  t.probe <- None;
-  t.by_string <- None
 
 (* hashtable-safe canonical spelling of a key; the N:/T: prefixes keep
    the families apart even when a text value spells a number *)
@@ -90,6 +101,56 @@ let count_key counts number_count key delta =
     if n <= 0 then Hashtbl.remove counts ck else Hashtbl.replace counts ck (key, n));
   match key with Key.Number _ -> number_count + delta | Key.Text _ -> number_count
 
+let compare_item (ka, oa) (kb, ob) =
+  let c = Key.compare ka kb in
+  if c <> 0 then c else Label.compare oa ob
+
+(* first index of [probe] whose item compares >= the given one *)
+let item_bound t item =
+  let lo = ref 0 and hi = ref t.probe_len in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if compare_item t.probe.(mid) item < 0 then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+let shift_family t key delta =
+  match key with Key.Number _ -> t.first_text <- t.first_text + delta | Key.Text _ -> ()
+
+let add_string t e =
+  let prev = Option.value ~default:[] (Hashtbl.find_opt t.by_string e.sval) in
+  Hashtbl.replace t.by_string e.sval (e.owner :: prev)
+
+let splice_out t e =
+  let i = item_bound t (e.key, e.owner) in
+  Array.blit t.probe (i + 1) t.probe i (t.probe_len - i - 1);
+  t.probe_len <- t.probe_len - 1;
+  shift_family t e.key (-1);
+  match Hashtbl.find_opt t.by_string e.sval with
+  | None -> ()
+  | Some owners -> (
+    let rec drop_one = function
+      | [] -> []
+      | o :: rest -> if Label.equal o e.owner then rest else o :: drop_one rest
+    in
+    match drop_one owners with
+    | [] -> Hashtbl.remove t.by_string e.sval
+    | owners -> Hashtbl.replace t.by_string e.sval owners)
+
+let splice_in t e =
+  let item = (e.key, e.owner) in
+  if t.probe_len = Array.length t.probe then begin
+    let bigger = Array.make (max 16 (2 * t.probe_len)) item in
+    Array.blit t.probe 0 bigger 0 t.probe_len;
+    t.probe <- bigger
+  end;
+  let i = item_bound t item in
+  Array.blit t.probe i t.probe (i + 1) (t.probe_len - i);
+  t.probe.(i) <- item;
+  t.probe_len <- t.probe_len + 1;
+  shift_family t e.key 1;
+  add_string t e
+
 let remove_target t target =
   let k = Label.to_raw target in
   match Hashtbl.find_opt t.by_target k with
@@ -98,34 +159,32 @@ let remove_target t target =
     Hashtbl.remove t.by_target k;
     t.entry_count <- t.entry_count - List.length old;
     List.iter
-      (fun e -> t.number_count <- count_key t.key_counts t.number_count e.key (-1))
+      (fun e ->
+        t.number_count <- count_key t.key_counts t.number_count e.key (-1);
+        if t.cached then splice_out t e)
       old;
-    invalidate_caches t
+    t.memo <- None
 
 let set_target t ~target ~owner kvs =
   remove_target t target;
   match kvs with
   | [] -> ()
   | kvs ->
-    Hashtbl.replace t.by_target (Label.to_raw target)
-      (List.map (fun (key, sval) -> { key; sval; owner }) kvs);
-    t.entry_count <- t.entry_count + List.length kvs;
+    let es = List.map (fun (key, sval) -> { key; sval; owner }) kvs in
+    Hashtbl.replace t.by_target (Label.to_raw target) es;
+    t.entry_count <- t.entry_count + List.length es;
     List.iter
-      (fun (key, _) -> t.number_count <- count_key t.key_counts t.number_count key 1)
-      kvs;
-    invalidate_caches t
+      (fun e ->
+        t.number_count <- count_key t.key_counts t.number_count e.key 1;
+        if t.cached then splice_in t e)
+      es;
+    t.memo <- None
 
 let ensure_caches t =
-  match t.probe with
-  | Some a -> a
-  | None ->
+  if not t.cached then begin
     let items = Hashtbl.fold (fun _ es acc -> List.rev_append es acc) t.by_target [] in
     let a = Array.of_list (List.map (fun e -> (e.key, e.owner)) items) in
-    Array.sort
-      (fun (ka, oa) (kb, ob) ->
-        let c = Key.compare ka kb in
-        if c <> 0 then c else Label.compare oa ob)
-      a;
+    Array.sort compare_item a;
     (* first index holding a Text key: numbers sort before texts *)
     let n = Array.length a in
     let lo = ref 0 and hi = ref n in
@@ -136,24 +195,17 @@ let ensure_caches t =
       | Key.Text _ -> hi := mid
     done;
     t.first_text <- !lo;
-    let bs = Hashtbl.create (max 16 n) in
-    List.iter
-      (fun e ->
-        let prev = Option.value ~default:[] (Hashtbl.find_opt bs e.sval) in
-        Hashtbl.replace bs e.sval (e.owner :: prev))
-      items;
-    t.probe <- Some a;
-    t.by_string <- Some bs;
-    a
+    List.iter (add_string t) items;
+    t.probe <- a;
+    t.probe_len <- n;
+    t.cached <- true
+  end
 
 let owners ls = List.sort_uniq Label.compare ls
 
 let eq t s =
-  ignore (ensure_caches t);
-  match t.by_string with
-  | None -> []
-  | Some bs -> (
-    match Hashtbl.find_opt bs s with None -> [] | Some ls -> owners ls)
+  ensure_caches t;
+  match Hashtbl.find_opt t.by_string s with None -> [] | Some ls -> owners ls
 
 (* first index in [lo, hi) whose key compares >= (strict = false) or
    > (strict = true) the probe *)
@@ -168,14 +220,6 @@ let bound a ~strict ~lo ~hi probe =
 
 (* ------------------------------------------------------------------ *)
 (* Statistics summaries                                                *)
-
-type summary = {
-  s_rows : int;
-  s_targets : int;
-  s_distinct : int;
-  s_numbers : int;
-  s_buckets : (Key.t * int) list;
-}
 
 (* equi-depth histogram over (key, count) pairs sorted by key: each
    bucket is (inclusive upper-bound key, entries in the bucket) *)
@@ -211,8 +255,15 @@ let summary_of_counts ~buckets ~rows ~targets ~numbers counts =
     s_buckets = build_buckets ~buckets ~rows pairs }
 
 let summary ?(buckets = 8) t =
-  summary_of_counts ~buckets ~rows:t.entry_count ~targets:(target_count t)
-    ~numbers:t.number_count t.key_counts
+  match t.memo with
+  | Some (b, s) when b = buckets -> s
+  | _ ->
+    let s =
+      summary_of_counts ~buckets ~rows:t.entry_count ~targets:(target_count t)
+        ~numbers:t.number_count t.key_counts
+    in
+    t.memo <- Some (buckets, s);
+    s
 
 let rebuilt_summary ?(buckets = 8) t =
   (* recompute the key statistics from the by-target ground truth —
@@ -263,8 +314,8 @@ let est_range s op probe =
   end
 
 let range t op probe =
-  let a = ensure_caches t in
-  let n = Array.length a in
+  ensure_caches t;
+  let a = t.probe and n = t.probe_len in
   (* the probe's own family only *)
   let family_lo, family_hi =
     match probe with Key.Number _ -> (0, t.first_text) | Key.Text _ -> (t.first_text, n)

@@ -18,9 +18,11 @@
     Maintenance is keyed by target: {!set_target} replaces everything
     one target node contributes (its string value may concatenate many
     descendants, so a deep edit re-reads just that target), and
-    {!remove_target} drops it.  Both are O(1) on the ground truth; the
-    probe structures are rebuilt lazily from memory on the next probe,
-    never from the document. *)
+    {!remove_target} drops it.  Both are O(1) on the ground truth.  The
+    probe structures are built from memory on the first probe, never
+    from the document; after that both calls splice the target's
+    entries in and out of them (a binary search and an array shift per
+    entry), so a probe right after an update sorts nothing. *)
 
 module Key : sig
   type t = Number of Xsm_datatypes.Decimal.t | Text of string
@@ -74,10 +76,13 @@ val target_count : t -> int
     Per-key counts are maintained differentially inside {!set_target}
     and {!remove_target} — the same calls the planner issues as it
     drains the update journal — so a {!summary} is O(distinct keys) to
-    assemble and never re-reads the document.  {!rebuilt_summary}
-    recomputes the same statistics from the by-target ground truth;
-    the two must agree after any maintenance history (a property the
-    test suite checks on random update batches). *)
+    assemble and never re-reads the document.  The assembled summary
+    is memoized until the next {!set_target} or {!remove_target}, so
+    pricing several predicates between updates sorts the keys once.
+    {!rebuilt_summary} recomputes the same statistics from the
+    by-target ground truth; the two must agree after any maintenance
+    history (a property the test suite checks on random update
+    batches). *)
 
 type summary = {
   s_rows : int;  (** total (key, value) entries *)
@@ -90,8 +95,10 @@ type summary = {
 }
 
 val summary : ?buckets:int -> t -> summary
-(** Assemble a summary from the differentially maintained counts.
-    [buckets] (default 8) caps the histogram width. *)
+(** Assemble a summary from the differentially maintained counts, or
+    return the memoized one when nothing changed since it was built
+    for the same [buckets] (default 8), which caps the histogram
+    width. *)
 
 val rebuilt_summary : ?buckets:int -> t -> summary
 (** The same summary recomputed from scratch — the reference for the

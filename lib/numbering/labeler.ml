@@ -47,40 +47,19 @@ let append_in_document_order store root =
   go root Sedna_label.root;
   t
 
-let label_new_child t ~parent ~after node =
-  let parent_label = label t parent in
-  let fresh =
-    match after with
-    | None ->
-      (* before every existing child, or first child of a leaf *)
-      let existing =
-        Hashtbl.fold
-          (fun _ l acc ->
-            if Sedna_label.is_parent parent_label l then l :: acc else acc)
-          t.labels []
-      in
-      (match List.sort Sedna_label.compare existing with
-      | [] -> Sedna_label.first_child parent_label
-      | first :: _ -> Sedna_label.before_sibling first)
-    | Some sibling ->
-      let sl = label t sibling in
-      (* find the next sibling in label order, if any *)
-      let next =
-        Hashtbl.fold
-          (fun _ l acc ->
-            if Sedna_label.is_parent parent_label l && Sedna_label.compare l sl > 0 then
-              match acc with
-              | None -> Some l
-              | Some best -> if Sedna_label.compare l best < 0 then Some l else acc
-            else acc)
-          t.labels None
-      in
-      (match next with
-      | None -> Sedna_label.after_sibling sl
-      | Some nl -> Sedna_label.between sl nl)
+let label_new_child t store node =
+  let parent =
+    match Store.parent store node with
+    | Some p -> p
+    | None -> invalid_arg "Labeler.label_new_child: node has no parent"
   in
-  set t node fresh;
-  fresh
+  let siblings = Store.attributes store parent @ Store.children store parent in
+  match Sedna_label.neighbours ~label_of:(label_opt t) ~is_self:(Store.equal_node node) siblings with
+  | None -> invalid_arg "Labeler.label_new_child: node not among its parent's nodes"
+  | Some (prev, next) ->
+    let fresh = Sedna_label.gap ~parent:(label t parent) prev next in
+    set t node fresh;
+    fresh
 
 let rec label_descendants t store node =
   let l = label t node in
@@ -92,9 +71,11 @@ let rec label_descendants t store node =
       label_descendants t store child)
     ordered child_labels
 
-let label_inserted_subtree t store ~parent ~after node =
-  ignore (label_new_child t ~parent ~after node);
-  label_descendants t store node
+let label_inserted_subtree t store node =
+  if Option.is_some (Store.parent store node) then begin
+    ignore (label_new_child t store node);
+    label_descendants t store node
+  end
 
 let remove t node =
   match Hashtbl.find_opt t.labels (Store.node_id node) with

@@ -31,22 +31,20 @@ val total_label_bytes : t -> int
 
 val max_label_bytes : t -> int
 
-val label_new_child :
-  t -> parent:Xsm_xdm.Store.node -> after:Xsm_xdm.Store.node option -> Xsm_xdm.Store.node -> Sedna_label.t
-(** Label a node freshly inserted under [parent], positioned after
-    sibling [after] (or first when [None]).  No existing label
-    changes — the Proposition 1 guarantee, asserted in tests. *)
+val label_new_child : t -> Xsm_xdm.Store.t -> Xsm_xdm.Store.node -> Sedna_label.t
+(** Label a node just linked into the store, from its nearest labelled
+    neighbours among its parent's attributes and children
+    ({!Sedna_label.neighbours}, {!Sedna_label.gap}): one walk of the
+    parent's nodes, no scan of the label table.  No existing label
+    changes — the Proposition 1 guarantee, asserted in tests.
+    [Invalid_argument] when the node has no parent; [Not_found] when
+    the parent is unlabelled. *)
 
-val label_inserted_subtree :
-  t ->
-  Xsm_xdm.Store.t ->
-  parent:Xsm_xdm.Store.node ->
-  after:Xsm_xdm.Store.node option ->
-  Xsm_xdm.Store.node ->
-  unit
+val label_inserted_subtree : t -> Xsm_xdm.Store.t -> Xsm_xdm.Store.node -> unit
 (** Label a freshly inserted subtree: the root via
     {!label_new_child}, its attributes and children recursively via
-    {!Sedna_label.assign_children}.  Existing labels are untouched
+    {!Sedna_label.assign_children}.  A node already detached again
+    (no parent) is skipped.  Existing labels are untouched
     (Proposition 1), so a labelled tree stays labelled across WAL
     replay. *)
 

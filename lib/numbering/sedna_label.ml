@@ -152,6 +152,24 @@ let before_sibling l =
   let p, c = split_last l in
   p ^ between_components "" c
 
+(* Proposition 1 as one rule: a new node's label depends on its
+   nearest labelled neighbours alone *)
+let gap ~parent prev next =
+  match prev, next with
+  | Some a, Some b -> between a b
+  | Some a, None -> after_sibling a
+  | None, Some b -> before_sibling b
+  | None, None -> first_child parent
+
+let neighbours ~label_of ~is_self siblings =
+  let rec split before_rev = function
+    | [] -> None
+    | s :: rest ->
+      if is_self s then Some (List.find_map label_of before_rev, List.find_map label_of rest)
+      else split (s :: before_rev) rest
+  in
+  split [] siblings
+
 (* Evenly spread labels for n children: fixed-width base-254 numbers
    with stride ~ space/(n+1), so the middle of every gap is free. *)
 let assign_children parent n =

@@ -87,5 +87,24 @@ val before_sibling : t -> t
 val after_sibling : t -> t
 (** A label strictly after the given one, same parent. *)
 
+val gap : parent:t -> t option -> t option -> t
+(** [gap ~parent prev next] — the label of a node inserted under the
+    node labelled [parent], right after the sibling labelled [prev]
+    and right before the one labelled [next] ([None]: no such
+    sibling).  {!between}, {!after_sibling}, {!before_sibling} or
+    {!first_child}, so no existing label changes (Proposition 1).
+    [Invalid_argument] as {!between}. *)
+
+val neighbours :
+  label_of:('n -> 'l option) -> is_self:('n -> bool) -> 'n list -> ('l option * 'l option) option
+(** [neighbours ~label_of ~is_self siblings] — one walk of a parent's
+    nodes (attributes, then children) to the node [is_self] picks:
+    the [label_of] its nearest preceding and following siblings that
+    have one.  Unlabelled siblings are skipped: they are not yet
+    placed, so they constrain nothing.  [None] when no sibling is the
+    node.  Lookups stop at the first hit on each side, so when every
+    other sibling is labelled the walk costs one pass to the node and
+    two lookups. *)
+
 val pp : Format.formatter -> t -> unit
 (** Hex rendering for debugging. *)

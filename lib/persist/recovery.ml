@@ -41,20 +41,15 @@ let pp_stats ppf s =
      else "")
 
 (* Maintain the §9.3 labels through one journal entry: an inserted
-   subtree is labelled relative to its neighbours in the attributes @
-   children order (attributes precede children in document order), a
-   deleted one drops its labels.  Existing labels never move —
-   Proposition 1. *)
+   subtree is labelled from its nearest labelled neighbours in the
+   attributes @ children order (attributes precede children in
+   document order), a deleted one drops its labels.  Existing labels
+   never move — Proposition 1. *)
 let maintain_labels store labels entry =
   match entry with
   | Update.Journal.Content _ -> ()
   | Update.Journal.Deleted n -> Labeler.remove_subtree labels store n
-  | Update.Journal.Inserted n -> (
-    match Store.parent store n with
-    | None -> ()
-    | Some parent ->
-      let after = Xsm_xdm.Order.previous_in_parent store n in
-      Labeler.label_inserted_subtree labels store ~parent ~after n)
+  | Update.Journal.Inserted n -> Labeler.label_inserted_subtree labels store n
 
 let empty_stats snapshot_nodes =
   {

@@ -37,10 +37,12 @@ val pp_stats : Format.formatter -> stats -> unit
 val maintain_labels :
   Xsm_xdm.Store.t -> Xsm_numbering.Labeler.t -> Xsm_schema.Update.Journal.entry -> unit
 (** Carry the §9.3 labels through one journal entry: an inserted
-    subtree is labelled after its predecessor in the parent's
-    attributes @ children order, a deleted one drops its labels, and
-    existing labels never move (Proposition 1).  Replay uses it per
-    record; the daemon uses it per committed update. *)
+    subtree is labelled from its nearest labelled neighbours in the
+    parent's attributes @ children order
+    ({!Xsm_numbering.Labeler.label_new_child}), a deleted one drops
+    its labels, and existing labels never move (Proposition 1).
+    Replay uses it per record; the daemon uses it per committed
+    update. *)
 
 val replay_wal :
   ?journal:Xsm_schema.Update.Journal.t ->

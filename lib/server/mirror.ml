@@ -70,7 +70,17 @@ let apply_entry m store = function
       | None -> raise (Out_of_sync "inserted node has no parent")
     in
     let parent_d = desc_exn m p in
-    let after_d = Option.map (desc_exn m) (Xsm_xdm.Order.previous_in_parent store n) in
+    (* after the nearest sibling the replica already holds: one drained
+       batch may link several siblings before any is absorbed *)
+    let after_d =
+      match
+        Xsm_numbering.Sedna_label.neighbours ~label_of:(Bs.descriptor_of_node m.bs)
+          ~is_self:(Store.equal_node n)
+          (Store.attributes store p @ Store.children store p)
+      with
+      | Some (prev, _) -> prev
+      | None -> raise (Out_of_sync "inserted node is not among its parent's nodes")
+    in
     ignore (insert_subtree m store ~parent_d ~after_d n)
 
 let absorb m store = Journal.iter m.journal m.cursor (apply_entry m store)

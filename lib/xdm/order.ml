@@ -51,13 +51,3 @@ let is_ancestor store a d =
 
 let index_in_parent store n =
   match rank store n with Some (_, (1, i)) -> Some i | Some (_, _) | None -> None
-
-let previous_in_parent store n =
-  match Store.parent store n with
-  | None -> None
-  | Some p ->
-    let rec go prev = function
-      | [] -> invalid_arg "previous_in_parent: node not among its parent's nodes"
-      | x :: rest -> if Store.equal_node x n then prev else go (Some x) rest
-    in
-    go None (Store.attributes store p @ Store.children store p)

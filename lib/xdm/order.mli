@@ -24,9 +24,3 @@ val is_ancestor : Store.t -> Store.node -> Store.node -> bool
 val index_in_parent : Store.t -> Store.node -> int option
 (** Position of a node among its parent's children (0-based); [None]
     for attributes and roots. *)
-
-val previous_in_parent : Store.t -> Store.node -> Store.node option
-(** The node just before [n] in its parent's attributes @ children
-    (attributes precede children, as in [<<]): the anchor after which
-    an inserted [n] sits.  [None] for a first node or a root;
-    [Invalid_argument] when [n] is missing from its parent's lists. *)

@@ -3,7 +3,9 @@
 # serve/client round-trips, the graceful-shutdown checkpoint
 # (snapshot written, WAL removed, recover reproduces the final
 # state), crash recovery from the WAL alone after SIGKILL, corrupt
-# WAL refusal at boot (exit 3), and the bench-serve smoke run.
+# WAL refusal at boot (exit 3), live vs replayed label upkeep
+# (byte-identical labelled checkpoints), and the bench-serve smoke
+# run.
 set -u
 XSM="$1"
 tmp=$(mktemp -d)
@@ -101,6 +103,61 @@ kill -TERM "$server_pid"
 wait "$server_pid" || fail "SIGTERM must stop the server cleanly"
 server_pid=""
 [ -f "$tmp/t.snap" ] || fail "SIGTERM must still write the checkpoint snapshot"
+
+# --- live and replayed label upkeep agree: one labelled daemon takes
+# the updates and checkpoints; a second takes the same acked updates,
+# is SIGKILLed, recovers them from its WAL and checkpoints.  The
+# snapshots persist the labels, so they must be byte-identical.  The
+# updates land an inserted node before the first child (an attribute
+# ahead of children), between two siblings, after the last child and
+# as the first child of a leaf, and delete a labelled subtree.
+label_updates=(
+  'attr /library owner city'
+  'attr /library/book lang en'
+  'insert /library <paper><title>P</title></paper>'
+  'insert /library <empty/>'
+  'insert-text /library/empty first'
+  'delete /library/book'
+  'insert /library <book id="b4"><title>Four</title></book>'
+)
+send_label_updates() {
+  for u in "${label_updates[@]}"; do
+    "$XSM" client --socket "$sock" --update "$u" >/dev/null 2>&1 || fail "labelled update failed: $u"
+  done
+}
+"$XSM" snapshot "$tmp/doc.xml" "$tmp/la.snap" --labels >/dev/null 2>&1 \
+  || fail "labelled base snapshot failed"
+cp "$tmp/la.snap" "$tmp/lb.snap"
+"$XSM" serve --socket "$sock" --snapshot "$tmp/la.snap" --wal "$tmp/la.wal" --labels \
+  > "$tmp/serve.log" 2>&1 &
+server_pid=$!
+await
+send_label_updates
+"$XSM" client --socket "$sock" --shutdown >/dev/null 2>&1 || fail "labelled shutdown failed"
+wait "$server_pid" || fail "labelled server exited non-zero after shutdown"
+server_pid=""
+"$XSM" serve --socket "$sock" --snapshot "$tmp/lb.snap" --wal "$tmp/lb.wal" --labels \
+  > "$tmp/serve.log" 2>&1 &
+server_pid=$!
+await
+send_label_updates
+kill -9 "$server_pid"
+wait "$server_pid" 2>/dev/null
+server_pid=""
+[ -s "$tmp/lb.wal" ] || fail "the labelled WAL must survive a crash"
+"$XSM" serve --socket "$sock" --snapshot "$tmp/lb.snap" --wal "$tmp/lb.wal" --labels \
+  > "$tmp/serve.log" 2>&1 &
+server_pid=$!
+await
+grep -q "recovered: .* 7 replayed" "$tmp/serve.log" \
+  || { cat "$tmp/serve.log" >&2; fail "the restarted daemon must replay all 7 updates"; }
+"$XSM" client --socket "$sock" --shutdown >/dev/null 2>&1 || fail "recovered shutdown failed"
+wait "$server_pid" || fail "recovered server exited non-zero after shutdown"
+server_pid=""
+cmp -s "$tmp/la.snap" "$tmp/lb.snap" \
+  || fail "live and replayed label upkeep must checkpoint identical snapshots"
+out=$("$XSM" recover "$tmp/lb.snap" --query '//title' 2>/dev/null)
+[ "$out" = "$(printf 'Two\nP\nFour')" ] || fail "recovered labelled state (got: $out)"
 
 # --- bench-serve smoke: spawns its own server, reports percentiles
 out=$("$XSM" bench-serve --smoke 2>&1) || { echo "$out" >&2; fail "bench-serve --smoke failed"; }

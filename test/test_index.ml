@@ -369,15 +369,20 @@ let test_property_library () =
       "/library//publisher";
     ]
 
-(* ---------------- qcheck: maintained stats = rebuilt stats --------
+(* ---------------- qcheck: maintained index = rebuilt index --------
 
    The per-key counts behind {!VI.summary} are maintained inside
    [set_target]/[remove_target] — the calls the planner issues while
-   draining the update journal.  After any random maintenance history
-   they must agree with {!VI.rebuilt_summary}, which recomputes the
-   same statistics from the by-target ground truth.  Keys are compared
-   with [VI.Key.compare]: lexical variants of one decimal ("7",
-   "7.0") are one key even when their representations differ. *)
+   draining the update journal — and so are the probe structures: once
+   a probe has built them, each call splices its entries in and out,
+   and the assembled summary is memoized until the next call.  After
+   any random maintenance history, with probes and summaries taken
+   between the steps, the maintained index must answer [eq], [range]
+   and [summary] exactly like an index built from scratch over the
+   same ground truth, and its summary must equal
+   {!VI.rebuilt_summary}.  Keys are compared with [VI.Key.compare]:
+   lexical variants of one decimal ("7", "7.0") are one key even when
+   their representations differ. *)
 
 module Q = QCheck
 
@@ -399,7 +404,11 @@ let summary_equal (a : VI.summary) (b : VI.summary) =
 let stats_law seed =
   let rng = Gen.rng seed in
   let vi = VI.create () in
+  (* ground truth: target label -> (owner, values) *)
+  let truth = Hashtbl.create 32 in
   let labels = Array.of_list (Label.assign_children Label.root 24) in
+  (* fewer owners than targets: several targets answer with one owner *)
+  let owners = Array.sub labels 0 6 in
   let value () =
     (* a mix of integers, decimals, text, lexical variants of one
        number, and whitespace-padded numerics (keyed as numbers) *)
@@ -411,29 +420,59 @@ let stats_law seed =
     | 4 -> String.make 1 (Char.chr (Char.code 'a' + Gen.int rng 5))
     | _ -> Printf.sprintf " %d " (Gen.int rng 20)
   in
+  let literals = [ "7"; "7.0"; "3"; " 5 "; "a"; "c"; "e"; "1.5"; "19" ] in
+  let probes = List.map VI.Key.of_string literals in
+  let bucket_counts = [ 1; 4; 8 ] in
+  let pick xs = List.nth xs (Gen.int rng (List.length xs)) in
+  (* take a probe or a summary now and then, so the caches and the
+     memo are live while later steps maintain them *)
+  let touch () =
+    match Gen.int rng 4 with
+    | 0 -> ignore (VI.eq vi (pick literals))
+    | 1 -> ignore (VI.range vi (pick [ VI.Lt; VI.Le; VI.Gt; VI.Ge ]) (pick probes))
+    | 2 -> ignore (VI.summary ~buckets:(pick bucket_counts) vi)
+    | _ -> ()
+  in
+  let fail what = Alcotest.failf "maintained %s diverged from rebuild (seed %d)" what seed in
   for _batch = 1 to 1 + Gen.int rng 6 do
     for _ = 1 to 1 + Gen.int rng 10 do
       let t = labels.(Gen.int rng (Array.length labels)) in
-      match Gen.int rng 4 with
-      | 0 -> VI.remove_target vi t
+      (match Gen.int rng 4 with
+      | 0 ->
+        VI.remove_target vi t;
+        Hashtbl.remove truth t
       | _ ->
         (* 0 values = removal through the set_target path *)
+        let owner = owners.(Gen.int rng (Array.length owners)) in
         let vals =
           List.init (Gen.int rng 3) (fun _ ->
               let s = value () in
               (VI.Key.of_string s, s))
         in
-        VI.set_target vi ~target:t ~owner:t vals
+        VI.set_target vi ~target:t ~owner vals;
+        if vals = [] then Hashtbl.remove truth t else Hashtbl.replace truth t (owner, vals));
+      touch ()
     done;
+    let fresh = VI.create () in
+    Hashtbl.iter (fun target (owner, vals) -> VI.set_target fresh ~target ~owner vals) truth;
+    List.iter
+      (fun lit -> if VI.eq vi lit <> VI.eq fresh lit then fail ("eq " ^ lit))
+      literals;
+    List.iter
+      (fun op ->
+        List.iter
+          (fun probe -> if VI.range vi op probe <> VI.range fresh op probe then fail "range")
+          probes)
+      [ VI.Lt; VI.Le; VI.Gt; VI.Ge ];
     List.iter
       (fun buckets ->
-        if
-          not
-            (summary_equal (VI.summary ~buckets vi) (VI.rebuilt_summary ~buckets vi))
-        then
-          Alcotest.failf "maintained summary (%d buckets) diverged from rebuild (seed %d)"
-            buckets seed)
-      [ 1; 4; 8 ]
+        let s = VI.summary ~buckets vi in
+        if not (summary_equal s (VI.rebuilt_summary ~buckets vi)) then
+          fail (Printf.sprintf "summary (%d buckets) vs rebuilt_summary" buckets);
+        if not (summary_equal s (VI.summary ~buckets fresh)) then
+          fail (Printf.sprintf "summary (%d buckets) vs a fresh index" buckets))
+      (* the last touched bucket count first, so a stale memo shows *)
+      (List.rev bucket_counts)
   done;
   true
 

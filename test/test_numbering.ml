@@ -160,25 +160,130 @@ let test_proposition1 () =
     List.map (fun n -> (n, Labeler.label t n)) (Store.descendants_or_self store dnode)
   in
   let anchor = List.hd (Store.children store lib) in
-  let last_inserted = ref anchor in
+  let next = ref (List.nth (Store.children store lib) 1) in
   for i = 1 to 200 do
     let e = Store.new_element store (Name.local (Printf.sprintf "ins%d" i)) in
     (* always insert right after the original anchor: worst case for
        label growth, keeps hitting the same gap *)
-    (match Store.children store lib with
-    | _ -> ());
-    Store.insert_child_before store lib ~before:!last_inserted e
-    |> ignore;
-    (* position in tree irrelevant for the label test; we label it as
-       the sibling after the anchor *)
-    ignore (Labeler.label_new_child t ~parent:lib ~after:(Some anchor) e);
-    last_inserted := e
+    Store.insert_child_before store lib ~before:!next e;
+    let l = Labeler.label_new_child t store e in
+    if not (Label.is_parent (Labeler.label t lib) l
+            && Label.compare (Labeler.label t anchor) l < 0
+            && Label.compare l (Labeler.label t !next) < 0)
+    then Alcotest.fail "new label is not between its neighbours";
+    next := e
   done;
   List.iter
     (fun (n, l) ->
       if not (Label.equal (Labeler.label t n) l) then Alcotest.fail "a label changed")
     snapshot;
+  check "labels agree with the tree" true (Labeler.check_against_tree store dnode t);
   check "200 insertions, zero relabels" true true
+
+(* The reference oracle for label maintenance: the rule the labeler
+   used before it read neighbours from the store.  A new node's left
+   neighbour is its predecessor in the parent's attributes @ children;
+   its right neighbour is the next label in the whole table that is a
+   child of the parent's label — found by scanning every label.
+   Descendants get [assign_children], as in the labeler.  Kept here,
+   and only here, so the local rule is checked against it. *)
+module Scan_oracle = struct
+  type t = (int, Label.t) Hashtbl.t  (* node id -> label *)
+
+  let of_labeler store root : t =
+    let t = Hashtbl.create 256 in
+    let labels = Labeler.label_tree store root in
+    List.iter
+      (fun n -> Hashtbl.replace t (Store.node_id n) (Labeler.label labels n))
+      (Store.descendants_or_self store root);
+    t
+
+  let label (t : t) n = Hashtbl.find t (Store.node_id n)
+
+  let rec label_descendants t store n l =
+    Hashtbl.replace t (Store.node_id n) l;
+    let ordered = Store.attributes store n @ Store.children store n in
+    List.iter2 (label_descendants t store) ordered
+      (Label.assign_children l (List.length ordered))
+
+  let previous_in_parent store p n =
+    let rec go prev = function
+      | [] -> Alcotest.fail "oracle: node not among its parent's nodes"
+      | x :: rest -> if Store.equal_node x n then prev else go (Some x) rest
+    in
+    go None (Store.attributes store p @ Store.children store p)
+
+  let insert t store n =
+    match Store.parent store n with
+    | None -> ()
+    | Some p ->
+      let pl = label t p in
+      let kids =
+        Hashtbl.fold (fun _ l acc -> if Label.is_parent pl l then l :: acc else acc) t []
+        |> List.sort Label.compare
+      in
+      let fresh =
+        match previous_in_parent store p n with
+        | None -> (
+          match kids with [] -> Label.first_child pl | first :: _ -> Label.before_sibling first)
+        | Some s -> (
+          let sl = label t s in
+          match List.filter (fun l -> Label.compare l sl > 0) kids with
+          | [] -> Label.after_sibling sl
+          | next :: _ -> Label.between sl next)
+      in
+      label_descendants t store n fresh
+
+  let rec delete t store n =
+    Hashtbl.remove t (Store.node_id n);
+    List.iter (delete t store) (Store.attributes store n @ Store.children store n)
+
+  (* the labeler agrees byte for byte on every node of the tree *)
+  let agrees t store root labels =
+    Hashtbl.length t = Labeler.label_count labels
+    && List.for_all
+         (fun n ->
+           match Hashtbl.find_opt t (Store.node_id n), Labeler.label_opt labels n with
+           | Some a, Some b -> Label.equal a b
+           | _ -> false)
+         (Store.descendants_or_self store root)
+end
+
+let test_gap_cases () =
+  (* each of the four gap rules, reached through the store walk and
+     checked against the scan oracle and the tree *)
+  let store, dnode = load Xsm_schema.Samples.example8_document in
+  let t = Labeler.label_tree store dnode in
+  let oracle = Scan_oracle.of_labeler store dnode in
+  let lib = List.hd (Store.children store dnode) in
+  let book = List.hd (Store.children store lib) in
+  let title = List.hd (Store.children store book) in
+  let label = Labeler.label t in
+  let step what expected n =
+    let l = Labeler.label_new_child t store n in
+    Scan_oracle.insert oracle store n;
+    check (what ^ ": gap rule") true (Label.equal l (expected ()));
+    check (what ^ ": oracle") true (Scan_oracle.agrees oracle store dnode t)
+  in
+  (* before the first child: an attribute attaches ahead of children *)
+  let a = Store.new_attribute store (Name.local "id") "b1" in
+  let first = label title in
+  Store.attach_attribute store book a;
+  step "before first child" (fun () -> Label.before_sibling first) a;
+  (* between: a second attribute sits between [a] and the first child *)
+  let a2 = Store.new_attribute store (Name.local "lang") "en" in
+  Store.attach_attribute store book a2;
+  step "between" (fun () -> Label.between (label a) (label title)) a2;
+  (* after the last child *)
+  let e = Store.new_element store (Name.local "note") in
+  let last = label (List.nth (Store.children store book) (List.length (Store.children store book) - 1)) in
+  Store.append_child store book e;
+  step "after last child" (fun () -> Label.after_sibling last) e;
+  (* first child of a leaf *)
+  let txt = Store.new_text store "x" in
+  Store.append_child store e txt;
+  step "first child" (fun () -> Label.first_child (label e)) txt;
+  check "labels agree with the tree" true (Labeler.check_against_tree store dnode t)
 
 let test_label_growth_bounded_for_spread_inserts () =
   (* inserting at random gaps keeps labels short; this guards the
@@ -296,6 +401,7 @@ let suite =
         Alcotest.test_case "ground truth" `Quick test_labeler_ground_truth;
         Alcotest.test_case "reverse lookup" `Quick test_labeler_reverse_lookup;
         Alcotest.test_case "Proposition 1" `Quick test_proposition1;
+        Alcotest.test_case "four gap cases = scan oracle" `Quick test_gap_cases;
         Alcotest.test_case "spread labels short" `Quick test_label_growth_bounded_for_spread_inserts;
       ] );
     ( "numbering.dewey",

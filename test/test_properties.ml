@@ -3,7 +3,9 @@
    - the §8 theorem over random schemas and random instances,
    - document order is a strict total order,
    - Glushkov automaton = backtracking matcher on random content models,
-   - Sedna label predicates = tree ground truth on random trees,
+   - Sedna label predicates = tree ground truth on random trees, and
+     labels maintained through random updates (live and recovered) =
+     a whole-table scan,
    - decimal ordering laws,
    - XML print/parse identity,
    - regex engine vs a reference matcher on simple patterns. *)
@@ -441,6 +443,71 @@ let update_sequence_law seed =
     let back = Xsm_xdm.Convert.to_document store dnode in
     Result.is_ok (Xsm_schema.Validator.validate_document back schema)
 
+(* The update generator the maintenance laws share: random inserts
+   (a book subtree, a text, an empty element) appended or placed
+   before a random child, deletes of non-document elements, content
+   replacement, and attribute attach or replace — so inserted nodes
+   land first under a leaf, before the first child (an attribute
+   ahead of children), between two siblings, and after the last. *)
+let random_update r store dnode step =
+  let int = Xsm_schema.Generator.int in
+  let module U = Xsm_schema.Update in
+  let subtree () =
+    Xsm_xml.Tree.elem "book"
+      ~children:
+        [
+          Xsm_xml.Tree.element
+            (Xsm_xml.Tree.elem "issue"
+               ~children:
+                 [
+                   Xsm_xml.Tree.element
+                     (Xsm_xml.Tree.elem "year"
+                        ~children:[ Xsm_xml.Tree.text (string_of_int (1900 + (step * 17 mod 150))) ]);
+                 ]);
+          Xsm_xml.Tree.element
+            (Xsm_xml.Tree.elem "author" ~children:[ Xsm_xml.Tree.text "Prop" ]);
+        ]
+  in
+  let nodes = Store.descendants_or_self store dnode in
+  let elements = List.filter (fun n -> Store.kind store n = Store.Kind.Element) nodes in
+  let pick xs = List.nth xs (int r (List.length xs)) in
+  let before parent =
+    match Store.children store parent with
+    | [] -> None
+    | kids -> if int r 2 = 0 then None else Some (pick kids)
+  in
+  let attr () =
+    let element = pick elements in
+    U.Set_attribute
+      { element; name = Name.local (if int r 2 = 0 then "k" else "j"); value = string_of_int step }
+  in
+  match int r 7 with
+  | 0 ->
+    let parent = pick elements in
+    U.Insert_element { parent; before = before parent; tree = subtree () }
+  | 1 ->
+    let parent = pick elements in
+    U.Insert_text { parent; before = before parent; text = "p" }
+  | 2 ->
+    let parent = pick elements in
+    U.Insert_element { parent; before = before parent; tree = Xsm_xml.Tree.elem "e" }
+  | 3 -> (
+    match
+      List.filter
+        (fun n ->
+          match Store.parent store n with
+          | Some p -> not (Store.equal_node p dnode)
+          | None -> false)
+        elements
+    with
+    | [] -> attr ()
+    | sub -> U.Delete (pick sub))
+  | 4 -> (
+    match List.filter (fun n -> Store.kind store n = Store.Kind.Text) nodes with
+    | [] -> U.Insert_text { parent = pick elements; before = None; text = "q" }
+    | ts -> U.Replace_content { node = pick ts; value = string_of_int (1850 + (step * 31 mod 200)) })
+  | _ -> attr ()
+
 (* incremental index maintenance = rebuild from scratch: after every
    prefix of a random update sequence, a journal-maintained planner
    answers exactly like the naive evaluator and carries exactly the
@@ -460,53 +527,10 @@ let incremental_maintenance_law seed =
   let queries =
     [ "//author"; "//book[issue/year<1990]/title"; "/library//publisher"; "//text()" ]
   in
-  let subtree step =
-    Xsm_xml.Tree.elem "book"
-      ~children:
-        [
-          Xsm_xml.Tree.element
-            (Xsm_xml.Tree.elem "issue"
-               ~children:
-                 [
-                   Xsm_xml.Tree.element
-                     (Xsm_xml.Tree.elem "year"
-                        ~children:[ Xsm_xml.Tree.text (string_of_int (1900 + (step * 17 mod 150))) ]);
-                 ]);
-          Xsm_xml.Tree.element
-            (Xsm_xml.Tree.elem "author" ~children:[ Xsm_xml.Tree.text "Prop" ]);
-        ]
-  in
   let ok = ref true in
   let steps = 4 + int r 5 in
   for step = 1 to steps do
-    let nodes = Store.descendants_or_self store dnode in
-    let elements =
-      List.filter (fun n -> Store.kind store n = Store.Kind.Element) nodes
-    in
-    let pick xs = List.nth xs (int r (List.length xs)) in
-    let op =
-      match int r 6 with
-      | 0 -> U.Insert_element { parent = pick elements; before = None; tree = subtree step }
-      | 1 -> U.Insert_text { parent = pick elements; before = None; text = "p" }
-      | 2 -> (
-        match
-          List.filter
-            (fun n ->
-              match Store.parent store n with
-              | Some p -> not (Store.equal_node p dnode)
-              | None -> false)
-            elements
-        with
-        | [] -> U.Set_attribute { element = pick elements; name = Name.local "k"; value = "v" }
-        | sub -> U.Delete (pick sub))
-      | 3 -> (
-        match List.filter (fun n -> Store.kind store n = Store.Kind.Text) nodes with
-        | [] -> U.Insert_text { parent = pick elements; before = None; text = "q" }
-        | ts -> U.Replace_content { node = pick ts; value = string_of_int (1850 + (step * 31 mod 200)) })
-      | _ ->
-        U.Set_attribute
-          { element = pick elements; name = Name.local "k"; value = string_of_int step }
-    in
+    let op = random_update r store dnode step in
     ignore (U.apply ~journal store op);
     (* every prefix: maintained planner = naive evaluator on each query *)
     List.iter
@@ -522,6 +546,85 @@ let incremental_maintenance_law seed =
       ok := false
   done;
   !ok
+
+(* label upkeep from store neighbours = the whole-table scan
+   (Test_numbering.Scan_oracle): after every step of a random update
+   sequence, some steps undone again, the journal-maintained labels are
+   byte for byte the oracle's, and at the end they pass the tree
+   check *)
+let label_maintenance_law seed =
+  let r = Xsm_schema.Generator.rng seed in
+  let int = Xsm_schema.Generator.int in
+  let module U = Xsm_schema.Update in
+  let module Labeler = Xsm_numbering.Labeler in
+  let module Oracle = Test_numbering.Scan_oracle in
+  let store = Store.create () in
+  let doc = Xsm_schema.Samples.library_document ~books:(1 + int r 3) ~papers:(1 + int r 2) () in
+  let dnode = Convert.load store doc in
+  let labels = Labeler.label_tree store dnode in
+  let oracle = Oracle.of_labeler store dnode in
+  let journal = U.Journal.create () in
+  let cursor = U.Journal.subscribe journal in
+  let drain () =
+    U.Journal.iter journal cursor (fun entry ->
+        Xsm_persist.Recovery.maintain_labels store labels entry;
+        match entry with
+        | U.Journal.Inserted n -> Oracle.insert oracle store n
+        | U.Journal.Deleted n -> Oracle.delete oracle store n
+        | U.Journal.Content _ -> ())
+  in
+  let ok = ref true in
+  for step = 1 to 4 + int r 6 do
+    (match U.apply ~journal store (random_update r store dnode step) with
+    | Ok applied ->
+      (* drained before the undo, or the undo lands in the same drain *)
+      if int r 2 = 0 then drain ();
+      if int r 4 = 0 then U.undo ~journal store applied
+    | Error _ -> ());
+    drain ();
+    if not (Oracle.agrees oracle store dnode labels) then ok := false
+  done;
+  !ok && Labeler.check_against_tree store dnode labels
+
+(* labels recovered from a labelled snapshot plus the WAL equal the
+   labels the same updates maintained live, node for node in document
+   order *)
+let label_recovery_law seed =
+  let r = Xsm_schema.Generator.rng seed in
+  let int = Xsm_schema.Generator.int in
+  let module U = Xsm_schema.Update in
+  let module Labeler = Xsm_numbering.Labeler in
+  let module Wal = Xsm_persist.Wal in
+  let module Recovery = Xsm_persist.Recovery in
+  let get what = function Ok v -> v | Error _ -> Alcotest.failf "%s failed (seed %d)" what seed in
+  let store = Store.create () in
+  let doc = Xsm_schema.Samples.library_document ~books:(1 + int r 3) ~papers:(1 + int r 2) () in
+  let dnode = Convert.load store doc in
+  let labels = Labeler.label_tree store dnode in
+  let snapshot = Filename.temp_file "xsm_labels" ".snap" in
+  let wal = Filename.temp_file "xsm_labels" ".wal" in
+  Sys.remove wal;
+  Fun.protect
+    ~finally:(fun () -> List.iter (fun p -> if Sys.file_exists p then Sys.remove p) [ snapshot; wal ])
+    (fun () ->
+      ignore (get "snapshot" (Xsm_persist.Snapshot.save ~labels ~path:snapshot store dnode));
+      let w = get "wal" (Wal.Writer.create wal) in
+      let journal = U.Journal.create () in
+      let cursor = U.Journal.subscribe journal in
+      for step = 1 to 4 + int r 8 do
+        ignore (Wal.apply_logged ~journal (Some w) store ~root:dnode (random_update r store dnode step));
+        U.Journal.iter journal cursor (Recovery.maintain_labels store labels)
+      done;
+      Wal.Writer.close w;
+      let store', root', labels', _ = get "recover" (Recovery.recover ~snapshot ~wal ()) in
+      let raw store root t =
+        List.map (fun n -> Label.to_raw (Labeler.label t n)) (Store.descendants_or_self store root)
+      in
+      match labels' with
+      | None -> false
+      | Some labels' ->
+        Labeler.label_count labels = Labeler.label_count labels'
+        && raw store dnode labels = raw store' root' labels')
 
 (* random insert/delete sequences on the block storage keep every
    §9.2 invariant and stay serialization-equivalent to a mirror of the
@@ -578,6 +681,8 @@ let suite =
         to_alco ~count:40 "validated update sequences stay S-trees" update_sequence_law;
         to_alco ~count:120 "incremental index maintenance = rebuild"
           incremental_maintenance_law;
+        to_alco ~count:100 "label upkeep from neighbours = table scan" label_maintenance_law;
+        to_alco ~count:40 "recovered labels = live labels" label_recovery_law;
         to_alco ~count:25 "following/preceding match their definitions" axis_definition_law;
         to_alco ~count:100 "mutations invalidate" mutation_invalidates_law;
         to_alco ~count:50 "storage op sequences keep invariants" storage_operations_law;
