@@ -84,14 +84,24 @@ type frame = {
   mutable f_elem_children : int;
   mutable f_text_nodes : int;  (* logical text nodes (runs across Comment/Pi) *)
   mutable f_in_text : bool;
-  f_text : Buffer.t;  (* simple-content value, or the current run in
-                         element-only content (checked at run end) *)
+  mutable f_text : Buffer.t;  (* simple-content value, or the current run
+                                 in element-only content (checked at run
+                                 end); [no_text] until text is buffered *)
 }
 
-let rec path f =
-  match f.f_parent with
-  | None -> "/" ^ Name.to_string f.f_name
-  | Some p -> Printf.sprintf "%s/%s[%d]" (path p) (Name.to_string f.f_name) f.f_index
+(* the [f_text] of a frame that has buffered nothing: always empty *)
+let no_text = Buffer.create 1
+
+let text_buffer f =
+  if f.f_text == no_text then f.f_text <- Buffer.create 16;
+  f.f_text
+
+let rec path f = path_of f.f_parent f.f_name f.f_index
+
+and path_of parent name index =
+  match parent with
+  | None -> "/" ^ Name.to_string name
+  | Some p -> Printf.sprintf "%s/%s[%d]" (path p) (Name.to_string name) index
 
 type stats = { elements : int; max_depth : int; fallback_steps : int }
 
@@ -133,7 +143,7 @@ let report t path fmt =
       t.errors <- { path; message } :: t.errors)
     fmt
 
-let compiled_for t f (g : Ast.group_def) =
+let compiled_for t ~parent name index (g : Ast.group_def) =
   let rec find = function
     | [] -> None
     | (g', c) :: rest -> if g' == g then Some c else find rest
@@ -150,7 +160,9 @@ let compiled_for t f (g : Ast.group_def) =
       | Ok a -> ( match CA.compile a with Some tbl -> C_table tbl | None -> C_nfa a)
     in
     t.cache <- (g, c) :: t.cache;
-    (match c with C_error e -> report t (path f) "content model: %s" e | C_table _ | C_nfa _ -> ());
+    (match c with
+    | C_error e -> report t (path_of parent name index) "content model: %s" e
+    | C_table _ | C_nfa _ -> ());
     c
 
 (* An attribute's value typed by its declaration. *)
@@ -158,67 +170,73 @@ let attribute_value t (d : Ast.attribute_decl) value =
   Result.bind (Schema_check.resolve_simple t.schema d.attr_type) (fun st ->
       Simple_type.validate st value)
 
-let skip_frame ~parent name index =
+let new_frame ~parent name index node decl case attr_decls mixed =
   {
     f_parent = parent;
     f_name = name;
     f_index = index;
-    f_node = None;
-    f_decl = None;
-    f_attr_decls = [];
-    f_mixed = true;
-    f_case = Unchecked;
+    f_node = node;
+    f_decl = decl;
+    f_attr_decls = attr_decls;
+    f_mixed = mixed;
+    f_case = case;
     f_attrs_seen = [];
     f_nilled = false;
     f_child_reported = false;
     f_elem_children = 0;
     f_text_nodes = 0;
     f_in_text = false;
-    f_text = Buffer.create 0;
+    f_text = no_text;
   }
 
+let skip_frame ~parent name index = new_frame ~parent name index None None Unchecked [] true
+
 (* Open a frame for an element attributed to [decl], up to the point
-   where attributes and children are consumed. *)
+   where attributes and children are consumed.  The frame is built
+   once, after its type is resolved; an error found on the way names
+   the path the frame will have. *)
 let make_frame t node ~parent name index (decl : Ast.element_decl) =
   t.elements <- t.elements + 1;
   Counter.incr m_elements;
   (match t.store, node with
   | Some s, Some n -> Store.set_type_name s n (Some (annotation_name decl.elem_type))
   | _ -> ());
-  let base = { (skip_frame ~parent name index) with f_node = node; f_decl = Some decl } in
+  let d = Some decl in
   match Schema_check.resolve t.schema decl.elem_type with
   | Error e ->
     (* report, then check nothing below — except xsi:nil, which is
        policed before the type matters *)
-    report t (path base) "%s" e;
-    base
-  | Ok (Schema_check.Resolved_simple st) -> { base with f_case = Simple st; f_mixed = false }
+    report t (path_of parent name index) "%s" e;
+    new_frame ~parent name index node d Unchecked [] true
+  | Ok (Schema_check.Resolved_simple st) ->
+    new_frame ~parent name index node d (Simple st) [] false
   | Ok (Schema_check.Resolved_complex (Ast.Simple_content { base = b; attributes })) ->
     let case =
       match Schema_check.resolve_simple t.schema b with
       | Ok st -> Simple st
       | Error e ->
-        report t (path base) "simple content base: %s" e;
+        report t (path_of parent name index) "simple content base: %s" e;
         Simple_unchecked
     in
-    { base with f_case = case; f_attr_decls = attributes; f_mixed = false }
+    new_frame ~parent name index node d case attributes false
   | Ok (Schema_check.Resolved_complex (Ast.Complex_content { mixed; content; attributes })) ->
     let case =
       match content with
       | None -> Empty { none = true }
       | Some g when Ast.group_is_empty g -> Empty { none = false }
       | Some g -> (
-        match compiled_for t base g with
+        match compiled_for t ~parent name index g with
         | C_table tbl ->
           Counter.incr m_table_runs;
           Model (M_table (tbl, ref (CA.start_run tbl)))
         | C_nfa _ when t.strict ->
-          report t (path base) "content model violates Unique Particle Attribution";
+          report t (path_of parent name index)
+            "content model violates Unique Particle Attribution";
           Model M_dead
         | C_nfa a -> Model (M_nfa (a, ref (CA.nfa_start a)))
         | C_error _ -> Model M_dead (* reported by compiled_for *))
     in
-    { base with f_case = case; f_attr_decls = attributes; f_mixed = mixed }
+    new_frame ~parent name index node d case attributes mixed
 
 (* A child where none may be: reported once per frame, and skipped. *)
 let refuse_child t (f : frame) message =
@@ -345,9 +363,10 @@ let on_text t tnode s =
     else begin
       match f.f_case with
       | Simple _ ->
-        Buffer.add_string f.f_text s;
+        Buffer.add_string (text_buffer f) s;
         type_text t tnode
-      | Empty _ | Model _ -> if f.f_mixed then type_text t tnode else Buffer.add_string f.f_text s
+      | Empty _ | Model _ ->
+        if f.f_mixed then type_text t tnode else Buffer.add_string (text_buffer f) s
       | Unchecked | Simple_unchecked -> ()
     end
 

@@ -12,26 +12,55 @@ let corrupt fmt = Printf.ksprintf (fun s -> raise (Corrupt s)) fmt
 (* ------------------------------------------------------------------ *)
 (* CRC-32 (IEEE, reflected 0xEDB88320) *)
 
-(* One 256-entry table over native ints: the 32-bit register lives in
-   the low bits of an OCaml int, so nothing is boxed or allocated. *)
-let table =
-  Array.init 256 (fun n ->
-      let c = ref n in
-      for _ = 0 to 7 do
-        c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-      done;
-      !c)
+(* Slicing-by-8 (Kounavis and Berry, ISCC 2005) over native ints: the
+   32-bit register lives in the low bits of an OCaml int, so nothing is
+   boxed or allocated.  [tables] holds eight 256-entry tables back to
+   back: the first is the one-byte table, and entry [n] of table [k]
+   is the register after [n] is followed by [k] zero bytes, so one
+   step folds eight input bytes with eight lookups. *)
+let tables =
+  let t = Array.make (8 * 256) 0 in
+  for n = 0 to 255 do
+    let c = ref n in
+    for _ = 0 to 7 do
+      c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+    done;
+    t.(n) <- !c
+  done;
+  for k = 1 to 7 do
+    for n = 0 to 255 do
+      let prev = t.(((k - 1) * 256) + n) in
+      t.((k * 256) + n) <- (prev lsr 8) lxor t.(prev land 0xFF)
+    done
+  done;
+  t
 
 let crc32 ?(pos = 0) ?len s =
   let len = match len with Some l -> l | None -> String.length s - pos in
   if pos < 0 || len < 0 || pos > String.length s - len then
     invalid_arg "Codec.crc32: substring out of bounds";
   (* bounds checked once, above: the table and byte reads below are not *)
+  let[@inline] tbl k i = Array.unsafe_get tables ((k lsl 8) lor i) in
   let c = ref 0xFFFFFFFF in
-  for i = pos to pos + len - 1 do
+  let i = ref pos in
+  let stop8 = pos + (len land lnot 7) in
+  while !i < stop8 do
+    let w = String.get_int64_le s !i in
+    let lo = !c lxor (Int64.to_int w land 0xFFFFFFFF) in
+    let hi = Int64.to_int (Int64.shift_right_logical w 32) in
     c :=
-      Array.unsafe_get table ((!c lxor Char.code (String.unsafe_get s i)) land 0xFF)
-      lxor (!c lsr 8)
+      tbl 7 (lo land 0xFF)
+      lxor tbl 6 ((lo lsr 8) land 0xFF)
+      lxor tbl 5 ((lo lsr 16) land 0xFF)
+      lxor tbl 4 (lo lsr 24)
+      lxor tbl 3 (hi land 0xFF)
+      lxor tbl 2 ((hi lsr 8) land 0xFF)
+      lxor tbl 1 ((hi lsr 16) land 0xFF)
+      lxor tbl 0 (hi lsr 24);
+    i := !i + 8
+  done;
+  for j = stop8 to pos + len - 1 do
+    c := tbl 0 ((!c lxor Char.code (String.unsafe_get s j)) land 0xFF) lxor (!c lsr 8)
   done;
   !c lxor 0xFFFFFFFF
 

@@ -313,6 +313,7 @@ module Writer = struct
     mutable marked : int;  (* ops covered by the last Sync_point marker *)
     mutable unsynced : int;
     mutable crashed : bool;
+    mutable hooked : bool;  (* a pager orders its write-back on [marked] *)
     payload : Buffer.t;  (* the record being encoded, reused *)
     mutable frame : Bytes.t;  (* its framed bytes, reused *)
   }
@@ -348,7 +349,7 @@ module Writer = struct
           if fresh then output_string oc magic;
           let t =
             { oc; crash; sync_every; records = 0; ops = 0; marked = 0; unsynced = 0;
-              crashed = false; payload = Buffer.create 4096; frame = Bytes.create 4096 }
+              crashed = false; hooked = false; payload = Buffer.create 4096; frame = Bytes.create 4096 }
           in
           fsync t;
           (* a freshly created log needs its directory entry synced
@@ -361,7 +362,8 @@ module Writer = struct
       | Unix.Unix_error (err, fn, _) ->
         Error (Io (Printf.sprintf "wal: %s: %s" fn (Unix.error_message err)))
 
-  let emit t ~op frame size =
+  (* one frame onto the log, or the injected crash in its place *)
+  let write_frame t ~op frame size =
     if t.crashed then raise Crashed;
     (match t.crash with
     | Some { after_records; partial_bytes } when t.records >= after_records ->
@@ -381,16 +383,30 @@ module Writer = struct
     t.unsynced <- t.unsynced + 1;
     Counter.incr m_records;
     Histogram.observe h_append
-      (Int64.to_float (Int64.sub (Xsm_obs.Clock.now_ns ()) start));
-    if t.unsynced >= t.sync_every then fsync t
+      (Int64.to_float (Int64.sub (Xsm_obs.Clock.now_ns ()) start))
+
+  (* A [sync] can run beside an [append] or another [sync] — the
+     commit leader syncs after releasing the latch while a reader's
+     eviction forces the log through {!pager_hook} — so it writes a
+     frame built once and touches no reused buffer. *)
+  let sync_frame = Bytes.of_string (encode_record Sync_point)
+
+  let sync t =
+    write_frame t ~op:false sync_frame (Bytes.length sync_frame);
+    fsync t;
+    t.marked <- t.ops
 
   (* write the op encoded in [t.payload].  Ops are appended by one
      writer at a time (the server's commit leader, under the exclusive
-     latch), so the reused buffers need no lock of their own. *)
+     latch), so the reused buffers need no lock of their own.  The
+     periodic fsync is a full [sync] once a pager orders its
+     write-back on the marker: the records it makes durable are then
+     provably so, and an eviction need not force them again. *)
   let emit_payload t =
     let frame, size = frame_payload t.frame t.payload in
     t.frame <- frame;
-    emit t ~op:true frame size
+    write_frame t ~op:true frame size;
+    if t.unsynced >= t.sync_every then if t.hooked then sync t else fsync t
 
   let append t op =
     Buffer.clear t.payload;
@@ -402,17 +418,6 @@ module Writer = struct
     encode_insert_element t.payload ~parent ~index xml;
     emit_payload t
 
-  (* A [sync] can run beside an [append] or another [sync] — the
-     commit leader syncs after releasing the latch while a reader's
-     eviction forces the log through {!pager_hook} — so it writes a
-     frame built once and touches no reused buffer. *)
-  let sync_frame = Bytes.of_string (encode_record Sync_point)
-
-  let sync t =
-    emit t ~op:false sync_frame (Bytes.length sync_frame);
-    fsync t;
-    t.marked <- t.ops
-
   let records_written t = t.records
   let lsn t = t.ops
   let synced_lsn t = t.marked
@@ -423,6 +428,7 @@ module Writer = struct
      A [force] that trips an injected crash raises {!Crashed} before
      the page write — the invariant survives the crash too. *)
   let pager_hook t =
+    t.hooked <- true;
     {
       Xsm_pager.Pager.current_lsn = (fun () -> t.ops);
       synced_lsn = (fun () -> t.marked);

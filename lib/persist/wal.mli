@@ -115,7 +115,9 @@ module Writer : sig
 
   val create : ?crash:crash -> ?sync_every:int -> string -> (t, error) result
   (** Open (or create) a WAL for appending.  [sync_every] (default 1)
-      fsyncs after every n-th record; {!sync} forces one anytime.
+      fsyncs after every n-th record — a full {!sync}, marker
+      included, once {!pager_hook} has been taken; {!sync} forces one
+      anytime.
       Appending to an existing non-empty file first verifies the
       magic; a file that is not a WAL is [Error (Not_a_wal _)]. *)
 
@@ -149,7 +151,9 @@ module Writer : sig
 
   val pager_hook : t -> Xsm_pager.Pager.wal_hook
   (** The write-back ordering hook for {!Xsm_pager.Pager.create}: a
-      dirty page flushes only after a {!sync} covers its LSN. *)
+      dirty page flushes only after a {!sync} covers its LSN.  Taking
+      it makes the writer's periodic fsyncs syncs, so a page whose
+      records they made durable forces nothing more. *)
 
   val close : t -> unit
 end

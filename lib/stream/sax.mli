@@ -30,9 +30,10 @@
     the §8 normalization of {!Xsm_xdm.Convert}.  Comments and PIs
     outside the root element are skipped, as the tree parser does.
 
-    The hot path reuses one scratch buffer for every token and interns
-    element/attribute names, so steady-state lexing allocates only the
-    event payloads themselves. *)
+    The hot path scans spans of the read-ahead buffer and copies each
+    token once; names are interned by their bytes, and each name's
+    element events are built once and shared, so steady-state lexing
+    allocates only text and attribute payloads. *)
 
 type position = {
   offset : int;  (** 0-based byte offset *)

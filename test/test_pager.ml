@@ -173,6 +173,26 @@ let crc32_law =
       | crc -> in_range && crc = crc32_bitwise s pos len
       | exception Invalid_argument _ -> not in_range)
 
+(* windows up to a 4 KiB page at every alignment mod 8: the
+   eight-byte steps, the byte tail, and every split between them *)
+let crc32_page_windows () =
+  let rng = Random.State.make [| 8 |] in
+  let s = String.init (4096 + 8) (fun _ -> Char.chr (Random.State.int rng 256)) in
+  let lens =
+    List.init 25 Fun.id
+    @ [ 63; 64; 65; 255; 256; 257; 511; 512; 513; 1000; 2047; 2048; 2049 ]
+    @ List.init 9 (fun i -> 4088 + i)
+  in
+  for pos = 0 to 7 do
+    List.iter
+      (fun len ->
+        check_int
+          (Printf.sprintf "pos %d len %d" pos len)
+          (crc32_bitwise s pos len)
+          (Xsm_pager.Codec.crc32 ~pos ~len s))
+      lens
+  done
+
 (* ---------------- 2Q replacement over synthetic blocks ---------------- *)
 
 (* handlers over a value table: eviction drops nothing the test cares
@@ -400,6 +420,41 @@ let pager_raise_releases_lock () =
     (match add 3 with exception Wal.Crashed -> true | () -> false);
   check "the pool is usable afterwards" true (Pager.touch p 2 = `Hit);
   check_int "stats still readable" 2 (Pager.stats p).Pager.capacity;
+  Pf.close pf
+
+(* Under a pager, the WAL's periodic fsync is a sync point: it writes
+   the marker and advances the synced LSN, so evicting a dirty page
+   whose records it already made durable forces nothing more — one
+   fsync per [sync_every] records, however many pages go out. *)
+let paged_wal_periodic_sync () =
+  with_tmp @@ fun path ->
+  let wal_path = Filename.temp_file "xsm-pager-sync" ".wal" in
+  Fun.protect ~finally:(fun () -> Sys.remove wal_path) @@ fun () ->
+  let k = 4 and rounds = 3 in
+  let w =
+    match Wal.Writer.create ~sync_every:k wal_path with
+    | Ok w -> w
+    | Error e -> Alcotest.fail (Wal.error_message e)
+  in
+  let p, pf, add = synthetic_pager ~wal:(Wal.Writer.pager_hook w) ~capacity:2 path in
+  add 1;
+  add 2;
+  let syncs = Xsm_obs.Metrics.Counter.make "wal.syncs" in
+  let s0 = Xsm_obs.Metrics.Counter.value syncs in
+  for r = 1 to rounds do
+    for _ = 1 to k do
+      Wal.Writer.append w (Wal.Insert_text { parent = [ 0 ]; index = 0; text = "x" })
+    done;
+    (* the oldest resident block goes dirty with records the periodic
+       fsync just covered, and the next admission evicts it *)
+    Pager.write p r ~lsn:(Wal.Writer.lsn w);
+    add (r + 2)
+  done;
+  check_int "every dirty eviction written back" rounds (Pager.stats p).Pager.writes;
+  check_int "one fsync per sync_every records" rounds
+    (Xsm_obs.Metrics.Counter.value syncs - s0);
+  check_int "the marker covers every record" (rounds * k) (Wal.Writer.synced_lsn w);
+  Wal.Writer.close w;
   Pf.close pf
 
 (* ---------------- paged storage = in-memory storage ---------------- *)
@@ -779,6 +834,8 @@ let suite =
         Alcotest.test_case "codec skip readers" `Quick codec_skip_readers;
         Alcotest.test_case "byte codec: CRC-32 vectors, byte range" `Quick byte_codec_vectors;
         QCheck_alcotest.to_alcotest crc32_law;
+        Alcotest.test_case "4 KiB crc32 windows at every alignment" `Quick
+          crc32_page_windows;
       ] );
     ( "pager.2q",
       [
@@ -790,6 +847,8 @@ let suite =
         QCheck_alcotest.to_alcotest pager_write_law;
         Alcotest.test_case "a raise inside a section releases the pool" `Quick
           pager_raise_releases_lock;
+        Alcotest.test_case "paged WAL: one fsync per sync_every records" `Quick
+          paged_wal_periodic_sync;
       ] );
     ( "pager.storage",
       [

@@ -421,6 +421,154 @@ let seed_gen = Q.make ~print:string_of_int Q.Gen.(int_bound 1_000_000)
 let to_alco ?(count = 100) name law =
   QCheck_alcotest.to_alcotest (Q.Test.make ~count ~name seed_gen law)
 
+(* ---------------- SAX chunking law ---------------- *)
+
+(* A random document for the lexer, well-formed or not: long and
+   prefixed names, both quote styles, entities and character
+   references, CDATA, comments and PIs inside text runs, LF, CR and
+   CRLF line ends, a prolog and an epilog; a third of them then take a
+   single-site mutation (cut short, a byte replaced or inserted). *)
+let sax_doc rng =
+  let pick a = a.(Random.State.int rng (Array.length a)) in
+  let chance n = Random.State.int rng n = 0 in
+  let b = Buffer.create 256 in
+  let add = Buffer.add_string b in
+  let names =
+    [| "a"; "b"; "p:q"; "x-1.y"; "averyveryverylongelementname"; "ns:anotherquitelongname_2";
+       "\xc3\xa9t\xc3\xa9" |]
+  in
+  let eol () = pick [| "\n"; "\r\n"; "\r" |] in
+  let bits =
+    [| "plain"; " "; "&amp;"; "&lt;"; "&gt;"; "&quot;"; "&apos;"; "&#65;"; "&#x42;"; "&#233;";
+       "a run of text longer than sixteen bytes"; "'"; "\""; "]]"; "-" |]
+  in
+  let markup = [| "<![CDATA[ raw <&> ]]>"; "<![CDATA[]]>"; "<!-- note -->"; "<?pi some data?>" |] in
+  let space () = if chance 4 then eol () else pick [| " "; "  "; "\t" |] in
+  let rec element depth =
+    let name = pick names in
+    add "<";
+    add name;
+    (* distinct attribute names (a partial shuffle of the pool), but
+       for a rare duplicate *)
+    let k = Random.State.int rng 4 in
+    for i = 0 to k - 1 do
+      let j = i + Random.State.int rng (Array.length names - i) in
+      let n = names.(i) in
+      names.(i) <- names.(j);
+      names.(j) <- n
+    done;
+    let attrs = Array.sub names 0 k in
+    if k > 1 && chance 16 then attrs.(1) <- attrs.(0);
+    Array.iter
+      (fun attr ->
+        add (space ());
+        add attr;
+        if chance 3 then add " ";
+        add "=";
+        if chance 3 then add " ";
+        let q = if chance 2 then "\"" else "'" in
+        add q;
+        for _ = 1 to Random.State.int rng 4 do
+          let s = if chance 5 then eol () else pick bits in
+          if s <> q then add s
+        done;
+        add q)
+      attrs;
+    if chance 4 then add (pick [| "/>"; " />" |])
+    else begin
+      add ">";
+      for _ = 1 to Random.State.int rng 5 do
+        match Random.State.int rng 4 with
+        | 0 when depth < 3 -> element (depth + 1)
+        | 0 | 1 -> add (if chance 3 then eol () else pick bits)
+        | 2 -> add (pick markup)
+        | _ -> add (pick bits)
+      done;
+      add "</";
+      (* now and then a mismatched end tag, half of them longer
+         than the open name and sharing it as a prefix *)
+      add (if not (chance 16) then name else if chance 2 then name ^ "z" else pick names);
+      if chance 4 then add (space ());
+      add ">"
+    end
+  in
+  if chance 2 then (add "<?xml version=\"1.0\"?>"; add (eol ()));
+  if chance 3 then add "<!-- prolog -->";
+  if chance 3 then add "<?target data?>";
+  if chance 4 then add "<!DOCTYPE r [<!ELEMENT r ANY>]>";
+  if chance 2 then add (eol ());
+  element 0;
+  if chance 2 then add (eol ());
+  if chance 3 then add "<!-- epilog -->";
+  if chance 3 then add "<?end?>";
+  if chance 3 then add (eol ());
+  let doc = Buffer.contents b in
+  let n = String.length doc in
+  if not (chance 3) then doc
+  else
+    let k = Random.State.int rng (n + 1) in
+    let c = String.make 1 (pick [| '<'; '>'; '&'; ';'; '"'; '\''; '/'; '='; '!'; '?'; ']'; '-'; '\255'; 'x'; ':'; '\r' |]) in
+    match Random.State.int rng 3 with
+    | 0 -> String.sub doc 0 k
+    | 1 when k < n -> String.sub doc 0 k ^ c ^ String.sub doc (k + 1) (n - k - 1)
+    | _ -> String.sub doc 0 k ^ c ^ String.sub doc k (n - k)
+
+(* What a route through the lexer observes: each event with its
+   [event_position], the cursor [position] and depth after it, and how
+   the input ended — cleanly, or with the full Syntax error. *)
+let sax_trace sax =
+  let pos (p : Sax.position) = Printf.sprintf "%d:%d@%d" p.line p.column p.offset in
+  let rec go acc =
+    match Sax.next sax with
+    | None -> List.rev ("end" :: acc)
+    | Some e ->
+      go
+        (Printf.sprintf "%s %s %s d%d" (show_event e)
+           (pos (Sax.event_position sax))
+           (pos (Sax.position sax))
+           (Sax.depth sax)
+        :: acc)
+    | exception Parser.Syntax e ->
+      List.rev
+        (Printf.sprintf "error %d:%d@%d %s" e.Parser.line e.Parser.column e.Parser.offset
+           e.Parser.message
+        :: acc)
+  in
+  go []
+
+(* Every route lexes every document alike: a string, a channel, and
+   a chunk source at every chunk size from 1 to 64 — below 16 the
+   refill is smaller than the buffer, so long names and runs straddle
+   many refills. *)
+let sax_chunking_law seed =
+  let doc = sax_doc (Random.State.make [| seed |]) in
+  let reference = sax_trace (Sax.of_string doc) in
+  let same route trace =
+    if trace <> reference then
+      Q.Test.fail_reportf "document %S, %s:@ %s@ of_string:@ %s" doc route
+        (String.concat " | " trace) (String.concat " | " reference)
+  in
+  for n = 1 to 64 do
+    let sent = ref 0 in
+    same
+      (Printf.sprintf "of_function, chunks of %d" n)
+      (sax_trace
+         (Sax.of_function ~chunk_size:n (fun b off len ->
+              let k = min (min len n) (String.length doc - !sent) in
+              Bytes.blit_string doc !sent b off k;
+              sent := !sent + k;
+              k)))
+  done;
+  let path = Filename.temp_file "xsm-sax-law" ".xml" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc doc);
+      List.iter
+        (fun chunk_size ->
+          In_channel.with_open_bin path (fun ic ->
+              same "of_channel" (sax_trace (Sax.of_channel ?chunk_size ic))))
+        [ None; Some 16 ]);
+  true
+
 let stream_eq_tree_valid_law seed =
   let rng = Gen.rng seed in
   let schema = Gen.random_schema ~max_depth:3 rng in
@@ -777,6 +925,8 @@ let suite =
         Alcotest.test_case "EOL normalization across chunks" `Quick sax_eol_normalization;
         Alcotest.test_case "events rebuild the parsed tree" `Quick sax_matches_parser;
         Alcotest.test_case "well-formedness errors" `Quick sax_errors;
+        to_alco ~count:300 "every route lexes alike: events, positions, errors"
+          sax_chunking_law;
       ] );
     ( "stream.labels",
       [
