@@ -217,14 +217,17 @@ let on_end t =
     if f.b_depth = 2 then t.completed <- f.b_desc :: t.completed
 
 let feed t event =
-  t.events <- t.events + 1;
-  Counter.incr m_events;
   match event with
-  | Sax.Start_element name -> on_start t name
-  | Sax.Attr (name, value) -> on_attr t name value
-  | Sax.Text s -> on_text t s
-  | Sax.End_element _ -> on_end t
-  | Sax.Pi _ | Sax.Comment _ -> ()  (* dropped, without breaking a text run *)
+  | Sax.Cdata "" -> ()  (* an empty section adds no text *)
+  | _ -> (
+    t.events <- t.events + 1;
+    Counter.incr m_events;
+    match event with
+    | Sax.Start_element name -> on_start t name
+    | Sax.Attr (name, value) -> on_attr t name value
+    | Sax.Text s | Sax.Cdata s -> on_text t s
+    | Sax.End_element _ -> on_end t
+    | Sax.Pi _ | Sax.Comment _ -> ()  (* dropped, without breaking a text run *))
 
 let drain_completed t =
   let ds = List.rev t.completed in

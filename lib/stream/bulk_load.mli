@@ -48,7 +48,8 @@ val create :
   t
 
 val feed : t -> Sax.event -> unit
-(** Consume one event.  Raises {!Xsm_persist.Wal.Crashed} at an
+(** Consume one event; a [Cdata] section is text, and an empty one is
+    no event at all.  Raises {!Xsm_persist.Wal.Crashed} at an
     injected crash point of the attached WAL writer. *)
 
 val drain_completed : t -> Xsm_storage.Block_storage.desc list
@@ -68,4 +69,4 @@ val load :
   Sax.t ->
   Xsm_storage.Block_storage.t * stats
 (** Pull driver: drain the lexer through {!feed}.  Lexing errors
-    ({!Xsm_xml.Parser.Syntax}) propagate. *)
+    ({!Sax.Syntax}) propagate. *)

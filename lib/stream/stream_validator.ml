@@ -34,15 +34,18 @@ let stamp t =
     (V.take_errors t.core)
 
 let feed t event pos =
-  Counter.incr m_events;
-  t.pos <- pos;
-  (match event with
-  | Sax.Start_element name -> V.start_element t.core name
-  | Sax.Attr (name, value) -> V.attribute t.core name value
-  | Sax.Text s -> V.text t.core s
-  | Sax.End_element _ -> V.end_element t.core
-  | Sax.Pi _ | Sax.Comment _ -> ());  (* dropped by §8 conversion, dropped here *)
-  stamp t
+  match event with
+  | Sax.Cdata "" -> ()  (* an empty section adds no text *)
+  | _ ->
+    Counter.incr m_events;
+    t.pos <- pos;
+    (match event with
+    | Sax.Start_element name -> V.start_element t.core name
+    | Sax.Attr (name, value) -> V.attribute t.core name value
+    | Sax.Text s | Sax.Cdata s -> V.text t.core s
+    | Sax.End_element _ -> V.end_element t.core
+    | Sax.Pi _ | Sax.Comment _ -> ());  (* dropped by §8 conversion, dropped here *)
+    stamp t
 
 let finish t =
   let r = V.finish t.core in

@@ -34,7 +34,8 @@ val create :
     compiles nothing. *)
 
 val feed : t -> Sax.event -> Sax.position -> unit
-(** Consume one event (push interface).  Pass
+(** Consume one event (push interface); a [Cdata] section is text, and
+    an empty one is no event at all.  Pass
     {!Sax.event_position} — errors triggered by the event carry it. *)
 
 val finish : t -> (stats, error list) result
@@ -47,4 +48,4 @@ val run :
   Sax.t ->
   (stats, error list) result
 (** Pull driver: drain the lexer through {!feed}.  Lexing errors
-    ({!Xsm_xml.Parser.Syntax}) propagate to the caller. *)
+    ({!Sax.Syntax}) propagate to the caller. *)

@@ -1,360 +1,65 @@
-type error = { line : int; column : int; offset : int; message : string }
+type error = Sax.error = { line : int; column : int; offset : int; message : string }
+
+exception Syntax = Sax.Syntax
 
 let pp_error ppf e =
   Format.fprintf ppf "line %d, column %d: %s" e.line e.column e.message
 
 let error_to_string e = Format.asprintf "%a" pp_error e
 
-exception Syntax of error
+let fail (p : Sax.position) message =
+  raise (Syntax { line = p.line; column = p.column; offset = p.offset; message })
 
-exception Parse_error of int * string
-(* position, message; converted to {!error} at the API boundary *)
-
-type state = { input : string; mutable pos : int }
-
-let fail st msg = raise (Parse_error (st.pos, msg))
-let eof st = st.pos >= String.length st.input
-let peek st = if eof st then '\255' else st.input.[st.pos]
-
-let advance st = st.pos <- st.pos + 1
-
-let expect st c =
-  if peek st = c then advance st
-  else fail st (Printf.sprintf "expected %C, found %C" c (peek st))
-
-let looking_at st s =
-  let n = String.length s in
-  st.pos + n <= String.length st.input && String.sub st.input st.pos n = s
-
-let expect_string st s =
-  if looking_at st s then st.pos <- st.pos + String.length s
-  else fail st (Printf.sprintf "expected %S" s)
-
-let is_space c = c = ' ' || c = '\t' || c = '\n' || c = '\r'
-
-let skip_space st =
-  while (not (eof st)) && is_space (peek st) do
-    advance st
-  done
-
-(* Scan until [stop] returns true; return the scanned substring. *)
-let take_until st stop =
-  let start = st.pos in
-  while (not (eof st)) && not (stop (peek st)) do
-    advance st
-  done;
-  String.sub st.input start (st.pos - start)
-
-let parse_name st =
-  let s = take_until st (fun c -> is_space c || c = '>' || c = '/' || c = '=' || c = '?' || c = '\255') in
-  match Name.of_string s with
-  | Ok n -> n
-  | Error e -> fail st e
-
-(* Entity and character references — the decoder proper is shared
-   with the streaming Sax lexer, which sees the same reference bodies
-   but manages its own input buffer. *)
-let decode_entity body =
-  match body with
-  | "lt" -> Ok "<"
-  | "gt" -> Ok ">"
-  | "amp" -> Ok "&"
-  | "apos" -> Ok "'"
-  | "quot" -> Ok "\""
-  | _ ->
-    if String.length body > 1 && body.[0] = '#' then begin
-      match
-        if String.length body > 2 && (body.[1] = 'x' || body.[1] = 'X') then
-          int_of_string_opt ("0x" ^ String.sub body 2 (String.length body - 2))
-        else int_of_string_opt (String.sub body 1 (String.length body - 1))
-      with
-      | None -> Error (Printf.sprintf "bad character reference &%s;" body)
-      | Some code ->
-        if code < 0 || code > 0x10FFFF || not (Uchar.is_valid code) then
-          Error "character reference out of range"
-        else begin
-          let b = Buffer.create 4 in
-          Buffer.add_utf_8_uchar b (Uchar.of_int code);
-          Ok (Buffer.contents b)
-        end
-    end
-    else Error (Printf.sprintf "unknown entity &%s;" body)
-
-let parse_reference st =
-  expect st '&';
-  let body = take_until st (fun c -> c = ';' || c = '<' || c = '&') in
-  if peek st <> ';' then fail st "unterminated entity reference";
-  advance st;
-  match decode_entity body with Ok s -> s | Error e -> fail st e
-
-let parse_attribute_value st =
-  let quote = peek st in
-  if quote <> '"' && quote <> '\'' then fail st "expected quoted attribute value";
-  advance st;
-  let buf = Buffer.create 16 in
-  let rec go () =
-    match peek st with
-    | c when c = quote -> advance st
-    | '\255' -> fail st "unterminated attribute value"
-    | '<' -> fail st "'<' not allowed in attribute value"
-    | '&' -> Buffer.add_string buf (parse_reference st); go ()
-    | c -> Buffer.add_char buf c; advance st; go ()
+(* The element whose [Start_element] was just returned: its attributes,
+   then its content up to the matching [End_element].  Sax delivers a
+   run of character data as one [Text] event, so no two text children
+   are adjacent. *)
+let rec element sax name : Tree.element =
+  let rec attrs acc =
+    match Sax.next sax with
+    | Some (Sax.Attr (name, value)) -> attrs ({ Tree.name; value } :: acc)
+    | ev -> { Tree.name; attributes = List.rev acc; children = content [] ev }
+  and content acc = function
+    | Some (Sax.End_element _) -> List.rev acc
+    | Some (Sax.Text s) -> content (Tree.Text s :: acc) (Sax.next sax)
+    | Some (Sax.Cdata s) -> content (Tree.Cdata s :: acc) (Sax.next sax)
+    | Some (Sax.Comment s) -> content (Tree.Comment s :: acc) (Sax.next sax)
+    | Some (Sax.Pi (target, data)) -> content (Tree.Pi { target; data } :: acc) (Sax.next sax)
+    | Some (Sax.Start_element n) ->
+      let child = element sax n in
+      content (Tree.Element child :: acc) (Sax.next sax)
+    | Some (Sax.Attr _) | None -> assert false (* Sax closes every element it opens *)
   in
-  go ();
-  Buffer.contents buf
+  attrs []
 
-let parse_attributes st =
-  let rec go acc =
-    skip_space st;
-    match peek st with
-    | '>' | '/' | '?' | '\255' -> List.rev acc
-    | _ ->
-      let name = parse_name st in
-      skip_space st;
-      expect st '=';
-      skip_space st;
-      let value = parse_attribute_value st in
-      if List.exists (fun (a : Tree.attribute) -> Name.equal a.name name) acc then
-        fail st (Printf.sprintf "duplicate attribute %s" (Name.to_string name));
-      go ({ Tree.name; value } :: acc)
-  in
-  go []
+let open_root sax =
+  match Sax.next sax with
+  | Some (Sax.Start_element name) -> name
+  | _ -> assert false (* Sax opens the root or raises *)
 
-let parse_comment st =
-  expect_string st "<!--";
-  let buf = Buffer.create 16 in
-  let rec go () =
-    if looking_at st "-->" then st.pos <- st.pos + 3
-    else if eof st then fail st "unterminated comment"
-    else begin
-      Buffer.add_char buf (peek st);
-      advance st;
-      go ()
-    end
-  in
-  go ();
-  Buffer.contents buf
+let finish sax = match Sax.next sax with None -> () | Some _ -> assert false
 
-let parse_cdata st =
-  expect_string st "<![CDATA[";
-  let buf = Buffer.create 16 in
-  let rec go () =
-    if looking_at st "]]>" then st.pos <- st.pos + 3
-    else if eof st then fail st "unterminated CDATA section"
-    else begin
-      Buffer.add_char buf (peek st);
-      advance st;
-      go ()
-    end
-  in
-  go ();
-  Buffer.contents buf
-
-let parse_pi st =
-  expect_string st "<?";
-  let target = take_until st (fun c -> is_space c || c = '?') in
-  if target = "" then fail st "empty processing-instruction target";
-  skip_space st;
-  let buf = Buffer.create 16 in
-  let rec go () =
-    if looking_at st "?>" then st.pos <- st.pos + 2
-    else if eof st then fail st "unterminated processing instruction"
-    else begin
-      Buffer.add_char buf (peek st);
-      advance st;
-      go ()
-    end
-  in
-  go ();
-  (target, Buffer.contents buf)
-
-let rec parse_element_body st : Tree.element =
-  expect st '<';
-  let name = parse_name st in
-  let attributes = parse_attributes st in
-  match peek st with
-  | '/' ->
-    advance st;
-    expect st '>';
-    { Tree.name; attributes; children = [] }
-  | '>' ->
-    advance st;
-    let children = parse_content st name in
-    { Tree.name; attributes; children }
-  | _ -> fail st "malformed start tag"
-
-and parse_content st open_name =
-  let buf = Buffer.create 32 in
-  let flush acc =
-    if Buffer.length buf = 0 then acc
-    else begin
-      let s = Buffer.contents buf in
-      Buffer.clear buf;
-      Tree.Text s :: acc
-    end
-  in
-  let rec go acc =
-    if eof st then fail st (Printf.sprintf "unterminated element %s" (Name.to_string open_name))
-    else if looking_at st "</" then begin
-      let acc = flush acc in
-      st.pos <- st.pos + 2;
-      let close = parse_name st in
-      skip_space st;
-      expect st '>';
-      if not (Name.equal close open_name) then
-        fail st
-          (Printf.sprintf "mismatched end tag: expected </%s>, found </%s>"
-             (Name.to_string open_name) (Name.to_string close));
-      List.rev acc
-    end
-    else if looking_at st "<!--" then begin
-      let acc = flush acc in
-      let c = parse_comment st in
-      go (Tree.Comment c :: acc)
-    end
-    else if looking_at st "<![CDATA[" then begin
-      let acc = flush acc in
-      let c = parse_cdata st in
-      go (Tree.Cdata c :: acc)
-    end
-    else if looking_at st "<?" then begin
-      let acc = flush acc in
-      let target, data = parse_pi st in
-      go (Tree.Pi { target; data } :: acc)
-    end
-    else if peek st = '<' then begin
-      let acc = flush acc in
-      let e = parse_element_body st in
-      go (Tree.Element e :: acc)
-    end
-    else if peek st = '&' then begin
-      Buffer.add_string buf (parse_reference st);
-      go acc
-    end
-    else begin
-      Buffer.add_char buf (peek st);
-      advance st;
-      go acc
-    end
-  in
-  go []
-
-let parse_xml_decl st =
-  if looking_at st "<?xml" && is_space st.input.[st.pos + 5] then begin
-    st.pos <- st.pos + 5;
-    let attrs = parse_attributes st in
-    expect_string st "?>";
-    let find k =
-      List.find_map
-        (fun (a : Tree.attribute) ->
-          if String.equal a.name.Name.local k && a.name.Name.prefix = None then Some a.value else None)
-        attrs
-    in
-    let version = Option.value ~default:"1.0" (find "version") in
-    let encoding = find "encoding" in
-    let standalone =
-      match find "standalone" with
-      | Some "yes" -> Some true
-      | Some "no" -> Some false
-      | Some other -> fail st (Printf.sprintf "bad standalone value %S" other)
-      | None -> None
-    in
-    (version, encoding, standalone)
-  end
-  else ("1.0", None, None)
-
-(* Skip a DOCTYPE declaration, including a bracketed internal subset. *)
-let skip_doctype st =
-  if looking_at st "<!DOCTYPE" then begin
-    st.pos <- st.pos + 9;
-    let rec go depth =
-      if eof st then fail st "unterminated DOCTYPE"
-      else
-        match peek st with
-        | '[' -> advance st; go (depth + 1)
-        | ']' -> advance st; go (depth - 1)
-        | '>' when depth = 0 -> advance st
-        | _ -> advance st; go depth
-    in
-    go 0
-  end
-
-let skip_misc st =
-  let rec go () =
-    skip_space st;
-    if looking_at st "<!--" then begin
-      ignore (parse_comment st);
-      go ()
-    end
-    else if looking_at st "<?" && not (looking_at st "<?xml") then begin
-      ignore (parse_pi st);
-      go ()
-    end
-  in
-  go ()
-
-let position_of_offset input pos =
-  let line = ref 1 and col = ref 1 in
-  let limit = min pos (String.length input - 1) in
-  for i = 0 to limit - 1 do
-    if input.[i] = '\n' then begin
-      incr line;
-      col := 1
-    end
-    else incr col
-  done;
-  (!line, !col)
-
-(* XML 1.0 §2.11: translate "\r\n" and lone "\r" to a single "\n"
-   before any other processing, so line breaks reach character data,
-   attribute values and the store in one canonical form.  Ordered
-   before reference expansion — a literal "&#13;" still yields a real
-   carriage return.  Error positions refer to the normalized text,
-   where every line break is exactly one character, so line numbers
-   agree with the source whatever its line-ending convention. *)
-let normalize_eol input =
-  if not (String.contains input '\r') then input
-  else begin
-    let n = String.length input in
-    let buf = Buffer.create n in
-    let i = ref 0 in
-    while !i < n do
-      (match input.[!i] with
-      | '\r' ->
-        Buffer.add_char buf '\n';
-        if !i + 1 < n && input.[!i + 1] = '\n' then incr i
-      | c -> Buffer.add_char buf c);
-      incr i
-    done;
-    Buffer.contents buf
-  end
-
-let run input f =
-  let input = normalize_eol input in
-  let st = { input; pos = 0 } in
-  match f st with
-  | v -> Ok v
-  | exception Parse_error (pos, message) ->
-    let line, column = position_of_offset input pos in
-    Error { line; column; offset = pos; message }
-  | exception Syntax e -> Error e
+let run f input =
+  match f (Sax.of_string input) with v -> Ok v | exception Syntax e -> Error e
 
 let parse_document ?base_uri input =
-  run input (fun st ->
-      let version, encoding, standalone = parse_xml_decl st in
-      skip_misc st;
-      skip_doctype st;
-      skip_misc st;
-      if peek st <> '<' then fail st "expected root element";
-      let root = parse_element_body st in
-      skip_misc st;
-      if not (eof st) then fail st "trailing content after root element";
+  run
+    (fun sax ->
+      let root = element sax (open_root sax) in
+      finish sax;
+      let { Sax.version; encoding; standalone } = Sax.declaration sax in
       { Tree.version; encoding; standalone; base_uri; root })
+    input
 
+(* A fragment is one element with only whitespace around it: markup
+   that Sax skips outside the root is an error here. *)
 let parse_element input =
-  run input (fun st ->
-      skip_space st;
-      let e = parse_element_body st in
-      skip_space st;
-      if not (eof st) then fail st "trailing content after element";
+  run
+    (fun sax ->
+      let name = open_root sax in
+      Option.iter (fun p -> fail p "markup before the element") (Sax.skipped_markup sax);
+      let e = element sax name in
+      finish sax;
+      Option.iter (fun p -> fail p "trailing content after element") (Sax.skipped_markup sax);
       e)
+    input

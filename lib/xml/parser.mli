@@ -1,18 +1,18 @@
-(** A self-contained XML 1.0 parser.
+(** The tree builder: a document or element parsed into {!Tree}, as a
+    fold over the {!Sax} event stream — one lexer, one grammar, one
+    error record for the tree and the streaming paths.
 
-    Supports elements, attributes (single- or double-quoted), character
-    data, CDATA sections, comments, processing instructions, the XML
-    declaration, a DOCTYPE declaration (skipped), the five predefined
-    entities and decimal/hexadecimal character references.
+    Every event maps to its node: elements, attributes in written
+    order, character data (entity and character references decoded),
+    CDATA sections, comments and processing instructions.  The XML
+    declaration fills the document's [version], [encoding] and
+    [standalone]; a DOCTYPE, and comments and PIs outside the root
+    element, are skipped. *)
 
-    The parser enforces well-formedness: matching end tags, a single
-    root element, unique attribute names per element, and no stray
-    markup.  DTD-defined entities are not supported. *)
-
-type error = {
+type error = Sax.error = {
   line : int;  (** 1-based line of the offending position *)
   column : int;  (** 1-based column (in bytes) *)
-  offset : int;  (** 0-based byte offset into the input *)
+  offset : int;  (** 0-based byte offset into the normalized input *)
   message : string;
 }
 
@@ -20,27 +20,12 @@ val pp_error : Format.formatter -> error -> unit
 val error_to_string : error -> string
 
 exception Syntax of error
-(** The shared syntax-error exception: raised by the streaming
-    {!Xsm_stream.Sax} lexer (which tracks line/column incrementally)
-    and understood by {!parse_document}/{!parse_element}, which
-    convert it to a [result] at the API boundary. *)
-
-val normalize_eol : string -> string
-(** XML 1.0 §2.11 end-of-line normalization: every ["\r\n"] pair and
-    every lone ["\r"] becomes a single ["\n"].  Applied to the whole
-    input before parsing (so a character reference ["&#13;"] still
-    yields a literal carriage return), and exposed for the streaming
-    lexer's tests.  Returns the input unchanged (same physical string)
-    when it contains no carriage return. *)
-
-val decode_entity : string -> (string, string) result
-(** Decode the body of an entity or character reference (the text
-    between ["&"] and [";"]): the five predefined entities and
-    decimal/hexadecimal character references, UTF-8 encoded.  Shared
-    between the tree parser and the streaming lexer. *)
+(** {!Sax.Syntax}: raised by the lexer, and converted to a [result] by
+    {!parse_document} and {!parse_element}. *)
 
 val parse_document : ?base_uri:string -> string -> (Tree.t, error) result
 (** Parse a complete document, prolog included. *)
 
 val parse_element : string -> (Tree.element, error) result
-(** Parse a string that consists of exactly one element (no prolog). *)
+(** Parse a string that consists of exactly one element, with only
+    whitespace around it: no declaration, DOCTYPE, comment or PI. *)

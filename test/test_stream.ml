@@ -55,7 +55,7 @@ let events_of_string ?chunk_size s =
 let show_event = function
   | Sax.Start_element n -> "<" ^ Name.to_string n
   | Sax.Attr (n, v) -> Printf.sprintf "@%s=%s" (Name.to_string n) v
-  | Sax.Text s -> Printf.sprintf "%S" s
+  | Sax.Text s | Sax.Cdata s -> Printf.sprintf "%S" s
   | Sax.End_element n -> "</" ^ Name.to_string n
   | Sax.Pi (t, d) -> Printf.sprintf "?%s %s" t d
   | Sax.Comment s -> "!" ^ s
@@ -157,6 +157,9 @@ let sax_matches_parser () =
         loop ()
       | Some (Sax.Text s) ->
         children := Tree.Text s :: !children;
+        loop ()
+      | Some (Sax.Cdata s) ->
+        children := Tree.Cdata s :: !children;
         loop ()
       | Some (Sax.Start_element n) ->
         children := Tree.Element (build_element n) :: !children;

@@ -121,17 +121,22 @@ let test_parse_attribute_quotes () =
 
 let test_parse_errors () =
   List.iter
-    (fun s -> ignore (parse_err s))
+    (fun (s, (line, column, offset, message)) ->
+      let e = parse_err s in
+      Alcotest.(check (pair (pair int int) (pair int string)))
+        (Printf.sprintf "error record of %S" s)
+        ((line, column), (offset, message))
+        ((e.Parser.line, e.Parser.column), (e.Parser.offset, e.Parser.message)))
     [
-      "<a>";  (* unterminated *)
-      "<a></b>";  (* mismatched *)
-      "<a x=\"1\" x=\"2\"/>";  (* duplicate attribute *)
-      "<a/><b/>";  (* two roots *)
-      "<a>&unknown;</a>";  (* unknown entity *)
-      "<a b=unquoted/>";
-      "";
-      "just text";
-      "<a><!-- unterminated</a>";
+      ("<a>", (1, 4, 3, "unterminated element a"));
+      ("<a></b>", (1, 8, 7, "mismatched end tag: expected </a>, found </b>"));
+      ("<a x=\"1\" x=\"2\"/>", (1, 15, 14, "duplicate attribute x"));
+      ("<a/><b/>", (1, 5, 4, "trailing content after root element"));
+      ("<a>&unknown;</a>", (1, 13, 12, "unknown entity &unknown;"));
+      ("<a b=unquoted/>", (1, 6, 5, "expected quoted attribute value"));
+      ("", (1, 1, 0, "expected root element"));
+      ("just text", (1, 1, 0, "expected root element"));
+      ("<a><!-- unterminated</a>", (1, 25, 24, "unterminated comment"));
     ]
 
 let test_parse_error_location () =
@@ -153,6 +158,92 @@ let test_deep_nesting () =
 let test_mixed_whitespace_kept () =
   let d = parse_ok "<a> <b/> </a>" in
   check_int "three children" 3 (List.length d.Tree.root.Tree.children)
+
+(* the outcome of draining the streaming lexer over [s] *)
+let sax_outcome s =
+  let sax = Sax.of_string s in
+  let rec drain () = match Sax.next sax with None -> Ok () | Some _ -> drain () in
+  match drain () with r -> r | exception Sax.Syntax e -> Error e
+
+let show_outcome = function
+  | Ok () -> "ok"
+  | Error (e : Parser.error) ->
+    Printf.sprintf "%d:%d@%d %s" e.line e.column e.offset e.message
+
+(* the tree builder and the lexer answer [s] alike *)
+let both_paths s =
+  let tree = Result.map ignore (Parser.parse_document s) in
+  check_str (Printf.sprintf "tree = stream on %S" s) (show_outcome (sax_outcome s))
+    (show_outcome tree);
+  tree
+
+let expect_rejected message s =
+  match both_paths s with
+  | Ok () -> Alcotest.failf "expected %S to be rejected" s
+  | Error e -> check_str (Printf.sprintf "message for %S" s) message e.Parser.message
+
+let test_truncated_declaration () =
+  List.iter
+    (fun s ->
+      check (Printf.sprintf "parse_document %S" s) true (Result.is_error (Parser.parse_document s));
+      check (Printf.sprintf "parse_element %S" s) true (Result.is_error (Parser.parse_element s));
+      ignore (both_paths s))
+    [ "<?xml"; "<?xml "; "<?xml v" ]
+
+let test_second_doctype () =
+  expect_rejected "second DOCTYPE declaration" "<!DOCTYPE a><!DOCTYPE a><a/>";
+  expect_rejected "second DOCTYPE declaration" "<!DOCTYPE a [<!ELEMENT a ANY>]>\n<!-- c --><!DOCTYPE a><a/>"
+
+let test_standalone_values () =
+  expect_rejected "bad standalone value \"maybe\""
+    "<?xml version=\"1.0\" standalone=\"maybe\"?><a/>";
+  List.iter
+    (fun (v, expected) ->
+      let s = Printf.sprintf "<?xml version=\"1.0\" standalone='%s'?><a/>" v in
+      Alcotest.(check (option bool)) ("standalone " ^ v) expected (parse_ok s).Tree.standalone;
+      ignore (both_paths s))
+    [ ("yes", Some true); ("no", Some false) ]
+
+let test_reserved_pi_target () =
+  List.iter
+    (fun (target, s) ->
+      expect_rejected (Printf.sprintf "reserved processing-instruction target %S" target) s)
+    [
+      ("xml", " <?xml version='1.0'?><a/>");
+      ("xml", "<a/>\n<?xml version='1.0'?>");
+      ("xml", "<!-- c --><?xml version='1.0'?><a/>");
+      ("XML", "<a><?XML x?></a>");
+      ("xMl", "<?xMl version='1.0'?><a/>");
+      ("xml", "<?xml?><a/>");
+    ]
+
+let test_xml_stylesheet_pi () =
+  let s = "<?xml-stylesheet href=\"a\"?><a/>" in
+  check "accepted on both paths" true (both_paths s = Ok ());
+  let d = parse_ok "<?xml version=\"1.0\"?>\n<?xml-stylesheet href=\"a\"?>\n<a><?xml-model m?></a>" in
+  match d.Tree.root.Tree.children with
+  | [ Tree.Pi { target = "xml-model"; data = "m" } ] -> ()
+  | _ -> Alcotest.fail "expected the xml-model PI child"
+
+let test_empty_pi_target () =
+  List.iter (expect_rejected "empty processing-instruction target") [ "<? x?><a/>"; "<a><?"; "<a><??></a>" ]
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+(* every prefix of a sample document: the tree builder and the lexer
+   agree on success, or on the whole error record *)
+let test_prefixes_one_answer () =
+  List.iter
+    (fun path ->
+      let doc = read_file path in
+      for k = 0 to String.length doc do
+        let p = String.sub doc 0 k in
+        let tree = Result.map ignore (Parser.parse_document p) and sax = sax_outcome p in
+        if tree <> sax then
+          Alcotest.failf "%s, prefix of %d bytes: tree %s, stream %s" path k (show_outcome tree)
+            (show_outcome sax)
+      done)
+    [ "../samples/library.xml"; "../examples/catalog.xml" ]
 
 (* ---------------- printer ---------------- *)
 
@@ -183,10 +274,14 @@ let test_pretty_print_reparses () =
 (* ---------------- end-of-line normalization (§2.11) ---------------- *)
 
 let test_eol_normalize_function () =
-  check_str "CRLF, lone CR, trailing CR" "a\nb\nc\nd\n"
-    (Parser.normalize_eol "a\r\nb\rc\nd\r");
-  check_str "CR CRLF" "a\n\nb" (Parser.normalize_eol "a\r\r\nb");
-  check_str "identity without CR" "plain\ntext" (Parser.normalize_eol "plain\ntext")
+  let text s =
+    match (parse_ok ("<a>" ^ s ^ "</a>")).Tree.root.Tree.children with
+    | [ Tree.Text t ] -> t
+    | _ -> Alcotest.failf "expected one text child in %S" s
+  in
+  check_str "CRLF, lone CR, trailing CR" "a\nb\nc\nd\n" (text "a\r\nb\rc\nd\r");
+  check_str "CR CRLF" "a\n\nb" (text "a\r\r\nb");
+  check_str "identity without CR" "plain\ntext" (text "plain\ntext")
 
 let test_eol_normalized_in_documents () =
   let lf = parse_ok "<a>x\ny</a>\n" in
@@ -213,6 +308,72 @@ let test_print_cr_roundtrips () =
   match Parser.parse_element s with
   | Ok t' -> check "CR survives print/parse" true (Tree.equal_element t t')
   | Error e -> Alcotest.failf "reparse failed: %s" (Parser.error_to_string e)
+
+(* ---------------- print-parse law ---------------- *)
+
+(* A random document the printer can write: CDATA (empty too),
+   comments, PIs, attribute values with both quote characters,
+   characters that print as references, CR in text and attribute
+   values; never two adjacent text nodes, never an empty one. *)
+let random_document rng =
+  let int n = Random.State.int rng n in
+  let pick a = a.(int (Array.length a)) in
+  let string ?(first = [||]) pieces max =
+    let b = Buffer.create 16 in
+    if first <> [||] then Buffer.add_string b (pick first);
+    for _ = 1 to int (max + 1) do
+      Buffer.add_string b (pick pieces)
+    done;
+    Buffer.contents b
+  in
+  let text_pieces = [| "a"; "b"; " "; "<"; ">"; "&"; "\""; "'"; "\r"; "\n"; "\t"; "\xc3\xa9"; "]]>" |] in
+  (* no '>' and no CR: a section ends at its first terminator, and a
+     raw CR would be read back as a newline *)
+  let raw_pieces = [| "a"; " "; "<"; "&"; "-"; "]"; "?"; "\""; "\n"; "\xc3\xa9" |] in
+  let rec element depth =
+    let attributes =
+      List.filter_map
+        (fun (prefix, n) ->
+          if int 3 = 0 then Some (Tree.attr ?prefix n (string text_pieces 4)) else None)
+        [ (None, "x"); (None, "y"); (Some "p", "x") ]
+    in
+    let rec children prev_text k =
+      if k = 0 then []
+      else
+        let node =
+          match int (if depth >= 3 then 5 else 6) with
+          | 0 when not prev_text -> Tree.Text (string ~first:text_pieces text_pieces 5)
+          | 0 | 1 -> Tree.Cdata (string raw_pieces (int 2 * 4))
+          | 2 -> Tree.Comment (string raw_pieces 4)
+          | 3 ->
+            let data = if int 2 = 0 then "" else string ~first:[| "d"; "&" |] raw_pieces 4 in
+            Tree.Pi { target = pick [| "pi"; "xml-stylesheet"; "t:x" |]; data }
+          | 4 when not prev_text -> Tree.Text (string ~first:text_pieces text_pieces 5)
+          | _ -> Tree.Element (element (depth + 1))
+        in
+        node :: children (match node with Tree.Text _ -> true | _ -> false) (k - 1)
+    in
+    Tree.elem_n
+      (Name.of_string_exn (pick [| "a"; "b"; "p:q"; "long-name.x" |]))
+      ~attrs:attributes
+      ~children:(children false (int 5))
+  in
+  let version = pick [| "1.0"; "1.1" |] in
+  let encoding = pick [| None; Some "UTF-8"; Some "ISO-8859-1" |] in
+  let standalone = pick [| None; Some true; Some false |] in
+  { (Tree.document (element 0)) with Tree.version; encoding; standalone }
+
+let print_parse_law seed =
+  let d = random_document (Random.State.make [| seed |]) in
+  let text = Printer.to_string d in
+  match Parser.parse_document text with
+  | Error e -> QCheck.Test.fail_reportf "%S: %s" text (Parser.error_to_string e)
+  | Ok d' ->
+    Tree.equal_element d.Tree.root d'.Tree.root
+    && d.Tree.version = d'.Tree.version
+    && d.Tree.encoding = d'.Tree.encoding
+    && d.Tree.standalone = d'.Tree.standalone
+    || QCheck.Test.fail_reportf "%S reparses differently" text
 
 (* ---------------- content equality ---------------- *)
 
@@ -267,6 +428,13 @@ let suite =
         Alcotest.test_case "error location" `Quick test_parse_error_location;
         Alcotest.test_case "deep nesting" `Quick test_deep_nesting;
         Alcotest.test_case "whitespace kept" `Quick test_mixed_whitespace_kept;
+        Alcotest.test_case "truncated declaration" `Quick test_truncated_declaration;
+        Alcotest.test_case "second DOCTYPE" `Quick test_second_doctype;
+        Alcotest.test_case "standalone yes/no" `Quick test_standalone_values;
+        Alcotest.test_case "reserved PI target" `Quick test_reserved_pi_target;
+        Alcotest.test_case "xml-stylesheet PI" `Quick test_xml_stylesheet_pi;
+        Alcotest.test_case "empty PI target" `Quick test_empty_pi_target;
+        Alcotest.test_case "every prefix: tree = stream" `Quick test_prefixes_one_answer;
       ] );
     ( "xml.printer",
       [
@@ -274,6 +442,10 @@ let suite =
         Alcotest.test_case "roundtrip" `Quick test_print_parse_roundtrip;
         Alcotest.test_case "special chars" `Quick test_print_special_chars;
         Alcotest.test_case "pretty reparses" `Quick test_pretty_print_reparses;
+        QCheck_alcotest.to_alcotest
+          (QCheck.Test.make ~count:300 ~name:"parse (print d) = d"
+             (QCheck.make ~print:string_of_int QCheck.Gen.(int_bound 1_000_000))
+             print_parse_law);
       ] );
     ( "xml.eol",
       [
