@@ -214,8 +214,22 @@ let doc_or_stdin_pos n =
 let schema_opt ?(docv = "SCHEMA") doc =
   Arg.(value & opt (some file) None & info [ "schema" ] ~docv ~doc)
 
+(* block and pool capacities: a full block splits in two halves and a
+   fault evicts around the frame it admits, so neither works below 2 *)
+let capacity =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 2 -> Ok n
+    | Some _ -> Error (Printf.sprintf "invalid value '%s', expected an integer of at least 2" s)
+    | None -> Error (Printf.sprintf "invalid value '%s', expected an integer" s)
+  in
+  Arg.conv' (parse, Format.pp_print_int)
+
+let opt_capacity name default doc =
+  Arg.(value & opt capacity default & info [ name ] ~docv:"N" ~doc)
+
 let pool_capacity ?doc default =
-  opt_int "pool-capacity" default
+  opt_capacity "pool-capacity" default
     (match doc with
     | Some d -> d
     | None ->
@@ -543,7 +557,7 @@ let load_cmd =
       $ schema_opt
           "Validate against $(docv) while loading, in the same streaming pass; validation \
            errors are reported after the load and exit with code 1."
-      $ opt_int "block-capacity" 64 "Descriptors per storage block (default 64)."
+      $ opt_capacity "block-capacity" 64 "Descriptors per storage block (default 64)."
       $ opt_string "page-file"
           "Page the storage through a bounded buffer pool backed by $(docv): block values \
            spill to disk under 2Q replacement as the load outgrows the pool, and the file is \
@@ -1684,7 +1698,7 @@ let bench_serve_cmd =
       $ flag "no-group-commit" "Run the server with fsync-per-record (the baseline)."
       $ flag "index" "Run the server with --index (serialized reads)."
       $ Arg.(
-          value & opt (some int) None
+          value & opt (some capacity) None
           & info [ "pool-capacity" ] ~docv:"N"
               ~doc:
                 "Run the server with a disk-paged storage replica under an $(docv)-block \

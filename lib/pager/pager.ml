@@ -73,17 +73,22 @@ type t = {
 }
 
 (* one critical section; a handler or WAL hook that raises inside it
-   (a write error, an injected crash) still releases the mutex *)
+   (a write error, an injected crash) still releases the mutex.  The
+   hot sections ([touch], [read], [unpin], [register_new], [write])
+   spell this out as [Mutex.lock]; [match .. with exception] so that
+   entering them builds no closure. *)
+let unlock_reraise t e =
+  let bt = Printexc.get_raw_backtrace () in
+  Mutex.unlock t.lock;
+  Printexc.raise_with_backtrace e bt
+
 let locked t f =
   Mutex.lock t.lock;
   match f () with
   | v ->
     Mutex.unlock t.lock;
     v
-  | exception e ->
-    let bt = Printexc.get_raw_backtrace () in
-    Mutex.unlock t.lock;
-    Printexc.raise_with_backtrace e bt
+  | exception e -> unlock_reraise t e
 
 let resident_count t = t.a1in.qsize + t.am.qsize
 let is_resident f = match f.q with Q_a1in | Q_am -> true | Q_none | Q_ghost -> false
@@ -158,9 +163,9 @@ let create ~capacity ~handlers ?wal file =
   t
 
 let frame_exn t id =
-  match Hashtbl.find_opt t.frames id with
-  | Some f -> f
-  | None -> invalid_arg (Printf.sprintf "Pager: unknown block %d" id)
+  match Hashtbl.find t.frames id with
+  | f -> f
+  | exception Not_found -> invalid_arg (Printf.sprintf "Pager: unknown block %d" id)
 
 (* ------------------------------------------------------------------ *)
 (* Write-back, ordered against the WAL *)
@@ -282,22 +287,38 @@ let access_locked ~scan t f =
   end
 
 let touch ?(pin = false) ?(scan = false) t id =
-  locked t (fun () ->
-      let f = frame_exn t id in
-      let result = access_locked ~scan t f in
-      if pin then f.pins <- f.pins + 1;
-      result)
+  Mutex.lock t.lock;
+  match
+    let f = frame_exn t id in
+    let result = access_locked ~scan t f in
+    if pin then f.pins <- f.pins + 1;
+    result
+  with
+  | result ->
+    Mutex.unlock t.lock;
+    result
+  | exception e -> unlock_reraise t e
 
 let read t id reader =
-  locked t (fun () ->
-      ignore (access_locked ~scan:false t (frame_exn t id));
-      reader ())
+  Mutex.lock t.lock;
+  match
+    ignore (access_locked ~scan:false t (frame_exn t id));
+    reader ()
+  with
+  | v ->
+    Mutex.unlock t.lock;
+    v
+  | exception e -> unlock_reraise t e
 
 let unpin t id =
-  locked t (fun () ->
-      let f = frame_exn t id in
-      if f.pins <= 0 then invalid_arg (Printf.sprintf "Pager.unpin: block %d is not pinned" id);
-      f.pins <- f.pins - 1)
+  Mutex.lock t.lock;
+  match
+    let f = frame_exn t id in
+    if f.pins <= 0 then invalid_arg (Printf.sprintf "Pager.unpin: block %d is not pinned" id);
+    f.pins <- f.pins - 1
+  with
+  | () -> Mutex.unlock t.lock
+  | exception e -> unlock_reraise t e
 
 let set_dirty t f ~lsn =
   if not f.dirty then begin
@@ -307,25 +328,33 @@ let set_dirty t f ~lsn =
   if lsn > f.lsn then f.lsn <- lsn
 
 let register_new ?lsn t id =
-  locked t (fun () ->
-      if Hashtbl.mem t.frames id then
-        invalid_arg (Printf.sprintf "Pager.register_new: block %d already registered" id);
-      let f =
-        { f_id = id; q = Q_none; f_prev = None; f_next = None; pins = 0; dirty = false;
-          lsn = 0; head = 0 }
-      in
-      Hashtbl.replace t.frames id f;
-      ensure_room t ~protect:f;
-      f.q <- Q_a1in;
-      q_push_front t.a1in f;
-      Option.iter (fun lsn -> set_dirty t f ~lsn) lsn)
+  Mutex.lock t.lock;
+  match
+    if Hashtbl.mem t.frames id then
+      invalid_arg (Printf.sprintf "Pager.register_new: block %d already registered" id);
+    let f =
+      { f_id = id; q = Q_none; f_prev = None; f_next = None; pins = 0; dirty = false;
+        lsn = 0; head = 0 }
+    in
+    Hashtbl.replace t.frames id f;
+    ensure_room t ~protect:f;
+    f.q <- Q_a1in;
+    q_push_front t.a1in f;
+    match lsn with Some lsn -> set_dirty t f ~lsn | None -> ()
+  with
+  | () -> Mutex.unlock t.lock
+  | exception e -> unlock_reraise t e
 
 let write ?(pin = false) t id ~lsn =
-  locked t (fun () ->
-      let f = frame_exn t id in
-      ignore (access_locked ~scan:false t f);
-      if pin then f.pins <- f.pins + 1;
-      set_dirty t f ~lsn)
+  Mutex.lock t.lock;
+  match
+    let f = frame_exn t id in
+    ignore (access_locked ~scan:false t f);
+    if pin then f.pins <- f.pins + 1;
+    set_dirty t f ~lsn
+  with
+  | () -> Mutex.unlock t.lock
+  | exception e -> unlock_reraise t e
 
 let mark_dirty t id ~lsn =
   locked t (fun () ->

@@ -6,25 +6,37 @@ module Pager = Xsm_pager.Pager
 module Page_file = Xsm_pager.Page_file
 module Codec = Xsm_pager.Codec
 
+(* Memory layout.  Every descriptor and every block allocates its own
+   [Some] box once, at creation ([self], [b_self]); each link to it —
+   parent, siblings, the in-block chain, a block's ends, [home], the
+   block lists — stores that shared box, so linking allocates nothing
+   and the accessors hand the box out as it is.  First-child-by-schema
+   is a chain of mutable cells in first-appearance order, updated in
+   place. *)
 type desc = {
   id : int;
   d_snode : Schema.snode;
+  mutable self : desc option;  (* [Some] of this descriptor, set once by [make_desc] *)
   mutable parent : desc option;
   mutable left : desc option;
   mutable right : desc option;
   mutable next_in_block : desc option;
   mutable prev_in_block : desc option;
   mutable nid : Label.t;
-  mutable first_children : (int * desc) list;  (* child snode id -> first desc *)
+  mutable first_children : fc;
   mutable value : string;
   mutable home : block option;
 }
+
+(* child snode id -> the nid-least child of that snode *)
+and fc = Fc_nil | Fc of { sid : int; mutable first : desc; mutable rest : fc }
 
 and block = {
   block_id : int;
   b_snode : Schema.snode;
   capacity : int;
   owner : t;
+  mutable b_self : block option;  (* [Some] of this block, set once by [make_block] *)
   mutable count : int;
   mutable first : desc option;
   mutable last : desc option;
@@ -39,9 +51,9 @@ and t = {
   mutable next_block_id : int;
   mutable splits : int;
   mutable descriptors : int;
-  (* head/tail block per schema node id *)
-  heads : (int, block) Hashtbl.t;
-  tails : (int, block) Hashtbl.t;
+  (* head/tail block per schema node id, [None] past the end *)
+  mutable heads : block option array;
+  mutable tails : block option array;
   by_node : (int, desc) Hashtbl.t;  (* store node id -> descriptor *)
   mutable root_desc : desc option;
   blocks_by_id : (int, block) Hashtbl.t;
@@ -113,15 +125,82 @@ let descriptor_of_node t n = Hashtbl.find_opt t.by_node (Store.node_id n)
 let bind_node t n d = Hashtbl.replace t.by_node (Store.node_id n) d
 
 (* ------------------------------------------------------------------ *)
+(* First-child-by-schema chains                                        *)
+
+(* the chain's cell for [sid], [Fc_nil] when it has none *)
+let rec fc_cell sid = function
+  | Fc c when c.sid <> sid -> fc_cell sid c.rest
+  | cell -> cell
+
+let rec fc_length n = function Fc_nil -> n | Fc c -> fc_length (n + 1) c.rest
+
+(* the leftmost child overall: the nid-least of the chain's firsts *)
+let rec fc_leftmost best = function
+  | Fc_nil -> best
+  | Fc c -> fc_leftmost (if Label.compare c.first.nid best.nid < 0 then c.first else best) c.rest
+
+let leftmost_child d =
+  match d.first_children with Fc_nil -> None | Fc c -> (fc_leftmost c.first c.rest).self
+
+(* [nd], a new child of [d] with snode id [sid], becomes the chain's
+   entry for [sid] if it has none (appended, keeping first-appearance
+   order) or if it precedes the current one *)
+let rec fc_link_from sid nd = function
+  | Fc_nil -> ()
+  | Fc c ->
+    if c.sid = sid then (if Label.compare nd.nid c.first.nid < 0 then c.first <- nd)
+    else (
+      match c.rest with
+      | Fc_nil -> c.rest <- Fc { sid; first = nd; rest = Fc_nil }
+      | rest -> fc_link_from sid nd rest)
+
+let fc_link d sid nd =
+  match d.first_children with
+  | Fc_nil -> d.first_children <- Fc { sid; first = nd; rest = Fc_nil }
+  | chain -> fc_link_from sid nd chain
+
+(* drop [sid]'s entry from the chain after the first cell *)
+let rec fc_unlink_from sid = function
+  | Fc_nil -> ()
+  | Fc c -> (
+    match c.rest with
+    | Fc r when r.sid = sid -> c.rest <- r.rest
+    | rest -> fc_unlink_from sid rest)
+
+let fc_remove d sid =
+  match d.first_children with
+  | Fc c when c.sid = sid -> d.first_children <- c.rest
+  | chain -> fc_unlink_from sid chain
+
+(* ------------------------------------------------------------------ *)
 (* Block management                                                    *)
 
-let new_block t snode =
+(* the per-snode block lists' ends, indexed by snode id *)
+let list_end ends sid = if sid < Array.length ends then Array.unsafe_get ends sid else None
+
+let with_end ends sid b =
+  let ends =
+    if sid < Array.length ends then ends
+    else begin
+      let grown = Array.make (max (sid + 1) (2 * Array.length ends)) None in
+      Array.blit ends 0 grown 0 (Array.length ends);
+      grown
+    end
+  in
+  ends.(sid) <- b;
+  ends
+
+let set_head t sid b = t.heads <- with_end t.heads sid b
+let set_tail t sid b = t.tails <- with_end t.tails sid b
+
+let make_block t ~block_id snode =
   let b =
     {
-      block_id = t.next_block_id;
+      block_id;
       b_snode = snode;
       capacity = t.block_capacity;
       owner = t;
+      b_self = None;
       count = 0;
       first = None;
       last = None;
@@ -129,8 +208,13 @@ let new_block t snode =
       prev_block = None;
     }
   in
+  b.b_self <- Some b;
+  Hashtbl.replace t.blocks_by_id block_id b;
+  b
+
+let new_block t snode =
+  let b = make_block t ~block_id:t.next_block_id snode in
   t.next_block_id <- t.next_block_id + 1;
-  Hashtbl.replace t.blocks_by_id b.block_id b;
   (match t.pager with
   | None -> ()
   | Some p ->
@@ -142,52 +226,50 @@ let new_block t snode =
 (* append a block at the tail of its snode's list *)
 let append_block t b =
   let sid = Schema.snode_id b.b_snode in
-  (match Hashtbl.find_opt t.tails sid with
-  | None ->
-    Hashtbl.replace t.heads sid b;
-    Hashtbl.replace t.tails sid b
-  | Some tail ->
-    tail.next_block <- Some b;
-    b.prev_block <- Some tail;
-    Hashtbl.replace t.tails sid b)
+  (match list_end t.tails sid with
+  | None -> set_head t sid b.b_self
+  | Some tail as tail_box ->
+    tail.next_block <- b.b_self;
+    b.prev_block <- tail_box);
+  set_tail t sid b.b_self
 
 (* insert block nb right after block b in the list *)
 let link_block_after t b nb =
-  nb.prev_block <- Some b;
+  nb.prev_block <- b.b_self;
   nb.next_block <- b.next_block;
   (match b.next_block with
-  | Some n -> n.prev_block <- Some nb
-  | None -> Hashtbl.replace t.tails (Schema.snode_id b.b_snode) nb);
-  b.next_block <- Some nb
+  | Some n -> n.prev_block <- nb.b_self
+  | None -> set_tail t (Schema.snode_id b.b_snode) nb.b_self);
+  b.next_block <- nb.b_self
 
 (* append descriptor at the tail of block b's chain *)
 let append_to_block b d =
   write_block b.owner b;
-  d.home <- Some b;
+  d.home <- b.b_self;
   d.prev_in_block <- b.last;
   d.next_in_block <- None;
-  (match b.last with Some l -> l.next_in_block <- Some d | None -> b.first <- Some d);
-  b.last <- Some d;
+  (match b.last with Some l -> l.next_in_block <- d.self | None -> b.first <- d.self);
+  b.last <- d.self;
   b.count <- b.count + 1
 
 (* insert descriptor nd into block b right after descriptor d (None =
    at the head) *)
 let insert_in_block b ~after nd =
   write_block b.owner b;
-  nd.home <- Some b;
+  nd.home <- b.b_self;
   (match after with
   | None ->
     nd.prev_in_block <- None;
     nd.next_in_block <- b.first;
-    (match b.first with Some f -> f.prev_in_block <- Some nd | None -> b.last <- Some nd);
-    b.first <- Some nd
+    (match b.first with Some f -> f.prev_in_block <- nd.self | None -> b.last <- nd.self);
+    b.first <- nd.self
   | Some d ->
-    nd.prev_in_block <- Some d;
+    nd.prev_in_block <- d.self;
     nd.next_in_block <- d.next_in_block;
     (match d.next_in_block with
-    | Some n -> n.prev_in_block <- Some nd
-    | None -> b.last <- Some nd);
-    d.next_in_block <- Some nd);
+    | Some n -> n.prev_in_block <- nd.self
+    | None -> b.last <- nd.self);
+    d.next_in_block <- nd.self);
   b.count <- b.count + 1
 
 let remove_from_block d =
@@ -219,7 +301,7 @@ let split_block t b =
   let moved_head = boundary.next_in_block in
   boundary.next_in_block <- None;
   let old_last = b.last in
-  b.last <- Some boundary;
+  b.last <- boundary.self;
   let nb = new_block t b.b_snode in
   link_block_after t b nb;
   nb.first <- moved_head;
@@ -229,7 +311,7 @@ let split_block t b =
   let rec adopt = function
     | None -> ()
     | Some d ->
-      d.home <- Some nb;
+      d.home <- nb.b_self;
       incr moved;
       adopt d.next_in_block
   in
@@ -243,22 +325,28 @@ let split_block t b =
 (* ------------------------------------------------------------------ *)
 (* Descriptor construction                                             *)
 
-let new_desc t snode nid =
+let make_desc ~id snode nid value =
   let d =
     {
-      id = t.next_desc_id;
+      id;
       d_snode = snode;
+      self = None;
       parent = None;
       left = None;
       right = None;
       next_in_block = None;
       prev_in_block = None;
       nid;
-      first_children = [];
-      value = "";
+      first_children = Fc_nil;
+      value;
       home = None;
     }
   in
+  d.self <- Some d;
+  d
+
+let new_desc t snode nid =
+  let d = make_desc ~id:t.next_desc_id snode nid "" in
   t.next_desc_id <- t.next_desc_id + 1;
   t.descriptors <- t.descriptors + 1;
   d
@@ -267,7 +355,7 @@ let new_desc t snode nid =
 let place_at_tail t d =
   let sid = Schema.snode_id d.d_snode in
   let target =
-    match Hashtbl.find_opt t.tails sid with
+    match list_end t.tails sid with
     | Some b when b.count < b.capacity -> b
     | Some _ | None ->
       let b = new_block t d.d_snode in
@@ -284,8 +372,8 @@ let make_empty ~block_capacity =
     next_block_id = 0;
     splits = 0;
     descriptors = 0;
-    heads = Hashtbl.create 64;
-    tails = Hashtbl.create 64;
+    heads = [||];
+    tails = [||];
     by_node = Hashtbl.create 256;
     root_desc = None;
     blocks_by_id = Hashtbl.create 64;
@@ -294,7 +382,12 @@ let make_empty ~block_capacity =
     ser_buf = Buffer.create 1024;
   }
 
+(* a full block splits into two non-empty halves *)
+let check_capacity fn block_capacity =
+  if block_capacity < 2 then invalid_arg (Printf.sprintf "Block_storage.%s: block capacity < 2" fn)
+
 let of_store ?(block_capacity = 64) store docnode =
+  check_capacity "of_store" block_capacity;
   let t = make_empty ~block_capacity in
   let rec build node sn nid =
     let d = new_desc t sn nid in
@@ -314,15 +407,14 @@ let of_store ?(block_capacity = 64) store docnode =
             (Schema.kind_of_store (Store.kind store c))
         in
         let cd = build c csn cl in
-        cd.parent <- Some d;
+        cd.parent <- d.self;
         (match !prev with
         | Some p ->
-          p.right <- Some cd;
-          cd.left <- Some p
+          p.right <- cd.self;
+          cd.left <- !prev
         | None -> ());
-        prev := Some cd;
-        if not (List.mem_assoc (Schema.snode_id csn) d.first_children) then
-          d.first_children <- d.first_children @ [ (Schema.snode_id csn, cd) ])
+        prev := cd.self;
+        fc_link d (Schema.snode_id csn) cd)
       ordered child_labels;
     d
   in
@@ -339,17 +431,18 @@ let of_store ?(block_capacity = 64) store docnode =
     | Store.Kind.Attribute | Store.Kind.Text ->
       invalid_arg "Block_storage.of_store: not a tree root"
   in
-  t.root_desc <- Some rootd;
+  t.root_desc <- rootd.self;
   t
 
 (* ------------------------------------------------------------------ *)
 (* Streaming (document-order) build                                    *)
 
 let create_empty ?(block_capacity = 64) () =
+  check_capacity "create_empty" block_capacity;
   let t = make_empty ~block_capacity in
   let d = new_desc t (Schema.root t.dschema) Label.root in
   place_at_tail t d;
-  t.root_desc <- Some d;
+  t.root_desc <- d.self;
   t
 
 let snode d = d.d_snode
@@ -366,26 +459,16 @@ let right_sibling d = d.right
 
 let home_block_id d = Option.map (fun b -> b.block_id) d.home
 
-let first_child_by_schema d sn = List.assoc_opt (Schema.snode_id sn) d.first_children
+let first_child_by_schema d sn =
+  match fc_cell (Schema.snode_id sn) d.first_children with Fc c -> c.first.self | Fc_nil -> None
 
 let all_children_unordered d =
   (* leftmost first child, then the right-sibling chain *)
-  match d.first_children with
-  | [] -> []
-  | firsts ->
-    let leftmost =
-      List.fold_left
-        (fun best (_, c) ->
-          match best with
-          | None -> Some c
-          | Some b -> if Label.compare c.nid b.nid < 0 then Some c else best)
-        None firsts
-    in
-    let rec walk acc = function
-      | None -> List.rev acc
-      | Some c -> walk (c :: acc) c.right
-    in
-    walk [] leftmost
+  let rec walk acc = function
+    | None -> List.rev acc
+    | Some c -> walk (c :: acc) c.right
+  in
+  walk [] (leftmost_child d)
 
 let children _t d =
   List.filter
@@ -406,9 +489,9 @@ let rec string_value t d =
 let typed_value t d = [ Xsm_datatypes.Value.Untyped_atomic (string_value t d) ]
 
 let descendants_by_snode t sn =
-  match Hashtbl.find_opt t.heads (Schema.snode_id sn) with
+  match list_end t.heads (Schema.snode_id sn) with
   | None -> []
-  | Some head ->
+  | Some _ as head ->
     let rec blocks acc = function
       | None -> List.rev acc
       | Some b -> blocks (b :: acc) b.next_block
@@ -423,7 +506,7 @@ let descendants_by_snode t sn =
       in
       go [] b.first
     in
-    List.concat_map in_block (blocks [] (Some head))
+    List.concat_map in_block (blocks [] head)
 
 let rec to_element t d =
   match Schema.kind d.d_snode with
@@ -473,7 +556,7 @@ let to_document t =
    a larger nid.  We scan the block list to find the neighbour. *)
 let place_ordered t d =
   let sid = Schema.snode_id d.d_snode in
-  match Hashtbl.find_opt t.heads sid with
+  match list_end t.heads sid with
   | None ->
     let b = new_block t d.d_snode in
     append_block t b;
@@ -518,14 +601,7 @@ let sibling_label ~parent_d ~after =
   match after with
   | None -> (
     (* before the current first child, or the very first child *)
-    match
-      List.fold_left
-        (fun best (_, c) ->
-          match best with
-          | None -> Some c
-          | Some b -> if Label.compare c.nid b.nid < 0 then Some c else best)
-        None parent_d.first_children
-    with
+    match leftmost_child parent_d with
     | None -> Label.first_child parent_d.nid
     | Some first -> Label.before_sibling first.nid)
   | Some a -> (
@@ -534,42 +610,27 @@ let sibling_label ~parent_d ~after =
     | Some next -> Label.between a.nid next.nid)
 
 let link_sibling ~parent_d ~after nd =
-  nd.parent <- Some parent_d;
+  nd.parent <- parent_d.self;
   (match after with
-  | None ->
+  | None -> (
     (* becomes leftmost: fix old leftmost's left pointer *)
-    let old_first =
-      List.fold_left
-        (fun best (_, c) ->
-          match best with
-          | None -> Some c
-          | Some b -> if Label.compare c.nid b.nid < 0 then Some c else best)
-        None parent_d.first_children
-    in
-    (match old_first with
-    | Some f ->
-      nd.right <- Some f;
-      f.left <- Some nd;
+    match leftmost_child parent_d with
+    | Some f as old_first ->
+      nd.right <- old_first;
+      f.left <- nd.self;
       dirty_desc f
     | None -> ())
   | Some a ->
-    nd.left <- Some a;
+    nd.left <- a.self;
     nd.right <- a.right;
     (match a.right with
     | Some r ->
-      r.left <- Some nd;
+      r.left <- nd.self;
       dirty_desc r
     | None -> ());
-    a.right <- Some nd;
+    a.right <- nd.self;
     dirty_desc a);
-  (* maintain the first-child-by-schema vector *)
-  let sid = Schema.snode_id nd.d_snode in
-  (match List.assoc_opt sid parent_d.first_children with
-  | None -> parent_d.first_children <- parent_d.first_children @ [ (sid, nd) ]
-  | Some current ->
-    if Label.compare nd.nid current.nid < 0 then
-      parent_d.first_children <-
-        List.map (fun (k, v) -> if k = sid then (k, nd) else (k, v)) parent_d.first_children);
+  fc_link parent_d (Schema.snode_id nd.d_snode) nd;
   dirty_desc parent_d
 
 (* streaming append: the caller supplies the nid (a document-order
@@ -626,7 +687,9 @@ let set_content t d v =
     unpin_block t b
 
 let delete t d =
-  if d.first_children <> [] then invalid_arg "Block_storage.delete: not a leaf";
+  (match d.first_children with
+  | Fc _ -> invalid_arg "Block_storage.delete: not a leaf"
+  | Fc_nil -> ());
   (match d.left with
   | Some l ->
     l.right <- d.right;
@@ -640,19 +703,17 @@ let delete t d =
   (match d.parent with
   | Some p ->
     let sid = Schema.snode_id d.d_snode in
-    (match List.assoc_opt sid p.first_children with
-    | Some cur when cur == d ->
+    (match fc_cell sid p.first_children with
+    | Fc c when c.first == d -> (
       (* next same-snode sibling, if any, becomes the first child *)
       let rec next_same = function
         | None -> None
         | Some r -> if Schema.snode_id r.d_snode = sid then Some r else next_same r.right
       in
-      (match next_same d.right with
-      | Some r ->
-        p.first_children <-
-          List.map (fun (k, v) -> if k = sid then (k, r) else (k, v)) p.first_children
-      | None -> p.first_children <- List.remove_assoc sid p.first_children)
-    | _ -> ());
+      match next_same d.right with
+      | Some r -> c.first <- r
+      | None -> fc_remove p sid)
+    | Fc _ | Fc_nil -> ());
     dirty_desc p
   | None -> ());
   remove_from_block d;
@@ -668,6 +729,13 @@ let delete t d =
    written (the reopen path rebuilds skeletons from it) but a live
    fault restores only the values — the skeleton never leaves
    memory. *)
+let rec write_fc w = function
+  | Fc_nil -> ()
+  | Fc c ->
+    Codec.W.varint w c.sid;
+    Codec.W.varint w c.first.id;
+    write_fc w c.rest
+
 let serialize_block b =
   let w = b.owner.ser_buf in
   Buffer.clear w;
@@ -684,12 +752,8 @@ let serialize_block b =
       opt_id d.parent;
       opt_id d.left;
       opt_id d.right;
-      Codec.W.varint w (List.length d.first_children);
-      List.iter
-        (fun (sid, c) ->
-          Codec.W.varint w sid;
-          Codec.W.varint w c.id)
-        d.first_children;
+      Codec.W.varint w (fc_length 0 d.first_children);
+      write_fc w d.first_children;
       go d.next_in_block
   in
   go b.first;
@@ -792,21 +856,21 @@ let encode_meta t =
     Codec.W.byte w (kind_byte (Schema.kind sn));
     Codec.W.opt_string w (Option.map Name.to_string (Schema.name sn))
   done;
-  let lists =
-    Hashtbl.fold
-      (fun sid head acc ->
-        let rec ids b acc = match b with None -> List.rev acc | Some b -> ids b.next_block (b.block_id :: acc) in
-        (sid, ids (Some head) []) :: acc)
-      t.heads []
-  in
-  let lists = List.sort (fun (a, _) (b, _) -> compare a b) lists in
-  Codec.W.varint w (List.length lists);
+  (* the block lists in snode-id order *)
+  let lists = ref [] in
+  for sid = Array.length t.heads - 1 downto 0 do
+    let rec ids b acc = match b with None -> List.rev acc | Some b -> ids b.next_block (b.block_id :: acc) in
+    match t.heads.(sid) with
+    | None -> ()
+    | head -> lists := (sid, ids head []) :: !lists
+  done;
+  Codec.W.varint w (List.length !lists);
   List.iter
     (fun (sid, ids) ->
       Codec.W.varint w sid;
       Codec.W.varint w (List.length ids);
       List.iter (Codec.W.varint w) ids)
-    lists;
+    !lists;
   Codec.W.contents w
 
 let checkpoint t ~lsn =
@@ -881,23 +945,11 @@ let of_page_file ?wal ~capacity file =
               let cid = Codec.R.varint r in
               (sid, cid))
         in
-        let d =
-          {
-            id;
-            d_snode = Schema.by_id t.dschema dsid;
-            parent = None;
-            left = None;
-            right = None;
-            next_in_block = None;
-            prev_in_block = !prev;
-            nid;
-            first_children = [];
-            value = evicted_value;
-            home = Some b;
-          }
-        in
-        (match !prev with Some pd -> pd.next_in_block <- Some d | None -> b.first <- Some d);
-        prev := Some d;
+        let d = make_desc ~id (Schema.by_id t.dschema dsid) nid evicted_value in
+        d.home <- b.b_self;
+        d.prev_in_block <- !prev;
+        (match !prev with Some pd -> pd.next_in_block <- d.self | None -> b.first <- d.self);
+        prev := d.self;
         Hashtbl.replace descs id d;
         links := (d, p, l, rt, firsts) :: !links
       done;
@@ -912,20 +964,7 @@ let of_page_file ?wal ~capacity file =
     let sn = Schema.by_id t.dschema sid in
     List.iter
       (fun bid ->
-        let b =
-          {
-            block_id = bid;
-            b_snode = sn;
-            capacity = block_capacity;
-            owner = t;
-            count = 0;
-            first = None;
-            last = None;
-            next_block = None;
-            prev_block = None;
-          }
-        in
-        Hashtbl.replace t.blocks_by_id bid b;
+        let b = make_block t ~block_id:bid sn in
         append_block t b;
         load_block b)
       ids
@@ -939,12 +978,13 @@ let of_page_file ?wal ~capacity file =
   in
   List.iter
     (fun (d, p, l, rt, firsts) ->
-      if p >= 0 then d.parent <- Some (resolve p);
-      if l >= 0 then d.left <- Some (resolve l);
-      if rt >= 0 then d.right <- Some (resolve rt);
-      d.first_children <- List.map (fun (sid, cid) -> (sid, resolve cid)) firsts)
+      if p >= 0 then d.parent <- (resolve p).self;
+      if l >= 0 then d.left <- (resolve l).self;
+      if rt >= 0 then d.right <- (resolve rt).self;
+      d.first_children <-
+        List.fold_right (fun (sid, cid) rest -> Fc { sid; first = resolve cid; rest }) firsts Fc_nil)
     !links;
-  if root_id >= 0 then t.root_desc <- Some (resolve root_id);
+  if root_id >= 0 then t.root_desc <- (resolve root_id).self;
   (* the pager seeds cold frames from the checkpoint directory: the
      first touch of any block faults its values back in *)
   t.pager <- Some (Pager.create ~capacity ~handlers:(handlers t) ?wal file);
@@ -953,82 +993,93 @@ let of_page_file ?wal ~capacity file =
 (* ------------------------------------------------------------------ *)
 (* Statistics and integrity                                            *)
 
-let block_count t =
-  Hashtbl.fold
-    (fun _ head acc ->
-      let rec count b acc = match b.next_block with None -> acc | Some nb -> count nb (acc + 1) in
-      count head (acc + 1))
-    t.heads 0
+let rec list_length n = function None -> n | Some b -> list_length (n + 1) b.next_block
+
+let block_count t = Array.fold_left list_length 0 t.heads
 
 let split_count t = t.splits
 let descriptor_count t = t.descriptors
 
-let blocks_of_snode t sn =
-  match Hashtbl.find_opt t.heads (Schema.snode_id sn) with
-  | None -> 0
-  | Some head ->
-    let rec count b acc = match b.next_block with None -> acc | Some nb -> count nb (acc + 1) in
-    count head 1
+let blocks_of_snode t sn = list_length 0 (list_end t.heads (Schema.snode_id sn))
 
 let check_integrity t =
-  let err fmt = Printf.ksprintf (fun s -> Error s) fmt in
-  let check_snode_list _sid head =
+  let fail fmt = Printf.ksprintf failwith fmt in
+  (* a link is the shared box of the node it names, and that box holds
+     that node *)
+  let own_desc = function None -> true | Some d as box -> box == d.self in
+  let own_block = function None -> true | Some b as box -> box == b.b_self in
+  (* returns how many descriptors the list holds *)
+  let check_block_list sid head =
     (* nids strictly increasing across the whole block list *)
-    let rec walk_blocks prev_nid b =
-      let rec walk_chain prev_nid = function
-        | None -> Ok prev_nid
-        | Some d -> (
-          (match d.home with
-          | Some hb when hb == b -> ()
-          | _ -> failwith "descriptor home pointer wrong");
-          match prev_nid with
-          | Some p when Label.compare p d.nid >= 0 -> failwith "nid order violated"
-          | _ -> walk_chain (Some d.nid) d.next_in_block)
-      in
-      match walk_chain prev_nid b.first with
-      | Ok last -> (
-        match b.next_block with
-        | None -> Ok ()
-        | Some nb -> (
-          match nb.prev_block with
-          | Some pb when pb == b -> walk_blocks last nb
-          | Some _ | None -> failwith "block back-pointer wrong"))
-      | Error _ as e -> e
+    let rec walk_blocks held prev_nid prev_block = function
+      | None ->
+        if list_end t.tails sid != prev_block then fail "snode %d: tail block wrong" sid;
+        held
+      | Some b as box ->
+        if not (own_block box) then fail "block %d: link is not its shared box" b.block_id;
+        if b.prev_block != prev_block then fail "block back-pointer wrong";
+        let rec walk_chain prev_nid prev n = function
+          | None ->
+            if b.last != prev then fail "block %d: last pointer wrong" b.block_id;
+            if n <> b.count then fail "block %d: count %d, chain holds %d" b.block_id b.count n;
+            prev_nid
+          | Some d as box ->
+            if not (own_desc box) then fail "descriptor %d: link is not its shared box" d.id;
+            if d.home != b.b_self then fail "descriptor home pointer wrong";
+            if d.prev_in_block != prev then fail "in-block back-pointer wrong";
+            (match prev_nid with
+            | Some p when Label.compare p d.nid >= 0 -> fail "nid order violated"
+            | _ -> ());
+            walk_chain (Some d.nid) box (n + 1) d.next_in_block
+        in
+        walk_blocks (held + b.count) (walk_chain prev_nid None 0 b.first) box b.next_block
     in
-    walk_blocks None head
+    walk_blocks 0 None None head
+  in
+  (* sibling chains and first-child pointers: every child's snode has
+     an entry naming its leftmost child of that snode, and nothing
+     else has one; returns the size of the subtree *)
+  let rec check_desc d =
+    let kids = all_children_unordered d in
+    let seen =
+      List.fold_left
+        (fun (seen, prev) c ->
+          if c.parent != d.self then fail "child parent pointer wrong";
+          if c.left != prev then fail "descriptor %d: left pointer disagrees with right" c.id;
+          if not (own_desc c.right) then fail "descriptor %d: right link is not its shared box" c.id;
+          (match prev with
+          | Some p when Label.compare p.nid c.nid >= 0 -> fail "sibling order violated"
+          | _ -> ());
+          let sid = Schema.snode_id c.d_snode in
+          let seen =
+            if List.mem sid seen then seen
+            else
+              match fc_cell sid d.first_children with
+              | Fc_nil -> fail "descriptor %d: child snode %d has no first-child entry" d.id sid
+              | Fc e when e.first != c ->
+                fail "descriptor %d: first-child entry for snode %d is not the leftmost" d.id sid
+              | Fc _ -> sid :: seen
+          in
+          (seen, c.self))
+        ([], None) kids
+      |> fst
+    in
+    if fc_length 0 d.first_children <> List.length seen then
+      fail "descriptor %d: first-child entry without a child" d.id;
+    List.fold_left (fun n c -> n + check_desc c) 1 kids
   in
   try
-    Hashtbl.iter
+    let held = ref 0 in
+    Array.iteri
       (fun sid head ->
-        match check_snode_list sid head with
-        | Ok () -> ()
-        | Error e -> failwith e)
+        match head with Some _ -> held := !held + check_block_list sid head | None -> ())
       t.heads;
-    (* sibling chains and first-child pointers *)
-    let rec check_desc d =
-      List.iter
-        (fun (sid, first) ->
-          if Schema.snode_id first.d_snode <> sid then failwith "first-child snode mismatch";
-          match first.parent with
-          | Some p when p == d -> ()
-          | Some _ | None -> failwith "first-child parent mismatch")
-        d.first_children;
-      let kids = all_children_unordered d in
-      List.iter
-        (fun c ->
-          match c.parent with
-          | Some p when p == d -> ()
-          | Some _ | None -> failwith "child parent pointer wrong")
-        kids;
-      let rec ordered = function
-        | a :: (b :: _ as rest) ->
-          if Label.compare a.nid b.nid >= 0 then failwith "sibling order violated";
-          ordered rest
-        | [ _ ] | [] -> ()
-      in
-      ordered kids;
-      List.iter check_desc kids
-    in
-    (match t.root_desc with Some r -> check_desc r | None -> ());
+    if !held <> t.descriptors then fail "blocks hold %d descriptors, %d counted" !held t.descriptors;
+    (match t.root_desc with
+    | Some r as box ->
+      if not (own_desc box) then fail "root link is not its shared box";
+      let reached = check_desc r in
+      if reached <> !held then fail "the tree reaches %d descriptors, blocks hold %d" reached !held
+    | None -> ());
     Ok ()
-  with Failure m -> err "%s" m
+  with Failure m -> Error m

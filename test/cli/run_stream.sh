@@ -75,6 +75,20 @@ grep -q "<title>One</title>" "$tmp/load.out" || fail "load --print must serializ
 "$XSM" load - --schema "$tmp/schema.xsd" < "$tmp/doc.xml" >/dev/null 2>&1 \
   || fail "stdin load with schema failed"
 
+# --- block and pool capacities below 2 are refused at parse time (124)
+for c in 0 1; do
+  "$XSM" load "$tmp/doc.xml" --block-capacity "$c" >/dev/null 2>&1
+  [ $? -eq 124 ] || fail "load --block-capacity $c must be refused with exit 124"
+  "$XSM" load "$tmp/doc.xml" --page-file "$tmp/cap.pages" --pool-capacity "$c" >/dev/null 2>&1
+  [ $? -eq 124 ] || fail "load --pool-capacity $c must be refused with exit 124"
+  "$XSM" query "$tmp/doc.xml" /library --page-file "$tmp/cap.pages" --pool-capacity "$c" \
+    >/dev/null 2>&1
+  [ $? -eq 124 ] || fail "query --pool-capacity $c must be refused with exit 124"
+done
+"$XSM" load "$tmp/doc.xml" --block-capacity 2 --page-file "$tmp/cap.pages" --pool-capacity 2 \
+  --stats > "$tmp/cap.out" 2>&1 || fail "capacity 2 must load"
+grep -q "integrity ok" "$tmp/cap.out" || fail "capacity 2 load must keep integrity"
+
 # --- load with WAL + snapshot: clean run recovers to the same state
 "$XSM" load "$tmp/doc.xml" --wal "$tmp/w.wal" --snapshot "$tmp/s.snap" --print > "$tmp/direct.xml" 2>/dev/null \
   || fail "logged load failed"

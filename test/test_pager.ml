@@ -422,6 +422,33 @@ let pager_raise_releases_lock () =
   check_int "stats still readable" 2 (Pager.stats p).Pager.capacity;
   Pf.close pf
 
+(* The hot sections allocate nothing: on resident frames, 10 000
+   rounds of [write], pinning [touch] and [unpin] leave the minor heap
+   exactly where an empty measurement leaves it — no closure for the
+   critical section, no option from the frame lookup. *)
+let sections_allocate_nothing () =
+  with_tmp @@ fun path ->
+  let p, pf, add = synthetic_pager ~capacity:4 path in
+  add 1;
+  add 2;
+  let measure f =
+    let w0 = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. w0
+  in
+  let empty = measure (fun () -> ()) in
+  let rounds () =
+    for _ = 1 to 10_000 do
+      Pager.write p 1 ~lsn:0;
+      ignore (Pager.touch ~pin:true p 2);
+      Pager.unpin p 2
+    done
+  in
+  Alcotest.(check (float 0.)) "minor words over 10 000 rounds" empty (measure rounds);
+  check_int "every call was an access" 20_000 (Pager.stats p).Pager.accesses;
+  Pager.clear p;
+  Pf.close pf
+
 (* Under a pager, the WAL's periodic fsync is a sync point: it writes
    the marker and advances the synced LSN, so evicting a dirty page
    whose records it already made durable forces nothing more — one
@@ -849,6 +876,8 @@ let suite =
           pager_raise_releases_lock;
         Alcotest.test_case "paged WAL: one fsync per sync_every records" `Quick
           paged_wal_periodic_sync;
+        Alcotest.test_case "write, touch and unpin allocate nothing" `Quick
+          sections_allocate_nothing;
       ] );
     ( "pager.storage",
       [

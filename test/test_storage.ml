@@ -230,6 +230,28 @@ let test_block_splits () =
   check "descriptors moved" true (!total_moved > 0);
   match B.check_integrity bs with Ok () -> () | Error e -> Alcotest.fail e
 
+(* a full block splits into two non-empty halves, so a capacity below
+   2 is refused where a storage is made; 2 is the smallest that splits *)
+let test_capacity_floor () =
+  let refused what f =
+    check (what ^ " refused") true (match f () with exception Invalid_argument _ -> true | _ -> false)
+  in
+  let store, dnode = load Xsm_schema.Samples.example8_document in
+  List.iter
+    (fun c ->
+      refused (Printf.sprintf "create_empty capacity %d" c) (fun () ->
+          B.create_empty ~block_capacity:c ());
+      refused (Printf.sprintf "of_store capacity %d" c) (fun () ->
+          B.of_store ~block_capacity:c store dnode))
+    [ -1; 0; 1 ];
+  let bs = B.of_store ~block_capacity:2 store dnode in
+  let library = List.hd (B.children bs (B.root bs)) in
+  for _ = 1 to 10 do
+    ignore (B.insert_element bs ~parent:library ~after:None (Name.local "x"))
+  done;
+  check "capacity 2 splits" true (B.split_count bs > 0);
+  match B.check_integrity bs with Ok () -> () | Error e -> Alcotest.fail e
+
 let test_delete () =
   let _, _, bs = build Xsm_schema.Samples.example8_document in
   let library = List.hd (B.children bs (B.root bs)) in
@@ -326,6 +348,7 @@ let suite =
         Alcotest.test_case "insert element/text" `Quick test_insert_element_and_text;
         Alcotest.test_case "insert attribute" `Quick test_insert_attribute;
         Alcotest.test_case "block splits" `Quick test_block_splits;
+        Alcotest.test_case "capacity below 2 refused" `Quick test_capacity_floor;
         Alcotest.test_case "delete" `Quick test_delete;
         Alcotest.test_case "block scans" `Quick test_descendants_by_snode_counts;
         Alcotest.test_case "serialization" `Quick test_serialization_roundtrip;

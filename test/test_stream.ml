@@ -751,6 +751,32 @@ let bulk_drain_completed () =
   in
   check "drained in document order" true (sorted !drained)
 
+(* The memory a bulk load keeps per descriptor, on the record corpus
+   of the ingest benchmark: <doc> holding <rec id="..."> records of
+   five <kN> fields with one text each.  Links share each node's one
+   option box and first-child-by-schema is a chain of mutable cells,
+   so a descriptor holds its fields, its label and its value and
+   little else; 25 words is the ceiling. *)
+let bulk_words_per_descriptor () =
+  let records = 2000 in
+  let b = Buffer.create (records * 200) in
+  Buffer.add_string b "<doc>";
+  for i = 1 to records do
+    Printf.bprintf b "<rec id=\"r%d\">" i;
+    for k = 0 to 4 do
+      let w j = Printf.sprintf "w%06x" (((i * 7919) + (k * 104729) + j) land 0xFFFFFF) in
+      Printf.bprintf b "<k%d>%s %s %s %s</k%d>" k (w 0) (w 1) (w 2) (w 3) k
+    done;
+    Buffer.add_string b "</rec>"
+  done;
+  Buffer.add_string b "</doc>";
+  let bs, _ = bulk_of_text (Buffer.contents b) in
+  check_int "descriptors" (2 + (records * 12)) (Bs.descriptor_count bs);
+  let per_desc =
+    float_of_int (Obj.reachable_words (Obj.repr bs)) /. float_of_int (Bs.descriptor_count bs)
+  in
+  if per_desc > 25. then Alcotest.failf "%.2f reachable words per descriptor, ceiling 25" per_desc
+
 (* crash sweep: load with a WAL crash injected after n records; recovery
    must yield the root plus exactly the first n top-level subtrees *)
 let bulk_crash_sweep () =
@@ -952,6 +978,7 @@ let suite =
         Alcotest.test_case "load = of_store (hand case)" `Quick bulk_load_simple;
         Alcotest.test_case "load = of_store (small blocks)" `Quick bulk_load_small_blocks;
         Alcotest.test_case "drain_completed" `Quick bulk_drain_completed;
+        Alcotest.test_case "at most 25 words per descriptor" `Quick bulk_words_per_descriptor;
         to_alco ~count:50 "load = of_store (random instances)" bulk_load_random_law;
         Alcotest.test_case "crash-point sweep" `Quick bulk_crash_sweep;
         to_alco ~count:200 "WAL records = encode_record of the parsed subtrees"
