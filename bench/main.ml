@@ -318,12 +318,11 @@ let tests () =
            ignore (Xsm_schema.Content_automaton.table_matches wide_table wide_word)))
   in
   let e14c =
-    Test.make ~name:"E14 validate bookstore, precompiled"
-      (let report = Xsm_analysis.Analyzer.analyze Xsm_schema.Samples.example7_schema in
+    Test.make ~name:"E14 validate bookstore, compiled schema"
+      (let compiled = Xsm_schema.Compiled.make Xsm_schema.Samples.example7_schema in
        staged (fun () ->
            match
-             Xsm_schema.Validator.validate_document
-               ~automata:report.Xsm_analysis.Analyzer.tables bookstore_doc
+             Xsm_schema.Validator.validate_document ~automata:compiled bookstore_doc
                Xsm_schema.Samples.example7_schema
            with
            | Ok _ -> ()
@@ -333,7 +332,8 @@ let tests () =
   let e14d =
     Test.make ~name:"E14 dead query, pruning planner"
       (let pruned = Pl.create store dnode in
-       Pl.set_pruner pruned (Xsm_analysis.Query_static.pruner Xsm_schema.Samples.library_schema);
+       Pl.set_pruner pruned (Xsm_analysis.Query_static.pruner
+       (Xsm_analysis.Schema_graph.build (Xsm_schema.Compiled.make Xsm_schema.Samples.library_schema)));
        staged (fun () ->
            match Pl.eval_string pruned dead_query with
            | Ok [] -> ()

@@ -43,6 +43,7 @@ open Cmdliner
 module Store = Xsm_xdm.Store
 module Update = Xsm_schema.Update
 module Validator = Xsm_schema.Validator
+module Compiled = Xsm_schema.Compiled
 module Bs = Xsm_storage.Block_storage
 module Pager = Xsm_pager.Pager
 module Page_file = Xsm_pager.Page_file
@@ -98,10 +99,18 @@ let load_document path =
   | Ok d -> Ok d
   | Error e -> Error (Printf.sprintf "%s: %s" path (Xsm_xml.Parser.error_to_string e))
 
-let load_schema path =
-  match Xsm_xsd.Reader.schema_of_string (read_file path) with
-  | Ok s -> Ok s
-  | Error e -> Error (Printf.sprintf "%s: %s" path (Xsm_xsd.Reader.error_to_string e))
+(* A schema file: its document, which also declares the identity
+   constraints, and its abstract syntax. *)
+let read_schema path =
+  let doc = or_die (load_document path) in
+  match Xsm_xsd.Reader.schema_of_document doc with
+  | Ok s -> (doc, s)
+  | Error e -> die "%s: %s" path (Xsm_xsd.Reader.error_to_string e)
+
+(* The raw schema, unchecked: only the commands that inspect schemas
+   (check, analyze, canonicalize, roundtrip) read it this way; every
+   other --schema goes through [load_checked_schema]. *)
+let load_schema path = snd (read_schema path)
 
 (* Corrupt persistent input — a WAL that is not a WAL — exits 3, the
    shared corrupt-input code; environmental failures stay at 2. *)
@@ -343,16 +352,13 @@ let answer ?planner ~eval q =
        | Error _ -> ());
     r
 
-(* The schema gate of validate and load: the analyzer subsumes
-   Schema_check and refuses fatal findings with the same diagnostics as
-   `xsm analyze`; its determinized content models are handed on so
-   validation compiles nothing. *)
-let load_checked_schema ~streaming path =
-  let schema_doc = or_die (load_document path) in
-  let reader_die e = die "%s" (Xsm_xsd.Reader.error_to_string e) in
-  let schema =
-    match Xsm_xsd.Reader.schema_of_document schema_doc with Ok s -> s | Error e -> reader_die e
-  in
+(* The schema gate of every command that validates against a schema
+   or relies on one: the analyzer subsumes Schema_check and refuses
+   fatal findings with the same diagnostics as `xsm analyze` (exit 2).
+   It hands on the schema compiled once, with the identity
+   constraints. *)
+let load_checked_schema ?(streaming = false) path =
+  let schema_doc, schema = read_schema path in
   let report = Trace.with_span "validate.analyze" (fun () -> Analyzer.analyze schema) in
   (match
      List.filter
@@ -366,21 +372,30 @@ let load_checked_schema ~streaming path =
   let constraints =
     match Xsm_xsd.Reader.constraints_of_document schema_doc with
     | Ok cs -> cs
-    | Error e -> reader_die e
+    | Error e -> die "%s" (Xsm_xsd.Reader.error_to_string e)
   in
   if streaming && constraints <> [] then
     Printf.eprintf "warning: %d identity constraint(s) not checked in streaming mode\n"
       (List.length constraints);
-  (schema, report.Analyzer.tables, constraints)
+  (report.Analyzer.tables, constraints)
 
 (* a document that must validate before the command goes on: the
    errors go to stderr, exit 1 *)
-let validated doc schema =
-  match Validator.validate_document doc schema with
+let validated doc compiled =
+  match Validator.validate_document ~automata:compiled doc (Compiled.schema compiled) with
   | Ok typed -> typed
   | Error es ->
     List.iter (fun e -> prerr_endline (Validator.error_to_string e)) es;
     exit 1
+
+(* The planner's static hooks for a gated schema — pruning and
+   predicate folding, over one schema graph.  Both assume the document
+   is valid, so it must validate first. *)
+let schema_hooks doc path =
+  let compiled, _ = load_checked_schema path in
+  ignore (validated doc compiled);
+  let graph = Xsm_analysis.Schema_graph.build compiled in
+  (Xsm_analysis.Query_static.pruner graph, Xsm_analysis.Query_static.fold graph)
 
 (* ------------------------------------------------------------------ *)
 
@@ -393,7 +408,8 @@ let validate_cmd =
        the schema are not checked in this mode."
   in
   let run () schema_path doc_path stream =
-    let schema, automata, constraints = load_checked_schema ~streaming:stream schema_path in
+    let automata, constraints = load_checked_schema ~streaming:stream schema_path in
+    let schema = Compiled.schema automata in
     if stream then
       with_doc_channel doc_path (fun ic ->
           match Sv.run ~automata schema (Xsm_stream.Sax.of_channel ic) with
@@ -436,8 +452,8 @@ let load_cmd =
     let validator =
       Option.map
         (fun sp ->
-          let schema, automata, _ = load_checked_schema ~streaming:true sp in
-          S.Stream_validator.create ~automata schema)
+          let automata, _ = load_checked_schema ~streaming:true sp in
+          S.Stream_validator.create ~automata (Compiled.schema automata))
         schema_path
     in
     let wal = open_wal log in
@@ -581,7 +597,7 @@ let load_cmd =
 
 let check_cmd =
   let run schema_path =
-    let schema = or_die (load_schema schema_path) in
+    let schema = load_schema schema_path in
     match Xsm_schema.Schema_check.check schema with
     | Ok () -> print_endline "well-formed"
     | Error es ->
@@ -595,7 +611,7 @@ let check_cmd =
 let analyze_cmd =
   let run schema_path query_text with_cardinalities with_cost =
     if with_cost && query_text = None then die "analyze: --cost requires --query";
-    let schema = or_die (load_schema schema_path) in
+    let schema = load_schema schema_path in
     let query =
       Option.map
         (fun q -> match Path_parser.parse q with Ok p -> p | Error e -> die "query: %s" e)
@@ -630,7 +646,7 @@ let analyze_cmd =
     match Analyzer.significant report with
     | [] ->
       out "clean: %d content models determinized, %d element paths@."
-        (List.length report.Analyzer.tables)
+        (Compiled.determinized report.Analyzer.tables)
         (List.length report.Analyzer.cardinalities)
     | fs ->
       Printf.eprintf "%d finding(s)\n" (List.length fs);
@@ -674,12 +690,10 @@ let query_cmd =
       bs
     in
     Trace.with_span "query" ~attrs:[ ("path", query) ] @@ fun () ->
-    let { store; root; _ } =
-      Trace.with_span "query.parse" (fun () -> open_store (Document doc_path))
-    in
-    let schema = Option.map (fun sp -> or_die (load_schema sp)) schema_path in
-    let pruner = Option.map Xsm_analysis.Query_static.pruner schema in
-    let rewriter = Option.map Xsm_analysis.Query_static.rewriter schema in
+    let doc = Trace.with_span "query.parse" (fun () -> or_die (load_document doc_path)) in
+    let hooks = Option.map (schema_hooks doc) schema_path in
+    let pruner = Option.map fst hooks and rewriter = Option.map snd hooks in
+    let { store; root; _ } = store_of_document doc in
     (* without the planner, consult the oracle up front: a provably
        empty query needs no evaluation at all *)
     (match pruner with
@@ -771,7 +785,8 @@ let query_cmd =
           "Enable schema-aware pruning and predicate folding: queries the static analyzer \
            proves empty on every $(docv)-valid document are answered without touching the \
            data, and predicates it proves always true are dropped before planning.  The \
-           document is assumed valid against the schema."
+           document is validated against the schema first; validation errors exit with code \
+           1."
       $ flag "explain"
           "With $(b,--index): print the structured plan as a single JSON object on stdout — \
            chosen route, estimated vs. actual rows with the interval-containment flag, \
@@ -906,7 +921,7 @@ let snapshot_cmd =
         (store, root)
       | Some sp ->
         let doc = or_die (load_document doc_path) in
-        validated doc (or_die (load_schema sp))
+        validated doc (fst (load_checked_schema sp))
     in
     let labels = if with_labels then Some (Xsm_numbering.Labeler.label_tree store root) else None in
     match Snapshot.save ?schema_ref:schema_path ?labels ~path:out_path store root with
@@ -1012,15 +1027,14 @@ let stats_cmd =
   in
   let run () doc_path script_path schema_path capacity openmetrics =
     let doc = or_die (load_document doc_path) in
-    let schema = Option.map (fun sp -> or_die (load_schema sp)) schema_path in
-    Option.iter (fun s -> ignore (validated doc s)) schema;
+    let hooks = Option.map (schema_hooks doc) schema_path in
     let { store; root; _ } = store_of_document doc in
     let journal, planner = journaled_planner store root in
     Option.iter
-      (fun s ->
-        Planner.Over_store.set_pruner planner (Xsm_analysis.Query_static.pruner s);
-        Planner.Over_store.set_rewriter planner (Xsm_analysis.Query_static.rewriter s))
-      schema;
+      (fun (pruner, rewriter) ->
+        Planner.Over_store.set_pruner planner pruner;
+        Planner.Over_store.set_rewriter planner rewriter)
+      hooks;
     (* a throwaway WAL with an fsync per record, so append and fsync
        latencies land in the histograms *)
     let wal_path = Filename.temp_file "xsm-stats" ".wal" in
@@ -1114,7 +1128,7 @@ let labels_cmd =
 
 let canonicalize_cmd =
   let run schema_path =
-    let schema = or_die (load_schema schema_path) in
+    let schema = load_schema schema_path in
     print_string (Xsm_xsd.Writer.to_string (Xsm_schema.Canonical.simplify_schema schema))
   in
   Cmd.v
@@ -1140,7 +1154,7 @@ let flwor_cmd =
 
 let roundtrip_cmd =
   let run schema_path doc_path =
-    let schema = or_die (load_schema schema_path) in
+    let schema = load_schema schema_path in
     let doc = or_die (load_document doc_path) in
     match Xsm_schema.Roundtrip.holds_for doc schema with
     | Ok true -> print_endline "g(f(X)) =_c X holds"
@@ -1165,7 +1179,9 @@ module Sproto = Xsm_server.Protocol
 let serve_cmd =
   let run () socket doc_path snap_path wal_path schema_path domains no_group_commit use_index
       with_labels page_path pool_capacity flight_capacity slow_log slow_threshold_ms =
-    let schema = Option.map (fun p -> or_die (load_schema p)) schema_path in
+    let schema =
+      Option.map (fun p -> Compiled.schema (fst (load_checked_schema p))) schema_path
+    in
     let { store; root; labels; recovered } =
       match (snap_path, doc_path) with
       | Some snap, _ when Sys.file_exists snap ->

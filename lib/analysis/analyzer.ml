@@ -1,6 +1,7 @@
 module Ast = Xsm_schema.Ast
 module Schema_check = Xsm_schema.Schema_check
 module Content_automaton = Xsm_schema.Content_automaton
+module Compiled = Xsm_schema.Compiled
 module Name = Xsm_xml.Name
 
 type severity = Error | Warning | Info
@@ -23,16 +24,10 @@ let pp_finding ppf f =
 
 type report = {
   findings : finding list;
-  tables : (Ast.group_def * Content_automaton.table) list;
+  tables : Compiled.t;
   cardinalities : (string * Cardinality.interval * bool) list;
   graph : Schema_graph.t option;
 }
-
-let of_schema_errors errors =
-  List.map
-    (fun (e : Schema_check.error) ->
-      { severity = Error; pass = "schema-check"; loc = e.loc; message = e.message })
-    errors
 
 let significant r =
   List.filter (fun f -> f.severity = Error || f.severity = Warning) r.findings
@@ -61,50 +56,18 @@ let upa_finding loc (c : Content_automaton.conflict) =
         (type_of_decl c.first_decl) (type_of_decl c.second_decl);
   }
 
-(* visit every content-model group the validator would compile, with
-   its location *)
-let content_groups (s : Ast.schema) =
-  let out = ref [] in
-  let rec visit_element loc (e : Ast.element_decl) =
-    match e.elem_type with
-    | Ast.Anonymous ct -> visit_complex loc ct
-    | Ast.Type_name _ | Ast.Anonymous_simple _ -> ()
-  and visit_complex loc = function
-    | Ast.Simple_content _ -> ()
-    | Ast.Complex_content { content = Some g; _ } when not (Ast.group_is_empty g) ->
-      out := (loc, g) :: !out;
-      visit_group loc g
-    | Ast.Complex_content _ -> ()
-  and visit_group loc (g : Ast.group_def) =
-    (* recurse for the anonymous types of nested element particles *)
-    List.iter
-      (function
-        | Ast.Element_particle e ->
-          visit_element (loc @ [ Schema_check.In_element e.elem_name ]) e
-        | Ast.Group_particle inner -> visit_group loc inner)
-      g.particles
-  in
-  List.iter
-    (fun (n, ct) -> visit_complex [ Schema_check.In_type n ] ct)
-    s.complex_types;
-  visit_element [ Schema_check.In_element s.root.elem_name ] s.root;
-  List.rev !out
-
-let upa_pass s =
-  let findings = ref [] and tables = ref [] in
-  List.iter
-    (fun (loc, g) ->
-      match Content_automaton.make g with
-      | Error _ -> () (* schema-check already reported the group as uncompilable *)
-      | Ok a -> (
-        match Content_automaton.upa_conflict a with
-        | Some c -> findings := upa_finding loc c :: !findings
-        | None -> (
-          match Content_automaton.compile a with
-          | Some table -> tables := (g, table) :: !tables
-          | None -> ())))
-    (content_groups s);
-  (List.rev !findings, List.rev !tables)
+(* a witness for every content model that is not deterministic; the
+   finding's location leaves out the nested groups on the way *)
+let upa_pass compiled =
+  List.filter_map
+    (fun (loc, (m : Compiled.model)) ->
+      match m.run with
+      | Compiled.Nfa (a, _) ->
+        Option.map
+          (upa_finding (List.filter (fun seg -> seg <> Schema_check.In_group) loc))
+          (Content_automaton.upa_conflict a)
+      | Compiled.Table _ | Compiled.Bad _ -> None)
+    (Compiled.content_models compiled)
 
 (* ------------------------------------------------------------------ *)
 
@@ -167,20 +130,20 @@ let query_pass graph q =
     verdict @ warnings
 
 let analyze ?query (s : Ast.schema) =
-  let check_findings, check_ok =
-    match Schema_check.check s with
-    | Ok () -> ([], true)
-    | Error es ->
-      (* drop the bare UPA lines: the upa pass re-reports them with a
-         concrete witness *)
-      let bare_upa (e : Schema_check.error) =
-        e.message = "content model violates Unique Particle Attribution"
-      in
-      (of_schema_errors (List.filter (fun e -> not (bare_upa e)) es), false)
+  let compiled = Compiled.make s in
+  let errors = Compiled.errors compiled in
+  (* drop the bare UPA lines: the upa pass re-reports them with a
+     concrete witness *)
+  let check_findings =
+    List.filter_map
+      (fun (e : Schema_check.error) ->
+        if e.message = "content model violates Unique Particle Attribution" then None
+        else Some { severity = Error; pass = "schema-check"; loc = e.loc; message = e.message })
+      errors
   in
-  let upa_findings, tables = upa_pass s in
+  let upa_findings = upa_pass compiled in
   let hygiene = hygiene_pass s in
-  let graph = if check_ok then Some (Schema_graph.build s) else None in
+  let graph = if errors = [] then Some (Schema_graph.build compiled) else None in
   let cardinalities =
     match graph with Some g -> Schema_graph.element_paths g | None -> []
   in
@@ -189,7 +152,7 @@ let analyze ?query (s : Ast.schema) =
   in
   {
     findings = check_findings @ upa_findings @ hygiene @ query_findings;
-    tables;
+    tables = compiled;
     cardinalities;
     graph;
   }

@@ -8,20 +8,21 @@
     ({!Cardinality} over the {!Schema_graph}), and — when a query is
     supplied — static query analysis ({!Query_static}).
 
-    Deterministic content models are compiled once here and handed
-    back in {!report.tables}; feeding them to
+    Every pass reads one {!Xsm_schema.Compiled} schema, built once
+    here: its diagnostics are the well-formedness findings, its
+    non-deterministic content models carry the automata the witnesses
+    are searched in, and the {!Schema_graph} is built from it.  It is
+    handed back in {!report.tables}; feeding it to
     [Validator.validate ~automata] — or to the streaming
     [Xsm_stream.Stream_validator.run ~automata], which drives the same
-    tables one event at a time — validates instances of an analyzed
-    schema without recompiling anything. *)
+    core one event at a time — validates instances of an analyzed
+    schema without compiling anything again. *)
 
 module Ast = Xsm_schema.Ast
 module Schema_check = Xsm_schema.Schema_check
-module Content_automaton = Xsm_schema.Content_automaton
+module Compiled = Xsm_schema.Compiled
 
 type severity = Error | Warning | Info
-
-val severity_to_string : severity -> string
 
 type finding = {
   severity : severity;
@@ -36,8 +37,8 @@ val pp_finding : Format.formatter -> finding -> unit
 
 type report = {
   findings : finding list;
-  tables : (Ast.group_def * Content_automaton.table) list;
-      (** determinized content models, for [Validator.validate ?automata] *)
+  tables : Compiled.t;
+      (** the compiled schema, for [Validator.validate ?automata] *)
   cardinalities : (string * Cardinality.interval * bool) list;
       (** element path, occurrences per parent instance, recursion cut *)
   graph : Schema_graph.t option;  (** absent when [Schema_check] failed *)
@@ -48,7 +49,3 @@ val analyze : ?query:Xsm_xpath.Path_ast.path -> Ast.schema -> report
 val significant : report -> finding list
 (** Errors and warnings — the findings that make [xsm analyze] exit
     non-zero. *)
-
-val of_schema_errors : Schema_check.error list -> finding list
-(** Adapt raw [Schema_check] diagnostics to findings, for printing
-    them in the uniform format. *)

@@ -24,14 +24,9 @@ val to_string : interval -> string
 val add : interval -> interval -> interval
 (** Sequential composition: both sides occur. *)
 
-val envelope : interval -> interval -> interval
-(** Choice: either side occurs — the convex hull. *)
-
 val scale : interval -> Ast.repetition -> interval
 (** The interval for [g{min,max}] given the interval for one run of
     [g]. *)
-
-val of_repetition : Ast.repetition -> interval
 
 val of_group : Ast.group_def -> (Ast.Name.t * interval) list
 (** Per element name, the occurrence interval over words of the

@@ -1,5 +1,3 @@
-module Ast = Xsm_schema.Ast
-module Schema_check = Xsm_schema.Schema_check
 module Path_ast = Xsm_xpath.Path_ast
 module Name = Xsm_xml.Name
 module Simple_type = Xsm_datatypes.Simple_type
@@ -397,22 +395,7 @@ let analyze g (p : Path_ast.path) =
     in
     { verdict; warnings = List.rev !warnings }
 
-let analyze_schema s p =
-  match Schema_check.check s with
-  | Error _ -> { verdict = Maybe; warnings = [] }
-  | Ok () -> analyze (G.build s) p
-
-let pruner s =
-  let graph =
-    lazy (match Schema_check.check s with Error _ -> None | Ok () -> Some (G.build s))
-  in
-  fun p ->
-    match Lazy.force graph with
-    | None -> None
-    | Some g -> (
-      match (analyze g p).verdict with
-      | Empty reason -> Some reason
-      | Maybe -> None)
+let pruner g p = match (analyze g p).verdict with Empty reason -> Some reason | Maybe -> None
 
 (* ------------------------------------------------------------------ *)
 (* Always-true predicates and constant folding                         *)
@@ -518,9 +501,3 @@ let fold g (p : Path_ast.path) =
     with
     | folded -> folded
     | exception Unsupported -> p
-
-let rewriter s =
-  let graph =
-    lazy (match Schema_check.check s with Error _ -> None | Ok () -> Some (G.build s))
-  in
-  fun p -> match Lazy.force graph with None -> p | Some g -> fold g p

@@ -21,7 +21,6 @@
     stores (canonical forms) and untyped backends (raw lexical
     forms). *)
 
-module Ast = Xsm_schema.Ast
 module Path_ast = Xsm_xpath.Path_ast
 
 type verdict =
@@ -34,15 +33,11 @@ type result = { verdict : verdict; warnings : string list }
 
 val analyze : Schema_graph.t -> Path_ast.path -> result
 
-val analyze_schema : Ast.schema -> Path_ast.path -> result
-(** Builds the graph first; [Maybe] without warnings when the schema
-    fails [Schema_check]. *)
-
-val pruner : Ast.schema -> Path_ast.path -> string option
-(** The planner hook: [Some reason] exactly when the verdict is
-    {!Empty}.  The graph is built once, lazily, per schema; a schema
-    that fails [Schema_check] never prunes.  Soundness assumes the
-    queried instance is valid against the schema. *)
+val pruner : Schema_graph.t -> Path_ast.path -> string option
+(** The planner's pruning hook: [Some reason] exactly when the verdict
+    is {!Empty}.  Build the graph once and hand it to both hooks,
+    {!pruner} and {!fold}.  Soundness assumes the schema passed
+    [Schema_check] and the queried instance is valid against it. *)
 
 val fold : Schema_graph.t -> Path_ast.path -> Path_ast.path
 (** Drop predicates provably true on every schema-valid document, so
@@ -54,10 +49,5 @@ val fold : Schema_graph.t -> Path_ast.path -> Path_ast.path
     predicates over such chains, and trivially-true positional tests
     ([position()>=1]).  Relative paths (context unknown) and paths
     using axes outside the analysable fragment are returned
-    unchanged. *)
-
-val rewriter : Ast.schema -> Path_ast.path -> Path_ast.path
-(** {!fold} as a planner rewriting hook, with the same lazily built
-    per-schema graph as {!pruner}; the identity when the schema fails
-    [Schema_check].  Soundness assumes the queried instance is
-    valid. *)
+    unchanged.  This is the planner's rewriting hook; its soundness
+    assumes what {!pruner}'s does. *)

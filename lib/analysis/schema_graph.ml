@@ -1,5 +1,5 @@
 module Ast = Xsm_schema.Ast
-module Schema_check = Xsm_schema.Schema_check
+module C = Xsm_schema.Compiled
 module Name = Xsm_xml.Name
 module Simple_type = Xsm_datatypes.Simple_type
 
@@ -24,7 +24,6 @@ type t = { nodes : node array }
 
 let root _ = 0
 let node t id = t.nodes.(id)
-let size t = Array.length t.nodes
 
 let xsi_nil = Xsm_schema.Validator.xsi_nil
 
@@ -51,24 +50,16 @@ let link_parent child parent =
   if not (List.mem parent.id child.parents) then
     child.parents <- parent.id :: child.parents
 
-(* the element declarations of a group, recursively, in order *)
-let rec group_decls (g : Ast.group_def) =
-  List.concat_map
-    (function
-      | Ast.Element_particle e -> [ e ]
-      | Ast.Group_particle inner -> group_decls inner)
-    g.particles
-
-let build (s : Ast.schema) =
+let build (c : C.t) =
   let b = { acc = []; count = 0 } in
   (* one graph node per element-name × named-type pair keeps recursive
      types finite; anonymous types cannot recurse, so they get a fresh
      node per occurrence *)
   let memo : (string * string, node) Hashtbl.t = Hashtbl.create 16 in
-  let add_attr parent (d : Ast.attribute_decl) =
+  let add_attr parent ({ attr = d; attr_simple } : C.attribute) =
     if d.attr_use <> Ast.Prohibited then begin
       let a = fresh b (Attr d.attr_name) in
-      a.simple <- Result.to_option (Schema_check.resolve_simple s d.attr_type);
+      a.simple <- Result.to_option attr_simple;
       link_parent a parent;
       parent.attr_children <- parent.attr_children @ [ a.id ]
     end
@@ -89,7 +80,8 @@ let build (s : Ast.schema) =
     link_parent tx parent;
     parent.text_child <- Some tx.id
   in
-  let rec elem_node (d : Ast.element_decl) =
+  let rec elem_node (e : C.element) =
+    let d = e.decl in
     match d.elem_type with
     | Ast.Type_name tn -> (
       let key = (Name.to_string d.elem_name, Name.to_string tn) in
@@ -98,51 +90,43 @@ let build (s : Ast.schema) =
       | None ->
         let n = fresh b (Elem d.elem_name) in
         Hashtbl.add memo key n;
-        fill n d;
+        fill n e.ty;
         n)
     | Ast.Anonymous _ | Ast.Anonymous_simple _ ->
       let n = fresh b (Elem d.elem_name) in
-      fill n d;
+      fill n e.ty;
       n
-  and fill n (d : Ast.element_decl) =
+  and fill n (ty : C.ty) =
     add_nil_attr n;
-    match Schema_check.resolve s d.elem_type with
-    | Error _ -> () (* Schema_check reports it; leave the node childless *)
-    | Ok (Schema_check.Resolved_simple st) ->
+    List.iter (add_attr n) ty.attributes;
+    match ty.content with
+    | C.Unresolved _ -> () (* Schema_check reports it; leave the node childless *)
+    | C.Simple st ->
       n.simple <- Some st;
       add_text n ~simple:st ~synthetic:false ()
-    | Ok (Schema_check.Resolved_complex (Ast.Simple_content { base; attributes })) ->
-      let st = Result.to_option (Schema_check.resolve_simple s base) in
-      n.simple <- st;
-      List.iter (add_attr n) attributes;
-      add_text n ?simple:st ~synthetic:false ()
-    | Ok
-        (Schema_check.Resolved_complex
-           (Ast.Complex_content { mixed; content; attributes })) ->
-      List.iter (add_attr n) attributes;
-      (* mixed content has real text; element-only content still
-         tolerates (and stores) whitespace-only text nodes *)
-      add_text n ~synthetic:(not mixed) ();
-      (match content with
-      | Some g when not (Ast.group_is_empty g) ->
-        let intervals = Cardinality.of_group g in
-        List.iter
-          (fun (child : Ast.element_decl) ->
-            let iv =
-              match
-                List.find_opt (fun (nm, _) -> Name.equal nm child.elem_name) intervals
-              with
-              | Some (_, iv) -> iv
-              | None -> Cardinality.zero
-            in
-            let c = elem_node child in
-            link_parent c n;
-            n.elem_children <- n.elem_children @ [ (c.id, iv) ])
-          (group_decls g)
-      | Some _ | None -> ())
+    | C.Bad_base _ -> add_text n ~synthetic:false ()
+    (* mixed content has real text; element-only content still
+       tolerates (and stores) whitespace-only text nodes *)
+    | C.Empty _ -> add_text n ~synthetic:(not ty.mixed) ()
+    | C.Model { group; _ } ->
+      add_text n ~synthetic:(not ty.mixed) ();
+      let intervals = Cardinality.of_group group.def in
+      List.iter
+        (fun (child : C.element) ->
+          let iv =
+            match
+              List.find_opt (fun (nm, _) -> Name.equal nm child.decl.elem_name) intervals
+            with
+            | Some (_, iv) -> iv
+            | None -> Cardinality.zero
+          in
+          let cn = elem_node child in
+          link_parent cn n;
+          n.elem_children <- n.elem_children @ [ (cn.id, iv) ])
+        (C.elements group)
   in
   let doc = fresh b Doc in
-  let rootn = elem_node s.root in
+  let rootn = elem_node (C.root c) in
   link_parent rootn doc;
   doc.elem_children <- [ (rootn.id, Cardinality.exactly 1) ];
   let nodes = Array.make b.count doc in

@@ -45,15 +45,15 @@ type node = {
 
 type t
 
-val build : Ast.schema -> t
-(** The schema should pass [Schema_check.check]; unresolvable type
-    references yield childless nodes. *)
+val build : Xsm_schema.Compiled.t -> t
+(** Read off the compiled schema, which should have no
+    {!Xsm_schema.Compiled.errors}; unresolvable type references yield
+    childless nodes. *)
 
 val root : t -> int
 (** The document node; always id [0]. *)
 
 val node : t -> int -> node
-val size : t -> int
 
 val element_paths : t -> (string * Cardinality.interval * bool) list
 (** Every root-to-element path, with the occurrence interval of the

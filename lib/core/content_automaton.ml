@@ -219,82 +219,11 @@ let is_deterministic = function
   | Glushkov a -> a.deterministic
   | Interleave m -> m.i_deterministic
 
-let accepts_empty = function
-  | Glushkov a -> a.nullable
-  | Interleave m ->
-    m.i_group_optional || Array.for_all not m.i_required
+let decls = function Glushkov a -> a.decls | Interleave m -> m.i_decls
 
 let step a current name =
   let targets = match current with None -> a.first | Some p -> a.follow.(p) in
   List.filter (fun p -> Name.equal a.names.(p) name) targets
-
-(* interleave run: attribute each name to its (single) slot *)
-let interleave_run m word =
-  let n = Array.length m.i_decls in
-  let used = Array.make n false in
-  let rec go acc = function
-    | [] ->
-      let complete =
-        Array.for_all Fun.id
-          (Array.init n (fun i -> used.(i) || not m.i_required.(i)))
-      in
-      let empty_ok = acc = [] && m.i_group_optional in
-      if complete || empty_ok then Some (List.rev acc) else None
-    | name :: rest -> (
-      let slot = ref (-1) in
-      Array.iteri (fun i nm -> if !slot < 0 && Name.equal nm name && not used.(i) then slot := i) m.i_names;
-      match !slot with
-      | -1 -> None
-      | i ->
-        used.(i) <- true;
-        go (m.i_decls.(i) :: acc) rest)
-  in
-  go [] word
-
-let matches_glushkov a word =
-  (* set simulation: states are Some position / None (initial) *)
-  let rec go states word =
-    match word with
-    | [] -> (
-      match states with
-      | `Initial -> a.nullable
-      | `Set ps -> List.exists (fun p -> a.last.(p)) ps)
-    | name :: rest ->
-      let nexts =
-        match states with
-        | `Initial -> step a None name
-        | `Set ps -> dedup_sorted (List.concat_map (fun p -> step a (Some p) name) ps)
-      in
-      if nexts = [] then false else go (`Set nexts) rest
-  in
-  go `Initial word
-
-let matches t word =
-  match t with
-  | Glushkov a -> matches_glushkov a word
-  | Interleave m -> interleave_run m word <> None
-
-let run_glushkov a word =
-  if not a.deterministic then invalid_arg "Content_automaton.run: automaton is not deterministic";
-  let rec go current acc = function
-    | [] ->
-      let accepted = match current with None -> a.nullable | Some p -> a.last.(p) in
-      if accepted then Some (List.rev acc) else None
-    | name :: rest -> (
-      match step a current name with
-      | [ p ] -> go (Some p) (a.decls.(p) :: acc) rest
-      | [] -> None
-      | _ :: _ :: _ -> assert false (* determinism *))
-  in
-  go None [] word
-
-let run t word =
-  match t with
-  | Glushkov a -> run_glushkov a word
-  | Interleave m ->
-    if not m.i_deterministic then
-      invalid_arg "Content_automaton.run: automaton is not deterministic";
-    interleave_run m word
 
 (* ------------------------------------------------------------------ *)
 (* UPA conflict witnesses                                              *)
@@ -440,48 +369,6 @@ let compile t =
              t_group_optional = m.i_group_optional;
            })
 
-let table_run table word =
-  match table with
-  | T_glushkov t ->
-    let rec go current acc = function
-      | [] ->
-        let accepted =
-          match current with None -> t.t_nullable | Some p -> t.t_last.(p)
-        in
-        if accepted then Some (List.rev acc) else None
-      | name :: rest -> (
-        let next =
-          match current with
-          | None -> Hashtbl.find_opt t.t_initial name
-          | Some p -> Hashtbl.find_opt t.t_next.(p) name
-        in
-        match next with
-        | None -> None
-        | Some p -> go (Some p) (t.t_decls.(p) :: acc) rest)
-    in
-    go None [] word
-  | T_interleave t ->
-    let n = Array.length t.t_idecls in
-    let used = Array.make n false in
-    let rec go acc = function
-      | [] ->
-        let complete =
-          Array.for_all Fun.id
-            (Array.init n (fun i -> used.(i) || not t.t_required.(i)))
-        in
-        let empty_ok = acc = [] && t.t_group_optional in
-        if complete || empty_ok then Some (List.rev acc) else None
-      | name :: rest -> (
-        match Hashtbl.find_opt t.t_slots name with
-        | Some i when not used.(i) ->
-          used.(i) <- true;
-          go (t.t_idecls.(i) :: acc) rest
-        | Some _ | None -> None)
-    in
-    go [] word
-
-let table_matches table word = table_run table word <> None
-
 (* ------------------------------------------------------------------ *)
 (* Incremental runners: one child step at a time, for the streaming
    validator's frame stack.  A glushkov state is the current position;
@@ -504,13 +391,13 @@ let step_run table state name =
     in
     match next with
     | None -> None
-    | Some p -> Some (S_glushkov (Some p), t.t_decls.(p)))
+    | Some p -> Some (S_glushkov (Some p), p))
   | T_interleave t, S_interleave (used, any) -> (
     match Hashtbl.find_opt t.t_slots name with
     | Some i when not used.(i) ->
       used.(i) <- true;
       any := true;
-      Some (state, t.t_idecls.(i))
+      Some (state, i)
     | Some _ | None -> None)
   | T_glushkov _, S_interleave _ | T_interleave _, S_glushkov _ ->
     invalid_arg "Content_automaton.step_run: state from a different table"
@@ -550,7 +437,7 @@ let nfa_step t state name =
     in
     match nexts with
     | [] -> None
-    | leftmost :: _ -> Some (N_set nexts, a.decls.(leftmost)))
+    | leftmost :: _ -> Some (N_set nexts, leftmost))
   | Interleave m, N_interleave (used, any) -> (
     let slot = ref (-1) in
     Array.iteri
@@ -561,7 +448,7 @@ let nfa_step t state name =
     | i ->
       used.(i) <- true;
       any := true;
-      Some (state, m.i_decls.(i)))
+      Some (state, i))
   | Glushkov _, N_interleave _ | Interleave _, (N_initial | N_set _) ->
     invalid_arg "Content_automaton.nfa_step: state from a different automaton"
 
@@ -577,6 +464,34 @@ let nfa_accepting t state =
     complete || ((not !any) && m.i_group_optional)
   | Glushkov _, N_interleave _ | Interleave _, (N_initial | N_set _) ->
     invalid_arg "Content_automaton.nfa_accepting: state from a different automaton"
+
+(* Whole-word runs, one incremental step per name: the declarations
+   attributed, or [None] when the word is rejected. *)
+let run_with ~step ~accepting decls state word =
+  let rec go st acc = function
+    | [] -> if accepting st then Some (List.rev acc) else None
+    | name :: rest -> (
+      match step st name with
+      | Some (st', p) -> go st' (decls.(p) :: acc) rest
+      | None -> None)
+  in
+  go state [] word
+
+let nfa_run t word =
+  run_with ~step:(nfa_step t) ~accepting:(nfa_accepting t) (decls t) (nfa_start t) word
+
+let matches t word = nfa_run t word <> None
+
+let run t word =
+  if not (is_deterministic t) then
+    invalid_arg "Content_automaton.run: automaton is not deterministic";
+  nfa_run t word
+
+let table_run table word =
+  let decls = match table with T_glushkov t -> t.t_decls | T_interleave t -> t.t_idecls in
+  run_with ~step:(step_run table) ~accepting:(run_accepting table) decls (start_run table) word
+
+let table_matches table word = table_run table word <> None
 
 (* ------------------------------------------------------------------ *)
 (* Language equivalence                                                *)

@@ -32,7 +32,9 @@ val run : t -> Ast.Name.t list -> Ast.element_decl list option
     each name, or [None] when the word is not accepted.  Requires
     {!is_deterministic}; [Invalid_argument] otherwise. *)
 
-val accepts_empty : t -> bool
+val decls : t -> Ast.element_decl array
+(** The element declaration of each position — the numbering
+    {!step_run} and {!nfa_step} report attributions in. *)
 
 (** {1 Static analysis} *)
 
@@ -77,9 +79,10 @@ type state
 val start_run : table -> state
 (** The initial state (no children consumed yet). *)
 
-val step_run : table -> state -> Ast.Name.t -> (state * Ast.element_decl) option
-(** Consume one child name: the successor state and the declaration
-    attributed to the child, or [None] when the name has no transition
+val step_run : table -> state -> Ast.Name.t -> (state * int) option
+(** Consume one child name: the successor state and the position the
+    child is attributed to (an index into {!decls} of the automaton the
+    table was compiled from), or [None] when the name has no transition
     (the content model is violated — the state is dead). *)
 
 val run_accepting : table -> state -> bool
@@ -88,12 +91,12 @@ val run_accepting : table -> state -> bool
 type nfa_state
 
 val nfa_start : t -> nfa_state
-val nfa_step : t -> nfa_state -> Ast.Name.t -> (nfa_state * Ast.element_decl) option
+val nfa_step : t -> nfa_state -> Ast.Name.t -> (nfa_state * int) option
 (** Position-set simulation over the raw automaton — the one-pass
     fallback for content models that violate UPA, where no table
     exists.  The verdict agrees with {!matches} (and hence with the
-    backtracking baseline); the attributed declaration is the leftmost
-    matching position's, the backtracking matcher's first choice. *)
+    backtracking baseline); the attributed position is the leftmost
+    matching one, the backtracking matcher's first choice. *)
 
 val nfa_accepting : t -> nfa_state -> bool
 

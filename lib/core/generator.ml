@@ -111,73 +111,53 @@ let draw_count r (rep : Ast.repetition) ~max_repeat ~minimal =
     lo + int r (hi - lo + 1)
 
 let instance ?(max_repeat = 3) ?(depth_budget = 12) r (schema : Ast.schema) =
-  let rec element_tree depth (decl : Ast.element_decl) =
+  let rec element_tree depth (e : Compiled.element) =
     let minimal = depth <= 0 in
-    let children, attrs =
-      match Schema_check.resolve schema decl.Ast.elem_type with
-      | Error _ -> ([], [])
-      | Ok (Schema_check.Resolved_simple st) ->
-        ([ Tree.Text (sample_value r st) ], [])
-      | Ok (Schema_check.Resolved_complex (Ast.Simple_content { base; attributes })) ->
-        let text =
-          match Schema_check.resolve_simple schema base with
-          | Ok st -> [ Tree.Text (sample_value r st) ]
-          | Error _ -> []
-        in
-        (text, attribute_values attributes)
-      | Ok (Schema_check.Resolved_complex (Ast.Complex_content { mixed; content; attributes }))
-        ->
-        let elements =
-          match content with
-          | None -> []
-          | Some g -> group_children (depth - 1) ~minimal g
-        in
-        let with_text =
-          if mixed && not minimal then interleave_text elements else elements
-        in
-        (with_text, attribute_values attributes)
+    let ty = e.ty in
+    let with_text elements = if ty.mixed && not minimal then interleave_text elements else elements in
+    let children =
+      match ty.content with
+      | Compiled.Unresolved _ | Compiled.Bad_base _ -> []
+      | Compiled.Simple st -> [ Tree.Text (sample_value r st) ]
+      | Compiled.Empty _ -> with_text []
+      | Compiled.Model { group; _ } -> with_text (group_children (depth - 1) ~minimal group)
     in
-    Tree.Element { Tree.name = decl.Ast.elem_name; attributes = attrs; children }
+    let attributes = attribute_values ty.attributes in
+    Tree.Element { Tree.name = e.decl.Ast.elem_name; attributes; children }
   and attribute_values decls =
     List.map
-      (fun (d : Ast.attribute_decl) ->
-        let value =
-          match Schema_check.resolve_simple schema d.Ast.attr_type with
-          | Ok st -> sample_value r st
-          | Error _ -> ""
-        in
-        { Tree.name = d.Ast.attr_name; value })
+      (fun (d : Compiled.attribute) ->
+        let value = match d.attr_simple with Ok st -> sample_value r st | Error _ -> "" in
+        { Tree.name = d.attr.Ast.attr_name; value })
       decls
-  and group_children depth ~minimal (g : Ast.group_def) =
-    let copies = draw_count r g.Ast.group_repetition ~max_repeat ~minimal in
+  and group_children depth ~minimal (g : Compiled.group) =
+    let copies = draw_count r g.def.Ast.group_repetition ~max_repeat ~minimal in
     List.concat
       (List.init copies (fun _ ->
-           match g.Ast.combination with
+           match g.def.Ast.combination with
            | Ast.Sequence ->
-             List.concat_map (particle_children depth ~minimal) g.Ast.particles
+             List.concat_map (particle_children depth ~minimal) g.particles
            | Ast.Choice -> (
-             match g.Ast.particles with
+             match g.particles with
              | [] -> []
              | ps -> particle_children depth ~minimal (pick r ps))
            | Ast.All ->
              (* each particle 0/1 times, in a shuffled order *)
-             let parts =
-               List.concat_map (particle_children depth ~minimal) g.Ast.particles
-             in
+             let parts = List.concat_map (particle_children depth ~minimal) g.particles in
              let tagged = List.map (fun p -> (int r 1000, p)) parts in
              List.map snd (List.sort (fun (a, _) (b, _) -> compare a b) tagged)))
   and particle_children depth ~minimal = function
-    | Ast.Element_particle e ->
-      let copies = draw_count r e.Ast.repetition ~max_repeat ~minimal in
+    | Compiled.Element e ->
+      let copies = draw_count r e.decl.Ast.repetition ~max_repeat ~minimal in
       List.init copies (fun _ -> element_tree depth e)
-    | Ast.Group_particle g -> group_children depth ~minimal g
+    | Compiled.Group g -> group_children depth ~minimal g
   and interleave_text elements =
     List.concat_map
       (fun e -> [ Tree.Text (pick r [ " see also "; " note "; " -- " ]); e ])
       elements
     @ [ Tree.Text " end." ]
   in
-  match element_tree depth_budget schema.Ast.root with
+  match element_tree depth_budget (Compiled.root (Compiled.make schema)) with
   | Tree.Element e -> Tree.document e
   | Tree.Text _ | Tree.Cdata _ | Tree.Comment _ | Tree.Pi _ -> assert false
 

@@ -1,19 +1,15 @@
-module Name = Xsm_xml.Name
-module Simple_type = Xsm_datatypes.Simple_type
-module Builtin = Xsm_datatypes.Builtin
-
-type segment =
-  | In_type of Name.t
-  | In_element of Name.t
-  | In_attribute of Name.t
+type segment = Compiled.segment =
+  | In_type of Ast.Name.t
+  | In_element of Ast.Name.t
+  | In_attribute of Ast.Name.t
   | In_group
 
 type location = segment list
 
 let pp_segment ppf = function
-  | In_type n -> Name.pp ppf n
-  | In_element n -> Name.pp ppf n
-  | In_attribute n -> Format.fprintf ppf "@@%a" Name.pp n
+  | In_type n -> Ast.Name.pp ppf n
+  | In_element n -> Ast.Name.pp ppf n
+  | In_attribute n -> Format.fprintf ppf "@@%a" Ast.Name.pp n
   | In_group -> Format.pp_print_string ppf "(group)"
 
 let pp_location ppf = function
@@ -25,119 +21,8 @@ let pp_location ppf = function
 
 let location_to_string loc = Format.asprintf "%a" pp_location loc
 
-type error = { loc : location; message : string }
+type error = Compiled.error = { loc : location; message : string }
 
 let pp_error ppf e = Format.fprintf ppf "%a: %s" pp_location e.loc e.message
 
-type resolved =
-  | Resolved_simple of Simple_type.t
-  | Resolved_complex of Ast.complex_type
-
-let find_named assoc name = List.find_map (fun (n, v) -> if Name.equal n name then Some v else None) assoc
-
-let builtin_simple name =
-  (* accept both prefixed (xs:string) and plain (string) forms *)
-  match Builtin.of_name (Name.to_string name) with
-  | Some b when Builtin.is_simple b -> Some (Simple_type.builtin b)
-  | Some _ | None -> None
-
-let resolve_simple (s : Ast.schema) name =
-  match find_named s.simple_types name with
-  | Some st -> Ok st
-  | None -> (
-    match builtin_simple name with
-    | Some st -> Ok st
-    | None -> (
-      match find_named s.complex_types name with
-      | Some _ -> Error (Printf.sprintf "type %s is complex, a simple type is required" (Name.to_string name))
-      | None -> Error (Printf.sprintf "unknown simple type %s" (Name.to_string name))))
-
-let resolve (s : Ast.schema) = function
-  | Ast.Anonymous ct -> Ok (Resolved_complex ct)
-  | Ast.Anonymous_simple st -> Ok (Resolved_simple st)
-  | Ast.Type_name name -> (
-    match find_named s.complex_types name with
-    | Some ct -> Ok (Resolved_complex ct)
-    | None -> (
-      match find_named s.simple_types name with
-      | Some st -> Ok (Resolved_simple st)
-      | None -> (
-        match builtin_simple name with
-        | Some st -> Ok (Resolved_simple st)
-        | None ->
-          Error
-            (Printf.sprintf
-               "type %s is neither in dom(ctd) nor a simple type name (requirement on type usage)"
-               (Name.to_string name)))))
-
-(* ------------------------------------------------------------------ *)
-
-let check (s : Ast.schema) =
-  let errors = ref [] in
-  let report loc fmt =
-    Printf.ksprintf (fun message -> errors := { loc; message } :: !errors) fmt
-  in
-  let check_repetition loc (r : Ast.repetition) =
-    if not (Ast.repetition_valid r) then
-      report loc "invalid repetition factor (min > max or negative)"
-  in
-  let check_attributes loc attrs =
-    let seen = Hashtbl.create 8 in
-    List.iter
-      (fun (a : Ast.attribute_decl) ->
-        let aloc = loc @ [ In_attribute a.attr_name ] in
-        let key = Name.to_string a.attr_name in
-        if Hashtbl.mem seen key then report aloc "duplicate attribute name"
-        else Hashtbl.add seen key ();
-        match resolve_simple s a.attr_type with
-        | Ok _ -> ()
-        | Error e -> report aloc "%s" e)
-      attrs
-  in
-  let rec check_group loc (g : Ast.group_def) =
-    check_repetition loc g.group_repetition;
-    (* §2: element names among the local declarations must differ *)
-    let names = ref [] in
-    List.iter
-      (function
-        | Ast.Element_particle e ->
-          let key = Name.to_string e.elem_name in
-          if List.mem key !names then
-            report loc "element name %s repeated within one group" key
-          else names := key :: !names;
-          check_element (loc @ [ In_element e.elem_name ]) e
-        | Ast.Group_particle inner -> check_group (loc @ [ In_group ]) inner)
-      g.particles;
-    (* UPA via Glushkov determinism *)
-    if not (Ast.group_is_empty g) then begin
-      match Content_automaton.make g with
-      | Error e -> report loc "content model: %s" e
-      | Ok a ->
-        if not (Content_automaton.is_deterministic a) then
-          report loc "content model violates Unique Particle Attribution"
-    end
-  and check_element loc (e : Ast.element_decl) =
-    check_repetition loc e.repetition;
-    (* named types are checked once in the ctd list — do not recurse
-       through the name, or recursive types would not terminate *)
-    match e.elem_type with
-    | Ast.Type_name _ -> (
-      match resolve s e.elem_type with
-      | Error msg -> report loc "%s" msg
-      | Ok (Resolved_simple _ | Resolved_complex _) -> ())
-    | Ast.Anonymous ct -> check_complex loc ct
-    | Ast.Anonymous_simple _ -> ()
-  and check_complex loc = function
-    | Ast.Simple_content { base; attributes } ->
-      (match resolve_simple s base with
-      | Ok _ -> ()
-      | Error e -> report loc "simple content base: %s" e);
-      check_attributes loc attributes
-    | Ast.Complex_content { content; attributes; mixed = _ } ->
-      check_attributes loc attributes;
-      Option.iter (check_group loc) content
-  in
-  (* named complex types *)
-  List.iter (fun (name, ct) -> check_complex [ In_type name ] ct) s.complex_types;
-  check_element [ In_element s.root.elem_name ] s.root;
-  match !errors with [] -> Ok () | es -> Error (List.rev es)
+let check s = match Compiled.errors (Compiled.make s) with [] -> Ok () | es -> Error es

@@ -1,4 +1,4 @@
-(** Schema well-formedness and type resolution (§3).
+(** Schema well-formedness (§3).
 
     The §3 requirement on type usage: every type [T] used in the
     schema satisfies [T ∈ dom(ctd)] or [T] is a (built-in or declared)
@@ -6,7 +6,10 @@
     checks: repetition factors are sane, element names within one
     group are distinct (§2), simple-content bases are simple types,
     and every content model satisfies the Unique Particle Attribution
-    constraint (checked via determinism of its Glushkov automaton).
+    constraint (checked via determinism of its Glushkov automaton); a
+    nested group is checked as part of the content model it sits in.
+    The checks are made by the one walk that compiles the schema
+    ({!Compiled.make}).
 
     Diagnostics carry a {e structured} location — the path of QNames
     from a named type or the root element declaration down to the
@@ -14,7 +17,7 @@
     validate], [xsm analyze]) prints them uniformly. *)
 
 (** One step of a location path, outermost first. *)
-type segment =
+type segment = Compiled.segment =
   | In_type of Ast.Name.t  (** inside the named type definition *)
   | In_element of Ast.Name.t  (** inside the element declaration *)
   | In_attribute of Ast.Name.t  (** at the attribute declaration *)
@@ -29,21 +32,9 @@ val pp_location : Format.formatter -> location -> unit
 
 val location_to_string : location -> string
 
-type error = { loc : location; message : string }
+type error = Compiled.error = { loc : location; message : string }
 
 val pp_error : Format.formatter -> error -> unit
-
-type resolved =
-  | Resolved_simple of Xsm_datatypes.Simple_type.t
-  | Resolved_complex of Ast.complex_type
-
-val resolve : Ast.schema -> Ast.type_ref -> (resolved, string) result
-(** Resolve a type reference: named complex types first, then declared
-    simple types, then built-ins. *)
-
-val resolve_simple : Ast.schema -> Ast.Name.t -> (Xsm_datatypes.Simple_type.t, string) result
-(** Resolve a name that must denote a simple type (attribute types,
-    simple-content bases). *)
 
 val check : Ast.schema -> (unit, error list) result
 (** All well-formedness checks; returns every violation found. *)

@@ -2,17 +2,12 @@ module Name = Xsm_xml.Name
 module Store = Xsm_xdm.Store
 module Simple_type = Xsm_datatypes.Simple_type
 module CA = Content_automaton
+module C = Compiled
 module Counter = Xsm_obs.Metrics.Counter
 module Trace = Xsm_obs.Trace
 
 let m_elements = Counter.make ~help:"element nodes validated" "validate.elements"
 let m_errors = Counter.make ~help:"validation errors reported" "validate.errors"
-
-let m_automaton_hits =
-  Counter.make ~help:"content models served from the automata cache" "validate.automaton_cache_hits"
-
-let m_automaton_compiles =
-  Counter.make ~help:"content models determinized during validation" "validate.automaton_compiles"
 
 let m_table_runs =
   Counter.make ~help:"content models matched via the determinized table" "validate.table_runs"
@@ -28,30 +23,17 @@ let error_to_string e = Format.asprintf "%a" pp_error e
 
 let xsi_nil = Name.make ~prefix:"xsi" "nil"
 let untyped_atomic_name = Name.make ~prefix:"xdt" "untypedAtomic"
-let any_type_name = Name.make ~prefix:"xs" "anyType"
 
 let is_whitespace s =
   String.for_all (fun c -> c = ' ' || c = '\t' || c = '\n' || c = '\r') s
-
-(* The type QName recorded by item 4. *)
-let annotation_name (ty : Ast.type_ref) =
-  match ty with
-  | Ast.Type_name n -> n
-  | Ast.Anonymous _ | Ast.Anonymous_simple _ -> any_type_name
 
 (* ------------------------------------------------------------------ *)
 (* The §6.1 transition core: one frame per open element, each holding  *)
 (* one content-model state, fed start/attr/text/end in document order *)
 
-(* A compiled content model, or the reason none exists. *)
-type compiled =
-  | C_table of CA.table
-  | C_nfa of CA.t  (* UPA violated: exact position-set fallback *)
-  | C_error of string  (* the group itself is malformed *)
-
 type matcher =
-  | M_table of CA.table * CA.state ref
-  | M_nfa of CA.t * CA.nfa_state ref
+  | M_table of CA.table * C.element array * CA.state ref
+  | M_nfa of CA.t * C.element array * CA.nfa_state ref
   | M_dead  (* content-model error already reported at this frame *)
 
 (* What the element's resolved type says about its content. *)
@@ -74,9 +56,7 @@ type frame = {
   f_node : Store.node option;
   (* [None] for frames pushed only to keep the stack balanced under a
      subtree whose parent already failed: no checks at all happen there *)
-  f_decl : Ast.element_decl option;
-  f_attr_decls : Ast.attribute_decl list;
-  f_mixed : bool;
+  f_elem : C.element option;
   mutable f_case : ccase;
   mutable f_attrs_seen : Name.t list;
   mutable f_nilled : bool;
@@ -88,6 +68,9 @@ type frame = {
                                  in element-only content (checked at run
                                  end); [no_text] until text is buffered *)
 }
+
+(* a skipped subtree counts as mixed: its text is not checked *)
+let mixed f = match f.f_elem with Some e -> e.C.ty.mixed | None -> true
 
 (* the [f_text] of a frame that has buffered nothing: always empty *)
 let no_text = Buffer.create 1
@@ -106,12 +89,12 @@ and path_of parent name index =
 type stats = { elements : int; max_depth : int; fallback_steps : int }
 
 type t = {
-  schema : Ast.schema;
+  compiled : C.t;
   store : Store.t option;  (* set by the store walk; streaming annotates nothing *)
   strict : bool;  (* reject non-UPA content models instead of stepping the fallback *)
-  (* content models are compiled once per group (physical identity); a
-     static analyzer can seed the cache so validation never recompiles *)
-  mutable cache : (Ast.group_def * compiled) list;
+  (* the malformed content models reported in this run: each is
+     reported at its first frame only *)
+  mutable bad_reported : C.run list;
   mutable errors : error list;  (* newest first, not yet taken *)
   mutable stack : frame list;
   mutable depth : int;  (* length of [stack] *)
@@ -121,12 +104,12 @@ type t = {
   mutable fallback_steps : int;
 }
 
-let create ?(automata = []) schema =
+let create ?automata schema =
   {
-    schema;
+    compiled = (match automata with Some c -> c | None -> C.make schema);
     store = None;
     strict = false;
-    cache = List.rev_map (fun (g, tbl) -> (g, C_table tbl)) automata;
+    bad_reported = [];
     errors = [];
     stack = [];
     depth = 0;
@@ -143,42 +126,17 @@ let report t path fmt =
       t.errors <- { path; message } :: t.errors)
     fmt
 
-let compiled_for t ~parent name index (g : Ast.group_def) =
-  let rec find = function
-    | [] -> None
-    | (g', c) :: rest -> if g' == g then Some c else find rest
-  in
-  match find t.cache with
-  | Some c ->
-    Counter.incr m_automaton_hits;
-    c
-  | None ->
-    Counter.incr m_automaton_compiles;
-    let c =
-      match CA.make g with
-      | Error e -> C_error e
-      | Ok a -> ( match CA.compile a with Some tbl -> C_table tbl | None -> C_nfa a)
-    in
-    t.cache <- (g, c) :: t.cache;
-    (match c with
-    | C_error e -> report t (path_of parent name index) "content model: %s" e
-    | C_table _ | C_nfa _ -> ());
-    c
-
 (* An attribute's value typed by its declaration. *)
-let attribute_value t (d : Ast.attribute_decl) value =
-  Result.bind (Schema_check.resolve_simple t.schema d.attr_type) (fun st ->
-      Simple_type.validate st value)
+let attribute_value (d : C.attribute) value =
+  Result.bind d.attr_simple (fun st -> Simple_type.validate st value)
 
-let new_frame ~parent name index node decl case attr_decls mixed =
+let new_frame ~parent name index node elem case =
   {
     f_parent = parent;
     f_name = name;
     f_index = index;
     f_node = node;
-    f_decl = decl;
-    f_attr_decls = attr_decls;
-    f_mixed = mixed;
+    f_elem = elem;
     f_case = case;
     f_attrs_seen = [];
     f_nilled = false;
@@ -189,54 +147,44 @@ let new_frame ~parent name index node decl case attr_decls mixed =
     f_text = no_text;
   }
 
-let skip_frame ~parent name index = new_frame ~parent name index None None Unchecked [] true
+let skip_frame ~parent name index = new_frame ~parent name index None None Unchecked
 
-(* Open a frame for an element attributed to [decl], up to the point
-   where attributes and children are consumed.  The frame is built
-   once, after its type is resolved; an error found on the way names
-   the path the frame will have. *)
-let make_frame t node ~parent name index (decl : Ast.element_decl) =
+(* Open a frame for an element attributed to [elem], up to the point
+   where attributes and children are consumed.  An error found on the
+   way names the path the frame will have. *)
+let make_frame t node ~parent name index (elem : C.element) =
   t.elements <- t.elements + 1;
   Counter.incr m_elements;
   (match t.store, node with
-  | Some s, Some n -> Store.set_type_name s n (Some (annotation_name decl.elem_type))
+  | Some s, Some n -> Store.set_type_name s n (Some elem.annotation)
   | _ -> ());
-  let d = Some decl in
-  match Schema_check.resolve t.schema decl.elem_type with
-  | Error e ->
-    (* report, then check nothing below — except xsi:nil, which is
-       policed before the type matters *)
-    report t (path_of parent name index) "%s" e;
-    new_frame ~parent name index node d Unchecked [] true
-  | Ok (Schema_check.Resolved_simple st) ->
-    new_frame ~parent name index node d (Simple st) [] false
-  | Ok (Schema_check.Resolved_complex (Ast.Simple_content { base = b; attributes })) ->
-    let case =
-      match Schema_check.resolve_simple t.schema b with
-      | Ok st -> Simple st
-      | Error e ->
-        report t (path_of parent name index) "simple content base: %s" e;
-        Simple_unchecked
-    in
-    new_frame ~parent name index node d case attributes false
-  | Ok (Schema_check.Resolved_complex (Ast.Complex_content { mixed; content; attributes })) ->
-    let case =
-      match content with
-      | None -> Empty { none = true }
-      | Some g when Ast.group_is_empty g -> Empty { none = false }
-      | Some g -> (
-        match compiled_for t ~parent name index g with
-        | C_table tbl ->
-          Counter.incr m_table_runs;
-          Model (M_table (tbl, ref (CA.start_run tbl)))
-        | C_nfa _ when t.strict ->
-          report t (path_of parent name index)
-            "content model violates Unique Particle Attribution";
-          Model M_dead
-        | C_nfa a -> Model (M_nfa (a, ref (CA.nfa_start a)))
-        | C_error _ -> Model M_dead (* reported by compiled_for *))
-    in
-    new_frame ~parent name index node d case attributes mixed
+  let case =
+    match elem.ty.content with
+    | C.Unresolved e ->
+      (* report, then check nothing below — except xsi:nil, which is
+         policed before the type matters *)
+      report t (path_of parent name index) "%s" e;
+      Unchecked
+    | C.Simple st -> Simple st
+    | C.Bad_base e ->
+      report t (path_of parent name index) "simple content base: %s" e;
+      Simple_unchecked
+    | C.Empty { none } -> Empty { none }
+    | C.Model { run = C.Table (tbl, children); _ } ->
+      Counter.incr m_table_runs;
+      Model (M_table (tbl, children, ref (CA.start_run tbl)))
+    | C.Model { run = C.Nfa _; _ } when t.strict ->
+      report t (path_of parent name index) "content model violates Unique Particle Attribution";
+      Model M_dead
+    | C.Model { run = C.Nfa (a, children); _ } -> Model (M_nfa (a, children, ref (CA.nfa_start a)))
+    | C.Model { run = C.Bad e as run; _ } ->
+      if not (List.memq run t.bad_reported) then begin
+        t.bad_reported <- run :: t.bad_reported;
+        report t (path_of parent name index) "content model: %s" e
+      end;
+      Model M_dead
+  in
+  new_frame ~parent name index node (Some elem) case
 
 (* A child where none may be: reported once per frame, and skipped. *)
 let refuse_child t (f : frame) message =
@@ -251,27 +199,27 @@ let off_model t (f : frame) name =
   f.f_case <- Model M_dead;
   None
 
-(* One child step: the declaration a new child of [f] is attributed
-   to, or [None] when the child's subtree is skipped structurally. *)
+(* One child step: the element a new child of [f] is attributed to,
+   or [None] when the child's subtree is skipped structurally. *)
 let step t (f : frame) name =
   match f.f_case with
   | _ when f.f_nilled -> refuse_child t f "nilled element must be empty"
   | Unchecked | Simple_unchecked | Model M_dead -> None
   | Simple _ -> refuse_child t f "element with simple type has element children"
   | Empty _ -> refuse_child t f "element children in empty content"
-  | Model (M_table (tbl, st)) -> (
+  | Model (M_table (tbl, children, st)) -> (
     match CA.step_run tbl !st name with
-    | Some (st', decl) ->
+    | Some (st', pos) ->
       st := st';
-      Some decl
+      Some children.(pos)
     | None -> off_model t f name)
-  | Model (M_nfa (a, st)) -> (
+  | Model (M_nfa (a, children, st)) -> (
     t.fallback_steps <- t.fallback_steps + 1;
     Counter.incr m_fallback;
     match CA.nfa_step a !st name with
-    | Some (st', decl) ->
+    | Some (st', pos) ->
       st := st';
-      Some decl
+      Some children.(pos)
     | None -> off_model t f name)
 
 (* End of a logical text run: in element-only content the buffered run
@@ -280,7 +228,7 @@ let flush_text t (f : frame) =
   if f.f_in_text then begin
     f.f_in_text <- false;
     match f.f_case with
-    | (Empty _ | Model _) when not f.f_mixed ->
+    | (Empty _ | Model _) when not (mixed f) ->
       let s = Buffer.contents f.f_text in
       Buffer.clear f.f_text;
       if not (is_whitespace s) then report t (path f) "text %S in element-only content" s
@@ -298,11 +246,12 @@ let on_start t node name =
     if t.seen_root then report t "/" "document node must have exactly one element child"
     else begin
       t.seen_root <- true;
-      let decl = t.schema.Ast.root in
-      if not (Name.equal name decl.Ast.elem_name) then
-        report t ("/" ^ Name.to_string decl.Ast.elem_name) "element %s where %s was declared"
-          (Name.to_string name) (Name.to_string decl.Ast.elem_name);
-      push t (make_frame t node ~parent:None decl.Ast.elem_name 0 decl)
+      let root = C.root t.compiled in
+      let declared = root.decl.Ast.elem_name in
+      if not (Name.equal name declared) then
+        report t ("/" ^ Name.to_string declared) "element %s where %s was declared"
+          (Name.to_string name) (Name.to_string declared);
+      push t (make_frame t node ~parent:None declared 0 root)
     end
   | parent :: _ ->
     flush_text t parent;
@@ -310,15 +259,15 @@ let on_start t node name =
     let index = parent.f_elem_children in
     push t
       (match step t parent name with
-      | Some decl -> make_frame t node ~parent:(Some parent) name index decl
+      | Some elem -> make_frame t node ~parent:(Some parent) name index elem
       | None -> skip_frame ~parent:(Some parent) name index)
 
 let on_attr t anode name value =
   match t.stack with
-  | ({ f_decl = Some decl; _ } as f) :: _ ->
+  | ({ f_elem = Some elem; _ } as f) :: _ ->
     if Name.equal name xsi_nil then begin
       if value = "true" || value = "1" then
-        if decl.Ast.nillable then f.f_nilled <- true
+        if elem.decl.Ast.nillable then f.f_nilled <- true
         else
           report t (path f) "xsi:nil on an element whose declaration has NillIndicator = false"
     end
@@ -328,18 +277,16 @@ let on_attr t anode name value =
       | Unchecked -> ()  (* type unresolved: no attribute declarations to check *)
       | Simple _ | Simple_unchecked | Empty _ | Model _ -> (
         match
-          List.find_opt
-            (fun (d : Ast.attribute_decl) -> Name.equal d.attr_name name)
-            f.f_attr_decls
+          List.find_opt (fun (d : C.attribute) -> Name.equal d.attr.attr_name name) elem.ty.attributes
         with
         | None -> report t (path f) "undeclared attribute %s" (Name.to_string name)
-        | Some { Ast.attr_use = Ast.Prohibited; _ } ->
+        | Some { attr = { Ast.attr_use = Ast.Prohibited; _ }; _ } ->
           report t (path f) "prohibited attribute %s" (Name.to_string name)
         | Some d -> (
-          match attribute_value t d value, t.store, anode with
+          match attribute_value d value, t.store, anode with
           | Error e, _, _ -> report t (path f) "attribute %s: %s" (Name.to_string name) e
           | Ok typed, Some s, Some a ->
-            Store.set_type_name s a (Some d.attr_type);
+            Store.set_type_name s a (Some d.attr.attr_type);
             Store.set_typed_value s a typed
           | Ok _, _, _ -> ()))
     end
@@ -366,7 +313,7 @@ let on_text t tnode s =
         Buffer.add_string (text_buffer f) s;
         type_text t tnode
       | Empty _ | Model _ ->
-        if f.f_mixed then type_text t tnode else Buffer.add_string (text_buffer f) s
+        if mixed f then type_text t tnode else Buffer.add_string (text_buffer f) s
       | Unchecked | Simple_unchecked -> ()
     end
 
@@ -380,14 +327,14 @@ let on_end t =
     t.depth <- t.depth - 1;
     flush_text t f;
     List.iter
-      (fun (d : Ast.attribute_decl) ->
+      (fun ({ attr = d; _ } as decl : C.attribute) ->
         let present = List.exists (Name.equal d.attr_name) f.f_attrs_seen in
         match d.attr_use, d.attr_default, present with
         | Ast.Required, _, false ->
           report t (path f) "missing declared attribute %s" (Name.to_string d.attr_name)
         | Ast.Optional, Some dv, false -> (
           (* materialize the default, typed *)
-          match attribute_value t d dv, t.store, f.f_node with
+          match attribute_value decl dv, t.store, f.f_node with
           | Error e, _, _ ->
             report t (path f) "default for attribute %s: %s" (Name.to_string d.attr_name) e
           | Ok typed, Some s, Some n ->
@@ -395,7 +342,7 @@ let on_end t =
               (Store.new_attribute s ~type_name:d.attr_type ~typed_value:typed d.attr_name dv)
           | Ok _, _, _ -> ())
         | (Ast.Required | Ast.Optional | Ast.Prohibited), _, _ -> ())
-      f.f_attr_decls;
+      (match f.f_elem with Some e -> e.ty.attributes | None -> []);
     (match t.store, f.f_node with Some s, Some n -> Store.set_nilled s n f.f_nilled | _ -> ());
     if not f.f_nilled then begin
       match f.f_case with
@@ -406,11 +353,11 @@ let on_end t =
         | Ok typed, Some s, Some n -> Store.set_typed_value s n typed
         | Ok _, _, _ -> ())
       | Empty { none } ->
-        if none && f.f_mixed && f.f_elem_children + f.f_text_nodes > 1 then
+        if none && mixed f && f.f_elem_children + f.f_text_nodes > 1 then
           report t (path f) "mixed empty content allows at most one text node"
-      | Model (M_table (tbl, st)) when not (CA.run_accepting tbl !st) ->
+      | Model (M_table (tbl, _, st)) when not (CA.run_accepting tbl !st) ->
         report t (path f) "children do not match the content model (incomplete)"
-      | Model (M_nfa (a, st)) when not (CA.nfa_accepting a !st) ->
+      | Model (M_nfa (a, _, st)) when not (CA.nfa_accepting a !st) ->
         report t (path f) "children do not match the content model (incomplete)"
       | Model _ -> ()
     end
@@ -459,7 +406,7 @@ let rec walk_element t store node =
     let children = Store.children store node in
     (* no adjacent text nodes in mixed content (item 5.4.2.2) *)
     (match f.f_case with
-    | (Empty _ | Model _) when f.f_mixed && adjacent_text store children ->
+    | (Empty _ | Model _) when mixed f && adjacent_text store children ->
       report t (path f) "adjacent text nodes"
     | Unchecked | Simple _ | Simple_unchecked | Empty _ | Model _ -> ());
     List.iter
@@ -472,9 +419,9 @@ let rec walk_element t store node =
       children;
     on_end t
   in
-  match f.f_decl with
-  | Some decl when !Trace.enabled && !Trace.detail ->
-    Trace.with_span ~attrs:[ ("decl", Name.to_string decl.elem_name) ] "validate.element" content
+  match f.f_elem with
+  | Some elem when !Trace.enabled && !Trace.detail ->
+    Trace.with_span ~attrs:[ ("decl", Name.to_string elem.decl.elem_name) ] "validate.element" content
   | Some _ | None -> content ()
 
 (* The tree entry points reject non-UPA content models outright. *)

@@ -2,10 +2,12 @@
 
     One engine decides it: a one-pass core ({!create} … {!finish})
     for the §6.1 transition relation, fed start tags, attributes,
-    character data and end tags in document order.  Each open element
-    holds one frame with one compiled {!Content_automaton} state: a
-    child step is one hash probe, acceptance is checked when the
-    element closes, and state is O(depth).  There are two event
+    character data and end tags in document order.  It reads the
+    {!Compiled} schema and resolves nothing itself: each open element
+    holds one frame with its compiled element and one
+    {!Content_automaton} state, a child step is one hash probe that
+    lands on the child's compiled element, acceptance is checked when
+    the element closes, and state is O(depth).  There are two event
     sources: {!validate} walks a tree in an XDM store, and
     {!Xsm_stream.Stream_validator} maps SAX events.
 
@@ -39,26 +41,25 @@ val pp_error : Format.formatter -> error -> unit
 val error_to_string : error -> string
 
 val validate :
-  ?automata:(Ast.group_def * Content_automaton.table) list ->
+  ?automata:Compiled.t ->
   Xsm_xdm.Store.t -> Xsm_xdm.Store.node -> Ast.schema -> (unit, error list) result
 (** Validate (and annotate) the tree rooted at a document node.
     The schema must pass {!Schema_check.check} first; content models
     that fail to compile are reported as errors.
 
-    [automata] seeds the per-group cache of determinized content
-    models (keyed by physical identity of the group), so a schema that
-    already went through the static analyzer validates without
-    recompiling any automaton. *)
+    [automata] is the schema compiled by {!Compiled.make} — pass it
+    when validating many documents, so none of them compiles the
+    schema again; without it the schema is compiled here. *)
 
 val validate_element_node :
-  ?automata:(Ast.group_def * Content_automaton.table) list ->
+  ?automata:Compiled.t ->
   Xsm_xdm.Store.t -> Xsm_xdm.Store.node -> Ast.schema -> (unit, error list) result
 (** Validate an element node directly against the schema's root
     declaration (no document node on top). *)
 
 val validate_document :
   ?store:Xsm_xdm.Store.t ->
-  ?automata:(Ast.group_def * Content_automaton.table) list ->
+  ?automata:Compiled.t ->
   Xsm_xml.Tree.t ->
   Ast.schema ->
   (Xsm_xdm.Store.t * Xsm_xdm.Store.node, error list) result
@@ -79,8 +80,8 @@ type stats = {
   fallback_steps : int;  (** child steps through the non-UPA fallback *)
 }
 
-val create : ?automata:(Ast.group_def * Content_automaton.table) list -> Ast.schema -> t
-(** [automata] seeds the compiled-table cache, as for {!validate}. *)
+val create : ?automata:Compiled.t -> Ast.schema -> t
+(** [automata] is the compiled schema, as for {!validate}. *)
 
 val start_element : t -> Xsm_xml.Name.t -> unit
 

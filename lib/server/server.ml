@@ -64,9 +64,8 @@ type t = {
   store : Store.t;
   root : Store.node;
   labels : Labeler.t option;
-  schema : Xsm_schema.Ast.schema option;
-  (* the schema's content models, compiled once for every Validate *)
-  automata : (Xsm_schema.Ast.group_def * Xsm_schema.Content_automaton.table) list;
+  (* compiled once, for every Validate *)
+  schema : Xsm_schema.Compiled.t option;
   journal : Journal.t;
   label_cursor : Journal.cursor option;
   planner : Pl.t option;  (* built only under [use_index]: an attached
@@ -332,10 +331,11 @@ let run_validate srv doc_text =
     match drain () with
     | () -> (true, [])
     | exception Xsm_xml.Parser.Syntax e -> (false, [ Xsm_xml.Parser.error_to_string e ]))
-  | Some schema -> (
+  | Some compiled -> (
     (* the validator bumps the metrics registry and records its span in
        the trace ring, neither of them thread-safe *)
-    match locked srv (fun () -> Sv.run ~automata:srv.automata schema sax) with
+    let schema = Xsm_schema.Compiled.schema compiled in
+    match locked srv (fun () -> Sv.run ~automata:compiled schema sax) with
     | Ok _ -> (true, [])
     | Error errors -> (false, List.map Sv.error_to_string errors)
     | exception Xsm_xml.Parser.Syntax e -> (false, [ Xsm_xml.Parser.error_to_string e ]))
@@ -577,11 +577,7 @@ let create config ~store ~root ?labels ?schema () =
         store;
         root;
         labels;
-        schema;
-        automata =
-          (match schema with
-          | Some s -> (Xsm_analysis.Analyzer.analyze s).Xsm_analysis.Analyzer.tables
-          | None -> []);
+        schema = Option.map Xsm_schema.Compiled.make schema;
         journal;
         label_cursor;
         planner;

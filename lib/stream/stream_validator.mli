@@ -6,8 +6,9 @@
     and [End_element] onto the core's inputs (comments and processing
     instructions are dropped, as the §8 conversion drops them) and
     stamps every error with the position of the event that triggered
-    it.  Peak memory is the core's frame stack, O(depth), never
-    O(document).  Verdicts, paths, messages and error order are the
+    it.  The core reads the {!Xsm_schema.Compiled} schema, so a start
+    tag resolves no type and compiles no content model.  Peak memory is
+    the core's frame stack, O(depth), never O(document).  Verdicts, paths, messages and error order are the
     tree {!Xsm_schema.Validator}'s, with one difference of policy: a
     content model that violates UPA is driven by the position-set
     fallback instead of being rejected, counted in [fallback_steps]. *)
@@ -25,13 +26,11 @@ type stats = {
 
 type t
 
-val create :
-  ?automata:(Xsm_schema.Ast.group_def * Xsm_schema.Content_automaton.table) list ->
-  Xsm_schema.Ast.schema ->
-  t
-(** A validator for one document.  [automata] seeds the compiled-table
-    cache — pass {!Xsm_analysis.Analyzer} report tables so validation
-    compiles nothing. *)
+val create : ?automata:Xsm_schema.Compiled.t -> Xsm_schema.Ast.schema -> t
+(** A validator for one document.  [automata] is the schema compiled
+    once by {!Xsm_schema.Compiled.make} (an {!Xsm_analysis.Analyzer}
+    report carries it) — pass it so that validating a document
+    compiles nothing; without it the schema is compiled here. *)
 
 val feed : t -> Sax.event -> Sax.position -> unit
 (** Consume one event (push interface); a [Cdata] section is text, and
@@ -43,7 +42,7 @@ val finish : t -> (stats, error list) result
     statistics. *)
 
 val run :
-  ?automata:(Xsm_schema.Ast.group_def * Xsm_schema.Content_automaton.table) list ->
+  ?automata:Xsm_schema.Compiled.t ->
   Xsm_schema.Ast.schema ->
   Sax.t ->
   (stats, error list) result

@@ -117,7 +117,7 @@ module Make (N : Navigator.S) : sig
 
   val set_pruner : t -> (Path_ast.path -> string option) -> unit
   (** Install a static emptiness oracle — typically
-      [Xsm_analysis.Query_static.pruner schema] (kept abstract here as
+      [Xsm_analysis.Query_static.pruner graph] (kept abstract here as
       a closure so the analysis library can depend on this one).  When
       the oracle answers [Some reason], {!eval} returns [[]]
       immediately, without draining the journal or touching any
@@ -132,7 +132,7 @@ module Make (N : Navigator.S) : sig
 
   val set_rewriter : t -> (Path_ast.path -> Path_ast.path) -> unit
   (** Install a static simplifier — typically
-      [Xsm_analysis.Query_static.fold schema] — applied before pruning
+      [Xsm_analysis.Query_static.fold graph] — applied before pruning
       and planning, under the same root-anchoring guard as the pruner.
       Soundness is the simplifier's contract: the rewritten path must
       select the same nodes on every instance the oracle's schema

@@ -3,9 +3,16 @@
 # the schema alone, `xsm query --index --explain` reports the chosen
 # route with estimated vs. actual rows.  All assertions parse the JSON
 # payloads with jq — the prose lines are presentation, not contract.
+# Also: the schema gate of every --schema command, and query --schema
+# refusing a document its schema does not validate.
+#
+#   bash run_plan.sh XSM LIBRARY_XML LIBRARY_XSD CATALOG_XSD
 set -u
 
 XSM="$1"
+LIBRARY_XML="$2"
+LIBRARY_XSD="$3"
+CATALOG_XSD="$4"
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 fail() { echo "run_plan.sh: $1" >&2; exit 1; }
@@ -112,5 +119,34 @@ jq -e '.estimate.steps | length == 3' "$tmp/a1.json" >/dev/null \
 # a broken schema still exits 2, --cost or not
 "$XSM" analyze "$tmp/ambiguous.xsd" --query '/memo/note' --cost >/dev/null 2>&1
 [ $? -eq 2 ] || fail "ambiguous schema must exit 2 under --cost"
+
+# --- every command that relies on a schema goes through the gate of
+#     `xsm validate`: same finding lines, exit 2
+"$XSM" validate "$tmp/ambiguous.xsd" "$tmp/doc.xml" > /dev/null 2> "$tmp/gate.expected"
+[ $? -eq 2 ] || fail "validate must refuse the ambiguous schema with exit 2"
+printf 'query /shop\n' > "$tmp/script.upd"
+for cmd in "query $tmp/doc.xml /shop/item" "query $tmp/doc.xml /shop/item --index" \
+           "stats $tmp/doc.xml $tmp/script.upd" "snapshot $tmp/doc.xml $tmp/gate.snap" \
+           "load $tmp/doc.xml"; do
+  # shellcheck disable=SC2086
+  "$XSM" $cmd --schema "$tmp/ambiguous.xsd" > /dev/null 2> "$tmp/gate.err"
+  [ $? -eq 2 ] || fail "$cmd --schema: an ambiguous schema must exit 2"
+  cmp -s "$tmp/gate.expected" "$tmp/gate.err" \
+    || fail "$cmd --schema must print the gate's finding lines (got: $(cat "$tmp/gate.err"))"
+done
+
+# --- query --schema checks the validity its pruning and folding
+#     assume: a document of another schema is refused with the
+#     validator's lines (exit 1), never answered "pruned"
+"$XSM" query "$LIBRARY_XML" /library/book/title --schema "$CATALOG_XSD" \
+  > "$tmp/q.out" 2> "$tmp/q.err"
+[ $? -eq 1 ] || fail "query --schema over an invalid document must exit 1"
+[ -s "$tmp/q.out" ] && fail "an invalid document must print no rows"
+grep -q 'pruned' "$tmp/q.err" && fail "an invalid document must not be pruned"
+grep -q '^/catalog: element library where catalog was declared$' "$tmp/q.err" \
+  || fail "query --schema must print the validator's lines (got: $(cat "$tmp/q.err"))"
+"$XSM" query "$LIBRARY_XML" /library/book/title --schema "$LIBRARY_XSD" > "$tmp/q.out" \
+  || fail "query --schema over a valid document failed"
+[ "$(wc -l < "$tmp/q.out")" -eq 2 ] || fail "query --schema over a valid document: two titles"
 
 echo "cli plan tests passed"

@@ -34,6 +34,33 @@ cat > "$tmp/doc.xml" <<'EOF'
 <library><book id="b1"><title>One</title></book><book id="b2"><title>Two</title></book></library>
 EOF
 
+# --- a schema that violates UPA is refused at boot by the schema gate,
+#     with the finding lines and exit code of `xsm validate`, instead
+#     of answering Validate requests by the non-UPA fallback
+cat > "$tmp/ambiguous.xsd" <<'EOF'
+<xsd:schema xmlns:xsd="http://www.w3.org/2001/XMLSchema">
+  <xsd:element name="memo">
+    <xsd:complexType>
+      <xsd:sequence>
+        <xsd:element name="header" type="xs:string"/>
+        <xsd:sequence><xsd:element name="note" type="xs:string" minOccurs="0"/></xsd:sequence>
+        <xsd:sequence><xsd:element name="note" type="xs:token"/></xsd:sequence>
+      </xsd:sequence>
+    </xsd:complexType>
+  </xsd:element>
+</xsd:schema>
+EOF
+printf '<memo><header>h</header><note>n</note></memo>' > "$tmp/memo.xml"
+"$XSM" validate "$tmp/ambiguous.xsd" "$tmp/memo.xml" > /dev/null 2> "$tmp/validate.err"
+[ $? -eq 2 ] || fail "validate must refuse the ambiguous schema with exit 2"
+grep -q '^error \[upa\] memo: ' "$tmp/validate.err" || fail "validate must print the [upa] finding"
+timeout 10 "$XSM" serve --socket "$sock" --doc "$tmp/memo.xml" --schema "$tmp/ambiguous.xsd" \
+  > /dev/null 2> "$tmp/serve.err"
+[ $? -eq 2 ] || fail "serve must refuse the ambiguous schema with exit 2"
+cmp -s "$tmp/validate.err" "$tmp/serve.err" \
+  || fail "serve must print the finding lines of validate (got: $(cat "$tmp/serve.err"))"
+[ -e "$sock" ] && fail "a refused schema must not leave a socket behind"
+
 # --- sessions: query, update, query again sees the new state
 "$XSM" serve --socket "$sock" --doc "$tmp/doc.xml" --wal "$tmp/w.wal" \
   --snapshot "$tmp/s.snap" --domains 2 > "$tmp/serve.log" 2>&1 &

@@ -10,9 +10,11 @@ module A = Xsm_analysis.Analyzer
 module Cardinality = Xsm_analysis.Cardinality
 module Hygiene = Xsm_analysis.Hygiene
 module QS = Xsm_analysis.Query_static
+module Compiled = Xsm_schema.Compiled
 
 let check = Alcotest.check
 let parse = Xsm_xpath.Path_parser.parse_exn
+let graph s = Xsm_analysis.Schema_graph.build (Compiled.make s)
 
 let has_prefix p s =
   String.length s >= String.length p && String.sub s 0 (String.length p) = p
@@ -119,7 +121,7 @@ let upa_clean_library () =
   let report = A.analyze library_schema in
   check Alcotest.(list string) "no findings" []
     (List.map (fun (f : A.finding) -> f.A.message) (A.significant report));
-  check Alcotest.int "content models determinized" 3 (List.length report.A.tables)
+  check Alcotest.int "content models determinized" 3 (Compiled.determinized report.A.tables)
 
 (* ---------------- reachability / satisfiability ---------------- *)
 
@@ -228,7 +230,7 @@ let choice_intervals () =
 (* ---------------- static query analysis ---------------- *)
 
 let qs_verdict q =
-  match (QS.analyze_schema library_schema (parse q)).QS.verdict with
+  match (QS.analyze (graph library_schema) (parse q)).QS.verdict with
   | QS.Empty _ -> "empty"
   | QS.Maybe -> "maybe"
 
@@ -243,11 +245,11 @@ let query_static () =
   check Alcotest.string "pred emptied" "empty" (qs_verdict "/library/book[frontmatter]")
 
 let never_equal () =
-  let r = QS.analyze_schema library_schema (parse "//book[issue/year='not-a-year']") in
+  let r = QS.analyze (graph library_schema) (parse "//book[issue/year='not-a-year']") in
   check Alcotest.bool "verdict empty" true (match r.QS.verdict with QS.Empty _ -> true | _ -> false);
   check Alcotest.int "one warning" 1 (List.length r.QS.warnings);
   (* a literal in the lexical space stays possible *)
-  let ok = QS.analyze_schema library_schema (parse "//book[issue/year='1995']") in
+  let ok = QS.analyze (graph library_schema) (parse "//book[issue/year='1995']") in
   check Alcotest.bool "valid literal keeps Maybe" true (ok.QS.verdict = QS.Maybe)
 
 let date_schema =
@@ -263,11 +265,11 @@ let date_schema =
 let never_comparable () =
   (* a date's key family is text; the literal 5 is a number: the
      comparison can never hold *)
-  let r = QS.analyze_schema date_schema (parse "/log[when < 5]") in
+  let r = QS.analyze (graph date_schema) (parse "/log[when < 5]") in
   check Alcotest.bool "verdict empty" true (match r.QS.verdict with QS.Empty _ -> true | _ -> false);
   check Alcotest.int "one warning" 1 (List.length r.QS.warnings);
   (* date vs text literal: same family, could hold *)
-  let ok = QS.analyze_schema date_schema (parse "/log[when < '2002-01-01']") in
+  let ok = QS.analyze (graph date_schema) (parse "/log[when < '2002-01-01']") in
   check Alcotest.bool "text literal keeps Maybe" true (ok.QS.verdict = QS.Maybe)
 
 (* ---------------- always-true folding ---------------- *)
@@ -308,8 +310,8 @@ let shop_schema =
                    [ elem_p (element "item" ~repetition:many (Anonymous item)) ])))))
 
 let folding () =
-  let lib = G.build library_schema in
-  let shop = G.build shop_schema in
+  let lib = graph library_schema in
+  let shop = graph shop_schema in
   let f g q = Xsm_xpath.Path_ast.to_string (QS.fold g (parse q)) in
   let same g q = check Alcotest.string q (Xsm_xpath.Path_ast.to_string (parse q)) (f g q) in
   (* mandatory existence folds; optional stays *)
@@ -340,7 +342,7 @@ let fold_agrees () =
     | Ok sd -> sd
     | Error _ -> Alcotest.fail "fixture invalid"
   in
-  let g = G.build library_schema in
+  let g = graph library_schema in
   List.iter
     (fun q ->
       let p = parse q in
@@ -363,7 +365,7 @@ let fold_agrees () =
 (* ---------------- schema-side estimator ---------------- *)
 
 let estimator_basics () =
-  let g = G.build library_schema in
+  let g = graph library_schema in
   let store, dnode =
     match Xsm_schema.Validator.validate_document library_doc library_schema with
     | Ok sd -> sd
@@ -419,7 +421,7 @@ let pruning_agrees () =
   in
   let module Pl = Xsm_xpath.Planner.Over_store in
   let planner = Pl.create store dnode in
-  Pl.set_pruner planner (QS.pruner library_schema);
+  Pl.set_pruner planner (QS.pruner (graph library_schema));
   let queries =
     [
       "/library/book/title";
@@ -561,7 +563,7 @@ let containment_law seed =
     match Xsm_schema.Validator.validate_document doc s with
     | Error _ -> true
     | Ok (store, dnode) ->
-      let g = G.build s in
+      let g = graph s in
       let module Pl = Xsm_xpath.Planner.Over_store in
       let planner = Pl.create store dnode in
       let queries =

@@ -552,7 +552,8 @@ let planner_counters_match_explain () =
   in
   let module Pl = Xsm_xpath.Planner.Over_store in
   let planner = Pl.create store dnode in
-  Pl.set_pruner planner (Xsm_analysis.Query_static.pruner library_schema);
+  Pl.set_pruner planner (Xsm_analysis.Query_static.pruner
+       (Xsm_analysis.Schema_graph.build (Xsm_schema.Compiled.make library_schema)));
   (* the registry handles the planner bumps: get-or-create by name *)
   let c_hits = Counter.make "planner.index_hits"
   and c_fallbacks = Counter.make "planner.fallbacks"

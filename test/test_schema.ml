@@ -92,16 +92,23 @@ let test_check_recursive_schema_terminates () =
   check "recursive ok" true (Result.is_ok (Schema_check.check s))
 
 let test_resolve () =
+  (* type references resolve in the compiled schema: complex types
+     first, then simple types; an unknown name is left unresolved *)
   let s = Samples.example7_schema in
-  (match Schema_check.resolve s (Ast.named_type "BookPublication") with
-  | Ok (Schema_check.Resolved_complex _) -> ()
+  let root ty = Compiled.root (Compiled.make { s with Ast.root = Ast.element "r" ty }) in
+  (match (root (Ast.named_type "BookPublication")).ty.content with
+  | Compiled.Model _ | Compiled.Empty _ -> ()
   | _ -> Alcotest.fail "BookPublication should resolve to a complex type");
-  (match Schema_check.resolve s (Ast.named_type "xs:string") with
-  | Ok (Schema_check.Resolved_simple _) -> ()
+  (match (root (Ast.named_type "xs:string")).ty.content with
+  | Compiled.Simple _ -> ()
   | _ -> Alcotest.fail "xs:string should resolve to a simple type");
-  check "unknown" true (Result.is_error (Schema_check.resolve s (Ast.named_type "Zork")));
-  check "complex as simple rejected" true
-    (Result.is_error (Schema_check.resolve_simple s (Name.of_string_exn "BookPublication")))
+  (match (root (Ast.named_type "Zork")).ty.content with
+  | Compiled.Unresolved _ -> ()
+  | _ -> Alcotest.fail "Zork should not resolve");
+  let attributed = Ast.complex ~attributes:[ Ast.attribute "a" "BookPublication" ] None in
+  match (root (Ast.Anonymous attributed)).ty.attributes with
+  | [ { attr_simple = Error _; _ } ] -> ()
+  | _ -> Alcotest.fail "complex as simple rejected"
 
 (* ---------------- content automata ---------------- *)
 
@@ -659,6 +666,90 @@ let test_sample_values_valid () =
       done)
     types
 
+(* ---------------- compiled schema ---------------- *)
+
+(* the non-empty content models of a schema, counted on the syntax:
+   one per named complex type and one per anonymous complex type *)
+let content_model_count (s : Ast.schema) =
+  let rec of_type = function
+    | Ast.Complex_content { content = Some g; _ } when not (Ast.group_is_empty g) ->
+      1 + of_group g
+    | Ast.Simple_content _ | Ast.Complex_content _ -> 0
+  and of_group (g : Ast.group_def) =
+    List.fold_left (fun n p -> n + of_particle p) 0 g.particles
+  and of_particle = function
+    | Ast.Element_particle { elem_type = Ast.Anonymous ct; _ } -> of_type ct
+    | Ast.Element_particle _ -> 0
+    | Ast.Group_particle inner -> of_group inner
+  in
+  List.fold_left (fun n (_, ct) -> n + of_type ct) 0 s.complex_types
+  + of_particle (Ast.Element_particle s.root)
+
+let test_compile_determinizes_once () =
+  let compiles = Xsm_obs.Metrics.Counter.make "validate.automaton_compiles" in
+  List.iter
+    (fun (s, doc) ->
+      let models = content_model_count s in
+      let before = Xsm_obs.Metrics.Counter.value compiles in
+      let compiled = Compiled.make s in
+      let after_compile = Xsm_obs.Metrics.Counter.value compiles - before in
+      check_int "one determinization per non-empty content model" models after_compile;
+      check_int "content models listed" models (List.length (Compiled.content_models compiled));
+      for _ = 1 to 5 do
+        check "valid" true (Result.is_ok (Validator.validate_document ~automata:compiled doc s))
+      done;
+      let v = Validator.create ~automata:compiled s in
+      Validator.start_element v (Name.local "nothing");
+      Validator.end_element v;
+      ignore (Validator.finish v);
+      check_int "validation determinizes nothing" models
+        (Xsm_obs.Metrics.Counter.value compiles - before))
+    [
+      (Samples.example7_schema, Samples.bookstore_document ~books:3 ());
+      (Samples.library_schema, Samples.library_document ~books:3 ~papers:2 ());
+    ]
+
+let test_compiled_named_types_shared () =
+  (* a recursive named type is compiled once; the child a step attributes
+     is the very element of the type's own content model *)
+  let node_type =
+    Ast.complex
+      (Some
+         (Ast.sequence
+            [ Ast.elem_p (Ast.element ~repetition:Ast.many "child" (Ast.named_type "NodeT")) ]))
+  in
+  let s =
+    Ast.schema ~complex_types:[ ("NodeT", node_type) ]
+      (Ast.element "root" (Ast.named_type "NodeT"))
+  in
+  let c = Compiled.make s in
+  check_int "one content model" 1 (List.length (Compiled.content_models c));
+  let root = Compiled.root c in
+  match root.ty.content with
+  | Compiled.Model { run = Compiled.Table (_, [| child |]); _ } ->
+    check "child shares the root's type" true (child.ty == root.ty)
+  | _ -> Alcotest.fail "expected a determinized one-position model"
+
+let test_compiled_nested_group_reported_once () =
+  (* a nested group is checked as part of its content model: one UPA
+     diagnostic, at the content model *)
+  let note ty = Ast.elem_p (Ast.element "note" (Ast.named_type ty)) in
+  let g =
+    Ast.sequence
+      [
+        Ast.elem_p (Ast.element "header" (Ast.named_type "xs:string"));
+        Ast.group_p (Ast.choice [ note "xs:string"; Ast.group_p (Ast.sequence [ note "xs:token" ]) ]);
+      ]
+  in
+  let s = Ast.schema (Ast.element "memo" (Ast.Anonymous (Ast.complex (Some g)))) in
+  match Schema_check.check s with
+  | Error [ e ] ->
+    Alcotest.(check string) "at the content model" "memo" (Schema_check.location_to_string e.loc);
+    Alcotest.(check string) "message" "content model violates Unique Particle Attribution"
+      e.message
+  | Error es -> Alcotest.failf "expected one diagnostic, got %d" (List.length es)
+  | Ok () -> Alcotest.fail "expected a UPA violation"
+
 let suite =
   [
     ( "schema.ast",
@@ -675,6 +766,13 @@ let suite =
         Alcotest.test_case "duplicate attributes" `Quick test_check_duplicate_attributes;
         Alcotest.test_case "recursive schema" `Quick test_check_recursive_schema_terminates;
         Alcotest.test_case "resolve" `Quick test_resolve;
+      ] );
+    ( "schema.compiled",
+      [
+        Alcotest.test_case "determinize once" `Quick test_compile_determinizes_once;
+        Alcotest.test_case "named types shared" `Quick test_compiled_named_types_shared;
+        Alcotest.test_case "nested group reported once" `Quick
+          test_compiled_nested_group_reported_once;
       ] );
     ( "schema.automaton",
       [

@@ -235,7 +235,7 @@ let boot_library () =
 
 let with_server ?(domains = 2) ?(group_commit = true) ?snapshot_path ?wal_path ?page_file
     ?(pool_capacity = 64) ?(use_index = false) ?(flight_capacity = 64) ?slow_log
-    ?(slow_threshold_ms = 10.0) f =
+    ?(slow_threshold_ms = 10.0) ?schema f =
   let store, root = boot_library () in
   let socket_path = temp_name ".sock" in
   let config =
@@ -243,7 +243,7 @@ let with_server ?(domains = 2) ?(group_commit = true) ?snapshot_path ?wal_path ?
       page_file; pool_capacity; flight_capacity; slow_log; slow_threshold_ms }
   in
   let srv =
-    match Server.create config ~store ~root () with
+    match Server.create config ~store ~root ?schema () with
     | Ok s -> s
     | Error e -> Alcotest.fail e
   in
@@ -308,6 +308,28 @@ let test_server_session_basics () =
         | Some _ -> ()
         | None -> Alcotest.fail "stats body must carry server info")
       | _ -> Alcotest.fail "stats body must be an object");
+      Client.close c)
+
+(* the daemon compiles its schema once, at create: Validate requests
+   determinize no content model *)
+let test_server_validate_compiles_nothing () =
+  let compiles = Xsm_obs.Metrics.Counter.make "validate.automaton_compiles" in
+  with_server ~schema:Xsm_schema.Samples.library_schema (fun sock _srv ->
+      let c = ok (Client.connect sock) in
+      let valid_doc =
+        Xsm_xml.Printer.to_string (Xsm_schema.Samples.library_document ~books:2 ~papers:1 ())
+      in
+      let before = Xsm_obs.Metrics.Counter.value compiles in
+      for i = 1 to 20 do
+        if i mod 2 = 0 then
+          Alcotest.(check bool) "valid document" true (fst (ok (Client.validate c valid_doc)))
+        else
+          let valid, errors = ok (Client.validate c "<library><magazine/></library>") in
+          Alcotest.(check bool) "invalid document" false valid;
+          Alcotest.(check bool) "with reasons" true (errors <> [])
+      done;
+      Alcotest.(check int) "no determinization across 20 requests" before
+        (Xsm_obs.Metrics.Counter.value compiles);
       Client.close c)
 
 let test_server_snapshot_isolation () =
@@ -618,6 +640,8 @@ let suite =
       [
         Alcotest.test_case "query/update/validate/stats" `Quick test_server_session_basics;
         Alcotest.test_case "snapshot isolation" `Quick test_server_snapshot_isolation;
+        Alcotest.test_case "validate compiles nothing" `Quick
+          test_server_validate_compiles_nothing;
         Alcotest.test_case "checkpoint roundtrip" `Quick test_server_checkpoint_roundtrip;
         Alcotest.test_case "paged mirror" `Quick test_server_paged_mirror;
         Alcotest.test_case "flight recorder and slow log" `Quick
