@@ -118,7 +118,7 @@ let tests () =
            | Ok _ -> ()
            | Error e -> failwith e))
   in
-  let mid = Option.get (B.descriptor_of_node bs nodes.(n / 2)) in
+  let mid = snd (List.nth (Report.descriptor_pairs store dnode bs rootd) (n / 2)) in
   let e9 =
     Test.make ~name:"E9 string-value from descriptors"
       (staged (fun () -> ignore (B.string_value bs mid)))
@@ -223,7 +223,8 @@ let tests () =
      under the temp dir and are reused across iterations. *)
   let e13_round store dnode libr ~wal =
     let apply op =
-      match Xsm_persist.Wal.apply_logged wal store ~root:dnode op with
+      match Xsm_persist.Wal.apply_logged wal (Xsm_persist.Wal.store_tree store) ~root:dnode
+          ~apply:(Xsm_schema.Update.apply store) op with
       | Ok a -> a
       | Error e -> failwith e
     in

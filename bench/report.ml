@@ -285,28 +285,36 @@ let e8_schema_driven_queries () =
         [ "/library/book/title"; "//author"; "//year" ])
     [ 100; 1000 ]
 
+(* Store nodes paired with the descriptors [B.of_store] made of them,
+   by walking both trees in parallel, in [Store.descendants_or_self]
+   order.  A node the storage has no counterpart for stays unpaired. *)
+let descriptor_pairs store n bs d =
+  let rec zip xs ys = match xs, ys with x :: xs, y :: ys -> (x, y) :: zip xs ys | _ -> [] in
+  let rec go acc (n, d) =
+    let acc = List.rev_append (zip (Store.attributes store n) (B.attributes bs d)) ((n, d) :: acc) in
+    List.fold_left go acc (zip (Store.children store n) (B.children bs d))
+  in
+  List.rev (go [] (n, d))
+
 let e9_accessor_reconstruction () =
   header "E9  Accessor reconstruction from node descriptors is exact (§9.2)";
   let store, dnode = load_library 500 in
   let bs = B.of_store store dnode in
-  let nodes = Store.descendants_or_self store dnode in
-  let mismatches = ref 0 and checked = ref 0 in
+  let pairs = descriptor_pairs store dnode bs (B.root bs) in
+  let mismatches = ref (Store.subtree_size store dnode - List.length pairs) in
+  let checked = ref 0 in
   List.iter
-    (fun n ->
-      match B.descriptor_of_node bs n with
-      | None -> incr mismatches
-      | Some d ->
-        incr checked;
-        if
-          B.node_kind d <> Store.node_kind store n
-          || B.string_value bs d <> Store.string_value store n
-          || List.length (B.children bs d) <> List.length (Store.children store n)
-          || List.length (B.attributes bs d) <> List.length (Store.attributes store n)
-        then incr mismatches)
-    nodes;
+    (fun (n, d) ->
+      incr checked;
+      if
+        B.node_kind d <> Store.node_kind store n
+        || B.string_value bs d <> Store.string_value store n
+        || List.length (B.children bs d) <> List.length (Store.children store n)
+        || List.length (B.attributes bs d) <> List.length (Store.attributes store n)
+      then incr mismatches)
+    pairs;
   row "nodes checked: %d, accessor mismatches: %d\n" !checked !mismatches;
-  let sample = List.nth nodes (List.length nodes / 2) in
-  let d = Option.get (B.descriptor_of_node bs sample) in
+  let sample, d = List.nth pairs (List.length pairs / 2) in
   let t_store = time (fun () -> ignore (Store.string_value store sample)) in
   let t_desc = time (fun () -> ignore (B.string_value bs d)) in
   row "string-value: store %.1f ns, descriptors %.1f ns\n" (ns t_store) (ns t_desc)
@@ -610,7 +618,7 @@ let e13_durability () =
       (* steady-state insert+delete round through the logged apply *)
       let round w =
         let apply op =
-          match Wal.apply_logged (Some w) store ~root:dnode op with
+          match Wal.apply_logged (Some w) (Wal.store_tree store) ~root:dnode ~apply:(Xsm_schema.Update.apply store) op with
           | Ok _ -> ()
           | Error e -> failwith e
         in

@@ -833,7 +833,7 @@ let execute_script ~script_path ~store ~root ~journal ?planner ?wal () =
       match Update.parse_command ~resolve:eval line with
       | Error e -> fail_line lineno "%s" e
       | Ok op -> (
-        match with_crash wal (fun () -> Wal.apply_logged ~journal wal store ~root op) with
+        match with_crash wal (fun () -> Wal.apply_logged wal (Wal.store_tree store) ~root ~apply:(Update.apply ~journal store) op) with
         | Ok _ -> ()
         | Error e -> fail_line lineno "update: %s" e))
   in
@@ -1199,7 +1199,6 @@ let serve_cmd =
             (if with_labels then Some (Xsm_numbering.Labeler.label_tree o.store o.root) else None);
         }
     in
-    Option.iter (Format.eprintf "xsm serve: recovered: %a@." Recovery.pp_stats) recovered;
     let config =
       {
         Server.socket_path = socket;
@@ -1218,6 +1217,7 @@ let serve_cmd =
     match Server.create config ~store ~root ?labels ?schema () with
     | Error e -> die "%s" e
     | Ok srv -> (
+      Option.iter (Format.eprintf "xsm serve: recovered: %a@." Recovery.pp_stats) recovered;
       List.iter
         (fun s -> Sys.set_signal s (Sys.Signal_handle (fun _ -> Server.request_stop srv)))
         [ Sys.sigterm; Sys.sigint ];
@@ -1254,9 +1254,10 @@ let serve_cmd =
            the parallel pure evaluator."
       $ flag "labels" "Maintain \xc2\xa79.3 Sedna labels across updates."
       $ opt_string "page-file"
-          "Maintain a disk-paged block-storage replica of the store under a bounded buffer \
-           pool backed by $(docv); non-indexed queries evaluate over it, sharing the pool \
-           across all sessions.  Checkpointed at graceful shutdown."
+          "Serve the document from disk-paged block storage instead of the in-memory store: \
+           one bounded buffer pool backed by $(docv), shared by every session, takes every \
+           query and update.  Checkpointed at graceful shutdown.  A store with type \
+           annotations (a $(b,snapshot --schema) snapshot) is refused."
       $ pool_capacity 256
       $ opt_int "flight-capacity" 256 "Flight-recorder ring size in request digests (default 256)."
       $ opt_string "slow-log"
@@ -1717,9 +1718,9 @@ let bench_serve_cmd =
           value & opt (some capacity) None
           & info [ "pool-capacity" ] ~docv:"N"
               ~doc:
-                "Run the server with a disk-paged storage replica under an $(docv)-block \
-                 buffer pool (a page file in the bench directory); pager counters are \
-                 reported with the results.")
+                "Run the server over disk-paged block storage under an $(docv)-block buffer \
+                 pool (a page file in the bench directory); pager counters are reported with \
+                 the results.")
       $ flag "smoke" "Tiny deterministic run for CI: 2 clients, 25 requests, 100 entries.")
 
 let () =

@@ -1,16 +1,12 @@
 module Store = Xsm_xdm.Store
 module Name = Xsm_xml.Name
 
-type op =
-  | Insert_element of {
-      parent : Store.node;
-      before : Store.node option;
-      tree : Xsm_xml.Tree.element;
-    }
-  | Insert_text of { parent : Store.node; before : Store.node option; text : string }
-  | Delete of Store.node
-  | Replace_content of { node : Store.node; value : string }
-  | Set_attribute of { element : Store.node; name : Name.t; value : string }
+type 'n op =
+  | Insert_element of { parent : 'n; before : 'n option; tree : Xsm_xml.Tree.element }
+  | Insert_text of { parent : 'n; before : 'n option; text : string }
+  | Delete of 'n
+  | Replace_content of { node : 'n; value : string }
+  | Set_attribute of { element : 'n; name : Name.t; value : string }
 
 module Journal = struct
   type entry =
@@ -22,9 +18,7 @@ module Journal = struct
      [base] (the oldest entry any cursor still wants) to [base + len].
      Each consumer — the index planner, the WAL writer, the recovery
      label maintainer — owns a cursor and reads at its own pace;
-     entries every cursor has passed are compacted away.  [drain] and
-     [length] are the legacy single-consumer view: a default cursor
-     created on first use. *)
+     entries every cursor has passed are compacted away. *)
   type cursor = { mutable pos : int; mutable active : bool }
 
   type t = {
@@ -32,10 +26,9 @@ module Journal = struct
     mutable base : int;  (* global index of buf.(0) *)
     mutable len : int;  (* entries currently buffered *)
     mutable cursors : cursor list;
-    mutable default : cursor option;
   }
 
-  let create () = { buf = [||]; base = 0; len = 0; cursors = []; default = None }
+  let create () = { buf = [||]; base = 0; len = 0; cursors = [] }
   let total t = t.base + t.len
 
   let record t e =
@@ -87,18 +80,6 @@ module Journal = struct
     end
 
   let iter t c f = List.iter f (read t c)
-
-  (* legacy single-consumer view *)
-  let default_cursor t =
-    match t.default with
-    | Some c -> c
-    | None ->
-      let c = subscribe t in
-      t.default <- Some c;
-      c
-
-  let length t = pending t (default_cursor t)
-  let drain t = read t (default_cursor t)
 end
 
 type applied =

@@ -10,27 +10,26 @@
     schema, and on failure the inverse operation restores the previous
     state, so an invalid transition is never observable. *)
 
-type op =
+type 'n op =
   | Insert_element of {
-      parent : Xsm_xdm.Store.node;
-      before : Xsm_xdm.Store.node option;  (** [None] = append last *)
+      parent : 'n;
+      before : 'n option;  (** [None] = append last *)
       tree : Xsm_xml.Tree.element;  (** the subtree to insert *)
     }
-  | Insert_text of {
-      parent : Xsm_xdm.Store.node;
-      before : Xsm_xdm.Store.node option;
-      text : string;
-    }
-  | Delete of Xsm_xdm.Store.node
+  | Insert_text of { parent : 'n; before : 'n option; text : string }
+  | Delete of 'n
       (** element or text child; never the document element, which a
           document node must keep *)
-  | Replace_content of { node : Xsm_xdm.Store.node; value : string }
+  | Replace_content of { node : 'n; value : string }
       (** new content for a text or attribute node *)
   | Set_attribute of {
-      element : Xsm_xdm.Store.node;
+      element : 'n;
       name : Xsm_xml.Name.t;
       value : string;  (** replaces, or attaches when absent *)
     }
+(** One state transition, over any node type: {!parse_command} builds
+    it for whichever store resolves its paths, {!apply} runs it on the
+    XDM store. *)
 
 (** A structured record of applied state transitions, for consumers
     that maintain derived structures (the index planner) differentially
@@ -82,31 +81,21 @@ module Journal : sig
   val iter : t -> cursor -> (entry -> unit) -> unit
   (** [read] delivered entry-by-entry. *)
 
-  (** {2 Legacy single-consumer view}
-
-      [length]/[drain] operate a default cursor created on their first
-      use — existing callers that treated the journal as a queue keep
-      working unchanged, and coexist with subscribers. *)
-
-  val length : t -> int
-  (** Entries recorded and not yet drained. *)
-
-  val drain : t -> entry list
-  (** The pending entries in application order; empties the journal. *)
 end
 
 type applied
 (** Evidence of an applied operation, holding what is needed to undo
     it. *)
 
-val apply : ?journal:Journal.t -> Xsm_xdm.Store.t -> op -> (applied, string) result
+val apply :
+  ?journal:Journal.t -> Xsm_xdm.Store.t -> Xsm_xdm.Store.node op -> (applied, string) result
 (** Apply one operation (no validation).  Structural errors (wrong
     node kinds, foreign anchors) are reported, not raised.  A
     successful application is recorded in the journal when one is
     given. *)
 
 val parse_command :
-  resolve:(string -> (Xsm_xdm.Store.node list, string) result) -> string -> (op, string) result
+  resolve:(string -> ('n list, string) result) -> string -> ('n op, string) result
 (** The update-script grammar, one command per line:
     [insert PATH XML] appends a parsed fragment under the first node
     [PATH] selects; [insert-text PATH TEXT] appends a text node;
@@ -127,7 +116,7 @@ val apply_validated :
   Xsm_xdm.Store.t ->
   Xsm_xdm.Store.node ->
   Ast.schema ->
-  op ->
+  Xsm_xdm.Store.node op ->
   (unit, string list) result
 (** Apply, re-validate the document rooted at the given document node,
     and roll back if the new state is not an S-tree. *)

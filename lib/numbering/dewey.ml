@@ -84,5 +84,3 @@ let insert_after f ~parent ~after node =
   in
   (new_label, changed)
 
-let total_bytes f = Hashtbl.fold (fun _ l acc -> acc + byte_size l) f.labels 0
-let max_bytes f = Hashtbl.fold (fun _ l acc -> max acc (byte_size l)) f.labels 0

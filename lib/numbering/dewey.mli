@@ -39,6 +39,3 @@ val insert_after :
 (** Insert a new node after the given sibling (or first).  Returns its
     label and the number of existing labels that changed (renumbered
     following siblings and all their descendants). *)
-
-val total_bytes : forest -> int
-val max_bytes : forest -> int

@@ -16,9 +16,6 @@ let node_of t l = Hashtbl.find_opt t.reverse (Sedna_label.to_raw l)
 
 let label_count t = Hashtbl.length t.labels
 
-let total_label_bytes t =
-  Hashtbl.fold (fun _ l acc -> acc + Sedna_label.length l) t.labels 0
-
 let max_label_bytes t =
   Hashtbl.fold (fun _ l acc -> max acc (Sedna_label.length l)) t.labels 0
 

@@ -26,9 +26,6 @@ val node_of : t -> Sedna_label.t -> Xsm_xdm.Store.node option
 (** Reverse lookup. *)
 
 val label_count : t -> int
-val total_label_bytes : t -> int
-(** Sum of label lengths — the storage measure of bench E6/E7. *)
-
 val max_label_bytes : t -> int
 
 val label_new_child : t -> Xsm_xdm.Store.t -> Xsm_xdm.Store.node -> Sedna_label.t

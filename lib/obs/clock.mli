@@ -20,10 +20,6 @@ val now_ns : unit -> int64
     negative durations even for spans whose endpoints were read before
     this module's watermark advanced. *)
 
-val raw_ns : unit -> int64
-(** The unclamped wall-clock read {!now_ns} is built on.  May go
-    backwards; exposed for tests and callers that want the raw source. *)
-
 val epoch_wall : unit -> float
 (** The process-local epoch {!now_ns} counts from, as Unix wall-clock
     seconds.  Timestamps from two processes live on different epochs;

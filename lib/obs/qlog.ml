@@ -1,39 +1,23 @@
 (* Structured slow-query log: one JSON object per line, append-only,
    flushed per record so a crash loses at most the line being
-   written.  The daemon owns one instance and writes under its server
-   mutex; the threshold lives here so callers share one definition of
-   "slow". *)
+   written.  The daemon owns one instance, writes under its server
+   mutex and decides which requests are slow. *)
 
-type t = {
-  path : string;
-  oc : out_channel;
-  threshold_ns : int64;
-  mutable written : int;
-  mutable closed : bool;
-}
+type t = { oc : out_channel; mutable closed : bool }
 
 let m_written =
   Metrics.Counter.make ~help:"Entries appended to the slow-query log" "qlog.written"
 
-let create ~threshold_ns path =
-  if Int64.compare threshold_ns 0L < 0 then
-    invalid_arg "Qlog.create: threshold must be non-negative";
+let create path =
   match open_out_gen [ Open_append; Open_creat; Open_wronly ] 0o644 path with
-  | oc -> Ok { path; oc; threshold_ns; written = 0; closed = false }
+  | oc -> Ok { oc; closed = false }
   | exception Sys_error e -> Error ("slow-query log: " ^ e)
-
-let threshold_ns t = t.threshold_ns
-let path t = t.path
-let written t = t.written
-
-let slow t ~latency_ns = Int64.compare latency_ns t.threshold_ns >= 0
 
 let log t json =
   if not t.closed then begin
     output_string t.oc (Json.to_string json);
     output_char t.oc '\n';
     flush t.oc;
-    t.written <- t.written + 1;
     Metrics.Counter.incr m_written
   end
 

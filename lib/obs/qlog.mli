@@ -9,21 +9,11 @@
 
 type t
 
-val create : threshold_ns:int64 -> string -> (t, string) result
+val create : string -> (t, string) result
 (** Open (append, create) the log file. *)
-
-val threshold_ns : t -> int64
-
-val path : t -> string
-
-val slow : t -> latency_ns:int64 -> bool
-(** Whether a latency clears the threshold. *)
 
 val log : t -> Json.t -> unit
 (** Append one entry as a single line and flush; bumps
     [qlog.written].  No-op after {!close}. *)
-
-val written : t -> int
-(** Entries appended since {!create}. *)
 
 val close : t -> unit

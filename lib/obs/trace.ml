@@ -301,18 +301,3 @@ let write_chrome_json path json =
 let write_chrome path = write_chrome_json path (to_chrome ())
 
 let write_chrome_groups path groups = write_chrome_json path (to_chrome_groups groups)
-
-let pp_tree ppf () =
-  let pp_dur ppf ns =
-    if Int64.compare ns 1_000_000L >= 0 then
-      Format.fprintf ppf "%.2f ms" (Clock.ns_to_ms ns)
-    else Format.fprintf ppf "%.1f us" (Clock.ns_to_us ns)
-  in
-  List.iter
-    (fun e ->
-      Format.fprintf ppf "%s%s  %a" (String.make (2 * e.depth) ' ') e.name pp_dur e.dur_ns;
-      List.iter (fun (k, v) -> Format.fprintf ppf "  %s=%s" k v) (List.rev e.attrs);
-      Format.fprintf ppf "@.")
-    (events ());
-  if !dropped_count > 0 then
-    Format.fprintf ppf "(… %d older spans evicted from the ring)@." !dropped_count

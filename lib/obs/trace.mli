@@ -15,9 +15,8 @@
     which only the [--trace] exporters set.  E15 measures the
     enabled-but-unexported configuration at <2% on the hot workloads.
 
-    Exporters: {!to_chrome} emits Chrome [trace_event] JSON (load the
-    file in [chrome://tracing] or Perfetto), {!pp_tree} renders the
-    retained spans as an indented tree with durations. *)
+    Exporter: {!to_chrome} emits Chrome [trace_event] JSON (load the
+    file in [chrome://tracing] or Perfetto). *)
 
 val enabled : bool ref
 (** Master switch; read on every instrumentation point. *)
@@ -120,6 +119,3 @@ val write_chrome_groups :
   string -> (int * string * event list) list -> (unit, string) result
 (** Serialize {!to_chrome_groups} to a file. *)
 
-val pp_tree : Format.formatter -> unit -> unit
-(** Indented rendering of the retained spans with durations and
-    attributes. *)

@@ -36,20 +36,12 @@ val sync : t -> unit
 (** Persist the header and fsync the file. *)
 
 val page_size : t -> int
-val payload_capacity : t -> int
-(** Payload bytes one page holds ([page_size] minus the header). *)
-
 val path : t -> string
 val clean : t -> bool
 val checkpoint_lsn : t -> int
 val meta_page : t -> int option
 val page_count : t -> int
 (** Pages ever allocated (free-listed ones included). *)
-
-val alloc : t -> int
-(** A page id from the free list, or a fresh one past the tail. *)
-
-val free_page : t -> int -> unit
 
 val write_blob : t -> ?head:int -> lsn:int -> string -> int
 (** Write a payload as a page chain, stamping every page with [lsn].

@@ -28,8 +28,6 @@ type meta = {
   labelled : bool;  (** numbering labels travel with the tree *)
 }
 
-val format_version : int
-
 val encode :
   ?schema_ref:string ->
   ?labels:Xsm_numbering.Labeler.t ->

@@ -46,68 +46,80 @@ let index_of equal x xs =
   in
   go 0 xs
 
-let path_of_node store ~root node =
+type 'n tree = {
+  parent : 'n -> 'n option;
+  children : 'n -> 'n list;
+  attribute_name : 'n -> Name.t option;
+  equal : 'n -> 'n -> bool;
+}
+
+let store_tree store =
+  {
+    parent = Store.parent store;
+    children = Store.children store;
+    attribute_name =
+      (fun n ->
+        match Store.kind store n with
+        | Store.Kind.Attribute -> Store.node_name store n
+        | Store.Kind.Document | Store.Kind.Element | Store.Kind.Text -> None);
+    equal = Store.equal_node;
+  }
+
+let path_of_node tree ~root node =
   let rec go acc node =
-    if Store.equal_node node root then Ok acc
+    if tree.equal node root then Ok acc
     else
-      match Store.parent store node with
+      match tree.parent node with
       | None -> Error "wal: node is not in the tree rooted at the snapshot root"
       | Some p -> (
-        match index_of Store.equal_node node (Store.children store p) with
+        match index_of tree.equal node (tree.children p) with
         | Some i -> go (i :: acc) p
         | None -> Error "wal: node is not among its parent's children")
   in
   go [] node
 
-let addr_of_node store ~root node =
-  match Store.kind store node with
-  | Store.Kind.Attribute -> (
-    match Store.parent store node, Store.node_name store node with
-    | Some owner, Some name -> (
-      match path_of_node store ~root owner with
-      | Ok p -> Ok (Attribute (p, name))
-      | Error _ as e -> e)
-    | _ -> Error "wal: detached or unnamed attribute")
-  | _ -> (
-    match path_of_node store ~root node with
-    | Ok p -> Ok (Node p)
-    | Error _ as e -> e)
-
-let op_of_update store ~root (u : Update.op) =
+let addr_of_node tree ~root node =
   let ( let* ) = Result.bind in
+  match tree.attribute_name node with
+  | Some name -> (
+    match tree.parent node with
+    | Some owner ->
+      let* p = path_of_node tree ~root owner in
+      Ok (Attribute (p, name))
+    | None -> Error "wal: detached or unnamed attribute")
+  | None ->
+    let* p = path_of_node tree ~root node in
+    Ok (Node p)
+
+let op_of_update tree ~root (u : _ Update.op) =
+  let ( let* ) = Result.bind in
+  (* an insertion's position among the parent's children: before its
+     anchor, else last *)
+  let insertion parent before =
+    let* p = path_of_node tree ~root parent in
+    let children = tree.children parent in
+    let index =
+      match Option.bind before (fun b -> index_of tree.equal b children) with
+      | Some i -> i
+      | None -> List.length children
+    in
+    Ok (p, index)
+  in
   match u with
-  | Update.Insert_element { parent; before; tree } ->
-    let* p = path_of_node store ~root parent in
-    let children = Store.children store parent in
-    let index =
-      match before with
-      | None -> List.length children
-      | Some b -> (
-        match index_of Store.equal_node b children with
-        | Some i -> i
-        | None -> List.length children)
-    in
-    Ok (Insert_element { parent = p; index; fragment = tree })
+  | Update.Insert_element { parent; before; tree = fragment } ->
+    let* parent, index = insertion parent before in
+    Ok (Insert_element { parent; index; fragment })
   | Update.Insert_text { parent; before; text } ->
-    let* p = path_of_node store ~root parent in
-    let children = Store.children store parent in
-    let index =
-      match before with
-      | None -> List.length children
-      | Some b -> (
-        match index_of Store.equal_node b children with
-        | Some i -> i
-        | None -> List.length children)
-    in
-    Ok (Insert_text { parent = p; index; text })
+    let* parent, index = insertion parent before in
+    Ok (Insert_text { parent; index; text })
   | Update.Delete node ->
-    let* a = addr_of_node store ~root node in
+    let* a = addr_of_node tree ~root node in
     Ok (Delete a)
   | Update.Replace_content { node; value } ->
-    let* a = addr_of_node store ~root node in
+    let* a = addr_of_node tree ~root node in
     Ok (Replace_content (a, value))
   | Update.Set_attribute { element; name; value } ->
-    let* p = path_of_node store ~root element in
+    let* p = path_of_node tree ~root element in
     Ok (Set_attribute { element = p; name; value })
 
 (* ------------------------------------------------------------------ *)
@@ -440,18 +452,19 @@ module Writer = struct
     close_out_noerr t.oc
 end
 
-(* The one logged state transition: the record is captured against the
-   pre-state (its addresses describe it), the op applied, and the
-   record appended only when the apply succeeded — a rejected op
-   leaves no orphan record that would make the log unreplayable. *)
-let apply_logged ?journal wal store ~root op =
+(* The one logged state transition, for either store: the record is
+   captured against the pre-state (its addresses describe it), the op
+   applied, and the record appended only when the apply succeeded — a
+   rejected op leaves no orphan record that would make the log
+   unreplayable. *)
+let apply_logged wal tree ~root ~apply op =
   let ( let* ) = Result.bind in
   let* record =
     match wal with
     | None -> Ok None
-    | Some _ -> Result.map Option.some (op_of_update store ~root op)
+    | Some _ -> Result.map Option.some (op_of_update tree ~root op)
   in
-  let* applied = Update.apply ?journal store op in
+  let* applied = apply op in
   (match (wal, record) with
   | Some w, Some r -> Writer.append w r
   | _ -> ());

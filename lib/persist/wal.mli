@@ -48,22 +48,25 @@ val pp_op : Format.formatter -> op -> unit
 (** {1 Capturing ops from a live store}
 
     [op_of_update] translates an {!Xsm_schema.Update.op} into its
-    store-independent WAL form.  Call it {e before} applying the update
-    — the addresses describe the pre-state. *)
+    store-independent WAL form, over any store whose nodes {!tree}
+    describes — the XDM store and the block storage log the same
+    records.  Call it {e before} applying the update — the addresses
+    describe the pre-state. *)
 
-val path_of_node :
-  Xsm_xdm.Store.t -> root:Xsm_xdm.Store.node -> Xsm_xdm.Store.node -> (int list, string) result
+type 'n tree = {
+  parent : 'n -> 'n option;
+  children : 'n -> 'n list;  (** element and text children: the Dewey positions *)
+  attribute_name : 'n -> Xsm_xml.Name.t option;
+      (** the name of an attribute node; [None] for every other kind *)
+  equal : 'n -> 'n -> bool;
+}
+(** The node access a Dewey capture needs. *)
 
-val addr_of_node :
-  Xsm_xdm.Store.t -> root:Xsm_xdm.Store.node -> Xsm_xdm.Store.node -> (addr, string) result
+val store_tree : Xsm_xdm.Store.t -> Xsm_xdm.Store.node tree
 
-val op_of_update :
-  Xsm_xdm.Store.t -> root:Xsm_xdm.Store.node -> Xsm_schema.Update.op -> (op, string) result
+val op_of_update : 'n tree -> root:'n -> 'n Xsm_schema.Update.op -> (op, string) result
 
 (** {1 Replay} *)
-
-val resolve :
-  Xsm_xdm.Store.t -> root:Xsm_xdm.Store.node -> addr -> (Xsm_xdm.Store.node, string) result
 
 val replay_op :
   ?journal:Xsm_schema.Update.Journal.t ->
@@ -159,19 +162,18 @@ module Writer : sig
 end
 
 val apply_logged :
-  ?journal:Xsm_schema.Update.Journal.t ->
   Writer.t option ->
-  Xsm_xdm.Store.t ->
-  root:Xsm_xdm.Store.node ->
-  Xsm_schema.Update.op ->
-  (Xsm_schema.Update.applied, string) result
-(** The logged state transition, shared by every writer of the log:
-    capture the op's record against the pre-state, apply it through
-    {!Xsm_schema.Update.apply}, and append the record only when the
-    apply succeeded — a rejected op leaves the log untouched, so the
-    log stays replayable.  Without a writer this is a plain apply.
-    {!Crashed} propagates from the append at an injected crash
-    point. *)
+  'n tree ->
+  root:'n ->
+  apply:('n Xsm_schema.Update.op -> ('a, string) result) ->
+  'n Xsm_schema.Update.op ->
+  ('a, string) result
+(** The logged state transition, shared by every writer of the log
+    and by both stores: capture the op's record against the pre-state,
+    [apply] it, and append the record only when the apply succeeded —
+    a rejected op leaves the log untouched, so the log stays
+    replayable.  Without a writer this is a plain apply.  {!Crashed}
+    propagates from the append at an injected crash point. *)
 
 (** {1 Reading} *)
 

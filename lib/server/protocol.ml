@@ -29,20 +29,6 @@ type response =
   | Stopping of { id : int }
   | Failed of { id : int; message : string }
 
-let request_id = function
-  | Hello _ | Bye -> None
-  | Query { id; _ }
-  | Update { id; _ }
-  | Validate { id; _ }
-  | Stats { id; _ }
-  | Introspect { id; _ }
-  | Shutdown { id } ->
-    Some id
-
-let request_trace = function
-  | Query { trace; _ } | Update { trace; _ } | Validate { trace; _ } -> trace
-  | Hello _ | Stats _ | Introspect _ | Shutdown _ | Bye -> None
-
 (* ------------------------------------------------------------------ *)
 (* Decoding helpers: missing/mistyped fields are protocol errors with
    the field name in the message, never exceptions. *)

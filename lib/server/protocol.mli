@@ -77,8 +77,3 @@ val request_of_json : Xsm_obs.Json.t -> (request, string) result
 val response_to_json : response -> Xsm_obs.Json.t
 val response_of_json : Xsm_obs.Json.t -> (response, string) result
 
-val request_id : request -> int option
-(** The [id] field, when the request kind carries one. *)
-
-val request_trace : request -> trace_ctx option
-(** The propagated trace context, when the request kind carries one. *)

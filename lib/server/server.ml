@@ -10,7 +10,9 @@ module Seval = Xsm_xpath.Eval.Over_storage
 module Bs = Xsm_storage.Block_storage
 module Pager = Xsm_pager.Pager
 module Page_file = Xsm_pager.Page_file
+module Ds = Xsm_storage.Descriptive_schema
 module Pl = Xsm_xpath.Planner.Over_store
+module Spl = Xsm_xpath.Planner.Over_storage
 module Planner = Xsm_xpath.Planner
 module Plan = Xsm_xpath.Plan
 module Json = Xsm_obs.Json
@@ -59,24 +61,35 @@ type config = {
   slow_threshold_ms : float;
 }
 
+(* The served document, chosen once at boot: the resident XDM store,
+   or — with a page file — the block storage alone.  Either way the
+   planner exists only under [use_index]. *)
+type served =
+  | Resident of {
+      store : Store.t;
+      root : Store.node;
+      labels : Labeler.t option;
+      journal : Journal.t;
+      label_cursor : Journal.cursor option;
+      planner : Pl.t option;  (* an attached planner's journal cursor pins entries *)
+    }
+  | Paged of {
+      (* one buffer pool shared by every session, faulted under the
+         shared latch, mutated under the exclusive one *)
+      bs : Bs.t;
+      page_file : Page_file.t;
+      labelled : bool;  (* the shutdown snapshot carries the nids as labels *)
+      planner : Spl.t option;  (* fed each applied op's change *)
+    }
+
 type t = {
   config : config;
-  store : Store.t;
-  root : Store.node;
-  labels : Labeler.t option;
+  served : served;
   (* compiled once, for every Validate *)
   schema : Xsm_schema.Compiled.t option;
-  journal : Journal.t;
-  label_cursor : Journal.cursor option;
-  planner : Pl.t option;  (* built only under [use_index]: an attached
-                             planner's journal cursor pins entries *)
   epoch : Epoch.t;
   pool : Pool.t;
   wal : Wal.Writer.t option;
-  (* the disk-paged replica: one buffer pool shared by every session,
-     faulted under the shared latch, mutated under the exclusive one *)
-  mutable mirror : Mirror.t option;
-  page_file : Page_file.t option;
   commit : (string, (unit, string) result) Commit.t;
   (* observability: the always-on digest ring, the slow-query log, the
      last planner digest (written by eval under [m], consumed by the
@@ -106,34 +119,91 @@ type t = {
 
 let ( let* ) = Result.bind
 
-(* Apply one command.  Runs inside the leader's exclusive latch
-   section; the logged apply appends the WAL record only after a
-   successful apply, and the client is only acknowledged after the
-   batch fsync either way. *)
+(* Dewey capture over descriptors: the WAL records a paged daemon logs
+   are the resident daemon's *)
+let storage_tree bs =
+  {
+    Wal.parent = Bs.parent;
+    children = Bs.children bs;
+    attribute_name =
+      (fun d -> match Ds.kind (Bs.snode d) with Ds.Attribute -> Bs.node_name d | _ -> None);
+    equal = (fun a b -> Bs.desc_id a = Bs.desc_id b);
+  }
+
+(* One op on the paged store, and the change its planner absorbs.  The
+   refusals are [Update.apply]'s over the resident store, word for
+   word. *)
+let apply_paged bs (op : Bs.desc Update.op) =
+  let kind d = Ds.kind (Bs.snode d) in
+  (* an append lands after the parent's last attribute or child *)
+  let after parent = function
+    | Some before -> Bs.left_sibling before
+    | None -> List.fold_left (fun _ c -> Some c) None (Bs.attributes bs parent @ Bs.children bs parent)
+  in
+  let insertable parent ~text =
+    match kind parent with
+    | Ds.Attribute | Ds.Text -> Error "append_child: attribute and text nodes have no children"
+    | Ds.Document when text -> Error "append_child: a document child must be an element"
+    | Ds.Document when Bs.children bs parent <> [] ->
+      Error "append_child: a document node has exactly one element child"
+    | Ds.Document | Ds.Element -> Ok ()
+  in
+  match op with
+  | Update.Insert_element { parent; before; tree } ->
+    let* () = insertable parent ~text:false in
+    Ok (Spl.Node_added (Bs.insert_tree bs ~parent ~after:(after parent before) tree))
+  | Update.Insert_text { parent; before; text } ->
+    let* () = insertable parent ~text:true in
+    Ok (Spl.Node_added (fst (Bs.insert_text bs ~parent ~after:(after parent before) text)))
+  | Update.Delete node -> (
+    match Bs.parent node with
+    | None -> Error "delete: node has no parent"
+    | Some p when kind p = Ds.Document && kind node = Ds.Element ->
+      Error "delete: cannot remove the document element"
+    | Some _ ->
+      Bs.delete_subtree bs node;
+      Ok (Spl.Node_removed node))
+  | Update.Replace_content { node; value } -> (
+    match kind node with
+    | Ds.Text | Ds.Attribute ->
+      Bs.set_content bs node value;
+      Ok (Spl.Node_content node)
+    | Ds.Document | Ds.Element -> Error "set_content: only text and attribute nodes hold content")
+  | Update.Set_attribute { element; name; value } -> (
+    match kind element with
+    | Ds.Element -> (
+      let named a = Option.equal Xsm_xml.Name.equal (Bs.node_name a) (Some name) in
+      match List.find_opt named (Bs.attributes bs element) with
+      | Some a ->
+        Bs.set_content bs a value;
+        Ok (Spl.Node_content a)
+      | None -> Ok (Spl.Node_added (fst (Bs.insert_attribute bs ~parent:element name value))))
+    | Ds.Document | Ds.Attribute | Ds.Text -> Error "set_attribute: target is not an element")
+
+(* Apply one command to the served store.  Runs inside the leader's
+   exclusive latch section; the logged apply appends the WAL record
+   only after a successful apply, and the client is only acknowledged
+   after the batch fsync either way. *)
 let apply_command srv line =
-  let* op = Update.parse_command ~resolve:(Eval.eval_string srv.store srv.root) line in
-  let* _applied = Wal.apply_logged ~journal:srv.journal srv.wal srv.store ~root:srv.root op in
-  (match srv.labels, srv.label_cursor with
-  | Some t, Some c -> Journal.iter srv.journal c (Recovery.maintain_labels srv.store t)
-  | _ -> ());
-  Ok ()
+  match srv.served with
+  | Resident { store; root; labels; journal; label_cursor; _ } ->
+    let* op = Update.parse_command ~resolve:(Eval.eval_string store root) line in
+    let* _applied =
+      Wal.apply_logged srv.wal (Wal.store_tree store) ~root ~apply:(Update.apply ~journal store) op
+    in
+    (match labels, label_cursor with
+    | Some t, Some c -> Journal.iter journal c (Recovery.maintain_labels store t)
+    | _ -> ());
+    Ok ()
+  | Paged { bs; planner; _ } ->
+    let root = Bs.root bs in
+    let* op = Update.parse_command ~resolve:(Seval.eval_string bs root) line in
+    let* change = Wal.apply_logged srv.wal (storage_tree bs) ~root ~apply:(apply_paged bs) op in
+    Option.iter (fun p -> Spl.apply_changes p [ change ]) planner;
+    Ok ()
 
 let run_batch srv lines =
-  let results =
-    Epoch.write srv.epoch (fun () ->
-        let rs = List.map (apply_command srv) lines in
-        (* keep the paged replica in lockstep while the latch is still
-           exclusive; a diverged replica is dropped, never served *)
-        (match srv.mirror with
-        | Some m -> (
-          try Mirror.absorb m srv.store
-          with e ->
-            Mirror.detach m;
-            srv.mirror <- None;
-            Printf.eprintf "xsm serve: storage mirror dropped: %s\n%!" (Printexc.to_string e))
-        | None -> ());
-        rs)
-  in
+  let results = Epoch.write srv.epoch (fun () -> List.map (apply_command srv) lines) in
   (* the group fsync happens outside the latch: readers proceed while
      the batch hits the disk, followers are only released after it.
      The interval is kept so acked updates can attribute their fsync
@@ -267,12 +337,28 @@ let record_request srv ~session ~id ~name t0 =
       Trace.record_span name ~start_ns:t0 ~stop_ns
         ~attrs:[ ("session", string_of_int session); ("id", string_of_int id) ])
 
+(* One query over the served store, as string values: through its
+   planner under [use_index], navigational otherwise *)
+let eval_query served path =
+  match served with
+  | Resident { store; root; planner; _ } ->
+    Result.map
+      (List.map (Store.string_value store))
+      (match planner with
+      | Some p -> Pl.eval_string p path
+      | None -> Eval.eval_string store root path)
+  | Paged { bs; planner; _ } ->
+    Result.map
+      (List.map (Bs.string_value bs))
+      (match planner with
+      | Some p -> Spl.eval_string p path
+      | None -> Seval.eval_string bs (Bs.root bs) path)
+
 let run_query srv path =
   let phases = ref [] in
   let phase name p0 p1 = phases := (name, p0, p1) :: !phases in
   let result =
-    match srv.planner with
-    | Some planner ->
+    if srv.config.use_index then
       (* planner indexes are mutable (journal drain, memoized results):
          serialized under the server mutex, still snapshot-consistent
          under the shared latch *)
@@ -283,19 +369,14 @@ let run_query srv path =
           Epoch.read srv.epoch (fun epoch ->
               let t_plan = Clock.now_ns () in
               phase "serve.latch" t_latch t_plan;
-              let r =
-                match Pl.eval_string planner path with
-                | Ok nodes -> Ok (epoch, List.map (Store.string_value srv.store) nodes)
-                | Error e -> Error e
-              in
+              let r = Result.map (fun values -> (epoch, values)) (eval_query srv.served path) in
               phase "serve.plan" t_plan (Clock.now_ns ());
               r))
-    | None ->
+    else
       (* the parallel path: evaluation on a pool domain under the shared
-         latch — an immutable snapshot view.  With a paged mirror the
-         query navigates the descriptor representation, faulting blocks
-         through the shared buffer pool; otherwise it runs on the XDM
-         store directly *)
+         latch — an immutable snapshot view.  A paged store's queries
+         navigate the descriptor representation, faulting blocks
+         through the shared buffer pool *)
       let t_pool = Clock.now_ns () in
       Pool.run srv.pool (fun () ->
           let t_latch = Clock.now_ns () in
@@ -303,18 +384,7 @@ let run_query srv path =
           Epoch.read srv.epoch (fun epoch ->
               let t_eval = Clock.now_ns () in
               phase "serve.latch" t_latch t_eval;
-              let r =
-                match srv.mirror with
-                | Some m -> (
-                  let bs = Mirror.storage m in
-                  match Seval.eval_string bs (Bs.root bs) path with
-                  | Ok descs -> Ok (epoch, List.map (Bs.string_value bs) descs)
-                  | Error e -> Error e)
-                | None -> (
-                  match Eval.eval_string srv.store srv.root path with
-                  | Ok nodes -> Ok (epoch, List.map (Store.string_value srv.store) nodes)
-                  | Error e -> Error e)
-              in
+              let r = Result.map (fun values -> (epoch, values)) (eval_query srv.served path) in
               phase "serve.eval" t_eval (Clock.now_ns ());
               r))
   in
@@ -348,12 +418,12 @@ let stats_body srv ~openmetrics =
       else
         let c = Commit.stats srv.commit in
         let pager_field =
-          match srv.mirror with
-          | Some m -> (
-            match Bs.pager (Mirror.storage m) with
+          match srv.served with
+          | Paged { bs; _ } -> (
+            match Bs.pager bs with
             | Some p -> [ ("pager", Pager.stats_json (Pager.stats p)) ]
             | None -> [])
-          | None -> []
+          | Resident _ -> []
         in
         Json.Obj
           ([
@@ -502,64 +572,85 @@ let session_loop srv session fd =
 (* ------------------------------------------------------------------ *)
 (* Lifecycle                                                           *)
 
-let create config ~store ~root ?labels ?schema () =
-  if config.domains < 1 then Error "server: need at least one domain"
-  else
-    let* wal =
-      match config.wal_path with
-      | None -> Ok None
-      | Some path ->
-        (* group commit leaves fsync to the batch boundary; the
-           baseline pays one per record *)
-        let sync_every = if config.group_commit then max_int else 1 in
-        Result.map Option.some
-          (Result.map_error Wal.error_message (Wal.Writer.create ~sync_every path))
-    in
-    let* qlog =
-      match config.slow_log with
-      | None -> Ok None
-      | Some path ->
-        Result.map Option.some
-          (Qlog.create
-             ~threshold_ns:(Int64.of_float (config.slow_threshold_ms *. 1e6))
-             path)
-    in
+(* The served store.  The paged one is built from [store], which the
+   daemon then drops: the block storage is the served document. *)
+let served_store config ~store ~root ?labels ~wal ~sink = function
+  | None ->
     let journal = Journal.create () in
-    let last_digest = ref None in
     let planner =
       if config.use_index then begin
         let p = Pl.create store root in
-        Xsm_xpath.Planner.attach_journal p journal;
-        (* every evaluation leaves its digest for the request that ran
-           it — same thread, same server mutex *)
-        Pl.set_digest_sink p (Some (fun d -> last_digest := Some d));
+        Planner.attach_journal p journal;
+        Pl.set_digest_sink p sink;
         Some p
       end
       else None
     in
-    let label_cursor =
-      match labels with Some _ -> Some (Journal.subscribe journal) | None -> None
+    let label_cursor = Option.map (fun _ -> Journal.subscribe journal) labels in
+    Resident { store; root; labels; journal; label_cursor; planner }
+  | Some page_file ->
+    let bs = Bs.of_store ?labels store root in
+    let planner =
+      if config.use_index then begin
+        let p = Spl.create bs (Bs.root bs) in
+        Spl.set_digest_sink p sink;
+        Some p
+      end
+      else None
     in
-    let* mirror, page_file =
-      match config.page_file with
-      | None -> Ok (None, None)
-      | Some path ->
-        if config.pool_capacity < 2 then Error "server: pool capacity must be >= 2"
-        else (
-          try
-            let pf = Page_file.create path in
-            let m = Mirror.create journal store root in
-            let bs = Mirror.storage m in
-            (match wal with
-            | Some w -> Bs.set_lsn_source bs (fun () -> Wal.Writer.lsn w)
-            | None -> ());
-            ignore
-              (Bs.attach_pager
-                 ?wal:(Option.map Wal.Writer.pager_hook wal)
-                 bs ~capacity:config.pool_capacity pf);
-            Ok (Some m, Some pf)
-          with e -> Error ("server: page file: " ^ Printexc.to_string e))
+    ignore
+      (Bs.attach_pager ?wal:(Option.map Wal.Writer.pager_hook wal) bs
+         ~capacity:config.pool_capacity page_file);
+    (* an op applies before its record is appended: a block it dirties
+       carries the record to come, and the pool holds the block until
+       that record exists *)
+    Option.iter (fun w -> Bs.set_lsn_source bs (fun () -> Wal.Writer.lsn w + 1)) wal;
+    Paged { bs; page_file; labelled = Option.is_some labels; planner }
+
+exception Refused of string
+
+let create config ~store ~root ?labels ?schema () =
+  let paged = Option.is_some config.page_file in
+  (* the config is refused before anything is opened *)
+  let* () =
+    if config.domains < 1 then Error "server: need at least one domain"
+    else if paged && config.pool_capacity < 2 then Error "server: pool capacity must be >= 2"
+    else if paged then Result.map_error (( ^ ) "server: page file: ") (Bs.representable store root)
+    else Ok ()
+  in
+  (* what is open so far, closed again when a later step fails *)
+  let opened = ref [] in
+  let opening close = function
+    | Ok v ->
+      opened := (fun () -> close v) :: !opened;
+      v
+    | Error e -> raise (Refused e)
+  in
+  let last_digest = ref None in
+  (* every evaluation leaves its digest for the request that ran it —
+     same thread, same server mutex *)
+  let sink = Some (fun d -> last_digest := Some d) in
+  match
+    let page_file =
+      Option.map (fun path -> opening Page_file.close (Ok (Page_file.create path))) config.page_file
     in
+    let qlog = Option.map (fun path -> opening Qlog.close (Qlog.create path)) config.slow_log in
+    (* group commit leaves fsync to the batch boundary; the baseline
+       pays one per record *)
+    let sync_every = if config.group_commit then max_int else 1 in
+    let wal =
+      Option.map
+        (fun path ->
+          opening Wal.Writer.close
+            (Result.map_error Wal.error_message (Wal.Writer.create ~sync_every path)))
+        config.wal_path
+    in
+    (served_store config ~store ~root ?labels ~wal ~sink page_file, wal, qlog)
+  with
+  | exception e ->
+    List.iter (fun close -> try close () with _ -> ()) !opened;
+    Error (match e with Refused m -> m | e -> "server: " ^ Printexc.to_string e)
+  | served, wal, qlog ->
     let stop_rd, stop_wr = Unix.pipe () in
     (* the commit queue's batch runner needs the server it belongs to;
        tie the knot through a ref rather than a recursive value *)
@@ -574,18 +665,11 @@ let create config ~store ~root ?labels ?schema () =
     let srv =
       {
         config;
-        store;
-        root;
-        labels;
+        served;
         schema = Option.map Xsm_schema.Compiled.make schema;
-        journal;
-        label_cursor;
-        planner;
         epoch = Epoch.create ();
         pool = Pool.create config.domains;
         wal;
-        mirror;
-        page_file;
         (* without group commit each request commits alone: its own
            latch acquisition, its own fsync — the E17 baseline *)
         commit = Commit.create ~limit:(if config.group_commit then max_int else 1) ~run ();
@@ -609,8 +693,6 @@ let create config ~store ~root ?labels ?schema () =
 let request_stop = trigger_stop
 
 let sessions_served srv = locked srv (fun () -> srv.next_session)
-
-let flight srv = srv.flight
 
 let serve ?(on_ready = fun () -> ()) srv =
   (* a peer that vanishes mid-reply must surface as an EPIPE on that
@@ -669,25 +751,41 @@ let serve ?(on_ready = fun () -> ()) srv =
           srv.session_fds);
     List.iter Thread.join !threads;
     Pool.shutdown srv.pool;
-    (* checkpoint the paged replica while the WAL writer is still
-       open: flushing dirty pages may force a final sync *)
-    (match srv.mirror with
-    | Some m -> (
+    (* checkpoint the paged store while the WAL writer is still open:
+       flushing dirty pages may force a final sync *)
+    (match srv.served with
+    | Paged { bs; _ } -> (
       let lsn = match srv.wal with Some w -> Wal.Writer.lsn w | None -> 0 in
-      try Bs.checkpoint (Mirror.storage m) ~lsn
+      try Bs.checkpoint bs ~lsn
       with e ->
         Printf.eprintf "xsm serve: page-file checkpoint failed: %s\n%!" (Printexc.to_string e))
-    | None -> ());
-    (match srv.page_file with
-    | Some pf -> ( try Page_file.close pf with _ -> ())
-    | None -> ());
+    | Resident _ -> ());
+    (* the final state, read while the page file is still open; a paged
+       store's nids are its labels *)
+    let final =
+      match srv.config.snapshot_path, srv.served with
+      | None, _ -> None
+      | Some path, Resident { store; root; labels; _ } -> Some (path, Ok (store, root, labels))
+      | Some path, Paged { bs; labelled; _ } ->
+        Some
+          ( path,
+            match Bs.to_store bs with
+            | store, root, nids ->
+              Ok (store, root, if labelled then Some (Labeler.restore nids) else None)
+            | exception e -> Error (Printexc.to_string e) )
+    in
+    (match srv.served with
+    | Paged { page_file; _ } -> ( try Page_file.close page_file with _ -> ())
+    | Resident _ -> ());
     (match srv.wal with Some w -> Wal.Writer.close w | None -> ());
     (match srv.qlog with Some q -> Qlog.close q | None -> ());
     let snap_result =
-      match srv.config.snapshot_path with
+      match final with
       | None -> Ok ()
-      | Some path -> (
-        match Snapshot.save ?labels:srv.labels ~path srv.store srv.root with
+      | Some (path, state) -> (
+        match
+          Result.bind state (fun (store, root, labels) -> Snapshot.save ?labels ~path store root)
+        with
         | Ok _ ->
           (* checkpoint: the snapshot subsumes the log, so the WAL is
              dropped — recover from the snapshot alone round-trips *)

@@ -2,6 +2,13 @@
     planner indexes and WAL, serving concurrent sessions over a Unix
     domain socket.
 
+    {b One served store.}  {!create} chooses it once: the resident XDM
+    store, or — with [page_file] — the §9.2 block storage alone,
+    built from the booted store and paged through a buffer pool.  A
+    paged daemon keeps no XDM store: reads, writes, index upkeep, the
+    stats body and the shutdown checkpoint and snapshot all go to the
+    block storage, whose nids are its §9.3 labels.
+
     {b Concurrency model.}  Each accepted connection runs on a
     systhread (cheap, mostly blocked on socket I/O).  Read-only
     queries are executed on a pool of {!Pool.size} {e domains} under
@@ -46,11 +53,11 @@ type config = {
   use_index : bool;  (** route queries through the planner (serialized)
                          instead of the parallel pure evaluator *)
   page_file : string option;
-      (** when set, maintain a disk-paged {!Xsm_storage.Block_storage}
-          replica of the store (a {!Mirror}) under a buffer pool backed
-          by this file; non-indexed queries evaluate over it, faulting
-          blocks through the pool from all read domains.  Checkpointed
-          at graceful shutdown. *)
+      (** when set, serve a disk-paged {!Xsm_storage.Block_storage}
+          instead of the XDM store, under a buffer pool backed by this
+          file: every query and update faults its blocks through the
+          pool, shared by all read domains.  Checkpointed at graceful
+          shutdown. *)
   pool_capacity : int;  (** buffer-pool capacity in blocks, >= 2 *)
   flight_capacity : int;  (** flight-recorder ring size (digests) *)
   slow_log : string option;  (** append slow-request JSON lines here *)
@@ -71,8 +78,15 @@ val create :
   (t, string) result
 (** Assemble a server over booted state.  Opens the WAL writer (the
     file must be a WAL or fresh — {!Xsm_persist.Wal.Writer.create}
-    semantics), spawns the domain pool, builds the planner and
-    subscribes label maintenance to the update journal. *)
+    semantics), spawns the domain pool and builds the planner.  A
+    resident server subscribes label maintenance to its update
+    journal; a paged one builds its block storage from [store] (nids
+    from [labels] when given) and drops [store].  The config is
+    checked before anything is opened, and a later failure closes
+    what was opened: [Error] leaves no open file behind.  A paged
+    server refuses a store carrying what block storage does not keep
+    ({!Xsm_storage.Block_storage.representable}), such as the type
+    annotations of a validated snapshot. *)
 
 val serve : ?on_ready:(unit -> unit) -> t -> (unit, string) result
 (** Bind, listen and run until stopped; [on_ready] fires once the
@@ -88,6 +102,3 @@ val request_stop : t -> unit
 val sessions_served : t -> int
 (** Sessions accepted so far (for tests). *)
 
-val flight : t -> Xsm_obs.Flight.t
-(** The server's flight recorder (for tests and in-process embedding;
-    sessions reach it through [Introspect]). *)

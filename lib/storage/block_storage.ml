@@ -2,6 +2,7 @@ module Store = Xsm_xdm.Store
 module Name = Xsm_xml.Name
 module Schema = Descriptive_schema
 module Label = Xsm_numbering.Sedna_label
+module Labeler = Xsm_numbering.Labeler
 module Pager = Xsm_pager.Pager
 module Page_file = Xsm_pager.Page_file
 module Codec = Xsm_pager.Codec
@@ -54,7 +55,6 @@ and t = {
   (* head/tail block per schema node id, [None] past the end *)
   mutable heads : block option array;
   mutable tails : block option array;
-  by_node : (int, desc) Hashtbl.t;  (* store node id -> descriptor *)
   mutable root_desc : desc option;
   blocks_by_id : (int, block) Hashtbl.t;
   mutable pager : Pager.t option;
@@ -120,9 +120,6 @@ let root t =
   match t.root_desc with
   | Some d -> d
   | None -> invalid_arg "Block_storage.root: empty"
-
-let descriptor_of_node t n = Hashtbl.find_opt t.by_node (Store.node_id n)
-let bind_node t n d = Hashtbl.replace t.by_node (Store.node_id n) d
 
 (* ------------------------------------------------------------------ *)
 (* First-child-by-schema chains                                        *)
@@ -374,7 +371,6 @@ let make_empty ~block_capacity =
     descriptors = 0;
     heads = [||];
     tails = [||];
-    by_node = Hashtbl.create 256;
     root_desc = None;
     blocks_by_id = Hashtbl.create 64;
     pager = None;
@@ -386,18 +382,32 @@ let make_empty ~block_capacity =
 let check_capacity fn block_capacity =
   if block_capacity < 2 then invalid_arg (Printf.sprintf "Block_storage.%s: block capacity < 2" fn)
 
-let of_store ?(block_capacity = 64) store docnode =
+let representable store root =
+  match List.find_opt (fun n -> not (Store.untyped store n)) (Store.descendants_or_self store root) with
+  | None -> Ok ()
+  | Some n ->
+    Error
+      (Format.asprintf
+         "%a carries a type annotation, typed value, nil flag or base URI; block storage keeps \
+          none of them"
+         (Store.pp_node store) n)
+
+let of_store ?(block_capacity = 64) ?labels store docnode =
   check_capacity "of_store" block_capacity;
   let t = make_empty ~block_capacity in
+  let labels_of nid ordered =
+    match labels with
+    | Some l -> List.map (Labeler.label l) ordered
+    | None -> Label.assign_children nid (List.length ordered)
+  in
   let rec build node sn nid =
     let d = new_desc t sn nid in
-    Hashtbl.replace t.by_node (Store.node_id node) d;
     (match Store.kind store node with
     | Store.Kind.Text | Store.Kind.Attribute -> d.value <- Store.string_value store node
     | Store.Kind.Document | Store.Kind.Element -> ());
     place_at_tail t d;
     let ordered = Store.attributes store node @ Store.children store node in
-    let child_labels = Label.assign_children nid (List.length ordered) in
+    let child_labels = labels_of nid ordered in
     let prev = ref None in
     List.iter2
       (fun c cl ->
@@ -418,16 +428,17 @@ let of_store ?(block_capacity = 64) store docnode =
       ordered child_labels;
     d
   in
+  let root_label = match labels with Some l -> Labeler.label l docnode | None -> Label.root in
   let rootd =
     match Store.kind store docnode with
-    | Store.Kind.Document -> build docnode (Schema.root t.dschema) Label.root
+    | Store.Kind.Document -> build docnode (Schema.root t.dschema) root_label
     | Store.Kind.Element ->
       let sn =
         Schema.find_or_add t.dschema (Schema.root t.dschema)
           ~name:(Store.node_name store docnode)
           Schema.Element
       in
-      build docnode sn Label.root
+      build docnode sn root_label
     | Store.Kind.Attribute | Store.Kind.Text ->
       invalid_arg "Block_storage.of_store: not a tree root"
   in
@@ -548,6 +559,30 @@ let to_document t =
   | Schema.Element -> Xsm_xml.Tree.document (to_element t r)
   | Schema.Attribute | Schema.Text -> invalid_arg "to_document: bad root descriptor"
 
+(* [of_store]'s inverse: a fresh XDM store node for every descriptor —
+   text nodes as they are, adjacent or empty ones included — and the
+   nids as (node, label) pairs *)
+let to_store t =
+  let store = Store.create () in
+  let labels = ref [] in
+  let rec build d =
+    let node =
+      match Schema.kind d.d_snode, Schema.name d.d_snode with
+      | Schema.Document, _ -> Store.new_document store
+      | Schema.Element, Some n -> Store.new_element store n
+      | Schema.Attribute, Some n -> Store.new_attribute store n (read_value d)
+      | Schema.Text, _ -> Store.new_text store (read_value d)
+      | (Schema.Element | Schema.Attribute), None ->
+        invalid_arg "Block_storage.to_store: unnamed descriptor"
+    in
+    labels := (node, d.nid) :: !labels;
+    List.iter (fun a -> Store.attach_attribute store node (build a)) (attributes t d);
+    Store.append_children store node (List.map build (children t d));
+    node
+  in
+  let root = build (root t) in
+  (store, root, List.rev !labels)
+
 (* ------------------------------------------------------------------ *)
 (* Updates                                                             *)
 
@@ -654,16 +689,18 @@ let append_text t ~parent ~after value nid =
 let append_attribute t ~parent ~after name value nid =
   append_generic t ~parent ~after Schema.Attribute (Some name) value nid
 
-let insert_generic t ~parent:parent_d ~after kind name value =
-  let sn =
-    Schema.find_or_add t.dschema parent_d.d_snode ~name kind
-  in
-  let nid = sibling_label ~parent_d ~after in
+(* a new descriptor labelled [nid], linked under [parent_d] after
+   [after] and placed in document order *)
+let insert_labelled t ~parent:parent_d ~after kind name value nid =
+  let sn = Schema.find_or_add t.dschema parent_d.d_snode ~name kind in
   let d = new_desc t sn nid in
   d.value <- value;
   link_sibling ~parent_d ~after d;
   let moved = place_ordered t d in
   (d, moved)
+
+let insert_generic t ~parent ~after kind name value =
+  insert_labelled t ~parent ~after kind name value (sibling_label ~parent_d:parent ~after)
 
 let insert_element t ~parent ~after name =
   insert_generic t ~parent ~after Schema.Element (Some name) ""
@@ -677,6 +714,33 @@ let insert_attribute t ~parent name value =
   let attrs = attributes t parent in
   let after = match List.rev attrs with [] -> None | last :: _ -> Some last in
   insert_generic t ~parent ~after Schema.Attribute (Some name) value
+
+(* The subtree root takes the gap label after [after]; its attributes
+   and children take evenly spread labels under it — the labels
+   [Labeler] gives an inserted subtree, so a labelled XDM store and a
+   block storage that took the same updates agree on every nid.  The
+   children are those [Convert.load_element] makes nodes of. *)
+let insert_tree t ~parent ~after (e : Xsm_xml.Tree.element) =
+  let rec build ~parent ~after (e : Xsm_xml.Tree.element) nid =
+    let d, _ = insert_labelled t ~parent ~after Schema.Element (Some e.name) "" nid in
+    let items =
+      List.map (fun a -> `Attr a) e.attributes
+      @ (Xsm_xdm.Convert.text_runs e.children :> [ `Attr of _ | `Text of _ | `Elem of _ ] list)
+    in
+    ignore
+      (List.fold_left2
+         (fun after item nid ->
+           Some
+             (match item with
+             | `Attr (a : Xsm_xml.Tree.attribute) ->
+               fst (insert_labelled t ~parent:d ~after Schema.Attribute (Some a.name) a.value nid)
+             | `Text s -> fst (insert_labelled t ~parent:d ~after Schema.Text None s nid)
+             | `Elem c -> build ~parent:d ~after c nid))
+         None items
+         (Label.assign_children nid (List.length items)));
+    d
+  in
+  build ~parent ~after e (sibling_label ~parent_d:parent ~after)
 
 let set_content t d v =
   match d.home with
@@ -718,6 +782,12 @@ let delete t d =
   | None -> ());
   remove_from_block d;
   t.descriptors <- t.descriptors - 1
+
+(* bottom-up: [delete] unlinks leaves only *)
+let rec delete_subtree t d =
+  List.iter (delete_subtree t) (attributes t d);
+  List.iter (delete_subtree t) (children t d);
+  delete t d
 
 (* ------------------------------------------------------------------ *)
 (* Block blobs and checkpoint metadata                                 *)

@@ -24,9 +24,22 @@ type t
 type desc
 
 val of_store :
-  ?block_capacity:int -> Xsm_xdm.Store.t -> Xsm_xdm.Store.node -> t
+  ?block_capacity:int ->
+  ?labels:Xsm_numbering.Labeler.t ->
+  Xsm_xdm.Store.t ->
+  Xsm_xdm.Store.node ->
+  t
 (** Build the physical representation of a loaded document tree
-    (default block capacity: 64 descriptors). *)
+    (default block capacity: 64 descriptors).  The nids are the given
+    [labels] ([Not_found] if a node has none), else evenly spread
+    ({!Xsm_numbering.Sedna_label.assign_children}). *)
+
+val representable : Xsm_xdm.Store.t -> Xsm_xdm.Store.node -> (unit, string) result
+(** Descriptors keep kinds, names, lexical values and nids: all an
+    untyped load gives a tree ({!Xsm_xdm.Store.untyped}).  [Error]
+    names the first node that carries more — a type annotation, a
+    typed value, a nil flag or a base URI — which {!to_store} would
+    not give back. *)
 
 val create_empty : ?block_capacity:int -> unit -> t
 (** An empty storage holding just the document-root descriptor
@@ -59,9 +72,6 @@ val append_attribute :
 
 val schema : t -> Descriptive_schema.t
 val root : t -> desc
-val descriptor_of_node : t -> Xsm_xdm.Store.node -> desc option
-(** The descriptor a store node was materialized as ([of_store] input
-    nodes only). *)
 
 (** {1 Accessors reconstructed from descriptors} *)
 
@@ -113,6 +123,14 @@ val to_element : t -> desc -> Xsm_xml.Tree.element
 val to_document : t -> Xsm_xml.Tree.t
 (** Serialize from the root descriptor. *)
 
+val to_store :
+  t ->
+  Xsm_xdm.Store.t * Xsm_xdm.Store.node * (Xsm_xdm.Store.node * Xsm_numbering.Sedna_label.t) list
+(** The inverse of {!of_store}: a fresh untyped XDM store holding one
+    node per descriptor (adjacent and empty text nodes kept as they
+    are), its root, and every node paired with its descriptor's nid
+    — what {!Xsm_numbering.Labeler.restore} takes. *)
+
 (** {1 Updates} *)
 
 val insert_element :
@@ -123,16 +141,22 @@ val insert_element :
 
 val insert_text : t -> parent:desc -> after:desc option -> string -> desc * int
 val insert_attribute : t -> parent:desc -> Xsm_xml.Name.t -> string -> desc * int
+val insert_tree : t -> parent:desc -> after:desc option -> Xsm_xml.Tree.element -> desc
+(** Insert a subtree under [parent], after sibling [after] (or first),
+    and return its root, with the nids
+    {!Xsm_numbering.Labeler.label_inserted_subtree} gives the same
+    subtree in a labelled XDM store.  Text children are normalized as
+    {!Xsm_xdm.Convert.load_element} does. *)
+
 val delete : t -> desc -> unit
 (** Unlink a leaf descriptor.  [Invalid_argument] if it has children. *)
 
+val delete_subtree : t -> desc -> unit
+(** Unlink a descriptor with its attributes and descendants,
+    bottom-up. *)
+
 val set_content : t -> desc -> string -> unit
 (** Replace a text or attribute descriptor's lexical value. *)
-
-val bind_node : t -> Xsm_xdm.Store.node -> desc -> unit
-(** Record that a store node is materialized as the given descriptor
-    (extends the mapping {!descriptor_of_node} consults) — used when
-    mirroring store-level updates into the physical representation. *)
 
 (** {1 Disk paging}
 
@@ -163,10 +187,11 @@ val attach_pager :
 val pager : t -> Xsm_pager.Pager.t option
 
 val set_lsn_source : t -> (unit -> int) -> unit
-(** The WAL position stamped on dirty blocks.  Bulk load passes
-    [records + 1] (the subtree record that will cover the appends —
-    making its blocks unstealable until it lands); the update path
-    passes the current record count. *)
+(** The WAL position stamped on dirty blocks: the record that will
+    cover the change, making its blocks unstealable until it lands.
+    Bulk load passes [records + 1] (the subtree record to come), and
+    so does the paged daemon, whose ops apply before their records
+    are appended. *)
 
 val checkpoint : t -> lsn:int -> unit
 (** Flush every dirty block and persist the storage metadata (schema,
@@ -179,8 +204,7 @@ val of_page_file :
     skeleton from the block blobs (two passes — chains, then
     cross-block pointers), replay the descriptive schema, and start
     every block cold in a fresh pool.  Raises [Xsm_pager.Codec.Corrupt]
-    when the file was not checkpointed or does not decode.  The
-    node→descriptor mapping of {!descriptor_of_node} starts empty. *)
+    when the file was not checkpointed or does not decode. *)
 
 (** {1 Statistics and invariants} *)
 

@@ -19,6 +19,12 @@ val load : Store.t -> Xsm_xml.Tree.t -> Store.node
 val load_element : Store.t -> Xsm_xml.Tree.element -> Store.node
 (** Load a bare element (no document node on top). *)
 
+val text_runs :
+  Xsm_xml.Tree.node list -> [ `Text of string | `Elem of Xsm_xml.Tree.element ] list
+(** The children [load] makes nodes of, in order: adjacent text/CDATA
+    runs merged into one non-empty string, comments and PIs
+    dropped. *)
+
 val to_document : Store.t -> Store.node -> Xsm_xml.Tree.t
 (** Serialize the tree rooted at a document or element node back to a
     syntactic document — the function [g] of the theorem. *)

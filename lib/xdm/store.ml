@@ -280,6 +280,17 @@ let descendants_or_self store n =
 
 let subtree_size store n = List.length (descendants_or_self store n)
 
+let untyped store n =
+  let d = get store n in
+  let default_type =
+    match d.kind with
+    | Kind.Document -> None
+    | Kind.Element -> Some any_type_name
+    | Kind.Attribute | Kind.Text -> Some untyped_atomic_name
+  in
+  Option.equal Xsm_xml.Name.equal d.type_name default_type
+  && d.typed = None && d.nilled <> Some true && d.base_uri = None
+
 let pp_node store ppf n =
   let d = get store n in
   match d.kind with

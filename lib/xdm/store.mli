@@ -118,6 +118,11 @@ val typed_value : t -> node -> Xsm_datatypes.Value.t list
     validation it is returned; otherwise the string value wrapped as
     [xdt:untypedAtomic]. *)
 
+val untyped : t -> node -> bool
+(** The node carries no more than an untyped load gives it: its
+    kind's default type annotation, no recorded typed value, no nil
+    flag set and no base URI. *)
+
 (** {1 Node identity and traversal} *)
 
 val equal_node : node -> node -> bool

@@ -24,12 +24,13 @@
     checks).
 
     {b Maintenance}: indexes are kept current {e differentially}.  A
-    planner can subscribe to a structured update journal
-    ({!set_source}, or {!attach_journal} for [Xsm_schema.Update] over
-    the XDM store); before every evaluation the pending changes are
-    drained and applied in order — label-sorted splices into the path
-    extents, keyed add/remove in the value indexes — instead of
-    rebuilding from scratch.  Proposition 1 makes this sound: existing
+    planner over the XDM store subscribes to the [Xsm_schema.Update]
+    journal ({!attach_journal}), and before every evaluation the
+    pending changes are drained and applied in order; a planner over
+    block storage is handed each change ({!Make.apply_changes}).
+    Changes are label-sorted splices into the path extents and keyed
+    add/remove in the value indexes, instead of a rebuild from
+    scratch.  Proposition 1 makes this sound: existing
     labels never change under updates, so everything already indexed
     stays put.  A size-ratio heuristic bounds the worst case: when a
     batch touches more than a quarter of the indexed entries (or
@@ -105,11 +106,6 @@ module Make (N : Navigator.S) : sig
       cached value indexes.  Falls back to a full rebuild when the
       batch touches too large a fraction of the index or cannot be
       repaired differentially. *)
-
-  val set_source : t -> (unit -> change list) -> unit
-  (** Subscribe to an update journal: the function is called before
-      every evaluation (and on {!refresh}) and must return — and
-      forget — the changes since the last call. *)
 
   val maintenance_stats : t -> maintenance_stats
 

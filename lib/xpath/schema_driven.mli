@@ -27,8 +27,3 @@ val eval_string :
   string ->
   (Xsm_storage.Block_storage.desc list, string) result
 
-val matching_snodes :
-  Xsm_storage.Block_storage.t ->
-  Path_ast.path ->
-  (Xsm_storage.Descriptive_schema.snode list, string) result
-(** The schema-level half of the evaluation, exposed for tests. *)

@@ -1,8 +1,8 @@
 (** Writer: abstract syntax back to the concrete [<xsd:schema>]
-    notation.  [Reader.schema_of_document (document_of_schema s)]
-    reproduces [s] up to representation of simple types (a tested
-    invariant for the subset both directions support). *)
+    notation.  Reading the printed text back
+    ([Reader.schema_of_document]) reproduces the schema up to
+    representation of simple types (a tested invariant for the subset
+    both directions support). *)
 
-val document_of_schema : Xsm_schema.Ast.schema -> Xsm_xml.Tree.t
 val to_string : Xsm_schema.Ast.schema -> string
 (** Pretty-printed XSD text. *)

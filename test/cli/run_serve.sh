@@ -4,8 +4,9 @@
 # (snapshot written, WAL removed, recover reproduces the final
 # state), crash recovery from the WAL alone after SIGKILL, corrupt
 # WAL refusal at boot (exit 3), live vs replayed label upkeep
-# (byte-identical labelled checkpoints), and the bench-serve smoke
-# run.
+# (byte-identical labelled checkpoints), a paged daemon writing the
+# resident daemon's WAL and checkpoints byte for byte, the paged
+# daemon's refusal of a typed snapshot, and the bench-serve smoke run.
 set -u
 XSM="$1"
 tmp=$(mktemp -d)
@@ -154,12 +155,13 @@ send_label_updates() {
 }
 "$XSM" snapshot "$tmp/doc.xml" "$tmp/la.snap" --labels >/dev/null 2>&1 \
   || fail "labelled base snapshot failed"
-cp "$tmp/la.snap" "$tmp/lb.snap"
+for copy in lb pa pb; do cp "$tmp/la.snap" "$tmp/$copy.snap"; done
 "$XSM" serve --socket "$sock" --snapshot "$tmp/la.snap" --wal "$tmp/la.wal" --labels \
   > "$tmp/serve.log" 2>&1 &
 server_pid=$!
 await
 send_label_updates
+cp "$tmp/la.wal" "$tmp/la.live.wal"
 "$XSM" client --socket "$sock" --shutdown >/dev/null 2>&1 || fail "labelled shutdown failed"
 wait "$server_pid" || fail "labelled server exited non-zero after shutdown"
 server_pid=""
@@ -172,6 +174,7 @@ kill -9 "$server_pid"
 wait "$server_pid" 2>/dev/null
 server_pid=""
 [ -s "$tmp/lb.wal" ] || fail "the labelled WAL must survive a crash"
+cp "$tmp/lb.wal" "$tmp/lb.crash.wal"
 "$XSM" serve --socket "$sock" --snapshot "$tmp/lb.snap" --wal "$tmp/lb.wal" --labels \
   > "$tmp/serve.log" 2>&1 &
 server_pid=$!
@@ -185,6 +188,70 @@ cmp -s "$tmp/la.snap" "$tmp/lb.snap" \
   || fail "live and replayed label upkeep must checkpoint identical snapshots"
 out=$("$XSM" recover "$tmp/lb.snap" --query '//title' 2>/dev/null)
 [ "$out" = "$(printf 'Two\nP\nFour')" ] || fail "recovered labelled state (got: $out)"
+
+# --- one served store: a paged daemon (block storage alone, a 2-block
+# pool) takes the same updates, once to a graceful shutdown and once
+# to SIGKILL and a paged restart.  Its WAL and its checkpoints must be
+# the resident daemon's, byte for byte.
+serve_paged() {
+  "$XSM" serve --socket "$sock" --snapshot "$tmp/$1.snap" --wal "$tmp/$1.wal" --labels \
+    --page-file "$tmp/$1.pages" --pool-capacity 2 > "$tmp/serve.log" 2>&1 &
+  server_pid=$!
+  await
+}
+serve_paged pa
+send_label_updates
+cmp -s "$tmp/la.live.wal" "$tmp/pa.wal" || fail "the paged daemon must log the resident WAL"
+"$XSM" client --socket "$sock" --shutdown >/dev/null 2>&1 || fail "paged shutdown failed"
+wait "$server_pid" || fail "paged server exited non-zero after shutdown"
+server_pid=""
+cmp -s "$tmp/la.snap" "$tmp/pa.snap" \
+  || fail "the paged daemon must checkpoint the resident snapshot"
+serve_paged pb
+send_label_updates
+kill -9 "$server_pid"
+wait "$server_pid" 2>/dev/null
+server_pid=""
+cmp -s "$tmp/lb.crash.wal" "$tmp/pb.wal" || fail "the paged WAL must survive a crash unchanged"
+serve_paged pb
+grep -q "recovered: .* 7 replayed" "$tmp/serve.log" \
+  || { cat "$tmp/serve.log" >&2; fail "the paged restart must replay all 7 updates"; }
+"$XSM" client --socket "$sock" --shutdown >/dev/null 2>&1 || fail "paged recovered shutdown failed"
+wait "$server_pid" || fail "paged recovered server exited non-zero after shutdown"
+server_pid=""
+cmp -s "$tmp/la.snap" "$tmp/pb.snap" \
+  || fail "a recovered paged daemon must checkpoint the resident snapshot"
+
+# --- block storage keeps no type annotations: a typed snapshot served
+# paged is refused with one line and exit 2, rather than written back
+# poorer at shutdown
+cat > "$tmp/doc.xsd" <<'EOF'
+<xsd:schema xmlns:xsd="http://www.w3.org/2001/XMLSchema">
+  <xsd:element name="library">
+    <xsd:complexType>
+      <xsd:sequence>
+        <xsd:element name="book" maxOccurs="unbounded">
+          <xsd:complexType>
+            <xsd:sequence><xsd:element name="title" type="xsd:string"/></xsd:sequence>
+            <xsd:attribute name="id" type="xsd:ID"/>
+          </xsd:complexType>
+        </xsd:element>
+      </xsd:sequence>
+    </xsd:complexType>
+  </xsd:element>
+</xsd:schema>
+EOF
+"$XSM" snapshot "$tmp/doc.xml" "$tmp/typed.snap" --schema "$tmp/doc.xsd" >/dev/null 2>&1 \
+  || fail "typed snapshot failed"
+cp "$tmp/typed.snap" "$tmp/typed.orig.snap"
+timeout 10 "$XSM" serve --socket "$sock" --snapshot "$tmp/typed.snap" \
+  --page-file "$tmp/typed.pages" > /dev/null 2> "$tmp/serve.err"
+[ $? -eq 2 ] || fail "a typed snapshot served paged must exit 2"
+[ "$(wc -l < "$tmp/serve.err")" -eq 1 ] \
+  || fail "the refusal must be one line (got: $(cat "$tmp/serve.err"))"
+grep -q "type annotation" "$tmp/serve.err" || fail "the refusal must name what is lost"
+cmp -s "$tmp/typed.snap" "$tmp/typed.orig.snap" || fail "a refused boot must leave the snapshot as it was"
+[ -e "$sock" ] && fail "a refused boot must not leave a socket behind"
 
 # --- bench-serve smoke: spawns its own server, reports percentiles
 out=$("$XSM" bench-serve --smoke 2>&1) || { echo "$out" >&2; fail "bench-serve --smoke failed"; }

@@ -89,20 +89,21 @@ let book_tree i =
 let test_journal_records () =
   let store, dnode = library ~books:2 ~papers:1 () in
   let journal = Journal.create () in
+  let cursor = Journal.subscribe journal in
   let libr = List.hd (Store.children store dnode) in
-  check_int "empty journal" 0 (Journal.length journal);
+  check_int "empty journal" 0 (Journal.pending journal cursor);
   let applied =
     apply_exn journal store
       (Update.Insert_element { parent = libr; before = None; tree = book_tree 0 })
   in
-  check_int "insert recorded" 1 (Journal.length journal);
+  check_int "insert recorded" 1 (Journal.pending journal cursor);
   Update.undo ~journal store applied;
-  check_int "undo records its mirror" 2 (Journal.length journal);
-  (match Journal.drain journal with
+  check_int "undo records its mirror" 2 (Journal.pending journal cursor);
+  (match Journal.read journal cursor with
   | [ Journal.Inserted a; Journal.Deleted b ] ->
     check "mirror names the same node" true (Store.equal_node a b)
   | _ -> Alcotest.fail "expected [Inserted; Deleted]");
-  check_int "drain empties" 0 (Journal.length journal);
+  check_int "drain empties" 0 (Journal.pending journal cursor);
   (* unjournaled applications leave the journal untouched *)
   ignore
     (match
@@ -111,7 +112,7 @@ let test_journal_records () =
      with
     | Ok a -> a
     | Error e -> Alcotest.fail e);
-  check_int "no journal, no entry" 0 (Journal.length journal)
+  check_int "no journal, no entry" 0 (Journal.pending journal cursor)
 
 (* ---------------- structural maintenance ---------------- *)
 
@@ -175,7 +176,11 @@ let test_batched_replay () =
   ignore
     (apply_exn journal store
        (Update.Insert_element { parent = libr; before = None; tree = book_tree 8 }));
-  check "journal is pending" true (Journal.length journal = 4);
+  (* a cursor subscribed now starts at the oldest entry the planner's
+     cursor still pins *)
+  let c = Journal.subscribe journal in
+  check "journal is pending" true (Journal.pending journal c = 4);
+  Journal.unsubscribe journal c;
   agree_all planner store dnode;
   same_as_rebuild planner store dnode;
   check_int "one batch, no rebuild" 1 (Pl.maintenance_stats planner).Xsm_xpath.Planner.epochs

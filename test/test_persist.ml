@@ -204,7 +204,7 @@ let write_fixture_wal ?crash ?(labels = false) wal_path =
      List.iter
        (fun mk ->
          let op = mk () in
-         Wal.Writer.append w (ok (Wal.op_of_update store ~root op));
+         Wal.Writer.append w (ok (Wal.op_of_update (Wal.store_tree store) ~root op));
          ignore (ok (Update.apply store op));
          incr applied)
        (ops_fixture store root);
@@ -268,7 +268,7 @@ let test_wal_sync_points () =
   let w = ok_wal (Wal.Writer.create wal) in
   let log mk =
     let op = mk () in
-    Wal.Writer.append w (ok (Wal.op_of_update store ~root op));
+    Wal.Writer.append w (ok (Wal.op_of_update (Wal.store_tree store) ~root op));
     ignore (ok (Update.apply store op))
   in
   (match ops_fixture store root with
@@ -439,7 +439,7 @@ let wal_prefix_law seed =
   let expected =
     Array.init n_ops (fun _ ->
         let op = random_op rng store root in
-        Wal.Writer.append w (ok (Wal.op_of_update store ~root op));
+        Wal.Writer.append w (ok (Wal.op_of_update (Wal.store_tree store) ~root op));
         ignore (ok (Update.apply store op));
         state store root)
   in
@@ -488,18 +488,21 @@ let test_journal_cursors () =
   Alcotest.(check int) "survivors keep their view" 1 (List.length (Journal.read j c1));
   Alcotest.(check int) "lifetime total" 3 (Journal.total j)
 
-let test_journal_legacy_drain () =
+(* a cursor subscribed after the first entries still sees them all:
+   nothing has compacted them away *)
+let test_journal_late_cursor () =
   let store, root = library () in
   let j = Journal.create () in
   let apply mk = ignore (ok (Update.apply ~journal:j store (mk ()))) in
   let ops = ops_fixture store root in
   apply (List.nth ops 0);
   apply (List.nth ops 1);
-  Alcotest.(check int) "legacy length" 2 (Journal.length j);
-  Alcotest.(check int) "legacy drain" 2 (List.length (Journal.drain j));
-  Alcotest.(check int) "drain empties" 0 (Journal.length j);
+  let c = Journal.subscribe j in
+  Alcotest.(check int) "late cursor sees both" 2 (Journal.pending j c);
+  Alcotest.(check int) "read returns both" 2 (List.length (Journal.read j c));
+  Alcotest.(check int) "read empties" 0 (Journal.pending j c);
   apply (List.nth ops 2);
-  Alcotest.(check int) "new entries show up" 1 (Journal.length j)
+  Alcotest.(check int) "new entries show up" 1 (Journal.pending j c)
 
 (* ------------------------------------------------------------------ *)
 
@@ -580,7 +583,7 @@ let test_wal_apply_logged () =
   let libr = List.hd (Store.children store root) in
   let book = Tree.elem "book" ~children:[ Tree.text "logged" ] in
   ignore
-    (ok (Wal.apply_logged (Some w) store ~root
+    (ok (Wal.apply_logged (Some w) (Wal.store_tree store) ~root ~apply:(Update.apply store)
            (Update.Insert_element { parent = libr; before = None; tree = book })));
   let text =
     fold_nodes store
@@ -590,7 +593,7 @@ let test_wal_apply_logged () =
   in
   Alcotest.(check bool) "attr on a text node is rejected" true
     (Result.is_error
-       (Wal.apply_logged (Some w) store ~root
+       (Wal.apply_logged (Some w) (Wal.store_tree store) ~root ~apply:(Update.apply store)
           (Update.Set_attribute { element = text; name = Name.local "lang"; value = "en" })));
   Wal.Writer.close w;
   Alcotest.(check int) "only the applied op was logged" 1
@@ -621,7 +624,7 @@ let suite =
         Alcotest.test_case "crash recovery at every crash point" `Quick
           test_crash_recovery_all_points;
         Alcotest.test_case "journal: independent cursors" `Quick test_journal_cursors;
-        Alcotest.test_case "journal: legacy drain view" `Quick test_journal_legacy_drain;
+        Alcotest.test_case "journal: late subscriber" `Quick test_journal_late_cursor;
         to_alco "snapshot round-trip law (generated corpora)" snapshot_roundtrip_law;
         to_alco ~count:40 "wal prefix-replay law (random update sequences)" wal_prefix_law;
       ] );

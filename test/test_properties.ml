@@ -612,7 +612,8 @@ let label_recovery_law seed =
       let journal = U.Journal.create () in
       let cursor = U.Journal.subscribe journal in
       for step = 1 to 4 + int r 8 do
-        ignore (Wal.apply_logged ~journal (Some w) store ~root:dnode (random_update r store dnode step));
+        ignore (Wal.apply_logged (Some w) (Wal.store_tree store) ~root:dnode
+             ~apply:(U.apply ~journal store) (random_update r store dnode step));
         U.Journal.iter journal cursor (Recovery.maintain_labels store labels)
       done;
       Wal.Writer.close w;

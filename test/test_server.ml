@@ -233,20 +233,15 @@ let boot_library () =
   let root = Xsm_xdm.Convert.load store doc in
   (store, root)
 
-let with_server ?(domains = 2) ?(group_commit = true) ?snapshot_path ?wal_path ?page_file
+let config ?(domains = 2) ?(group_commit = true) ?snapshot_path ?wal_path ?page_file
     ?(pool_capacity = 64) ?(use_index = false) ?(flight_capacity = 64) ?slow_log
-    ?(slow_threshold_ms = 10.0) ?schema f =
-  let store, root = boot_library () in
-  let socket_path = temp_name ".sock" in
-  let config =
-    { Server.socket_path; snapshot_path; wal_path; domains; group_commit; use_index;
-      page_file; pool_capacity; flight_capacity; slow_log; slow_threshold_ms }
-  in
-  let srv =
-    match Server.create config ~store ~root ?schema () with
-    | Ok s -> s
-    | Error e -> Alcotest.fail e
-  in
+    ?(slow_threshold_ms = 10.0) () =
+  { Server.socket_path = temp_name ".sock"; snapshot_path; wal_path; domains; group_commit;
+    use_index; page_file; pool_capacity; flight_capacity; slow_log; slow_threshold_ms }
+
+(* run [f socket srv] against [srv] serving on [socket], then stop it
+   gracefully *)
+let serving socket srv f =
   let ready_m = Mutex.create () in
   let ready_c = Condition.create () in
   let ready = ref false in
@@ -276,7 +271,18 @@ let with_server ?(domains = 2) ?(group_commit = true) ?snapshot_path ?wal_path ?
       match !outcome with
       | Ok () -> ()
       | Error e -> Alcotest.fail ("server teardown: " ^ e))
-    (fun () -> f socket_path srv)
+    (fun () -> f socket srv)
+
+let with_server ?domains ?group_commit ?snapshot_path ?wal_path ?page_file ?pool_capacity
+    ?use_index ?flight_capacity ?slow_log ?slow_threshold_ms ?schema f =
+  let store, root = boot_library () in
+  let config =
+    config ?domains ?group_commit ?snapshot_path ?wal_path ?page_file ?pool_capacity ?use_index
+      ?flight_capacity ?slow_log ?slow_threshold_ms ()
+  in
+  match Server.create config ~store ~root ?schema () with
+  | Ok srv -> serving config.Server.socket_path srv f
+  | Error e -> Alcotest.fail e
 
 let ok = function Ok v -> v | Error e -> Alcotest.fail e
 
@@ -444,11 +450,11 @@ let test_server_protocol_shutdown () =
   | Error e -> Alcotest.fail ("serve after Shutdown request: " ^ e));
   Alcotest.(check bool) "socket removed" false (Sys.file_exists socket_path)
 
-(* the disk-paged storage replica: updates absorbed into the mirror,
-   queries answered over it (faulting through the tiny shared pool from
-   the read domains), pager counters in the stats body, clean
-   checkpointed page file after teardown *)
-let test_server_paged_mirror () =
+(* the disk-paged store: updates applied to it, queries answered over
+   it (faulting through the tiny shared pool from the read domains),
+   pager counters in the stats body, clean checkpointed page file
+   after teardown *)
+let test_server_paged_store () =
   let page_file = temp_name ".pages" in
   Fun.protect
     ~finally:(fun () -> if Sys.file_exists page_file then Sys.remove page_file)
@@ -456,32 +462,183 @@ let test_server_paged_mirror () =
       with_server ~domains:2 ~page_file ~pool_capacity:2 (fun sock _srv ->
           let c = ok (Client.connect sock) in
           let _, titles = ok (Client.query c "//title") in
-          Alcotest.(check (list string)) "query over the replica" [ "One" ] titles;
+          Alcotest.(check (list string)) "query over the paged store" [ "One" ] titles;
           ignore (ok (Client.update c "insert /library <book><title>Two</title></book>"));
           ignore (ok (Client.update c "content /library/book[2]/title/text() Deux"));
           let _, titles = ok (Client.query c "//title") in
-          Alcotest.(check (list string)) "mirror absorbed the updates" [ "One"; "Deux" ] titles;
+          Alcotest.(check (list string)) "updates visible" [ "One"; "Deux" ] titles;
           ignore (ok (Client.update c "delete /library/book[2]"));
           let _, titles = ok (Client.query c "//title") in
-          Alcotest.(check (list string)) "mirror absorbed the delete" [ "One" ] titles;
+          Alcotest.(check (list string)) "delete visible" [ "One" ] titles;
           (match Json.member "pager" (ok (Client.stats c)) with
           | Some (Json.Obj _ as pager) ->
             (match Json.member "accesses" pager with
             | Some (Json.Num n) ->
-              Alcotest.(check bool) "replica queries count as block accesses" true (n > 0.)
+              Alcotest.(check bool) "queries count as block accesses" true (n > 0.)
             | _ -> Alcotest.fail "pager.accesses missing")
           | _ -> Alcotest.fail "stats body must carry the pager object");
           Client.close c);
-      (* graceful teardown checkpointed the replica: the file alone
+      (* graceful teardown checkpointed the store: the file alone
          reconstructs it *)
       let pf = Xsm_pager.Page_file.open_existing page_file in
       Alcotest.(check bool) "page file clean after shutdown" true (Xsm_pager.Page_file.clean pf);
       let bs = Xsm_storage.Block_storage.of_page_file ~capacity:2 pf in
       let doc = Xsm_storage.Block_storage.to_document bs in
       let s = Xsm_xml.Printer.to_string doc in
-      Alcotest.(check string) "reopened replica holds the final state"
+      Alcotest.(check string) "reopened page file holds the final state"
         "<?xml version=\"1.0\"?>\n<library><book><title>One</title></book></library>" s;
       Xsm_pager.Page_file.close pf)
+
+(* ---------------- one served store: paged = resident ---------------- *)
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+let write_file path s = Out_channel.with_open_bin path (fun oc -> output_string oc s)
+
+let remove_tree dir =
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  Sys.rmdir dir
+
+let oracle_doc =
+  "<library><book id=\"b1\"><title>One</title></book><book id=\"b2\"><title>Two</title></book></library>"
+
+(* every update kind — a fragment with mixed content and a comment, a
+   text node next to another, a new and a replaced attribute — plus
+   refused updates *)
+let oracle_updates =
+  [
+    "insert /library <book id=\"b3\"><title>Three</title><note>a<i>b</i>c<!-- x -->d</note></book>";
+    "insert-text /library/book[1] tail";
+    "insert-text /library/book[1] more";
+    "attr /library/book[2] lang en";
+    "attr /library/book[1] id B1";
+    "content /library/book[2]/title/text() Deux";
+    "delete /library/book[3]/note/i";
+    "insert /library/book[3]/note <b>bold</b>";
+    "delete /library/book[1]";
+    "content /library/book[1] not-text";
+    "delete //nothing";
+    "insert /library <paper/>";
+    "insert-text /library/paper first";
+  ]
+
+let oracle_queries =
+  [ "//title"; "/library/book/@id"; "//@lang"; "//text()"; "/library/book[title = 'Deux']/@lang";
+    "//note"; "/library/*" ]
+
+(* One daemon over the labelled base snapshot takes the history; its
+   replies, its WAL as the shutdown checkpoint finds it, and its
+   shutdown snapshot. *)
+let run_history ~dir ~base ~paged ~use_index =
+  let file suffix =
+    Filename.concat dir
+      ((if paged then "paged" else "resident") ^ (if use_index then "-index" else "") ^ suffix)
+  in
+  let wal_path = file ".wal" and snapshot_path = file ".snap" in
+  let store, root, labels, _ = ok (Xsm_persist.Snapshot.load ~path:base) in
+  let config =
+    config ~snapshot_path ~wal_path ?page_file:(if paged then Some (file ".pages") else None)
+      ~pool_capacity:2 ~use_index ()
+  in
+  let srv = ok (Server.create config ~store ~root ?labels ()) in
+  let replies = ref [] and wal = ref "" in
+  let note r = replies := r :: !replies in
+  serving config.Server.socket_path srv (fun sock _ ->
+      let c = ok (Client.connect sock) in
+      let queries () =
+        List.iter
+          (fun q ->
+            note
+              (match Client.query c q with
+              | Ok (epoch, values) -> Printf.sprintf "%s @%d: %s" q epoch (String.concat "|" values)
+              | Error e -> Printf.sprintf "%s: error %s" q e))
+          oracle_queries
+      in
+      queries ();
+      List.iter
+        (fun u ->
+          note
+            (match Client.update c u with
+            | Ok epoch -> Printf.sprintf "%s: applied @%d" u epoch
+            | Error e -> Printf.sprintf "%s: error %s" u e);
+          queries ())
+        oracle_updates;
+      wal := read_file wal_path;
+      Client.close c);
+  (List.rev !replies, !wal, read_file snapshot_path)
+
+(* One fixed history through a resident daemon and a paged one
+   (labels, WAL, snapshot, a 2-block pool), with and without the
+   index: every reply equal, the WAL and the shutdown snapshot
+   byte-identical, and the paged daemon's WAL replays over the base to
+   the resident's final state. *)
+let test_server_paged_equals_resident () =
+  let dir = temp_name ".oracle" in
+  Unix.mkdir dir 0o755;
+  Fun.protect
+    ~finally:(fun () -> remove_tree dir)
+    (fun () ->
+      let base = Filename.concat dir "base.snap" in
+      let doc =
+        ok (Result.map_error Xsm_xml.Parser.error_to_string (Xsm_xml.Parser.parse_document oracle_doc))
+      in
+      let store = Xsm_xdm.Store.create () in
+      let root = Xsm_xdm.Convert.load store doc in
+      let labels = Xsm_numbering.Labeler.label_tree store root in
+      ignore (ok (Xsm_persist.Snapshot.save ~labels ~path:base store root));
+      List.iter
+        (fun use_index ->
+          let what s = if use_index then s ^ " (index)" else s in
+          let r_replies, r_wal, r_snap = run_history ~dir ~base ~paged:false ~use_index in
+          let p_replies, p_wal, p_snap = run_history ~dir ~base ~paged:true ~use_index in
+          Alcotest.(check bool) (what "the history ran") true
+            (List.mem "//title @12: Deux|Three" r_replies);
+          Alcotest.(check (list string)) (what "every reply equal") r_replies p_replies;
+          Alcotest.(check bool) (what "WAL bytes equal") true (r_wal = p_wal);
+          Alcotest.(check bool) (what "shutdown snapshot bytes equal") true (r_snap = p_snap);
+          let replay = Filename.concat dir "replay.wal" in
+          write_file replay p_wal;
+          let store, root, labels, _ =
+            ok
+              (Result.map_error Xsm_persist.Recovery.error_message
+                 (Xsm_persist.Recovery.recover ~snapshot:base ~wal:replay ()))
+          in
+          Alcotest.(check bool) (what "the paged WAL replays to the resident state") true
+            (ok (Xsm_persist.Snapshot.encode ?labels store root) = r_snap))
+        [ false; true ])
+
+(* a refused create closes what it opened and creates no WAL *)
+let test_server_create_failure_closes () =
+  let store, root = boot_library () in
+  let open_fds () = Array.length (Sys.readdir "/proc/self/fd") in
+  let wal_path = temp_name ".wal" in
+  let foreign = temp_name ".notwal" in
+  write_file foreign "not a write-ahead log";
+  let pages = temp_name ".pages" and slow_log = temp_name ".slow" in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun f -> if Sys.file_exists f then Sys.remove f) [ foreign; pages; slow_log ])
+    (fun () ->
+      List.iter
+        (fun (what, config, wal) ->
+          let fds = open_fds () in
+          (match Server.create config ~store ~root () with
+          | Ok _ -> Alcotest.failf "%s: create must fail" what
+          | Error _ -> ());
+          Alcotest.(check int) (what ^ ": no descriptor left open") fds (open_fds ());
+          Alcotest.(check bool) (what ^ ": no WAL created") false
+            (wal && Sys.file_exists wal_path))
+        [
+          ( "pool capacity 1",
+            config ~wal_path ~slow_log ~page_file:pages ~pool_capacity:1 (),
+            true );
+          ( "page file in a missing directory",
+            config ~wal_path ~slow_log
+              ~page_file:(Filename.concat (temp_name ".missing") "p.pages")
+              (),
+            true );
+          (* page file and slow log open, then the WAL is refused *)
+          ("foreign WAL file", config ~wal_path:foreign ~slow_log ~page_file:pages (), false);
+        ])
 
 (* the flight recorder end to end: with a 0ms slow threshold every
    request keeps its plan, failures keep their digests, and the slow
@@ -643,7 +800,10 @@ let suite =
         Alcotest.test_case "validate compiles nothing" `Quick
           test_server_validate_compiles_nothing;
         Alcotest.test_case "checkpoint roundtrip" `Quick test_server_checkpoint_roundtrip;
-        Alcotest.test_case "paged mirror" `Quick test_server_paged_mirror;
+        Alcotest.test_case "paged store" `Quick test_server_paged_store;
+        Alcotest.test_case "paged = resident" `Quick test_server_paged_equals_resident;
+        Alcotest.test_case "create failure closes" `Quick
+          test_server_create_failure_closes;
         Alcotest.test_case "flight recorder and slow log" `Quick
           test_server_flight_recorder;
         Alcotest.test_case "trace propagation" `Quick test_server_trace_propagation;

@@ -106,35 +106,34 @@ let test_build_and_integrity () =
 let test_accessor_equivalence () =
   (* E9: every accessor over descriptors equals the XDM reference *)
   let store, dnode, bs = build (Xsm_schema.Samples.library_document ~books:12 ~papers:6 ()) in
-  List.iter
-    (fun n ->
-      match B.descriptor_of_node bs n with
-      | None -> Alcotest.fail "missing descriptor"
-      | Some d ->
-        check_str "node-kind" (Store.node_kind store n) (B.node_kind d);
-        check "node-name" true
-          (Option.equal Name.equal (Store.node_name store n) (B.node_name d));
-        check_str "string-value" (Store.string_value store n) (B.string_value bs d);
-        let expect_children = List.map (Store.string_value store) (Store.children store n) in
-        let got_children = List.map (B.string_value bs) (B.children bs d) in
-        Alcotest.(check (list string)) "children" expect_children got_children;
-        let expect_attrs =
-          List.filter_map (fun a -> Option.map Name.to_string (Store.node_name store a)) (Store.attributes store n)
-        in
-        let got_attrs =
-          List.filter_map (fun a -> Option.map Name.to_string (B.node_name a)) (B.attributes bs d)
-        in
-        Alcotest.(check (list string)) "attributes" expect_attrs got_attrs;
-        (* parent agreement *)
-        (match Store.parent store n, B.parent d with
-        | None, None -> ()
-        | Some p, Some pd ->
-          check "parent" true
-            (match B.descriptor_of_node bs p with
-            | Some pd' -> B.nid pd' = B.nid pd
-            | None -> false)
-        | _ -> Alcotest.fail "parent disagreement"))
-    (Store.descendants_or_self store dnode)
+  (* both trees walked in parallel; [parent] is the descriptor paired
+     with the node's parent *)
+  let visited = ref 0 in
+  let rec walk ~parent n d =
+    incr visited;
+    check_str "node-kind" (Store.node_kind store n) (B.node_kind d);
+    check "node-name" true (Option.equal Name.equal (Store.node_name store n) (B.node_name d));
+    check_str "string-value" (Store.string_value store n) (B.string_value bs d);
+    let expect_children = List.map (Store.string_value store) (Store.children store n) in
+    let got_children = List.map (B.string_value bs) (B.children bs d) in
+    Alcotest.(check (list string)) "children" expect_children got_children;
+    let expect_attrs =
+      List.filter_map (fun a -> Option.map Name.to_string (Store.node_name store a)) (Store.attributes store n)
+    in
+    let got_attrs =
+      List.filter_map (fun a -> Option.map Name.to_string (B.node_name a)) (B.attributes bs d)
+    in
+    Alcotest.(check (list string)) "attributes" expect_attrs got_attrs;
+    (* parent agreement *)
+    (match parent, B.parent d with
+    | None, None -> ()
+    | Some pd', Some pd -> check "parent" true (B.nid pd' = B.nid pd)
+    | _ -> Alcotest.fail "parent disagreement");
+    List.iter2 (walk ~parent:(Some d)) (Store.attributes store n) (B.attributes bs d);
+    List.iter2 (walk ~parent:(Some d)) (Store.children store n) (B.children bs d)
+  in
+  walk ~parent:None dnode (B.root bs);
+  check_int "every node visited" (Store.subtree_size store dnode) !visited
 
 let test_block_ordering_invariant () =
   (* the paper: descriptors in block i precede those in block j>i *)
