@@ -87,7 +87,9 @@ type applied =
   | Deleted of {
       parent : Store.node;
       node : Store.node;
-      next_sibling : Store.node option;  (* where to re-insert *)
+      next_sibling : Store.node option;
+          (* where to re-insert: the next child, or for an attribute
+             the next attribute *)
     }
   | Content_replaced of { node : Store.node; old_value : string }
   | Attribute_set of {
@@ -126,6 +128,11 @@ let apply_op store = function
   | Delete node -> (
     match Store.parent store node with
     | None -> err "delete: node has no parent"
+    | Some parent when Store.kind store node = Store.Kind.Attribute ->
+      guarded (fun () ->
+          let next_sibling = Store.next_sibling store node in
+          Store.detach_attribute store parent node;
+          Deleted { parent; node; next_sibling })
     | Some parent
       when Store.kind store parent = Store.Kind.Document
            && Store.kind store node = Store.Kind.Element ->
@@ -134,13 +141,7 @@ let apply_op store = function
       err "delete: cannot remove the document element"
     | Some parent ->
       guarded (fun () ->
-          let siblings = Store.children store parent in
-          let rec next = function
-            | a :: b :: _ when Store.equal_node a node -> Some b
-            | _ :: rest -> next rest
-            | [] -> None
-          in
-          let next_sibling = next siblings in
+          let next_sibling = Store.next_sibling store node in
           Store.remove_child store parent node;
           Deleted { parent; node; next_sibling }))
   | Replace_content { node; value } ->
@@ -186,9 +187,10 @@ let undo ?journal store applied =
   (match applied with
   | Inserted { parent; node } -> Store.remove_child store parent node
   | Deleted { parent; node; next_sibling } -> (
-    match next_sibling with
-    | Some anchor -> Store.insert_child_before store parent ~before:anchor node
-    | None -> Store.append_child store parent node)
+    match Store.kind store node, next_sibling with
+    | Store.Kind.Attribute, before -> Store.attach_attribute ?before store parent node
+    | _, Some anchor -> Store.insert_child_before store parent ~before:anchor node
+    | _, None -> Store.append_child store parent node)
   | Content_replaced { node; old_value } -> Store.set_content store node old_value
   | Attribute_set { element; attribute; old_value } -> (
     match old_value with

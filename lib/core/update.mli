@@ -18,8 +18,9 @@ type 'n op =
     }
   | Insert_text of { parent : 'n; before : 'n option; text : string }
   | Delete of 'n
-      (** element or text child; never the document element, which a
-          document node must keep *)
+      (** an element or text child, or an attribute (detached from its
+          owner); never the document element, which a document node
+          must keep *)
   | Replace_content of { node : 'n; value : string }
       (** new content for a text or attribute node *)
   | Set_attribute of {

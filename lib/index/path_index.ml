@@ -24,7 +24,7 @@ module Make (N : NAV) = struct
     pid : int;
     p_kind : [ `Document | `Element | `Attribute | `Text ];
     p_name : Name.t option;
-    mutable child_ids : int list;  (* in first-encounter order *)
+    mutable rev_child_ids : int list;  (* newest path first *)
     mutable rev_entries : N.node Extent.entry list;  (* reverse doc order *)
     mutable frozen : N.node Extent.t;
   }
@@ -32,14 +32,38 @@ module Make (N : NAV) = struct
   type t = {
     mutable pnodes : pnode array;
     mutable size : int;
-    by_id : (int, int * Label.t) Hashtbl.t;  (* instance id -> (pid, label) *)
+    (* instance id -> pnode id (-1: not indexed) and label.  The ids
+       of the built tree are dense ({!N.id}), so two arrays sized by
+       the build hold them without boxing a pair per node; nodes
+       indexed later, whose ids keep growing while their number
+       stays small, go to [later]. *)
+    pid_of : int array;
+    label_of : Label.t array;
+    later : (int, int * Label.t) Hashtbl.t;
   }
 
   let get t i = t.pnodes.(i)
+  let built t id = id < Array.length t.pid_of
+
+  let indexed t id = if built t id then t.pid_of.(id) >= 0 else Hashtbl.mem t.later id
+
+  let bind t id pid label =
+    if built t id then begin
+      t.pid_of.(id) <- pid;
+      t.label_of.(id) <- label
+    end
+    else Hashtbl.replace t.later id (pid, label)
+
+  let unbind t id =
+    if built t id then begin
+      t.pid_of.(id) <- -1;
+      t.label_of.(id) <- Label.root
+    end
+    else Hashtbl.remove t.later id
 
   let add t p_kind p_name =
     let pn =
-      { pid = t.size; p_kind; p_name; child_ids = []; rev_entries = []; frozen = Extent.empty }
+      { pid = t.size; p_kind; p_name; rev_child_ids = []; rev_entries = []; frozen = Extent.empty }
     in
     if t.size = Array.length t.pnodes then begin
       let bigger = Array.make (max 16 (t.size * 2)) pn in
@@ -50,31 +74,67 @@ module Make (N : NAV) = struct
     t.size <- t.size + 1;
     pn
 
-  let find_or_add t parent kind name =
-    let matches cid =
-      let c = get t cid in
-      if c.p_kind = kind && Option.equal Name.equal c.p_name name then Some c else None
-    in
-    match List.find_map matches parent.child_ids with
-    | Some c -> c
-    | None ->
+  let same_name a b =
+    match a, b with
+    | None, None -> true
+    | Some m, Some n -> m == n || Name.equal m n
+    | _ -> false
+
+  let rec find_or_add_in t parent kind name = function
+    | [] ->
       let c = add t kind name in
-      parent.child_ids <- parent.child_ids @ [ c.pid ];
+      parent.rev_child_ids <- c.pid :: parent.rev_child_ids;
       c
+    | cid :: rest ->
+      let c = get t cid in
+      if c.p_kind = kind && same_name c.p_name name then c
+      else find_or_add_in t parent kind name rest
+
+  let find_or_add t parent kind name = find_or_add_in t parent kind name parent.rev_child_ids
+
+  (* the largest instance id of the tree, found without allocating:
+     the id tables are sized once *)
+  let rec max_id backend node =
+    max_all backend
+      (max_all backend (N.id backend node) (N.attributes backend node))
+      (N.children backend node)
+
+  and max_all backend acc = function
+    | [] -> acc
+    | c :: cs -> max_all backend (max acc (max_id backend c)) cs
 
   let build backend rootn =
-    let t = { pnodes = [||]; size = 0; by_id = Hashtbl.create 1024 } in
+    let ids = max_id backend rootn + 1 in
+    let t =
+      {
+        pnodes = [||];
+        size = 0;
+        pid_of = Array.make ids (-1);
+        label_of = Array.make ids Label.root;
+        later = Hashtbl.create 16;
+      }
+    in
     let root_pn = add t (N.kind backend rootn) (N.name backend rootn) in
+    (* attributes, then children, take the node's child labels in
+       that order; what [visit] leaves of [labels] is for the next
+       list *)
     let rec go node pn label =
       pn.rev_entries <- { Extent.label; node } :: pn.rev_entries;
-      Hashtbl.replace t.by_id (N.id backend node) (pn.pid, label);
-      let ordered = N.attributes backend node @ N.children backend node in
-      let child_labels = Label.assign_children label (List.length ordered) in
-      List.iter2
-        (fun c cl ->
-          let cpn = find_or_add t pn (N.kind backend c) (N.name backend c) in
-          go c cpn cl)
-        ordered child_labels
+      bind t (N.id backend node) pn.pid label;
+      let attributes = N.attributes backend node and children = N.children backend node in
+      match attributes, children with
+      | [], [] -> ()
+      | _ ->
+        let labels =
+          Label.assign_children label (List.length attributes + List.length children)
+        in
+        ignore (visit pn (visit pn labels attributes) children)
+    and visit pn labels nodes =
+      match nodes, labels with
+      | c :: cs, l :: ls ->
+        go c (find_or_add t pn (N.kind backend c) (N.name backend c)) l;
+        visit pn ls cs
+      | _ -> labels
     in
     go rootn root_pn Label.root;
     for i = 0 to t.size - 1 do
@@ -88,7 +148,7 @@ module Make (N : NAV) = struct
   let kind pn = pn.p_kind
   let name pn = pn.p_name
   let id pn = pn.pid
-  let children t pn = List.map (get t) pn.child_ids
+  let children t pn = List.rev_map (get t) pn.rev_child_ids
   let pnode t pid = get t pid
   let extent pn = pn.frozen
 
@@ -104,12 +164,16 @@ module Make (N : NAV) = struct
   (* ---- incremental maintenance ---- *)
 
   let locate t backend node =
-    match Hashtbl.find_opt t.by_id (N.id backend node) with
-    | None -> None
-    | Some (pid, label) -> Some (get t pid, label)
+    let id = N.id backend node in
+    if built t id then
+      if t.pid_of.(id) >= 0 then Some (get t t.pid_of.(id), t.label_of.(id)) else None
+    else
+      match Hashtbl.find_opt t.later id with
+      | Some (pid, label) -> Some (get t pid, label)
+      | None -> None
 
   let insert_subtree t backend node =
-    if Hashtbl.mem t.by_id (N.id backend node) then []  (* replayed entry *)
+    if indexed t (N.id backend node) then []  (* replayed entry *)
     else begin
       match N.parent backend node with
       | None -> []  (* detached again before the journal drained *)
@@ -138,7 +202,7 @@ module Make (N : NAV) = struct
           let added = ref [] in
           let rec go node pn label =
             pn.frozen <- Extent.insert pn.frozen { Extent.label; node };
-            Hashtbl.replace t.by_id (N.id backend node) (pn.pid, label);
+            bind t (N.id backend node) pn.pid label;
             added := (pn.pid, label, node) :: !added;
             let ordered = N.attributes backend node @ N.children backend node in
             let child_labels = Label.assign_children label (List.length ordered) in
@@ -153,9 +217,9 @@ module Make (N : NAV) = struct
     end
 
   let remove_subtree t backend node =
-    match Hashtbl.find_opt t.by_id (N.id backend node) with
+    match locate t backend node with
     | None -> []  (* never indexed, or already removed *)
-    | Some (pid, label) ->
+    | Some (pn, label) ->
       (* sweep the pnode subtree: every indexed node of the deleted
          instance subtree lies in the extent of a pnode reachable from
          the deleted node's pnode, at a label descending from (or
@@ -169,12 +233,12 @@ module Make (N : NAV) = struct
         pn.frozen <- kept;
         List.iter
           (fun (e : N.node Extent.entry) ->
-            Hashtbl.remove t.by_id (N.id backend e.node);
+            unbind t (N.id backend e.node);
             removed := (pid_, e.label) :: !removed)
           gone;
-        List.iter walk pn.child_ids
+        List.iter walk (List.rev pn.rev_child_ids)
       in
-      walk pid;
+      walk pn.pid;
       List.rev !removed
 
   let pp_stats ppf t =

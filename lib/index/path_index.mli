@@ -44,8 +44,9 @@ module type NAV = sig
   val typed_value : t -> node -> Xsm_datatypes.Value.t list
 
   val id : t -> node -> int
-  (** A stable integer identity for hashing — node identifiers, not
-      document positions. *)
+  (** A stable integer identity — node identifiers, not document
+      positions.  Non-negative and dense (a creation counter): the
+      index keeps arrays indexed by it. *)
 end
 
 exception Maintenance_error of string

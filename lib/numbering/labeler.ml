@@ -1,26 +1,24 @@
 module Store = Xsm_xdm.Store
 
-type t = {
-  labels : (int, Sedna_label.t) Hashtbl.t;  (* node id -> label *)
-  reverse : (string, Store.node) Hashtbl.t;  (* raw label -> node *)
-}
+(* node -> label, sized for a tree up front where its size is known
+   (a snapshot's header); the reverse direction is a scan
+   ({!node_of}): no runtime path asks for it, so no second table is
+   kept up to date *)
+type t = (Store.node, Sedna_label.t) Hashtbl.t
 
-let set t node l =
-  Hashtbl.replace t.labels (Store.node_id node) l;
-  Hashtbl.replace t.reverse (Sedna_label.to_raw l) node
+let create n = Hashtbl.create (max 16 n)
+let set t node l = Hashtbl.replace t node l
+let label t node = Hashtbl.find t node
+let label_opt t node = Hashtbl.find_opt t node
 
-let label t node = Hashtbl.find t.labels (Store.node_id node)
-let label_opt t node = Hashtbl.find_opt t.labels (Store.node_id node)
+let node_of t l =
+  Hashtbl.fold (fun node l' found -> if Sedna_label.equal l l' then Some node else found) t None
 
-let node_of t l = Hashtbl.find_opt t.reverse (Sedna_label.to_raw l)
-
-let label_count t = Hashtbl.length t.labels
-
-let max_label_bytes t =
-  Hashtbl.fold (fun _ l acc -> max acc (Sedna_label.length l)) t.labels 0
+let label_count t = Hashtbl.length t
+let max_label_bytes t = Hashtbl.fold (fun _ l acc -> max acc (Sedna_label.length l)) t 0
 
 let label_tree store root =
-  let t = { labels = Hashtbl.create 256; reverse = Hashtbl.create 256 } in
+  let t = create 256 in
   let rec go node l =
     set t node l;
     let ordered = Store.attributes store node @ Store.children store node in
@@ -31,7 +29,7 @@ let label_tree store root =
   t
 
 let append_in_document_order store root =
-  let t = { labels = Hashtbl.create 256; reverse = Hashtbl.create 256 } in
+  let t = create 256 in
   let rec go node l =
     set t node l;
     let i = ref 0 in
@@ -44,14 +42,36 @@ let append_in_document_order store root =
   go root Sedna_label.root;
   t
 
+let rec last_of = function [] -> None | [ a ] -> Some a | _ :: rest -> last_of rest
+
 let label_new_child t store node =
   let parent =
     match Store.parent store node with
     | Some p -> p
     | None -> invalid_arg "Labeler.label_new_child: node has no parent"
   in
-  let siblings = Store.attributes store parent @ Store.children store parent in
-  match Sedna_label.neighbours ~label_of:(label_opt t) ~is_self:(Store.equal_node node) siblings with
+  let walk () =
+    Sedna_label.neighbours ~label_of:(label_opt t) ~is_self:(Store.equal_node node)
+      (Store.attributes store parent @ Store.children store parent)
+  in
+  (* an appended child has nothing after it, and the node just before
+     it (the previous child, else the last attribute) is its nearest
+     labelled neighbour when it carries a label: no walk *)
+  let neighbours =
+    match Store.kind store node with
+    | (Store.Kind.Element | Store.Kind.Text) when Store.next_sibling store node = None -> (
+      let prev =
+        match Store.previous_sibling store node with
+        | Some _ as prev -> prev
+        | None -> last_of (Store.attributes store parent)
+      in
+      match prev with
+      | None -> Some (None, None)
+      | Some p -> (
+        match label_opt t p with Some _ as l -> Some (l, None) | None -> walk ()))
+    | Store.Kind.Document | Store.Kind.Element | Store.Kind.Attribute | Store.Kind.Text -> walk ()
+  in
+  match neighbours with
   | None -> invalid_arg "Labeler.label_new_child: node not among its parent's nodes"
   | Some (prev, next) ->
     let fresh = Sedna_label.gap ~parent:(label t parent) prev next in
@@ -74,12 +94,7 @@ let label_inserted_subtree t store node =
     label_descendants t store node
   end
 
-let remove t node =
-  match Hashtbl.find_opt t.labels (Store.node_id node) with
-  | None -> ()
-  | Some l ->
-    Hashtbl.remove t.labels (Store.node_id node);
-    Hashtbl.remove t.reverse (Sedna_label.to_raw l)
+let remove t node = Hashtbl.remove t node
 
 let remove_subtree t store node =
   let rec go node =
@@ -90,17 +105,11 @@ let remove_subtree t store node =
   go node
 
 let bindings t =
-  Hashtbl.fold
-    (fun raw node acc ->
-      match Sedna_label.of_raw raw with
-      | Ok l -> (node, l) :: acc
-      | Error _ -> acc)
-    t.reverse []
+  Hashtbl.fold (fun node l acc -> (node, l) :: acc) t []
   |> List.sort (fun (a, _) (b, _) -> Store.compare_node a b)
 
 let restore pairs =
-  let n = max 16 (List.length pairs) in
-  let t = { labels = Hashtbl.create n; reverse = Hashtbl.create n } in
+  let t = create (List.length pairs) in
   List.iter (fun (node, l) -> set t node l) pairs;
   t
 
@@ -111,8 +120,7 @@ let check_against_tree store root t =
     (fun a ->
       List.for_all
         (fun b ->
-          match Hashtbl.find_opt t.labels (Store.node_id a),
-                Hashtbl.find_opt t.labels (Store.node_id b) with
+          match label_opt t a, label_opt t b with
           | Some la, Some lb ->
             let expected : Sedna_label.relation =
               if Store.equal_node a b then Sedna_label.Self

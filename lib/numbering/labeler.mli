@@ -23,7 +23,7 @@ val label : t -> Xsm_xdm.Store.node -> Sedna_label.t
 val label_opt : t -> Xsm_xdm.Store.node -> Sedna_label.t option
 
 val node_of : t -> Sedna_label.t -> Xsm_xdm.Store.node option
-(** Reverse lookup. *)
+(** Reverse lookup: a scan of the table, for tests and diagnostics. *)
 
 val label_count : t -> int
 val max_label_bytes : t -> int
@@ -54,10 +54,18 @@ val remove_subtree : t -> Xsm_xdm.Store.t -> Xsm_xdm.Store.node -> unit
 (** {1 Persistence support}
 
     A labelled tree survives a snapshot/restore cycle: [bindings]
-    exports every (node, label) pair, [restore] rebuilds the table
-    from pairs read back from disk. *)
+    exports every (node, label) pair; a decoder fills a table sized
+    for the nodes it expects ([create], [set]), [restore] rebuilds one
+    from pairs. *)
 
 val bindings : t -> (Xsm_xdm.Store.node * Sedna_label.t) list
+
+val create : int -> t
+(** An empty table sized for about [n] labels. *)
+
+val set : t -> Xsm_xdm.Store.node -> Sedna_label.t -> unit
+(** Bind (or rebind) a node's label. *)
+
 val restore : (Xsm_xdm.Store.node * Sedna_label.t) list -> t
 
 val check_against_tree : Xsm_xdm.Store.t -> Xsm_xdm.Store.node -> t -> bool

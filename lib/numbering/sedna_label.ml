@@ -19,26 +19,20 @@ let of_raw s =
   if n = 0 then Error "empty label"
   else if s.[0] = sep || s.[n - 1] = sep then Error "label starts or ends with a separator"
   else begin
-    let ok = ref true and prev_sep = ref false in
-    String.iter
-      (fun c ->
-        if c = '\x00' then ok := false
-        else if c = sep then begin
-          if !prev_sep then ok := false;
-          prev_sep := true
-        end
-        else prev_sep := false)
-      s;
-    (* no component may end with the minimal digit, or no label could
-       ever be inserted directly before its extension *)
-    let bad_trailing = ref false in
-    String.iteri
-      (fun i c ->
-        if Char.code c = min_digit && (i = n - 1 || s.[i + 1] = sep) then
-          bad_trailing := true)
-      s;
-    if !ok && not !bad_trailing then Ok s
-    else Error "malformed label"
+    (* no NUL byte, no empty component, and no component ending with
+       the minimal digit, or no label could ever be inserted directly
+       before its extension.  [s.[0]] is no separator, so [i - 1] is
+       in range where it is read. *)
+    let rec well_formed i =
+      i = n
+      ||
+      let c = String.unsafe_get s i in
+      c <> '\x00'
+      && (c <> sep || String.unsafe_get s (i - 1) <> sep)
+      && (Char.code c <> min_digit || (i + 1 < n && String.unsafe_get s (i + 1) <> sep))
+      && well_formed (i + 1)
+    in
+    if well_formed 0 then Ok s else Error "malformed label"
   end
 
 let compare = String.compare
@@ -180,22 +174,26 @@ let assign_children parent n =
       if space >= 2 * (n + 1) || w >= 7 then (w, space) else pick_width (w + 1) (space * base)
     in
     let width, space = pick_width 1 base in
-    let prefix = parent ^ String.make 1 sep in
-    List.init n (fun i ->
-        let p = (i + 1) * (space / (n + 1)) in
-        let bytes = Bytes.make width (Char.chr min_digit) in
-        let v = ref p in
-        for k = width - 1 downto 0 do
-          Bytes.set bytes k (Char.chr (min_digit + (!v mod base)));
-          v := !v / base
-        done;
-        let comp = Bytes.to_string bytes in
-        (* avoid a trailing minimal digit *)
-        let comp =
-          if Char.code comp.[width - 1] = min_digit then comp ^ String.make 1 mid_byte
-          else comp
-        in
-        prefix ^ comp)
+    let stride = space / (n + 1) in
+    let pl = String.length parent in
+    (* child [i]: the parent, a separator, then [(i + 1) * stride] as
+       [width] base-254 digits — and a middle byte after them when
+       the last digit is the minimal one *)
+    let label i =
+      let p = (i + 1) * stride in
+      let trailing = if p mod base = 0 then 1 else 0 in
+      let b = Bytes.create (pl + 1 + width + trailing) in
+      Bytes.blit_string parent 0 b 0 pl;
+      Bytes.set b pl sep;
+      let v = ref p in
+      for k = pl + width downto pl + 1 do
+        Bytes.set b k (Char.unsafe_chr (min_digit + (!v mod base)));
+        v := !v / base
+      done;
+      if trailing = 1 then Bytes.set b (pl + 1 + width) mid_byte;
+      Bytes.unsafe_to_string b
+    in
+    List.init n label
   end
 
 (* Document-order bulk appends.  [assign_children] needs the child

@@ -114,23 +114,23 @@ module R = struct
     r.pos <- r.pos + 1;
     b
 
-  let varint r =
-    let rec go shift acc =
-      if shift > 62 then corrupt "varint overflow at %d" r.pos;
-      let b = byte r in
-      let acc = acc lor ((b land 0x7F) lsl shift) in
-      if b land 0x80 = 0 then acc else go (shift + 7) acc
-    in
-    go 0 0
+  (* the loops take the reader as an argument: a local closure over
+     it would be allocated on every call *)
+  let rec varint_from r shift acc =
+    if shift > 62 then corrupt "varint overflow at %d" r.pos;
+    let b = byte r in
+    let acc = acc lor ((b land 0x7F) lsl shift) in
+    if b land 0x80 = 0 then acc else varint_from r (shift + 7) acc
+
+  let varint r = varint_from r 0 0
 
   (* skip readers: the same bounds checks as their decoding twins,
      without allocating the decoded value *)
-  let skip_varint r =
-    let rec go n =
-      if n > 8 then corrupt "varint overflow at %d" r.pos;
-      if byte r land 0x80 <> 0 then go (n + 1)
-    in
-    go 0
+  let rec skip_varint_from r n =
+    if n > 8 then corrupt "varint overflow at %d" r.pos;
+    if byte r land 0x80 <> 0 then skip_varint_from r (n + 1)
+
+  let skip_varint r = skip_varint_from r 0
 
   let string_len r =
     let n = varint r in
@@ -139,9 +139,12 @@ module R = struct
 
   let string r =
     let n = string_len r in
-    let s = String.sub r.s r.pos n in
-    r.pos <- r.pos + n;
-    s
+    if n = 0 then ""
+    else begin
+      let s = String.sub r.s r.pos n in
+      r.pos <- r.pos + n;
+      s
+    end
 
   let skip_string r = r.pos <- r.pos + string_len r
 

@@ -71,21 +71,33 @@ let encode ?schema_ref ?labels store root =
       Ok (Buffer.contents b)
     with Encode_error e -> Error e)
 
-let rec decode_node r store labelled acc_labels =
+(* One decode's state: the reader, the store it fills, the QNames met
+   so far (each distinct name is validated and boxed once) and, for a
+   labelled snapshot, the label table, sized from the header. *)
+type decoder = {
+  r : Wire.R.t;
+  store : Store.t;
+  names : Wire.R.names;
+  labels : Labeler.t option;
+}
+
+let read_label r =
+  match Label.of_raw (Wire.R.string r) with
+  | Ok l -> l
+  | Error e -> raise (Wire.R.Corrupt ("bad numbering label: " ^ e))
+
+(* A node record, then its attributes and children; the node is
+   created before them (pre-order identifiers) and linked to them by
+   one {!Store.adopt}, whose shape errors are corrupt input here. *)
+let rec decode_node d =
+  let r = d.r and store = d.store in
   let kind = Wire.R.byte r in
-  let name = Wire.R.opt_name r in
+  let name = Wire.R.opt_name d.names r in
   let base_uri = Wire.R.opt_string r in
-  let type_name = Wire.R.opt_name r in
+  let type_name = Wire.R.opt_name d.names r in
   let nilled = Wire.R.byte r in
   let content = Wire.R.string r in
-  let label =
-    if labelled then (
-      let raw = Wire.R.string r in
-      match Label.of_raw raw with
-      | Ok l -> Some l
-      | Error e -> raise (Wire.R.Corrupt ("bad numbering label: " ^ e)))
-    else None
-  in
+  let label = match d.labels with Some _ -> read_label r | None -> Label.root in
   let node =
     match kind with
     | 0 -> Store.new_document ?base_uri store
@@ -103,26 +115,29 @@ let rec decode_node r store labelled acc_labels =
     | 2 -> (
       match name with
       | Some n ->
-        let node = Store.new_attribute store n content in
+        let node = Store.new_attribute ?base_uri store n content in
         Store.set_type_name store node type_name;
         node
       | None -> raise (Wire.R.Corrupt "attribute without a name"))
     | 3 ->
-      let node = Store.new_text store content in
+      let node = Store.new_text ?base_uri store content in
       Store.set_type_name store node type_name;
       node
     | k -> raise (Wire.R.Corrupt (Printf.sprintf "bad node kind %d" k))
   in
-  (match label with Some l -> acc_labels := (node, l) :: !acc_labels | None -> ());
-  let nattrs = Wire.R.varint r in
-  for _ = 1 to nattrs do
-    let attr = decode_node r store labelled acc_labels in
-    Store.attach_attribute store node attr
-  done;
-  let nchildren = Wire.R.varint r in
-  let children = List.init nchildren (fun _ -> decode_node r store labelled acc_labels) in
-  Store.append_children store node children;
+  (match d.labels with Some t -> Labeler.set t node label | None -> ());
+  let attributes = decode_nodes d (Wire.R.varint r) in
+  let children = decode_nodes d (Wire.R.varint r) in
+  (match Store.adopt store node ~attributes ~children with
+  | () -> ()
+  | exception Invalid_argument e -> raise (Wire.R.Corrupt e));
   node
+
+and[@tail_mod_cons] decode_nodes d k =
+  if k <= 0 then []
+  else
+    let node = decode_node d in
+    node :: decode_nodes d (k - 1)
 
 let decode bytes =
   let len = String.length bytes in
@@ -145,16 +160,15 @@ let decode bytes =
           let schema_ref = Wire.R.opt_string r in
           let labelled = Wire.R.bool r in
           let node_count = Wire.R.varint r in
-          let store = Store.create () in
-          let acc_labels = ref [] in
-          let root = decode_node r store labelled acc_labels in
+          (* a node record takes at least 8 bytes: the header's count
+             is trusted no further than the body can back it *)
+          let labels =
+            if labelled then Some (Labeler.create (min node_count (body_len / 8))) else None
+          in
+          let d = { r; store = Store.create (); names = Wire.R.names (); labels } in
+          let root = decode_node d in
           if Wire.R.pos r <> len - 4 then Error "snapshot: trailing garbage in body"
-          else begin
-            let labels =
-              if labelled then Some (Labeler.restore (List.rev !acc_labels)) else None
-            in
-            Ok (store, root, labels, { version; schema_ref; node_count; labelled })
-          end
+          else Ok (d.store, root, labels, { version; schema_ref; node_count; labelled })
         end
       with Wire.R.Corrupt e -> Error ("snapshot: " ^ e)
   end

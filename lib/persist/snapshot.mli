@@ -41,8 +41,12 @@ val decode :
   string ->
   (Xsm_xdm.Store.t * Xsm_xdm.Store.node * Xsm_numbering.Labeler.t option * meta, string)
   result
-(** Rebuild a fresh store from snapshot bytes.  Rejects bad magic,
-    unknown versions and CRC mismatches. *)
+(** Rebuild a fresh store from snapshot bytes, the inverse of
+    {!encode} on its output: re-encoding gives the same bytes.
+    Rejects bad magic, unknown versions and CRC mismatches; malformed
+    content under a valid CRC (a bad QName or label, a node in a
+    position its kind cannot take) is an [Error] too, never an
+    exception. *)
 
 val save :
   ?schema_ref:string ->

@@ -157,9 +157,12 @@ let resolve store ~root = function
 
 let replay_op ?journal store ~root op =
   let ( let* ) = Result.bind in
+  (* an append (the index past the last child) neither reads nor
+     copies the sibling list: replaying a log of appends under one
+     parent is linear in the log *)
   let anchor parent index =
-    let children = Store.children store parent in
-    if index >= List.length children then None else List.nth_opt children index
+    if index >= Store.child_count store parent then None
+    else List.nth_opt (Store.children store parent) index
   in
   let* update =
     match op with
@@ -248,8 +251,9 @@ let encode_payload w = function
     Wire.W.name w name;
     Wire.W.string w value
 
-let decode_payload payload =
-  let r = Wire.R.of_string payload in
+(* the payload of [len] bytes at [pos], read in place *)
+let decode_payload bytes ~pos ~len =
+  let r = Wire.R.of_string ~pos bytes in
   let record =
     match Wire.R.byte r with
     | 0 -> Sync_point
@@ -275,7 +279,7 @@ let decode_payload payload =
       Op (Set_attribute { element; name; value = Wire.R.string r })
     | t -> raise (Wire.R.Corrupt (Printf.sprintf "bad record tag %d" t))
   in
-  if not (Wire.R.at_end r) then raise (Wire.R.Corrupt "trailing bytes in record payload");
+  if Wire.R.pos r <> pos + len then raise (Wire.R.Corrupt "trailing bytes in record payload");
   record
 
 (* Frame an encoded payload into [frame] (reallocated only when too
@@ -515,8 +519,7 @@ let read path =
                crc <> Wire.crc32 ~pos:(!pos + 8) ~len:plen bytes
              then torn := Some (Torn_crc !pos)
              else begin
-               let payload = String.sub bytes (!pos + 8) plen in
-               let record = decode_payload payload in
+               let record = decode_payload bytes ~pos:(!pos + 8) ~len:plen in
                records := record :: !records;
                (match record with
                | Op _ -> incr ops_seen

@@ -53,7 +53,6 @@ module R : sig
   val of_string : ?pos:int -> string -> t
   val pos : t -> int
   val remaining : t -> int
-  val at_end : t -> bool
   val byte : t -> int
   val varint : t -> int
   val fixed32 : t -> int
@@ -62,6 +61,16 @@ module R : sig
   val string : t -> string
   val opt_string : t -> string option
   val name : t -> Xsm_xml.Name.t
-  val opt_name : t -> Xsm_xml.Name.t option
+
+  type names
+  (** The QNames one decode has met, keyed by their bytes. *)
+
+  val names : unit -> names
+
+  val opt_name : names -> t -> Xsm_xml.Name.t option
+  (** An optional QName, interned in the table: the first occurrence
+      of a name is validated ([Corrupt "bad QName ..."] as {!name}),
+      every later one returns the same box and allocates nothing. *)
+
   val bool : t -> bool
 end

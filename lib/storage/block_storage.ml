@@ -576,8 +576,8 @@ let to_store t =
         invalid_arg "Block_storage.to_store: unnamed descriptor"
     in
     labels := (node, d.nid) :: !labels;
-    List.iter (fun a -> Store.attach_attribute store node (build a)) (attributes t d);
-    Store.append_children store node (List.map build (children t d));
+    let attributes = List.map build (attributes t d) in
+    Store.adopt store node ~attributes ~children:(List.map build (children t d));
     node
   in
   let root = build (root t) in

@@ -1,8 +1,20 @@
 module Tree = Xsm_xml.Tree
 
-(* Merge adjacent text/CDATA children into single non-empty strings,
-   dropping comments and PIs — the §8 normalization baked into f. *)
-let text_runs children =
+(* the child list has nothing to merge or drop: no comment or PI, no
+   empty text, no two text pieces in a row *)
+let rec one_to_one after_text = function
+  | [] -> true
+  | (Tree.Text s | Tree.Cdata s) :: rest -> s <> "" && (not after_text) && one_to_one true rest
+  | Tree.Element _ :: rest -> one_to_one false rest
+  | (Tree.Comment _ | Tree.Pi _) :: _ -> false
+
+let[@tail_mod_cons] rec runs_of = function
+  | [] -> []
+  | Tree.Element e :: rest -> `Elem e :: runs_of rest
+  | (Tree.Text s | Tree.Cdata s) :: rest -> `Text s :: runs_of rest
+  | (Tree.Comment _ | Tree.Pi _) :: rest -> runs_of rest
+
+let merged_runs children =
   let flush buf acc =
     if Buffer.length buf = 0 then acc
     else begin
@@ -25,21 +37,28 @@ let text_runs children =
   in
   List.rev (flush buf acc)
 
+(* Merge adjacent text/CDATA children into single non-empty strings,
+   dropping comments and PIs — the §8 normalization baked into f.  A
+   list with nothing to merge or drop, the common case, maps one to
+   one without a buffer. *)
+let text_runs children = if one_to_one false children then runs_of children else merged_runs children
+
+(* every node of a loaded document carries the document's base URI *)
 let rec load_element_under store ?base_uri (e : Tree.element) =
   let node = Store.new_element ?base_uri store e.name in
-  List.iter
-    (fun (a : Tree.attribute) ->
-      let attr = Store.new_attribute store a.name a.value in
-      Store.attach_attribute store node attr)
-    e.attributes;
+  let attributes =
+    List.map
+      (fun (a : Tree.attribute) -> Store.new_attribute ?base_uri store a.name a.value)
+      e.attributes
+  in
   let children =
     List.map
       (function
-        | `Text s -> Store.new_text store s
-        | `Elem child -> load_element_under store child)
+        | `Text s -> Store.new_text ?base_uri store s
+        | `Elem child -> load_element_under store ?base_uri child)
       (text_runs e.children)
   in
-  Store.append_children store node children;
+  Store.adopt store node ~attributes ~children;
   node
 
 let load_element store e = load_element_under store e

@@ -13,11 +13,32 @@ end
 
 type node = int
 
+(* The bookkeeping behind O(1) appends, kept by writers only.  While
+   appends wait to be folded in, a node's [children] field holds the
+   [pending] marker and its children are [settled] followed by
+   [appended] reversed; [count], [last] and [before_last] describe
+   them either way. *)
+type kids = {
+  settled : node list;
+  appended : node list;  (* newest first *)
+  count : int;
+  last : node;  (* the last child, or -1 *)
+  before_last : node;  (* the child before it, or -1 *)
+}
+
+(* not worked out yet: a writer computes it from [children] when it
+   first needs it *)
+let no_kids = { settled = []; appended = []; count = 0; last = -1; before_last = -1 }
+
+(* a list no caller can build: physically unequal to every other *)
+let pending : node list = -1 :: Sys.opaque_identity []
+
 type data = {
   kind : Kind.t;
   mutable name : Xsm_xml.Name.t option;
   mutable parent : node option;
-  mutable children : node list;  (* reversed during building? no: kept in order *)
+  mutable children : node list;  (* in document order, or [pending] *)
+  mutable kids : kids;
   mutable attributes : node list;
   mutable type_name : Xsm_xml.Name.t option;
   mutable content : string;  (* own string value for text and attribute nodes *)
@@ -60,6 +81,7 @@ let blank kind =
     name = None;
     parent = None;
     children = [];
+    kids = no_kids;
     attributes = [];
     type_name = None;
     content = "";
@@ -68,8 +90,12 @@ let blank kind =
     base_uri = None;
   }
 
+(* the defaults travel as shared boxes: a constructor allocates no
+   option of its own *)
 let untyped_atomic_name = Xsm_xml.Name.make ~prefix:"xdt" "untypedAtomic"
 let any_type_name = Xsm_xml.Name.make ~prefix:"xs" "anyType"
+let untyped_atomic = Some untyped_atomic_name
+let any_type = Some any_type_name
 
 let new_document ?base_uri store =
   let d = blank Kind.Document in
@@ -80,26 +106,55 @@ let new_element ?base_uri ?type_name store name =
   let d = blank Kind.Element in
   d.name <- Some name;
   d.base_uri <- base_uri;
-  d.type_name <- Some (Option.value ~default:any_type_name type_name);
+  d.type_name <- (match type_name with None -> any_type | Some _ -> type_name);
   d.nilled <- Some false;
   add store d
 
-let new_attribute ?type_name ?typed_value store name value =
+let new_attribute ?base_uri ?type_name ?typed_value store name value =
   let d = blank Kind.Attribute in
   d.name <- Some name;
+  d.base_uri <- base_uri;
   d.content <- value;
-  d.type_name <- Some (Option.value ~default:untyped_atomic_name type_name);
+  d.type_name <- (match type_name with None -> untyped_atomic | Some _ -> type_name);
   d.typed <- typed_value;
   add store d
 
-let new_text store content =
+let new_text ?base_uri store content =
   let d = blank Kind.Text in
   d.content <- content;
-  d.type_name <- Some untyped_atomic_name;
+  d.base_uri <- base_uri;
+  d.type_name <- untyped_atomic;
   add store d
 
 (* ------------------------------------------------------------------ *)
 (* Linking                                                             *)
+
+(* The children in document order: one load while no append is
+   pending.  Else the reader folds the tail in and publishes the list
+   in [children] alone; it writes no bookkeeping, so readers on several
+   domains that fold at once write equal lists. *)
+let fold_appended d =
+  let k = d.kids in
+  let children = k.settled @ List.rev k.appended in
+  d.children <- children;
+  children
+
+let[@inline] listed d =
+  let c = d.children in
+  if c != pending then c else fold_appended d
+
+(* the bookkeeping of a node's children, worked out on first need *)
+let rec kids_of count last before_last = function
+  | [] -> { settled = []; appended = []; count; last; before_last }
+  | c :: rest -> kids_of (count + 1) c last rest
+
+let kids d =
+  if d.kids == no_kids && d.children != [] then d.kids <- kids_of 0 (-1) (-1) d.children;
+  d.kids
+
+let set_listed d children =
+  d.children <- children;
+  d.kids <- no_kids
 
 let check_can_have_children store parent child =
   let pd = get store parent and cd = get store child in
@@ -123,65 +178,109 @@ let append_child store parent child =
   let pd, cd = check_can_have_children store parent child in
   cd.parent <- Some parent;
   if cd.base_uri = None then cd.base_uri <- pd.base_uri;
-  pd.children <- pd.children @ [ child ]
-
-let append_children store parent children =
-  match children with
-  | [] -> ()
-  | _ ->
-    let pd = get store parent in
-    if
-      pd.kind = Kind.Document
-      && List.length pd.children + List.length children > 1
-    then invalid_arg "append_children: a document node has exactly one element child";
-    List.iter
-      (fun child ->
-        let pd, cd = check_can_have_children store parent child in
-        ignore pd;
-        cd.parent <- Some parent;
-        if cd.base_uri = None then cd.base_uri <- (get store parent).base_uri)
-      children;
-    let pd = get store parent in
-    pd.children <- pd.children @ children
+  let k = kids pd in
+  let settled, appended = if pd.children == pending then (k.settled, k.appended) else (pd.children, []) in
+  pd.kids <-
+    { settled; appended = child :: appended; count = k.count + 1; last = child; before_last = k.last };
+  pd.children <- pending
 
 let insert_child_before store parent ~before child =
   let pd, cd = check_can_have_children store parent child in
-  if not (List.mem before pd.children) then
+  let siblings = listed pd in
+  if not (List.mem before siblings) then
     invalid_arg "insert_child_before: anchor is not a child of the parent";
   cd.parent <- Some parent;
   if cd.base_uri = None then cd.base_uri <- pd.base_uri;
-  pd.children <-
-    List.concat_map (fun c -> if c = before then [ child; c ] else [ c ]) pd.children
+  set_listed pd (List.concat_map (fun c -> if c = before then [ child; c ] else [ c ]) siblings)
 
 let remove_child store parent child =
   let pd = get store parent and cd = get store child in
   if cd.parent <> Some parent then invalid_arg "remove_child: not a child of this parent";
-  pd.children <- List.filter (fun c -> c <> child) pd.children;
+  set_listed pd (List.filter (fun c -> c <> child) (listed pd));
   cd.parent <- None
 
-let attach_attribute store element attribute =
+let same_name a b =
+  match a, b with
+  | Some m, Some n -> m == n || Xsm_xml.Name.equal m n
+  | _ -> false
+
+let attach_attribute ?before store element attribute =
   let ed = get store element and ad = get store attribute in
   if ed.kind <> Kind.Element then invalid_arg "attach_attribute: owner must be an element";
   if ad.kind <> Kind.Attribute then invalid_arg "attach_attribute: node is not an attribute";
   if ad.parent <> None then invalid_arg "attach_attribute: attribute already attached";
-  (match ad.name with
-  | Some n ->
-    let clash =
-      List.exists
-        (fun a -> match (get store a).name with Some m -> Xsm_xml.Name.equal m n | None -> false)
-        ed.attributes
-    in
-    if clash then invalid_arg "attach_attribute: duplicate attribute name"
-  | None -> ());
+  if List.exists (fun a -> same_name (get store a).name ad.name) ed.attributes then
+    invalid_arg "attach_attribute: duplicate attribute name";
   ad.parent <- Some element;
   if ad.base_uri = None then ad.base_uri <- ed.base_uri;
-  ed.attributes <- ed.attributes @ [ attribute ]
+  ed.attributes <-
+    (match before with
+    | None -> ed.attributes @ [ attribute ]
+    | Some anchor ->
+      if not (List.mem anchor ed.attributes) then
+        invalid_arg "attach_attribute: anchor is not an attribute of the element";
+      List.concat_map (fun a -> if a = anchor then [ attribute; a ] else [ a ]) ed.attributes)
 
 let detach_attribute store element attribute =
   let ed = get store element and ad = get store attribute in
   if ad.parent <> Some element then invalid_arg "detach_attribute: not an attribute of this element";
   ed.attributes <- List.filter (fun a -> a <> attribute) ed.attributes;
   ad.parent <- None
+
+(* The bulk builders' one linking step: each node is checked once
+   against its new owner, and the given lists become the owner's own —
+   no per-child copy of the sibling list.  Base URIs are the
+   builder's: each node was created with its own.  The checks are
+   top-level functions of their arguments, so linking allocates no
+   closure, and the owner's nodes share one parent box. *)
+let take store owner what c =
+  let cd = get store c in
+  if cd.parent <> None then invalid_arg ("adopt: the " ^ what ^ " already has a parent");
+  cd.parent <- owner;
+  cd
+
+let rec named_before name = function
+  | [] -> false
+  | (ad : data) :: rest -> same_name ad.name name || named_before name rest
+
+let rec adopt_attributes store owner seen = function
+  | [] -> ()
+  | a :: rest ->
+    let ad = take store owner "attribute" a in
+    if ad.kind <> Kind.Attribute then
+      invalid_arg "adopt: an attribute position holds another kind of node";
+    if named_before ad.name seen then invalid_arg "adopt: duplicate attribute name";
+    adopt_attributes store owner (ad :: seen) rest
+
+let rec adopt_children store owner od count = function
+  | [] -> ()
+  | c :: rest ->
+    let cd = take store owner "child" c in
+    (match od.kind, cd.kind with
+    | (Kind.Attribute | Kind.Text), _ -> invalid_arg "adopt: only a document or element has children"
+    | _, Kind.Attribute -> invalid_arg "adopt: an attribute node in a child position"
+    | _, Kind.Document -> invalid_arg "adopt: a document node cannot be a child"
+    | Kind.Document, Kind.Text -> invalid_arg "adopt: a document child must be an element"
+    | Kind.Document, Kind.Element when count > 0 ->
+      invalid_arg "adopt: a document node has exactly one element child"
+    | (Kind.Document | Kind.Element), (Kind.Element | Kind.Text) -> ());
+    adopt_children store owner od (count + 1) rest
+
+let adopt store node ~attributes ~children =
+  let d = get store node in
+  if d.attributes <> [] || d.children <> [] then invalid_arg "adopt: the node is not fresh";
+  let node = Some node in
+  (match attributes with
+  | [] -> ()
+  | _ ->
+    if d.kind <> Kind.Element then invalid_arg "adopt: only an element has attributes";
+    adopt_attributes store node [] attributes;
+    d.attributes <- attributes);
+  match children with
+  | [] -> ()
+  | _ ->
+    adopt_children store node d 0 children;
+    d.children <- children
 
 let set_nilled store n b =
   let d = get store n in
@@ -218,8 +317,46 @@ let parent store n = (get store n).parent
 let children store n =
   let d = get store n in
   match d.kind with
-  | Kind.Document | Kind.Element -> d.children
+  | Kind.Document | Kind.Element -> listed d
   | Kind.Attribute | Kind.Text -> []
+
+let child_count store n = (kids (get store n)).count
+
+(* the kids whose last two a child's O(1) cases read: its parent's,
+   or none for an attribute or a parentless node *)
+let parent_kids store d =
+  match d.parent with
+  | Some p when d.kind <> Kind.Attribute -> kids (get store p)
+  | Some _ | None -> no_kids
+
+(* the list the node sits in: its owner's attributes or children *)
+let sibling_list store d =
+  match d.parent with
+  | None -> []
+  | Some p ->
+    let pd = get store p in
+    if d.kind = Kind.Attribute then pd.attributes else listed pd
+
+let previous_sibling store n =
+  let d = get store n in
+  let k = parent_kids store d in
+  if k.last = n then if k.before_last < 0 then None else Some k.before_last
+  else
+    let rec find prev = function
+      | [] -> None
+      | c :: rest -> if c = n then prev else find (Some c) rest
+    in
+    find None (sibling_list store d)
+
+let next_sibling store n =
+  let d = get store n in
+  if (parent_kids store d).last = n then None
+  else
+    let rec find = function
+      | a :: (b :: _ as rest) -> if a = n then Some b else find rest
+      | [ _ ] | [] -> None
+    in
+    find (sibling_list store d)
 
 let attributes store n =
   let d = get store n in
@@ -243,7 +380,7 @@ let rec add_string_value store buf n =
   let d = get store n in
   match d.kind with
   | Kind.Text | Kind.Attribute -> Buffer.add_string buf d.content
-  | Kind.Document | Kind.Element -> List.iter (add_string_value store buf) d.children
+  | Kind.Document | Kind.Element -> List.iter (add_string_value store buf) (listed d)
 
 let string_value store n =
   let d = get store n in
@@ -285,8 +422,8 @@ let untyped store n =
   let default_type =
     match d.kind with
     | Kind.Document -> None
-    | Kind.Element -> Some any_type_name
-    | Kind.Attribute | Kind.Text -> Some untyped_atomic_name
+    | Kind.Element -> any_type
+    | Kind.Attribute | Kind.Text -> untyped_atomic
   in
   Option.equal Xsm_xml.Name.equal d.type_name default_type
   && d.typed = None && d.nilled <> Some true && d.base_uri = None

@@ -51,6 +51,7 @@ val new_element :
   ?base_uri:string -> ?type_name:Xsm_xml.Name.t -> t -> Xsm_xml.Name.t -> node
 
 val new_attribute :
+  ?base_uri:string ->
   ?type_name:Xsm_xml.Name.t ->
   ?typed_value:Xsm_datatypes.Value.t list ->
   t ->
@@ -58,26 +59,39 @@ val new_attribute :
   string ->
   node
 
-val new_text : t -> string -> node
+val new_text : ?base_uri:string -> t -> string -> node
 
 (** {1 Linking}
 
     [append_child store parent child] sets [parent child = parent] and
-    appends [child] to [children parent].  Raises [Invalid_argument]
-    when the shape constraints of §6.1 would be violated: only
-    document and element nodes have children; a document node has at
-    most one element child; attribute nodes are attached with
-    [attach_attribute] only. *)
+    appends [child] to [children parent] in O(1): the appended nodes
+    are folded into the parent's child list by its next read.  Raises
+    [Invalid_argument] when the shape constraints of §6.1 would be
+    violated: only document and element nodes have children; a
+    document node has at most one element child; attribute nodes are
+    attached with [attach_attribute] only. *)
 
 val append_child : t -> node -> node -> unit
 
-val append_children : t -> node -> node list -> unit
-(** Bulk [append_child]: one list concatenation instead of one per
-    child, so loading a node with [n] children is O(n), not O(n²). *)
+val adopt : t -> node -> attributes:node list -> children:node list -> unit
+(** [adopt store node ~attributes ~children] links a fresh node's
+    attributes and children in one step — the bulk builders' path
+    (tree loading, snapshot decoding).  Each node is checked once
+    against the §6.1 shape rules above (attributes: only on an element,
+    attribute nodes only, distinct names; children as for
+    [append_child]; none already linked), and the lists become the
+    owner's own, uncopied.  Unlike the one-node links, [adopt] leaves
+    base URIs alone: a builder creates each node with its own.
+    Raises [Invalid_argument] when [node] already has attributes or
+    children, or a rule is broken; the store is then left half-linked,
+    for the builder to discard. *)
 
 val insert_child_before : t -> node -> before:node -> node -> unit
 val remove_child : t -> node -> node -> unit
-val attach_attribute : t -> node -> node -> unit
+
+val attach_attribute : ?before:node -> t -> node -> node -> unit
+(** Attach an attribute node to an element: last, or just before the
+    attribute [before]. *)
 
 val detach_attribute : t -> node -> node -> unit
 (** Remove an attribute node from its owner element. *)
@@ -99,6 +113,21 @@ val node_kind : t -> node -> string
 val node_name : t -> node -> Xsm_xml.Name.t option
 val parent : t -> node -> node option
 val children : t -> node -> node list
+(** Allocates nothing unless appends are pending since the last
+    read. *)
+
+val child_count : t -> node -> int
+(** [List.length (children store n)]: O(1) once the node has had a
+    child appended or counted, so a run of appends pays nothing per
+    append. *)
+
+val previous_sibling : t -> node -> node option
+val next_sibling : t -> node -> node option
+(** The child just before (after) the node among its parent's
+    children — for an attribute, among its owner's attributes.  For
+    the last child, the case of an append, as cheap as
+    [child_count]; a walk of the siblings otherwise. *)
+
 val attributes : t -> node -> node list
 val base_uri : t -> node -> string option
 val nilled : t -> node -> bool option

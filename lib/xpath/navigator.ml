@@ -27,8 +27,8 @@ module type S = sig
 
   val id : t -> node -> int
   (** A stable integer identity — node identifiers, not positions, so
-      it never changes under updates.  Used for hashing by the index
-      maintenance machinery. *)
+      it never changes under updates.  Non-negative and dense (a
+      creation counter): the path index keeps arrays indexed by it. *)
 end
 
 module Xdm : S with type t = Xsm_xdm.Store.t and type node = Xsm_xdm.Store.node = struct

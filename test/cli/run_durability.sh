@@ -2,9 +2,12 @@
 # End-to-end durability checks through the xsm binary: script error
 # reporting (exit 1 with the offending line), snapshot+WAL recovery of
 # a clean run, crash injection (exit 3) with prefix recovery and log
-# repair, and the index-resume path.
+# repair, attribute deletes, and the index-resume path.
+#
+#   bash run_durability.sh XSM CATALOG_XML
 set -u
 XSM="$1"
+CATALOG="$2"
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 fail() { echo "FAIL: $1" >&2; exit 1; }
@@ -89,6 +92,17 @@ printf 'delete /library\n' > "$tmp/root.upd"
 out=$("$XSM" update "$tmp/doc.xml" "$tmp/root.upd" --print 2>&1)
 [ $? -eq 1 ] || fail "deleting the document element must exit 1 (got: $out)"
 echo "$out" | grep -q "root.upd:1" || fail "document-element delete must name the script line (got: $out)"
+
+# --- deleting an attribute deletes it: the query after the delete no
+# longer finds it, directly, after WAL replay, and with the index
+printf 'delete //product/@sku\nquery //product/@sku\n' > "$tmp/attr.upd"
+for flags in "" "--index"; do
+  out=$("$XSM" update "$CATALOG" "$tmp/attr.upd" $flags --wal "$tmp/wa.wal" --snapshot "$tmp/sa.snap" 2>/dev/null)
+  [ $? -eq 0 ] || fail "attribute delete script exited non-zero ($flags)"
+  [ "$out" = "$(printf 'A-101\nA-102')" ] || fail "a deleted attribute must not answer its query ($flags, got: $out)"
+  out=$("$XSM" recover "$tmp/sa.snap" --wal "$tmp/wa.wal" $flags --query //product/@sku 2>/dev/null)
+  [ "$out" = "$(printf 'A-101\nA-102')" ] || fail "WAL replay must delete the attribute ($flags, got: $out)"
+done
 
 "$XSM" load "$tmp/doc.xml" --crash-after 1 >/dev/null 2>&1
 [ $? -eq 2 ] || fail "load --crash-after without --wal must exit 2"

@@ -476,8 +476,68 @@ let stats_law seed =
   done;
   true
 
+(* ---------------- the build ---------------- *)
+
+(* A library with an attribute on every book: the build's labels are
+   exactly the document-order labelling of the tree ({!Labeler.label_tree},
+   attributes ahead of children), every extent is in document order,
+   and path nodes are numbered in first-encounter pre-order. *)
+let library_with_ids books =
+  let store = Store.create () in
+  let doc = Xsm_schema.Samples.library_document ~books ~papers:(books / 4) () in
+  let dnode = Convert.load store doc in
+  let library = List.hd (Store.children store dnode) in
+  List.iteri
+    (fun i book ->
+      Store.attach_attribute store book
+        (Store.new_attribute store (Name.local "id") (Printf.sprintf "b%d" i)))
+    (Store.children store library);
+  (store, dnode)
+
+let test_build_labels () =
+  let store, dnode = library_with_ids 12 in
+  let idx = Pl.PI.build store dnode in
+  let labels = Xsm_numbering.Labeler.label_tree store dnode in
+  let nodes = Store.descendants_or_self store dnode in
+  check_int "every node indexed" (List.length nodes) (Pl.PI.entry_count idx);
+  List.iter
+    (fun n ->
+      match Pl.PI.locate idx store n with
+      | None -> Alcotest.fail "a node is not indexed"
+      | Some (pn, l) ->
+        check "label = the document-order labelling" true
+          (Label.equal l (Xsm_numbering.Labeler.label labels n));
+        check "the node is in its path's extent" true (Extent.mem (Pl.PI.extent pn) l))
+    nodes;
+  let rec pre acc pn = List.fold_left pre (Pl.PI.id pn :: acc) (Pl.PI.children idx pn) in
+  check_nodes "pnode ids in first-encounter pre-order"
+    (List.init (Pl.PI.pnode_count idx) Fun.id)
+    (List.rev (pre [] (Pl.PI.root idx)));
+  for pid = 0 to Pl.PI.pnode_count idx - 1 do
+    let ls = List.map (fun (e : _ Extent.entry) -> e.Extent.label) (Extent.entries (Pl.PI.extent (Pl.PI.pnode idx pid))) in
+    check "extent in document order" true (List.sort Label.compare ls = ls)
+  done
+
+(* What a build allocates per indexed node — its extent entry, its id
+   table slots, its label — on a 400-book library: 30 words is the
+   ceiling. *)
+let test_build_words_per_node () =
+  let store, dnode = library_with_ids 400 in
+  let nodes = float_of_int (Store.subtree_size store dnode) in
+  ignore (Pl.PI.build store dnode);
+  let w0 = Gc.minor_words () in
+  let idx = Pl.PI.build store dnode in
+  let per_node = (Gc.minor_words () -. w0) /. nodes in
+  ignore (Sys.opaque_identity idx);
+  if per_node > 30. then Alcotest.failf "%.1f minor words per node, ceiling 30" per_node
+
 let suite =
   [
+    ( "index.build",
+      [
+        Alcotest.test_case "labels and pnode ids" `Quick test_build_labels;
+        Alcotest.test_case "at most 30 words per node" `Quick test_build_words_per_node;
+      ] );
     ( "index.extent",
       [
         Alcotest.test_case "structural joins" `Quick test_extent_joins;

@@ -141,6 +141,161 @@ let snapshot_roundtrip_law seed =
      | None -> false
      | Some l -> Labeler.label_count l = Labeler.label_count labels
 
+(* The decoder is the encoder's inverse on its own output, byte for
+   byte, over generated corpora: labelled or not, typed by validation
+   (the annotations of [xsm snapshot --schema], non-default type
+   names) or not, with nil flags and with a base URI. *)
+let snapshot_bytes_law seed =
+  let rng = Gen.rng seed in
+  let schema = Gen.random_schema ~max_depth:3 rng in
+  let doc = Gen.instance rng schema in
+  let doc = if seed land 4 = 0 then doc else { doc with Tree.base_uri = Some "file:///corpus.xml" } in
+  let store = Store.create () in
+  let root =
+    if seed land 2 = 0 then Convert.load store doc
+    else
+      match Xsm_schema.Validator.validate_document ~store doc schema with
+      | Ok (_, root) -> root
+      | Error _ -> Alcotest.failf "seed %d: a generated instance did not validate" seed
+  in
+  List.iteri
+    (fun i n -> if i mod 3 = seed mod 3 then Store.set_nilled store n true)
+    (nodes_of_kind store root Store.Kind.Element);
+  let labels = if seed land 1 = 0 then None else Some (Labeler.label_tree store root) in
+  let bytes = ok (Snapshot.encode ~schema_ref:"corpus.xsd" ?labels store root) in
+  let store', root', labels', _ = ok (Snapshot.decode bytes) in
+  ok (Snapshot.encode ~schema_ref:"corpus.xsd" ?labels:labels' store' root') = bytes
+
+(* Hand-written snapshot bodies, sealed with the magic and a CRC, for
+   the corrupt inputs a CRC cannot catch.  A node record: kind, name,
+   base URI, type name, nil flag, content, label when labelled, then
+   the attributes and the children. *)
+let sealed ~labelled root =
+  let body = Xsm_persist.Wire.W.create () in
+  Xsm_persist.Wire.W.varint body 1;
+  Xsm_persist.Wire.W.opt_string body None;
+  Xsm_persist.Wire.W.bool body labelled;
+  Xsm_persist.Wire.W.varint body 2;
+  root body;
+  let body = Xsm_persist.Wire.W.contents body in
+  let crc = Xsm_persist.Wire.W.create () in
+  Xsm_persist.Wire.W.fixed32 crc (Xsm_persist.Wire.crc32 body);
+  "XSMSNAP\x01" ^ body ^ Xsm_persist.Wire.W.contents crc
+
+let raw_node ?(kind = 1) ?name ?label ?(attributes = []) ?(children = []) w =
+  let module W = Xsm_persist.Wire.W in
+  W.byte w kind;
+  (match name with
+  | None -> W.byte w 0
+  | Some n ->
+    W.byte w 1;
+    W.string w n);
+  W.opt_string w None;
+  W.opt_string w None;
+  W.byte w 1;
+  W.string w (if kind = 2 || kind = 3 then "v" else "");
+  Option.iter (W.string w) label;
+  W.varint w (List.length attributes);
+  List.iter (fun f -> f w) attributes;
+  W.varint w (List.length children);
+  List.iter (fun f -> f w) children
+
+(* The corrupt-input messages are the decoder's contract, pinned
+   here; a shape error (an attribute in a child position) is an
+   [Error] too, never an exception. *)
+let test_snapshot_corrupt_messages () =
+  let store, root = library () in
+  let good = ok (Snapshot.encode store root) in
+  let flip s i =
+    let b = Bytes.of_string s in
+    Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x5a));
+    Bytes.to_string b
+  in
+  let with_garbage =
+    (* a whole root record, then one byte more, under a valid CRC *)
+    sealed ~labelled:false (fun w ->
+        raw_node ~name:"a" w;
+        Xsm_persist.Wire.W.byte w 7)
+  in
+  List.iter
+    (fun (what, bytes, expected) ->
+      match Snapshot.decode bytes with
+      | Ok _ -> Alcotest.failf "%s: decoded" what
+      | Error e -> Alcotest.(check string) what expected e)
+    [
+      ("bad QName", sealed ~labelled:false (raw_node ~name:"a:b:c"), "snapshot: bad QName \"a:b:c\": name \"a:b:c\" has two colons");
+      ( "bad label",
+        sealed ~labelled:true (raw_node ~name:"a" ~label:"\x80\x01\x01\x80"),
+        "snapshot: bad numbering label: malformed label" );
+      ("element without a name", sealed ~labelled:false (raw_node ~kind:1), "snapshot: element without a name");
+      ("CRC mismatch", flip good (String.length good / 2), "snapshot: CRC mismatch (torn or corrupted file)");
+      ("trailing garbage", with_garbage, "snapshot: trailing garbage in body");
+      ( "attribute in a child position",
+        sealed ~labelled:false
+          (raw_node ~name:"a" ~children:[ raw_node ~kind:2 ~name:"x" ]),
+        "snapshot: adopt: an attribute node in a child position" );
+    ]
+
+(* What a decode allocates per node of a labelled 400-book library:
+   the node, its child-list cell, its content and its label — each
+   distinct QName is validated and boxed once per decode, and the
+   labels go straight into a table sized from the header.  40 words
+   is the ceiling. *)
+let test_snapshot_decode_words_per_node () =
+  let store = Store.create () in
+  let root =
+    Convert.load store (Xsm_schema.Samples.library_document ~books:400 ~papers:100 ())
+  in
+  let labels = Labeler.label_tree store root in
+  let bytes = ok (Snapshot.encode ~labels store root) in
+  let nodes = float_of_int (Store.subtree_size store root) in
+  ignore (Snapshot.decode bytes);
+  let w0 = Gc.minor_words () in
+  let decoded = Snapshot.decode bytes in
+  let per_node = (Gc.minor_words () -. w0) /. nodes in
+  ignore (Sys.opaque_identity decoded);
+  if per_node > 40. then Alcotest.failf "%.1f minor words per node, ceiling 40" per_node
+
+(* Replay cost per appended record does not grow with the records
+   before it: an append under one parent neither copies nor walks the
+   sibling list.  The words per record of 16 000 appends under the
+   root stay within 10% of those of 2 000. *)
+let test_replay_words_flat () =
+  let words_per_record n =
+    let snapshot = tmp ".snap" and wal = tmp ".wal" in
+    Fun.protect
+      ~finally:(fun () -> cleanup [ snapshot; wal ])
+      (fun () ->
+        let store = Store.create () in
+        let root = Convert.load store (Tree.document (Tree.elem "doc")) in
+        ignore (ok (Snapshot.save ~path:snapshot store root));
+        let w = ok_wal (Wal.Writer.create ~sync_every:max_int wal) in
+        for i = 0 to n - 1 do
+          Wal.Writer.append w
+            (Wal.Insert_element
+               {
+                 parent = [ 0 ];
+                 index = i;
+                 fragment =
+                   Tree.elem "rec"
+                     ~attrs:[ Tree.attr "id" (Printf.sprintf "r%d" i) ]
+                     ~children:[ Tree.element (Tree.elem "k" ~children:[ Tree.text "v" ]) ];
+               })
+        done;
+        Wal.Writer.close w;
+        let store, root, _, _ = ok (Snapshot.load ~path:snapshot) in
+        let w0 = Gc.minor_words () in
+        let stats = ok_rec (Recovery.replay_wal store ~root wal) in
+        let words = Gc.minor_words () -. w0 in
+        Alcotest.(check int) "every record replayed" n stats.Recovery.replayed;
+        Alcotest.(check int) "every record under the root" n
+          (List.length (Store.children store (List.hd (Store.children store root))));
+        words /. float_of_int n)
+  in
+  let small = words_per_record 2_000 and large = words_per_record 16_000 in
+  if large > 1.1 *. small then
+    Alcotest.failf "%.0f words per record at 16 000 appends, %.0f at 2 000" large small
+
 (* ------------------------------------------------------------------ *)
 (* A deterministic op fixture over the library sample.  Each op is a
    thunk computed against the *current* state, so the same list drives
@@ -625,7 +780,14 @@ let suite =
           test_crash_recovery_all_points;
         Alcotest.test_case "journal: independent cursors" `Quick test_journal_cursors;
         Alcotest.test_case "journal: late subscriber" `Quick test_journal_late_cursor;
+        Alcotest.test_case "snapshot corrupt inputs: pinned errors" `Quick
+          test_snapshot_corrupt_messages;
+        Alcotest.test_case "snapshot decode: at most 40 words per node" `Quick
+          test_snapshot_decode_words_per_node;
+        Alcotest.test_case "wal replay: words per append flat to 16 000" `Quick
+          test_replay_words_flat;
         to_alco "snapshot round-trip law (generated corpora)" snapshot_roundtrip_law;
+        to_alco "snapshot decode = encode's inverse, byte for byte" snapshot_bytes_law;
         to_alco ~count:40 "wal prefix-replay law (random update sequences)" wal_prefix_law;
       ] );
   ]

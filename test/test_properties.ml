@@ -445,10 +445,11 @@ let update_sequence_law seed =
 
 (* The update generator the maintenance laws share: random inserts
    (a book subtree, a text, an empty element) appended or placed
-   before a random child, deletes of non-document elements, content
-   replacement, and attribute attach or replace — so inserted nodes
-   land first under a leaf, before the first child (an attribute
-   ahead of children), between two siblings, and after the last. *)
+   before a random child, deletes of non-document elements and of
+   attributes, content replacement, and attribute attach or replace —
+   so inserted nodes land first under a leaf, before the first child
+   (an attribute ahead of children), between two siblings, and after
+   the last. *)
 let random_update r store dnode step =
   let int = Xsm_schema.Generator.int in
   let module U = Xsm_schema.Update in
@@ -492,6 +493,7 @@ let random_update r store dnode step =
     let parent = pick elements in
     U.Insert_element { parent; before = before parent; tree = Xsm_xml.Tree.elem "e" }
   | 3 -> (
+    let attributes = List.filter (fun n -> Store.kind store n = Store.Kind.Attribute) nodes in
     match
       List.filter
         (fun n ->
@@ -500,6 +502,7 @@ let random_update r store dnode step =
           | None -> false)
         elements
     with
+    | _ when attributes <> [] && int r 2 = 0 -> U.Delete (pick attributes)
     | [] -> attr ()
     | sub -> U.Delete (pick sub))
   | 4 -> (

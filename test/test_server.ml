@@ -502,8 +502,8 @@ let oracle_doc =
   "<library><book id=\"b1\"><title>One</title></book><book id=\"b2\"><title>Two</title></book></library>"
 
 (* every update kind — a fragment with mixed content and a comment, a
-   text node next to another, a new and a replaced attribute — plus
-   refused updates *)
+   text node next to another, a new and a replaced attribute, deleted
+   attributes (the queries read them after) — plus refused updates *)
 let oracle_updates =
   [
     "insert /library <book id=\"b3\"><title>Three</title><note>a<i>b</i>c<!-- x -->d</note></book>";
@@ -519,6 +519,8 @@ let oracle_updates =
     "delete //nothing";
     "insert /library <paper/>";
     "insert-text /library/paper first";
+    "delete /library/book[1]/@id";
+    "delete //@lang";
   ]
 
 let oracle_queries =
