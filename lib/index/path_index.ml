@@ -33,17 +33,31 @@ module Make (N : NAV) = struct
     mutable pnodes : pnode array;
     mutable size : int;
     (* instance id -> pnode id (-1: not indexed) and label.  The ids
-       of the built tree are dense ({!N.id}), so two arrays sized by
-       the build hold them without boxing a pair per node; nodes
-       indexed later, whose ids keep growing while their number
-       stays small, go to [later]. *)
-    pid_of : int array;
-    label_of : Label.t array;
+       of the built tree are dense ({!N.id}), so two arrays, doubled
+       as the build meets larger ids, hold them without boxing a pair
+       per node; ids past them, met after the build, whose number
+       stays small while their values keep growing, go to [later]. *)
+    mutable pid_of : int array;
+    mutable label_of : Label.t array;
     later : (int, int * Label.t) Hashtbl.t;
   }
 
   let get t i = t.pnodes.(i)
   let built t id = id < Array.length t.pid_of
+
+  (* the build's bind: the arrays grow to take every id *)
+  let bind_built t id pid label =
+    let n = Array.length t.pid_of in
+    if id >= n then begin
+      let cap = max (2 * n) (id + 1) in
+      let pid_of = Array.make cap (-1) and label_of = Array.make cap Label.root in
+      Array.blit t.pid_of 0 pid_of 0 n;
+      Array.blit t.label_of 0 label_of 0 n;
+      t.pid_of <- pid_of;
+      t.label_of <- label_of
+    end;
+    t.pid_of.(id) <- pid;
+    t.label_of.(id) <- label
 
   let indexed t id = if built t id then t.pid_of.(id) >= 0 else Hashtbl.mem t.later id
 
@@ -92,25 +106,13 @@ module Make (N : NAV) = struct
 
   let find_or_add t parent kind name = find_or_add_in t parent kind name parent.rev_child_ids
 
-  (* the largest instance id of the tree, found without allocating:
-     the id tables are sized once *)
-  let rec max_id backend node =
-    max_all backend
-      (max_all backend (N.id backend node) (N.attributes backend node))
-      (N.children backend node)
-
-  and max_all backend acc = function
-    | [] -> acc
-    | c :: cs -> max_all backend (max acc (max_id backend c)) cs
-
   let build backend rootn =
-    let ids = max_id backend rootn + 1 in
     let t =
       {
         pnodes = [||];
         size = 0;
-        pid_of = Array.make ids (-1);
-        label_of = Array.make ids Label.root;
+        pid_of = Array.make 256 (-1);
+        label_of = Array.make 256 Label.root;
         later = Hashtbl.create 16;
       }
     in
@@ -120,7 +122,7 @@ module Make (N : NAV) = struct
        list *)
     let rec go node pn label =
       pn.rev_entries <- { Extent.label; node } :: pn.rev_entries;
-      bind t (N.id backend node) pn.pid label;
+      bind_built t (N.id backend node) pn.pid label;
       let attributes = N.attributes backend node and children = N.children backend node in
       match attributes, children with
       | [], [] -> ()

@@ -1,18 +1,14 @@
 module Store = Xsm_xdm.Store
 
 (* node -> label, sized for a tree up front where its size is known
-   (a snapshot's header); the reverse direction is a scan
-   ({!node_of}): no runtime path asks for it, so no second table is
-   kept up to date *)
+   (a snapshot's header).  No runtime path looks a node up by its
+   label, so no reverse table is kept up to date. *)
 type t = (Store.node, Sedna_label.t) Hashtbl.t
 
 let create n = Hashtbl.create (max 16 n)
 let set t node l = Hashtbl.replace t node l
 let label t node = Hashtbl.find t node
 let label_opt t node = Hashtbl.find_opt t node
-
-let node_of t l =
-  Hashtbl.fold (fun node l' found -> if Sedna_label.equal l l' then Some node else found) t None
 
 let label_count t = Hashtbl.length t
 let max_label_bytes t = Hashtbl.fold (fun _ l acc -> max acc (Sedna_label.length l)) t 0

@@ -22,9 +22,6 @@ val label : t -> Xsm_xdm.Store.node -> Sedna_label.t
 
 val label_opt : t -> Xsm_xdm.Store.node -> Sedna_label.t option
 
-val node_of : t -> Sedna_label.t -> Xsm_xdm.Store.node option
-(** Reverse lookup: a scan of the table, for tests and diagnostics. *)
-
 val label_count : t -> int
 val max_label_bytes : t -> int
 

@@ -47,62 +47,20 @@ module R = struct
   let name r = parse_name (string r)
 
   (* QNames a reader has met, keyed by their bytes: each distinct name
-     is copied, validated and boxed once, and every later occurrence
-     is a lookup that allocates nothing.  Chained buckets, doubled
-     when they average two entries. *)
-  type names = {
-    mutable buckets : (string * Xsm_xml.Name.t option) list array;
-    mutable count : int;
-  }
+     is copied, validated and boxed once *)
+  type names = Xsm_xml.Name.t option Xsm_xml.Name_table.t
 
-  let names () = { buckets = Array.make 32 []; count = 0 }
-
-  let hash_bytes s pos len =
-    let h = ref 0 in
-    for i = pos to pos + len - 1 do
-      h := (!h * 31) + Char.code (String.unsafe_get s i)
-    done;
-    !h land max_int
-
-  let rec same_from k s pos len i =
-    i = len || (String.unsafe_get k i = String.unsafe_get s (pos + i) && same_from k s pos len (i + 1))
-
-  let same_bytes k s pos len = String.length k = len && same_from k s pos len 0
-
-  (* the bucket's box for the name, or [None] when it is not there
-     (every stored box is a [Some]) *)
-  let rec lookup s pos len = function
-    | [] -> None
-    | (k, boxed) :: rest -> if same_bytes k s pos len then boxed else lookup s pos len rest
-
-  let grow names =
-    let old = names.buckets in
-    let size = 2 * Array.length old in
-    let buckets = Array.make size [] in
-    Array.iter
-      (List.iter (fun ((k, _) as entry) ->
-           let b = hash_bytes k 0 (String.length k) land (size - 1) in
-           buckets.(b) <- entry :: buckets.(b)))
-      old;
-    names.buckets <- buckets
+  let boxed _raw name = Some name
+  let names () = Xsm_xml.Name_table.create boxed
 
   let interned names r =
     let len = string_len r in
     let pos = r.pos in
-    let h = hash_bytes r.s pos len in
-    let bucket = h land (Array.length names.buckets - 1) in
-    match lookup r.s pos len names.buckets.(bucket) with
-    | Some _ as boxed ->
+    match Xsm_xml.Name_table.find names (Bytes.unsafe_of_string r.s) pos len with
+    | boxed ->
       r.pos <- pos + len;
       boxed
-    | None ->
-      let k = String.sub r.s pos len in
-      r.pos <- pos + len;
-      let boxed = Some (parse_name k) in
-      names.buckets.(bucket) <- (k, boxed) :: names.buckets.(bucket);
-      names.count <- names.count + 1;
-      if names.count > 2 * Array.length names.buckets then grow names;
-      boxed
+    | exception Xsm_xml.Name_table.Malformed (raw, why) -> corrupt "bad QName %S: %s" raw why
 
   let opt_name names r =
     match byte r with

@@ -1,20 +1,8 @@
 module Tree = Xsm_xml.Tree
 
-(* the child list has nothing to merge or drop: no comment or PI, no
-   empty text, no two text pieces in a row *)
-let rec one_to_one after_text = function
-  | [] -> true
-  | (Tree.Text s | Tree.Cdata s) :: rest -> s <> "" && (not after_text) && one_to_one true rest
-  | Tree.Element _ :: rest -> one_to_one false rest
-  | (Tree.Comment _ | Tree.Pi _) :: _ -> false
-
-let[@tail_mod_cons] rec runs_of = function
-  | [] -> []
-  | Tree.Element e :: rest -> `Elem e :: runs_of rest
-  | (Tree.Text s | Tree.Cdata s) :: rest -> `Text s :: runs_of rest
-  | (Tree.Comment _ | Tree.Pi _) :: rest -> runs_of rest
-
-let merged_runs children =
+(* Merge adjacent text/CDATA children into single non-empty strings,
+   dropping comments and PIs — the §8 normalization baked into f. *)
+let text_runs children =
   let flush buf acc =
     if Buffer.length buf = 0 then acc
     else begin
@@ -36,12 +24,6 @@ let merged_runs children =
       [] children
   in
   List.rev (flush buf acc)
-
-(* Merge adjacent text/CDATA children into single non-empty strings,
-   dropping comments and PIs — the §8 normalization baked into f.  A
-   list with nothing to merge or drop, the common case, maps one to
-   one without a buffer. *)
-let text_runs children = if one_to_one false children then runs_of children else merged_runs children
 
 (* every node of a loaded document carries the document's base URI *)
 let rec load_element_under store ?base_uri (e : Tree.element) =

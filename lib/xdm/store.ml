@@ -156,21 +156,40 @@ let set_listed d children =
   d.children <- children;
   d.kids <- no_kids
 
+(* The §6.1 shape rules, stated once for every linking path: the rule
+   a link would break, or [None].  [empty] says the parent has no
+   child yet.  They are top-level functions of their arguments, so
+   checking a link allocates nothing. *)
+let child_rule ~parent ~child ~empty =
+  match parent, child with
+  | (Kind.Attribute | Kind.Text), _ -> Some "attribute and text nodes have no children"
+  | _, Kind.Document -> Some "a document node cannot be a child"
+  | _, Kind.Attribute -> Some "an attribute node cannot be a child"
+  | Kind.Document, Kind.Text -> Some "a document child must be an element"
+  | Kind.Document, Kind.Element when not empty -> Some "a document node has exactly one element child"
+  | (Kind.Document | Kind.Element), (Kind.Element | Kind.Text) -> None
+
+let attribute_rule ~owner ~attribute =
+  match owner, attribute with
+  | (Kind.Document | Kind.Attribute | Kind.Text), _ -> Some "owner must be an element"
+  | Kind.Element, (Kind.Document | Kind.Element | Kind.Text) -> Some "node is not an attribute"
+  | Kind.Element, Kind.Attribute -> None
+
+let same_name a b =
+  match a, b with
+  | Some m, Some n -> m == n || Xsm_xml.Name.equal m n
+  | _ -> false
+
+(* an attribute among [attributes] is named [name] *)
+let rec has_named store name = function
+  | [] -> false
+  | a :: rest -> same_name (get store a).name name || has_named store name rest
+
+let broken what = function None -> () | Some rule -> invalid_arg (what ^ ": " ^ rule)
+
 let check_can_have_children store parent child =
   let pd = get store parent and cd = get store child in
-  (match pd.kind with
-  | Kind.Document | Kind.Element -> ()
-  | Kind.Attribute | Kind.Text ->
-    invalid_arg "append_child: attribute and text nodes have no children");
-  (match cd.kind with
-  | Kind.Element | Kind.Text -> ()
-  | Kind.Document -> invalid_arg "append_child: a document node cannot be a child"
-  | Kind.Attribute -> invalid_arg "append_child: use attach_attribute for attributes");
-  (match pd.kind, cd.kind with
-  | Kind.Document, Kind.Text -> invalid_arg "append_child: a document child must be an element"
-  | Kind.Document, Kind.Element when pd.children <> [] ->
-    invalid_arg "append_child: a document node has exactly one element child"
-  | _ -> ());
+  broken "append_child" (child_rule ~parent:pd.kind ~child:cd.kind ~empty:(pd.children = []));
   if cd.parent <> None then invalid_arg "append_child: node already has a parent";
   (pd, cd)
 
@@ -199,17 +218,11 @@ let remove_child store parent child =
   set_listed pd (List.filter (fun c -> c <> child) (listed pd));
   cd.parent <- None
 
-let same_name a b =
-  match a, b with
-  | Some m, Some n -> m == n || Xsm_xml.Name.equal m n
-  | _ -> false
-
 let attach_attribute ?before store element attribute =
   let ed = get store element and ad = get store attribute in
-  if ed.kind <> Kind.Element then invalid_arg "attach_attribute: owner must be an element";
-  if ad.kind <> Kind.Attribute then invalid_arg "attach_attribute: node is not an attribute";
+  broken "attach_attribute" (attribute_rule ~owner:ed.kind ~attribute:ad.kind);
   if ad.parent <> None then invalid_arg "attach_attribute: attribute already attached";
-  if List.exists (fun a -> same_name (get store a).name ad.name) ed.attributes then
+  if has_named store ad.name ed.attributes then
     invalid_arg "attach_attribute: duplicate attribute name";
   ad.parent <- Some element;
   if ad.base_uri = None then ad.base_uri <- ed.base_uri;
@@ -228,43 +241,31 @@ let detach_attribute store element attribute =
   ad.parent <- None
 
 (* The bulk builders' one linking step: each node is checked once
-   against its new owner, and the given lists become the owner's own —
-   no per-child copy of the sibling list.  Base URIs are the
-   builder's: each node was created with its own.  The checks are
-   top-level functions of their arguments, so linking allocates no
-   closure, and the owner's nodes share one parent box. *)
-let take store owner what c =
-  let cd = get store c in
+   against its new owner by the rules above, and the given lists
+   become the owner's own — no per-child copy of the sibling list.
+   Base URIs are the builder's: each node was created with its own.
+   An attribute's name is checked against those after it, and the
+   owner's nodes share one parent box. *)
+let take owner what cd =
   if cd.parent <> None then invalid_arg ("adopt: the " ^ what ^ " already has a parent");
-  cd.parent <- owner;
-  cd
+  cd.parent <- owner
 
-let rec named_before name = function
-  | [] -> false
-  | (ad : data) :: rest -> same_name ad.name name || named_before name rest
-
-let rec adopt_attributes store owner seen = function
+let rec adopt_attributes store owner od = function
   | [] -> ()
   | a :: rest ->
-    let ad = take store owner "attribute" a in
-    if ad.kind <> Kind.Attribute then
-      invalid_arg "adopt: an attribute position holds another kind of node";
-    if named_before ad.name seen then invalid_arg "adopt: duplicate attribute name";
-    adopt_attributes store owner (ad :: seen) rest
+    let ad = get store a in
+    broken "adopt" (attribute_rule ~owner:od.kind ~attribute:ad.kind);
+    if has_named store ad.name rest then invalid_arg "adopt: duplicate attribute name";
+    take owner "attribute" ad;
+    adopt_attributes store owner od rest
 
-let rec adopt_children store owner od count = function
+let rec adopt_children store owner od empty = function
   | [] -> ()
   | c :: rest ->
-    let cd = take store owner "child" c in
-    (match od.kind, cd.kind with
-    | (Kind.Attribute | Kind.Text), _ -> invalid_arg "adopt: only a document or element has children"
-    | _, Kind.Attribute -> invalid_arg "adopt: an attribute node in a child position"
-    | _, Kind.Document -> invalid_arg "adopt: a document node cannot be a child"
-    | Kind.Document, Kind.Text -> invalid_arg "adopt: a document child must be an element"
-    | Kind.Document, Kind.Element when count > 0 ->
-      invalid_arg "adopt: a document node has exactly one element child"
-    | (Kind.Document | Kind.Element), (Kind.Element | Kind.Text) -> ());
-    adopt_children store owner od (count + 1) rest
+    let cd = get store c in
+    broken "adopt" (child_rule ~parent:od.kind ~child:cd.kind ~empty);
+    take owner "child" cd;
+    adopt_children store owner od false rest
 
 let adopt store node ~attributes ~children =
   let d = get store node in
@@ -273,13 +274,12 @@ let adopt store node ~attributes ~children =
   (match attributes with
   | [] -> ()
   | _ ->
-    if d.kind <> Kind.Element then invalid_arg "adopt: only an element has attributes";
-    adopt_attributes store node [] attributes;
+    adopt_attributes store node d attributes;
     d.attributes <- attributes);
   match children with
   | [] -> ()
   | _ ->
-    adopt_children store node d 0 children;
+    adopt_children store node d true children;
     d.children <- children
 
 let set_nilled store n b =

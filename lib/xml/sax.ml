@@ -41,8 +41,7 @@ type t = {
   mutable col : int;
   scratch : Buffer.t;  (* tokens that straddle a refill, and decoded runs *)
   ebuf : Buffer.t;  (* reused entity-body accumulator *)
-  mutable names : entry array;  (* intern table, open addressing on the bytes *)
-  mutable n_names : int;
+  names : entry Name_table.t;
   mutable stack : entry list;  (* open elements, innermost first *)
   mutable tag_attrs : entry list;  (* attr names of the current start tag *)
   mutable in_tag : bool;
@@ -58,8 +57,7 @@ type t = {
 (* enough lookahead for the longest fixed token ("<![CDATA[", "<!DOCTYPE") *)
 let min_chunk = 16
 
-(* the empty slot of the intern table; no name is written "" *)
-let no_entry = { raw = ""; name = Name.local ""; start_ev = None; end_ev = None }
+let entry raw name = { raw; name; start_ev = Some (Start_element name); end_ev = Some (End_element name) }
 
 let of_function ?(chunk_size = 65536) refill =
   (* XML 1.0 §2.11 end-of-line normalization, applied to the raw byte
@@ -121,8 +119,7 @@ let of_function ?(chunk_size = 65536) refill =
     col = 1;
     scratch = Buffer.create 256;
     ebuf = Buffer.create 16;
-    names = Array.make 64 no_entry;
-    n_names = 0;
+    names = Name_table.create entry;
     stack = [];
     tag_attrs = [];
     in_tag = false;
@@ -268,55 +265,13 @@ let scan_name b i stop =
   done;
   !i
 
-let hash_bytes b off len =
-  let h = ref len in
-  for i = off to off + len - 1 do
-    h := (!h * 31) + Char.code (Bytes.unsafe_get b i)
-  done;
-  !h land max_int
-
-let grow_names t =
-  let old = t.names in
-  let names = Array.make (2 * Array.length old) no_entry in
-  let mask = Array.length names - 1 in
-  Array.iter
-    (fun e ->
-      if e != no_entry then begin
-        let b = Bytes.unsafe_of_string e.raw in
-        let i = ref (hash_bytes b 0 (Bytes.length b) land mask) in
-        while names.(!i) != no_entry do
-          i := (!i + 1) land mask
-        done;
-        names.(!i) <- e
-      end)
-    old;
-  t.names <- names
-
-(* The entry for the name written in [b] at [off, off+len): a probe
-   keyed on the bytes, which allocates only the first time a name is
-   seen.  A malformed name fails at the cursor, just past it. *)
+(* The entry for the name written in [b] at [off, off+len), which
+   allocates only the first time a name is seen.  A malformed name
+   fails at the cursor, just past it. *)
 let intern t b off len =
-  let names = t.names in
-  let mask = Array.length names - 1 in
-  let i = ref (hash_bytes b off len land mask) in
-  while
-    let e = Array.unsafe_get names !i in
-    e != no_entry && not (String.length e.raw = len && bytes_match b off (off + len) e.raw)
-  do
-    i := (!i + 1) land mask
-  done;
-  let e = Array.unsafe_get names !i in
-  if e != no_entry then e
-  else
-    let raw = Bytes.sub_string b off len in
-    match Name.of_string raw with
-    | Error e -> fail t "%s" e
-    | Ok name ->
-      let e = { raw; name; start_ev = Some (Start_element name); end_ev = Some (End_element name) } in
-      names.(!i) <- e;
-      t.n_names <- t.n_names + 1;
-      if 2 * t.n_names > Array.length names then grow_names t;
-      e
+  match Name_table.find t.names b off len with
+  | e -> e
+  | exception Name_table.Malformed (_, why) -> fail t "%s" why
 
 let lex_name t =
   let p0 = t.pos in

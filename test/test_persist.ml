@@ -233,7 +233,7 @@ let test_snapshot_corrupt_messages () =
       ( "attribute in a child position",
         sealed ~labelled:false
           (raw_node ~name:"a" ~children:[ raw_node ~kind:2 ~name:"x" ]),
-        "snapshot: adopt: an attribute node in a child position" );
+        "snapshot: adopt: an attribute node cannot be a child" );
     ]
 
 (* What a decode allocates per node of a labelled 400-book library:
