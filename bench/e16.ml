@@ -18,7 +18,7 @@ module Validator = Xsm_schema.Validator
 module Store = Xsm_xdm.Store
 module Convert = Xsm_xdm.Convert
 module Bs = Xsm_storage.Block_storage
-module Sax = Xsm_stream.Sax
+module Sax = Xsm_xml.Sax
 module SV = Xsm_stream.Stream_validator
 module BL = Xsm_stream.Bulk_load
 

@@ -27,7 +27,7 @@ module Bs = Xsm_storage.Block_storage
 module Schema = Xsm_storage.Descriptive_schema
 module Pager = Xsm_pager.Pager
 module Page_file = Xsm_pager.Page_file
-module Sax = Xsm_stream.Sax
+module Sax = Xsm_xml.Sax
 module BL = Xsm_stream.Bulk_load
 
 let pool_capacity = 48

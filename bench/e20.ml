@@ -1,24 +1,27 @@
-(* E20: the price of always-on observability.
+(* E20: the price of observability under serve load.
 
-   The daemon ships with its observability layer unconditionally on:
-   every request leaves a digest in the flight recorder, tracing is
-   enabled (bounded ring) so request/phase spans are recorded, GC
-   gauges are sampled at batch boundaries.  The claim this experiment
-   defends is that the whole layer is cheap enough to never turn off —
-   under 5% of loopback serve throughput.
+   The daemon ships with part of its observability layer
+   unconditionally on: every request leaves a digest in the flight
+   recorder and GC gauges are sampled at batch boundaries.  Spans are
+   recorded only for requests that carry a trace context, or for every
+   request when the process runs as [xsm serve --trace FILE].  The
+   claim this experiment defends is that even whole-process tracing
+   costs under 5% of loopback serve throughput.
 
    Method: one in-process server per variant (same document, same
    workload, one closed-loop client over the Unix socket, 90% indexed
    queries / 10% updates), measured as end-to-end requests per second,
    best of [trials] runs per variant:
 
-   - {b obs on}: the shipped default — tracing enabled, flight
-     digests, runtime sampling, estimate-vs-actual on every planner
-     digest.
-   - {b obs off}: tracing disabled after boot.  The flight recorder
-     has no off switch by design, so this variant prices the span
-     layer on top of the always-on digest floor; the digest floor
-     itself is priced separately below as ns/record.
+   - {b obs on}: whole-process tracing, what [--trace] does — every
+     request's root, phase and planner spans recorded, a superset of
+     what a traced request records — plus flight digests, runtime
+     sampling, estimate-vs-actual on every planner digest.
+   - {b obs off}: no spans, the daemon's default for untraced
+     requests.  The flight recorder has no off switch by design, so
+     this variant prices the span layer on top of the always-on
+     digest floor; the digest floor itself is priced separately below
+     as ns/record.
 
    Also reported: the micro-cost of one flight-recorder record and of
    rendering the full registry as OpenMetrics text (what a scrape
@@ -75,8 +78,9 @@ let with_server ~obs f =
       ()
   in
   Semaphore.Binary.acquire ready;
-  (* [create] enables tracing (the daemon default); the baseline
-     variant switches it off for the duration of its load *)
+  (* [create] leaves the switch alone: the traced variant turns
+     tracing on for the whole process, as [--trace] does, and the
+     baseline makes sure it is off *)
   if obs then Xsm_obs.Obs.enable () else Xsm_obs.Obs.disable ();
   let result = f sock in
   Server.request_stop srv;

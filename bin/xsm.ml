@@ -57,6 +57,7 @@ module Json = Xsm_obs.Json
 module Obs = Xsm_obs.Obs
 module Trace = Xsm_obs.Trace
 module Metrics = Xsm_obs.Metrics
+module Sax = Xsm_xml.Sax
 
 let read_file path =
   let ic = open_in_bin path in
@@ -412,7 +413,7 @@ let validate_cmd =
     let schema = Compiled.schema automata in
     if stream then
       with_doc_channel doc_path (fun ic ->
-          match Sv.run ~automata schema (Xsm_stream.Sax.of_channel ic) with
+          match Sv.run ~automata schema (Sax.of_channel ic) with
           | Ok stats ->
             Printf.printf "valid (%d elements, depth %d%s)\n" stats.Sv.elements stats.Sv.max_depth
               (if stats.Sv.fallback_steps = 0 then ""
@@ -500,14 +501,14 @@ let load_cmd =
     let storage, lstats =
       guard (fun () ->
           with_doc_channel doc_path (fun ic ->
-              let sax = S.Sax.of_channel ic in
+              let sax = Sax.of_channel ic in
               let rec loop () =
-                match S.Sax.next sax with
+                match Sax.next sax with
                 | None -> ()
                 | Some ev ->
                   S.Bulk_load.feed bl ev;
                   Option.iter
-                    (fun v -> S.Stream_validator.feed v ev (S.Sax.event_position sax))
+                    (fun v -> S.Stream_validator.feed v ev (Sax.event_position sax))
                     validator;
                   feed_planner ();
                   loop ()

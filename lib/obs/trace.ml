@@ -3,8 +3,12 @@ let detail = ref false
 
 (* ------------------------------------------------------------------ *)
 (* Ring-buffer retention.  Slots are preallocated and overwritten in
-   place, so recording a span performs no allocation (beyond whatever
-   attribute list the caller built). *)
+   place, so the ring itself never grows.  A recorded span still
+   allocates: 3 words for its boxed int64 duration ([record_linked],
+   [record_span]), and 15 in all under [with_span], which also boxes
+   its two clock reads and allocates the closure and option with
+   which [pop] finds its frame (pinned by the "words per recorded
+   span" test).  Attribute lists are the caller's. *)
 
 type slot = {
   mutable s_id : int;
@@ -131,6 +135,19 @@ let with_span ?(attrs = []) name f =
     | exception e ->
       add_attr "exception" (Printexc.to_string e);
       pop id;
+      raise e
+  end
+
+let recording on f =
+  if (not on) || !enabled then f ()
+  else begin
+    enabled := true;
+    match f () with
+    | r ->
+      enabled := false;
+      r
+    | exception e ->
+      enabled := false;
       raise e
   end
 

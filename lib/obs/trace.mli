@@ -4,9 +4,9 @@
     Tracing is {e off} by default: {!with_span} on the disabled path
     is one ref read plus the thunk call — no clock read, no
     allocation.  When {!enabled} is set, each completed span is
-    written into a preallocated ring of fixed capacity (oldest spans
-    are overwritten; {!dropped} counts them), so a traced run has
-    bounded memory whatever its length.
+    written into a ring of fixed capacity, allocated by the first
+    recorded span (oldest spans are overwritten; {!dropped} counts
+    them), so a traced run has bounded memory whatever its length.
 
     Two granularities: ordinary spans mark request phases (parse,
     plan, execute, replay) and are cheap enough to leave enabled;
@@ -36,6 +36,16 @@ val with_span : ?attrs:(string * string) list -> string -> (unit -> 'a) -> 'a
 (** Run the thunk inside a named span.  The span is recorded when the
     thunk returns {e or raises} (the exception is re-raised; the span
     gains an ["exception"] attribute). *)
+
+val recording : bool -> (unit -> 'a) -> 'a
+(** [recording on f] runs [f] with spans recorded if [on], or if
+    tracing is already {!enabled} — the span calls inside [f], and the
+    {!record_span}/{!record_linked} calls of a caller that timed its
+    own intervals, alike.  When it turned the switch on, it turns it
+    off again as [f] returns {e or raises}.  How the daemon records
+    the spans of the requests that carry a trace context, and of no
+    other.  Not thread-safe: the switch is one process-wide flag, so
+    callers serialize [recording] with every other span recorder. *)
 
 val with_detail_span : ?attrs:(string * string) list -> string -> (unit -> 'a) -> 'a
 (** {!with_span} when {!detail} is also set, plain call otherwise. *)

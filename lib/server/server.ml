@@ -24,7 +24,7 @@ module Trace = Xsm_obs.Trace
 module Clock = Xsm_obs.Clock
 module Flight = Xsm_obs.Flight
 module Qlog = Xsm_obs.Qlog
-module Sax = Xsm_stream.Sax
+module Sax = Xsm_xml.Sax
 module Sv = Xsm_stream.Stream_validator
 module P = Protocol
 
@@ -101,9 +101,10 @@ type t = {
   last_digest : Planner.digest option ref;
   mutable last_fsync : int64 * int64;
   mutable inflight : int;
-  (* the server mutex: metrics registry and trace ring (not
-     thread-safe), planner evaluation, flight recorder, session
-     registry *)
+  (* the server mutex: metrics registry, trace ring and its recording
+     switch (not thread-safe), planner evaluation, flight recorder,
+     session registry.  Every span the daemon records is recorded
+     under it; the pool domains and the commit leader record none. *)
   m : Mutex.t;
   mutable next_session : int;
   mutable session_fds : (int * Unix.file_descr) list;
@@ -240,8 +241,9 @@ let truncate_detail s =
 
 (* One exit point for query/update/validate requests — success,
    failure and exception alike: metrics, the request's span tree
-   (root + phases, carrying the propagated trace context), the flight
-   digest, and the slow-query log. *)
+   (root + phases, carrying the propagated trace context; recorded
+   only for a traced request, or when the whole process traces), the
+   flight digest, and the slow-query log. *)
 let finish_request srv ~session ~id ~kind ~detail ~counter ~hist ~trace ~phases ~rows
     ~fsync_ns ~outcome ~pager0 t0 =
   let stop_ns = Clock.now_ns () in
@@ -267,19 +269,20 @@ let finish_request srv ~session ~id ~kind ~detail ~counter ~hist ~trace ~phases 
         | Some { P.trace_id; parent_span } ->
           [ ("trace", trace_id); ("wire_parent", string_of_int parent_span) ]
       in
-      let root =
-        Trace.record_linked ("serve." ^ kind) ~parent:0 ~start_ns:t0 ~stop_ns
-          ~attrs:
-            ([ ("session", string_of_int session); ("id", string_of_int id) ]
-            @ trace_attrs)
-      in
-      if root <> 0 then
-        List.iter
-          (fun (pname, p0, p1) ->
-            ignore
-              (Trace.record_linked pname ~parent:root ~depth:1 ~start_ns:p0 ~stop_ns:p1
-                 ~attrs:trace_attrs))
-          phases;
+      Trace.recording (Option.is_some trace) (fun () ->
+          let root =
+            Trace.record_linked ("serve." ^ kind) ~parent:0 ~start_ns:t0 ~stop_ns
+              ~attrs:
+                ([ ("session", string_of_int session); ("id", string_of_int id) ]
+                @ trace_attrs)
+          in
+          if root <> 0 then
+            List.iter
+              (fun (pname, p0, p1) ->
+                ignore
+                  (Trace.record_linked pname ~parent:root ~depth:1 ~start_ns:p0 ~stop_ns:p1
+                     ~attrs:trace_attrs))
+              phases);
       (* flight digest: planner evaluations left their digest in
          [last_digest] (same request, same mutex); estimates are
          interval arithmetic, never a re-evaluation *)
@@ -329,7 +332,9 @@ let finish_request srv ~session ~id ~kind ~detail ~counter ~hist ~trace ~phases 
       | _ -> ())
 
 (* Stats/Introspect bookkeeping: counted, no digest — introspection
-   watching itself would drown the signal it reports. *)
+   watching itself would drown the signal it reports.  These requests
+   carry no trace context, so their span is recorded only when the
+   whole process traces. *)
 let record_request srv ~session ~id ~name t0 =
   let stop_ns = Clock.now_ns () in
   locked srv (fun () ->
@@ -354,7 +359,7 @@ let eval_query served path =
       | Some p -> Spl.eval_string p path
       | None -> Seval.eval_string bs (Bs.root bs) path)
 
-let run_query srv path =
+let run_query srv ~traced path =
   let phases = ref [] in
   let phase name p0 p1 = phases := (name, p0, p1) :: !phases in
   let result =
@@ -366,6 +371,8 @@ let run_query srv path =
       locked srv (fun () ->
           let t_latch = Clock.now_ns () in
           phase "serve.lock" t_lock t_latch;
+          (* the planner's spans belong to this request's trace *)
+          Trace.recording traced @@ fun () ->
           Epoch.read srv.epoch (fun epoch ->
               let t_plan = Clock.now_ns () in
               phase "serve.latch" t_latch t_plan;
@@ -393,7 +400,7 @@ let run_query srv path =
 (* A request needs a verdict and its reasons, not a typed tree: one
    pass over the request text, no tree, no store, no annotation.
    Without a schema the lexer alone decides well-formedness. *)
-let run_validate srv doc_text =
+let run_validate srv ~traced doc_text =
   let sax = Sax.of_string doc_text in
   match srv.schema with
   | None -> (
@@ -402,10 +409,12 @@ let run_validate srv doc_text =
     | () -> (true, [])
     | exception Xsm_xml.Parser.Syntax e -> (false, [ Xsm_xml.Parser.error_to_string e ]))
   | Some compiled -> (
-    (* the validator bumps the metrics registry and records its span in
-       the trace ring, neither of them thread-safe *)
+    (* the validator bumps the metrics registry and, for a traced
+       request, records its span in the trace ring, neither of them
+       thread-safe *)
     let schema = Xsm_schema.Compiled.schema compiled in
-    match locked srv (fun () -> Sv.run ~automata:compiled schema sax) with
+    let run () = Trace.recording traced (fun () -> Sv.run ~automata:compiled schema sax) in
+    match locked srv run with
     | Ok _ -> (true, [])
     | Error errors -> (false, List.map Sv.error_to_string errors)
     | exception Xsm_xml.Parser.Syntax e -> (false, [ Xsm_xml.Parser.error_to_string e ]))
@@ -484,7 +493,7 @@ let handle srv ~session req =
     let finish = finish_request srv ~session ~id ~kind:"query" ~detail:path
         ~counter:m_queries ~hist:(Some h_query_ns) ~trace ~fsync_ns:0L ~pager0 t0
     in
-    match run_query srv path with
+    match run_query srv ~traced:(Option.is_some trace) path with
     | Ok (epoch, values), phases ->
       finish ~phases ~rows:(List.length values) ~outcome:Flight.Done;
       (Some (P.Nodes { id; epoch; values }), `Continue)
@@ -524,7 +533,7 @@ let handle srv ~session req =
       (Some (fail srv ~id msg), `Continue))
   | P.Validate { id; doc; trace } ->
     let t0, pager0 = begin_request srv in
-    let valid, errors = run_validate srv doc in
+    let valid, errors = run_validate srv ~traced:(Option.is_some trace) doc in
     finish_request srv ~session ~id ~kind:"validate" ~detail:doc ~counter:m_requests
       ~hist:None ~trace ~phases:[] ~rows:(List.length errors) ~fsync_ns:0L
       ~outcome:(if valid then Flight.Done else Flight.Failed "invalid") ~pager0 t0;
@@ -658,10 +667,6 @@ let create config ~store ~root ?labels ?schema () =
     let run lines =
       match !srv_cell with Some srv -> run_batch srv lines | None -> assert false
     in
-    (* the daemon's trace ring is always live: bounded memory, <2%
-       enabled-span overhead (E15), and [Introspect (Trace_events _)]
-       must be able to answer for any propagated request *)
-    Xsm_obs.Obs.enable ();
     let srv =
       {
         config;

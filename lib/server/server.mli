@@ -28,12 +28,16 @@
     and removes the WAL it subsumes — a checkpoint — so
     [xsm recover SNAPSHOT] round-trips the final state.
 
-    {b Telemetry.}  Tracing is always on in the daemon (bounded ring).
-    Every request records an {!Xsm_obs.Trace} span ([serve.query],
-    [serve.update], …) tagged with session and request ids — plus the
-    propagated trace id when the client sent a
-    {!Protocol.trace_ctx} — with phase children underneath (lock wait,
-    latch wait, plan/eval, commit, WAL fsync).  Every
+    {b Telemetry.}  A request that carries a {!Protocol.trace_ctx}
+    records an {!Xsm_obs.Trace} span ([serve.query], [serve.update],
+    …) tagged with session and request ids and the propagated trace
+    id, with phase children underneath (lock wait, latch wait,
+    plan/eval, commit, WAL fsync) and the planner's and validator's
+    spans recorded while it runs.  A request without one records no
+    span, so a daemon that is never sent a trace context never
+    allocates the span ring; a process that enabled tracing before
+    {!create} ([xsm serve --trace FILE]) records every request's
+    spans.  Every
     query/update/validate also leaves a digest in the always-on
     {!Xsm_obs.Flight} recorder (route, estimated vs actual rows, pager
     hit/eviction deltas, fsync and total latency, outcome); requests

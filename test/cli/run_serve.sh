@@ -6,7 +6,8 @@
 # WAL refusal at boot (exit 3), live vs replayed label upkeep
 # (byte-identical labelled checkpoints), a paged daemon writing the
 # resident daemon's WAL and checkpoints byte for byte, the paged
-# daemon's refusal of a typed snapshot, and the bench-serve smoke run.
+# daemon's refusal of a typed snapshot, the spans a daemon under
+# --trace FILE writes, and the bench-serve smoke run.
 set -u
 XSM="$1"
 tmp=$(mktemp -d)
@@ -252,6 +253,24 @@ timeout 10 "$XSM" serve --socket "$sock" --snapshot "$tmp/typed.snap" \
 grep -q "type annotation" "$tmp/serve.err" || fail "the refusal must name what is lost"
 cmp -s "$tmp/typed.snap" "$tmp/typed.orig.snap" || fail "a refused boot must leave the snapshot as it was"
 [ -e "$sock" ] && fail "a refused boot must not leave a socket behind"
+
+# --- spans: the daemon records only traced requests' spans, but one
+#     started with --trace FILE records every request's, untraced ones
+#     included, and writes them at shutdown
+"$XSM" serve --socket "$sock" --doc "$tmp/doc.xml" --index --trace "$tmp/daemon.json" \
+  > "$tmp/serve.log" 2>&1 &
+server_pid=$!
+await
+"$XSM" client --socket "$sock" --query '//title' >/dev/null 2>&1 \
+  || fail "query under --trace failed"
+"$XSM" client --socket "$sock" --update 'attr /library seq s' >/dev/null 2>&1 \
+  || fail "update under --trace failed"
+"$XSM" client --socket "$sock" --shutdown >/dev/null 2>&1 || fail "--trace shutdown failed"
+wait "$server_pid" || fail "--trace server exited non-zero after shutdown"
+for span in serve.query serve.lock serve.latch serve.plan plan.index serve.update serve.commit; do
+  grep -q "\"name\":\"$span\"" "$tmp/daemon.json" \
+    || fail "--trace must record the $span span of an untraced request"
+done
 
 # --- bench-serve smoke: spawns its own server, reports percentiles
 out=$("$XSM" bench-serve --smoke 2>&1) || { echo "$out" >&2; fail "bench-serve --smoke failed"; }

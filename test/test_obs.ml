@@ -89,6 +89,55 @@ let detail_spans_gated () =
       Trace.with_detail_span "fine" ignore;
       check_int "detail span with the flag" 1 (List.length (Trace.events ())))
 
+(* the daemon's per-request switch: on for the thunk alone, off again
+   whether it returns or raises, and never off for a process that
+   traces everything *)
+let recording_is_scoped () =
+  let names () = List.map (fun (e : Trace.event) -> e.name) (Trace.events ()) in
+  Trace.reset ();
+  check Alcotest.bool "tracing off" false !Trace.enabled;
+  Trace.recording false (fun () -> Trace.with_span "off" ignore);
+  check Alcotest.(list string) "off: nothing recorded" [] (names ());
+  Trace.recording true (fun () -> Trace.with_span "on" ignore);
+  check Alcotest.bool "off after return" false !Trace.enabled;
+  (match Trace.recording true (fun () -> Trace.with_span "boom" (fun () -> failwith "kaput")) with
+  | exception Failure _ -> ()
+  | () -> Alcotest.fail "the exception must escape");
+  check Alcotest.bool "off after raise" false !Trace.enabled;
+  check Alcotest.(list string) "spans of the on scopes" [ "on"; "boom" ] (names ());
+  Trace.reset ();
+  traced (fun () ->
+      Trace.recording false (fun () -> Trace.with_span "all" ignore);
+      Trace.recording true ignore;
+      check Alcotest.bool "a traced process stays traced" true !Trace.enabled;
+      check Alcotest.(list string) "recorded regardless" [ "all" ] (names ()))
+
+(* recording a span allocates: the duration is a boxed int64 (3
+   words); [with_span] also boxes its two clock reads and allocates the
+   closure and option that find its frame again, 15 words in all *)
+let words_per_span () =
+  traced (fun () ->
+      (* the first span allocates the ring *)
+      Trace.with_span "warm" ignore;
+      let n = 1000 in
+      let per_span f =
+        let w0 = Gc.minor_words () in
+        for _ = 1 to n do
+          f ()
+        done;
+        (Gc.minor_words () -. w0) /. float_of_int n
+      in
+      let nested = per_span (fun () -> Trace.with_span "s" ignore) in
+      let linked =
+        per_span (fun () -> ignore (Trace.record_linked "r" ~parent:0 ~start_ns:1L ~stop_ns:2L))
+      in
+      let ceiling what limit words =
+        if words > limit then
+          Alcotest.failf "%s: %.2f words per span, ceiling %.0f" what words limit
+      in
+      ceiling "with_span" 15. nested;
+      ceiling "record_linked" 3. linked)
+
 let ring_retention () =
   traced (fun () ->
       Trace.set_capacity 4;
@@ -659,6 +708,8 @@ let suite =
         Alcotest.test_case "detail spans need the detail flag" `Quick
           detail_spans_gated;
         Alcotest.test_case "ring retention keeps the newest" `Quick ring_retention;
+        Alcotest.test_case "recording switch is scoped" `Quick recording_is_scoped;
+        Alcotest.test_case "words per recorded span" `Quick words_per_span;
         Alcotest.test_case "histogram bucket boundaries" `Quick bucket_boundaries;
         Alcotest.test_case "histogram observation bookkeeping" `Quick
           histogram_observations;

@@ -28,7 +28,7 @@ module Convert = Xsm_xdm.Convert
 module Gen = Xsm_schema.Generator
 module Bs = Xsm_storage.Block_storage
 module Wal = Xsm_persist.Wal
-module Sax = Xsm_stream.Sax
+module Sax = Xsm_xml.Sax
 module BL = Xsm_stream.Bulk_load
 
 let check = Alcotest.(check bool)

@@ -750,6 +750,87 @@ let test_server_trace_propagation () =
       | _ -> Alcotest.failf "expected one root span, got %d" (List.length roots));
       Client.close c)
 
+(* ---------------- per-request tracing ---------------- *)
+
+module Trace = Xsm_obs.Trace
+
+(* a span as these tests compare it: its name and its attribute keys *)
+let recorded () =
+  List.sort compare
+    (List.map
+       (fun (e : Trace.event) ->
+         e.name ^ "[" ^ String.concat "," (List.sort compare (List.map fst e.attrs)) ^ "]")
+       (Trace.events ()))
+
+let m_trace_dropped = Xsm_obs.Metrics.Counter.make "obs.trace.dropped"
+
+(* untraced requests of every kind record no span: after more of them
+   than an 8-slot ring holds, it is still empty and dropped nothing *)
+let test_server_untraced_records_nothing () =
+  Xsm_obs.Obs.disable ();
+  Trace.set_capacity 8;
+  Fun.protect
+    ~finally:(fun () -> Trace.set_capacity 65536)
+    (fun () ->
+      let dropped = Xsm_obs.Metrics.Counter.value m_trace_dropped in
+      with_server ~use_index:true ~schema:Xsm_schema.Samples.library_schema (fun sock _srv ->
+          let c = ok (Client.connect sock) in
+          for i = 1 to 10 do
+            ignore (ok (Client.query c "//title"));
+            ignore (ok (Client.query c "/library/book[1]/title"));
+            ignore (ok (Client.update c (Printf.sprintf "attr /library seq x%d" i)));
+            ignore (ok (Client.validate c "<library/>"));
+            ignore (ok (Client.stats c))
+          done;
+          Client.close c);
+      Alcotest.(check (list string)) "no span recorded" [] (recorded ());
+      Alcotest.(check int) "no span dropped" dropped
+        (Xsm_obs.Metrics.Counter.value m_trace_dropped))
+
+(* a traced request records the spans every request recorded while
+   the daemon traced them all — its root and phases, and the planner's
+   and validator's spans — and an exception inside one leaves
+   recording off *)
+let test_server_traced_spans () =
+  Xsm_obs.Obs.disable ();
+  with_server ~use_index:true ~schema:Xsm_schema.Samples.library_schema (fun sock _srv ->
+      let c = ok (Client.connect sock) in
+      let trace = { P.trace_id = "t-spans"; parent_span = 3 } in
+      let spans_of request =
+        Trace.reset ();
+        request ();
+        recorded ()
+      in
+      let root kind = Printf.sprintf "serve.%s[id,session,trace,wire_parent]" kind in
+      let phase name = name ^ "[trace,wire_parent]" in
+      Alcotest.(check (list string)) "planner route"
+        [ "plan.index[]"; "plan.maintain[]"; "plan.maintain[]"; phase "serve.latch";
+          phase "serve.lock"; phase "serve.plan"; root "query" ]
+        (spans_of (fun () -> ignore (ok (Client.query ~trace c "//title"))));
+      Alcotest.(check (list string)) "fallback route"
+        [ "plan.fallback[reason]"; "plan.index[]"; "plan.maintain[]"; "plan.maintain[]";
+          phase "serve.latch"; phase "serve.lock"; phase "serve.plan"; root "query" ]
+        (spans_of (fun () -> ignore (ok (Client.query ~trace c "/library/book[1]/title"))));
+      Alcotest.(check (list string)) "update"
+        [ phase "serve.commit"; root "update" ]
+        (spans_of (fun () -> ignore (ok (Client.update ~trace c "attr /library seq s"))));
+      let valid_doc =
+        Xsm_xml.Printer.to_string (Xsm_schema.Samples.library_document ~books:2 ~papers:1 ())
+      in
+      Alcotest.(check (list string)) "validate"
+        [ root "validate"; "stream.validate[]" ]
+        (spans_of (fun () -> ignore (ok (Client.validate ~trace c valid_doc))));
+      (* the lexer raises inside the traced validator *)
+      Alcotest.(check (list string)) "validate raising"
+        [ root "validate"; "stream.validate[exception]" ]
+        (spans_of (fun () ->
+             Alcotest.(check bool) "malformed" false
+               (fst (ok (Client.validate ~trace c "<library><book>")))));
+      Alcotest.(check bool) "recording off after the exception" false !Trace.enabled;
+      Alcotest.(check (list string)) "untraced after traced" []
+        (spans_of (fun () -> ignore (ok (Client.query c "//title"))));
+      Client.close c)
+
 (* the openmetrics stats variant: scrapeable text with the server
    counter families present and the terminator in place *)
 let test_server_openmetrics () =
@@ -809,6 +890,10 @@ let suite =
         Alcotest.test_case "flight recorder and slow log" `Quick
           test_server_flight_recorder;
         Alcotest.test_case "trace propagation" `Quick test_server_trace_propagation;
+        Alcotest.test_case "untraced requests record nothing" `Quick
+          test_server_untraced_records_nothing;
+        Alcotest.test_case "traced requests record their spans" `Quick
+          test_server_traced_spans;
         Alcotest.test_case "openmetrics stats" `Quick test_server_openmetrics;
         Alcotest.test_case "protocol shutdown" `Quick test_server_protocol_shutdown;
       ] );

@@ -27,7 +27,7 @@ module Label = Xsm_numbering.Sedna_label
 module Labeler = Xsm_numbering.Labeler
 module Bs = Xsm_storage.Block_storage
 module Wal = Xsm_persist.Wal
-module Sax = Xsm_stream.Sax
+module Sax = Xsm_xml.Sax
 module SV = Xsm_stream.Stream_validator
 module BL = Xsm_stream.Bulk_load
 
