@@ -70,7 +70,6 @@ let build_doc ~records =
 type fixture = {
   store : Store.t;
   planner : Pl.t;
-  journal : Update.Journal.t;
   root : Store.node; (* the [doc] element, parent of every [rec] *)
 }
 
@@ -78,18 +77,12 @@ let fixture ~records policy =
   let store = Store.create () in
   let dnode = Convert.load store (build_doc ~records) in
   let planner = Pl.create store dnode in
-  let journal = Update.Journal.create () in
-  P.attach_journal planner journal;
   Pl.set_policy planner policy;
-  { store; planner; journal; root = List.hd (Store.children store dnode) }
+  { store; planner; root = List.hd (Store.children store dnode) }
 
-(* One structural churn round: link a subtree, then unlink it again,
-   querying after each edit so every edit is drained on its own.  The
-   document returns to its start state, but both edits flow through the
-   journal and hit every cached value index.  (Adjacent insert+delete
-   with no query in between would cancel before the next drain: the
-   planner would see an insert of an already-unlinked subtree and a
-   removal of a never-indexed one, both no-ops.) *)
+(* One structural churn round: link a subtree, query, then unlink it
+   again.  The document returns to its start state, but both edits
+   reach the planner as changes and hit every cached value index. *)
 let churn_rec =
   Tree.elem "rec"
     ~attrs:[ Tree.attr "shard" "zz" ]
@@ -102,14 +95,14 @@ let churn_rec =
 
 let churn fx between =
   let apply op =
-    match Update.apply ~journal:fx.journal fx.store op with
-    | Ok a -> a
+    match Update.apply fx.store op with
+    | Ok a -> Pl.apply_changes fx.planner [ Update.change a ]
     | Error e -> failwith e
   in
-  ignore (apply (Update.Insert_element { parent = fx.root; before = None; tree = churn_rec }));
+  apply (Update.Insert_element { parent = fx.root; before = None; tree = churn_rec });
   between ();
   let last = List.rev (Store.children fx.store fx.root) |> List.hd in
-  ignore (apply (Update.Delete last))
+  apply (Update.Delete last)
 
 let query fx q ~expect =
   match Pl.eval_string fx.planner q with

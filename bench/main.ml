@@ -179,12 +179,10 @@ let tests () =
             (Xsm_xml.Tree.elem "author" ~children:[ Xsm_xml.Tree.text "Bench" ]);
         ]
   in
-  let e12_round store planner libr journal ~notify =
+  let e12_round store planner libr ~notify =
     let apply op =
-      match Xsm_schema.Update.apply ?journal store op with
-      | Ok a ->
-        notify ();
-        a
+      match Xsm_schema.Update.apply store op with
+      | Ok a -> notify (Xsm_schema.Update.change a)
       | Error e -> failwith e
     in
     let query () =
@@ -192,30 +190,25 @@ let tests () =
       | Ok _ -> ()
       | Error e -> failwith e
     in
-    ignore
-      (apply
-         (Xsm_schema.Update.Insert_element
-            { parent = libr; before = None; tree = e12_book }));
+    apply (Xsm_schema.Update.Insert_element { parent = libr; before = None; tree = e12_book });
     query ();
     let last = List.rev (Store.children store libr) |> List.hd in
-    ignore (apply (Xsm_schema.Update.Delete last));
+    apply (Xsm_schema.Update.Delete last);
     query ()
   in
   let e12a =
     Test.make ~name:"E12 update+query, maintained (lib 300)"
       (let store, dnode, libr = e12_fixture () in
        let planner = Pl.create store dnode in
-       let journal = Xsm_schema.Update.Journal.create () in
-       Xsm_xpath.Planner.attach_journal planner journal;
        staged (fun () ->
-           e12_round store planner libr (Some journal) ~notify:(fun () -> ())))
+           e12_round store planner libr ~notify:(fun c -> Pl.apply_changes planner [ c ])))
   in
   let e12b =
     Test.make ~name:"E12 update+query, rebuild (lib 300)"
       (let store, dnode, libr = e12_fixture () in
        let planner = Pl.create store dnode in
        staged (fun () ->
-           e12_round store planner libr None ~notify:(fun () -> Pl.invalidate planner)))
+           e12_round store planner libr ~notify:(fun _ -> Pl.invalidate planner)))
   in
   (* E13: durability.  WAL append overhead on a steady-state
      insert+delete round (logged vs not), with the fsync either per

@@ -437,17 +437,11 @@ let e12_incremental_maintenance () =
     let store = Store.create () in
     let doc = Xsm_schema.Samples.library_document ~books ~papers:(books / 2) () in
     let dnode = Convert.load store doc in
-    let journal = U.Journal.create () in
     let planner =
       match strategy with
       | `Naive -> None
-      | `Rebuild -> Some (Pl.create store dnode)
-      | `Incremental ->
-        let p = Pl.create store dnode in
-        Xsm_xpath.Planner.attach_journal p journal;
-        Some p
+      | `Rebuild | `Incremental -> Some (Pl.create store dnode)
     in
-    let journal_opt = match strategy with `Incremental -> Some journal | _ -> None in
     let rng = Xsm_schema.Generator.rng 99 in
     let t0 = now_s () in
     for round = 1 to rounds do
@@ -475,10 +469,11 @@ let e12_incremental_maintenance () =
                   value = string_of_int (1900 + round);
                 })
         in
-        (match U.apply ?journal:journal_opt store op with Ok _ -> () | Error e -> failwith e);
-        match (strategy, planner) with
-        | `Rebuild, Some p -> Pl.invalidate p
-        | _ -> ()
+        match (U.apply store op, strategy, planner) with
+        | Error e, _, _ -> failwith e
+        | Ok a, `Incremental, Some p -> Pl.apply_changes p [ U.change a ]
+        | Ok _, `Rebuild, Some p -> Pl.invalidate p
+        | Ok _, _, _ -> ()
       done;
       List.iter
         (fun q ->

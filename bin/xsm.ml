@@ -302,9 +302,7 @@ let open_wal l =
 
 (* ------------------------------------------------------------------ *)
 (* Opening a store: a document, or a snapshot with its WAL tail
-   replayed on top ([before_replay] sees the snapshot state first —
-   where [recover --index] subscribes its planner to [journal]).  A
-   block storage is paged by [attach_pages]. *)
+   replayed on top.  A block storage is paged by [attach_pages]. *)
 
 type opened = {
   store : Store.t;
@@ -321,10 +319,10 @@ let store_of_document doc =
   let store = Store.create () in
   { store; root = Xsm_xdm.Convert.load store doc; labels = None; recovered = None }
 
-let open_store ?journal ?before_replay = function
+let open_store = function
   | Document path -> store_of_document (or_die (load_document path))
   | Snapshot { path; wal; truncate } -> (
-    match Recovery.recover ?journal ?before_replay ~truncate ~snapshot:path ?wal () with
+    match Recovery.recover ~truncate ~snapshot:path ?wal () with
     | Ok (store, root, labels, stats) -> { store; root; labels; recovered = Some stats }
     | Error e -> die_recovery_error e)
 
@@ -492,7 +490,7 @@ let load_cmd =
       | Some p -> (
         match S.Bulk_load.drain_completed bl with
         | [] -> ()
-        | ds -> Pl.apply_changes p (List.map (fun d -> Pl.Node_added d) ds))
+        | ds -> Pl.apply_changes p (List.map (fun d -> Update.Added d) ds))
     in
     let guard f =
       try with_crash wal f
@@ -803,7 +801,7 @@ let store_planner p = ((fun q -> Planner.Over_store.eval_string p q), Planner.Ov
    [query PATH].  A malformed or failing line aborts with its location,
    the offending source text and exit code 1 — never a silent skip,
    never a raw backtrace. *)
-let execute_script ~script_path ~store ~root ~journal ?planner ?wal () =
+let execute_script ~script_path ~store ~root ?planner ?wal () =
   let eval = Xsm_xpath.Eval.Over_store.eval_string store root in
   let source_lines = String.split_on_char '\n' (read_file script_path) in
   let fail_line lineno fmt =
@@ -834,8 +832,9 @@ let execute_script ~script_path ~store ~root ~journal ?planner ?wal () =
       match Update.parse_command ~resolve:eval line with
       | Error e -> fail_line lineno "%s" e
       | Ok op -> (
-        match with_crash wal (fun () -> Wal.apply_logged wal (Wal.store_tree store) ~root ~apply:(Update.apply ~journal store) op) with
-        | Ok _ -> ()
+        match with_crash wal (fun () -> Wal.apply_logged wal (Wal.store_tree store) ~root ~apply:(Update.apply store) op) with
+        | Ok applied ->
+          Option.iter (fun p -> Planner.Over_store.apply_changes p [ Update.change applied ]) planner
         | Error e -> fail_line lineno "update: %s" e))
   in
   List.iteri
@@ -847,13 +846,6 @@ let execute_script ~script_path ~store ~root ~journal ?planner ?wal () =
             try run_line lineno line
             with Invalid_argument e | Failure e -> fail_line lineno "%s" e))
     source_lines
-
-(* an update journal with the index planner subscribed to it *)
-let journaled_planner store root =
-  let journal = Update.Journal.create () in
-  let p = Planner.Over_store.create store root in
-  Planner.attach_journal p journal;
-  (journal, p)
 
 let update_cmd =
   let script_arg =
@@ -871,18 +863,13 @@ let update_cmd =
   in
   let run () doc_path script_path use_index do_print log =
     let { store; root; _ } = open_store (Document doc_path) in
-    let journal, planner =
-      if use_index then
-        let journal, p = journaled_planner store root in
-        (journal, Some p)
-      else (Update.Journal.create (), None)
-    in
+    let planner = if use_index then Some (Planner.Over_store.create store root) else None in
     Option.iter
       (fun p -> match Snapshot.save ~path:p store root with Ok _ -> () | Error e -> die "%s" e)
       log.snapshot;
     let wal = open_wal log in
     Trace.with_span "update.script" ~attrs:[ ("script", script_path) ] (fun () ->
-        execute_script ~script_path ~store ~root ~journal ?planner ?wal ());
+        execute_script ~script_path ~store ~root ?planner ?wal ());
     Option.iter Wal.Writer.close wal;
     Option.iter (fun p -> report_maintenance (Planner.Over_store.maintenance_stats p)) planner;
     if do_print then print_store store root
@@ -897,8 +884,8 @@ let update_cmd =
       const run $ obs_term $ doc_pos 0 $ script_arg
       $ flag "index"
           "Evaluate queries through the index subsystem and keep the indexes live across \
-           updates: the planner subscribes to the update journal and applies each change \
-           differentially instead of rebuilding.  Maintenance statistics are reported on \
+           updates: each applied update hands its change to the planner, which splices it \
+           in differentially instead of rebuilding.  Maintenance statistics are reported on \
            stderr."
       $ flag "print" "Print the resulting document on stdout"
       $ logging_term
@@ -950,21 +937,8 @@ let recover_cmd =
     Arg.(required & pos 0 (some file) None & info [] ~docv:"SNAP" ~doc:"Snapshot file")
   in
   let run () snap_path wal do_print query use_index no_truncate page_path pool_capacity =
-    (* with --index the planner sees the snapshot state, then the
-       journal feeds it the replay — indexes resume, no rebuild *)
-    let journal = if use_index then Some (Update.Journal.create ()) else None in
-    let planner = ref None in
-    let before_replay store root =
-      Option.iter
-        (fun j ->
-          let p = Pl.create store root in
-          Planner.attach_journal p j;
-          planner := Some p)
-        journal
-    in
     let { store; root; recovered; _ } =
-      open_store ?journal ~before_replay
-        (Snapshot { path = snap_path; wal; truncate = not no_truncate })
+      open_store (Snapshot { path = snap_path; wal; truncate = not no_truncate })
     in
     Option.iter (Format.eprintf "recovered: %a@." Recovery.pp_stats) recovered;
     Option.iter
@@ -978,7 +952,9 @@ let recover_cmd =
       page_path;
     Option.iter
       (fun q ->
-        let planner = !planner in
+        (* one build over the recovered state: never more work than a
+           build over the snapshot plus a splice per replayed record *)
+        let planner = if use_index then Some (Pl.create store root) else None in
         match
           answer
             ?planner:(Option.map store_planner planner)
@@ -1006,9 +982,8 @@ let recover_cmd =
       $ flag "print" "Print the recovered document on stdout"
       $ opt_string ~docv:"PATH" "query" "Evaluate a query over the recovered state."
       $ flag "index"
-          "Build the index planner over the snapshot state and let it absorb the WAL replay \
-           differentially (indexes resume instead of rebuilding); implies the query runs \
-           through the planner."
+          "Build the index planner over the recovered state, once, after the replay; implies \
+           the query runs through the planner."
       $ flag "no-truncate" "Leave a torn WAL tail on disk instead of repairing the file."
       $ opt_string "page-file"
           "After recovery, materialize the block-storage representation of the recovered \
@@ -1030,7 +1005,7 @@ let stats_cmd =
     let doc = or_die (load_document doc_path) in
     let hooks = Option.map (schema_hooks doc) schema_path in
     let { store; root; _ } = store_of_document doc in
-    let journal, planner = journaled_planner store root in
+    let planner = Planner.Over_store.create store root in
     Option.iter
       (fun (pruner, rewriter) ->
         Planner.Over_store.set_pruner planner pruner;
@@ -1046,7 +1021,7 @@ let stats_cmd =
       ~finally:(fun () ->
         Wal.Writer.close wal;
         if Sys.file_exists wal_path then Sys.remove wal_path)
-      (fun () -> execute_script ~script_path ~store ~root ~journal ~planner ~wal ());
+      (fun () -> execute_script ~script_path ~store ~root ~planner ~wal ());
     (* replay the final tree's block locality through the real pager: a
        block storage paged through a throwaway page file, cold-started,
        then one extent scan per schema node and one navigational walk —
@@ -1251,8 +1226,8 @@ let serve_cmd =
       $ flag "no-group-commit"
           "Fsync the WAL after every record instead of once per batch (the E17 baseline)."
       $ flag "index"
-          "Route queries through the journal-maintained index planner (serialized) instead of \
-           the parallel pure evaluator."
+          "Route queries through the index planner (serialized; each update splices its change \
+           into the indexes) instead of the parallel pure evaluator."
       $ flag "labels" "Maintain \xc2\xa79.3 Sedna labels across updates."
       $ opt_string "page-file"
           "Serve the document from disk-paged block storage instead of the in-memory store: \

@@ -8,79 +8,7 @@ type 'n op =
   | Replace_content of { node : 'n; value : string }
   | Set_attribute of { element : 'n; name : Name.t; value : string }
 
-module Journal = struct
-  type entry =
-    | Inserted of Store.node  (* a freshly linked subtree root *)
-    | Deleted of Store.node  (* a just-unlinked subtree root *)
-    | Content of Store.node  (* own content of a text/attribute replaced *)
-
-  (* A multi-subscriber log: entries live in a growable ring kept from
-     [base] (the oldest entry any cursor still wants) to [base + len].
-     Each consumer — the index planner, the WAL writer, the recovery
-     label maintainer — owns a cursor and reads at its own pace;
-     entries every cursor has passed are compacted away. *)
-  type cursor = { mutable pos : int; mutable active : bool }
-
-  type t = {
-    mutable buf : entry array;
-    mutable base : int;  (* global index of buf.(0) *)
-    mutable len : int;  (* entries currently buffered *)
-    mutable cursors : cursor list;
-  }
-
-  let create () = { buf = [||]; base = 0; len = 0; cursors = [] }
-  let total t = t.base + t.len
-
-  let record t e =
-    if t.len = Array.length t.buf then begin
-      let cap = max 16 (t.len * 2) in
-      let bigger = Array.make cap e in
-      Array.blit t.buf 0 bigger 0 t.len;
-      t.buf <- bigger
-    end;
-    t.buf.(t.len) <- e;
-    t.len <- t.len + 1
-
-  let compact t =
-    match List.filter (fun c -> c.active) t.cursors with
-    | [] -> ()
-    | live ->
-      let m = List.fold_left (fun acc c -> min acc c.pos) max_int live in
-      if m > t.base then begin
-        let drop = m - t.base in
-        t.len <- t.len - drop;
-        if t.len > 0 then Array.blit t.buf drop t.buf 0 t.len;
-        t.base <- m
-      end
-
-  let subscribe t =
-    let c = { pos = t.base; active = true } in
-    t.cursors <- c :: t.cursors;
-    c
-
-  let unsubscribe t c =
-    c.active <- false;
-    t.cursors <- List.filter (fun c' -> c' != c) t.cursors;
-    compact t
-
-  let pending t c = if c.active then total t - c.pos else 0
-
-  let slice t ~from =
-    List.init (total t - from) (fun i -> t.buf.(from - t.base + i))
-
-  let peek t c = if c.active then slice t ~from:c.pos else []
-
-  let read t c =
-    if not c.active then []
-    else begin
-      let entries = slice t ~from:c.pos in
-      c.pos <- total t;
-      compact t;
-      entries
-    end
-
-  let iter t c f = List.iter f (read t c)
-end
+type 'n change = Added of 'n | Removed of 'n | Content of 'n
 
 type applied =
   | Inserted of { parent : Store.node; node : Store.node }
@@ -107,14 +35,14 @@ let insert_node store ~parent ~before node =
   | None -> Store.append_child store parent node
   | Some anchor -> Store.insert_child_before store parent ~before:anchor node
 
-let journal_of_applied = function
-  | Inserted { node; _ } -> Journal.Inserted node
-  | Deleted { node; _ } -> Journal.Deleted node
-  | Content_replaced { node; _ } -> Journal.Content node
-  | Attribute_set { attribute; old_value = None; _ } -> Journal.Inserted attribute
-  | Attribute_set { attribute; old_value = Some _; _ } -> Journal.Content attribute
+let change = function
+  | Inserted { node; _ } -> Added node
+  | Deleted { node; _ } -> Removed node
+  | Content_replaced { node; _ } -> Content node
+  | Attribute_set { attribute; old_value = None; _ } -> Added attribute
+  | Attribute_set { attribute; old_value = Some _; _ } -> Content attribute
 
-let apply_op store = function
+let apply store = function
   | Insert_element { parent; before; tree } ->
     guarded (fun () ->
         let node = Xsm_xdm.Convert.load_element store tree in
@@ -174,47 +102,35 @@ let apply_op store = function
     | Store.Kind.Document | Store.Kind.Attribute | Store.Kind.Text ->
       err "set_attribute: target is not an element")
 
-let apply ?journal store op =
-  match apply_op store op with
-  | Error _ as e -> e
-  | Ok evidence ->
-    (match journal with
-    | None -> ()
-    | Some j -> Journal.record j (journal_of_applied evidence));
-    Ok evidence
-
-let undo ?journal store applied =
-  (match applied with
-  | Inserted { parent; node } -> Store.remove_child store parent node
-  | Deleted { parent; node; next_sibling } -> (
-    match Store.kind store node, next_sibling with
+let undo store applied =
+  match applied with
+  | Inserted { parent; node } ->
+    Store.remove_child store parent node;
+    Removed node
+  | Deleted { parent; node; next_sibling } ->
+    (match Store.kind store node, next_sibling with
     | Store.Kind.Attribute, before -> Store.attach_attribute ?before store parent node
     | _, Some anchor -> Store.insert_child_before store parent ~before:anchor node
-    | _, None -> Store.append_child store parent node)
-  | Content_replaced { node; old_value } -> Store.set_content store node old_value
-  | Attribute_set { element; attribute; old_value } -> (
-    match old_value with
-    | Some v -> Store.set_content store attribute v
-    | None -> Store.detach_attribute store element attribute));
-  match journal with
-  | None -> ()
-  | Some j ->
-    Journal.record j
-      (match applied with
-      | Inserted { node; _ } -> Journal.Deleted node
-      | Deleted { node; _ } -> Journal.Inserted node
-      | Content_replaced { node; _ } -> Journal.Content node
-      | Attribute_set { attribute; old_value = None; _ } -> Journal.Deleted attribute
-      | Attribute_set { attribute; old_value = Some _; _ } -> Journal.Content attribute)
+    | _, None -> Store.append_child store parent node);
+    Added node
+  | Content_replaced { node; old_value } ->
+    Store.set_content store node old_value;
+    Content node
+  | Attribute_set { attribute; old_value = Some v; _ } ->
+    Store.set_content store attribute v;
+    Content attribute
+  | Attribute_set { element; attribute; old_value = None } ->
+    Store.detach_attribute store element attribute;
+    Removed attribute
 
-let apply_validated ?journal store dnode schema op =
-  match apply ?journal store op with
+let apply_validated store dnode schema op =
+  match apply store op with
   | Error e -> Error [ e ]
   | Ok evidence -> (
     match Validator.validate store dnode schema with
     | Ok () -> Ok ()
     | Error es ->
-      undo ?journal store evidence;
+      ignore (undo store evidence);
       Error (List.map Validator.error_to_string es))
 
 (* ------------------------------------------------------------------ *)

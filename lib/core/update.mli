@@ -32,68 +32,28 @@ type 'n op =
     it for whichever store resolves its paths, {!apply} runs it on the
     XDM store. *)
 
-(** A structured record of applied state transitions, for consumers
-    that maintain derived structures (the index planner) differentially
-    instead of rebuilding them.  Entries are appended in application
-    order; replaying a drained batch in order against the final store
-    state reconstructs exactly what changed — an insertion names the
-    subtree root (its content is read from the store at replay time),
-    a deletion names the unlinked root, a content change names the
-    text or attribute node whose own value was replaced.  Undo records
-    its mirror entry, so a validated-and-rolled-back operation leaves
-    a journal that still replays to the truth. *)
-module Journal : sig
-  type entry =
-    | Inserted of Xsm_xdm.Store.node  (** a freshly linked subtree root *)
-    | Deleted of Xsm_xdm.Store.node  (** a just-unlinked subtree root *)
-    | Content of Xsm_xdm.Store.node  (** own content replaced *)
-
-  type t
-
-  type cursor
-  (** One consumer's read position.  Several consumers — the index
-      planner, the WAL writer, recovery's label maintainer — can
-      subscribe to the same journal and each sees every entry, in
-      order, at its own pace; nobody steals anybody's entries.
-      Entries that every active cursor has passed are compacted
-      away. *)
-
-  val create : unit -> t
-
-  val total : t -> int
-  (** Entries recorded over the journal's lifetime. *)
-
-  val subscribe : t -> cursor
-  (** A new cursor positioned at the oldest retained entry (for a
-      fresh journal: the beginning). *)
-
-  val unsubscribe : t -> cursor -> unit
-  (** Deactivate a cursor so it no longer pins entries; reading from
-      it afterwards yields nothing. *)
-
-  val pending : t -> cursor -> int
-  val peek : t -> cursor -> entry list
-  (** The entries after the cursor, in application order, without
-      advancing it. *)
-
-  val read : t -> cursor -> entry list
-  (** Like {!peek}, but advances the cursor past what it returned. *)
-
-  val iter : t -> cursor -> (entry -> unit) -> unit
-  (** [read] delivered entry-by-entry. *)
-
-end
+type 'n change =
+  | Added of 'n  (** a freshly linked subtree root *)
+  | Removed of 'n  (** a just-unlinked subtree root *)
+  | Content of 'n  (** a text or attribute node whose own value was replaced *)
+(** What one transition did, for whoever keeps a structure derived from
+    the store (the index planner, the §9.3 labels) current
+    differentially instead of rebuilding it.  The caller hands it on
+    right after the op applies; read against the state at that moment,
+    an addition names a subtree whose content is in the store, a
+    removal the root just unlinked.  Labels never move (Proposition 1),
+    so a consumer splices the change in and leaves the rest alone. *)
 
 type applied
 (** Evidence of an applied operation, holding what is needed to undo
     it. *)
 
-val apply :
-  ?journal:Journal.t -> Xsm_xdm.Store.t -> Xsm_xdm.Store.node op -> (applied, string) result
+val apply : Xsm_xdm.Store.t -> Xsm_xdm.Store.node op -> (applied, string) result
 (** Apply one operation (no validation).  Structural errors (wrong
-    node kinds, foreign anchors) are reported, not raised.  A
-    successful application is recorded in the journal when one is
-    given. *)
+    node kinds, foreign anchors) are reported, not raised. *)
+
+val change : applied -> Xsm_xdm.Store.node change
+(** The change an applied operation made. *)
 
 val parse_command :
   resolve:(string -> ('n list, string) result) -> string -> ('n op, string) result
@@ -108,12 +68,13 @@ val parse_command :
     naming the problem; callers add their own script-only commands in
     front of this grammar. *)
 
-val undo : ?journal:Journal.t -> Xsm_xdm.Store.t -> applied -> unit
-(** Revert an applied operation.  Must be called on the most recent
-    application first (stack discipline). *)
+val undo : Xsm_xdm.Store.t -> applied -> Xsm_xdm.Store.node change
+(** Revert an applied operation and return the change the revert made:
+    the mirror of {!change}, so a consumer fed both ends where it
+    began.  Must be called on the most recent application first (stack
+    discipline). *)
 
 val apply_validated :
-  ?journal:Journal.t ->
   Xsm_xdm.Store.t ->
   Xsm_xdm.Store.node ->
   Ast.schema ->

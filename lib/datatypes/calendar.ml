@@ -198,8 +198,6 @@ let parse_date s =
 let print_date dt =
   Printf.sprintf "%s-%02d-%02d%s" (print_year dt.year) dt.month dt.day (tz_string dt.tz)
 
-let compare_date = compare_date_time
-
 let parse_time s =
   run s (fun sc ->
       let hour = digits sc 2 in
@@ -213,8 +211,6 @@ let parse_time s =
 
 let print_time dt =
   Printf.sprintf "%02d:%02d:%s%s" dt.hour dt.minute (print_seconds dt.second) (tz_string dt.tz)
-
-let compare_time = compare_date_time
 
 let parse_g_year_month s =
   run s (fun sc ->

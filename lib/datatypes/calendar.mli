@@ -38,13 +38,11 @@ type date = date_time  (** hour/minute/second fixed at 0 *)
 
 val parse_date : string -> (date, string) result
 val print_date : date -> string
-val compare_date : date -> date -> int
 
 type time = date_time  (** year/month/day fixed at reference 2000-01-01 *)
 
 val parse_time : string -> (time, string) result
 val print_time : time -> string
-val compare_time : time -> time -> int
 
 type g_year_month = date_time
 

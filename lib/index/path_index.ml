@@ -178,7 +178,7 @@ module Make (N : NAV) = struct
     if indexed t (N.id backend node) then []  (* replayed entry *)
     else begin
       match N.parent backend node with
-      | None -> []  (* detached again before the journal drained *)
+      | None -> []  (* detached again later in the same batch *)
       | Some parent ->
         let ppn, plabel =
           match locate t backend parent with

@@ -23,9 +23,9 @@
     entries they touched, so callers can maintain value indexes and
     decide when a rebuild would be cheaper.  Entries are idempotent
     under replay — inserting an already-indexed node or removing an
-    unindexed one is a no-op — which makes draining a batched update
-    journal in order correct even when later operations supersede
-    earlier ones.
+    unindexed one is a no-op — which makes absorbing a batch of changes
+    in order correct even when later operations supersede earlier
+    ones.
 
     The functor is parameterized over the same accessor signature the
     XPath navigators provide, so one implementation serves both the

@@ -42,7 +42,7 @@ let op_matches op a b =
 (* One entry: a (key, exact string) value contributed by one target
    node, attributed to the owner extent entry the probe answers with.
    The ground truth is keyed by the target's numbering label, so
-   journal maintenance can replace exactly the entries a mutated
+   differential maintenance can replace exactly the entries a mutated
    target contributed.  The probe structures (the sorted key array and
    the exact-string table) are built from memory on the first probe —
    a sort of what is already there, never a walk of the document — and

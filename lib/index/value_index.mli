@@ -75,7 +75,7 @@ val target_count : t -> int
 
     Per-key counts are maintained differentially inside {!set_target}
     and {!remove_target} — the same calls the planner issues as it
-    drains the update journal — so a {!summary} is O(distinct keys) to
+    absorbs a batch of changes — so a {!summary} is O(distinct keys) to
     assemble and never re-reads the document.  The assembled summary
     is memoized until the next {!set_target} or {!remove_target}, so
     pricing several predicates between updates sorts the keys once.

@@ -28,10 +28,6 @@ let epoch_wall () = epoch
 
 let cpu_ns () = Int64.of_float (Sys.time () *. 1e9)
 
-let ns_to_ms ns = Int64.to_float ns /. 1e6
-
-let ns_to_us ns = Int64.to_float ns /. 1e3
-
 let seconds f =
   let t0 = Unix.gettimeofday () in
   f ();

@@ -32,9 +32,5 @@ val cpu_ns : unit -> int64
 (** Process CPU nanoseconds ([Sys.time]-based), for attributing how
     much of a wall-clock interval was spent computing. *)
 
-val ns_to_ms : int64 -> float
-
-val ns_to_us : int64 -> float
-
 val seconds : (unit -> unit) -> float
 (** Wall-clock seconds one call of the thunk takes. *)

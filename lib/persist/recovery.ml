@@ -40,16 +40,15 @@ let pp_stats ppf s =
          (if s.truncated then "truncated" else "ignored")
      else "")
 
-(* Maintain the §9.3 labels through one journal entry: an inserted
+(* Maintain the §9.3 labels through one change: an inserted
    subtree is labelled from its nearest labelled neighbours in the
    attributes @ children order (attributes precede children in
    document order), a deleted one drops its labels.  Existing labels
    never move — Proposition 1. *)
-let maintain_labels store labels entry =
-  match entry with
-  | Update.Journal.Content _ -> ()
-  | Update.Journal.Deleted n -> Labeler.remove_subtree labels store n
-  | Update.Journal.Inserted n -> Labeler.label_inserted_subtree labels store n
+let maintain_labels store labels = function
+  | Update.Content _ -> ()
+  | Update.Removed n -> Labeler.remove_subtree labels store n
+  | Update.Added n -> Labeler.label_inserted_subtree labels store n
 
 let empty_stats snapshot_nodes =
   {
@@ -70,7 +69,7 @@ let publish stats =
   Gauge.set g_snapshot_nodes (float_of_int stats.snapshot_nodes);
   stats
 
-let replay_wal_inner ?journal ?labels ?(truncate = true) store ~root wal_path =
+let replay_wal_inner ?labels ?(truncate = true) store ~root wal_path =
   let ( let* ) = Result.bind in
   let snapshot_nodes = Store.subtree_size store root in
   if not (Sys.file_exists wal_path) then Ok (empty_stats snapshot_nodes)
@@ -88,37 +87,19 @@ let replay_wal_inner ?journal ?labels ?(truncate = true) store ~root wal_path =
         try Ok ((Unix.stat wal_path).Unix.st_size - result.Wal.valid_bytes, false)
         with Unix.Unix_error _ -> Ok (0, false))
     in
-    (* the journal carries the replay to subscribers (index planner);
-       our own cursor feeds label maintenance *)
-    let journal = match journal with Some j -> j | None -> Update.Journal.create () in
-    let label_cursor =
-      match labels with
-      | Some _ ->
-        let c = Update.Journal.subscribe journal in
-        ignore (Update.Journal.read journal c);
-        (* skip anything recorded before recovery began *)
-        Some c
-      | None -> None
-    in
     let rec replay idx = function
       | [] -> Ok idx
       | Wal.Sync_point :: rest -> replay idx rest
       | Wal.Op op :: rest -> (
-        match Wal.replay_op ~journal store ~root op with
-        | Ok _ ->
-          (match labels, label_cursor with
-          | Some t, Some c ->
-            Update.Journal.iter journal c (maintain_labels store t)
-          | _ -> ());
+        match Wal.replay_op store ~root op with
+        | Ok applied ->
+          Option.iter (fun t -> maintain_labels store t (Update.change applied)) labels;
           replay (idx + 1) rest
         | Error e ->
           Error
             (Failed (Format.asprintf "recovery: record %d (%a): %s" (idx + 1) Wal.pp_op op e)))
     in
     let* replayed = replay 0 result.Wal.records in
-    (match label_cursor with
-    | Some c -> Update.Journal.unsubscribe journal c
-    | None -> ());
     Ok
       {
         snapshot_nodes;
@@ -129,22 +110,21 @@ let replay_wal_inner ?journal ?labels ?(truncate = true) store ~root wal_path =
         truncated;
       }
 
-let replay_wal ?journal ?labels ?truncate store ~root wal_path =
+let replay_wal ?labels ?truncate store ~root wal_path =
   Trace.with_span "recover.replay"
     ~attrs:[ ("wal", wal_path) ]
     (fun () ->
-      Result.map publish (replay_wal_inner ?journal ?labels ?truncate store ~root wal_path))
+      Result.map publish (replay_wal_inner ?labels ?truncate store ~root wal_path))
 
-let recover ?journal ?(before_replay = fun _ _ -> ()) ?truncate ~snapshot ?wal () =
+let recover ?truncate ~snapshot ?wal () =
   let ( let* ) = Result.bind in
   let* store, root, labels, _meta =
     Trace.with_span "recover.snapshot" ~attrs:[ ("path", snapshot) ] (fun () ->
         Result.map_error (fun m -> Failed m) (Snapshot.load ~path:snapshot))
   in
-  before_replay store root;
   let* stats =
     match wal with
     | None -> Ok (publish (empty_stats (Store.subtree_size store root)))
-    | Some wal_path -> replay_wal ?journal ?labels ?truncate store ~root wal_path
+    | Some wal_path -> replay_wal ?labels ?truncate store ~root wal_path
   in
   Ok (store, root, labels, stats)

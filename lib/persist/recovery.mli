@@ -11,9 +11,8 @@
     When the snapshot carries §9.3 numbering labels, replay maintains
     them (inserted subtrees get fresh labels via the Proposition 1
     discipline, deleted ones are dropped), so a recovered store hands
-    the planner a live labelled tree.  Passing [journal] lets an index
-    planner built over the snapshot state absorb the replay
-    differentially — indexes {e resume} rather than rebuild. *)
+    the planner a live labelled tree.  An index planner is built over
+    the recovered state, once. *)
 
 type error =
   | Corrupt_wal of string
@@ -35,8 +34,8 @@ type stats = {
 val pp_stats : Format.formatter -> stats -> unit
 
 val maintain_labels :
-  Xsm_xdm.Store.t -> Xsm_numbering.Labeler.t -> Xsm_schema.Update.Journal.entry -> unit
-(** Carry the §9.3 labels through one journal entry: an inserted
+  Xsm_xdm.Store.t -> Xsm_numbering.Labeler.t -> Xsm_xdm.Store.node Xsm_schema.Update.change -> unit
+(** Carry the §9.3 labels through one change: an inserted
     subtree is labelled from its nearest labelled neighbours in the
     parent's attributes @ children order
     ({!Xsm_numbering.Labeler.label_new_child}), a deleted one drops
@@ -45,7 +44,6 @@ val maintain_labels :
     update. *)
 
 val replay_wal :
-  ?journal:Xsm_schema.Update.Journal.t ->
   ?labels:Xsm_numbering.Labeler.t ->
   ?truncate:bool ->
   Xsm_xdm.Store.t ->
@@ -53,14 +51,10 @@ val replay_wal :
   string ->
   (stats, error) result
 (** The replay half of {!recover}, for callers that loaded the
-    snapshot themselves — typically to build an index planner over the
-    snapshot state and subscribe it to [journal] {e before} replay, so
-    the indexes absorb the WAL differentially instead of rebuilding.
-    A missing WAL file is an empty log. *)
+    snapshot themselves.  [labels] are carried through every replayed
+    op ({!maintain_labels}).  A missing WAL file is an empty log. *)
 
 val recover :
-  ?journal:Xsm_schema.Update.Journal.t ->
-  ?before_replay:(Xsm_xdm.Store.t -> Xsm_xdm.Store.node -> unit) ->
   ?truncate:bool ->
   snapshot:string ->
   ?wal:string ->
@@ -77,7 +71,4 @@ val recover :
     next writer appends after the valid prefix.  Replay failure of a
     {e valid} record — a snapshot/log mismatch — is an error, not a
     skip: the pair is inconsistent and silently dropping transitions
-    would fabricate a state that never existed.  [before_replay] sees
-    the snapshot state before any record applies — the place to build
-    an index planner and subscribe it to [journal], so the indexes
-    absorb the replay differentially. *)
+    would fabricate a state that never existed. *)

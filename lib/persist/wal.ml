@@ -155,7 +155,7 @@ let resolve store ~root = function
       | Some a -> Ok a
       | None -> Error (Format.asprintf "wal: no attribute %a at %a" Name.pp name pp_path p)))
 
-let replay_op ?journal store ~root op =
+let replay_op store ~root op =
   let ( let* ) = Result.bind in
   (* an append (the index past the last child) neither reads nor
      copies the sibling list: replaying a log of appends under one
@@ -182,7 +182,7 @@ let replay_op ?journal store ~root op =
       let* e = resolve_path store ~root element in
       Ok (Update.Set_attribute { element = e; name; value })
   in
-  Update.apply ?journal store update
+  Update.apply store update
 
 (* ------------------------------------------------------------------ *)
 (* Record encoding                                                     *)

@@ -6,9 +6,9 @@
     the root (positions among [children]; attributes by owner path +
     name), inserted subtrees travel as canonical serialized fragments,
     content changes carry the new value.  Replaying the log over the
-    snapshot therefore re-runs the exact transition sequence — the
-    mirror, on disk, of what {!Xsm_schema.Update.Journal} gives the
-    index planner in memory.
+    snapshot therefore re-runs the exact transition sequence, and each
+    replayed op yields the same {!Xsm_schema.Update.change} the live
+    run handed its index planner and labels.
 
     {b Framing.} The file starts with an 8-byte magic; each record is
     [length (4 bytes LE) ‖ CRC-32 of payload (4 bytes LE) ‖ payload].
@@ -69,15 +69,13 @@ val op_of_update : 'n tree -> root:'n -> 'n Xsm_schema.Update.op -> (op, string)
 (** {1 Replay} *)
 
 val replay_op :
-  ?journal:Xsm_schema.Update.Journal.t ->
   Xsm_xdm.Store.t ->
   root:Xsm_xdm.Store.node ->
   op ->
   (Xsm_schema.Update.applied, string) result
 (** Resolve the addresses against the current state and apply through
-    {!Xsm_schema.Update.apply}, journalling when asked — so an index
-    planner subscribed to the journal absorbs the replay
-    differentially. *)
+    {!Xsm_schema.Update.apply}; {!Xsm_schema.Update.change} of the
+    result is what the replay changed. *)
 
 (** {1 Records} *)
 

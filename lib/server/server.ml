@@ -1,6 +1,5 @@
 module Store = Xsm_xdm.Store
 module Update = Xsm_schema.Update
-module Journal = Xsm_schema.Update.Journal
 module Labeler = Xsm_numbering.Labeler
 module Wal = Xsm_persist.Wal
 module Recovery = Xsm_persist.Recovery
@@ -69,9 +68,7 @@ type served =
       store : Store.t;
       root : Store.node;
       labels : Labeler.t option;
-      journal : Journal.t;
-      label_cursor : Journal.cursor option;
-      planner : Pl.t option;  (* an attached planner's journal cursor pins entries *)
+      planner : Pl.t option;  (* fed each applied op's change *)
     }
   | Paged of {
       (* one buffer pool shared by every session, faulted under the
@@ -152,10 +149,10 @@ let apply_paged bs (op : Bs.desc Update.op) =
   match op with
   | Update.Insert_element { parent; before; tree } ->
     let* () = insertable parent ~text:false in
-    Ok (Spl.Node_added (Bs.insert_tree bs ~parent ~after:(after parent before) tree))
+    Ok (Update.Added (Bs.insert_tree bs ~parent ~after:(after parent before) tree))
   | Update.Insert_text { parent; before; text } ->
     let* () = insertable parent ~text:true in
-    Ok (Spl.Node_added (fst (Bs.insert_text bs ~parent ~after:(after parent before) text)))
+    Ok (Update.Added (fst (Bs.insert_text bs ~parent ~after:(after parent before) text)))
   | Update.Delete node -> (
     match Bs.parent node with
     | None -> Error "delete: node has no parent"
@@ -163,12 +160,12 @@ let apply_paged bs (op : Bs.desc Update.op) =
       Error "delete: cannot remove the document element"
     | Some _ ->
       Bs.delete_subtree bs node;
-      Ok (Spl.Node_removed node))
+      Ok (Update.Removed node))
   | Update.Replace_content { node; value } -> (
     match kind node with
     | Ds.Text | Ds.Attribute ->
       Bs.set_content bs node value;
-      Ok (Spl.Node_content node)
+      Ok (Update.Content node)
     | Ds.Document | Ds.Element -> Error "set_content: only text and attribute nodes hold content")
   | Update.Set_attribute { element; name; value } -> (
     match kind element with
@@ -177,8 +174,8 @@ let apply_paged bs (op : Bs.desc Update.op) =
       match List.find_opt named (Bs.attributes bs element) with
       | Some a ->
         Bs.set_content bs a value;
-        Ok (Spl.Node_content a)
-      | None -> Ok (Spl.Node_added (fst (Bs.insert_attribute bs ~parent:element name value))))
+        Ok (Update.Content a)
+      | None -> Ok (Update.Added (fst (Bs.insert_attribute bs ~parent:element name value))))
     | Ds.Document | Ds.Attribute | Ds.Text -> Error "set_attribute: target is not an element")
 
 (* Apply one command to the served store.  Runs inside the leader's
@@ -187,14 +184,12 @@ let apply_paged bs (op : Bs.desc Update.op) =
    after the batch fsync either way. *)
 let apply_command srv line =
   match srv.served with
-  | Resident { store; root; labels; journal; label_cursor; _ } ->
+  | Resident { store; root; labels; planner } ->
     let* op = Update.parse_command ~resolve:(Eval.eval_string store root) line in
-    let* _applied =
-      Wal.apply_logged srv.wal (Wal.store_tree store) ~root ~apply:(Update.apply ~journal store) op
-    in
-    (match labels, label_cursor with
-    | Some t, Some c -> Journal.iter journal c (Recovery.maintain_labels store t)
-    | _ -> ());
+    let* applied = Wal.apply_logged srv.wal (Wal.store_tree store) ~root ~apply:(Update.apply store) op in
+    let change = Update.change applied in
+    Option.iter (fun t -> Recovery.maintain_labels store t change) labels;
+    Option.iter (fun p -> Pl.apply_changes p [ change ]) planner;
     Ok ()
   | Paged { bs; planner; _ } ->
     let root = Bs.root bs in
@@ -283,15 +278,22 @@ let finish_request srv ~session ~id ~kind ~detail ~counter ~hist ~trace ~phases 
                   (Trace.record_linked pname ~parent:root ~depth:1 ~start_ns:p0 ~stop_ns:p1
                      ~attrs:trace_attrs))
               phases);
+      let slow = Int64.compare latency_ns srv.slow_ns >= 0 in
+      let failed = match outcome with Flight.Failed _ -> true | Flight.Done -> false in
       (* flight digest: planner evaluations left their digest in
          [last_digest] (same request, same mutex); estimates are
-         interval arithmetic, never a re-evaluation *)
+         interval arithmetic, never a re-evaluation.  They read the
+         planner's indexes, so under the shared latch, like the
+         evaluation: the commit leader splices updates into them under
+         the exclusive one.  The plan is only materialized for the
+         digests someone will read: slow requests and failures. *)
       let dg = !(srv.last_digest) in
       srv.last_digest := None;
-      let route, est_lo, est_hi, plan_thunk =
+      let route, est_lo, est_hi, plan =
         match dg with
-        | None -> ("", -1, -1, fun () -> None)
+        | None -> ("", -1, -1, None)
         | Some d ->
+          Epoch.read srv.epoch @@ fun _ ->
           let lo, hi =
             match d.Planner.dg_estimate () with
             | Some e -> (
@@ -299,10 +301,8 @@ let finish_request srv ~session ~id ~kind ~detail ~counter ~hist ~trace ~phases 
                 match e.Plan.e_rows.Plan.hi with Some h -> h | None -> -1 ))
             | None -> (-1, -1)
           in
-          (d.Planner.dg_route, lo, hi, fun () -> Some (Planner.digest_json d))
+          (d.Planner.dg_route, lo, hi, if slow || failed then Some (Planner.digest_json d) else None)
       in
-      let slow = Int64.compare latency_ns srv.slow_ns >= 0 in
-      let failed = match outcome with Flight.Failed _ -> true | Flight.Done -> false in
       let digest : Flight.digest =
         {
           seq = 0;
@@ -321,9 +321,7 @@ let finish_request srv ~session ~id ~kind ~detail ~counter ~hist ~trace ~phases 
           session;
           request = id;
           trace_id = (match trace with Some t -> t.P.trace_id | None -> "");
-          (* the plan is only materialized for the digests someone
-             will read: slow requests and failures *)
-          plan = (if slow || failed then plan_thunk () else None);
+          plan;
         }
       in
       Flight.record srv.flight digest;
@@ -364,9 +362,10 @@ let run_query srv ~traced path =
   let phase name p0 p1 = phases := (name, p0, p1) :: !phases in
   let result =
     if srv.config.use_index then
-      (* planner indexes are mutable (journal drain, memoized results):
-         serialized under the server mutex, still snapshot-consistent
-         under the shared latch *)
+      (* planner indexes are mutable (lazily built value indexes, plan
+         decisions): serialized under the server mutex, and under the
+         shared latch, which keeps out the commit leader splicing each
+         update's change into them *)
       let t_lock = Clock.now_ns () in
       locked srv (fun () ->
           let t_latch = Clock.now_ns () in
@@ -585,18 +584,15 @@ let session_loop srv session fd =
    daemon then drops: the block storage is the served document. *)
 let served_store config ~store ~root ?labels ~wal ~sink = function
   | None ->
-    let journal = Journal.create () in
     let planner =
       if config.use_index then begin
         let p = Pl.create store root in
-        Planner.attach_journal p journal;
         Pl.set_digest_sink p sink;
         Some p
       end
       else None
     in
-    let label_cursor = Option.map (fun _ -> Journal.subscribe journal) labels in
-    Resident { store; root; labels; journal; label_cursor; planner }
+    Resident { store; root; labels; planner }
   | Some page_file ->
     let bs = Bs.of_store ?labels store root in
     let planner =

@@ -82,9 +82,9 @@ val create :
   (t, string) result
 (** Assemble a server over booted state.  Opens the WAL writer (the
     file must be a WAL or fresh — {!Xsm_persist.Wal.Writer.create}
-    semantics), spawns the domain pool and builds the planner.  A
-    resident server subscribes label maintenance to its update
-    journal; a paged one builds its block storage from [store] (nids
+    semantics), spawns the domain pool and builds the planner.  Each
+    committed update hands its change to the planner and, on a
+    resident server, to label maintenance; a paged one builds its block storage from [store] (nids
     from [labels] when given) and drops [store].  The config is
     checked before anything is opened, and a later failure closes
     what was opened: [Error] leaves no open file behind.  A paged

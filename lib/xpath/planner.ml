@@ -8,16 +8,16 @@ module Trace = Xsm_obs.Trace
 (* Registry totals across every planner in the process; each planner
    holds private cells so [maintenance_stats] stays per-instance. *)
 let m_epochs = Counter.make ~help:"full path-index builds" "planner.epochs"
-let m_applied = Counter.make ~help:"journal changes absorbed without a rebuild" "planner.applied"
+let m_applied = Counter.make ~help:"changes absorbed without a rebuild" "planner.applied"
 let m_vi_drops = Counter.make ~help:"value indexes dropped for lazy rebuild" "planner.vi_drops"
 let m_pruned = Counter.make ~help:"queries answered empty by the static oracle" "planner.pruned"
 let m_index_hits = Counter.make ~help:"queries answered from the path index" "planner.index_hits"
 let m_fallbacks = Counter.make ~help:"queries handed to the navigational evaluator" "planner.fallbacks"
-let h_drain = Histogram.make ~help:"journal drain-and-apply latency (ns)" "planner.drain_ns"
+let h_drain = Histogram.make ~help:"latency of one apply_changes batch (ns)" "planner.drain_ns"
 
 type maintenance_stats = {
   epochs : int;  (* full index builds so far (1 = the initial build) *)
-  applied : int;  (* journal changes absorbed without a rebuild *)
+  applied : int;  (* changes absorbed without a rebuild *)
   vi_drops : int;  (* value indexes dropped for lazy rebuild *)
 }
 
@@ -70,11 +70,6 @@ module Make (N : Navigator.S) = struct
 
   exception Fallback of string
 
-  type change =
-    | Node_added of N.node
-    | Node_removed of N.node
-    | Node_content of N.node
-
   (* A cached value index plus what maintenance needs to know about
      it: the relative path it was built from, the pnode ids its
      targets came from, and whether that target set was computed
@@ -95,8 +90,6 @@ module Make (N : Navigator.S) = struct
     mutable is_stale : bool;
     values : (int * string, vindex) Hashtbl.t;
         (* (pnode id, printed relative path) -> its typed value index *)
-    mutable source : (unit -> change list) option;
-        (* pull-subscription to an update journal, drained before use *)
     epoch : Counter.cell;
     applied : Counter.cell;
     vi_drops : Counter.cell;
@@ -127,7 +120,6 @@ module Make (N : Navigator.S) = struct
       pindex = PI.build backend root;
       is_stale = false;
       values = Hashtbl.create 16;
-      source = None;
       epoch;
       applied = Counter.cell m_applied;
       vi_drops = Counter.cell m_vi_drops;
@@ -161,10 +153,7 @@ module Make (N : Navigator.S) = struct
     | None -> None
     | Some f -> if p.absolute || Option.is_none context then f p else None
 
-  let drain t = match t.source with Some f -> f () | None -> []
-
   let refresh t =
-    ignore (drain t);  (* a rebuild subsumes whatever is pending *)
     t.pindex <- PI.build t.backend t.root;
     Hashtbl.reset t.values;
     t.is_stale <- false;
@@ -174,7 +163,6 @@ module Make (N : Navigator.S) = struct
   let stale t = t.is_stale
   let index t = t.pindex
   let value_index_count t = Hashtbl.length t.values
-  let set_source t f = t.source <- Some f
 
   (* a view over this planner's registry cells *)
   let maintenance_stats t =
@@ -522,7 +510,7 @@ module Make (N : Navigator.S) = struct
   (* The typed value index over (owner path, relative value path),
      built on first use from the owner and target extents — each
      target node attaches to its unique owner ancestor by one binary
-     search on the labels — then kept current by journal maintenance
+     search on the labels — then kept current by differential maintenance
      (or dropped for lazy rebuild when it cannot be). *)
   and value_index t pn (rel : path) =
     let key = (PI.id pn, Path_ast.to_string rel) in
@@ -654,21 +642,21 @@ module Make (N : Navigator.S) = struct
   exception Too_much
 
   let apply_one t touched budget = function
-    | Node_added node -> (
+    | Xsm_schema.Update.Added node -> (
       let added = PI.insert_subtree t.pindex t.backend node in
       touched := !touched + List.length added;
       if !touched > budget then raise Too_much;
       match added with
       | [] -> ()
       | (_, root_label, _) :: _ -> vi_on_added t root_label added)
-    | Node_removed node -> (
+    | Xsm_schema.Update.Removed node -> (
       let removed = PI.remove_subtree t.pindex t.backend node in
       touched := !touched + List.length removed;
       if !touched > budget then raise Too_much;
       match removed with
       | [] -> ()
       | (_, root_label) :: _ -> vi_on_removed t root_label removed)
-    | Node_content node -> (
+    | Xsm_schema.Update.Content node -> (
       match PI.locate t.pindex t.backend node with
       | None -> ()  (* content of a node outside the indexed tree *)
       | Some (_, label) ->
@@ -676,33 +664,29 @@ module Make (N : Navigator.S) = struct
         vi_on_content t label)
 
   let apply_changes t changes =
-    if t.is_stale then refresh t
-    else
-      match changes with
-      | [] -> ()
-      | changes -> (
-        let before_pnodes = PI.pnode_count t.pindex in
-        (* the size-ratio heuristic: when a batch touches more than a
-           quarter of the indexed entries, differential upkeep costs
-           more than the single linear pass of a rebuild — stop and
-           rebuild.  Partial application up to that point is harmless:
-           the rebuild subsumes it. *)
-        let budget = max 8 (PI.entry_count t.pindex / 4) in
-        let touched = ref 0 in
-        match
-          List.iter (fun c -> apply_one t touched budget c) changes;
-          if PI.pnode_count t.pindex > before_pnodes then revalidate_value_targets t
-        with
-        | () -> Counter.cell_add t.applied (List.length changes)
-        | exception (Too_much | Xsm_index.Path_index.Maintenance_error _) -> refresh t)
-
-  let ensure_fresh t =
     let start = Xsm_obs.Clock.now_ns () in
-    Trace.with_span "plan.maintain" (fun () ->
-        let pending = drain t in
-        if t.is_stale then refresh t else apply_changes t pending);
-    Histogram.observe h_drain
-      (Int64.to_float (Int64.sub (Xsm_obs.Clock.now_ns ()) start))
+    (if t.is_stale then refresh t
+     else
+       match changes with
+       | [] -> ()
+       | changes -> (
+         let before_pnodes = PI.pnode_count t.pindex in
+         (* the size-ratio heuristic: when a batch touches more than a
+            quarter of the indexed entries, differential upkeep costs
+            more than the single linear pass of a rebuild — stop and
+            rebuild.  Partial application up to that point is harmless:
+            the rebuild subsumes it. *)
+         let budget = max 8 (PI.entry_count t.pindex / 4) in
+         let touched = ref 0 in
+         match
+           List.iter (fun c -> apply_one t touched budget c) changes;
+           if PI.pnode_count t.pindex > before_pnodes then revalidate_value_targets t
+         with
+         | () -> Counter.cell_add t.applied (List.length changes)
+         | exception (Too_much | Xsm_index.Path_index.Maintenance_error _) -> refresh t));
+    Histogram.observe h_drain (Int64.to_float (Int64.sub (Xsm_obs.Clock.now_ns ()) start))
+
+  let ensure_fresh t = if t.is_stale then refresh t
 
   let eval_indexed t (p : path) =
     ensure_fresh t;
@@ -960,15 +944,3 @@ end
 
 module Over_store = Make (Navigator.Xdm)
 module Over_storage = Make (Navigator.Storage)
-
-let attach_journal (t : Over_store.t) (j : Xsm_schema.Update.Journal.t) =
-  (* a private cursor: the planner reads at its own pace and other
-     subscribers (a WAL writer, recovery) see the same entries *)
-  let cursor = Xsm_schema.Update.Journal.subscribe j in
-  Over_store.set_source t (fun () ->
-      List.map
-        (function
-          | Xsm_schema.Update.Journal.Inserted n -> Over_store.Node_added n
-          | Xsm_schema.Update.Journal.Deleted n -> Over_store.Node_removed n
-          | Xsm_schema.Update.Journal.Content n -> Over_store.Node_content n)
-        (Xsm_schema.Update.Journal.read j cursor))

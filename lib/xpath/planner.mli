@@ -23,24 +23,23 @@
     engines agree wherever both apply (the property the test suite
     checks).
 
-    {b Maintenance}: indexes are kept current {e differentially}.  A
-    planner over the XDM store subscribes to the [Xsm_schema.Update]
-    journal ({!attach_journal}), and before every evaluation the
-    pending changes are drained and applied in order; a planner over
-    block storage is handed each change ({!Make.apply_changes}).
-    Changes are label-sorted splices into the path extents and keyed
-    add/remove in the value indexes, instead of a rebuild from
-    scratch.  Proposition 1 makes this sound: existing
-    labels never change under updates, so everything already indexed
-    stays put.  A size-ratio heuristic bounds the worst case: when a
-    batch touches more than a quarter of the indexed entries (or
-    maintenance meets a state it cannot repair), the planner falls
-    back to one full rebuild.  {!invalidate} still forces a rebuild
-    for callers without a journal. *)
+    {b Maintenance}: indexes are kept current {e differentially}.
+    Whoever applies an update hands the planner the
+    [Xsm_schema.Update.change] it made ({!Make.apply_changes}), over
+    either store, right after the op applies.  Changes are
+    label-sorted splices into the path extents and keyed add/remove in
+    the value indexes, instead of a rebuild from scratch.  Proposition
+    1 makes this sound: existing labels never change under updates, so
+    everything already indexed stays put.  A size-ratio heuristic
+    bounds the worst case: when a batch touches more than a quarter of
+    the indexed entries (or maintenance meets a state it cannot
+    repair), the planner falls back to one full rebuild.
+    {!Make.invalidate} forces a rebuild for a caller that does not
+    hand its changes on. *)
 
 type maintenance_stats = {
   epochs : int;  (** full index builds so far (1 = the initial build) *)
-  applied : int;  (** journal changes absorbed without a rebuild *)
+  applied : int;  (** changes absorbed without a rebuild *)
   vi_drops : int;  (** value indexes dropped for lazy rebuild *)
 }
 
@@ -83,12 +82,11 @@ module Make (N : Navigator.S) : sig
       (value indexes are created lazily per indexed path). *)
 
   val invalidate : t -> unit
-  (** Mark the indexes stale after an unjournaled update; the next
-      evaluation rebuilds them. *)
+  (** Mark the indexes stale after an update whose change is not
+      handed to {!apply_changes}; the next evaluation rebuilds them. *)
 
   val refresh : t -> unit
-  (** Rebuild now (discards any pending journal changes — the rebuild
-      subsumes them). *)
+  (** Rebuild now. *)
 
   val stale : t -> bool
   val index : t -> PI.t
@@ -96,16 +94,14 @@ module Make (N : Navigator.S) : sig
 
   (** {1 Differential maintenance} *)
 
-  type change =
-    | Node_added of N.node  (** a freshly linked subtree root *)
-    | Node_removed of N.node  (** a just-unlinked subtree root *)
-    | Node_content of N.node  (** own content of a text/attribute replaced *)
-
-  val apply_changes : t -> change list -> unit
+  val apply_changes : t -> N.node Xsm_schema.Update.change list -> unit
   (** Absorb a batch of changes, in order, into the path index and the
       cached value indexes.  Falls back to a full rebuild when the
       batch touches too large a fraction of the index or cannot be
-      repaired differentially. *)
+      repaired differentially, or when the indexes are stale.  Each
+      call records one [planner.drain_ns] sample and opens no span: a
+      daemon calls it from its commit leader, where no span is
+      recorded. *)
 
   val maintenance_stats : t -> maintenance_stats
 
@@ -116,8 +112,7 @@ module Make (N : Navigator.S) : sig
       [Xsm_analysis.Query_static.pruner graph] (kept abstract here as
       a closure so the analysis library can depend on this one).  When
       the oracle answers [Some reason], {!eval} returns [[]]
-      immediately, without draining the journal or touching any
-      extent, and {!explain} reports ["pruned(reason)"].  The oracle
+      immediately, without touching any extent, and {!explain} reports ["pruned(reason)"].  The oracle
       is only consulted for evaluations anchored at the indexed root
       (absolute paths, or no [?context] given); soundness is the
       oracle's contract — for the static analyzer, that the instance
@@ -178,9 +173,3 @@ end
 
 module Over_store : module type of Make (Navigator.Xdm)
 module Over_storage : module type of Make (Navigator.Storage)
-
-val attach_journal : Over_store.t -> Xsm_schema.Update.Journal.t -> unit
-(** Wire a planner over the XDM store to an [Xsm_schema.Update]
-    journal: every pending entry is drained and applied before each
-    evaluation, so indexes stay live across updates without explicit
-    {!Make.invalidate} calls. *)

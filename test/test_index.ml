@@ -373,7 +373,7 @@ let test_property_library () =
 
    The per-key counts behind {!VI.summary} are maintained inside
    [set_target]/[remove_target] — the calls the planner issues while
-   draining the update journal — and so are the probe structures: once
+   it absorbs a batch of changes — and so are the probe structures: once
    a probe has built them, each call splices its entries in and out,
    and the assembled summary is memoized until the next call.  After
    any random maintenance history, with probes and summaries taken

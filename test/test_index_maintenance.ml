@@ -1,7 +1,8 @@
-(* Differential index maintenance: a planner subscribed to an update
-   journal keeps answering exactly like the naive evaluator — and like
-   a planner rebuilt from scratch — without rebuilding, across
-   inserts, deletes, content replacement and attribute updates. *)
+(* Differential index maintenance: a planner handed the change of
+   every applied update keeps answering exactly like the naive
+   evaluator — and like a planner rebuilt from scratch — without
+   rebuilding, across inserts, deletes, content replacement and
+   attribute updates. *)
 
 module Store = Xsm_xdm.Store
 module Convert = Xsm_xdm.Convert
@@ -11,7 +12,6 @@ module E = Xsm_xpath.Eval.Over_store
 module Pl = Xsm_xpath.Planner.Over_store
 module Gen = Xsm_schema.Generator
 module Update = Xsm_schema.Update
-module Journal = Xsm_schema.Update.Journal
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -26,16 +26,13 @@ let library ?(books = 20) ?(papers = 10) () =
   in
   (store, dnode)
 
-let live_planner store dnode =
-  let planner = Pl.create store dnode in
-  let journal = Journal.create () in
-  Xsm_xpath.Planner.attach_journal planner journal;
-  (planner, journal)
-
-let apply_exn journal store op =
-  match Update.apply ~journal store op with
+let apply_exn store op =
+  match Update.apply store op with
   | Ok applied -> applied
   | Error e -> Alcotest.fail e
+
+(* apply, and hand the planner the change, as every caller does *)
+let apply_fed planner store op = Pl.apply_changes planner [ Update.change (apply_exn store op) ]
 
 let queries =
   [
@@ -84,56 +81,61 @@ let book_tree i =
                ]);
       ]
 
-(* ---------------- the journal itself ---------------- *)
+(* ---------------- the change an update makes ---------------- *)
 
-let test_journal_records () =
-  let store, dnode = library ~books:2 ~papers:1 () in
-  let journal = Journal.create () in
-  let cursor = Journal.subscribe journal in
+let test_undo_mirror () =
+  let store, dnode = library () in
+  let planner = Pl.create store dnode in
   let libr = List.hd (Store.children store dnode) in
-  check_int "empty journal" 0 (Journal.pending journal cursor);
   let applied =
-    apply_exn journal store
-      (Update.Insert_element { parent = libr; before = None; tree = book_tree 0 })
+    apply_exn store (Update.Insert_element { parent = libr; before = None; tree = book_tree 0 })
   in
-  check_int "insert recorded" 1 (Journal.pending journal cursor);
-  Update.undo ~journal store applied;
-  check_int "undo records its mirror" 2 (Journal.pending journal cursor);
-  (match Journal.read journal cursor with
-  | [ Journal.Inserted a; Journal.Deleted b ] ->
+  let undone = Update.undo store applied in
+  (match (Update.change applied, undone) with
+  | Update.Added a, Update.Removed b ->
     check "mirror names the same node" true (Store.equal_node a b)
-  | _ -> Alcotest.fail "expected [Inserted; Deleted]");
-  check_int "drain empties" 0 (Journal.pending journal cursor);
-  (* unjournaled applications leave the journal untouched *)
-  ignore
-    (match
-       Update.apply store
-         (Update.Insert_element { parent = libr; before = None; tree = book_tree 1 })
-     with
-    | Ok a -> a
-    | Error e -> Alcotest.fail e);
-  check_int "no journal, no entry" 0 (Journal.pending journal cursor)
+  | _ -> Alcotest.fail "expected Added, then Removed");
+  (* a planner fed both the apply and the undo ends where it began *)
+  Pl.apply_changes planner [ Update.change applied; undone ];
+  agree_all planner store dnode;
+  same_as_rebuild planner store dnode;
+  (* and so for a delete, a content change and a fresh attribute *)
+  let book = List.hd (Store.children store libr) in
+  let text =
+    List.find (fun n -> Store.kind store n = Store.Kind.Text) (Store.descendants_or_self store book)
+  in
+  List.iter
+    (fun op ->
+      let applied = apply_exn store op in
+      Pl.apply_changes planner [ Update.change applied ];
+      Pl.apply_changes planner [ Update.undo store applied ];
+      agree_all planner store dnode;
+      same_as_rebuild planner store dnode)
+    [
+      Update.Delete book;
+      Update.Replace_content { node = text; value = "1492" };
+      Update.Set_attribute { element = book; name = Name.local "tag"; value = "a" };
+    ];
+  check_int "never rebuilt" 1 (Pl.maintenance_stats planner).Xsm_xpath.Planner.epochs
 
 (* ---------------- structural maintenance ---------------- *)
 
 let test_incremental_updates () =
   let store, dnode = library () in
-  let planner, journal = live_planner store dnode in
+  let planner = Pl.create store dnode in
   agree_all planner store dnode;
   let libr = List.hd (Store.children store dnode) in
   (* insert a whole subtree *)
-  ignore
-    (apply_exn journal store
-       (Update.Insert_element { parent = libr; before = None; tree = book_tree 1 }));
+  apply_fed planner store
+    (Update.Insert_element { parent = libr; before = None; tree = book_tree 1 });
   agree_all planner store dnode;
   (* insert before an anchor (exercises label-between) *)
   let anchor = List.nth (Store.children store libr) 3 in
-  ignore
-    (apply_exn journal store
-       (Update.Insert_element { parent = libr; before = Some anchor; tree = book_tree 2 }));
+  apply_fed planner store
+    (Update.Insert_element { parent = libr; before = Some anchor; tree = book_tree 2 });
   agree_all planner store dnode;
   (* delete a subtree *)
-  ignore (apply_exn journal store (Update.Delete (List.nth (Store.children store libr) 5)));
+  apply_fed planner store (Update.Delete (List.nth (Store.children store libr) 5));
   agree_all planner store dnode;
   (* replace a text's content *)
   let a_text =
@@ -141,17 +143,14 @@ let test_incremental_updates () =
       (fun n -> Store.kind store n = Store.Kind.Text)
       (Store.descendants_or_self store dnode)
   in
-  ignore
-    (apply_exn journal store (Update.Replace_content { node = a_text; value = "2001" }));
+  apply_fed planner store (Update.Replace_content { node = a_text; value = "2001" });
   agree_all planner store dnode;
   (* attach a fresh attribute, then overwrite it *)
   let an_elem = List.hd (Store.children store libr) in
-  ignore
-    (apply_exn journal store
-       (Update.Set_attribute { element = an_elem; name = Name.local "tag"; value = "a" }));
-  ignore
-    (apply_exn journal store
-       (Update.Set_attribute { element = an_elem; name = Name.local "tag"; value = "b" }));
+  apply_fed planner store
+    (Update.Set_attribute { element = an_elem; name = Name.local "tag"; value = "a" });
+  apply_fed planner store
+    (Update.Set_attribute { element = an_elem; name = Name.local "tag"; value = "b" });
   agree_all planner store dnode;
   same_as_rebuild planner store dnode;
   let stats = Pl.maintenance_stats planner in
@@ -159,28 +158,19 @@ let test_incremental_updates () =
   check "changes were absorbed incrementally" true (stats.Xsm_xpath.Planner.applied >= 6)
 
 let test_batched_replay () =
-  (* many updates between two evaluations: the journal drains once, in
-     order, against the final store state — including an insert whose
-     subtree is deleted again before the planner ever looks *)
+  (* many updates handed over in one batch, in order, against the
+     final store state — including an insert whose subtree is deleted
+     again before the planner ever looks *)
   let store, dnode = library () in
-  let planner, journal = live_planner store dnode in
+  let planner = Pl.create store dnode in
   agree_all planner store dnode;
   let libr = List.hd (Store.children store dnode) in
-  ignore
-    (apply_exn journal store
-       (Update.Insert_element { parent = libr; before = None; tree = book_tree 7 }));
-  let doomed = List.nth (Store.children store libr) 0 in
-  ignore (apply_exn journal store (Update.Delete doomed));
-  let newest = List.rev (Store.children store libr) |> List.hd in
-  ignore (apply_exn journal store (Update.Delete newest));
-  ignore
-    (apply_exn journal store
-       (Update.Insert_element { parent = libr; before = None; tree = book_tree 8 }));
-  (* a cursor subscribed now starts at the oldest entry the planner's
-     cursor still pins *)
-  let c = Journal.subscribe journal in
-  check "journal is pending" true (Journal.pending journal c = 4);
-  Journal.unsubscribe journal c;
+  let step op = Update.change (apply_exn store op) in
+  let c1 = step (Update.Insert_element { parent = libr; before = None; tree = book_tree 7 }) in
+  let c2 = step (Update.Delete (List.nth (Store.children store libr) 0)) in
+  let c3 = step (Update.Delete (List.rev (Store.children store libr) |> List.hd)) in
+  let c4 = step (Update.Insert_element { parent = libr; before = None; tree = book_tree 8 }) in
+  Pl.apply_changes planner [ c1; c2; c3; c4 ];
   agree_all planner store dnode;
   same_as_rebuild planner store dnode;
   check_int "one batch, no rebuild" 1 (Pl.maintenance_stats planner).Xsm_xpath.Planner.epochs
@@ -189,7 +179,7 @@ let test_batched_replay () =
 
 let test_value_index_maintenance () =
   let store, dnode = library () in
-  let planner, journal = live_planner store dnode in
+  let planner = Pl.create store dnode in
   let q = "//book[issue/year<1990]/title" in
   agree planner store dnode q;
   check_int "value index cached" 1 (Pl.value_index_count planner);
@@ -202,20 +192,17 @@ let test_value_index_maintenance () =
     in
     List.hd years
   in
-  ignore
-    (apply_exn journal store (Update.Replace_content { node = year_text; value = "1800" }));
+  apply_fed planner store (Update.Replace_content { node = year_text; value = "1800" });
   agree planner store dnode q;
-  ignore
-    (apply_exn journal store (Update.Replace_content { node = year_text; value = "2100" }));
+  apply_fed planner store (Update.Replace_content { node = year_text; value = "2100" });
   agree planner store dnode q;
   (* a freshly inserted book must show up in the probe answers *)
   let libr = List.hd (Store.children store dnode) in
-  ignore
-    (apply_exn journal store
-       (Update.Insert_element { parent = libr; before = None; tree = book_tree 3 }));
+  apply_fed planner store
+    (Update.Insert_element { parent = libr; before = None; tree = book_tree 3 });
   agree planner store dnode q;
   (* ... and a deleted one must disappear from them *)
-  ignore (apply_exn journal store (Update.Delete (List.hd (Store.children store libr))));
+  apply_fed planner store (Update.Delete (List.hd (Store.children store libr)));
   agree planner store dnode q;
   let stats = Pl.maintenance_stats planner in
   check_int "maintained, not rebuilt" 1 stats.Xsm_xpath.Planner.epochs;
@@ -225,15 +212,18 @@ let test_value_index_maintenance () =
 
 let test_heuristic_falls_back_to_rebuild () =
   let store, dnode = library ~books:2 ~papers:1 () in
-  let planner, journal = live_planner store dnode in
+  let planner = Pl.create store dnode in
   agree_all planner store dnode;
   let libr = List.hd (Store.children store dnode) in
-  (* a batch far larger than a quarter of this small index *)
-  for i = 1 to 12 do
-    ignore
-      (apply_exn journal store
-         (Update.Insert_element { parent = libr; before = None; tree = book_tree i }))
-  done;
+  (* a batch far larger than a quarter of this small index, handed
+     over at once as `xsm load --index` hands its subtrees *)
+  let batch =
+    List.init 12 (fun i ->
+        Update.change
+          (apply_exn store
+             (Update.Insert_element { parent = libr; before = None; tree = book_tree (i + 1) })))
+  in
+  Pl.apply_changes planner batch;
   agree_all planner store dnode;
   same_as_rebuild planner store dnode;
   let stats = Pl.maintenance_stats planner in
@@ -241,7 +231,7 @@ let test_heuristic_falls_back_to_rebuild () =
 
 (* ---------------- random sequences, every prefix ---------------- *)
 
-let random_journaled_op store dnode journal rng step =
+let random_fed_op planner store dnode rng step =
   let int = Gen.int in
   let elements =
     List.filter
@@ -282,15 +272,17 @@ let random_journaled_op store dnode journal rng step =
       Update.Set_attribute
         { element = pick_elem (); name = Name.local "m"; value = string_of_int step }
   in
-  ignore (Update.apply ~journal store op)
+  match Update.apply store op with
+  | Ok applied -> Pl.apply_changes planner [ Update.change applied ]
+  | Error _ -> ()
 
 let test_property_prefixes () =
   let rng = Gen.rng 4242 in
   for _ = 1 to 12 do
     let store, dnode = library ~books:4 ~papers:2 () in
-    let planner, journal = live_planner store dnode in
+    let planner = Pl.create store dnode in
     for step = 1 to 6 do
-      random_journaled_op store dnode journal rng step;
+      random_fed_op planner store dnode rng step;
       (* every prefix of the sequence: maintained = naive = rebuilt *)
       agree_all planner store dnode;
       same_as_rebuild planner store dnode
@@ -301,7 +293,7 @@ let suite =
   [
     ( "index.maintenance",
       [
-        Alcotest.test_case "journal records and drains" `Quick test_journal_records;
+        Alcotest.test_case "undo returns the mirror change" `Quick test_undo_mirror;
         Alcotest.test_case "incremental updates" `Quick test_incremental_updates;
         Alcotest.test_case "batched replay" `Quick test_batched_replay;
         Alcotest.test_case "value index upkeep" `Quick test_value_index_maintenance;

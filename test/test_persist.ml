@@ -10,13 +10,11 @@
    - fault injection: for every crash point (clean boundary cut and
      torn record alike), recovery restores exactly the state of the
      longest fully-written prefix, and recovered labels pass the
-     ground-truth check,
-   - journal cursors: independent consumers each see every entry. *)
+     ground-truth check. *)
 
 module Store = Xsm_xdm.Store
 module Convert = Xsm_xdm.Convert
 module Update = Xsm_schema.Update
-module Journal = Xsm_schema.Update.Journal
 module Gen = Xsm_schema.Generator
 module Snapshot = Xsm_persist.Snapshot
 module Wal = Xsm_persist.Wal
@@ -616,50 +614,6 @@ let wal_prefix_law seed =
   all_prefixes_match
 
 (* ------------------------------------------------------------------ *)
-(* Journal cursors                                                     *)
-
-let test_journal_cursors () =
-  let store, root = library () in
-  let j = Journal.create () in
-  let c1 = Journal.subscribe j in
-  let apply mk = ignore (ok (Update.apply ~journal:j store (mk ()))) in
-  let ops = ops_fixture store root in
-  apply (List.nth ops 0);
-  apply (List.nth ops 1);
-  let c2 = Journal.subscribe j in
-  Alcotest.(check int) "c1 sees both entries" 2 (Journal.pending j c1);
-  Alcotest.(check int) "c2 starts at the oldest retained entry" 2 (Journal.pending j c2);
-  Alcotest.(check int) "c1 reads what it saw" 2 (List.length (Journal.read j c1));
-  Alcotest.(check int) "c1 drained" 0 (Journal.pending j c1);
-  Alcotest.(check int) "c2 unaffected by c1's read" 2 (Journal.pending j c2);
-  Alcotest.(check int) "peek does not advance" 2 (List.length (Journal.peek j c2));
-  Alcotest.(check int) "still pending after peek" 2 (Journal.pending j c2);
-  ignore (Journal.read j c2);
-  apply (List.nth ops 2);
-  Alcotest.(check int) "both see the new entry" 1 (Journal.pending j c1);
-  Alcotest.(check int) "both see the new entry (c2)" 1 (Journal.pending j c2);
-  Journal.unsubscribe j c2;
-  Alcotest.(check int) "an unsubscribed cursor reads nothing" 0 (Journal.pending j c2);
-  Alcotest.(check int) "survivors keep their view" 1 (List.length (Journal.read j c1));
-  Alcotest.(check int) "lifetime total" 3 (Journal.total j)
-
-(* a cursor subscribed after the first entries still sees them all:
-   nothing has compacted them away *)
-let test_journal_late_cursor () =
-  let store, root = library () in
-  let j = Journal.create () in
-  let apply mk = ignore (ok (Update.apply ~journal:j store (mk ()))) in
-  let ops = ops_fixture store root in
-  apply (List.nth ops 0);
-  apply (List.nth ops 1);
-  let c = Journal.subscribe j in
-  Alcotest.(check int) "late cursor sees both" 2 (Journal.pending j c);
-  Alcotest.(check int) "read returns both" 2 (List.length (Journal.read j c));
-  Alcotest.(check int) "read empties" 0 (Journal.pending j c);
-  apply (List.nth ops 2);
-  Alcotest.(check int) "new entries show up" 1 (Journal.pending j c)
-
-(* ------------------------------------------------------------------ *)
 
 let to_alco ?(count = 60) name law =
   QCheck_alcotest.to_alcotest
@@ -778,8 +732,6 @@ let suite =
           test_wal_concurrent_syncs;
         Alcotest.test_case "crash recovery at every crash point" `Quick
           test_crash_recovery_all_points;
-        Alcotest.test_case "journal: independent cursors" `Quick test_journal_cursors;
-        Alcotest.test_case "journal: late subscriber" `Quick test_journal_late_cursor;
         Alcotest.test_case "snapshot corrupt inputs: pinned errors" `Quick
           test_snapshot_corrupt_messages;
         Alcotest.test_case "snapshot decode: at most 40 words per node" `Quick

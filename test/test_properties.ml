@@ -512,7 +512,7 @@ let random_update r store dnode step =
   | _ -> attr ()
 
 (* incremental index maintenance = rebuild from scratch: after every
-   prefix of a random update sequence, a journal-maintained planner
+   prefix of a random update sequence, a planner fed each change
    answers exactly like the naive evaluator and carries exactly the
    entries a freshly built index would *)
 let incremental_maintenance_law seed =
@@ -525,8 +525,6 @@ let incremental_maintenance_law seed =
   let doc = Xsm_schema.Samples.library_document ~books:(2 + int r 4) ~papers:(1 + int r 3) () in
   let dnode = Convert.load store doc in
   let planner = Pl.create store dnode in
-  let journal = U.Journal.create () in
-  Xsm_xpath.Planner.attach_journal planner journal;
   let queries =
     [ "//author"; "//book[issue/year<1990]/title"; "/library//publisher"; "//text()" ]
   in
@@ -534,7 +532,9 @@ let incremental_maintenance_law seed =
   let steps = 4 + int r 5 in
   for step = 1 to steps do
     let op = random_update r store dnode step in
-    ignore (U.apply ~journal store op);
+    (match U.apply store op with
+    | Ok applied -> Pl.apply_changes planner [ U.change applied ]
+    | Error _ -> ());
     (* every prefix: maintained planner = naive evaluator on each query *)
     List.iter
       (fun q ->
@@ -552,7 +552,7 @@ let incremental_maintenance_law seed =
 
 (* label upkeep from store neighbours = the whole-table scan
    (Test_numbering.Scan_oracle): after every step of a random update
-   sequence, some steps undone again, the journal-maintained labels are
+   sequence, some steps undone again, the labels fed each change are
    byte for byte the oracle's, and at the end they pass the tree
    check *)
 let label_maintenance_law seed =
@@ -566,25 +566,20 @@ let label_maintenance_law seed =
   let dnode = Convert.load store doc in
   let labels = Labeler.label_tree store dnode in
   let oracle = Oracle.of_labeler store dnode in
-  let journal = U.Journal.create () in
-  let cursor = U.Journal.subscribe journal in
-  let drain () =
-    U.Journal.iter journal cursor (fun entry ->
-        Xsm_persist.Recovery.maintain_labels store labels entry;
-        match entry with
-        | U.Journal.Inserted n -> Oracle.insert oracle store n
-        | U.Journal.Deleted n -> Oracle.delete oracle store n
-        | U.Journal.Content _ -> ())
+  let feed change =
+    Xsm_persist.Recovery.maintain_labels store labels change;
+    match change with
+    | U.Added n -> Oracle.insert oracle store n
+    | U.Removed n -> Oracle.delete oracle store n
+    | U.Content _ -> ()
   in
   let ok = ref true in
   for step = 1 to 4 + int r 6 do
-    (match U.apply ~journal store (random_update r store dnode step) with
+    (match U.apply store (random_update r store dnode step) with
     | Ok applied ->
-      (* drained before the undo, or the undo lands in the same drain *)
-      if int r 2 = 0 then drain ();
-      if int r 4 = 0 then U.undo ~journal store applied
+      feed (U.change applied);
+      if int r 4 = 0 then feed (U.undo store applied)
     | Error _ -> ());
-    drain ();
     if not (Oracle.agrees oracle store dnode labels) then ok := false
   done;
   !ok && Labeler.check_against_tree store dnode labels
@@ -612,12 +607,13 @@ let label_recovery_law seed =
     (fun () ->
       ignore (get "snapshot" (Xsm_persist.Snapshot.save ~labels ~path:snapshot store dnode));
       let w = get "wal" (Wal.Writer.create wal) in
-      let journal = U.Journal.create () in
-      let cursor = U.Journal.subscribe journal in
       for step = 1 to 4 + int r 8 do
-        ignore (Wal.apply_logged (Some w) (Wal.store_tree store) ~root:dnode
-             ~apply:(U.apply ~journal store) (random_update r store dnode step));
-        U.Journal.iter journal cursor (Recovery.maintain_labels store labels)
+        match
+          Wal.apply_logged (Some w) (Wal.store_tree store) ~root:dnode ~apply:(U.apply store)
+            (random_update r store dnode step)
+        with
+        | Ok applied -> Recovery.maintain_labels store labels (U.change applied)
+        | Error _ -> ()
       done;
       Wal.Writer.close w;
       let store', root', labels', _ = get "recover" (Recovery.recover ~snapshot ~wal ()) in

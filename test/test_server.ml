@@ -804,12 +804,12 @@ let test_server_traced_spans () =
       let root kind = Printf.sprintf "serve.%s[id,session,trace,wire_parent]" kind in
       let phase name = name ^ "[trace,wire_parent]" in
       Alcotest.(check (list string)) "planner route"
-        [ "plan.index[]"; "plan.maintain[]"; "plan.maintain[]"; phase "serve.latch";
-          phase "serve.lock"; phase "serve.plan"; root "query" ]
+        [ "plan.index[]"; phase "serve.latch"; phase "serve.lock"; phase "serve.plan";
+          root "query" ]
         (spans_of (fun () -> ignore (ok (Client.query ~trace c "//title"))));
       Alcotest.(check (list string)) "fallback route"
-        [ "plan.fallback[reason]"; "plan.index[]"; "plan.maintain[]"; "plan.maintain[]";
-          phase "serve.latch"; phase "serve.lock"; phase "serve.plan"; root "query" ]
+        [ "plan.fallback[reason]"; "plan.index[]"; phase "serve.latch"; phase "serve.lock";
+          phase "serve.plan"; root "query" ]
         (spans_of (fun () -> ignore (ok (Client.query ~trace c "/library/book[1]/title"))));
       Alcotest.(check (list string)) "update"
         [ phase "serve.commit"; root "update" ]

@@ -39,7 +39,7 @@ let test_insert_and_undo () =
   | Error e -> Alcotest.fail e
   | Ok evidence ->
     check_int "one more book" (n_before + 1) (List.length (Store.children store parent));
-    Update.undo store evidence;
+    ignore (Update.undo store evidence);
     check_int "restored count" n_before (List.length (Store.children store parent));
     check_str "identical state" before_xml (serialized store dnode)
 
@@ -65,7 +65,7 @@ let test_delete_and_undo () =
   | Error e -> Alcotest.fail e
   | Ok evidence ->
     check_int "two books" 2 (List.length (Store.children store parent));
-    Update.undo store evidence;
+    ignore (Update.undo store evidence);
     check_str "restored exactly (position too)" before_xml (serialized store dnode));
   (* deleting the root (no parent) fails cleanly *)
   check "no parent" true (Result.is_error (Update.apply store (Update.Delete dnode)));
@@ -85,7 +85,7 @@ let test_replace_content () =
   | Error e -> Alcotest.fail e
   | Ok evidence ->
     check_str "updated" "New Title" (Store.string_value store title);
-    Update.undo store evidence;
+    ignore (Update.undo store evidence);
     check_str "reverted" "Book 0" (Store.string_value store title));
   (* elements reject content replacement *)
   check "element rejected" true
@@ -111,9 +111,9 @@ let test_set_attribute () =
     | Error e -> Alcotest.fail e
     | Ok ev2 ->
       check_str "replaced" "ru" (Store.string_value store (List.hd (Store.attributes store book)));
-      Update.undo store ev2;
+      ignore (Update.undo store ev2);
       check_str "back to en" "en" (Store.string_value store (List.hd (Store.attributes store book))));
-    Update.undo store evidence;
+    ignore (Update.undo store evidence);
     check_int "attribute removed" 0 (List.length (Store.attributes store book)))
 
 (* ---------------- validated application ---------------- *)
