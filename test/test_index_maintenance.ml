@@ -293,7 +293,7 @@ let suite =
   [
     ( "index.maintenance",
       [
-        Alcotest.test_case "undo returns the mirror change" `Quick test_undo_mirror;
+        Alcotest.test_case "undo mirrors the change" `Quick test_undo_mirror;
         Alcotest.test_case "incremental updates" `Quick test_incremental_updates;
         Alcotest.test_case "batched replay" `Quick test_batched_replay;
         Alcotest.test_case "value index upkeep" `Quick test_value_index_maintenance;
