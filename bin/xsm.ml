@@ -834,7 +834,9 @@ let execute_script ~script_path ~store ~root ?planner ?wal () =
       | Ok op -> (
         match with_crash wal (fun () -> Wal.apply_logged wal (Wal.store_tree store) ~root ~apply:(Update.apply store) op) with
         | Ok applied ->
-          Option.iter (fun p -> Planner.Over_store.apply_changes p [ Update.change applied ]) planner
+          let change = Update.change applied in
+          Option.iter (fun p -> Planner.Over_store.apply_changes p [ change ]) planner;
+          Update.release store change
         | Error e -> fail_line lineno "update: %s" e))
   in
   List.iteri

@@ -35,6 +35,15 @@ let insert_node store ~parent ~before node =
   | None -> Store.append_child store parent node
   | Some anchor -> Store.insert_child_before store parent ~before:anchor node
 
+(* a node created for an insert whose link was refused: no one has
+   seen it, so its slots go back at once *)
+let linked store node link =
+  match link () with
+  | () -> node
+  | exception (Invalid_argument _ as e) ->
+    Store.release store node;
+    raise e
+
 let change = function
   | Inserted { node; _ } -> Added node
   | Deleted { node; _ } -> Removed node
@@ -46,12 +55,12 @@ let apply store = function
   | Insert_element { parent; before; tree } ->
     guarded (fun () ->
         let node = Xsm_xdm.Convert.load_element store tree in
-        insert_node store ~parent ~before node;
+        let node = linked store node (fun () -> insert_node store ~parent ~before node) in
         Inserted { parent; node })
   | Insert_text { parent; before; text } ->
     guarded (fun () ->
         let node = Store.new_text store text in
-        insert_node store ~parent ~before node;
+        let node = linked store node (fun () -> insert_node store ~parent ~before node) in
         Inserted { parent; node })
   | Delete node -> (
     match Store.parent store node with
@@ -123,6 +132,10 @@ let undo store applied =
     Store.detach_attribute store element attribute;
     Removed attribute
 
+let release store = function
+  | Removed n -> Store.release store n
+  | Added _ | Content _ -> ()
+
 let apply_validated store dnode schema op =
   match apply store op with
   | Error e -> Error [ e ]
@@ -130,7 +143,9 @@ let apply_validated store dnode schema op =
     match Validator.validate store dnode schema with
     | Ok () -> Ok ()
     | Error es ->
-      ignore (undo store evidence);
+      (* the rejected state had no consumer: an undone insert goes
+         straight back *)
+      release store (undo store evidence);
       Error (List.map Validator.error_to_string es))
 
 (* ------------------------------------------------------------------ *)

@@ -72,7 +72,19 @@ val undo : Xsm_xdm.Store.t -> applied -> Xsm_xdm.Store.node change
 (** Revert an applied operation and return the change the revert made:
     the mirror of {!change}, so a consumer fed both ends where it
     began.  Must be called on the most recent application first (stack
-    discipline). *)
+    discipline).  Undoing a deletion whose change was {!release}d is
+    invalid: the removed subtree is gone. *)
+
+val release : Xsm_xdm.Store.t -> Xsm_xdm.Store.node change -> unit
+(** [release store change] gives a [Removed] subtree's slots back to
+    the store ({!Xsm_xdm.Store.release}); [Added] and [Content] do
+    nothing.  The release rule: a writer calls it only after every
+    consumer has had the change — labels ([Recovery.maintain_labels]),
+    then the planner ([apply_changes]) — because they walk the detached
+    subtree to drop what they keep of it.  A check that rejects an
+    applied op sits between the apply and that hand-off: the op is
+    undone, and an undone insert released, before any consumer sees
+    either change. *)
 
 val apply_validated :
   Xsm_xdm.Store.t ->
@@ -81,4 +93,6 @@ val apply_validated :
   Xsm_xdm.Store.node op ->
   (unit, string list) result
 (** Apply, re-validate the document rooted at the given document node,
-    and roll back if the new state is not an S-tree. *)
+    and roll back if the new state is not an S-tree; a rolled-back
+    insert is {!release}d.  No change is handed on either way, so a
+    caller keeping labels or a planner uses {!apply} instead. *)

@@ -45,8 +45,9 @@ module type NAV = sig
 
   val id : t -> node -> int
   (** A stable integer identity — node identifiers, not document
-      positions.  Non-negative and dense (a creation counter): the
-      index keeps arrays indexed by it. *)
+      positions.  Non-negative and dense (a creation counter, or a
+      store that reuses released identifiers): the index keeps arrays
+      indexed by it. *)
 end
 
 exception Maintenance_error of string

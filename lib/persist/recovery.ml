@@ -93,7 +93,9 @@ let replay_wal_inner ?labels ?(truncate = true) store ~root wal_path =
       | Wal.Op op :: rest -> (
         match Wal.replay_op store ~root op with
         | Ok applied ->
-          Option.iter (fun t -> maintain_labels store t (Update.change applied)) labels;
+          let change = Update.change applied in
+          Option.iter (fun t -> maintain_labels store t change) labels;
+          Update.release store change;
           replay (idx + 1) rest
         | Error e ->
           Error

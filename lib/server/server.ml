@@ -181,7 +181,9 @@ let apply_paged bs (op : Bs.desc Update.op) =
 (* Apply one command to the served store.  Runs inside the leader's
    exclusive latch section; the logged apply appends the WAL record
    only after a successful apply, and the client is only acknowledged
-   after the batch fsync either way. *)
+   after the batch fsync either way.  A removed subtree's slots go
+   back to the resident store once labels and planner have had the
+   change. *)
 let apply_command srv line =
   match srv.served with
   | Resident { store; root; labels; planner } ->
@@ -190,6 +192,7 @@ let apply_command srv line =
     let change = Update.change applied in
     Option.iter (fun t -> Recovery.maintain_labels store t change) labels;
     Option.iter (fun p -> Pl.apply_changes p [ change ]) planner;
+    Update.release store change;
     Ok ()
   | Paged { bs; planner; _ } ->
     let root = Bs.root bs in

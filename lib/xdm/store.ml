@@ -47,33 +47,17 @@ type data = {
   mutable base_uri : string option;
 }
 
-type t = { mutable nodes : data array; mutable size : int }
+(* Slots [0, size) of [nodes] have been handed out; the first [top]
+   cells of [free] name the released ones, whose slots hold [dead]
+   until [add] reuses them. *)
+type t = {
+  mutable nodes : data array;
+  mutable size : int;
+  mutable free : int array;
+  mutable top : int;
+}
 
-let create () = { nodes = [||]; size = 0 }
-
-let get store n =
-  if n < 0 || n >= store.size then invalid_arg "Store: foreign node identifier";
-  store.nodes.(n)
-
-let add store data =
-  if store.size = Array.length store.nodes then begin
-    let cap = max 16 (store.size * 2) in
-    let bigger = Array.make cap data in
-    Array.blit store.nodes 0 bigger 0 store.size;
-    store.nodes <- bigger
-  end;
-  store.nodes.(store.size) <- data;
-  store.size <- store.size + 1;
-  store.size - 1
-
-let node_count store = store.size
-
-let count_kind store k =
-  let c = ref 0 in
-  for i = 0 to store.size - 1 do
-    if Kind.equal store.nodes.(i).kind k then incr c
-  done;
-  !c
+let create () = { nodes = [||]; size = 0; free = [||]; top = 0 }
 
 let blank kind =
   {
@@ -89,6 +73,48 @@ let blank kind =
     nilled = None;
     base_uri = None;
   }
+
+(* the one record every released slot points at: no accessor returns
+   it, so nothing ever writes it *)
+let dead = blank Kind.Text
+
+(* [size] never exceeds the array's length: past the range check the
+   load needs no bounds check of its own *)
+let get store n =
+  if n < 0 || n >= store.size then invalid_arg "Store: foreign node identifier";
+  let d = Array.unsafe_get store.nodes n in
+  if d == dead then invalid_arg "Store: released node identifier";
+  d
+
+let add store data =
+  if store.top > 0 then begin
+    store.top <- store.top - 1;
+    let n = store.free.(store.top) in
+    store.nodes.(n) <- data;
+    n
+  end
+  else begin
+    if store.size = Array.length store.nodes then begin
+      let cap = max 16 (store.size * 2) in
+      let bigger = Array.make cap data in
+      Array.blit store.nodes 0 bigger 0 store.size;
+      store.nodes <- bigger
+    end;
+    store.nodes.(store.size) <- data;
+    store.size <- store.size + 1;
+    store.size - 1
+  end
+
+let node_count store = store.size - store.top
+let slots store = store.size
+
+let count_kind store k =
+  let c = ref 0 in
+  for i = 0 to store.size - 1 do
+    let d = store.nodes.(i) in
+    if d != dead && Kind.equal d.kind k then incr c
+  done;
+  !c
 
 (* the defaults travel as shared boxes: a constructor allocates no
    option of its own *)
@@ -301,6 +327,29 @@ let set_typed_value store n vs = (get store n).typed <- Some vs
 let set_type_name store n name =
   let d = get store n in
   d.type_name <- name
+
+(* A detached subtree's slots go back on the free stack, and each
+   points at [dead], so its records become garbage.  The stack grows
+   by doubling: a release allocates nothing per slot. *)
+let push_free store n =
+  if store.top = Array.length store.free then begin
+    let bigger = Array.make (max 16 (2 * store.top)) 0 in
+    Array.blit store.free 0 bigger 0 store.top;
+    store.free <- bigger
+  end;
+  store.free.(store.top) <- n;
+  store.top <- store.top + 1
+
+let release store n =
+  let d = get store n in
+  if d.parent <> None then invalid_arg "release: the node still has a parent";
+  let rec go n d =
+    List.iter (fun a -> go a (get store a)) d.attributes;
+    List.iter (fun c -> go c (get store c)) (listed d);
+    store.nodes.(n) <- dead;
+    push_free store n
+  in
+  go n d
 
 (* ------------------------------------------------------------------ *)
 (* Accessors                                                           *)

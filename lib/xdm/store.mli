@@ -35,7 +35,14 @@ val create : unit -> t
 (** An empty database state: all carriers empty. *)
 
 val node_count : t -> int
-(** Total number of nodes across all carriers. *)
+(** Total number of nodes across all carriers: every node created and
+    not yet {!release}d, linked or not. *)
+
+val slots : t -> int
+(** Identifiers handed out so far, live or released: the store's
+    footprint.  A released identifier is reused before a new one is
+    handed out, so under balanced inserts and deletes that release
+    it stays flat. *)
 
 val count_kind : t -> Kind.t -> int
 (** Size of one carrier, [|A_Element|] etc. *)
@@ -95,6 +102,18 @@ val attach_attribute : ?before:node -> t -> node -> node -> unit
 
 val detach_attribute : t -> node -> node -> unit
 (** Remove an attribute node from its owner element. *)
+
+val release : t -> node -> unit
+(** [release store n] gives back the slots of the detached subtree
+    rooted at [n] (its attributes and descendants too): the next nodes
+    created reuse their identifiers, and the old records become
+    garbage.  Any later use of a released identifier that has not been
+    reused raises [Invalid_argument]; once it is reused, it names the
+    new node.  So a writer releases a removed subtree only after every
+    consumer that keeps node identifiers (labels, index planners) has
+    had the removal and dropped them, and never undoes a deletion it
+    has released.  Raises [Invalid_argument] when [n] still has a
+    parent. *)
 
 val set_nilled : t -> node -> bool -> unit
 
@@ -156,11 +175,13 @@ val untyped : t -> node -> bool
 
 val equal_node : node -> node -> bool
 val compare_node : node -> node -> int
-(** An arbitrary total order on identifiers (creation order), NOT
-    document order — see {!Order} for document order. *)
+(** An arbitrary total order on identifiers, NOT document order — see
+    {!Order} for document order.  Not creation order either: a new
+    node may reuse a {!release}d identifier. *)
 
 val node_id : node -> int
-(** The raw identifier, for debugging and hashing. *)
+(** The raw identifier, for debugging and hashing: non-negative and
+    below {!slots}. *)
 
 val root : t -> node -> node
 (** Follow [parent] to the top. *)

@@ -294,6 +294,50 @@ let test_replay_words_flat () =
   if large > 1.1 *. small then
     Alcotest.failf "%.0f words per record at 16 000 appends, %.0f at 2 000" large small
 
+(* Replayed deletions give their slots back: a log of n
+   insert-then-delete pairs of a five-node record under the root
+   leaves the store the slots of its live nodes plus one record's
+   worth, at 2 000 pairs as at 16 000 (without release, five more per
+   pair). *)
+let test_replay_slots_flat () =
+  let slots_after n =
+    let snapshot = tmp ".snap" and wal = tmp ".wal" in
+    Fun.protect
+      ~finally:(fun () -> cleanup [ snapshot; wal ])
+      (fun () ->
+        let store = Store.create () in
+        let root = Convert.load store (Tree.document (Tree.elem "doc")) in
+        ignore (ok (Snapshot.save ~path:snapshot store root));
+        let w = ok_wal (Wal.Writer.create ~sync_every:max_int wal) in
+        for i = 0 to n - 1 do
+          Wal.Writer.append w
+            (Wal.Insert_element
+               {
+                 parent = [ 0 ];
+                 index = 0;
+                 fragment =
+                   Tree.elem "paper"
+                     ~attrs:[ Tree.attr "id" (Printf.sprintf "p%d" i) ]
+                     ~children:
+                       [
+                         Tree.element (Tree.elem "title" ~children:[ Tree.text "T" ]);
+                         Tree.element (Tree.elem "year");
+                       ];
+               });
+          Wal.Writer.append w (Wal.Delete (Wal.Node [ 0; 0 ]))
+        done;
+        Wal.Writer.close w;
+        let store, root, _, _ = ok (Snapshot.load ~path:snapshot) in
+        let stats = ok_rec (Recovery.replay_wal store ~root wal) in
+        Alcotest.(check int) "every record replayed" (2 * n) stats.Recovery.replayed;
+        Alcotest.(check int) "only live nodes count" (Store.subtree_size store root)
+          (Store.node_count store);
+        Store.slots store)
+  in
+  let small = slots_after 2_000 and large = slots_after 16_000 in
+  if large > small || small > 2 + 5 then
+    Alcotest.failf "%d store slots after 16 000 pairs, %d after 2 000" large small
+
 (* ------------------------------------------------------------------ *)
 (* A deterministic op fixture over the library sample.  Each op is a
    thunk computed against the *current* state, so the same list drives
@@ -738,6 +782,7 @@ let suite =
           test_snapshot_decode_words_per_node;
         Alcotest.test_case "wal replay: words per append flat to 16 000" `Quick
           test_replay_words_flat;
+        Alcotest.test_case "wal replay: slots flat" `Quick test_replay_slots_flat;
         to_alco "snapshot round-trip law (generated corpora)" snapshot_roundtrip_law;
         to_alco "snapshot decode = encode's inverse, byte for byte" snapshot_bytes_law;
         to_alco ~count:40 "wal prefix-replay law (random update sequences)" wal_prefix_law;

@@ -511,6 +511,24 @@ let random_update r store dnode step =
     | ts -> U.Replace_content { node = pick ts; value = string_of_int (1850 + (step * 31 mod 200)) })
   | _ -> attr ()
 
+(* One applied op through a writer's hand-off: [feed] gets its change,
+   one time in four the op is undone and [feed] gets the mirror, and
+   then whatever was finally removed is released, as every writer does
+   once its consumers have had the change. *)
+let hand_off ?(release = true) r store applied feed =
+  let module U = Xsm_schema.Update in
+  let change = U.change applied in
+  feed change;
+  let final =
+    if Xsm_schema.Generator.int r 4 = 0 then begin
+      let undone = U.undo store applied in
+      feed undone;
+      undone
+    end
+    else change
+  in
+  if release then U.release store final
+
 (* incremental index maintenance = rebuild from scratch: after every
    prefix of a random update sequence, a planner fed each change
    answers exactly like the naive evaluator and carries exactly the
@@ -533,7 +551,7 @@ let incremental_maintenance_law seed =
   for step = 1 to steps do
     let op = random_update r store dnode step in
     (match U.apply store op with
-    | Ok applied -> Pl.apply_changes planner [ U.change applied ]
+    | Ok applied -> hand_off r store applied (fun c -> Pl.apply_changes planner [ c ])
     | Error _ -> ());
     (* every prefix: maintained planner = naive evaluator on each query *)
     List.iter
@@ -576,13 +594,58 @@ let label_maintenance_law seed =
   let ok = ref true in
   for step = 1 to 4 + int r 6 do
     (match U.apply store (random_update r store dnode step) with
-    | Ok applied ->
-      feed (U.change applied);
-      if int r 4 = 0 then feed (U.undo store applied)
+    | Ok applied -> hand_off r store applied feed
     | Error _ -> ());
     if not (Oracle.agrees oracle store dnode labels) then ok := false
   done;
   !ok && Labeler.check_against_tree store dnode labels
+
+(* releasing a removed subtree once its consumers have had the change
+   is invisible: one random update history, undone inserts and all,
+   applied to a store that releases and to one that never does, leaves
+   both printing the same document, their planners giving the same
+   string answers and their labels the same bytes, after every step *)
+let release_invisible_law seed =
+  let module U = Xsm_schema.Update in
+  let module Pl = Xsm_xpath.Planner.Over_store in
+  let module Labeler = Xsm_numbering.Labeler in
+  let writer ~release =
+    let r = Xsm_schema.Generator.rng seed in
+    let int = Xsm_schema.Generator.int in
+    let store = Store.create () in
+    let doc = Xsm_schema.Samples.library_document ~books:(1 + int r 3) ~papers:(1 + int r 3) () in
+    let dnode = Convert.load store doc in
+    let planner = Pl.create store dnode and labels = Labeler.label_tree store dnode in
+    let step i =
+      match U.apply store (random_update r store dnode i) with
+      | Ok applied ->
+        hand_off ~release r store applied (fun c ->
+            Xsm_persist.Recovery.maintain_labels store labels c;
+            Pl.apply_changes planner [ c ])
+      | Error _ -> ()
+    in
+    let queries = [ "//author"; "//book[issue/year<1990]/title"; "/library/paper/title"; "//text()" ] in
+    let view () =
+      ( Xsm_xml.Printer.to_string (Convert.to_document store dnode),
+        List.map
+          (fun q -> Result.map (List.map (Store.string_value store)) (Pl.eval_string planner q))
+          queries,
+        List.map
+          (fun n -> Label.to_raw (Labeler.label labels n))
+          (Store.descendants_or_self store dnode) )
+    in
+    let live () = Store.node_count store = Store.subtree_size store dnode in
+    (step, view, live, 6 + int r 10)
+  in
+  let step_a, view_a, live_a, steps = writer ~release:true in
+  let step_b, view_b, _, _ = writer ~release:false in
+  let ok = ref true in
+  for i = 1 to steps do
+    step_a i;
+    step_b i;
+    if view_a () <> view_b () || not (live_a ()) then ok := false
+  done;
+  !ok
 
 (* labels recovered from a labelled snapshot plus the WAL equal the
    labels the same updates maintained live, node for node in document
@@ -683,6 +746,7 @@ let suite =
           incremental_maintenance_law;
         to_alco ~count:100 "label upkeep from neighbours = table scan" label_maintenance_law;
         to_alco ~count:40 "recovered labels = live labels" label_recovery_law;
+        to_alco ~count:60 "release is invisible" release_invisible_law;
         to_alco ~count:25 "following/preceding match their definitions" axis_definition_law;
         to_alco ~count:100 "mutations invalidate" mutation_invalidates_law;
         to_alco ~count:50 "storage op sequences keep invariants" storage_operations_law;

@@ -116,6 +116,30 @@ let test_set_attribute () =
     ignore (Update.undo store evidence);
     check_int "attribute removed" 0 (List.length (Store.attributes store book)))
 
+(* An insert whose link is refused, or whose state the schema
+   rejects, was never handed to any consumer: its nodes go back to the
+   store at once, and later nodes reuse their slots. *)
+let test_refused_insert_frees () =
+  let store, dnode = setup () in
+  let parent = bookstore store dnode in
+  let live = Store.node_count store in
+  let first store n = List.hd (Store.children store n) in
+  (* the first book's first child's text *)
+  let text = first store (first store (first store parent)) in
+  check "insert under a text node refused" true
+    (Result.is_error
+       (Update.apply store (Update.Insert_element { parent = text; before = None; tree = book_tree 0 })));
+  let slots = Store.slots store in
+  check "text under a text node refused" true
+    (Result.is_error (Update.apply store (Update.Insert_text { parent = text; before = None; text = "t" })));
+  check "schema rejects a stray element" true
+    (Result.is_error
+       (Update.apply_validated store dnode Samples.example7_schema
+          (Update.Insert_element
+             { parent; before = None; tree = Tree.elem "Pamphlet" ~children:[ Tree.text "x" ] })));
+  check_int "no node kept" live (Store.node_count store);
+  check_int "each reused the slots of the one before" slots (Store.slots store)
+
 (* ---------------- validated application ---------------- *)
 
 let test_validated_accepts_legal () =
@@ -234,6 +258,7 @@ let suite =
         Alcotest.test_case "replace content" `Quick test_replace_content;
         Alcotest.test_case "set attribute" `Quick test_set_attribute;
         Alcotest.test_case "script grammar" `Quick test_parse_command;
+        Alcotest.test_case "refused insert frees" `Quick test_refused_insert_frees;
       ] );
     ( "update.validated",
       [

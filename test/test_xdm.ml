@@ -147,6 +147,58 @@ let test_insert_remove_child () =
   check_int "removed" 2 (List.length (Store.children s lib));
   check "unparented" true (Store.parent s extra = None)
 
+(* ---------------- released slots ---------------- *)
+
+(* the fixture's paper subtree: paper, @kind, title and its text *)
+let detach_paper s lib paper =
+  let gone = Store.descendants_or_self s paper in
+  Store.remove_child s lib paper;
+  gone
+
+let test_release_reuses_slots () =
+  let s, _, lib, _, paper, _ = fixture () in
+  let slots = Store.slots s in
+  let gone = detach_paper s lib paper in
+  Store.release s paper;
+  check_int "slots kept" slots (Store.slots s);
+  let fresh = List.map (fun _ -> Store.new_text s "x") gone in
+  check_int "no slot added" slots (Store.slots s);
+  check "the released ids, reused" true
+    (List.sort compare (List.map Store.node_id fresh)
+    = List.sort compare (List.map Store.node_id gone));
+  check_str "a reused id names the new node" "x" (Store.string_value s (List.hd fresh));
+  ignore (Store.new_text s "y");
+  check_int "then the store grows" (slots + 1) (Store.slots s)
+
+let test_release_guard () =
+  let s, _, lib, _, paper, kind = fixture () in
+  let gone = detach_paper s lib paper in
+  Store.release s paper;
+  List.iter (fun n -> expect_invalid_arg (fun () -> Store.kind s n)) gone;
+  expect_invalid_arg (fun () -> Store.parent s kind);
+  expect_invalid_arg (fun () -> Store.release s paper);
+  expect_invalid_arg (fun () -> Store.append_child s lib paper)
+
+let test_release_linked_refused () =
+  let s, d, _, book, _, _ = fixture () in
+  let before = Store.node_count s in
+  expect_invalid_arg (fun () -> Store.release s book);
+  check_int "nothing released" before (Store.node_count s);
+  check_int "the tree intact" before (Store.subtree_size s d);
+  check_str "the node readable" "FoundationsAbiteboulHull" (Store.string_value s book)
+
+let test_node_count_live () =
+  let s, d, lib, _, paper, _ = fixture () in
+  ignore (detach_paper s lib paper);
+  check_int "a detached node still counts" 13 (Store.node_count s);
+  Store.release s paper;
+  check_int "released nodes do not" (Store.subtree_size s d) (Store.node_count s);
+  check_int "carriers skip released slots" (Store.node_count s)
+    (List.fold_left
+       (fun acc k -> acc + Store.count_kind s k)
+       0
+       Store.Kind.[ Document; Element; Attribute; Text ])
+
 (* ---------------- document order (§7) ---------------- *)
 
 let test_order_rules () =
@@ -287,6 +339,10 @@ let suite =
         Alcotest.test_case "shape constraints" `Quick test_shape_constraints;
         Alcotest.test_case "disjoint carriers" `Quick test_carriers_disjoint;
         Alcotest.test_case "insert/remove" `Quick test_insert_remove_child;
+        Alcotest.test_case "release reuses slots" `Quick test_release_reuses_slots;
+        Alcotest.test_case "released id is refused" `Quick test_release_guard;
+        Alcotest.test_case "release refuses linked" `Quick test_release_linked_refused;
+        Alcotest.test_case "node_count counts live" `Quick test_node_count_live;
       ] );
     ( "xdm.order",
       [
