@@ -1201,7 +1201,7 @@ let serve_cmd =
         [ Sys.sigterm; Sys.sigint ];
       let on_ready () =
         Printf.eprintf "xsm serve: listening on %s (domains=%d, %s)\n%!" socket domains
-          (if no_group_commit then "fsync-per-record" else "group commit")
+          (if no_group_commit then "fsync-per-update" else "group commit")
       in
       match Server.serve ~on_ready srv with
       | Ok () ->
@@ -1226,7 +1226,8 @@ let serve_cmd =
       $ schema_opt ~docv:"XSD" "Schema for $(b,validate) requests."
       $ domains ~docv:"N" "Read-pool size: parallel query evaluators."
       $ flag "no-group-commit"
-          "Fsync the WAL after every record instead of once per batch (the E17 baseline)."
+          "Commit every update alone, with its own apply and its own WAL fsync, instead of \
+           sharing an fsync with the updates applied beside it (the E17 baseline)."
       $ flag "index"
           "Route queries through the index planner (serialized; each update splices its change \
            into the indexes) instead of the parallel pure evaluator."
@@ -1690,7 +1691,7 @@ let bench_serve_cmd =
       $ Arg.(
           value & opt float 0.1
           & info [ "write-ratio" ] ~docv:"R" ~doc:"Fraction of requests that are updates.")
-      $ flag "no-group-commit" "Run the server with fsync-per-record (the baseline)."
+      $ flag "no-group-commit" "Run the server with one fsync per update (the baseline)."
       $ flag "index" "Run the server with --index (serialized reads)."
       $ Arg.(
           value & opt (some capacity) None

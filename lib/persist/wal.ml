@@ -402,18 +402,23 @@ module Writer = struct
       (Int64.to_float (Int64.sub (Xsm_obs.Clock.now_ns ()) start))
 
   (* A [sync] can run beside an [append] or another [sync] — the
-     commit leader syncs after releasing the latch while a reader's
-     eviction forces the log through {!pager_hook} — so it writes a
-     frame built once and touches no reused buffer. *)
+     daemon's commit syncs outside the latch while the next batch
+     appends, and a reader's eviction forces the log through
+     {!pager_hook} — so it writes a frame built once and touches no
+     reused buffer.  It vouches only for the ops counted before its
+     marker: an op appended while it fsyncs follows the marker.  Of two
+     syncs on two domains, the one covering less may finish last and
+     mark less; that only costs a later force a sync. *)
   let sync_frame = Bytes.of_string (encode_record Sync_point)
 
   let sync t =
+    let covered = t.ops in
     write_frame t ~op:false sync_frame (Bytes.length sync_frame);
     fsync t;
-    t.marked <- t.ops
+    if covered > t.marked then t.marked <- covered
 
   (* write the op encoded in [t.payload].  Ops are appended by one
-     writer at a time (the server's commit leader, under the exclusive
+     writer at a time (the server's commit applier, under the exclusive
      latch), so the reused buffers need no lock of their own.  The
      periodic fsync is a full [sync] once a pager orders its
      write-back on the marker: the records it makes durable are then

@@ -137,9 +137,10 @@ module Writer : sig
   (** Append a [Sync_point] marker and fsync: everything before it is
       durable {e and provably so to a reader} (the marker is what
       advances {!read}'s [synced_prefix]).  It may run beside an
-      append or another [sync] on another domain (a page eviction
-      forcing the log through {!pager_hook}); every record stays
-      whole. *)
+      append (the daemon's next commit batch) or another [sync] on
+      another domain (a page eviction forcing the log through
+      {!pager_hook}); every record stays whole, and {!synced_lsn}
+      counts only the ops appended before the marker. *)
 
   val records_written : t -> int
 

@@ -90,18 +90,16 @@ type t = {
   commit : (string, (unit, string) result) Commit.t;
   (* observability: the always-on digest ring, the slow-query log, the
      last planner digest (written by eval under [m], consumed by the
-     same request before releasing it), the latest batch-fsync
-     interval (written by the commit leader, read by acked updates) *)
+     same request before releasing it) *)
   flight : Flight.t;
   qlog : Qlog.t option;
   slow_ns : int64;
   last_digest : Planner.digest option ref;
-  mutable last_fsync : int64 * int64;
   mutable inflight : int;
   (* the server mutex: metrics registry, trace ring and its recording
      switch (not thread-safe), planner evaluation, flight recorder,
      session registry.  Every span the daemon records is recorded
-     under it; the pool domains and the commit leader record none. *)
+     under it; the pool domains and the commit stages record none. *)
   m : Mutex.t;
   mutable next_session : int;
   mutable session_fds : (int * Unix.file_descr) list;
@@ -112,7 +110,7 @@ type t = {
 
 (* ------------------------------------------------------------------ *)
 (* Update commands: the update-script grammar of `xsm update`, one
-   line per request, applied by the group-commit leader under the
+   line per request, applied by the commit's apply stage under the
    exclusive epoch latch. *)
 
 let ( let* ) = Result.bind
@@ -178,12 +176,12 @@ let apply_paged bs (op : Bs.desc Update.op) =
       | None -> Ok (Update.Added (fst (Bs.insert_attribute bs ~parent:element name value))))
     | Ds.Document | Ds.Attribute | Ds.Text -> Error "set_attribute: target is not an element")
 
-(* Apply one command to the served store.  Runs inside the leader's
-   exclusive latch section; the logged apply appends the WAL record
-   only after a successful apply, and the client is only acknowledged
-   after the batch fsync either way.  A removed subtree's slots go
-   back to the resident store once labels and planner have had the
-   change. *)
+(* Apply one command to the served store.  Runs inside the apply
+   stage's exclusive latch section; the logged apply appends the WAL
+   record only after a successful apply, and the client is only
+   acknowledged after a sync covering its batch either way.  A
+   removed subtree's slots go back to the resident store once labels
+   and planner have had the change. *)
 let apply_command srv line =
   match srv.served with
   | Resident { store; root; labels; planner } ->
@@ -201,21 +199,16 @@ let apply_command srv line =
     Option.iter (fun p -> Spl.apply_changes p [ change ]) planner;
     Ok ()
 
-let run_batch srv lines =
-  let results = Epoch.write srv.epoch (fun () -> List.map (apply_command srv) lines) in
-  (* the group fsync happens outside the latch: readers proceed while
-     the batch hits the disk, followers are only released after it.
-     The interval is kept so acked updates can attribute their fsync
-     wait (flight digests, propagated trace spans). *)
-  (match srv.wal with
-  | Some w ->
-    let s0 = Clock.now_ns () in
-    Wal.Writer.sync w;
-    srv.last_fsync <- (s0, Clock.now_ns ())
-  | None -> ());
-  (* GC/runtime gauges ride the batch boundary, off the request path *)
-  Metrics.Runtime.sample ();
-  results
+(* The commit's two stages.  A batch applies under the exclusive
+   latch and appends its records; the fsync happens outside the latch,
+   beside the next batch's apply, so readers and the next writers
+   proceed while the records hit the disk. *)
+let apply_batch srv lines = Epoch.write srv.epoch (fun () -> List.map (apply_command srv) lines)
+
+let sync_batches srv =
+  Option.iter Wal.Writer.sync srv.wal;
+  (* GC/runtime gauges ride the sync, off the request path *)
+  Metrics.Runtime.sample ()
 
 (* ------------------------------------------------------------------ *)
 (* Request handling                                                    *)
@@ -287,7 +280,7 @@ let finish_request srv ~session ~id ~kind ~detail ~counter ~hist ~trace ~phases 
          [last_digest] (same request, same mutex); estimates are
          interval arithmetic, never a re-evaluation.  They read the
          planner's indexes, so under the shared latch, like the
-         evaluation: the commit leader splices updates into them under
+         evaluation: the commit's applier splices updates into them under
          the exclusive one.  The plan is only materialized for the
          digests someone will read: slow requests and failures. *)
       let dg = !(srv.last_digest) in
@@ -367,7 +360,7 @@ let run_query srv ~traced path =
     if srv.config.use_index then
       (* planner indexes are mutable (lazily built value indexes, plan
          decisions): serialized under the server mutex, and under the
-         shared latch, which keeps out the commit leader splicing each
+         shared latch, which keeps out the commit's applier splicing each
          update's change into them *)
       let t_lock = Clock.now_ns () in
       locked srv (fun () ->
@@ -512,21 +505,18 @@ let handle srv ~session req =
         ~counter:m_updates ~hist:(Some h_update_ns) ~trace ~pager0 t0
     in
     match Commit.submit srv.commit command with
-    | Ok () ->
+    | Ok (), (f0, f1) ->
       let t1 = Clock.now_ns () in
-      let f0, f1 = srv.last_fsync in
-      (* the leader set [last_fsync] before releasing this follower;
-         an interval predating the request belongs to an earlier
-         batch (no WAL, or a raced overwrite) and is not ours *)
+      (* the sync that covered this update's record: it started after
+         the update applied and returned before the ack *)
       let phases, fsync_ns =
-        if Option.is_some srv.wal && Int64.compare f0 t0 >= 0 then
-          ( [ ("serve.commit", t0, t1); ("serve.wal.fsync", f0, f1) ],
-            Int64.sub f1 f0 )
+        if Option.is_some srv.wal then
+          ([ ("serve.commit", t0, t1); ("serve.wal.fsync", f0, f1) ], Int64.sub f1 f0)
         else ([ ("serve.commit", t0, t1) ], 0L)
       in
       finish ~fsync_ns ~phases ~rows:0 ~outcome:Flight.Done;
       (Some (P.Applied { id; epoch = Epoch.current srv.epoch }), `Continue)
-    | Error e ->
+    | Error e, _ ->
       finish ~fsync_ns:0L ~phases:[] ~rows:0 ~outcome:(Flight.Failed e);
       (Some (fail srv ~id e), `Continue)
     | exception e ->
@@ -643,14 +633,13 @@ let create config ~store ~root ?labels ?schema () =
       Option.map (fun path -> opening Page_file.close (Ok (Page_file.create path))) config.page_file
     in
     let qlog = Option.map (fun path -> opening Qlog.close (Qlog.create path)) config.slow_log in
-    (* group commit leaves fsync to the batch boundary; the baseline
-       pays one per record *)
-    let sync_every = if config.group_commit then max_int else 1 in
+    (* the commit's sync stage pays every fsync: one per sync, which
+       covers one update in the baseline *)
     let wal =
       Option.map
         (fun path ->
           opening Wal.Writer.close
-            (Result.map_error Wal.error_message (Wal.Writer.create ~sync_every path)))
+            (Result.map_error Wal.error_message (Wal.Writer.create ~sync_every:max_int path)))
         config.wal_path
     in
     (served_store config ~store ~root ?labels ~wal ~sink page_file, wal, qlog)
@@ -660,12 +649,12 @@ let create config ~store ~root ?labels ?schema () =
     Error (match e with Refused m -> m | e -> "server: " ^ Printexc.to_string e)
   | served, wal, qlog ->
     let stop_rd, stop_wr = Unix.pipe () in
-    (* the commit queue's batch runner needs the server it belongs to;
-       tie the knot through a ref rather than a recursive value *)
+    (* the commit queue's stages need the server they belong to; tie
+       the knot through a ref rather than a recursive value *)
     let srv_cell = ref None in
-    let run lines =
-      match !srv_cell with Some srv -> run_batch srv lines | None -> assert false
-    in
+    let the_srv () = match !srv_cell with Some srv -> srv | None -> assert false in
+    let apply lines = apply_batch (the_srv ()) lines in
+    let sync () = sync_batches (the_srv ()) in
     let srv =
       {
         config;
@@ -676,12 +665,12 @@ let create config ~store ~root ?labels ?schema () =
         wal;
         (* without group commit each request commits alone: its own
            latch acquisition, its own fsync — the E17 baseline *)
-        commit = Commit.create ~limit:(if config.group_commit then max_int else 1) ~run ();
+        commit =
+          Commit.create ~limit:(if config.group_commit then max_int else 1) ~apply ~sync ();
         flight = Flight.create ~capacity:config.flight_capacity ();
         qlog;
         slow_ns = Int64.of_float (config.slow_threshold_ms *. 1e6);
         last_digest;
-        last_fsync = (0L, 0L);
         inflight = 0;
         m = Mutex.create ();
         next_session = 0;

@@ -14,11 +14,14 @@
     queries are executed on a pool of {!Pool.size} {e domains} under
     the shared {!Epoch} latch, so they run truly in parallel against
     an immutable view of the store.  Updates from all sessions funnel
-    through a {!Commit} group-commit queue: the leader applies the
-    whole batch under the exclusive latch — readers observe the store
-    only before or after a batch, never mid-batch — and pays a single
-    WAL fsync for all of it.  With [group_commit = false] every record
-    fsyncs individually (the E17 baseline).
+    through a {!Commit} group-commit queue in two stages: one applier
+    applies a whole batch under the exclusive latch — readers observe
+    the store only before or after a batch, never mid-batch — and
+    appends its WAL records; one syncer then pays a single WAL fsync
+    for every batch applied so far, while the next batch applies.  An
+    update is acknowledged as soon as the fsync covering its record
+    returns.  With [group_commit = false] every update pays its own
+    apply and its own fsync (the E17 baseline).
 
     {b Lifecycle.}  The caller boots the state (fresh document,
     snapshot load, or crash recovery) and hands it to {!create};
@@ -46,14 +49,14 @@
     log.  [Stats] requests report the registry plus live server state,
     or the OpenMetrics text exposition; [Introspect] serves the flight
     recorder and per-trace server spans.  GC/runtime gauges are
-    sampled at every commit-batch boundary. *)
+    sampled at every commit sync. *)
 
 type config = {
   socket_path : string;  (** Unix domain socket to bind *)
   snapshot_path : string option;  (** written at graceful shutdown *)
   wal_path : string option;  (** WAL appended to while serving *)
   domains : int;  (** read-pool size, >= 1 *)
-  group_commit : bool;  (** [false]: fsync every WAL record (baseline) *)
+  group_commit : bool;  (** [false]: one apply and one fsync per update (baseline) *)
   use_index : bool;  (** route queries through the planner (serialized)
                          instead of the parallel pure evaluator *)
   page_file : string option;

@@ -100,8 +100,8 @@ module Make (N : Navigator.S) : sig
       batch touches too large a fraction of the index or cannot be
       repaired differentially, or when the indexes are stale.  Each
       call records one [planner.drain_ns] sample and opens no span: a
-      daemon calls it from its commit leader, where no span is
-      recorded. *)
+      daemon calls it from its commit's apply stage, where no span
+      is recorded. *)
 
   val maintenance_stats : t -> maintenance_stats
 

@@ -6,8 +6,9 @@
 # WAL refusal at boot (exit 3), live vs replayed label upkeep
 # (byte-identical labelled checkpoints), a paged daemon writing the
 # resident daemon's WAL and checkpoints byte for byte, the paged
-# daemon's refusal of a typed snapshot, the spans a daemon under
-# --trace FILE writes, and the bench-serve smoke run.
+# daemon's refusal of a typed snapshot, one WAL fsync per update in
+# both commit modes, the spans a daemon under --trace FILE writes, and
+# the bench-serve smoke run.
 set -u
 XSM="$1"
 tmp=$(mktemp -d)
@@ -253,6 +254,32 @@ timeout 10 "$XSM" serve --socket "$sock" --snapshot "$tmp/typed.snap" \
 grep -q "type annotation" "$tmp/serve.err" || fail "the refusal must name what is lost"
 cmp -s "$tmp/typed.snap" "$tmp/typed.orig.snap" || fail "a refused boot must leave the snapshot as it was"
 [ -e "$sock" ] && fail "a refused boot must not leave a socket behind"
+
+# --- one fsync per update: the commit's sync stage pays every WAL
+#     fsync, with group commit and in the --no-group-commit baseline
+#     alike, and no append pays one of its own
+wal_syncs() {
+  "$XSM" client --socket "$sock" --stats 2>/dev/null | grep -o '"wal.syncs":[0-9]*' | cut -d: -f2
+}
+for mode in "" --no-group-commit; do
+  rm -f "$tmp/f.wal"
+  "$XSM" serve --socket "$sock" --doc "$tmp/doc.xml" --wal "$tmp/f.wal" $mode \
+    > "$tmp/serve.log" 2>&1 &
+  server_pid=$!
+  await
+  before=$(wal_syncs)
+  for i in 1 2 3 4 5; do
+    "$XSM" client --socket "$sock" --update "attr /library seq s$i" >/dev/null 2>&1 \
+      || fail "update $i failed ($mode)"
+  done
+  after=$(wal_syncs)
+  [ -n "$before" ] && [ -n "$after" ] || fail "stats must report wal.syncs ($mode)"
+  [ $((after - before)) -eq 5 ] \
+    || fail "5 updates must pay 5 fsyncs ${mode:-with group commit} (got $((after - before)))"
+  "$XSM" client --socket "$sock" --shutdown >/dev/null 2>&1 || fail "shutdown failed ($mode)"
+  wait "$server_pid" || fail "server exited non-zero after shutdown ($mode)"
+  server_pid=""
+done
 
 # --- spans: the daemon records only traced requests' spans, but one
 #     started with --trace FILE records every request's, untraced ones

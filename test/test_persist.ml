@@ -518,6 +518,45 @@ let test_wal_concurrent_syncs () =
   Alcotest.(check int) "every op vouched for" rounds r.Wal.synced_prefix;
   cleanup [ wal ]
 
+(* a sync vouches only for the ops before its marker: one domain
+   appends without pause while the other syncs, and each sync's
+   [synced_lsn] may not count an op the file has after that sync's
+   marker.  A stress test: an op appended during the fsync exposes a
+   sync that reads the op count after it *)
+let test_wal_sync_marks_what_it_covered () =
+  let wal = tmp ".wal" in
+  let w = ok_wal (Wal.Writer.create ~sync_every:max_int wal) in
+  let syncing = Atomic.make true in
+  let appender () =
+    let i = ref 0 in
+    while Atomic.get syncing do
+      incr i;
+      Wal.Writer.append w (Wal.Insert_text { parent = [ 0 ]; index = !i; text = "t" })
+    done
+  in
+  let d = Domain.spawn appender in
+  let marked = List.init 200 (fun _ -> Wal.Writer.sync w; Wal.Writer.synced_lsn w) in
+  Atomic.set syncing false;
+  Domain.join d;
+  Wal.Writer.close w;
+  let r = ok_wal (Wal.read wal) in
+  (* the ops ahead of each marker, in file order *)
+  let _, before_marker =
+    List.fold_left
+      (fun (ops, acc) -> function
+        | Wal.Op _ -> (ops + 1, acc)
+        | Wal.Sync_point -> (ops, ops :: acc))
+      (0, []) r.Wal.records
+  in
+  let before_marker = List.rev before_marker in
+  Alcotest.(check int) "one marker per sync" (List.length marked) (List.length before_marker);
+  List.iteri
+    (fun k (m, covered) ->
+      if m > covered then
+        Alcotest.failf "sync %d vouches for %d ops; its marker follows %d" k m covered)
+    (List.combine marked before_marker);
+  cleanup [ wal ]
+
 let test_wal_replay_matches_direct () =
   let wal = tmp ".wal" in
   let direct_store, direct_root, _, _ = write_fixture_wal wal in
@@ -774,6 +813,8 @@ let suite =
         Alcotest.test_case "wal logged apply skips rejected ops" `Quick test_wal_apply_logged;
         Alcotest.test_case "wal concurrent syncs keep records whole" `Quick
           test_wal_concurrent_syncs;
+        Alcotest.test_case "wal sync marks its prefix" `Quick
+          test_wal_sync_marks_what_it_covered;
         Alcotest.test_case "crash recovery at every crash point" `Quick
           test_crash_recovery_all_points;
         Alcotest.test_case "snapshot corrupt inputs: pinned errors" `Quick
