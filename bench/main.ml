@@ -112,9 +112,10 @@ let tests () =
            | Error e -> failwith e))
   in
   let e8b =
-    Test.make ~name:"E8 schema-driven //author"
+    let planner = Xsm_xpath.Planner.Over_storage.create bs rootd in
+    Test.make ~name:"E8 planner //author"
       (staged (fun () ->
-           match Xsm_xpath.Schema_driven.eval_string bs "//author" with
+           match Xsm_xpath.Planner.Over_storage.eval_string planner "//author" with
            | Ok _ -> ()
            | Error e -> failwith e))
   in

@@ -750,15 +750,12 @@ let query_cmd =
         ~values:(List.map (Store.string_value store))
     | false, true ->
       let bs = storage store root in
-      (* the schema-driven scan, else the navigational evaluator over
-         descriptors *)
+      (* the planner's route over the descriptive schema and the block
+         lists, else the navigational evaluator over descriptors *)
+      let p = Planner.Over_storage.create bs (Bs.root bs) in
       print
         (List.map (Bs.string_value bs))
-        (match
-           Trace.with_span "query.execute" (fun () -> Xsm_xpath.Schema_driven.eval_string bs query)
-         with
-        | Ok descs -> Ok descs
-        | Error _ -> Xsm_xpath.Eval.Over_storage.eval_string bs (Bs.root bs) query);
+        (Trace.with_span "query.execute" (fun () -> Planner.Over_storage.eval_string p query));
       report_pager bs
     | false, false ->
       print

@@ -84,11 +84,13 @@ let () =
   | Ok () -> print_endline "storage invariants hold after the update"
   | Error e -> Printf.printf "INTEGRITY VIOLATION: %s\n" e);
 
-  (* schema-driven queries: scan block lists, no tree traversal *)
+  (* schema-driven queries: the planner over the storage moves over the
+     descriptive schema and scans block lists, no tree traversal *)
   print_endline "\n=== Schema-driven queries (Sedna access path) ===";
+  let planner = Xsm_xpath.Planner.Over_storage.create bs (B.root bs) in
   List.iter
     (fun q ->
-      match Xsm_xpath.Schema_driven.eval_string bs q with
+      match Xsm_xpath.Planner.Over_storage.eval_string planner q with
       | Ok descs ->
         Printf.printf "%-24s -> %d nodes: %s\n" q (List.length descs)
           (String.concat " | "

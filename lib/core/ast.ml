@@ -10,17 +10,7 @@ let repeat min_occurs max_occurs = { min_occurs; max_occurs }
 let repetition_valid r =
   r.min_occurs >= 0 && match r.max_occurs with None -> true | Some m -> m >= r.min_occurs
 
-let pp_repetition ppf r =
-  match r.max_occurs with
-  | None -> Format.fprintf ppf "(%d, unbounded)" r.min_occurs
-  | Some m -> Format.fprintf ppf "(%d, %d)" r.min_occurs m
-
 type combination = Sequence | Choice | All
-
-let pp_combination ppf = function
-  | Sequence -> Format.pp_print_string ppf "sequence"
-  | Choice -> Format.pp_print_string ppf "choice"
-  | All -> Format.pp_print_string ppf "all"
 
 type type_ref =
   | Type_name of Name.t
@@ -65,11 +55,8 @@ type schema = {
   simple_types : (Name.t * Xsm_datatypes.Simple_type.t) list;
 }
 
-let element_n ?(repetition = once) ?(nillable = false) name ty =
-  { elem_name = name; elem_type = ty; repetition; nillable }
-
-let element ?repetition ?nillable name ty =
-  element_n ?repetition ?nillable (Name.of_string_exn name) ty
+let element ?(repetition = once) ?(nillable = false) name ty =
+  { elem_name = Name.of_string_exn name; elem_type = ty; repetition; nillable }
 
 let named_type s = Type_name (Name.of_string_exn s)
 
@@ -114,37 +101,3 @@ let rec declared_element_names g =
       | Element_particle e -> [ e.elem_name ]
       | Group_particle inner -> declared_element_names inner)
     g.particles
-
-let rec pp_type_ref ppf = function
-  | Type_name n -> Name.pp ppf n
-  | Anonymous ct -> Format.fprintf ppf "anonymous %a" pp_complex_type ct
-  | Anonymous_simple st -> Format.fprintf ppf "anonymous %a" Xsm_datatypes.Simple_type.pp st
-
-and pp_element_decl ppf e =
-  Format.fprintf ppf "element %a : %a %a%s" Name.pp e.elem_name pp_type_ref e.elem_type
-    pp_repetition e.repetition
-    (if e.nillable then " nillable" else "")
-
-and pp_particle ppf = function
-  | Element_particle e -> pp_element_decl ppf e
-  | Group_particle g -> pp_group ppf g
-
-and pp_group ppf g =
-  Format.fprintf ppf "@[<hv 2>%a %a {@ %a@ }@]" pp_combination g.combination pp_repetition
-    g.group_repetition
-    (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf ";@ ") pp_particle)
-    g.particles
-
-and pp_complex_type ppf = function
-  | Simple_content { base; attributes } ->
-    Format.fprintf ppf "simpleContent(base=%a, %d attributes)" Name.pp base
-      (List.length attributes)
-  | Complex_content { mixed; content; attributes } ->
-    Format.fprintf ppf "complexContent(mixed=%b, %d attributes, %a)" mixed
-      (List.length attributes)
-      (Format.pp_print_option ~none:(fun ppf () -> Format.pp_print_string ppf "empty") pp_group)
-      content
-
-let pp_schema ppf s =
-  Format.fprintf ppf "@[<v>schema root: %a@ %d complex types, %d simple types@]"
-    pp_element_decl s.root (List.length s.complex_types) (List.length s.simple_types)

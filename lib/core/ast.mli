@@ -28,15 +28,11 @@ val repeat : int -> int option -> repetition
 val repetition_valid : repetition -> bool
 (** min non-negative and min <= max when max is bounded. *)
 
-val pp_repetition : Format.formatter -> repetition -> unit
-
 (** [CombinationFactor = Enumeration("sequence", "choice")], extended
     with the footnote-2 "all option definition" (the paper's
     [Interleave] type constructor): the elements of the group in any
     order, each at most once. *)
 type combination = Sequence | Choice | All
-
-val pp_combination : Format.formatter -> combination -> unit
 
 (** A reference to a type: a (simple or complex) type name, or an
     inline anonymous definition — [Type = Union(TypeName,
@@ -108,9 +104,6 @@ type schema = {
 val element :
   ?repetition:repetition -> ?nillable:bool -> string -> type_ref -> element_decl
 
-val element_n :
-  ?repetition:repetition -> ?nillable:bool -> Name.t -> type_ref -> element_decl
-
 val named_type : string -> type_ref
 val sequence : ?repetition:repetition -> particle list -> group_def
 val choice : ?repetition:repetition -> particle list -> group_def
@@ -148,9 +141,3 @@ val group_is_empty : group_def -> bool
 val declared_element_names : group_def -> Name.t list
 (** Names of the element particles, in order, recursing into nested
     groups. *)
-
-val pp_type_ref : Format.formatter -> type_ref -> unit
-val pp_element_decl : Format.formatter -> element_decl -> unit
-val pp_group : Format.formatter -> group_def -> unit
-val pp_complex_type : Format.formatter -> complex_type -> unit
-val pp_schema : Format.formatter -> schema -> unit

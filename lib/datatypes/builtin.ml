@@ -494,5 +494,3 @@ let validate_atomic t s =
   | Ok [ v ] -> Ok v
   | Ok _ -> err "expected a single atomic value for %s" (name t)
   | Error e -> Error e
-
-let pp ppf t = Format.fprintf ppf "xs:%s" (name t)

@@ -108,5 +108,3 @@ val validate : t -> string -> (Value.t list, string) result
 
 val validate_atomic : t -> string -> (Value.t, string) result
 (** Like {!validate} but requires exactly one resulting value. *)
-
-val pp : Format.formatter -> t -> unit

@@ -12,8 +12,6 @@
 type timezone = int option
 (** Offset from UTC in minutes, [Some 0] for ["Z"], [None] if absent. *)
 
-val pp_timezone : Format.formatter -> timezone -> unit
-
 type date_time = {
   year : int;  (** may be negative; 0 is not a valid year in XSD 1.0 *)
   month : int;  (** 1..12 *)
@@ -27,9 +25,6 @@ type date_time = {
 val parse_date_time : string -> (date_time, string) result
 val print_date_time : date_time -> string
 val compare_date_time : date_time -> date_time -> int
-val epoch_seconds : date_time -> Decimal.t
-(** Seconds since 2000-01-01T00:00:00Z on the proleptic Gregorian
-    timeline, timezone applied — the comparison key. *)
 
 (** Partial date types share the [date_time] record; absent fields hold
     their reference values and are ignored by printing/comparison. *)
@@ -95,6 +90,3 @@ val add_duration : date_time -> duration -> date_time
 val is_leap_year : int -> bool
 val days_in_month : year:int -> month:int -> int
 
-val days_from_civil : year:int -> month:int -> day:int -> int
-(** Day number on the proleptic Gregorian calendar with day 0 =
-    2000-03-01 (internal epoch chosen to simplify leap handling). *)

@@ -158,14 +158,3 @@ let validate_atomic ty lexical =
   | Error e -> Error e
 
 let is_valid ty lexical = Result.is_ok (validate ty lexical)
-
-let rec pp ppf = function
-  | Builtin b -> Builtin.pp ppf b
-  | Restriction { name = Some n; _ } -> Format.pp_print_string ppf n
-  | Restriction { name = None; base; facets } ->
-    Format.fprintf ppf "restriction(%a, %d facets)" pp base (List.length facets)
-  | List { list_name = Some n; _ } -> Format.pp_print_string ppf n
-  | List { list_name = None; item } -> Format.fprintf ppf "list(%a)" pp item
-  | Union { union_name = Some n; _ } -> Format.pp_print_string ppf n
-  | Union { union_name = None; members } ->
-    Format.fprintf ppf "union(%d members)" (List.length members)

@@ -59,5 +59,3 @@ val validate : t -> string -> (Value.t list, string) result
 val validate_atomic : t -> string -> (Value.t, string) result
 
 val is_valid : t -> string -> bool
-
-val pp : Format.formatter -> t -> unit

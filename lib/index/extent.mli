@@ -20,8 +20,13 @@ val of_rev_list : 'n entry list -> 'n t
 (** Build from entries listed in {e reverse} document order — the
     order an index-construction traversal naturally accumulates. *)
 
+val of_nodes : ('n -> Xsm_numbering.Sedna_label.t) -> 'n list -> 'n t
+(** Build from nodes in document order, each labelled by the
+    function — an extent read off a store that labels its own nodes.
+    An extent keeps its labels and nodes in two arrays, so this
+    allocates no record per node. *)
+
 val length : 'n t -> int
-val is_empty : 'n t -> bool
 val get : 'n t -> int -> 'n entry
 val entries : 'n t -> 'n entry list
 val nodes : 'n t -> 'n list
@@ -42,17 +47,11 @@ val select_by_labels : 'n t -> Xsm_numbering.Sedna_label.t list -> 'n t
     extent in O(extent) time worst case.  That is still far below a
     full index rebuild, which visits every node of the document. *)
 
-val position : 'n t -> Xsm_numbering.Sedna_label.t -> int option
-(** Exact binary search. *)
-
 val mem : 'n t -> Xsm_numbering.Sedna_label.t -> bool
 
 val insert : 'n t -> 'n entry -> 'n t
 (** Insert at the label's sorted position; an entry already carrying
     the label is replaced. *)
-
-val remove : 'n t -> Xsm_numbering.Sedna_label.t -> 'n t
-(** Remove the entry with the label; no-op when absent. *)
 
 val split_off_descendants :
   ?or_self:bool -> 'n t -> Xsm_numbering.Sedna_label.t -> 'n t * 'n entry list

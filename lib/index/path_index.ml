@@ -17,11 +17,38 @@ end
 
 exception Maintenance_error of string
 
+module type S = sig
+  type backend
+  type node
+  type t
+  type pnode
+
+  val build : backend -> node -> t
+  val root : t -> pnode
+  val kind : pnode -> [ `Document | `Element | `Attribute | `Text ]
+  val name : pnode -> Xsm_xml.Name.t option
+  val id : pnode -> int
+  val children : t -> pnode -> pnode list
+  val pnode : t -> int -> pnode
+  val extent : t -> pnode -> node Extent.t
+  val extent_size : t -> pnode -> int
+  val pnode_count : t -> int
+  val entry_count : t -> int
+  val locate : t -> backend -> node -> (pnode * Label.t) option
+  val insert_subtree : t -> backend -> node -> (int * Label.t * node) list
+  val remove_subtree : t -> backend -> node -> node option * (int * Label.t) list
+  val pp_stats : Format.formatter -> t -> unit
+end
+
 let fail fmt = Printf.ksprintf (fun s -> raise (Maintenance_error s)) fmt
 
 module Make (N : NAV) = struct
+  type backend = N.t
+  type node = N.node
+
   type pnode = {
     pid : int;
+    p_parent : int;  (* -1 at the root *)
     p_kind : [ `Document | `Element | `Attribute | `Text ];
     p_name : Name.t option;
     mutable rev_child_ids : int list;  (* newest path first *)
@@ -75,9 +102,10 @@ module Make (N : NAV) = struct
     end
     else Hashtbl.remove t.later id
 
-  let add t p_kind p_name =
+  let add t p_parent p_kind p_name =
     let pn =
-      { pid = t.size; p_kind; p_name; rev_child_ids = []; rev_entries = []; frozen = Extent.empty }
+      { pid = t.size; p_parent; p_kind; p_name; rev_child_ids = []; rev_entries = [];
+        frozen = Extent.empty }
     in
     if t.size = Array.length t.pnodes then begin
       let bigger = Array.make (max 16 (t.size * 2)) pn in
@@ -96,7 +124,7 @@ module Make (N : NAV) = struct
 
   let rec find_or_add_in t parent kind name = function
     | [] ->
-      let c = add t kind name in
+      let c = add t parent.pid kind name in
       parent.rev_child_ids <- c.pid :: parent.rev_child_ids;
       c
     | cid :: rest ->
@@ -116,7 +144,7 @@ module Make (N : NAV) = struct
         later = Hashtbl.create 16;
       }
     in
-    let root_pn = add t (N.kind backend rootn) (N.name backend rootn) in
+    let root_pn = add t (-1) (N.kind backend rootn) (N.name backend rootn) in
     (* attributes, then children, take the node's child labels in
        that order; what [visit] leaves of [labels] is for the next
        list *)
@@ -152,7 +180,8 @@ module Make (N : NAV) = struct
   let id pn = pn.pid
   let children t pn = List.rev_map (get t) pn.rev_child_ids
   let pnode t pid = get t pid
-  let extent pn = pn.frozen
+  let extent _ pn = pn.frozen
+  let extent_size _ pn = Extent.length pn.frozen
 
   let pnode_count t = t.size
 
@@ -220,8 +249,16 @@ module Make (N : NAV) = struct
 
   let remove_subtree t backend node =
     match locate t backend node with
-    | None -> []  (* never indexed, or already removed *)
+    | None -> (None, [])  (* never indexed, or already removed *)
     | Some (pn, label) ->
+      (* the parent it was removed from: the entry above [label] in
+         the parent path's extent *)
+      let parent =
+        if pn.p_parent < 0 then None
+        else
+          let among = (get t pn.p_parent).frozen in
+          Option.map (fun i -> (Extent.get among i).node) (Extent.find_ancestor_pos ~among label)
+      in
       (* sweep the pnode subtree: every indexed node of the deleted
          instance subtree lies in the extent of a pnode reachable from
          the deleted node's pnode, at a label descending from (or
@@ -241,7 +278,7 @@ module Make (N : NAV) = struct
         List.iter walk (List.rev pn.rev_child_ids)
       in
       walk pn.pid;
-      List.rev !removed
+      (parent, List.rev !removed)
 
   let pp_stats ppf t =
     Format.fprintf ppf "%d paths over %d nodes" (pnode_count t) (entry_count t)

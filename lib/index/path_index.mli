@@ -2,6 +2,9 @@
     schema) where every schema node additionally carries the {e extent}
     of instance nodes it describes, in document order.
 
+    {!S} is the interface the query planner takes its index through;
+    {!Make} implements it for the XDM store.  (Block storage keeps
+    these structures itself, and [Xsm_xpath.Storage_guide] reads them.)
     One build traversal walks the document through the backend's §5
     accessors, mirrors the descriptive-schema construction (one index
     node per distinct rooted path), assigns every instance node a
@@ -16,20 +19,19 @@
     restrict an extent mid-path.
 
     {b Maintenance.}  The index also supports differential upkeep:
-    {!Make.insert_subtree} labels a freshly linked subtree (Proposition
-    1: no existing node is ever relabeled) and splices its entries into
-    the extents; {!Make.remove_subtree} sweeps a deleted subtree out by
-    one label-range split per affected extent.  Both report exactly the
+    [insert_subtree] gives a freshly linked subtree's root a label
+    strictly between its nearest indexed siblings (Proposition 1: no
+    existing node is ever relabeled) and splices its entries into the
+    extents, raising {!Maintenance_error} when the parent is not
+    indexed; [remove_subtree] sweeps a deleted subtree out by one
+    label-range split per affected extent, never walking the detached
+    instance subtree.  Both report exactly the
     entries they touched, so callers can maintain value indexes and
     decide when a rebuild would be cheaper.  Entries are idempotent
     under replay — inserting an already-indexed node or removing an
     unindexed one is a no-op — which makes absorbing a batch of changes
     in order correct even when later operations supersede earlier
-    ones.
-
-    The functor is parameterized over the same accessor signature the
-    XPath navigators provide, so one implementation serves both the
-    XDM store and the Sedna block storage. *)
+    ones. *)
 
 module type NAV = sig
   type t
@@ -55,14 +57,18 @@ exception Maintenance_error of string
     repair (e.g. an insertion under an unindexed parent); the caller
     falls back to a full rebuild. *)
 
-module Make (N : NAV) : sig
+(** A path index over one backend, as the planner reads it. *)
+module type S = sig
+  type backend
+  type node
+
   type t
 
   type pnode
   (** A path-index node: one distinct rooted path of the document. *)
 
-  val build : N.t -> N.node -> t
-  (** Index the tree under the given root (one full traversal). *)
+  val build : backend -> node -> t
+  (** The index of the tree under the given root. *)
 
   val root : t -> pnode
   val kind : pnode -> [ `Document | `Element | `Attribute | `Text ]
@@ -72,7 +78,11 @@ module Make (N : NAV) : sig
   val pnode : t -> int -> pnode
   (** The path node with the given {!id}. *)
 
-  val extent : pnode -> N.node Extent.t
+  val extent : t -> pnode -> node Extent.t
+  (** The path's instance nodes in document order, keyed by label. *)
+
+  val extent_size : t -> pnode -> int
+  (** [Extent.length (extent t pn)], read without materializing it. *)
 
   val pnode_count : t -> int
   val entry_count : t -> int
@@ -80,25 +90,22 @@ module Make (N : NAV) : sig
 
   (** {1 Differential maintenance} *)
 
-  val locate : t -> N.t -> N.node -> (pnode * Xsm_numbering.Sedna_label.t) option
+  val locate : t -> backend -> node -> (pnode * Xsm_numbering.Sedna_label.t) option
   (** The path node and numbering label of an indexed instance node. *)
 
   val insert_subtree :
-    t -> N.t -> N.node -> (int * Xsm_numbering.Sedna_label.t * N.node) list
-  (** Index a newly linked subtree: a fresh label for its root strictly
-      between its nearest indexed siblings (never relabeling them),
-      fresh path nodes for unseen paths, one sorted extent insertion
-      per subtree node.  Returns the [(pnode id, label, node)] entries
-      added, root first; [[]] when the node is already indexed or no
-      longer reachable.  Raises {!Maintenance_error} when the parent is
-      not indexed. *)
+    t -> backend -> node -> (int * Xsm_numbering.Sedna_label.t * node) list
+  (** Take in a newly linked subtree.  Returns its [(pnode id, label,
+      node)] entries, root first; [[]] when the node is already
+      indexed or no longer reachable. *)
 
   val remove_subtree :
-    t -> N.t -> N.node -> (int * Xsm_numbering.Sedna_label.t) list
-  (** Un-index a deleted subtree by label-range splits over the pnode
-      subtree's extents (the detached instance subtree itself is not
-      walked).  Returns the [(pnode id, label)] entries removed, root
-      first; [[]] when the node was not indexed. *)
+    t -> backend -> node -> node option * (int * Xsm_numbering.Sedna_label.t) list
+  (** Let go of a removed subtree.  Returns the parent it was removed
+      from and its [(pnode id, label)] entries, root first; [(None,
+      [])] when the node was not indexed. *)
 
   val pp_stats : Format.formatter -> t -> unit
 end
+
+module Make (N : NAV) : S with type backend = N.t and type node = N.node

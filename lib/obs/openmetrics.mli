@@ -33,10 +33,6 @@ val sanitize : string -> string
     invalid character gains a [_] prefix.  Always returns a
     {!valid_name}. *)
 
-val float_str : float -> string
-(** Exposition-format float: integral doubles print as integers,
-    non-integral with round-trip precision; [NaN], [+Inf], [-Inf]. *)
-
 val render : sample list -> string
 (** Render the exposition text.  @raise Invalid_argument when two
     samples sanitize to the same name — a collision would silently

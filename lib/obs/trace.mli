@@ -111,21 +111,18 @@ val to_chrome : unit -> Json.t
     one phase-["X"] (complete) event per span, [ts]/[dur] in
     microseconds, non-decreasing [ts] per thread. *)
 
-val to_chrome_groups : (int * string * event list) list -> Json.t
-(** A Chrome trace over several span sets, each [(pid, process name,
-    events)] group rendered as its own Chrome process (a metadata
-    event carries the name).  Timestamps must already be on one
-    timeline: {!Clock.now_ns} counts from a process-local epoch, so
-    events from another process need rebasing by the epoch difference
-    ({!Clock.epoch_wall}, which the daemon ships in its
-    [Introspect (Trace_events _)] reply).  Callers must also ensure
-    span ids don't collide across groups (offset one side) and rewrite
-    wire-parent links before merging. *)
-
 val write_chrome : string -> (unit, string) result
 (** Serialize {!to_chrome} to a file. *)
 
 val write_chrome_groups :
   string -> (int * string * event list) list -> (unit, string) result
-(** Serialize {!to_chrome_groups} to a file. *)
+(** A Chrome trace over several span sets, each [(pid, process name,
+    events)] group rendered as its own Chrome process (a metadata
+    event carries the name), written to a file.  Timestamps must
+    already be on one timeline: {!Clock.now_ns} counts from a
+    process-local epoch, so events from another process need rebasing
+    by the epoch difference ({!Clock.epoch_wall}, which the daemon
+    ships in its [Introspect (Trace_events _)] reply).  Callers must
+    also ensure span ids don't collide across groups (offset one side)
+    and rewrite wire-parent links before merging. *)
 

@@ -109,3 +109,11 @@ val request_stop : t -> unit
 val sessions_served : t -> int
 (** Sessions accepted so far (for tests). *)
 
+
+val apply_paged :
+  Xsm_storage.Block_storage.t ->
+  Xsm_storage.Block_storage.desc Xsm_schema.Update.op ->
+  (Xsm_storage.Block_storage.desc Xsm_schema.Update.change, string) result
+(** The apply a paged server runs for every committed update: one op
+    on its block storage, and the change its planner absorbs.  Refuses
+    what {!Xsm_schema.Update.apply} refuses, with the same messages. *)

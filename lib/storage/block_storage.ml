@@ -500,24 +500,16 @@ let rec string_value t d =
 let typed_value t d = [ Xsm_datatypes.Value.Untyped_atomic (string_value t d) ]
 
 let descendants_by_snode t sn =
-  match list_end t.heads (Schema.snode_id sn) with
-  | None -> []
-  | Some _ as head ->
-    let rec blocks acc = function
-      | None -> List.rev acc
-      | Some b -> blocks (b :: acc) b.next_block
-    in
-    let in_block b =
+  let rec chain acc = function None -> acc | Some d -> chain (d :: acc) d.next_in_block in
+  let rec blocks acc = function
+    | None -> List.rev acc
+    | Some b ->
       (* an extent scan streams through the pool's FIFO: the scan hint
          keeps even re-referenced blocks out of the LRU working set *)
       touch_block ~scan:true t b;
-      let rec go acc = function
-        | None -> List.rev acc
-        | Some d -> go (d :: acc) d.next_in_block
-      in
-      go [] b.first
-    in
-    List.concat_map in_block (blocks [] head)
+      blocks (chain acc b.first) b.next_block
+  in
+  blocks [] (list_end t.heads (Schema.snode_id sn))
 
 let rec to_element t d =
   match Schema.kind d.d_snode with
@@ -750,10 +742,13 @@ let set_content t d v =
     d.value <- v;
     unpin_block t b
 
-let delete t d =
-  (match d.first_children with
-  | Fc _ -> invalid_arg "Block_storage.delete: not a leaf"
-  | Fc_nil -> ());
+let vacate t d =
+  remove_from_block d;
+  t.descriptors <- t.descriptors - 1
+
+(* unlink a descriptor from its parent and siblings and vacate it; its
+   own children stay linked below it *)
+let detach t d =
   (match d.left with
   | Some l ->
     l.right <- d.right;
@@ -780,14 +775,27 @@ let delete t d =
     | Fc _ | Fc_nil -> ());
     dirty_desc p
   | None -> ());
-  remove_from_block d;
-  t.descriptors <- t.descriptors - 1
+  vacate t d
 
-(* bottom-up: [delete] unlinks leaves only *)
-let rec delete_subtree t d =
-  List.iter (delete_subtree t) (attributes t d);
-  List.iter (delete_subtree t) (children t d);
-  delete t d
+let delete t d =
+  (match d.first_children with
+  | Fc _ -> invalid_arg "Block_storage.delete: not a leaf"
+  | Fc_nil -> ());
+  detach t d
+
+(* every descendant leaves its block, but keeps its links: the removed
+   subtree stays walkable from its root, as a removed XDM subtree
+   does, for whoever drops what it derived from it *)
+let delete_subtree t d =
+  let rec vacate_below d =
+    List.iter
+      (fun c ->
+        vacate_below c;
+        vacate t c)
+      (attributes t d @ children t d)
+  in
+  vacate_below d;
+  detach t d
 
 (* ------------------------------------------------------------------ *)
 (* Block blobs and checkpoint metadata                                 *)
@@ -1071,6 +1079,10 @@ let split_count t = t.splits
 let descriptor_count t = t.descriptors
 
 let blocks_of_snode t sn = list_length 0 (list_end t.heads (Schema.snode_id sn))
+
+let descriptors_of_snode t sn =
+  let rec sum n = function None -> n | Some b -> sum (n + b.count) b.next_block in
+  sum 0 (list_end t.heads (Schema.snode_id sn))
 
 let check_integrity t =
   let fail fmt = Printf.ksprintf failwith fmt in

@@ -152,8 +152,10 @@ val delete : t -> desc -> unit
 (** Unlink a leaf descriptor.  [Invalid_argument] if it has children. *)
 
 val delete_subtree : t -> desc -> unit
-(** Unlink a descriptor with its attributes and descendants,
-    bottom-up. *)
+(** Unlink a descriptor with its attributes and descendants.  Every
+    descriptor of the subtree leaves its block, but the subtree keeps
+    its own links: {!children} and {!attributes} still walk it from
+    the removed root, which keeps its nid. *)
 
 val set_content : t -> desc -> string -> unit
 (** Replace a text or attribute descriptor's lexical value. *)
@@ -212,6 +214,11 @@ val block_count : t -> int
 val split_count : t -> int
 val descriptor_count : t -> int
 val blocks_of_snode : t -> Descriptive_schema.snode -> int
+
+val descriptors_of_snode : t -> Descriptive_schema.snode -> int
+(** The length of {!descendants_by_snode}, summed from the blocks'
+    resident counts: no descriptor is walked and no block is
+    touched. *)
 
 val check_integrity : t -> (unit, string) result
 (** Verify the §9.2 invariants: per-snode block lists ordered by

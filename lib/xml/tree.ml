@@ -157,5 +157,4 @@ and equal_element a b =
   && List.equal equal_attribute a.attributes b.attributes
   && List.equal equal_node a.children b.children
 
-let pp_element ppf e = Format.fprintf ppf "<%a/> (%d nodes)" Name.pp e.name (node_count e)
-let pp ppf d = pp_element ppf d.root
+let pp ppf d = Format.fprintf ppf "<%a/> (%d nodes)" Name.pp d.root.name (node_count d.root)

@@ -80,5 +80,4 @@ val equal_element_content : ?ignore_whitespace:bool -> element -> element -> boo
 
 val equal_node : node -> node -> bool
 val equal_element : element -> element -> bool
-val pp_element : Format.formatter -> element -> unit
 val pp : Format.formatter -> t -> unit

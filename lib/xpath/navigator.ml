@@ -59,17 +59,11 @@ module Storage :
   S with type t = Xsm_storage.Block_storage.t and type node = Xsm_storage.Block_storage.desc =
 struct
   module B = Xsm_storage.Block_storage
-  module Schema = Xsm_storage.Descriptive_schema
 
   type t = B.t
   type node = B.desc
 
-  let kind _ d =
-    match Xsm_storage.Descriptive_schema.kind (B.snode d) with
-    | Schema.Document -> `Document
-    | Schema.Element -> `Element
-    | Schema.Attribute -> `Attribute
-    | Schema.Text -> `Text
+  let kind _ d = Storage_guide.kind (B.snode d)
 
   let name _ d = B.node_name d
   let parent _ d = B.parent d

@@ -64,8 +64,11 @@ let digest_json d =
     @ [ ("actual_rows", J.int d.dg_actual) ]
     @ est)
 
-module Make (N : Navigator.S) = struct
-  module PI = Xsm_index.Path_index.Make (N)
+module Make
+    (N : Navigator.S)
+    (I : Xsm_index.Path_index.S with type backend = N.t and type node = N.node) =
+struct
+  module PI = I
   module E = Eval.Make (N)
 
   exception Fallback of string
@@ -88,6 +91,12 @@ module Make (N : Navigator.S) = struct
     root : N.node;
     mutable pindex : PI.t;
     mutable is_stale : bool;
+    mutable pnodes_seen : int;
+        (* path nodes the value indexes' target sets were last checked
+           against; more now means new paths they may have to cover *)
+    scans : (int, N.node Extent.t) Hashtbl.t;
+        (* the extents one evaluation has read, by pnode id: an extent
+           read scans its blocks over storage, so once is enough *)
     values : (int * string, vindex) Hashtbl.t;
         (* (pnode id, printed relative path) -> its typed value index *)
     epoch : Counter.cell;
@@ -114,11 +123,14 @@ module Make (N : Navigator.S) = struct
   let create backend root =
     let epoch = Counter.cell m_epochs in
     Counter.cell_incr epoch;  (* the initial build counts as epoch 1 *)
+    let pindex = PI.build backend root in
     {
       backend;
       root;
-      pindex = PI.build backend root;
+      pindex;
       is_stale = false;
+      pnodes_seen = PI.pnode_count pindex;
+      scans = Hashtbl.create 8;
       values = Hashtbl.create 16;
       epoch;
       applied = Counter.cell m_applied;
@@ -155,6 +167,7 @@ module Make (N : Navigator.S) = struct
 
   let refresh t =
     t.pindex <- PI.build t.backend t.root;
+    t.pnodes_seen <- PI.pnode_count t.pindex;
     Hashtbl.reset t.values;
     t.is_stale <- false;
     Counter.cell_incr t.epoch
@@ -191,12 +204,21 @@ module Make (N : Navigator.S) = struct
      extent — the common pure-path case, where no label join runs. *)
   type cand = { pn : PI.pnode; restr : N.node Extent.t option }
 
-  let cand_extent c = match c.restr with Some e -> e | None -> PI.extent c.pn
+  let extent t pn =
+    let pid = PI.id pn in
+    match Hashtbl.find_opt t.scans pid with
+    | Some e -> e
+    | None ->
+      let e = PI.extent t.pindex pn in
+      Hashtbl.add t.scans pid e;
+      e
 
-  let narrow join base_restr pn =
+  let cand_extent t c = match c.restr with Some e -> e | None -> extent t c.pn
+
+  let narrow t join base_restr pn =
     match base_restr with
     | None -> None
-    | Some restr -> Some (join ~among:restr (PI.extent pn))
+    | Some restr -> Some (join ~among:restr (extent t pn))
 
   let merge_cands cands =
     (* group by pnode; an unrestricted candidate absorbs restricted ones *)
@@ -233,7 +255,7 @@ module Make (N : Navigator.S) = struct
     List.map
       (fun pn ->
         if PI.id pn = PI.id c.pn then c
-        else { pn; restr = narrow (Extent.restrict_by_ancestor ~or_self:false) c.restr pn })
+        else { pn; restr = narrow t (Extent.restrict_by_ancestor ~or_self:false) c.restr pn })
       (desc_or_self_pnodes t.pindex c.pn [])
 
   let child_cands t c test ~attribute =
@@ -241,7 +263,7 @@ module Make (N : Navigator.S) = struct
     |> List.filter (fun pn ->
            (if attribute then PI.kind pn = `Attribute else PI.kind pn <> `Attribute)
            && test_matches test pn)
-    |> List.map (fun pn -> { pn; restr = narrow Extent.restrict_by_parent c.restr pn })
+    |> List.map (fun pn -> { pn; restr = narrow t Extent.restrict_by_parent c.restr pn })
 
   let descendant_cands t c test ~or_self =
     desc_or_self_pnodes t.pindex c.pn []
@@ -249,7 +271,8 @@ module Make (N : Navigator.S) = struct
            let self = PI.id pn = PI.id c.pn in
            if (self && not or_self) || not (test_matches test pn) then None
            else if self then Some c
-           else Some { pn; restr = narrow (Extent.restrict_by_ancestor ~or_self:false) c.restr pn })
+           else
+             Some { pn; restr = narrow t (Extent.restrict_by_ancestor ~or_self:false) c.restr pn })
 
   (* ---- route pricing (Cost policy) ----
 
@@ -301,8 +324,7 @@ module Make (N : Navigator.S) = struct
       | pns -> Some pns
       | exception Unpriceable -> None
 
-  let extent_sum pns =
-    List.fold_left (fun n p -> n + Extent.length (PI.extent p)) 0 pns
+  let extent_sum t pns = List.fold_left (fun n p -> n + PI.extent_size t.pindex p) 0 pns
 
   let structural_rel (rel : path) =
     List.for_all (fun ((s : step), _) -> s.predicates = []) rel.steps
@@ -344,7 +366,7 @@ module Make (N : Navigator.S) = struct
       match rel_target_pnodes t pn rel with
       | None -> Float.infinity
       | Some pns ->
-        let build = float_of_int (extent_sum pns) *. Plan.Cost.build in
+        let build = float_of_int (extent_sum t pns) *. Plan.Cost.build in
         let drops = drops_of t key in
         let build =
           if drops = 0 then build /. Plan.Cost.amortize
@@ -359,7 +381,7 @@ module Make (N : Navigator.S) = struct
     match rel_target_pnodes t pn rel with
     | None -> Float.infinity
     | Some pns ->
-      let targets = float_of_int (extent_sum pns) in
+      let targets = float_of_int (extent_sum t pns) in
       let base = (targets +. float_of_int owners) *. Plan.Cost.entry in
       if structural_rel rel then base
       else base +. (targets *. Plan.Cost.build /. Plan.Cost.amortize)
@@ -409,7 +431,7 @@ module Make (N : Navigator.S) = struct
     match pred with
     | Position _ | Position_cmp _ | Last _ -> raise (Fallback "positional predicate")
     | Exists rel ->
-      let owners = Extent.length (cand_extent c) in
+      let owners = Extent.length (cand_extent t c) in
       let indexed = if t.policy = Rule then 0. else semijoin_price t c.pn rel ~owners in
       let residual = residual_price owners rel in
       if
@@ -420,8 +442,8 @@ module Make (N : Navigator.S) = struct
         let targets = run_rel t c.pn rel in
         let restr' =
           Extent.semijoin_containing
-            ~targets:(List.map cand_extent targets)
-            (cand_extent c)
+            ~targets:(List.map (cand_extent t) targets)
+            (cand_extent t c)
         in
         { c with restr = Some restr' }
       end
@@ -431,7 +453,7 @@ module Make (N : Navigator.S) = struct
       end
     | Equals (rel, lit) ->
       decide_value t c pred rel (fun () ->
-          restrict_probe c (VI.eq (value_index t c.pn rel) lit))
+          restrict_probe t c (VI.eq (value_index t c.pn rel) lit))
     | Cmp (op, rel, lit) ->
       let vop =
         match op with
@@ -441,12 +463,12 @@ module Make (N : Navigator.S) = struct
         | Path_ast.Ge -> VI.Ge
       in
       decide_value t c pred rel (fun () ->
-          restrict_probe c (VI.range (value_index t c.pn rel) vop (VI.Key.of_string lit)))
+          restrict_probe t c (VI.range (value_index t c.pn rel) vop (VI.Key.of_string lit)))
 
   and decide_value t c pred rel probe_route =
     if t.policy = Rule then probe_route ()
     else begin
-      let owners = Extent.length (cand_extent c) in
+      let owners = Extent.length (cand_extent t c) in
       let indexed = probe_price t c.pn rel ~matches:(matches_estimator pred) in
       let residual = residual_price owners rel in
       if prefer_indexed t (PI.id c.pn, Path_ast.to_string rel) ~indexed ~residual
@@ -490,7 +512,7 @@ module Make (N : Navigator.S) = struct
             (E.eval t.backend e.node rel)
       | Position _ | Position_cmp _ | Last _ -> assert false
     in
-    let ext = cand_extent c in
+    let ext = cand_extent t c in
     let positions = ref [] and i = ref 0 in
     List.iter
       (fun e ->
@@ -499,8 +521,8 @@ module Make (N : Navigator.S) = struct
       (Extent.entries ext);
     { c with restr = Some (Extent.select ext (List.rev !positions)) }
 
-  and restrict_probe c owner_labels =
-    let sub = Extent.select_by_labels (PI.extent c.pn) owner_labels in
+  and restrict_probe t c owner_labels =
+    let sub = Extent.select_by_labels (extent t c.pn) owner_labels in
     { c with restr = Some (match c.restr with None -> sub | Some r -> Extent.inter r sub) }
 
   and run_rel t pn (rel : path) =
@@ -517,7 +539,7 @@ module Make (N : Navigator.S) = struct
     match Hashtbl.find_opt t.values key with
     | Some v -> v.vi
     | None ->
-      let owners = PI.extent pn in
+      let owners = extent t pn in
       let targets = run_rel t pn rel in
       let vi = VI.create () in
       List.iter
@@ -533,7 +555,7 @@ module Make (N : Navigator.S) = struct
                   (List.map
                      (fun v -> (VI.Key.of_value v, sval))
                      (N.typed_value t.backend e.node)))
-            (Extent.entries (cand_extent tc)))
+            (Extent.entries (cand_extent t tc)))
         targets;
       let v_structural =
         List.for_all (fun ((s : step), _) -> s.predicates = []) rel.steps
@@ -560,44 +582,47 @@ module Make (N : Navigator.S) = struct
     end
 
   (* re-read the value entries one target node contributes: its owner
-     is its unique ancestor-or-self in the owner extent (gone owner =
-     gone entries), its values come from the current store state *)
-  let recompute_target t owner_pid v (e : N.node Extent.entry) =
-    let owners = PI.extent (PI.pnode t.pindex owner_pid) in
-    match Extent.find_ancestor_pos ~or_self:true ~among:owners e.label with
-    | None -> VI.remove_target v.vi e.label
-    | Some i ->
-      let owner = (Extent.get owners i).Extent.label in
-      let sval = N.string_value t.backend e.node in
-      VI.set_target v.vi ~target:e.label ~owner
-        (List.map (fun value -> (VI.Key.of_value value, sval)) (N.typed_value t.backend e.node))
+     is its nearest ancestor-or-self on the owner path (none = gone
+     entries), its values come from the current store state.  Upkeep
+     walks parent links, never an extent: over block storage an
+     extent read scans the path's blocks. *)
+  let recompute_target t owner_pid v label node =
+    let rec owner n =
+      match PI.locate t.pindex t.backend n with
+      | Some (pn, l) when PI.id pn = owner_pid -> Some l
+      | _ -> Option.bind (N.parent t.backend n) owner
+    in
+    match owner node with
+    | None -> VI.remove_target v.vi label
+    | Some owner ->
+      let sval = N.string_value t.backend node in
+      VI.set_target v.vi ~target:label ~owner
+        (List.map (fun value -> (VI.Key.of_value value, sval)) (N.typed_value t.backend node))
 
-  (* a structural edit at [label] also stales any target that is a
-     strict ancestor of it: element string values concatenate
-     descendant text.  Each target extent is an antichain, so at most
-     one entry per extent qualifies — one binary search each. *)
-  let refresh_ancestor_targets t owner_pid v label =
-    Hashtbl.iter
-      (fun tp () ->
-        let text = PI.extent (PI.pnode t.pindex tp) in
-        match Extent.find_ancestor_pos ~or_self:false ~among:text label with
-        | None -> ()
-        | Some i -> recompute_target t owner_pid v (Extent.get text i))
-      v.v_targets
+  (* an edit at or below a node stales every target on the node's
+     ancestor-or-self chain: element string values concatenate
+     descendant text *)
+  let rec refresh_chain t owner_pid v = function
+    | None -> ()
+    | Some node ->
+      (match PI.locate t.pindex t.backend node with
+      | Some (pn, label) when Hashtbl.mem v.v_targets (PI.id pn) ->
+        recompute_target t owner_pid v label node
+      | _ -> ());
+      refresh_chain t owner_pid v (N.parent t.backend node)
 
-  let vi_on_added t root_label added =
+  let vi_on_added t root added =
     vi_iter t (fun ((owner_pid, _) as key) v ->
         if not v.v_structural then drop_vi t key
         else begin
           List.iter
             (fun (pid, label, node) ->
-              if Hashtbl.mem v.v_targets pid then
-                recompute_target t owner_pid v { Extent.label; node })
+              if Hashtbl.mem v.v_targets pid then recompute_target t owner_pid v label node)
             added;
-          refresh_ancestor_targets t owner_pid v root_label
+          refresh_chain t owner_pid v (N.parent t.backend root)
         end)
 
-  let vi_on_removed t root_label removed =
+  let vi_on_removed t parent removed =
     vi_iter t (fun ((owner_pid, _) as key) v ->
         if not v.v_structural then drop_vi t key
         else begin
@@ -605,20 +630,12 @@ module Make (N : Navigator.S) = struct
             (fun (pid, label) ->
               if Hashtbl.mem v.v_targets pid then VI.remove_target v.vi label)
             removed;
-          refresh_ancestor_targets t owner_pid v root_label
+          refresh_chain t owner_pid v parent
         end)
 
-  let vi_on_content t label =
+  let vi_on_content t node =
     vi_iter t (fun ((owner_pid, _) as key) v ->
-        if not v.v_structural then drop_vi t key
-        else
-          Hashtbl.iter
-            (fun tp () ->
-              let text = PI.extent (PI.pnode t.pindex tp) in
-              match Extent.find_ancestor_pos ~or_self:true ~among:text label with
-              | None -> ()
-              | Some i -> recompute_target t owner_pid v (Extent.get text i))
-            v.v_targets)
+        if not v.v_structural then drop_vi t key else refresh_chain t owner_pid v (Some node))
 
   (* new pnodes may widen the target pid set a value index was built
      over; recompute it structurally (cheap: the pnode tree alone) and
@@ -646,22 +663,18 @@ module Make (N : Navigator.S) = struct
       let added = PI.insert_subtree t.pindex t.backend node in
       touched := !touched + List.length added;
       if !touched > budget then raise Too_much;
-      match added with
-      | [] -> ()
-      | (_, root_label, _) :: _ -> vi_on_added t root_label added)
+      match added with [] -> () | _ -> vi_on_added t node added)
     | Xsm_schema.Update.Removed node -> (
-      let removed = PI.remove_subtree t.pindex t.backend node in
+      let parent, removed = PI.remove_subtree t.pindex t.backend node in
       touched := !touched + List.length removed;
       if !touched > budget then raise Too_much;
-      match removed with
-      | [] -> ()
-      | (_, root_label) :: _ -> vi_on_removed t root_label removed)
+      match removed with [] -> () | _ -> vi_on_removed t parent removed)
     | Xsm_schema.Update.Content node -> (
       match PI.locate t.pindex t.backend node with
       | None -> ()  (* content of a node outside the indexed tree *)
-      | Some (_, label) ->
+      | Some _ ->
         incr touched;
-        vi_on_content t label)
+        vi_on_content t node)
 
   let apply_changes t changes =
     let start = Xsm_obs.Clock.now_ns () in
@@ -670,7 +683,6 @@ module Make (N : Navigator.S) = struct
        match changes with
        | [] -> ()
        | changes -> (
-         let before_pnodes = PI.pnode_count t.pindex in
          (* the size-ratio heuristic: when a batch touches more than a
             quarter of the indexed entries, differential upkeep costs
             more than the single linear pass of a rebuild — stop and
@@ -680,7 +692,11 @@ module Make (N : Navigator.S) = struct
          let touched = ref 0 in
          match
            List.iter (fun c -> apply_one t touched budget c) changes;
-           if PI.pnode_count t.pindex > before_pnodes then revalidate_value_targets t
+           let pnodes = PI.pnode_count t.pindex in
+           if pnodes > t.pnodes_seen then begin
+             revalidate_value_targets t;
+             t.pnodes_seen <- pnodes
+           end
          with
          | () -> Counter.cell_add t.applied (List.length changes)
          | exception (Too_much | Xsm_index.Path_index.Maintenance_error _) -> refresh t));
@@ -692,10 +708,14 @@ module Make (N : Navigator.S) = struct
     ensure_fresh t;
     if not p.absolute then raise (Fallback "relative path");
     t.decisions <- [];
-    let final =
-      List.fold_left (do_step t) [ { pn = PI.root t.pindex; restr = None } ] p.steps
-    in
-    Extent.nodes (Extent.merge (List.map cand_extent final))
+    match List.fold_left (do_step t) [ { pn = PI.root t.pindex; restr = None } ] p.steps with
+    | final ->
+      let nodes = Extent.nodes (Extent.merge (List.map (cand_extent t) final)) in
+      Hashtbl.clear t.scans;
+      nodes
+    | exception e ->
+      Hashtbl.clear t.scans;
+      raise e
 
   let try_indexed t p =
     match eval_indexed t p with
@@ -710,7 +730,7 @@ module Make (N : Navigator.S) = struct
 
   let provider t =
     let rec view parent_rows pn =
-      let total = Extent.length (PI.extent pn) in
+      let total = PI.extent_size t.pindex pn in
       let children_of keep =
         lazy
           (PI.children t.pindex pn |> List.filter keep
@@ -748,7 +768,7 @@ module Make (N : Navigator.S) = struct
     if not p.absolute then None
     else
       let price_pred pn pred =
-        let owners = Extent.length (PI.extent pn) in
+        let owners = PI.extent_size t.pindex pn in
         match pred with
         | Position _ | Position_cmp _ | Last _ -> raise Unpriceable
         | Exists rel ->
@@ -765,7 +785,7 @@ module Make (N : Navigator.S) = struct
         List.fold_left
           (fun (pns, cost) ((step : step), _ as s) ->
             let next = pnodes_step t pns s in
-            let cost = cost +. (float_of_int (extent_sum next) *. Plan.Cost.entry) in
+            let cost = cost +. (float_of_int (extent_sum t next) *. Plan.Cost.entry) in
             let cost =
               List.fold_left
                 (fun cost pred ->
@@ -942,5 +962,5 @@ module Make (N : Navigator.S) = struct
           base "fallback" (Some reason) (est_fields e actual @ route_costs costs)))
 end
 
-module Over_store = Make (Navigator.Xdm)
-module Over_storage = Make (Navigator.Storage)
+module Over_store = Make (Navigator.Xdm) (Xsm_index.Path_index.Make (Navigator.Xdm))
+module Over_storage = Make (Navigator.Storage) (Storage_guide)

@@ -1,41 +1,43 @@
 (** The index-aware query planner.
 
     A path like [/library/book[issue/year<1980]//title] is rewritten
-    into operations on the {!Xsm_index} subsystem instead of a
-    node-by-node walk:
+    into operations on a path index (a DataGuide whose nodes carry the
+    extents of their instance nodes, keyed by §9.3 labels) instead of
+    a node-by-node walk:
 
     - pure location steps (child, attribute, descendant axes, [//])
-      become moves over the path-index DataGuide, so the candidate set
-      is a handful of {e extents} resolved without touching instance
-      nodes;
+      become moves over the DataGuide, so the candidate set is a
+      handful of {e extents} resolved without touching instance nodes;
     - value predicates ([=], [<], [<=], [>], [>=]) become probes of a
       typed value index built (once, then cached) over the extent of
       the predicate's path;
-    - existence predicates become containment semi-joins on the §9.3
-      numbering labels;
+    - existence predicates become containment semi-joins on the labels;
     - whenever a predicate has restricted an extent, subsequent steps
       re-attach to the full extents of deeper paths through
       parent/ancestor joins on the labels.
 
-    Anything outside this fragment — relative paths, reverse or
-    sibling axes, positional predicates — falls back to the plain
-    {!Eval.Make} evaluator, so every query still answers and the two
-    engines agree wherever both apply (the property the test suite
-    checks).
+    The index is the functor's second argument: [Path_index.Make] over
+    the XDM store, {!Storage_guide} (§9's descriptive schema, block
+    lists and nids) over block storage.  One evaluation reads each
+    extent at most once.  Anything outside this fragment — relative
+    paths, reverse or sibling axes, positional predicates — falls back
+    to the plain {!Eval.Make} evaluator, so every query still answers
+    and the two engines agree wherever both apply (the property the
+    test suite checks).
 
     {b Maintenance}: indexes are kept current {e differentially}.
     Whoever applies an update hands the planner the
     [Xsm_schema.Update.change] it made ({!Make.apply_changes}), over
     either store, right after the op applies.  Changes are
     label-sorted splices into the path extents and keyed add/remove in
-    the value indexes, instead of a rebuild from scratch.  Proposition
-    1 makes this sound: existing labels never change under updates, so
-    everything already indexed stays put.  A size-ratio heuristic
-    bounds the worst case: when a batch touches more than a quarter of
-    the indexed entries (or maintenance meets a state it cannot
-    repair), the planner falls back to one full rebuild.
-    {!Make.invalidate} forces a rebuild for a caller that does not
-    hand its changes on. *)
+    the value indexes, which find owners and ancestors through parent
+    links, never by reading an extent.  Proposition 1 makes this
+    sound: existing labels never change under updates, so everything
+    already indexed stays put.  A size-ratio heuristic bounds the
+    worst case: when a batch touches more than a quarter of the
+    indexed entries (or maintenance meets a state it cannot repair),
+    the planner falls back to one full rebuild.  {!Make.invalidate}
+    forces a rebuild for a caller that does not hand its changes on. *)
 
 type maintenance_stats = {
   epochs : int;  (** full index builds so far (1 = the initial build) *)
@@ -72,8 +74,15 @@ type policy =
           semi-join, whole-query navigation — and pick the cheapest;
           the default *)
 
-module Make (N : Navigator.S) : sig
-  module PI : module type of Xsm_index.Path_index.Make (N)
+module Make
+    (N : Navigator.S)
+    (I : Xsm_index.Path_index.S with type backend = N.t and type node = N.node) : sig
+  module PI :
+    Xsm_index.Path_index.S
+      with type backend = N.t
+       and type node = N.node
+       and type t = I.t
+       and type pnode = I.pnode
 
   type t
 
@@ -171,5 +180,5 @@ module Make (N : Navigator.S) : sig
   val uses_index : t -> Path_ast.path -> bool
 end
 
-module Over_store : module type of Make (Navigator.Xdm)
-module Over_storage : module type of Make (Navigator.Storage)
+module Over_store : module type of Make (Navigator.Xdm) (Xsm_index.Path_index.Make (Navigator.Xdm))
+module Over_storage : module type of Make (Navigator.Storage) (Storage_guide)

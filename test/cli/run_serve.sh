@@ -5,10 +5,11 @@
 # state), crash recovery from the WAL alone after SIGKILL, corrupt
 # WAL refusal at boot (exit 3), live vs replayed label upkeep
 # (byte-identical labelled checkpoints), a paged daemon writing the
-# resident daemon's WAL and checkpoints byte for byte, the paged
-# daemon's refusal of a typed snapshot, one WAL fsync per update in
-# both commit modes, the spans a daemon under --trace FILE writes, and
-# the bench-serve smoke run.
+# resident daemon's WAL and checkpoints byte for byte (and, with
+# --index, answering its queries), the paged daemon's refusal of a
+# typed snapshot, one WAL fsync per update in both commit modes, the
+# spans a daemon under --trace FILE writes, and the bench-serve smoke
+# run.
 set -u
 XSM="$1"
 tmp=$(mktemp -d)
@@ -157,7 +158,7 @@ send_label_updates() {
 }
 "$XSM" snapshot "$tmp/doc.xml" "$tmp/la.snap" --labels >/dev/null 2>&1 \
   || fail "labelled base snapshot failed"
-for copy in lb pa pb; do cp "$tmp/la.snap" "$tmp/$copy.snap"; done
+for copy in lb pa pb ri pi; do cp "$tmp/la.snap" "$tmp/$copy.snap"; done
 "$XSM" serve --socket "$sock" --snapshot "$tmp/la.snap" --wal "$tmp/la.wal" --labels \
   > "$tmp/serve.log" 2>&1 &
 server_pid=$!
@@ -223,6 +224,41 @@ wait "$server_pid" || fail "paged recovered server exited non-zero after shutdow
 server_pid=""
 cmp -s "$tmp/la.snap" "$tmp/pb.snap" \
   || fail "a recovered paged daemon must checkpoint the resident snapshot"
+
+# --- the same, indexed: a resident and a paged daemon, both with
+# --index, take the updates with queries after each.  The paged
+# daemon's planner reads the descriptive schema, block lists and nids;
+# its replies and its WAL must be the resident planner's.
+index_queries=(
+  '//title' '/library/book/@id' "//book[@lang = 'en']/title" "/library/*[title = 'P']"
+  '//book[title]/@id' '//text()'
+)
+serve_indexed() {
+  "$XSM" serve --socket "$sock" --snapshot "$tmp/$1.snap" --wal "$tmp/$1.wal" --labels --index \
+    "${@:2}" > "$tmp/serve.log" 2>&1 &
+  server_pid=$!
+  await
+  for u in "${label_updates[@]}"; do
+    "$XSM" client --socket "$sock" --update "$u" >> "$tmp/$1.replies" 2>/dev/null \
+      || fail "indexed update failed: $u"
+    for q in "${index_queries[@]}"; do
+      "$XSM" client --socket "$sock" --query "$q" >> "$tmp/$1.replies" 2>/dev/null \
+        || fail "indexed query failed: $q"
+    done
+  done
+  cp "$tmp/$1.wal" "$tmp/$1.live.wal"
+  "$XSM" client --socket "$sock" --shutdown >/dev/null 2>&1 || fail "indexed shutdown failed"
+  wait "$server_pid" || fail "indexed server exited non-zero after shutdown"
+  server_pid=""
+}
+serve_indexed ri
+serve_indexed pi --page-file "$tmp/pi.pages" --pool-capacity 2
+grep -q Four "$tmp/ri.replies" || fail "the indexed daemon must answer the queries"
+cmp -s "$tmp/ri.replies" "$tmp/pi.replies" \
+  || { diff "$tmp/ri.replies" "$tmp/pi.replies" >&2; fail "the paged planner must answer as the resident one"; }
+cmp -s "$tmp/ri.live.wal" "$tmp/pi.live.wal" || fail "the paged indexed daemon must log the resident WAL"
+cmp -s "$tmp/la.snap" "$tmp/pi.snap" \
+  || fail "the paged indexed daemon must checkpoint the resident snapshot"
 
 # --- block storage keeps no type annotations: a typed snapshot served
 # paged is refused with one line and exit 2, rather than written back

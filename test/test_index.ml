@@ -217,6 +217,41 @@ let test_planner_agreement_storage () =
       | Error e -> Alcotest.failf "%s: %s" q e)
     (indexed_queries @ fallback_queries)
 
+(* The storage planner reads §9's own structures, so building it holds
+   nothing per descriptor.  A [Path_index] copy held 9.6 live words per
+   descriptor on this library. *)
+let test_storage_planner_ceiling () =
+  let store = Store.create () in
+  let doc = Xsm_schema.Samples.library_document ~books:1000 ~papers:600 () in
+  let bs = B.of_store store (Convert.load store doc) in
+  let descriptors = B.descriptor_count bs in
+  check "at least 12 000 descriptors" true (descriptors >= 12_000);
+  Gc.full_major ();
+  let before = (Gc.stat ()).Gc.live_words in
+  let planner = PlS.create bs (B.root bs) in
+  Gc.full_major ();
+  let after = (Gc.stat ()).Gc.live_words in
+  ignore (Sys.opaque_identity planner);
+  let per = float_of_int (after - before) /. float_of_int descriptors in
+  check (Printf.sprintf "%.3f live words per descriptor < 0.5" per) true (per < 0.5)
+
+(* Estimating reads extent sizes from the blocks' resident counts: no
+   block is faulted or touched, while evaluating the same paths is *)
+let test_storage_planner_estimate_touches_nothing () =
+  let store, dnode = fixture () in
+  let bs = B.of_store ~block_capacity:2 store dnode in
+  let path = Filename.temp_file "xsm-guide" ".pages" in
+  let pager = B.attach_pager bs ~capacity:2 (Xsm_pager.Page_file.create ~page_size:512 path) in
+  let planner = PlS.create bs (B.root bs) in
+  let accesses () = (Xsm_pager.Pager.stats pager).Xsm_pager.Pager.accesses in
+  let queries = [ "//author"; "/library/book/title"; "//book[issue/year < 1980]/title" ] in
+  let before = accesses () in
+  List.iter (fun q -> ignore (PlS.estimate planner (P.parse_exn q))) queries;
+  check_int "estimates touch no block" before (accesses ());
+  List.iter (fun q -> ignore (PlS.eval_string planner q)) queries;
+  check "evaluations scan blocks" true (accesses () > before);
+  Sys.remove path
+
 let test_planner_attributes () =
   let store = Store.create () in
   let doc =
@@ -507,14 +542,14 @@ let test_build_labels () =
       | Some (pn, l) ->
         check "label = the document-order labelling" true
           (Label.equal l (Xsm_numbering.Labeler.label labels n));
-        check "the node is in its path's extent" true (Extent.mem (Pl.PI.extent pn) l))
+        check "the node is in its path's extent" true (Extent.mem (Pl.PI.extent idx pn) l))
     nodes;
   let rec pre acc pn = List.fold_left pre (Pl.PI.id pn :: acc) (Pl.PI.children idx pn) in
   check_nodes "pnode ids in first-encounter pre-order"
     (List.init (Pl.PI.pnode_count idx) Fun.id)
     (List.rev (pre [] (Pl.PI.root idx)));
   for pid = 0 to Pl.PI.pnode_count idx - 1 do
-    let ls = List.map (fun (e : _ Extent.entry) -> e.Extent.label) (Extent.entries (Pl.PI.extent (Pl.PI.pnode idx pid))) in
+    let ls = List.map (fun (e : _ Extent.entry) -> e.Extent.label) (Extent.entries (Pl.PI.extent idx (Pl.PI.pnode idx pid))) in
     check "extent in document order" true (List.sort Label.compare ls = ls)
   done
 
@@ -551,6 +586,9 @@ let suite =
         Alcotest.test_case "agreement (storage)" `Quick test_planner_agreement_storage;
         Alcotest.test_case "index vs fallback" `Quick test_planner_uses_index;
         Alcotest.test_case "attributes" `Quick test_planner_attributes;
+        Alcotest.test_case "storage planner ceiling" `Quick test_storage_planner_ceiling;
+        Alcotest.test_case "storage estimate touches nothing" `Quick
+          test_storage_planner_estimate_touches_nothing;
       ] );
     ( "index.property",
       [

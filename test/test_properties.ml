@@ -449,67 +449,82 @@ let update_sequence_law seed =
    attributes, content replacement, and attribute attach or replace —
    so inserted nodes land first under a leaf, before the first child
    (an attribute ahead of children), between two siblings, and after
-   the last. *)
-let random_update r store dnode step =
-  let int = Xsm_schema.Generator.int in
-  let module U = Xsm_schema.Update in
-  let subtree () =
-    Xsm_xml.Tree.elem "book"
-      ~children:
-        [
-          Xsm_xml.Tree.element
-            (Xsm_xml.Tree.elem "issue"
-               ~children:
-                 [
-                   Xsm_xml.Tree.element
-                     (Xsm_xml.Tree.elem "year"
-                        ~children:[ Xsm_xml.Tree.text (string_of_int (1900 + (step * 17 mod 150))) ]);
-                 ]);
-          Xsm_xml.Tree.element
-            (Xsm_xml.Tree.elem "author" ~children:[ Xsm_xml.Tree.text "Prop" ]);
-        ]
-  in
-  let nodes = Store.descendants_or_self store dnode in
-  let elements = List.filter (fun n -> Store.kind store n = Store.Kind.Element) nodes in
-  let pick xs = List.nth xs (int r (List.length xs)) in
-  let before parent =
-    match Store.children store parent with
-    | [] -> None
-    | kids -> if int r 2 = 0 then None else Some (pick kids)
-  in
-  let attr () =
-    let element = pick elements in
-    U.Set_attribute
-      { element; name = Name.local (if int r 2 = 0 then "k" else "j"); value = string_of_int step }
-  in
-  match int r 7 with
-  | 0 ->
-    let parent = pick elements in
-    U.Insert_element { parent; before = before parent; tree = subtree () }
-  | 1 ->
-    let parent = pick elements in
-    U.Insert_text { parent; before = before parent; text = "p" }
-  | 2 ->
-    let parent = pick elements in
-    U.Insert_element { parent; before = before parent; tree = Xsm_xml.Tree.elem "e" }
-  | 3 -> (
-    let attributes = List.filter (fun n -> Store.kind store n = Store.Kind.Attribute) nodes in
-    match
-      List.filter
-        (fun n ->
-          match Store.parent store n with
-          | Some p -> not (Store.equal_node p dnode)
-          | None -> false)
-        elements
-    with
-    | _ when attributes <> [] && int r 2 = 0 -> U.Delete (pick attributes)
-    | [] -> attr ()
-    | sub -> U.Delete (pick sub))
-  | 4 -> (
-    match List.filter (fun n -> Store.kind store n = Store.Kind.Text) nodes with
-    | [] -> U.Insert_text { parent = pick elements; before = None; text = "q" }
-    | ts -> U.Replace_content { node = pick ts; value = string_of_int (1850 + (step * 31 mod 200)) })
-  | _ -> attr ()
+   the last.  A functor over the navigator, so the same histories run
+   over the XDM store and over block storage. *)
+module Random_update (N : Xsm_xpath.Navigator.S) = struct
+  (* the node, its attributes, then its children's subtrees *)
+  let descendants_or_self b n =
+    let rec go acc n =
+      let acc = List.fold_left (fun acc a -> a :: acc) (n :: acc) (N.attributes b n) in
+      List.fold_left go acc (N.children b n)
+    in
+    List.rev (go [] n)
+
+  let op r store dnode step =
+    let int = Xsm_schema.Generator.int in
+    let module U = Xsm_schema.Update in
+    let subtree () =
+      Xsm_xml.Tree.elem "book"
+        ~children:
+          [
+            Xsm_xml.Tree.element
+              (Xsm_xml.Tree.elem "issue"
+                 ~children:
+                   [
+                     Xsm_xml.Tree.element
+                       (Xsm_xml.Tree.elem "year"
+                          ~children:[ Xsm_xml.Tree.text (string_of_int (1900 + (step * 17 mod 150))) ]);
+                   ]);
+            Xsm_xml.Tree.element
+              (Xsm_xml.Tree.elem "author" ~children:[ Xsm_xml.Tree.text "Prop" ]);
+          ]
+    in
+    let nodes = descendants_or_self store dnode in
+    let elements = List.filter (fun n -> N.kind store n = `Element) nodes in
+    let pick xs = List.nth xs (int r (List.length xs)) in
+    let before parent =
+      match N.children store parent with
+      | [] -> None
+      | kids -> if int r 2 = 0 then None else Some (pick kids)
+    in
+    let attr () =
+      let element = pick elements in
+      U.Set_attribute
+        { element; name = Name.local (if int r 2 = 0 then "k" else "j"); value = string_of_int step }
+    in
+    match int r 7 with
+    | 0 ->
+      let parent = pick elements in
+      U.Insert_element { parent; before = before parent; tree = subtree () }
+    | 1 ->
+      let parent = pick elements in
+      U.Insert_text { parent; before = before parent; text = "p" }
+    | 2 ->
+      let parent = pick elements in
+      U.Insert_element { parent; before = before parent; tree = Xsm_xml.Tree.elem "e" }
+    | 3 -> (
+      let attributes = List.filter (fun n -> N.kind store n = `Attribute) nodes in
+      match
+        List.filter
+          (fun n ->
+            match N.parent store n with
+            | Some p -> not (N.equal store p dnode)
+            | None -> false)
+          elements
+      with
+      | _ when attributes <> [] && int r 2 = 0 -> U.Delete (pick attributes)
+      | [] -> attr ()
+      | sub -> U.Delete (pick sub))
+    | 4 -> (
+      match List.filter (fun n -> N.kind store n = `Text) nodes with
+      | [] -> U.Insert_text { parent = pick elements; before = None; text = "q" }
+      | ts -> U.Replace_content { node = pick ts; value = string_of_int (1850 + (step * 31 mod 200)) })
+    | _ -> attr ()
+end
+
+module Xdm_update = Random_update (Xsm_xpath.Navigator.Xdm)
+
+let random_update = Xdm_update.op
 
 (* One applied op through a writer's hand-off: [feed] gets its change,
    one time in four the op is undone and [feed] gets the mirror, and
@@ -565,6 +580,46 @@ let incremental_maintenance_law seed =
     let fresh = Pl.create store dnode in
     if Pl.PI.entry_count (Pl.index planner) <> Pl.PI.entry_count (Pl.index fresh) then
       ok := false
+  done;
+  !ok
+
+(* the storage planner = the evaluator over block storage: after every
+   prefix of a random history (attribute deletes included), applied by
+   the paged server's own apply and handed to the planner, both
+   answer every query with the same descriptors *)
+let storage_planner_law seed =
+  let r = Xsm_schema.Generator.rng seed in
+  let int = Xsm_schema.Generator.int in
+  let module B = Xsm_storage.Block_storage in
+  let module Pl = Xsm_xpath.Planner.Over_storage in
+  let module E = Xsm_xpath.Eval.Over_storage in
+  let module Storage_update = Random_update (Xsm_xpath.Navigator.Storage) in
+  let store = Store.create () in
+  let doc = Xsm_schema.Samples.library_document ~books:(2 + int r 4) ~papers:(1 + int r 3) () in
+  let bs = B.of_store ~block_capacity:(2 + int r 6) store (Convert.load store doc) in
+  let root = B.root bs in
+  let planner = Pl.create bs root in
+  let queries =
+    [
+      "//author"; "//book[issue/year<1990]/title"; "/library//publisher"; "//text()";
+      "//*[@k]/@j"; "//book[@j = '3']"; "/library/*[author = 'Prop']/issue";
+      (* an issue's value concatenates its publisher and year: deleting
+         either changes it *)
+      "//book[issue = 'Addison-Wesley']/title"; "//book[issue > 1000]/title";
+    ]
+  in
+  let ok = ref true in
+  for step = 1 to 4 + int r 5 do
+    (match Xsm_server.Server.apply_paged bs (Storage_update.op r bs root step) with
+    | Ok change -> Pl.apply_changes planner [ change ]
+    | Error _ -> ());
+    List.iter
+      (fun q ->
+        match (Pl.eval_string planner q, E.eval_string bs root q) with
+        | Ok a, Ok b ->
+          if not (List.equal Label.equal (List.map B.nid a) (List.map B.nid b)) then ok := false
+        | _ -> ok := false)
+      queries
   done;
   !ok
 
@@ -744,6 +799,7 @@ let suite =
         to_alco ~count:40 "validated update sequences stay S-trees" update_sequence_law;
         to_alco ~count:120 "incremental index maintenance = rebuild"
           incremental_maintenance_law;
+        to_alco ~count:120 "storage planner = evaluator over updates" storage_planner_law;
         to_alco ~count:100 "label upkeep from neighbours = table scan" label_maintenance_law;
         to_alco ~count:40 "recovered labels = live labels" label_recovery_law;
         to_alco ~count:60 "release is invisible" release_invisible_law;

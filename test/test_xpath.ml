@@ -1,12 +1,13 @@
 (* Tests for xsm_xpath: parser, evaluation over the XDM store and the
-   block storage, agreement between backends, schema-driven path. *)
+   block storage, agreement between backends, the planner's index route
+   over the block lists. *)
 
 module Store = Xsm_xdm.Store
 module Convert = Xsm_xdm.Convert
 module B = Xsm_storage.Block_storage
 module E = Xsm_xpath.Eval.Over_store
 module ES = Xsm_xpath.Eval.Over_storage
-module SD = Xsm_xpath.Schema_driven
+module SP = Xsm_xpath.Planner.Over_storage
 module P = Xsm_xpath.Path_parser
 
 let check = Alcotest.(check bool)
@@ -200,34 +201,43 @@ let test_backend_agreement_random () =
       [ "//*"; "//text()"; "/root/*" ]
   done
 
-(* ---------------- schema-driven ---------------- *)
+(* ---------------- the planner over the block lists ---------------- *)
 
-let test_schema_driven_agreement () =
+let storage_planner bs = SP.create bs (B.root bs)
+
+let test_storage_planner_agreement () =
   let store, dnode = fixture () in
   let bs = B.of_store ~block_capacity:4 store dnode in
+  let planner = storage_planner bs in
   List.iter
     (fun q ->
-      match SD.eval_string bs q with
+      check (q ^ " takes the index route") true (SP.uses_index planner (P.parse_exn q));
+      match SP.eval_string planner q with
       | Ok ds ->
         Alcotest.(check (list string)) q (eval store dnode q)
           (List.map (B.string_value bs) ds)
       | Error e -> Alcotest.failf "%s: %s" q e)
     [ "/library/book/title"; "//author"; "//title"; "/library/paper/author"; "//issue/year" ]
 
-let test_schema_driven_rejects_predicates () =
+let test_storage_planner_fallback_shapes () =
   let store, dnode = fixture () in
   let bs = B.of_store store dnode in
-  ignore (store, dnode);
-  check "predicate unsupported" true (Result.is_error (SD.eval_string bs "/library/book[2]"));
-  check "relative unsupported" true (Result.is_error (SD.eval_string bs "book/title"));
-  check "supported flag" true
-    (SD.supported (P.parse_exn "/library/book/title")
-    && not (SD.supported (P.parse_exn "/library/book[1]")))
+  let planner = storage_planner bs in
+  let indexed q = SP.uses_index planner (P.parse_exn q) in
+  check "positional predicate falls back" false (indexed "/library/book[2]");
+  check "relative path falls back" false (indexed "book/title");
+  check "child path indexed" true (indexed "/library/book/title");
+  (* a fallback still answers, through the evaluator *)
+  match SP.eval_string planner "/library/book[2]/title" with
+  | Ok ds ->
+    Alcotest.(check (list string)) "fallback answer" (eval store dnode "/library/book[2]/title")
+      (List.map (B.string_value bs) ds)
+  | Error e -> Alcotest.fail e
 
-let test_schema_driven_document_order () =
+let test_storage_planner_document_order () =
   let store, dnode = fixture () in
   let bs = B.of_store ~block_capacity:2 store dnode in
-  match SD.eval_string bs "//title" with
+  match SP.eval_string (storage_planner bs) "//title" with
   | Ok ds ->
     let nids = List.map B.nid ds in
     let rec increasing = function
@@ -258,10 +268,10 @@ let suite =
         Alcotest.test_case "agreement" `Quick test_backend_agreement;
         Alcotest.test_case "agreement (random)" `Quick test_backend_agreement_random;
       ] );
-    ( "xpath.schema-driven",
+    ( "xpath.storage-planner",
       [
-        Alcotest.test_case "agreement" `Quick test_schema_driven_agreement;
-        Alcotest.test_case "unsupported shapes" `Quick test_schema_driven_rejects_predicates;
-        Alcotest.test_case "document order" `Quick test_schema_driven_document_order;
+        Alcotest.test_case "agreement" `Quick test_storage_planner_agreement;
+        Alcotest.test_case "fallback shapes" `Quick test_storage_planner_fallback_shapes;
+        Alcotest.test_case "document order" `Quick test_storage_planner_document_order;
       ] );
   ]
