@@ -275,7 +275,11 @@ let logging_term ~wal_doc ~snapshot_doc =
              the next record and exit with code 3 (requires $(b,--wal)).")
   in
   let make wal snapshot sync_every crash_after partial_bytes =
-    let crash = Option.map (fun n -> { Wal.after_records = n; partial_bytes }) crash_after in
+    let crash =
+      Option.map
+        (fun n -> { Wal.after_records = n; partial_bytes; fsync_fails = false })
+        crash_after
+    in
     { wal; snapshot; sync_every; crash }
   in
   Term.(
@@ -338,18 +342,19 @@ let attach_pages ?wal ?(cold = false) bs ~capacity path =
   end;
   (pf, p)
 
-(* One query through the planner when there is one — the chosen plan
-   on stderr — else navigational evaluation. *)
+(* One query through the planner, the plan of its one evaluation on
+   stderr *)
+let plan_answer eval_explained q =
+  Result.map
+    (fun parsed ->
+      let nodes, plan = eval_explained parsed in
+      Format.eprintf "plan: %s@." plan;
+      nodes)
+    (Path_parser.parse q)
+
+(* through the planner when there is one, else navigational evaluation *)
 let answer ?planner ~eval q =
-  match planner with
-  | None -> eval q
-  | Some (plan_eval, explain) ->
-    let r = plan_eval q in
-    (if Result.is_ok r then
-       match Path_parser.parse q with
-       | Ok parsed -> Format.eprintf "plan: %s@." (explain parsed)
-       | Error _ -> ());
-    r
+  match planner with None -> eval q | Some eval_explained -> plan_answer eval_explained q
 
 (* The schema gate of every command that validates against a schema
    or relies on one: the analyzer subsumes Schema_check and refuses
@@ -543,7 +548,7 @@ let load_cmd =
       (fun q ->
         match
           answer
-            ?planner:(Option.map (fun p -> ((fun q -> Pl.eval_string p q), Pl.explain p)) planner)
+            ?planner:(Option.map (fun p q -> Pl.eval_explained p q) planner)
             ~eval:(Xsm_xpath.Eval.Over_storage.eval_string storage (Bs.root storage))
             q
         with
@@ -709,7 +714,7 @@ let query_cmd =
     in
     (* planner route: the JSON plan with --explain, else the results
        with the chosen plan on stderr *)
-    let planned ~eval ~explain ~explain_json ~values =
+    let planned ~eval_explained ~explain ~explain_json ~values =
       if explain_mode then
         match Path_parser.parse query with
         | Ok p ->
@@ -718,7 +723,7 @@ let query_cmd =
         | Error e -> fail e
       else
         print values
-          (Trace.with_span "query.execute" (fun () -> answer ~planner:(eval, explain) ~eval query))
+          (Trace.with_span "query.execute" (fun () -> plan_answer eval_explained query))
     in
     let configure set_pruner set_rewriter p =
       Option.iter (set_pruner p) pruner;
@@ -734,7 +739,7 @@ let query_cmd =
             configure Pl.set_pruner Pl.set_rewriter (Pl.create bs (Bs.root bs)))
       in
       planned
-        ~eval:(fun q -> Pl.eval_string p q)
+        ~eval_explained:(fun q -> Pl.eval_explained p q)
         ~explain:(Pl.explain p) ~explain_json:(Pl.explain_json p)
         ~values:(List.map (Bs.string_value bs));
       report_pager bs
@@ -745,7 +750,7 @@ let query_cmd =
             configure Pl.set_pruner Pl.set_rewriter (Pl.create store root))
       in
       planned
-        ~eval:(fun q -> Pl.eval_string p q)
+        ~eval_explained:(fun q -> Pl.eval_explained p q)
         ~explain:(Pl.explain p) ~explain_json:(Pl.explain_json p)
         ~values:(List.map (Store.string_value store))
     | false, true ->
@@ -790,7 +795,7 @@ let query_cmd =
            instead of the result nodes.")
 
 (* [answer]'s planner route over an XDM store *)
-let store_planner p = ((fun q -> Planner.Over_store.eval_string p q), Planner.Over_store.explain p)
+let store_planner p q = Planner.Over_store.eval_explained p q
 
 (* The update-script interpreter, shared by `xsm update` and
    `xsm stats`: the shared update grammar ({!Update.parse_command})

@@ -315,33 +315,119 @@ type error =
   | Not_a_wal of string  (* the path: file exists but lacks the WAL magic *)
   | Io of string
 
-type crash = { after_records : int; partial_bytes : int }
+type crash = { after_records : int; partial_bytes : int; fsync_fails : bool }
 
 exception Crashed
 
 module Writer = struct
+  (* a sync handed to the syncer: the ops ahead of its marker (none
+     without a marker) and the log's length when it was asked for *)
+  type job = { covers : int; at : int }
+
   type t = {
     oc : out_channel;
+    fd : Unix.file_descr;
     crash : crash option;
     sync_every : int;
     mutable records : int;
     mutable ops : int;  (* Op records only — the LSN scale *)
-    mutable marked : int;  (* ops covered by the last Sync_point marker *)
+    mutable marked : int;  (* ops covered by the last fsynced Sync_point marker *)
     mutable unsynced : int;
     mutable crashed : bool;
+    mutable fault_fired : bool;  (* the injected fsync fault has struck *)
     mutable hooked : bool;  (* a pager orders its write-back on [marked] *)
     payload : Buffer.t;  (* the record being encoded, reused *)
     mutable frame : Bytes.t;  (* its framed bytes, reused *)
+    (* The syncer: one systhread, started by the first periodic sync,
+       that fsyncs behind the appender.  [lock] guards [job], [stopping]
+       and [failure] while it runs; [wake] wakes it, [idle] tells its
+       waiters that the sync in flight is done. *)
+    lock : Mutex.t;
+    wake : Condition.t;
+    idle : Condition.t;
+    mutable syncer : Thread.t option;
+    mutable job : job option;  (* the sync in flight *)
+    mutable stopping : bool;
+    mutable failure : exn option;  (* a failed background fsync, raised by every later call *)
   }
 
-  let fsync t =
+  (* One fsync of the log's descriptor, timed and counted.  [at] is the
+     log's length when the sync was asked for: an injected fsync fault
+     strikes the first fsync at or past its crash point, once — as a
+     kernel reports a lost write-back once, so a retry would "succeed". *)
+  let fsync_fd t ~at =
+    (match t.crash with
+    | Some { after_records; fsync_fails = true; _ } when at >= after_records && not t.fault_fired ->
+      t.fault_fired <- true;
+      raise (Unix.Unix_error (Unix.EIO, "fsync", "injected fault"))
+    | _ -> ());
     let start = Xsm_obs.Clock.now_ns () in
-    flush t.oc;
-    Unix.fsync (Unix.descr_of_out_channel t.oc);
-    t.unsynced <- 0;
+    Unix.fsync t.fd;
     Counter.incr m_syncs;
-    Histogram.observe h_fsync
-      (Int64.to_float (Int64.sub (Xsm_obs.Clock.now_ns ()) start))
+    Histogram.observe h_fsync (Int64.to_float (Int64.sub (Xsm_obs.Clock.now_ns ()) start))
+
+  let fsync t =
+    flush t.oc;
+    fsync_fd t ~at:t.records;
+    t.unsynced <- 0
+
+  (* The syncer's loop: fsync each job handed over; raise [marked] to
+     the ops ahead of its marker only once the fsync returned, or keep
+     its failure.  It never retries. *)
+  let rec serve t =
+    Mutex.lock t.lock;
+    while Option.is_none t.job && not t.stopping do
+      Condition.wait t.wake t.lock
+    done;
+    let job = t.job in
+    Mutex.unlock t.lock;
+    match job with
+    | None -> ()
+    | Some { covers; at } ->
+      let failure = match fsync_fd t ~at with () -> None | exception e -> Some e in
+      Mutex.lock t.lock;
+      (match failure with
+      | None -> if covers > t.marked then t.marked <- covers
+      | Some _ -> t.failure <- failure);
+      t.job <- None;
+      Condition.broadcast t.idle;
+      Mutex.unlock t.lock;
+      serve t
+
+  (* Raise the syncer's failure, if any; with [~wait], first wait out
+     the sync in flight.  A writer that never started a syncer (the
+     daemon's) takes no lock. *)
+  let check ?(wait = false) t =
+    let failure =
+      match t.syncer with
+      | None -> t.failure
+      | Some _ ->
+        Mutex.lock t.lock;
+        if wait then while Option.is_some t.job do Condition.wait t.idle t.lock done;
+        let failure = t.failure in
+        Mutex.unlock t.lock;
+        failure
+    in
+    Option.iter raise failure
+
+  let hand_off t job =
+    if Option.is_none t.syncer then t.syncer <- Some (Thread.create serve t);
+    Mutex.lock t.lock;
+    t.job <- Some job;
+    Condition.signal t.wake;
+    Mutex.unlock t.lock
+
+  (* finish the sync in flight and join the syncer *)
+  let stop t =
+    match t.syncer with
+    | None -> ()
+    | Some thread ->
+      Mutex.lock t.lock;
+      t.stopping <- true;
+      Condition.signal t.wake;
+      Mutex.unlock t.lock;
+      Thread.join thread;
+      t.syncer <- None
 
   let create ?crash ?(sync_every = 1) path =
     if sync_every < 1 then Error (Io "wal: sync_every must be >= 1")
@@ -364,8 +450,11 @@ module Writer = struct
           let oc = open_out_gen [ Open_append; Open_creat; Open_binary ] 0o644 path in
           if fresh then output_string oc magic;
           let t =
-            { oc; crash; sync_every; records = 0; ops = 0; marked = 0; unsynced = 0;
-              crashed = false; hooked = false; payload = Buffer.create 4096; frame = Bytes.create 4096 }
+            { oc; fd = Unix.descr_of_out_channel oc; crash; sync_every; records = 0; ops = 0;
+              marked = 0; unsynced = 0; crashed = false; fault_fired = false; hooked = false;
+              payload = Buffer.create 4096; frame = Bytes.create 4096; lock = Mutex.create ();
+              wake = Condition.create (); idle = Condition.create (); syncer = None; job = None;
+              stopping = false; failure = None }
           in
           fsync t;
           (* a freshly created log needs its directory entry synced
@@ -382,13 +471,15 @@ module Writer = struct
   let write_frame t ~op frame size =
     if t.crashed then raise Crashed;
     (match t.crash with
-    | Some { after_records; partial_bytes } when t.records >= after_records ->
-      (* the injected crash: leave a prefix of this record on disk,
-         flush it (the OS got the bytes), and die *)
+    | Some { after_records; partial_bytes; fsync_fails = false } when t.records >= after_records ->
+      (* the injected crash: let the sync in flight finish, leave a
+         prefix of this record on disk, flush it (the OS got the
+         bytes), and die *)
+      stop t;
       let keep = min (max 0 partial_bytes) (size - 1) in
       output t.oc frame 0 keep;
       flush t.oc;
-      Unix.fsync (Unix.descr_of_out_channel t.oc);
+      Unix.fsync t.fd;
       t.crashed <- true;
       raise Crashed
     | _ -> ());
@@ -408,10 +499,12 @@ module Writer = struct
      reused buffer.  It vouches only for the ops counted before its
      marker: an op appended while it fsyncs follows the marker.  Of two
      syncs on two domains, the one covering less may finish last and
-     mark less; that only costs a later force a sync. *)
+     mark less; that only costs a later force a sync.  (The daemon's
+     writer never starts a syncer, so [check] takes no lock there.) *)
   let sync_frame = Bytes.of_string (encode_record Sync_point)
 
   let sync t =
+    check ~wait:true t;
     let covered = t.ops in
     write_frame t ~op:false sync_frame (Bytes.length sync_frame);
     fsync t;
@@ -420,14 +513,23 @@ module Writer = struct
   (* write the op encoded in [t.payload].  Ops are appended by one
      writer at a time (the server's commit applier, under the exclusive
      latch), so the reused buffers need no lock of their own.  The
-     periodic fsync is a full [sync] once a pager orders its
-     write-back on the marker: the records it makes durable are then
-     provably so, and an eviction need not force them again. *)
+     periodic sync runs behind the appender: once the sync before it is
+     done, the marker (when a pager orders its write-back on it) and
+     every record ahead of it go to the OS, and the syncer fsyncs them
+     while the appender goes on.  At most one sync is in flight. *)
   let emit_payload t =
+    check t;
     let frame, size = frame_payload t.frame t.payload in
     t.frame <- frame;
     write_frame t ~op:true frame size;
-    if t.unsynced >= t.sync_every then if t.hooked then sync t else fsync t
+    if t.unsynced >= t.sync_every then begin
+      check ~wait:true t;
+      let covers = if t.hooked then t.ops else 0 in
+      if t.hooked then write_frame t ~op:false sync_frame (Bytes.length sync_frame);
+      flush t.oc;
+      t.unsynced <- 0;
+      hand_off t { covers; at = t.records }
+    end
 
   let append t op =
     Buffer.clear t.payload;
@@ -444,21 +546,33 @@ module Writer = struct
   let synced_lsn t = t.marked
 
   (* the pager's WAL ordering hook: LSNs are op counts, durability is
-     a Sync_point marker (so the *reader*-visible synced prefix covers
-     every page image on disk, which is what the crash sweep audits).
-     A [force] that trips an injected crash raises {!Crashed} before
-     the page write — the invariant survives the crash too. *)
+     a fsynced Sync_point marker (so the *reader*-visible synced prefix
+     covers every page image on disk, which is what the crash sweep
+     audits).  [force] waits out the sync in flight before it decides
+     whether to issue its own, so the fsync count is the one a
+     synchronous sync would make.  A [force] that trips an injected
+     crash raises {!Crashed} before the page write — the invariant
+     survives the crash too. *)
   let pager_hook t =
     t.hooked <- true;
     {
       Xsm_pager.Pager.current_lsn = (fun () -> t.ops);
       synced_lsn = (fun () -> t.marked);
-      force = (fun lsn -> if t.marked < lsn then sync t);
+      force =
+        (fun lsn ->
+          check ~wait:true t;
+          if t.marked < lsn then sync t);
     }
 
   let close t =
-    if not t.crashed then fsync t;
-    close_out_noerr t.oc
+    stop t;
+    match t.failure with
+    | Some e ->
+      close_out_noerr t.oc;
+      raise e
+    | None ->
+      if not t.crashed then fsync t;
+      close_out_noerr t.oc
 end
 
 (* The one logged state transition, for either store: the record is

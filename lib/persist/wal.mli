@@ -16,14 +16,16 @@
     its CRC disagrees; the reader reports the torn tail and the
     recovery engine truncates it — a torn record is never replayed.
     {!Writer.sync} appends a sync-point marker record and fsyncs;
-    {!Writer.append} fsyncs by default ([~sync_every:1]).
+    {!Writer.append} asks for an fsync of every record by default
+    ([~sync_every:1]), which runs behind the appender.
 
     {b Fault injection.} A {!crash} point makes the writer stop at a
     chosen record boundary — optionally leaving a prefix of the next
     record's bytes on disk, exactly what an OS crash mid-write leaves —
     and raise {!Crashed}.  The fault-injection tests drive one crash
     point per boundary and assert recovery restores the longest
-    fully-written prefix. *)
+    fully-written prefix.  With [fsync_fails] the fault is a failed
+    fsync instead, and the writer keeps the error. *)
 
 type addr =
   | Node of int list
@@ -105,6 +107,12 @@ type crash = {
   partial_bytes : int;
       (** bytes of the next record to leave behind: 0 = clean boundary
           cut, [n > 0] = a torn record of [min n (size-1)] bytes *)
+  fsync_fails : bool;
+      (** the fault is a disk's, not the process's: every record is
+          written whole, and the first fsync asked for once the log
+          holds [after_records] records raises
+          [Unix.Unix_error (EIO, "fsync", _)] — once, as a kernel
+          reports a lost write-back once.  [partial_bytes] is unused. *)
 }
 
 exception Crashed
@@ -116,9 +124,16 @@ module Writer : sig
 
   val create : ?crash:crash -> ?sync_every:int -> string -> (t, error) result
   (** Open (or create) a WAL for appending.  [sync_every] (default 1)
-      fsyncs after every n-th record — a full {!sync}, marker
-      included, once {!pager_hook} has been taken; {!sync} forces one
-      anytime.
+      fsyncs after every n-th record — with a [Sync_point] marker
+      ahead of the fsync once {!pager_hook} has been taken; {!sync}
+      forces one anytime.  The periodic fsync runs behind the
+      appender, on one syncer thread started by the first of them:
+      the append that asks for it writes the marker, hands the
+      records to the OS and returns; the next periodic sync first
+      waits for this one, so at most one is in flight.  {!sync},
+      the hook's [force] and {!close} wait for it too.  A failed
+      background fsync is kept: the next {!append}, {!sync}, [force]
+      or {!close} raises it, and the writer never fsyncs again.
       Appending to an existing non-empty file first verifies the
       magic; a file that is not a WAL is [Error (Not_a_wal _)]. *)
 
@@ -149,15 +164,20 @@ module Writer : sig
       on dirty pages. *)
 
   val synced_lsn : t -> int
-  (** Ops covered by the last [Sync_point] marker. *)
+  (** Ops covered by the last [Sync_point] marker whose fsync has
+      returned. *)
 
   val pager_hook : t -> Xsm_pager.Pager.wal_hook
   (** The write-back ordering hook for {!Xsm_pager.Pager.create}: a
       dirty page flushes only after a {!sync} covers its LSN.  Taking
-      it makes the writer's periodic fsyncs syncs, so a page whose
-      records they made durable forces nothing more. *)
+      it puts a marker ahead of the writer's periodic fsyncs, so a
+      page whose records they made durable forces nothing more; its
+      [force] waits for the periodic sync in flight before it decides
+      whether to issue its own. *)
 
   val close : t -> unit
+  (** Wait for the sync in flight, stop the syncer, fsync and close.
+      Raises a kept fsync failure after closing the file. *)
 end
 
 val apply_logged :

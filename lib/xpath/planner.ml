@@ -817,7 +817,10 @@ struct
 
   let set_digest_sink t sink = t.digest_sink <- sink
 
-  let emit_digest t ~route ~reason ~query p' nodes =
+  (* what one evaluation looked like: to the digest sink, and to [seen]
+     for a caller that prints its plan *)
+  let emit_digest t ?seen ~route ~reason ~query p' nodes =
+    (match seen with Some s -> s := Some (route, reason, p') | None -> ());
     match t.digest_sink with
     | None -> ()
     | Some sink ->
@@ -832,14 +835,14 @@ struct
               match estimate t p' with e -> Some e | exception _ -> None);
         }
 
-  let eval t ?context p =
+  let eval_seen t ?context ?seen p =
     let query = lazy (Path_ast.to_string p) in
     let p = rewrite t ?context p in
     match prune_reason t ?context p with
     | Some reason ->
       (* provably empty: answer without touching indexes or extents *)
       Counter.cell_incr t.pruned;
-      emit_digest t ~route:"pruned" ~reason ~query p [];
+      emit_digest t ?seen ~route:"pruned" ~reason ~query p [];
       []
     | None -> (
       let fallback reason =
@@ -848,7 +851,7 @@ struct
           Trace.with_span ~attrs:[ ("reason", reason) ] "plan.fallback" (fun () ->
               E.eval t.backend (Option.value context ~default:t.root) p)
         in
-        emit_digest t ~route:"fallback" ~reason ~query p nodes;
+        emit_digest t ?seen ~route:"fallback" ~reason ~query p nodes;
         nodes
       in
       match choose_route t p with
@@ -857,9 +860,32 @@ struct
         match Trace.with_span "plan.index" (fun () -> try_indexed t p) with
         | Ok nodes ->
           Counter.incr m_index_hits;
-          emit_digest t ~route:"index" ~reason:"" ~query p nodes;
+          emit_digest t ?seen ~route:"index" ~reason:"" ~query p nodes;
           nodes
         | Error reason -> fallback reason))
+
+  let eval t ?context p = eval_seen t ?context p
+
+  (* the plan line of a route, as a digest names it, over the
+     rewritten path: the index route's after its evaluation *)
+  let plan_line t ~route ~reason p nodes =
+    match route with
+    | "pruned" -> Printf.sprintf "pruned(%s)" reason
+    | "fallback" -> Printf.sprintf "fallback(%s)" reason
+    | _ ->
+      let e = estimate t p in
+      Format.asprintf "index(%d nodes; est %s; %a; %d value indexes; epoch %d)"
+        (List.length nodes)
+        (Plan.to_string e.Plan.e_rows)
+        PI.pp_stats t.pindex (value_index_count t)
+        (Counter.cell_value t.epoch)
+
+  let eval_explained t ?context p =
+    let seen = ref None in
+    let nodes = eval_seen t ?context ~seen p in
+    match !seen with
+    | Some (route, reason, p) -> (nodes, plan_line t ~route ~reason p nodes)
+    | None -> assert false (* every route emits its digest *)
 
   let eval_string t ?context text =
     match Path_parser.parse text with
@@ -871,21 +897,14 @@ struct
   let explain t p =
     let p = rewrite t p in
     match prune_reason t p with
-    | Some reason -> Printf.sprintf "pruned(%s)" reason
+    | Some reason -> plan_line t ~route:"pruned" ~reason p []
     | None -> (
       match choose_route t p with
-      | `Eval (reason, _) -> Printf.sprintf "fallback(%s)" reason
+      | `Eval (reason, _) -> plan_line t ~route:"fallback" ~reason p []
       | `Indexed _ -> (
         match try_indexed t p with
-        | Ok nodes ->
-          let e = estimate t p in
-          Format.asprintf
-            "index(%d nodes; est %s; %a; %d value indexes; epoch %d)"
-            (List.length nodes)
-            (Plan.to_string e.Plan.e_rows)
-            PI.pp_stats t.pindex (value_index_count t)
-            (Counter.cell_value t.epoch)
-        | Error reason -> Printf.sprintf "fallback(%s)" reason))
+        | Ok nodes -> plan_line t ~route:"index" ~reason:"" p nodes
+        | Error reason -> plan_line t ~route:"fallback" ~reason p []))
 
   let decision_to_json (d : decision) =
     Xsm_obs.Json.Obj

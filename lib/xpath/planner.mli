@@ -174,6 +174,11 @@ module Make
   val eval_string :
     t -> ?context:N.node -> string -> (N.node list, string) result
 
+  val eval_explained : t -> ?context:N.node -> Path_ast.path -> N.node list * string
+  (** {!eval}, with the line {!explain} would print for the route this
+      evaluation took — the one evaluation, where {!explain} after
+      {!eval} would run an indexed route a second time. *)
+
   val explain : t -> Path_ast.path -> string
   (** ["index(...)"] with plan statistics, or ["fallback(reason)"]. *)
 

@@ -149,4 +149,21 @@ grep -q '^/catalog: element library where catalog was declared$' "$tmp/q.err" \
   || fail "query --schema over a valid document failed"
 [ "$(wc -l < "$tmp/q.out")" -eq 2 ] || fail "query --schema over a valid document: two titles"
 
+# --- query --index evaluates once: the plan line comes from the one
+#     evaluation, the same text `explain` prints, and over a paged
+#     storage the block lists are read once (a second evaluation for
+#     the plan line made 8 pager accesses where the query needs 6)
+"$XSM" query --storage --index --page-file "$tmp/lib.pages" --pool-capacity 2 "$LIBRARY_XML" //title \
+  > /dev/null 2> "$tmp/once.err" || fail "paged indexed query failed"
+"$XSM" query --storage --index --explain --page-file "$tmp/lib.pages" --pool-capacity 2 \
+  "$LIBRARY_XML" //title > /dev/null 2> "$tmp/explain.err" || fail "paged explain failed"
+plan=$(grep '^plan: ' "$tmp/once.err")
+[ "$plan" = "plan: index(4 nodes; est [4,4]~4.0; 21 paths over 54 nodes; 0 value indexes; epoch 1)" ] \
+  || fail "paged indexed query: unexpected plan line ($plan)"
+[ "$plan" = "$(grep '^plan: ' "$tmp/explain.err")" ] \
+  || fail "the plan line of the evaluation must be the one explain prints"
+accesses=$(sed -n 's/^pager: \([0-9]*\) accesses.*/\1/p' "$tmp/once.err")
+[ -n "$accesses" ] && [ "$accesses" -lt 8 ] \
+  || fail "paged indexed query: $accesses pager accesses, the query is evaluated twice"
+
 echo "cli plan tests passed"

@@ -405,7 +405,8 @@ let pager_raise_releases_lock () =
   let wal_path = Filename.temp_file "xsm-pager-raise" ".wal" in
   Fun.protect ~finally:(fun () -> Sys.remove wal_path) @@ fun () ->
   let w =
-    match Wal.Writer.create ~crash:{ Wal.after_records = 1; partial_bytes = 0 } wal_path with
+    let crash = { Wal.after_records = 1; partial_bytes = 0; fsync_fails = false } in
+    match Wal.Writer.create ~crash wal_path with
     | Ok w -> w
     | Error e -> Alcotest.fail (Wal.error_message e)
   in
@@ -780,59 +781,58 @@ let sweep_doc sections =
   Buffer.add_string buf "</root>";
   Buffer.contents buf
 
-let crash_sweep () =
+(* [sync_every] > 1 puts a periodic sync in flight while the 2-frame
+   pool evicts, so write-back forces the log behind a background fsync *)
+let crash_sweep ~sync_every () =
   let xml = sweep_doc 12 in
   let wal_path = Filename.temp_file "xsm-pager-crash" ".wal" in
   let cleanup p = if Sys.file_exists p then Sys.remove p in
   Fun.protect ~finally:(fun () -> cleanup wal_path) @@ fun () ->
-  (* find the record count of a clean run first *)
-  let records =
+  (* one paged load; [None] when the injected crash fired *)
+  let load ?crash page_path =
     cleanup wal_path;
-    let w = match Wal.Writer.create wal_path with Ok w -> w | Error _ -> assert false in
-    let bl = BL.create ~block_capacity:4 ~wal:w () in
-    let rec feed sax = match Sax.next sax with
-      | None -> ()
-      | Some ev -> BL.feed bl ev; feed sax
+    let w =
+      match Wal.Writer.create ?crash ~sync_every wal_path with
+      | Ok w -> w
+      | Error _ -> assert false
     in
-    feed (Sax.of_string xml);
-    ignore (BL.finish bl);
-    let n = Wal.Writer.records_written w in
-    Wal.Writer.close w;
-    n
+    let bl = BL.create ~block_capacity:4 ~wal:w () in
+    let bs = BL.storage bl in
+    let pf = Pf.create ~page_size:512 page_path in
+    ignore (Bs.attach_pager ~wal:(Wal.Writer.pager_hook w) bs ~capacity:2 pf);
+    (* bulk load stamps one past the current record: the covering
+       subtree record has not landed yet *)
+    Bs.set_lsn_source bs (fun () -> Wal.Writer.lsn w + 1);
+    let result =
+      try
+        let sax = Sax.of_string xml in
+        let rec feed () = match Sax.next sax with
+          | None -> ()
+          | Some ev -> BL.feed bl ev; feed ()
+        in
+        feed ();
+        ignore (BL.finish bl);
+        Bs.checkpoint bs ~lsn:(Wal.Writer.lsn w);
+        let n = Wal.Writer.records_written w in
+        Wal.Writer.close w;
+        Some n
+      with Wal.Crashed -> None
+    in
+    Pf.close pf;
+    result
   in
+  (* the record count of a clean run of the same load *)
+  let records = match with_tmp (fun p -> load p) with Some n -> n | None -> assert false in
   check "sweep has records" true (records > 3);
   for n = 0 to records do
     List.iter
       (fun partial_bytes ->
         with_tmp @@ fun page_path ->
-        cleanup wal_path;
-        let w =
-          match Wal.Writer.create ~crash:{ Wal.after_records = n; partial_bytes } wal_path with
-          | Ok w -> w
-          | Error _ -> assert false
-        in
-        let bl = BL.create ~block_capacity:4 ~wal:w () in
-        let bs = BL.storage bl in
-        let pf = Pf.create ~page_size:512 page_path in
-        ignore (Bs.attach_pager ~wal:(Wal.Writer.pager_hook w) bs ~capacity:2 pf);
-        (* bulk load stamps one past the current record: the covering
-           subtree record has not landed yet *)
-        Bs.set_lsn_source bs (fun () -> Wal.Writer.lsn w + 1);
         let crashed =
-          try
-            let sax = Sax.of_string xml in
-            let rec feed () = match Sax.next sax with
-              | None -> ()
-              | Some ev -> BL.feed bl ev; feed ()
-            in
-            feed ();
-            ignore (BL.finish bl);
-            Bs.checkpoint bs ~lsn:(Wal.Writer.lsn w);
-            false
-          with Wal.Crashed -> true
+          Option.is_none
+            (load ~crash:{ Wal.after_records = n; partial_bytes; fsync_fails = false } page_path)
         in
-        Pf.close pf;
-        check (Printf.sprintf "crash fires iff reachable (n=%d)" n) (n <= records) crashed;
+        check (Printf.sprintf "crash fires iff reachable (n=%d)" n) (n < records) crashed;
         (* THE invariant: whatever the crash point, no page on disk
            carries an LSN beyond the WAL's reader-visible synced
            prefix — recovery never meets unlogged page state *)
@@ -889,6 +889,8 @@ let suite =
         Alcotest.test_case "unclean file refused" `Quick reopen_refuses_unclean;
         Alcotest.test_case "paging contract: navigation faults nothing" `Quick paging_contract;
         Alcotest.test_case "two domains over a 2-block pool" `Quick concurrent_readers;
-        Alcotest.test_case "crash sweep: synced-prefix bound" `Quick crash_sweep;
+        Alcotest.test_case "crash sweep: synced-prefix bound" `Quick (crash_sweep ~sync_every:1);
+        Alcotest.test_case "crash sweep at sync_every 4: synced-prefix bound" `Quick
+          (crash_sweep ~sync_every:4);
       ] );
   ]

@@ -557,6 +557,112 @@ let test_wal_sync_marks_what_it_covered () =
     (List.combine marked before_marker);
   cleanup [ wal ]
 
+(* The periodic sync runs behind the appender, yet a hooked writer
+   makes the fsyncs and writes the bytes a synchronous sync would:
+   [force] waits out the sync in flight before it decides whether to
+   sync.  The reference runs the same script with no periodic sync
+   and an explicit [sync] wherever the periodic one falls. *)
+let test_wal_background_sync_matches_synchronous () =
+  let syncs = Xsm_obs.Metrics.Counter.make "wal.syncs" in
+  let sync_every = 4 in
+  let rng = Random.State.make [| 34 |] in
+  let ops = ref 0 in
+  let script =
+    List.concat
+      (List.init 200 (fun i ->
+           incr ops;
+           `Append i
+           ::
+           (if Random.State.int rng 5 = 0 then [ `Force (1 + Random.State.int rng !ops) ]
+            else [])))
+  in
+  (* the synchronous schedule: where the periodic syncs fall, given
+     that a force syncs only past the last marker *)
+  let reference =
+    let unsynced = ref 0 and ops = ref 0 and marked = ref 0 in
+    let synced () =
+      unsynced := 0;
+      marked := !ops
+    in
+    List.concat_map
+      (function
+        | `Append _ as a ->
+          incr ops;
+          incr unsynced;
+          if !unsynced >= sync_every then begin
+            synced ();
+            [ a; `Sync ]
+          end
+          else [ a ]
+        | `Force lsn as f ->
+          if !marked < lsn then synced ();
+          [ f ]
+        | `Sync as s -> [ s ])
+      script
+  in
+  let run ~sync_every script =
+    let wal = tmp ".wal" in
+    let w = ok_wal (Wal.Writer.create ~sync_every wal) in
+    let hook = Wal.Writer.pager_hook w in
+    let s0 = Xsm_obs.Metrics.Counter.value syncs in
+    List.iter
+      (function
+        | `Append i ->
+          Wal.Writer.append w (Wal.Insert_text { parent = [ 0 ]; index = i; text = "t" })
+        | `Sync -> Wal.Writer.sync w
+        | `Force lsn ->
+          hook.Xsm_pager.Pager.force lsn;
+          if Wal.Writer.synced_lsn w < lsn then
+            Alcotest.failf "force %d returned with synced_lsn %d" lsn (Wal.Writer.synced_lsn w))
+      script;
+    Wal.Writer.close w;
+    let bytes = In_channel.with_open_bin wal In_channel.input_all in
+    cleanup [ wal ];
+    (Xsm_obs.Metrics.Counter.value syncs - s0, bytes)
+  in
+  let background_syncs, background_bytes = run ~sync_every script in
+  let reference_syncs, reference_bytes = run ~sync_every:max_int reference in
+  Alcotest.(check int) "the synchronous sync's fsync count" reference_syncs background_syncs;
+  Alcotest.(check bool) "the synchronous sync's bytes" true (reference_bytes = background_bytes)
+
+(* A failed background fsync is never lost and never retried: the
+   injected fault strikes the second periodic sync, once (a retry
+   would succeed), so [synced_lsn] stays at the first; every later
+   call raises the error and no further fsync is issued *)
+let test_wal_background_sync_failure () =
+  let syncs = Xsm_obs.Metrics.Counter.make "wal.syncs" in
+  let wal = tmp ".wal" in
+  let s0 = Xsm_obs.Metrics.Counter.value syncs in
+  let w =
+    ok_wal
+      (Wal.Writer.create ~sync_every:4
+         ~crash:{ Wal.after_records = 6; partial_bytes = 0; fsync_fails = true }
+         wal)
+  in
+  let hook = Wal.Writer.pager_hook w in
+  let append i = Wal.Writer.append w (Wal.Insert_text { parent = [ 0 ]; index = i; text = "t" }) in
+  (* records 1-4 are ops, 5 the first marker: its fsync succeeds; ops
+     5-8 are records 6-9, and the fsync behind marker 10 fails *)
+  for i = 0 to 7 do
+    append i
+  done;
+  let raises what f =
+    match f () with
+    | () -> Alcotest.failf "%s returned after the fsync failed" what
+    | exception Unix.Unix_error (Unix.EIO, "fsync", _) -> ()
+  in
+  raises "sync" (fun () -> Wal.Writer.sync w);
+  raises "append" (fun () -> append 8);
+  raises "force" (fun () -> hook.Xsm_pager.Pager.force 8);
+  Alcotest.(check int) "marked stays at the last fsync that returned" 4 (Wal.Writer.synced_lsn w);
+  raises "close" (fun () -> Wal.Writer.close w);
+  Alcotest.(check int) "the open and the first periodic sync; no retry" 2
+    (Xsm_obs.Metrics.Counter.value syncs - s0);
+  Alcotest.(check int) "the records reached the OS" 8 (Wal.Writer.lsn w);
+  let r = ok_wal (Wal.read wal) in
+  Alcotest.(check int) "8 ops + 2 markers, whole" 10 (List.length r.Wal.records);
+  cleanup [ wal ]
+
 let test_wal_replay_matches_direct () =
   let wal = tmp ".wal" in
   let direct_store, direct_root, _, _ = write_fixture_wal wal in
@@ -586,7 +692,7 @@ let test_crash_recovery_all_points () =
          let labels = Labeler.label_tree store root in
          ignore (ok (Snapshot.save ~labels ~path:snap store root)));
         let _, _, _, applied =
-          write_fixture_wal ~crash:{ Wal.after_records; partial_bytes } wal
+          write_fixture_wal ~crash:{ Wal.after_records; partial_bytes; fsync_fails = false } wal
         in
         Alcotest.(check int) (ctx ^ ": writer died at the crash point") after_records applied;
         let rstore, rroot, rlabels, stats = ok_rec (Recovery.recover ~snapshot:snap ~wal ()) in
@@ -815,6 +921,10 @@ let suite =
           test_wal_concurrent_syncs;
         Alcotest.test_case "wal sync marks its prefix" `Quick
           test_wal_sync_marks_what_it_covered;
+        Alcotest.test_case "wal background sync = synchronous sync" `Quick
+          test_wal_background_sync_matches_synchronous;
+        Alcotest.test_case "wal background fsync failure kept, not retried" `Quick
+          test_wal_background_sync_failure;
         Alcotest.test_case "crash recovery at every crash point" `Quick
           test_crash_recovery_all_points;
         Alcotest.test_case "snapshot corrupt inputs: pinned errors" `Quick
