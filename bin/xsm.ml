@@ -277,7 +277,8 @@ let logging_term ~wal_doc ~snapshot_doc =
   let make wal snapshot sync_every crash_after partial_bytes =
     let crash =
       Option.map
-        (fun n -> { Wal.after_records = n; partial_bytes; fsync_fails = false })
+        (fun n ->
+          { Wal.after_records = n; partial_bytes; fsync_fails = false; before_fsync = ignore })
         crash_after
     in
     { wal; snapshot; sync_every; crash }

@@ -315,14 +315,24 @@ type error =
   | Not_a_wal of string  (* the path: file exists but lacks the WAL magic *)
   | Io of string
 
-type crash = { after_records : int; partial_bytes : int; fsync_fails : bool }
+type crash = {
+  after_records : int;
+  partial_bytes : int;
+  fsync_fails : bool;
+  before_fsync : unit -> unit;
+}
 
 exception Crashed
 
 module Writer = struct
-  (* a sync handed to the syncer: the ops ahead of its marker (none
-     without a marker) and the log's length when it was asked for *)
-  type job = { covers : int; at : int }
+  (* The one sync a log has in flight.  The thread that takes the slot
+     writes the marker and hands the records to the OS; the fsync runs
+     on that thread ([Held]), or on the syncer thread once the
+     appender hands it over ([Handed]: the ops ahead of its marker,
+     none without one, and the log's length when it was asked for). *)
+  type slot = Idle | Held | Handed of { covers : int; at : int }
+
+  type stats = { covering_syncs : int; max_covered : int }
 
   type t = {
     oc : out_channel;
@@ -331,101 +341,119 @@ module Writer = struct
     sync_every : int;
     mutable records : int;
     mutable ops : int;  (* Op records only — the LSN scale *)
-    mutable marked : int;  (* ops covered by the last fsynced Sync_point marker *)
     mutable unsynced : int;
     mutable crashed : bool;
     mutable fault_fired : bool;  (* the injected fsync fault has struck *)
     mutable hooked : bool;  (* a pager orders its write-back on [marked] *)
     payload : Buffer.t;  (* the record being encoded, reused *)
     mutable frame : Bytes.t;  (* its framed bytes, reused *)
-    (* The syncer: one systhread, started by the first periodic sync,
-       that fsyncs behind the appender.  [lock] guards [job], [stopping]
-       and [failure] while it runs; [wake] wakes it, [idle] tells its
-       waiters that the sync in flight is done. *)
+    (* [lock] guards the slot and what a sync leaves behind; [idle]
+       tells waiters the slot emptied, [wake] wakes the syncer, a
+       systhread started by the first periodic sync *)
     lock : Mutex.t;
-    wake : Condition.t;
     idle : Condition.t;
+    wake : Condition.t;
+    mutable slot : slot;
     mutable syncer : Thread.t option;
-    mutable job : job option;  (* the sync in flight *)
     mutable stopping : bool;
-    mutable failure : exn option;  (* a failed background fsync, raised by every later call *)
+    mutable marked : int;  (* ops covered by the last fsynced Sync_point marker *)
+    mutable covering : int64 * int64;  (* the interval of the fsync that set [marked] *)
+    mutable failure : exn option;  (* a failed sync, raised by every later call *)
+    mutable stats : stats;
   }
 
-  (* One fsync of the log's descriptor, timed and counted.  [at] is the
-     log's length when the sync was asked for: an injected fsync fault
-     strikes the first fsync at or past its crash point, once — as a
-     kernel reports a lost write-back once, so a retry would "succeed". *)
+  let locked t f = Mutex.protect t.lock f
+
+  (* One fsync of the log's descriptor, timed and counted; returns its
+     interval.  [at] is the log's length when the sync was asked for:
+     an injected fsync fault strikes the first fsync at or past its
+     crash point, once — as a kernel reports a lost write-back once,
+     so a retry would "succeed". *)
   let fsync_fd t ~at =
     (match t.crash with
-    | Some { after_records; fsync_fails = true; _ } when at >= after_records && not t.fault_fired ->
-      t.fault_fired <- true;
-      raise (Unix.Unix_error (Unix.EIO, "fsync", "injected fault"))
-    | _ -> ());
+    | Some { after_records; fsync_fails; before_fsync; _ } ->
+      before_fsync ();
+      if fsync_fails && at >= after_records && not t.fault_fired then begin
+        t.fault_fired <- true;
+        raise (Unix.Unix_error (Unix.EIO, "fsync", "injected fault"))
+      end
+    | None -> ());
     let start = Xsm_obs.Clock.now_ns () in
     Unix.fsync t.fd;
+    let stop = Xsm_obs.Clock.now_ns () in
     Counter.incr m_syncs;
-    Histogram.observe h_fsync (Int64.to_float (Int64.sub (Xsm_obs.Clock.now_ns ()) start))
+    Histogram.observe h_fsync (Int64.to_float (Int64.sub stop start));
+    (start, stop)
 
-  let fsync t =
-    flush t.oc;
-    fsync_fd t ~at:t.records;
-    t.unsynced <- 0
-
-  (* The syncer's loop: fsync each job handed over; raise [marked] to
-     the ops ahead of its marker only once the fsync returned, or keep
-     its failure.  It never retries. *)
-  let rec serve t =
-    Mutex.lock t.lock;
-    while Option.is_none t.job && not t.stopping do
-      Condition.wait t.wake t.lock
+  (* With [t.lock] held: the slot, once the sync in flight is done, for
+     a sync covering the ops appended so far (none without a marker).
+     A kept failure is raised instead: the writer never fsyncs again. *)
+  let claim t ~marker =
+    while t.slot <> Idle do
+      Condition.wait t.idle t.lock
     done;
-    let job = t.job in
-    Mutex.unlock t.lock;
-    match job with
+    Option.iter raise t.failure;
+    t.slot <- Held;
+    if marker then t.ops else 0
+
+  (* With [t.lock] held: the sync in the slot ended.  A failure is kept
+     for good — but not an injected crash, which leaves nothing to
+     sync. *)
+  let settle t ~covers outcome =
+    (match outcome with
+    | Ok interval ->
+      if covers > t.marked then begin
+        let { covering_syncs; max_covered } = t.stats in
+        t.stats <-
+          { covering_syncs = covering_syncs + 1; max_covered = max max_covered (covers - t.marked) };
+        t.marked <- covers;
+        t.covering <- interval
+      end
+    | Error Crashed -> ()
+    | Error e -> t.failure <- Some e);
+    t.slot <- Idle;
+    Condition.broadcast t.idle
+
+  (* [f], for the sync in the slot: if it raises, the sync ends there *)
+  let or_settle t ~covers f =
+    match f () with
+    | v -> v
+    | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      locked t (fun () -> settle t ~covers (Error e));
+      Printexc.raise_with_backtrace e bt
+
+  (* The syncer's loop: fsync each sync handed over, then settle it *)
+  let rec serve t =
+    let next =
+      locked t (fun () ->
+          let rec next () =
+            match t.slot with
+            | Handed { covers; at } ->
+              t.slot <- Held;
+              Some (covers, at)
+            | Idle | Held when t.stopping -> None
+            | Idle | Held ->
+              Condition.wait t.wake t.lock;
+              next ()
+          in
+          next ())
+    in
+    match next with
     | None -> ()
-    | Some { covers; at } ->
-      let failure = match fsync_fd t ~at with () -> None | exception e -> Some e in
-      Mutex.lock t.lock;
-      (match failure with
-      | None -> if covers > t.marked then t.marked <- covers
-      | Some _ -> t.failure <- failure);
-      t.job <- None;
-      Condition.broadcast t.idle;
-      Mutex.unlock t.lock;
+    | Some (covers, at) ->
+      let outcome = match fsync_fd t ~at with i -> Ok i | exception e -> Error e in
+      locked t (fun () -> settle t ~covers outcome);
       serve t
 
-  (* Raise the syncer's failure, if any; with [~wait], first wait out
-     the sync in flight.  A writer that never started a syncer (the
-     daemon's) takes no lock. *)
-  let check ?(wait = false) t =
-    let failure =
-      match t.syncer with
-      | None -> t.failure
-      | Some _ ->
-        Mutex.lock t.lock;
-        if wait then while Option.is_some t.job do Condition.wait t.idle t.lock done;
-        let failure = t.failure in
-        Mutex.unlock t.lock;
-        failure
-    in
-    Option.iter raise failure
-
-  let hand_off t job =
-    if Option.is_none t.syncer then t.syncer <- Some (Thread.create serve t);
-    Mutex.lock t.lock;
-    t.job <- Some job;
-    Condition.signal t.wake;
-    Mutex.unlock t.lock
-
-  (* finish the sync in flight and join the syncer *)
+  (* finish the sync handed over and join the syncer *)
   let stop t =
     match t.syncer with
     | None -> ()
     | Some thread ->
-      Mutex.lock t.lock;
-      t.stopping <- true;
-      Condition.signal t.wake;
-      Mutex.unlock t.lock;
+      locked t (fun () ->
+          t.stopping <- true;
+          Condition.signal t.wake);
       Thread.join thread;
       t.syncer <- None
 
@@ -451,12 +479,14 @@ module Writer = struct
           if fresh then output_string oc magic;
           let t =
             { oc; fd = Unix.descr_of_out_channel oc; crash; sync_every; records = 0; ops = 0;
-              marked = 0; unsynced = 0; crashed = false; fault_fired = false; hooked = false;
+              unsynced = 0; crashed = false; fault_fired = false; hooked = false;
               payload = Buffer.create 4096; frame = Bytes.create 4096; lock = Mutex.create ();
-              wake = Condition.create (); idle = Condition.create (); syncer = None; job = None;
-              stopping = false; failure = None }
+              idle = Condition.create (); wake = Condition.create (); slot = Idle;
+              syncer = None; stopping = false; marked = 0; covering = (0L, 0L); failure = None;
+              stats = { covering_syncs = 0; max_covered = 0 } }
           in
-          fsync t;
+          flush oc;
+          ignore (fsync_fd t ~at:0);
           (* a freshly created log needs its directory entry synced
              too, or a crash can lose the whole file *)
           if fresh then Fsutil.fsync_parent path;
@@ -471,8 +501,8 @@ module Writer = struct
   let write_frame t ~op frame size =
     if t.crashed then raise Crashed;
     (match t.crash with
-    | Some { after_records; partial_bytes; fsync_fails = false } when t.records >= after_records ->
-      (* the injected crash: let the sync in flight finish, leave a
+    | Some { after_records; partial_bytes; fsync_fails = false; _ } when t.records >= after_records ->
+      (* the injected crash: let the sync handed over finish, leave a
          prefix of this record on disk, flush it (the OS got the
          bytes), and die *)
       stop t;
@@ -492,43 +522,71 @@ module Writer = struct
     Histogram.observe h_append
       (Int64.to_float (Int64.sub (Xsm_obs.Clock.now_ns ()) start))
 
-  (* A [sync] can run beside an [append] or another [sync] — the
-     daemon's commit syncs outside the latch while the next batch
-     appends, and a reader's eviction forces the log through
-     {!pager_hook} — so it writes a frame built once and touches no
-     reused buffer.  It vouches only for the ops counted before its
-     marker: an op appended while it fsyncs follows the marker.  Of two
-     syncs on two domains, the one covering less may finish last and
-     mark less; that only costs a later force a sync.  (The daemon's
-     writer never starts a syncer, so [check] takes no lock there.) *)
+  (* The marker is a frame built once: a sync writes it while the
+     appender may write its next record, so it touches no reused
+     buffer.  A sync vouches only for the ops counted when it took the
+     slot; an op appended while it runs follows its marker. *)
   let sync_frame = Bytes.of_string (encode_record Sync_point)
 
-  let sync t =
-    check ~wait:true t;
-    let covered = t.ops in
-    write_frame t ~op:false sync_frame (Bytes.length sync_frame);
-    fsync t;
-    if covered > t.marked then t.marked <- covered
+  (* the first half of every sync, on the thread holding the slot:
+     the marker, then every record ahead of it to the OS *)
+  let write_marker t ~marker =
+    if marker then write_frame t ~op:false sync_frame (Bytes.length sync_frame);
+    flush t.oc;
+    t.unsynced <- 0
+
+  (* a sync that holds the slot, run to its end on this thread *)
+  let run t ~covers ~marker =
+    let interval =
+      or_settle t ~covers (fun () ->
+          write_marker t ~marker;
+          fsync_fd t ~at:t.records)
+    in
+    locked t (fun () -> settle t ~covers (Ok interval));
+    interval
+
+  let sync t = ignore (run t ~covers:(locked t (fun () -> claim t ~marker:true)) ~marker:true)
+
+  (* Wait out the sync in flight; if it did not cover [lsn], take the
+     slot and sync on this thread — no hand-off, so an ack costs no
+     wakeup.  A record a sync covered stays acknowledged even after a
+     later sync failed. *)
+  let force t lsn =
+    let covered =
+      locked t (fun () ->
+          let rec wait () =
+            if t.marked >= lsn then Either.Left t.covering
+            else
+              match (t.failure, t.slot) with
+              | Some e, _ -> raise e
+              | None, Idle -> Either.Right (claim t ~marker:true)
+              | None, (Held | Handed _) ->
+                Condition.wait t.idle t.lock;
+                wait ()
+          in
+          wait ())
+    in
+    match covered with Either.Left interval -> interval | Right covers -> run t ~covers ~marker:true
 
   (* write the op encoded in [t.payload].  Ops are appended by one
-     writer at a time (the server's commit applier, under the exclusive
+     writer at a time (the daemon's updates run under the exclusive
      latch), so the reused buffers need no lock of their own.  The
-     periodic sync runs behind the appender: once the sync before it is
-     done, the marker (when a pager orders its write-back on it) and
-     every record ahead of it go to the OS, and the syncer fsyncs them
-     while the appender goes on.  At most one sync is in flight. *)
+     periodic sync runs behind the appender: once it holds the slot,
+     the marker (when a pager orders its write-back on it) and every
+     record ahead of it go to the OS, and the syncer fsyncs them while
+     the appender goes on. *)
   let emit_payload t =
-    check t;
+    Option.iter raise t.failure;
     let frame, size = frame_payload t.frame t.payload in
     t.frame <- frame;
     write_frame t ~op:true frame size;
     if t.unsynced >= t.sync_every then begin
-      check ~wait:true t;
-      let covers = if t.hooked then t.ops else 0 in
-      if t.hooked then write_frame t ~op:false sync_frame (Bytes.length sync_frame);
-      flush t.oc;
-      t.unsynced <- 0;
-      hand_off t { covers; at = t.records }
+      let covers = locked t (fun () -> claim t ~marker:t.hooked) in
+      or_settle t ~covers (fun () -> write_marker t ~marker:t.hooked);
+      if Option.is_none t.syncer then t.syncer <- Some (Thread.create serve t);
+      locked t (fun () ->
+          t.slot <- Handed { covers; at = t.records };
+          Condition.signal t.wake)
     end
 
   let append t op =
@@ -545,46 +603,49 @@ module Writer = struct
   let lsn t = t.ops
   let synced_lsn t = t.marked
 
+  let stats t = locked t (fun () -> t.stats)
+
   (* the pager's WAL ordering hook: LSNs are op counts, durability is
      a fsynced Sync_point marker (so the *reader*-visible synced prefix
      covers every page image on disk, which is what the crash sweep
-     audits).  [force] waits out the sync in flight before it decides
-     whether to issue its own, so the fsync count is the one a
-     synchronous sync would make.  A [force] that trips an injected
-     crash raises {!Crashed} before the page write — the invariant
-     survives the crash too. *)
+     audits).  A [force] that trips an injected crash raises
+     {!Crashed} before the page write — the invariant survives the
+     crash too. *)
   let pager_hook t =
     t.hooked <- true;
     {
       Xsm_pager.Pager.current_lsn = (fun () -> t.ops);
       synced_lsn = (fun () -> t.marked);
-      force =
-        (fun lsn ->
-          check ~wait:true t;
-          if t.marked < lsn then sync t);
+      force = (fun lsn -> ignore (force t lsn));
     }
 
   let close t =
     stop t;
-    match t.failure with
-    | Some e ->
-      close_out_noerr t.oc;
-      raise e
-    | None ->
-      if not t.crashed then fsync t;
-      close_out_noerr t.oc
+    Fun.protect
+      ~finally:(fun () -> close_out_noerr t.oc)
+      (fun () ->
+        if t.crashed then locked t (fun () -> Option.iter raise t.failure)
+        else ignore (run t ~covers:(locked t (fun () -> claim t ~marker:false)) ~marker:false))
 end
 
 (* The one logged state transition, for either store: the record is
    captured against the pre-state (its addresses describe it), the op
    applied, and the record appended only when the apply succeeded — a
    rejected op leaves no orphan record that would make the log
-   unreplayable. *)
+   unreplayable.  After a failed fsync nothing is applied at all: an
+   op the log cannot make durable would leave the store ahead of
+   every state recovery can reach. *)
 let apply_logged wal tree ~root ~apply op =
   let ( let* ) = Result.bind in
   let* record =
     match wal with
     | None -> Ok None
+    | Some { Writer.failure = Some e; _ } ->
+      Error
+        (match e with
+        | Unix.Unix_error (err, fn, _) ->
+          Printf.sprintf "wal: read-only after a failed %s: %s" fn (Unix.error_message err)
+        | e -> "wal: read-only after a failed sync: " ^ Printexc.to_string e)
     | Some _ -> Result.map Option.some (op_of_update tree ~root op)
   in
   let* applied = apply op in

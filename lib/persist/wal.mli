@@ -15,9 +15,10 @@
     A record is {e torn} when its header or payload is cut short or
     its CRC disagrees; the reader reports the torn tail and the
     recovery engine truncates it — a torn record is never replayed.
-    {!Writer.sync} appends a sync-point marker record and fsyncs;
-    {!Writer.append} asks for an fsync of every record by default
-    ([~sync_every:1]), which runs behind the appender.
+    {!Writer.force} and {!Writer.sync} append a sync-point marker
+    record and fsync; {!Writer.append} asks for an fsync of every
+    record by default ([~sync_every:1]), which runs behind the
+    appender.
 
     {b Fault injection.} A {!crash} point makes the writer stop at a
     chosen record boundary — optionally leaving a prefix of the next
@@ -25,7 +26,8 @@
     and raise {!Crashed}.  The fault-injection tests drive one crash
     point per boundary and assert recovery restores the longest
     fully-written prefix.  With [fsync_fails] the fault is a failed
-    fsync instead, and the writer keeps the error. *)
+    fsync instead, and the writer keeps the error: the log is
+    read-only from then on. *)
 
 type addr =
   | Node of int list
@@ -113,6 +115,10 @@ type crash = {
           holds [after_records] records raises
           [Unix.Unix_error (EIO, "fsync", _)] — once, as a kernel
           reports a lost write-back once.  [partial_bytes] is unused. *)
+  before_fsync : unit -> unit;
+      (** runs on the syncing thread before every fsync of the log, the
+          one at {!Writer.create} included — a test holds a sync in
+          flight by blocking here.  [ignore] otherwise. *)
 }
 
 exception Crashed
@@ -125,17 +131,23 @@ module Writer : sig
   val create : ?crash:crash -> ?sync_every:int -> string -> (t, error) result
   (** Open (or create) a WAL for appending.  [sync_every] (default 1)
       fsyncs after every n-th record — with a [Sync_point] marker
-      ahead of the fsync once {!pager_hook} has been taken; {!sync}
-      forces one anytime.  The periodic fsync runs behind the
-      appender, on one syncer thread started by the first of them:
-      the append that asks for it writes the marker, hands the
-      records to the OS and returns; the next periodic sync first
-      waits for this one, so at most one is in flight.  {!sync},
-      the hook's [force] and {!close} wait for it too.  A failed
-      background fsync is kept: the next {!append}, {!sync}, [force]
-      or {!close} raises it, and the writer never fsyncs again.
-      Appending to an existing non-empty file first verifies the
-      magic; a file that is not a WAL is [Error (Not_a_wal _)]. *)
+      ahead of the fsync once {!pager_hook} has been taken; {!force}
+      and {!sync} make one anytime.
+
+      {b One sync in flight.}  Every fsync after the open — periodic,
+      {!force}, {!sync}, {!close} — goes through one slot: a caller
+      first waits out the sync in flight.  The periodic sync runs
+      behind the appender: the append that asks for it writes the
+      marker, hands the records to the OS and leaves the fsync to one
+      syncer thread, started by the first of them.  {!force} and
+      {!sync} fsync on the caller's own thread.
+
+      {b A failed sync is kept.}  The ops it covered are never vouched
+      for, and every later {!append}, {!sync}, {!close} — and
+      {!force} of an op it did not cover — raises the error; the
+      writer never fsyncs again.  Appending to an existing non-empty
+      file first verifies the magic; a file that is not a WAL is
+      [Error (Not_a_wal _)]. *)
 
   val append : t -> op -> unit
   (** Appends ({!append}, {!append_element}) come from one caller at a
@@ -148,32 +160,46 @@ module Writer : sig
       {!Xsm_xml.Printer.add_element} prints it — the bulk load's path,
       which prints each record as its events arrive. *)
 
+  val force : t -> int -> int64 * int64
+  (** [force t lsn] returns once a fsynced [Sync_point] marker covers
+      the first [lsn] ops: group commit.  It waits out the sync in
+      flight; if that did not cover [lsn], it appends a marker and
+      fsyncs on this thread, covering every op appended so far — so
+      the callers that wait meanwhile share the next fsync.  Returns
+      the start and stop ({!Xsm_obs.Clock.now_ns}) of the fsync that
+      last raised {!synced_lsn}, which covers [lsn].  Thread-safe; it
+      may run beside an append. *)
+
   val sync : t -> unit
-  (** Append a [Sync_point] marker and fsync: everything before it is
-      durable {e and provably so to a reader} (the marker is what
-      advances {!read}'s [synced_prefix]).  It may run beside an
-      append (the daemon's next commit batch) or another [sync] on
-      another domain (a page eviction forcing the log through
-      {!pager_hook}); every record stays whole, and {!synced_lsn}
-      counts only the ops appended before the marker. *)
+  (** Append a [Sync_point] marker and fsync, whatever is covered
+      already: everything before it is durable {e and provably so to
+      a reader} (the marker is what advances {!read}'s
+      [synced_prefix]).  Thread-safe like {!force}. *)
 
   val records_written : t -> int
 
   val lsn : t -> int
   (** Ops appended so far — the log-sequence number the pager stamps
-      on dirty pages. *)
+      on dirty pages and {!force} takes. *)
 
   val synced_lsn : t -> int
   (** Ops covered by the last [Sync_point] marker whose fsync has
       returned. *)
 
+  type stats = {
+    covering_syncs : int;  (** marker fsyncs that raised {!synced_lsn} *)
+    max_covered : int;  (** the most ops one of them made durable *)
+  }
+
+  val stats : t -> stats
+  (** The daemon reports these as its commit batches. *)
+
   val pager_hook : t -> Xsm_pager.Pager.wal_hook
   (** The write-back ordering hook for {!Xsm_pager.Pager.create}: a
-      dirty page flushes only after a {!sync} covers its LSN.  Taking
-      it puts a marker ahead of the writer's periodic fsyncs, so a
-      page whose records they made durable forces nothing more; its
-      [force] waits for the periodic sync in flight before it decides
-      whether to issue its own. *)
+      dirty page flushes only after a sync covers its LSN; its
+      [force] is {!force}.  Taking it puts a marker ahead of the
+      writer's periodic fsyncs, so a page whose records they made
+      durable forces nothing more. *)
 
   val close : t -> unit
   (** Wait for the sync in flight, stop the syncer, fsync and close.
@@ -191,7 +217,10 @@ val apply_logged :
     and by both stores: capture the op's record against the pre-state,
     [apply] it, and append the record only when the apply succeeded —
     a rejected op leaves the log untouched, so the log stays
-    replayable.  Without a writer this is a plain apply.  {!Crashed}
+    replayable.  A writer that keeps a failed fsync makes the log
+    read-only: the op is refused before it is captured or applied, so
+    the store never runs ahead of a log that can no longer be made
+    durable.  Without a writer this is a plain apply.  {!Crashed}
     propagates from the append at an injected crash point. *)
 
 (** {1 Reading} *)

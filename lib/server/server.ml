@@ -87,7 +87,10 @@ type t = {
   epoch : Epoch.t;
   pool : Pool.t;
   wal : Wal.Writer.t option;
-  commit : (string, (unit, string) result) Commit.t;
+  (* without group commit, one update at a time applies and syncs —
+     the E17 baseline *)
+  serial : Mutex.t option;
+  submissions : int Atomic.t;  (* updates submitted *)
   (* observability: the always-on digest ring, the slow-query log, the
      last planner digest (written by eval under [m], consumed by the
      same request before releasing it) *)
@@ -99,7 +102,7 @@ type t = {
   (* the server mutex: metrics registry, trace ring and its recording
      switch (not thread-safe), planner evaluation, flight recorder,
      session registry.  Every span the daemon records is recorded
-     under it; the pool domains and the commit stages record none. *)
+     under it; the pool domains and the WAL's syncs record none. *)
   m : Mutex.t;
   mutable next_session : int;
   mutable session_fds : (int * Unix.file_descr) list;
@@ -110,8 +113,7 @@ type t = {
 
 (* ------------------------------------------------------------------ *)
 (* Update commands: the update-script grammar of `xsm update`, one
-   line per request, applied by the commit's apply stage under the
-   exclusive epoch latch. *)
+   line per request, applied under the exclusive epoch latch. *)
 
 let ( let* ) = Result.bind
 
@@ -176,12 +178,12 @@ let apply_paged bs (op : Bs.desc Update.op) =
       | None -> Ok (Update.Added (fst (Bs.insert_attribute bs ~parent:element name value))))
     | Ds.Document | Ds.Attribute | Ds.Text -> Error "set_attribute: target is not an element")
 
-(* Apply one command to the served store.  Runs inside the apply
-   stage's exclusive latch section; the logged apply appends the WAL
-   record only after a successful apply, and the client is only
-   acknowledged after a sync covering its batch either way.  A
-   removed subtree's slots go back to the resident store once labels
-   and planner have had the change. *)
+(* Apply one command to the served store.  Runs inside the exclusive
+   latch section; the logged apply appends the WAL record only after a
+   successful apply, and the client is only acknowledged after a sync
+   covering the log as the latch left it either way.  A removed
+   subtree's slots go back to the resident store once labels and
+   planner have had the change. *)
 let apply_command srv line =
   match srv.served with
   | Resident { store; root; labels; planner } ->
@@ -199,16 +201,26 @@ let apply_command srv line =
     Option.iter (fun p -> Spl.apply_changes p [ change ]) planner;
     Ok ()
 
-(* The commit's two stages.  A batch applies under the exclusive
-   latch and appends its records; the fsync happens outside the latch,
-   beside the next batch's apply, so readers and the next writers
-   proceed while the records hit the disk. *)
-let apply_batch srv lines = Epoch.write srv.epoch (fun () -> List.map (apply_command srv) lines)
-
-let sync_batches srv =
-  Option.iter Wal.Writer.sync srv.wal;
-  (* GC/runtime gauges ride the sync, off the request path *)
-  Metrics.Runtime.sample ()
+(* Group commit: an update applies under the exclusive latch, which
+   it leaves with the log's length, then waits for a sync covering
+   that length ({!Wal.Writer.force}) — outside the latch, so readers
+   and the next writers proceed while the records hit the disk, and
+   the updates that apply meanwhile share the next fsync.  A refused
+   line waits too: its reply may rest on state another update wrote.
+   Returns the outcome and the interval of the covering fsync. *)
+let commit srv line =
+  Atomic.incr srv.submissions;
+  let run () =
+    let outcome, lsn =
+      Epoch.write srv.epoch (fun () ->
+          let outcome = apply_command srv line in
+          (outcome, Option.map Wal.Writer.lsn srv.wal))
+    in
+    match (srv.wal, lsn) with
+    | Some w, Some lsn -> (outcome, Some (Wal.Writer.force w lsn))
+    | _ -> (outcome, None)
+  in
+  match srv.serial with Some m -> Mutex.protect m run | None -> run ()
 
 (* ------------------------------------------------------------------ *)
 (* Request handling                                                    *)
@@ -280,8 +292,8 @@ let finish_request srv ~session ~id ~kind ~detail ~counter ~hist ~trace ~phases 
          [last_digest] (same request, same mutex); estimates are
          interval arithmetic, never a re-evaluation.  They read the
          planner's indexes, so under the shared latch, like the
-         evaluation: the commit's applier splices updates into them under
-         the exclusive one.  The plan is only materialized for the
+         evaluation: each update splices its change into them under the
+         exclusive one.  The plan is only materialized for the
          digests someone will read: slow requests and failures. *)
       let dg = !(srv.last_digest) in
       srv.last_digest := None;
@@ -360,8 +372,8 @@ let run_query srv ~traced path =
     if srv.config.use_index then
       (* planner indexes are mutable (lazily built value indexes, plan
          decisions): serialized under the server mutex, and under the
-         shared latch, which keeps out the commit's applier splicing each
-         update's change into them *)
+         shared latch, which keeps out each update splicing its change
+         into them *)
       let t_lock = Clock.now_ns () in
       locked srv (fun () ->
           let t_latch = Clock.now_ns () in
@@ -420,7 +432,13 @@ let stats_body srv ~openmetrics =
       if openmetrics then
         Json.Obj [ ("openmetrics", Json.Str (Metrics.to_openmetrics Metrics.default)) ]
       else
-        let c = Commit.stats srv.commit in
+        let batches, max_batch =
+          match srv.wal with
+          | Some w ->
+            let s = Wal.Writer.stats w in
+            (s.Wal.Writer.covering_syncs, s.Wal.Writer.max_covered)
+          | None -> (0, 0)
+        in
         let pager_field =
           match srv.served with
           | Paged { bs; _ } -> (
@@ -441,9 +459,9 @@ let stats_body srv ~openmetrics =
                   ( "commit",
                     Json.Obj
                       [
-                        ("submissions", Json.int c.Commit.submissions);
-                        ("batches", Json.int c.Commit.batches);
-                        ("max_batch", Json.int c.Commit.max_batch);
+                        ("submissions", Json.int (Atomic.get srv.submissions));
+                        ("batches", Json.int batches);
+                        ("max_batch", Json.int max_batch);
                       ] );
                 ] );
             ("metrics", Metrics.to_json Metrics.default);
@@ -504,15 +522,16 @@ let handle srv ~session req =
     let finish = finish_request srv ~session ~id ~kind:"update" ~detail:command
         ~counter:m_updates ~hist:(Some h_update_ns) ~trace ~pager0 t0
     in
-    match Commit.submit srv.commit command with
-    | Ok (), (f0, f1) ->
+    match commit srv command with
+    | Ok (), fsync ->
       let t1 = Clock.now_ns () in
       (* the sync that covered this update's record: it started after
          the update applied and returned before the ack *)
       let phases, fsync_ns =
-        if Option.is_some srv.wal then
+        match fsync with
+        | Some (f0, f1) ->
           ([ ("serve.commit", t0, t1); ("serve.wal.fsync", f0, f1) ], Int64.sub f1 f0)
-        else ([ ("serve.commit", t0, t1) ], 0L)
+        | None -> ([ ("serve.commit", t0, t1) ], 0L)
       in
       finish ~fsync_ns ~phases ~rows:0 ~outcome:Flight.Done;
       (Some (P.Applied { id; epoch = Epoch.current srv.epoch }), `Continue)
@@ -633,8 +652,7 @@ let create config ~store ~root ?labels ?schema () =
       Option.map (fun path -> opening Page_file.close (Ok (Page_file.create path))) config.page_file
     in
     let qlog = Option.map (fun path -> opening Qlog.close (Qlog.create path)) config.slow_log in
-    (* the commit's sync stage pays every fsync: one per sync, which
-       covers one update in the baseline *)
+    (* the updates' forces pay every fsync: none is periodic *)
     let wal =
       Option.map
         (fun path ->
@@ -649,13 +667,7 @@ let create config ~store ~root ?labels ?schema () =
     Error (match e with Refused m -> m | e -> "server: " ^ Printexc.to_string e)
   | served, wal, qlog ->
     let stop_rd, stop_wr = Unix.pipe () in
-    (* the commit queue's stages need the server they belong to; tie
-       the knot through a ref rather than a recursive value *)
-    let srv_cell = ref None in
-    let the_srv () = match !srv_cell with Some srv -> srv | None -> assert false in
-    let apply lines = apply_batch (the_srv ()) lines in
-    let sync () = sync_batches (the_srv ()) in
-    let srv =
+    Ok
       {
         config;
         served;
@@ -663,10 +675,8 @@ let create config ~store ~root ?labels ?schema () =
         epoch = Epoch.create ();
         pool = Pool.create config.domains;
         wal;
-        (* without group commit each request commits alone: its own
-           latch acquisition, its own fsync — the E17 baseline *)
-        commit =
-          Commit.create ~limit:(if config.group_commit then max_int else 1) ~apply ~sync ();
+        serial = (if config.group_commit then None else Some (Mutex.create ()));
+        submissions = Atomic.make 0;
         flight = Flight.create ~capacity:config.flight_capacity ();
         qlog;
         slow_ns = Int64.of_float (config.slow_threshold_ms *. 1e6);
@@ -679,9 +689,6 @@ let create config ~store ~root ?labels ?schema () =
         stop_rd;
         stop_wr;
       }
-    in
-    srv_cell := Some srv;
-    Ok srv
 
 let request_stop = trigger_stop
 

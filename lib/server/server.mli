@@ -13,15 +13,17 @@
     systhread (cheap, mostly blocked on socket I/O).  Read-only
     queries are executed on a pool of {!Pool.size} {e domains} under
     the shared {!Epoch} latch, so they run truly in parallel against
-    an immutable view of the store.  Updates from all sessions funnel
-    through a {!Commit} group-commit queue in two stages: one applier
-    applies a whole batch under the exclusive latch — readers observe
-    the store only before or after a batch, never mid-batch — and
-    appends its WAL records; one syncer then pays a single WAL fsync
-    for every batch applied so far, while the next batch applies.  An
+    an immutable view of the store.  An update applies under the
+    exclusive latch — readers observe the store only before or after
+    it, never midway — and appends its WAL record; it leaves the latch
+    with the log's length and waits for a fsync covering it
+    ({!Xsm_persist.Wal.Writer.force}).  That wait is group commit: the
+    updates that apply while one fsync runs share the next, so under
+    load the number covered per fsync adapts to the fsync latency.  An
     update is acknowledged as soon as the fsync covering its record
-    returns.  With [group_commit = false] every update pays its own
-    apply and its own fsync (the E17 baseline).
+    returns; after a failed fsync the log is read-only and every later
+    update is refused.  With [group_commit = false] one update at a
+    time applies and pays its own fsync (the E17 baseline).
 
     {b Lifecycle.}  The caller boots the state (fresh document,
     snapshot load, or crash recovery) and hands it to {!create};
@@ -49,7 +51,7 @@
     log.  [Stats] requests report the registry plus live server state,
     or the OpenMetrics text exposition; [Introspect] serves the flight
     recorder and per-trace server spans.  GC/runtime gauges are
-    sampled at every commit sync. *)
+    sampled at every [Stats] read. *)
 
 type config = {
   socket_path : string;  (** Unix domain socket to bind *)

@@ -590,16 +590,21 @@ let place_ordered t d =
     append_to_block b d;
     0
   | Some head ->
-    (* find the last descriptor with nid < d.nid *)
-    let rec find_block b =
+    (* the block holding the last descriptor with nid < d.nid: the last
+       block whose first nid is below d's.  A delete can empty a block
+       in mid-list, so empty blocks are walked past, never chosen
+       unless no block qualifies — a full block followed by an empty
+       one still takes d when d falls inside its range *)
+    let rec find_block best b =
       match b.next_block with
+      | None -> best
       | Some nb -> (
         match nb.first with
-        | Some f when Label.compare f.nid d.nid < 0 -> find_block nb
-        | Some _ | None -> b)
-      | None -> b
+        | None -> find_block best nb
+        | Some f when Label.compare f.nid d.nid < 0 -> find_block nb nb
+        | Some _ -> best)
     in
-    let b = find_block head in
+    let b = find_block head head in
     let rec find_pred cur pred =
       match cur with
       | None -> pred

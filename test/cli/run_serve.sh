@@ -291,9 +291,9 @@ grep -q "type annotation" "$tmp/serve.err" || fail "the refusal must name what i
 cmp -s "$tmp/typed.snap" "$tmp/typed.orig.snap" || fail "a refused boot must leave the snapshot as it was"
 [ -e "$sock" ] && fail "a refused boot must not leave a socket behind"
 
-# --- one fsync per update: the commit's sync stage pays every WAL
-#     fsync, with group commit and in the --no-group-commit baseline
-#     alike, and no append pays one of its own
+# --- one fsync per update: each update's force pays the WAL fsync
+#     that covers it, with group commit and in the --no-group-commit
+#     baseline alike, and no append pays one of its own
 wal_syncs() {
   "$XSM" client --socket "$sock" --stats 2>/dev/null | grep -o '"wal.syncs":[0-9]*' | cut -d: -f2
 }

@@ -405,7 +405,9 @@ let pager_raise_releases_lock () =
   let wal_path = Filename.temp_file "xsm-pager-raise" ".wal" in
   Fun.protect ~finally:(fun () -> Sys.remove wal_path) @@ fun () ->
   let w =
-    let crash = { Wal.after_records = 1; partial_bytes = 0; fsync_fails = false } in
+    let crash =
+      { Wal.after_records = 1; partial_bytes = 0; fsync_fails = false; before_fsync = ignore }
+    in
     match Wal.Writer.create ~crash wal_path with
     | Ok w -> w
     | Error e -> Alcotest.fail (Wal.error_message e)
@@ -583,15 +585,16 @@ let paged_equals_memory_law seed =
   let steps =
     List.init 15 (fun _ -> (Gen.int r 4, Gen.int r 1000, Gen.int r 1000, Gen.int r 1000))
   in
-  List.iter
-    (fun step ->
-      apply_step mem step;
-      apply_step paged step)
-    steps;
-  let ok_doc = serialized mem = serialized paged in
+  (* both keep the §9.2 invariants after every op, not only at the end *)
   let ok_int =
-    Bs.check_integrity paged = Ok () && Bs.check_integrity mem = Ok ()
+    List.for_all
+      (fun step ->
+        apply_step mem step;
+        apply_step paged step;
+        Bs.check_integrity paged = Ok () && Bs.check_integrity mem = Ok ())
+      steps
   in
+  let ok_doc = serialized mem = serialized paged in
   let query q bs =
     match Xsm_xpath.Eval.Over_storage.eval_string bs (Bs.root bs) q with
     | Ok ds -> Some (List.map (Bs.string_value bs) ds)
@@ -830,7 +833,10 @@ let crash_sweep ~sync_every () =
         with_tmp @@ fun page_path ->
         let crashed =
           Option.is_none
-            (load ~crash:{ Wal.after_records = n; partial_bytes; fsync_fails = false } page_path)
+            (load
+               ~crash:
+                 { Wal.after_records = n; partial_bytes; fsync_fails = false; before_fsync = ignore }
+               page_path)
         in
         check (Printf.sprintf "crash fires iff reachable (n=%d)" n) (n < records) crashed;
         (* THE invariant: whatever the crash point, no page on disk
@@ -882,7 +888,7 @@ let suite =
     ( "pager.storage",
       [
         QCheck_alcotest.to_alcotest
-          (Q.Test.make ~count:60 ~name:"paged(capacity 2) = in-memory"
+          (Q.Test.make ~count:60 ~long_factor:20 ~name:"paged(capacity 2) = in-memory"
              (Q.make ~print:string_of_int Q.Gen.(int_bound 1_000_000))
              paged_equals_memory_law);
         Alcotest.test_case "checkpoint/reopen round-trip" `Quick checkpoint_reopen;

@@ -482,27 +482,27 @@ let test_wal_sync_points () =
   Alcotest.(check int) "only the op before the marker is vouched for" 1 r.Wal.synced_prefix;
   cleanup [ wal ]
 
-(* the server's two sync paths: the group-commit leader syncs after
+(* the server's two force paths: an update forces the log after
    releasing the epoch latch, while a reader that evicts a dirty page
-   forces the log through the pager hook, which ends in the same
-   [sync] — a [sync] runs beside an [append] or another [sync], and
-   every record must stay whole *)
+   forces it through the pager hook — a sync runs beside an [append]
+   or waits for another sync, and every record must stay whole *)
 let test_wal_concurrent_syncs () =
   let wal = tmp ".wal" in
   let w = ok_wal (Wal.Writer.create wal) in
+  let hook = Wal.Writer.pager_hook w in
   let rounds = 3000 in
   let leading = Atomic.make true in
   let leader () =
     for i = 1 to rounds do
       Wal.Writer.append w
         (Wal.Insert_text { parent = [ i mod 3 ]; index = i; text = String.make (i mod 50) 't' });
-      Wal.Writer.sync w
+      ignore (Wal.Writer.force w (Wal.Writer.lsn w))
     done;
     Atomic.set leading false
   in
   let reader () =
     while Atomic.get leading do
-      Wal.Writer.sync w
+      hook.Xsm_pager.Pager.force (Wal.Writer.lsn w)
     done
   in
   let d = Domain.spawn reader in
@@ -636,7 +636,8 @@ let test_wal_background_sync_failure () =
   let w =
     ok_wal
       (Wal.Writer.create ~sync_every:4
-         ~crash:{ Wal.after_records = 6; partial_bytes = 0; fsync_fails = true }
+         ~crash:
+           { Wal.after_records = 6; partial_bytes = 0; fsync_fails = true; before_fsync = ignore }
          wal)
   in
   let hook = Wal.Writer.pager_hook w in
@@ -662,6 +663,250 @@ let test_wal_background_sync_failure () =
   let r = ok_wal (Wal.read wal) in
   Alcotest.(check int) "8 ops + 2 markers, whole" 10 (List.length r.Wal.records);
   cleanup [ wal ]
+
+(* ------------------------------------------------------------------ *)
+(* Group commit: [Writer.force]                                        *)
+
+let m_wal_syncs = Xsm_obs.Metrics.Counter.make "wal.syncs"
+let wal_syncs () = Xsm_obs.Metrics.Counter.value m_wal_syncs
+let text_op i = Wal.Insert_text { parent = [ 0 ]; index = i; text = "t" }
+
+(* one submitter: append under the latch (here a mutex, as the
+   daemon's epoch latch), leave it with the log's length, force that *)
+let submit_to w latch i =
+  let lsn =
+    Mutex.protect latch (fun () ->
+        Wal.Writer.append w (text_op i);
+        Wal.Writer.lsn w)
+  in
+  ignore (Wal.Writer.force w lsn)
+
+(* serialized submitters pay one fsync each, each covering its own op *)
+let test_force_per_request () =
+  let wal = tmp ".wal" in
+  let w = ok_wal (Wal.Writer.create ~sync_every:max_int wal) in
+  let latch = Mutex.create () in
+  let s0 = wal_syncs () in
+  submit_to w latch 0;
+  submit_to w latch 1;
+  Alcotest.(check int) "one fsync per request" 2 (wal_syncs () - s0);
+  let s = Wal.Writer.stats w in
+  Alcotest.(check int) "one covering sync each" 2 s.Wal.Writer.covering_syncs;
+  Alcotest.(check int) "each covered one op" 1 s.Wal.Writer.max_covered;
+  Alcotest.(check int) "both durable" 2 (Wal.Writer.synced_lsn w);
+  Wal.Writer.close w;
+  cleanup [ wal ]
+
+(* the first submitter's slow fsync lets the others pile up: they
+   share a later fsync instead of paying one each *)
+let test_force_batches_under_load () =
+  let wal = tmp ".wal" in
+  let armed = Atomic.make false in
+  let before_fsync () = if Atomic.get armed then Thread.delay 0.05 in
+  let crash = { Wal.after_records = max_int; partial_bytes = 0; fsync_fails = false; before_fsync } in
+  let w = ok_wal (Wal.Writer.create ~crash ~sync_every:max_int wal) in
+  Atomic.set armed true;
+  let latch = Mutex.create () in
+  let s0 = wal_syncs () in
+  List.iter Thread.join (List.init 6 (fun i -> Thread.create (fun () -> submit_to w latch i) ()));
+  let s = Wal.Writer.stats w in
+  Alcotest.(check int) "every op durable" 6 (Wal.Writer.synced_lsn w);
+  Alcotest.(check bool) "submitters shared an fsync" true (wal_syncs () - s0 < 6);
+  Alcotest.(check int) "every fsync a covering one" (wal_syncs () - s0) s.Wal.Writer.covering_syncs;
+  Alcotest.(check bool) "one fsync covered several ops" true (s.Wal.Writer.max_covered >= 2);
+  Wal.Writer.close w;
+  cleanup [ wal ]
+
+(* the submitter whose fsync fails sees the cause, and its op is never
+   vouched for *)
+let test_force_failure_fails_submitter () =
+  let wal = tmp ".wal" in
+  let crash =
+    { Wal.after_records = 1; partial_bytes = 0; fsync_fails = true; before_fsync = ignore }
+  in
+  let w = ok_wal (Wal.Writer.create ~crash ~sync_every:max_int wal) in
+  Wal.Writer.append w (text_op 0);
+  (match Wal.Writer.force w 1 with
+  | _ -> Alcotest.fail "force returned after its fsync failed"
+  | exception Unix.Unix_error (Unix.EIO, "fsync", _) -> ());
+  Alcotest.(check int) "nothing vouched for" 0 (Wal.Writer.synced_lsn w);
+  (try Wal.Writer.close w with Unix.Unix_error _ -> ());
+  cleanup [ wal ]
+
+(* A writer whose fsyncs block on gates the test opens, one gate per
+   fsync in call order once armed (later ones pass).  [f] gets the
+   writer and a way to run a submission on its own thread; every gate
+   opens and every thread is joined however [f] ends. *)
+let with_gated_writer ?(fail_after = max_int) f =
+  let wal = tmp ".wal" in
+  let gates = Array.init 3 (fun _ -> Atomic.make false) in
+  let armed = Atomic.make false and syncs = Atomic.make 0 in
+  let before_fsync () =
+    if Atomic.get armed then begin
+      let k = Atomic.fetch_and_add syncs 1 in
+      if k < Array.length gates then
+        while not (Atomic.get gates.(k)) do Thread.delay 0.001 done
+    end
+  in
+  let crash =
+    { Wal.after_records = fail_after; partial_bytes = 0; fsync_fails = fail_after < max_int;
+      before_fsync }
+  in
+  let w = ok_wal (Wal.Writer.create ~crash ~sync_every:max_int wal) in
+  Atomic.set armed true;
+  let latch = Mutex.create () in
+  let threads = ref [] in
+  let submit i =
+    let outcome = Atomic.make None in
+    let run () =
+      Atomic.set outcome
+        (Some
+           (match submit_to w latch i with
+           | () -> Ok ()
+           | exception Unix.Unix_error (err, _, _) -> Error (Unix.error_message err)))
+    in
+    threads := Thread.create run () :: !threads;
+    outcome
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun g -> Atomic.set g true) gates;
+      List.iter Thread.join !threads;
+      (try Wal.Writer.close w with Unix.Unix_error _ -> ());
+      cleanup [ wal ])
+    (fun () ->
+      f w ~submit
+        ~open_gate:(fun k -> Atomic.set gates.(k) true)
+        ~syncs:(fun () -> Atomic.get syncs))
+
+let eventually what pred =
+  let deadline = Unix.gettimeofday () +. 5.0 in
+  while (not (pred ())) && Unix.gettimeofday () < deadline do
+    Thread.delay 0.001
+  done;
+  if not (pred ()) then Alcotest.failf "timed out waiting until %s" what
+
+(* each submitter returns at the fsync that covers its own op: B
+   appends while A's fsync is blocked, and A returns while B's own
+   fsync is still blocked *)
+let test_force_acks_at_own_sync () =
+  with_gated_writer (fun w ~submit ~open_gate ~syncs ->
+      let a = submit 0 in
+      eventually "A syncs" (fun () -> syncs () = 1);
+      let b = submit 1 in
+      eventually "B appends while A's fsync is blocked" (fun () -> Wal.Writer.lsn w = 2);
+      Alcotest.(check bool) "A waits for its fsync" true (Atomic.get a = None);
+      open_gate 0;
+      eventually "A returns while B's fsync is blocked" (fun () -> Atomic.get a <> None);
+      Alcotest.(check bool) "A acknowledged" true (Atomic.get a = Some (Ok ()));
+      eventually "B syncs its own op" (fun () -> syncs () = 2);
+      Alcotest.(check bool) "B waits for its fsync" true (Atomic.get b = None);
+      open_gate 1;
+      eventually "B returns" (fun () -> Atomic.get b <> None);
+      Alcotest.(check bool) "B acknowledged" true (Atomic.get b = Some (Ok ()));
+      let s = Wal.Writer.stats w in
+      Alcotest.(check int) "one fsync each" 2 s.Wal.Writer.covering_syncs;
+      Alcotest.(check int) "each fsync covered one" 1 s.Wal.Writer.max_covered)
+
+(* a failed fsync fails every submitter it covered, and the log stays
+   read-only after it: B and C append while A's fsync is blocked and
+   share the second fsync (records: A, marker, B, C, marker — the fault
+   strikes at the fifth), which fails; A is acknowledged, and a later
+   D is refused — a retried fsync could report success for records the
+   kernel already dropped *)
+let test_force_failed_sync_fails_waiters () =
+  with_gated_writer ~fail_after:3 (fun w ~submit ~open_gate ~syncs ->
+      let a = submit 0 in
+      eventually "A syncs" (fun () -> syncs () = 1);
+      let b = submit 1 and c = submit 2 in
+      eventually "B and C append" (fun () -> Wal.Writer.lsn w = 3);
+      let s0 = wal_syncs () in
+      open_gate 0;
+      open_gate 1;
+      eventually "all three return" (fun () ->
+          List.for_all (fun o -> Atomic.get o <> None) [ a; b; c ]);
+      let eio = Error (Unix.error_message Unix.EIO) in
+      Alcotest.(check bool) "A acknowledged" true (Atomic.get a = Some (Ok ()));
+      Alcotest.(check bool) "B sees the fsync failure" true (Atomic.get b = Some eio);
+      Alcotest.(check bool) "C sees the fsync failure" true (Atomic.get c = Some eio);
+      open_gate 2;
+      let d = submit 3 in
+      eventually "D returns" (fun () -> Atomic.get d <> None);
+      Alcotest.(check bool) "a later submitter is refused" true (Atomic.get d = Some eio);
+      Alcotest.(check int) "only A's op vouched for" 1 (Wal.Writer.synced_lsn w);
+      Alcotest.(check int) "D's op never reached the log" 3 (Wal.Writer.lsn w);
+      Alcotest.(check int) "A's fsync, and no retry" 1 (wal_syncs () - s0);
+      let s = Wal.Writer.stats w in
+      Alcotest.(check int) "one covering fsync" 1 s.Wal.Writer.covering_syncs)
+
+(* After a failed fsync the log is read-only, over either store: the
+   updates the failed fsync covered fail at their force, every later
+   update is refused before it applies — the store stays =_c — and
+   reads are still answered. *)
+let read_only_after_failed_fsync ~what ~tree ~root ~apply ~insert ~print ~reads =
+  let wal = tmp ".wal" in
+  (* records: op, marker (the first fsync), op, op, marker — the
+     fault strikes the second fsync *)
+  let crash =
+    { Wal.after_records = 3; partial_bytes = 0; fsync_fails = true; before_fsync = ignore }
+  in
+  let w = ok_wal (Wal.Writer.create ~crash ~sync_every:max_int wal) in
+  let update i = Wal.apply_logged (Some w) tree ~root ~apply (insert i) in
+  let s0 = wal_syncs () in
+  ignore (ok (update 1));
+  ignore (Wal.Writer.force w (Wal.Writer.lsn w));
+  ignore (ok (update 2));
+  ignore (ok (update 3));
+  (match Wal.Writer.force w (Wal.Writer.lsn w) with
+  | _ -> Alcotest.failf "%s: updates acknowledged by a failed fsync" what
+  | exception Unix.Unix_error (Unix.EIO, "fsync", _) -> ());
+  let before = print () in
+  (match update 4 with
+  | Ok _ -> Alcotest.failf "%s: an update applied after the failed fsync" what
+  | Error e ->
+    Alcotest.(check bool) (what ^ ": the refusal names the failed fsync") true
+      (String.starts_with ~prefix:"wal: read-only after a failed fsync" e));
+  Alcotest.(check string) (what ^ ": the store stays =_c") before (print ());
+  Alcotest.(check bool) (what ^ ": reads still answered") true (reads ());
+  Alcotest.(check int) (what ^ ": the refused op was not logged") 3 (Wal.Writer.lsn w);
+  (match Wal.Writer.close w with
+  | () -> Alcotest.failf "%s: close hid the failed fsync" what
+  | exception Unix.Unix_error (Unix.EIO, _, _) -> ());
+  Alcotest.(check int) (what ^ ": one fsync, never retried") 1 (wal_syncs () - s0);
+  cleanup [ wal ]
+
+let test_read_only_after_failed_fsync () =
+  let book i =
+    Tree.elem "book" ~children:[ Tree.element (Tree.elem "title" ~children:[ Tree.text (string_of_int i) ]) ]
+  in
+  (let store, root = library () in
+   let libr = List.hd (Store.children store root) in
+   let titles () = List.length (ok (Xsm_xpath.Eval.Over_store.eval_string store root "//title")) in
+   let before = titles () in
+   read_only_after_failed_fsync ~what:"resident" ~tree:(Wal.store_tree store) ~root
+     ~apply:(Update.apply store)
+     ~insert:(fun i -> Update.Insert_element { parent = libr; before = None; tree = book i })
+     ~print:(fun () -> Xsm_xml.Printer.to_string (Convert.to_document store root))
+     ~reads:(fun () -> titles () = before + 3));
+  let module Bs = Xsm_storage.Block_storage in
+  let module Ds = Xsm_storage.Descriptive_schema in
+  let store, root = library () in
+  let bs = Bs.of_store store root in
+  let root = Bs.root bs in
+  let libr = List.hd (Bs.children bs root) in
+  let tree =
+    { Wal.parent = Bs.parent; children = Bs.children bs;
+      attribute_name =
+        (fun d -> match Ds.kind (Bs.snode d) with Ds.Attribute -> Bs.node_name d | _ -> None);
+      equal = (fun a b -> Bs.desc_id a = Bs.desc_id b) }
+  in
+  let titles () = List.length (ok (Xsm_xpath.Eval.Over_storage.eval_string bs root "//title")) in
+  let before = titles () in
+  read_only_after_failed_fsync ~what:"paged" ~tree ~root
+    ~apply:(Xsm_server.Server.apply_paged bs)
+    ~insert:(fun i -> Update.Insert_element { parent = libr; before = None; tree = book i })
+    ~print:(fun () -> Xsm_xml.Printer.to_string (Bs.to_document bs))
+    ~reads:(fun () -> titles () = before + 3)
 
 let test_wal_replay_matches_direct () =
   let wal = tmp ".wal" in
@@ -692,7 +937,9 @@ let test_crash_recovery_all_points () =
          let labels = Labeler.label_tree store root in
          ignore (ok (Snapshot.save ~labels ~path:snap store root)));
         let _, _, _, applied =
-          write_fixture_wal ~crash:{ Wal.after_records; partial_bytes; fsync_fails = false } wal
+          write_fixture_wal
+            ~crash:{ Wal.after_records; partial_bytes; fsync_fails = false; before_fsync = ignore }
+            wal
         in
         Alcotest.(check int) (ctx ^ ": writer died at the crash point") after_records applied;
         let rstore, rroot, rlabels, stats = ok_rec (Recovery.recover ~snapshot:snap ~wal ()) in
@@ -925,6 +1172,16 @@ let suite =
           test_wal_background_sync_matches_synchronous;
         Alcotest.test_case "wal background fsync failure kept, not retried" `Quick
           test_wal_background_sync_failure;
+        Alcotest.test_case "wal force: per-request baseline" `Quick test_force_per_request;
+        Alcotest.test_case "wal force: batches under load" `Quick test_force_batches_under_load;
+        Alcotest.test_case "wal force: failure fails the submitter" `Quick
+          test_force_failure_fails_submitter;
+        Alcotest.test_case "wal force: acknowledged at its own sync" `Quick
+          test_force_acks_at_own_sync;
+        Alcotest.test_case "wal force: failed sync fails waiters" `Quick
+          test_force_failed_sync_fails_waiters;
+        Alcotest.test_case "wal read-only after a failed fsync" `Quick
+          test_read_only_after_failed_fsync;
         Alcotest.test_case "crash recovery at every crash point" `Quick
           test_crash_recovery_all_points;
         Alcotest.test_case "snapshot corrupt inputs: pinned errors" `Quick

@@ -1,5 +1,5 @@
 (* The session daemon: frame codec, protocol codec, epoch latch,
-   domain pool, group commit, and an in-process end-to-end server with
+   domain pool, and an in-process end-to-end server with
    concurrent sessions checking snapshot isolation — a reader's
    (epoch, answer) pairs must be a function: one epoch, one state. *)
 
@@ -8,7 +8,6 @@ module Frame = Xsm_server.Frame
 module P = Xsm_server.Protocol
 module Epoch = Xsm_server.Epoch
 module Pool = Xsm_server.Pool
-module Commit = Xsm_server.Commit
 module Server = Xsm_server.Server
 module Client = Xsm_server.Client
 
@@ -175,146 +174,6 @@ let test_pool_runs_and_raises () =
   match Pool.run p (fun () -> 0) with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "run after shutdown must be refused"
-
-(* ---------------- commit ---------------- *)
-
-let test_commit_per_request () =
-  let fsyncs = ref 0 in
-  let c =
-    Commit.create ~limit:1
-      ~apply:(fun batch -> List.map String.uppercase_ascii batch)
-      ~sync:(fun () -> incr fsyncs)
-      ()
-  in
-  Alcotest.(check string) "result" "A" (fst (Commit.submit c "a"));
-  Alcotest.(check string) "result" "B" (fst (Commit.submit c "b"));
-  let s = Commit.stats c in
-  Alcotest.(check int) "one batch per request" 2 s.Commit.batches;
-  Alcotest.(check int) "batch capped at 1" 1 s.Commit.max_batch;
-  Alcotest.(check int) "one fsync per request" 2 !fsyncs
-
-let test_commit_batches_under_load () =
-  (* the first submitter's slow sync lets the other submitters pile
-     up: they must share one later sync, not pay one each *)
-  let c =
-    Commit.create
-      ~apply:(fun batch -> List.map (fun x -> x * 10) batch)
-      ~sync:(fun () -> Thread.delay 0.05)
-      ()
-  in
-  let results = Array.make 6 0 in
-  let threads =
-    List.init 6 (fun i -> Thread.create (fun () -> results.(i) <- fst (Commit.submit c (i + 1))) ())
-  in
-  List.iter Thread.join threads;
-  Array.iteri (fun i r -> Alcotest.(check int) "own result" ((i + 1) * 10) r) results;
-  let s = Commit.stats c in
-  Alcotest.(check int) "every submission counted" 6 s.Commit.submissions;
-  Alcotest.(check bool) "followers shared a batch" true (s.Commit.batches < 6);
-  Alcotest.(check bool) "some batch had several requests" true (s.Commit.max_batch >= 2)
-
-let test_commit_failure_fails_batch () =
-  let c = Commit.create ~apply:(fun _ -> failwith "wal torn") ~sync:ignore () in
-  match Commit.submit c "x" with
-  | exception Failure m -> Alcotest.(check string) "submitter sees the cause" "wal torn" m
-  | _ -> Alcotest.fail "expected the batch failure"
-
-(* A commit queue whose syncs block on gates the test opens, one gate
-   per sync in call order (later syncs pass), recording what applied.
-   [f] gets the queue and a way to run a submission on its own thread;
-   every gate opens and every thread is joined however [f] ends. *)
-let with_gated_commit ?(fail_sync = fun _ -> false) f =
-  let gates = Array.init 3 (fun _ -> Atomic.make false) in
-  let syncs = Atomic.make 0 in
-  let applied = Atomic.make [] in
-  let rec note x =
-    let l = Atomic.get applied in
-    if not (Atomic.compare_and_set applied l (x :: l)) then note x
-  in
-  let c =
-    Commit.create
-      ~apply:(fun batch ->
-        List.iter note batch;
-        batch)
-      ~sync:(fun () ->
-        let k = Atomic.fetch_and_add syncs 1 in
-        if k < Array.length gates then
-          while not (Atomic.get gates.(k)) do Thread.delay 0.001 done;
-        if fail_sync k then failwith "fsync failed")
-      ()
-  in
-  let threads = ref [] in
-  let submit req =
-    let outcome = Atomic.make None in
-    let run () =
-      Atomic.set outcome
-        (Some (match Commit.submit c req with r, _ -> Ok r | exception Failure m -> Error m))
-    in
-    threads := Thread.create run () :: !threads;
-    outcome
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      Array.iter (fun g -> Atomic.set g true) gates;
-      List.iter Thread.join !threads)
-    (fun () ->
-      f c ~submit
-        ~open_gate:(fun k -> Atomic.set gates.(k) true)
-        ~syncs:(fun () -> Atomic.get syncs)
-        ~applied:(fun x -> List.mem x (Atomic.get applied)))
-
-let eventually what pred =
-  let deadline = Unix.gettimeofday () +. 5.0 in
-  while (not (pred ())) && Unix.gettimeofday () < deadline do
-    Thread.delay 0.001
-  done;
-  if not (pred ()) then Alcotest.failf "timed out waiting until %s" what
-
-(* each submitter returns at the sync that covers its own batch: B
-   applies while A's sync is blocked, and A returns while B's own sync
-   is still blocked *)
-let test_commit_acks_at_own_sync () =
-  with_gated_commit (fun c ~submit ~open_gate ~syncs ~applied ->
-      let a = submit "a" in
-      eventually "A syncs" (fun () -> syncs () = 1);
-      let b = submit "b" in
-      eventually "B applies while A's sync is blocked" (fun () -> applied "b");
-      Alcotest.(check bool) "A waits for its sync" true (Atomic.get a = None);
-      open_gate 0;
-      eventually "A returns while B's sync is blocked" (fun () -> Atomic.get a <> None);
-      Alcotest.(check bool) "A acknowledged" true (Atomic.get a = Some (Ok "a"));
-      eventually "B syncs its own batch" (fun () -> syncs () = 2);
-      Alcotest.(check bool) "B waits for its sync" true (Atomic.get b = None);
-      open_gate 1;
-      eventually "B returns" (fun () -> Atomic.get b <> None);
-      Alcotest.(check bool) "B acknowledged" true (Atomic.get b = Some (Ok "b"));
-      let s = Commit.stats c in
-      Alcotest.(check int) "one sync each" 2 s.Commit.batches;
-      Alcotest.(check int) "each sync covered one" 1 s.Commit.max_batch)
-
-(* a failed sync fails every submitter it covered, and only those: B
-   and C apply while A's sync is blocked, share the second sync, which
-   fails; A and a later D are acknowledged *)
-let test_commit_failed_sync_fails_waiters () =
-  with_gated_commit ~fail_sync:(fun k -> k = 1) (fun c ~submit ~open_gate ~syncs ~applied ->
-      let a = submit "a" in
-      eventually "A syncs" (fun () -> syncs () = 1);
-      let b = submit "b" and c' = submit "c" in
-      eventually "B and C apply" (fun () -> applied "b" && applied "c");
-      open_gate 0;
-      open_gate 1;
-      eventually "all three return" (fun () ->
-          List.for_all (fun o -> Atomic.get o <> None) [ a; b; c' ]);
-      Alcotest.(check bool) "A acknowledged" true (Atomic.get a = Some (Ok "a"));
-      Alcotest.(check bool) "B sees the sync failure" true (Atomic.get b = Some (Error "fsync failed"));
-      Alcotest.(check bool) "C sees the sync failure" true (Atomic.get c' = Some (Error "fsync failed"));
-      open_gate 2;
-      let d = submit "d" in
-      eventually "D returns" (fun () -> Atomic.get d <> None);
-      Alcotest.(check bool) "a later submitter is acknowledged" true (Atomic.get d = Some (Ok "d"));
-      let s = Commit.stats c in
-      Alcotest.(check int) "three syncs" 3 s.Commit.batches;
-      Alcotest.(check int) "the failed sync covered two" 2 s.Commit.max_batch)
 
 (* ---------------- server end to end ---------------- *)
 
@@ -1040,15 +899,6 @@ let suite =
       ] );
     ( "server.pool",
       [ Alcotest.test_case "runs and raises" `Quick test_pool_runs_and_raises ] );
-    ( "server.commit",
-      [
-        Alcotest.test_case "per-request baseline" `Quick test_commit_per_request;
-        Alcotest.test_case "batches under load" `Quick test_commit_batches_under_load;
-        Alcotest.test_case "failure fails the batch" `Quick test_commit_failure_fails_batch;
-        Alcotest.test_case "acknowledged at its own sync" `Quick test_commit_acks_at_own_sync;
-        Alcotest.test_case "failed sync fails waiters" `Quick
-          test_commit_failed_sync_fails_waiters;
-      ] );
     ( "server.sessions",
       [
         Alcotest.test_case "query/update/validate/stats" `Quick test_server_session_basics;

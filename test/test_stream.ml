@@ -805,7 +805,9 @@ let bulk_crash_sweep () =
         if Sys.file_exists wal_path then Sys.remove wal_path;
         if Sys.file_exists snap_path then Sys.remove snap_path;
         let wal =
-          let crash = { Wal.after_records = n; partial_bytes; fsync_fails = false } in
+          let crash =
+            { Wal.after_records = n; partial_bytes; fsync_fails = false; before_fsync = ignore }
+          in
           match Wal.Writer.create ~crash wal_path with
           | Ok w -> w
           | Error e -> Alcotest.fail (Wal.error_message e)
