@@ -1172,14 +1172,6 @@ let suite =
           test_wal_background_sync_matches_synchronous;
         Alcotest.test_case "wal background fsync failure kept, not retried" `Quick
           test_wal_background_sync_failure;
-        Alcotest.test_case "wal force: per-request baseline" `Quick test_force_per_request;
-        Alcotest.test_case "wal force: batches under load" `Quick test_force_batches_under_load;
-        Alcotest.test_case "wal force: failure fails the submitter" `Quick
-          test_force_failure_fails_submitter;
-        Alcotest.test_case "wal force: acknowledged at its own sync" `Quick
-          test_force_acks_at_own_sync;
-        Alcotest.test_case "wal force: failed sync fails waiters" `Quick
-          test_force_failed_sync_fails_waiters;
         Alcotest.test_case "wal read-only after a failed fsync" `Quick
           test_read_only_after_failed_fsync;
         Alcotest.test_case "crash recovery at every crash point" `Quick
@@ -1194,5 +1186,16 @@ let suite =
         to_alco "snapshot round-trip law (generated corpora)" snapshot_roundtrip_law;
         to_alco "snapshot decode = encode's inverse, byte for byte" snapshot_bytes_law;
         to_alco ~count:40 "wal prefix-replay law (random update sequences)" wal_prefix_law;
+      ] );
+    (* the daemon's group commit: every update forces the log through
+       [Writer.force] *)
+    ( "server.commit",
+      [
+        Alcotest.test_case "per-request baseline" `Quick test_force_per_request;
+        Alcotest.test_case "batches under load" `Quick test_force_batches_under_load;
+        Alcotest.test_case "failure fails the batch" `Quick test_force_failure_fails_submitter;
+        Alcotest.test_case "acknowledged at its own sync" `Quick test_force_acks_at_own_sync;
+        Alcotest.test_case "failed sync fails waiters" `Quick
+          test_force_failed_sync_fails_waiters;
       ] );
   ]
