@@ -188,8 +188,9 @@ let flush_frame t f =
   Counter.cell_incr t.c_writes
 
 (* a dirty frame whose covering WAL record does not exist yet (bulk
-   load logs a subtree only once complete) cannot be stolen: flushing
-   it would put unlogged state on disk *)
+   load logs a subtree only once complete), or can no longer be made
+   durable (the log failed a sync), cannot be stolen: flushing it would
+   put unlogged state on disk *)
 let wal_held t (f : frame) =
   f.dirty
   && match t.wal with Some w -> f.lsn > w.current_lsn () | None -> false
@@ -205,7 +206,7 @@ let trim_ghost t =
     | None -> ()
   done
 
-let evict_one t ~protect =
+let rec evict_one t ~protect =
   let victim_in q =
     let rec go = function
       | None -> None
@@ -224,20 +225,25 @@ let evict_one t ~protect =
   in
   match victim with
   | None -> false
-  | Some f ->
-    if f.dirty then flush_frame t f;
-    t.handlers.on_evict f.f_id;
-    q_remove (if f.q = Q_a1in then t.a1in else t.am) f;
-    (* only first-touch evictions leave a ghost: an Am eviction already
-       had its chance and re-earns residency from scratch *)
-    if f.q = Q_a1in then begin
-      f.q <- Q_ghost;
-      q_push_front t.ghost f;
-      trim_ghost t
-    end
-    else f.q <- Q_none;
-    Counter.cell_incr t.c_evictions;
-    true
+  | Some f -> (
+    match if f.dirty then flush_frame t f with
+    | exception _ when wal_held t f ->
+      (* the log failed while this frame waited for its force: it is
+         held now, and another frame makes the room *)
+      evict_one t ~protect
+    | () ->
+      t.handlers.on_evict f.f_id;
+      q_remove (if f.q = Q_a1in then t.a1in else t.am) f;
+      (* only first-touch evictions leave a ghost: an Am eviction already
+         had its chance and re-earns residency from scratch *)
+      if f.q = Q_a1in then begin
+        f.q <- Q_ghost;
+        q_push_front t.ghost f;
+        trim_ghost t
+      end
+      else f.q <- Q_none;
+      Counter.cell_incr t.c_evictions;
+      true)
 
 let ensure_room t ~protect =
   let gave_up = ref false in

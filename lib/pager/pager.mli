@@ -22,8 +22,11 @@
     ever reaches disk (audited by the crash sweep over
     {!Page_file.iter_pages}).  A dirty frame whose covering record is
     not even written yet ([lsn > current_lsn ()], the bulk-load window
-    between an append and its subtree's record) is unstealable: the
-    pool overflows past capacity rather than flushing unlogged state.
+    between an append and its subtree's record), or can no longer be
+    made durable (a log whose sync failed lowers [current_lsn] to its
+    durable records), is unstealable: the pool overflows past capacity
+    rather than flushing unlogged state, so reads go on after a failed
+    sync.
 
     {b Reading, writing and pinning.}  A payload read that fits in
     one callback goes through {!read}: fault and read share one
@@ -53,7 +56,9 @@ type handlers = {
 }
 
 type wal_hook = {
-  current_lsn : unit -> int;  (** records appended so far *)
+  current_lsn : unit -> int;
+      (** records appended so far that a [force] can still make
+          durable: after a failed sync, only the durable ones *)
   synced_lsn : unit -> int;  (** records durable (at a sync point) *)
   force : int -> unit;  (** make records up to an LSN durable *)
 }

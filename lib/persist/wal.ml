@@ -325,12 +325,9 @@ type crash = {
 exception Crashed
 
 module Writer = struct
-  (* The one sync a log has in flight.  The thread that takes the slot
-     writes the marker and hands the records to the OS; the fsync runs
-     on that thread ([Held]), or on the syncer thread once the
-     appender hands it over ([Handed]: the ops ahead of its marker,
-     none without one, and the log's length when it was asked for). *)
-  type slot = Idle | Held | Handed of { covers : int; at : int }
+  (* a sync handed to the syncer: the ops ahead of its marker (none
+     without a marker) and the log's length when it was asked for *)
+  type job = { covers : int; at : int }
 
   type stats = { covering_syncs : int; max_covered : int }
 
@@ -347,13 +344,20 @@ module Writer = struct
     mutable hooked : bool;  (* a pager orders its write-back on [marked] *)
     payload : Buffer.t;  (* the record being encoded, reused *)
     mutable frame : Bytes.t;  (* its framed bytes, reused *)
-    (* [lock] guards the slot and what a sync leaves behind; [idle]
-       tells waiters the slot emptied, [wake] wakes the syncer, a
-       systhread started by the first periodic sync *)
+    (* The one sync a log has in flight.  A sync takes a ticket and
+       holds the slot once [turn] reaches it, so callers get the slot
+       in the order they asked — a caller that syncs in a loop passes
+       nobody.  The holder writes the marker, hands the records to the
+       OS and fsyncs them on its own thread, or hands the fsync to the
+       syncer ([job]), a systhread started by the first periodic sync.
+       [lock] guards the slot and what a sync leaves behind; [idle]
+       tells waiters the turn moved on, [wake] wakes the syncer. *)
     lock : Mutex.t;
     idle : Condition.t;
     wake : Condition.t;
-    mutable slot : slot;
+    mutable issued : int;  (* tickets handed out *)
+    mutable turn : int;  (* the ticket that holds the slot, or may take it *)
+    mutable job : job option;
     mutable syncer : Thread.t option;
     mutable stopping : bool;
     mutable marked : int;  (* ops covered by the last fsynced Sync_point marker *)
@@ -385,16 +389,29 @@ module Writer = struct
     Histogram.observe h_fsync (Int64.to_float (Int64.sub stop start));
     (start, stop)
 
-  (* With [t.lock] held: the slot, once the sync in flight is done, for
-     a sync covering the ops appended so far (none without a marker).
-     A kept failure is raised instead: the writer never fsyncs again. *)
-  let claim t ~marker =
-    while t.slot <> Idle do
+  (* With [t.lock] held: wait for the slot, in ticket order *)
+  let take t =
+    let ticket = t.issued in
+    t.issued <- ticket + 1;
+    while t.turn < ticket do
       Condition.wait t.idle t.lock
-    done;
-    Option.iter raise t.failure;
-    t.slot <- Held;
-    if marker then t.ops else 0
+    done
+
+  (* With [t.lock] held: the slot goes to the next ticket *)
+  let pass t =
+    t.turn <- t.turn + 1;
+    Condition.broadcast t.idle
+
+  (* With [t.lock] held: the slot, for a sync covering the ops appended
+     so far (none without a marker) — or a kept failure, and no slot:
+     the writer never fsyncs again. *)
+  let claim t ~marker =
+    take t;
+    match t.failure with
+    | Some e ->
+      pass t;
+      Error e
+    | None -> Ok (if marker then t.ops else 0)
 
   (* With [t.lock] held: the sync in the slot ended.  A failure is kept
      for good — but not an injected crash, which leaves nothing to
@@ -411,8 +428,7 @@ module Writer = struct
       end
     | Error Crashed -> ()
     | Error e -> t.failure <- Some e);
-    t.slot <- Idle;
-    Condition.broadcast t.idle
+    pass t
 
   (* [f], for the sync in the slot: if it raises, the sync ends there *)
   let or_settle t ~covers f =
@@ -427,21 +443,16 @@ module Writer = struct
   let rec serve t =
     let next =
       locked t (fun () ->
-          let rec next () =
-            match t.slot with
-            | Handed { covers; at } ->
-              t.slot <- Held;
-              Some (covers, at)
-            | Idle | Held when t.stopping -> None
-            | Idle | Held ->
-              Condition.wait t.wake t.lock;
-              next ()
-          in
-          next ())
+          while Option.is_none t.job && not t.stopping do
+            Condition.wait t.wake t.lock
+          done;
+          let job = t.job in
+          t.job <- None;
+          job)
     in
     match next with
     | None -> ()
-    | Some (covers, at) ->
+    | Some { covers; at } ->
       let outcome = match fsync_fd t ~at with i -> Ok i | exception e -> Error e in
       locked t (fun () -> settle t ~covers outcome);
       serve t
@@ -481,9 +492,9 @@ module Writer = struct
             { oc; fd = Unix.descr_of_out_channel oc; crash; sync_every; records = 0; ops = 0;
               unsynced = 0; crashed = false; fault_fired = false; hooked = false;
               payload = Buffer.create 4096; frame = Bytes.create 4096; lock = Mutex.create ();
-              idle = Condition.create (); wake = Condition.create (); slot = Idle;
-              syncer = None; stopping = false; marked = 0; covering = (0L, 0L); failure = None;
-              stats = { covering_syncs = 0; max_covered = 0 } }
+              idle = Condition.create (); wake = Condition.create (); issued = 0; turn = 0;
+              job = None; syncer = None; stopping = false; marked = 0; covering = (0L, 0L);
+              failure = None; stats = { covering_syncs = 0; max_covered = 0 } }
           in
           flush oc;
           ignore (fsync_fd t ~at:0);
@@ -545,59 +556,72 @@ module Writer = struct
     locked t (fun () -> settle t ~covers (Ok interval));
     interval
 
-  let sync t = ignore (run t ~covers:(locked t (fun () -> claim t ~marker:true)) ~marker:true)
+  let sync t =
+    match locked t (fun () -> claim t ~marker:true) with
+    | Ok covers -> ignore (run t ~covers ~marker:true)
+    | Error e -> raise e
 
-  (* Wait out the sync in flight; if it did not cover [lsn], take the
-     slot and sync on this thread — no hand-off, so an ack costs no
-     wakeup.  A record a sync covered stays acknowledged even after a
-     later sync failed. *)
+  (* Wait for the slot; if the syncs ahead did not cover [lsn], sync
+     on this thread: a hand-off to the syncer would add a thread switch
+     to every ack (EXPERIMENTS.md E31 measures one).  A record a sync
+     covered stays acknowledged even after a later sync failed. *)
   let force t lsn =
     let covered =
       locked t (fun () ->
-          let rec wait () =
-            if t.marked >= lsn then Either.Left t.covering
+          if t.marked >= lsn then Either.Left t.covering
+          else begin
+            take t;
+            if t.marked >= lsn then begin
+              pass t;
+              Either.Left t.covering
+            end
             else
-              match (t.failure, t.slot) with
-              | Some e, _ -> raise e
-              | None, Idle -> Either.Right (claim t ~marker:true)
-              | None, (Held | Handed _) ->
-                Condition.wait t.idle t.lock;
-                wait ()
-          in
-          wait ())
+              match t.failure with
+              | Some e ->
+                pass t;
+                raise e
+              | None -> Either.Right t.ops
+          end)
     in
     match covered with Either.Left interval -> interval | Right covers -> run t ~covers ~marker:true
 
-  (* write the op encoded in [t.payload].  Ops are appended by one
+  (* Write the op encoded in [t.payload].  Ops are appended by one
      writer at a time (the daemon's updates run under the exclusive
-     latch), so the reused buffers need no lock of their own.  The
-     periodic sync runs behind the appender: once it holds the slot,
-     the marker (when a pager orders its write-back on it) and every
-     record ahead of it go to the OS, and the syncer fsyncs them while
-     the appender goes on. *)
-  let emit_payload t =
-    Option.iter raise t.failure;
+     latch), so the reused buffers need no lock of their own.  A kept
+     failure is raised before the op is written — unless the caller
+     already [applied] it: that op is written, so the log and the
+     store agree, and the force that follows reports the failure.
+     The periodic sync runs behind the appender: once it holds the
+     slot, the marker (when a pager orders its write-back on it) and
+     every record ahead of it go to the OS, and the syncer fsyncs them
+     while the appender goes on.  After a failed sync there is none:
+     the failure stays kept for the next call. *)
+  let emit_payload ~applied t =
+    if not applied then Option.iter raise t.failure;
     let frame, size = frame_payload t.frame t.payload in
     t.frame <- frame;
     write_frame t ~op:true frame size;
-    if t.unsynced >= t.sync_every then begin
-      let covers = locked t (fun () -> claim t ~marker:t.hooked) in
-      or_settle t ~covers (fun () -> write_marker t ~marker:t.hooked);
-      if Option.is_none t.syncer then t.syncer <- Some (Thread.create serve t);
-      locked t (fun () ->
-          t.slot <- Handed { covers; at = t.records };
-          Condition.signal t.wake)
-    end
+    if t.unsynced >= t.sync_every then
+      match locked t (fun () -> claim t ~marker:t.hooked) with
+      | Error _ -> ()
+      | Ok covers ->
+        or_settle t ~covers (fun () -> write_marker t ~marker:t.hooked);
+        if Option.is_none t.syncer then t.syncer <- Some (Thread.create serve t);
+        locked t (fun () ->
+            t.job <- Some { covers; at = t.records };
+            Condition.signal t.wake)
 
-  let append t op =
+  let append_op ~applied t op =
     Buffer.clear t.payload;
     encode_payload t.payload (Op op);
-    emit_payload t
+    emit_payload ~applied t
+
+  let append t op = append_op ~applied:false t op
 
   let append_element t ~parent ~index xml =
     Buffer.clear t.payload;
     encode_insert_element t.payload ~parent ~index xml;
-    emit_payload t
+    emit_payload ~applied:false t
 
   let records_written t = t.records
   let lsn t = t.ops
@@ -608,13 +632,17 @@ module Writer = struct
   (* the pager's WAL ordering hook: LSNs are op counts, durability is
      a fsynced Sync_point marker (so the *reader*-visible synced prefix
      covers every page image on disk, which is what the crash sweep
-     audits).  A [force] that trips an injected crash raises
-     {!Crashed} before the page write — the invariant survives the
-     crash too. *)
+     audits).  After a failed sync the ops past [marked] can never be
+     made durable, so the log counts only those it holds durably: the
+     pages they dirtied stay resident, and a read that faults never
+     forces a sync bound to fail.  A [force] that trips an injected
+     crash raises {!Crashed} before the page write — the invariant
+     survives the crash too. *)
   let pager_hook t =
     t.hooked <- true;
     {
-      Xsm_pager.Pager.current_lsn = (fun () -> t.ops);
+      Xsm_pager.Pager.current_lsn =
+        (fun () -> if Option.is_some t.failure then t.marked else t.ops);
       synced_lsn = (fun () -> t.marked);
       force = (fun lsn -> ignore (force t lsn));
     }
@@ -625,7 +653,10 @@ module Writer = struct
       ~finally:(fun () -> close_out_noerr t.oc)
       (fun () ->
         if t.crashed then locked t (fun () -> Option.iter raise t.failure)
-        else ignore (run t ~covers:(locked t (fun () -> claim t ~marker:false)) ~marker:false))
+        else
+          match locked t (fun () -> claim t ~marker:false) with
+          | Ok covers -> ignore (run t ~covers ~marker:false)
+          | Error e -> raise e)
 end
 
 (* The one logged state transition, for either store: the record is
@@ -634,7 +665,10 @@ end
    rejected op leaves no orphan record that would make the log
    unreplayable.  After a failed fsync nothing is applied at all: an
    op the log cannot make durable would leave the store ahead of
-   every state recovery can reach. *)
+   every state recovery can reach.  A sync that fails while the op
+   applies does not stop its append: the record goes to the log as
+   the op went to the store, and the caller's force reports the
+   failure. *)
 let apply_logged wal tree ~root ~apply op =
   let ( let* ) = Result.bind in
   let* record =
@@ -650,7 +684,7 @@ let apply_logged wal tree ~root ~apply op =
   in
   let* applied = apply op in
   (match (wal, record) with
-  | Some w, Some r -> Writer.append w r
+  | Some w, Some r -> Writer.append_op ~applied:true w r
   | _ -> ());
   Ok applied
 

@@ -135,17 +135,19 @@ module Writer : sig
       and {!sync} make one anytime.
 
       {b One sync in flight.}  Every fsync after the open — periodic,
-      {!force}, {!sync}, {!close} — goes through one slot: a caller
-      first waits out the sync in flight.  The periodic sync runs
+      {!force}, {!sync}, {!close} — goes through one slot, which
+      callers get in the order they ask for it: a caller first waits
+      out the syncs ahead of it.  The periodic sync runs
       behind the appender: the append that asks for it writes the
       marker, hands the records to the OS and leaves the fsync to one
       syncer thread, started by the first of them.  {!force} and
       {!sync} fsync on the caller's own thread.
 
       {b A failed sync is kept.}  The ops it covered are never vouched
-      for, and every later {!append}, {!sync}, {!close} — and
-      {!force} of an op it did not cover — raises the error; the
-      writer never fsyncs again.  Appending to an existing non-empty
+      for, and every later {!append} (before it writes), {!sync},
+      {!close} — and {!force} of an op it did not cover — raises the
+      error; the writer never fsyncs again, and a periodic sync due
+      after it is skipped.  Appending to an existing non-empty
       file first verifies the magic; a file that is not a WAL is
       [Error (Not_a_wal _)]. *)
 
@@ -162,8 +164,8 @@ module Writer : sig
 
   val force : t -> int -> int64 * int64
   (** [force t lsn] returns once a fsynced [Sync_point] marker covers
-      the first [lsn] ops: group commit.  It waits out the sync in
-      flight; if that did not cover [lsn], it appends a marker and
+      the first [lsn] ops: group commit.  It waits out the syncs ahead
+      of it; if they did not cover [lsn], it appends a marker and
       fsyncs on this thread, covering every op appended so far — so
       the callers that wait meanwhile share the next fsync.  Returns
       the start and stop ({!Xsm_obs.Clock.now_ns}) of the fsync that
@@ -220,7 +222,10 @@ val apply_logged :
     replayable.  A writer that keeps a failed fsync makes the log
     read-only: the op is refused before it is captured or applied, so
     the store never runs ahead of a log that can no longer be made
-    durable.  Without a writer this is a plain apply.  {!Crashed}
+    durable.  A sync that fails while the op applies does not stop
+    its append — the log keeps what the store holds — and the force
+    that follows raises the failure.  Without a writer this is a plain
+    apply.  {!Crashed}
     propagates from the append at an injected crash point. *)
 
 (** {1 Reading} *)

@@ -482,27 +482,26 @@ let test_wal_sync_points () =
   Alcotest.(check int) "only the op before the marker is vouched for" 1 r.Wal.synced_prefix;
   cleanup [ wal ]
 
-(* the server's two force paths: an update forces the log after
-   releasing the epoch latch, while a reader that evicts a dirty page
-   forces it through the pager hook — a sync runs beside an [append]
-   or waits for another sync, and every record must stay whole *)
-let test_wal_concurrent_syncs () =
+(* Syncs beside appends, on two domains: [leader_sync] follows each of
+   the leader's appends while the other domain runs [reader_sync] in a
+   loop — every record must stay whole and every op be vouched for *)
+let concurrent_syncs ~leader_sync ~reader_sync () =
   let wal = tmp ".wal" in
   let w = ok_wal (Wal.Writer.create wal) in
-  let hook = Wal.Writer.pager_hook w in
+  let reader_sync = reader_sync w in
   let rounds = 3000 in
   let leading = Atomic.make true in
   let leader () =
     for i = 1 to rounds do
       Wal.Writer.append w
         (Wal.Insert_text { parent = [ i mod 3 ]; index = i; text = String.make (i mod 50) 't' });
-      ignore (Wal.Writer.force w (Wal.Writer.lsn w))
+      leader_sync w
     done;
     Atomic.set leading false
   in
   let reader () =
     while Atomic.get leading do
-      hook.Xsm_pager.Pager.force (Wal.Writer.lsn w)
+      reader_sync ()
     done
   in
   let d = Domain.spawn reader in
@@ -517,6 +516,21 @@ let test_wal_concurrent_syncs () =
   Alcotest.(check int) "every op read back" rounds ops;
   Alcotest.(check int) "every op vouched for" rounds r.Wal.synced_prefix;
   cleanup [ wal ]
+
+(* a [sync] in a loop writes its marker while the leader appends, and
+   passes no other caller waiting for the slot *)
+let test_wal_concurrent_syncs =
+  concurrent_syncs ~leader_sync:Wal.Writer.sync ~reader_sync:(fun w () -> Wal.Writer.sync w)
+
+(* the daemon's two force paths: an update forces the log after
+   releasing the epoch latch, while a reader that evicts a dirty page
+   forces it through the pager hook *)
+let test_wal_concurrent_forces =
+  concurrent_syncs
+    ~leader_sync:(fun w -> ignore (Wal.Writer.force w (Wal.Writer.lsn w)))
+    ~reader_sync:(fun w ->
+      let hook = Wal.Writer.pager_hook w in
+      fun () -> hook.Xsm_pager.Pager.force (Wal.Writer.lsn w))
 
 (* a sync vouches only for the ops before its marker: one domain
    appends without pause while the other syncs, and each sync's
@@ -842,21 +856,42 @@ let test_force_failed_sync_fails_waiters () =
 (* After a failed fsync the log is read-only, over either store: the
    updates the failed fsync covered fail at their force, every later
    update is refused before it applies — the store stays =_c — and
-   reads are still answered. *)
-let read_only_after_failed_fsync ~what ~tree ~root ~apply ~insert ~print ~reads =
+   reads are still answered.  The fsync fails while an update applies,
+   as another update's force can in the daemon: that update is logged
+   all the same, and its own force reports the failure.  [attach]
+   gets the writer before the first update. *)
+let read_only_after_failed_fsync ~what ?(attach = ignore) ~tree ~root ~apply ~insert ~print
+    ~reads () =
   let wal = tmp ".wal" in
-  (* records: op, marker (the first fsync), op, op, marker — the
-     fault strikes the second fsync *)
+  (* records: op, marker (the first fsync), op, marker — the fault
+     strikes the second fsync, while the third op applies *)
   let crash =
     { Wal.after_records = 3; partial_bytes = 0; fsync_fails = true; before_fsync = ignore }
   in
   let w = ok_wal (Wal.Writer.create ~crash ~sync_every:max_int wal) in
-  let update i = Wal.apply_logged (Some w) tree ~root ~apply (insert i) in
+  attach w;
+  let update ?(apply = apply) i = Wal.apply_logged (Some w) tree ~root ~apply (insert i) in
   let s0 = wal_syncs () in
   ignore (ok (update 1));
   ignore (Wal.Writer.force w (Wal.Writer.lsn w));
   ignore (ok (update 2));
-  ignore (ok (update 3));
+  let failed_meanwhile = ref false in
+  let apply_while_failing op =
+    let applied = apply op in
+    (match Wal.Writer.force w (Wal.Writer.lsn w) with
+    | _ -> ()
+    | exception Unix.Unix_error (Unix.EIO, "fsync", _) -> failed_meanwhile := true);
+    applied
+  in
+  (match update ~apply:apply_while_failing 3 with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "%s: the update applying while the fsync failed: %s" what e
+  | exception e ->
+    Alcotest.failf "%s: the update applying while the fsync failed raised %s" what
+      (Printexc.to_string e));
+  Alcotest.(check bool) (what ^ ": the fsync failed while the update applied") true
+    !failed_meanwhile;
+  Alcotest.(check int) (what ^ ": the applied op was logged") 3 (Wal.Writer.lsn w);
   (match Wal.Writer.force w (Wal.Writer.lsn w) with
   | _ -> Alcotest.failf "%s: updates acknowledged by a failed fsync" what
   | exception Unix.Unix_error (Unix.EIO, "fsync", _) -> ());
@@ -887,11 +922,16 @@ let test_read_only_after_failed_fsync () =
      ~apply:(Update.apply store)
      ~insert:(fun i -> Update.Insert_element { parent = libr; before = None; tree = book i })
      ~print:(fun () -> Xsm_xml.Printer.to_string (Convert.to_document store root))
-     ~reads:(fun () -> titles () = before + 3));
+     ~reads:(fun () -> titles () = before + 3)
+     ());
+  (* paged through a 2-block pool, as the daemon pages: a read that
+     evicts a block the failed fsync's updates dirtied must not force
+     the log *)
   let module Bs = Xsm_storage.Block_storage in
   let module Ds = Xsm_storage.Descriptive_schema in
+  let module Pf = Xsm_pager.Page_file in
   let store, root = library () in
-  let bs = Bs.of_store store root in
+  let bs = Bs.of_store ~block_capacity:2 store root in
   let root = Bs.root bs in
   let libr = List.hd (Bs.children bs root) in
   let tree =
@@ -902,11 +942,26 @@ let test_read_only_after_failed_fsync () =
   in
   let titles () = List.length (ok (Xsm_xpath.Eval.Over_storage.eval_string bs root "//title")) in
   let before = titles () in
-  read_only_after_failed_fsync ~what:"paged" ~tree ~root
-    ~apply:(Xsm_server.Server.apply_paged bs)
-    ~insert:(fun i -> Update.Insert_element { parent = libr; before = None; tree = book i })
-    ~print:(fun () -> Xsm_xml.Printer.to_string (Bs.to_document bs))
-    ~reads:(fun () -> titles () = before + 3)
+  let pages = tmp ".pages" in
+  let pf = Pf.create ~page_size:512 pages in
+  let pager = ref None in
+  let attach w =
+    pager := Some (Bs.attach_pager ~wal:(Wal.Writer.pager_hook w) bs ~capacity:2 pf);
+    Bs.set_lsn_source bs (fun () -> Wal.Writer.lsn w + 1)
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Pf.close pf;
+      cleanup [ pages ])
+    (read_only_after_failed_fsync ~what:"paged" ~attach ~tree ~root
+       ~apply:(Xsm_server.Server.apply_paged bs)
+       ~insert:(fun i -> Update.Insert_element { parent = libr; before = None; tree = book i })
+       ~print:(fun () -> Xsm_xml.Printer.to_string (Bs.to_document bs))
+       ~reads:(fun () -> titles () = before + 3));
+  let stats = Xsm_pager.Pager.stats (Option.get !pager) in
+  Alcotest.(check bool) "paged: the reads evicted blocks" true (stats.Xsm_pager.Pager.evictions > 0);
+  Alcotest.(check bool) "paged: blocks past the durable prefix stayed resident" true
+    (stats.Xsm_pager.Pager.dirty > 0)
 
 let test_wal_replay_matches_direct () =
   let wal = tmp ".wal" in
@@ -1166,6 +1221,8 @@ let suite =
         Alcotest.test_case "wal logged apply skips rejected ops" `Quick test_wal_apply_logged;
         Alcotest.test_case "wal concurrent syncs keep records whole" `Quick
           test_wal_concurrent_syncs;
+        Alcotest.test_case "wal concurrent forces keep records whole" `Quick
+          test_wal_concurrent_forces;
         Alcotest.test_case "wal sync marks its prefix" `Quick
           test_wal_sync_marks_what_it_covered;
         Alcotest.test_case "wal background sync = synchronous sync" `Quick
